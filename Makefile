@@ -1,9 +1,9 @@
 # Developer entry points. `make check` is the gate every change must pass:
-# build + vet + gofmt drift + simlint + race-enabled tests.
+# build + vet + gofmt drift + simlint + race-enabled tests + the smokes.
 
 GO ?= go
 
-.PHONY: all build vet test race fmt-check lint lint-fix-check typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke baseline clean
+.PHONY: all build vet test race fmt-check lint lint-fix-check typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke clean
 
 all: check
 
@@ -48,13 +48,14 @@ lint-fix-check:
 # lifecycle-analyzer fixtures (poollife, handlestate, ownxfer, plus the
 # clean Port->Link->Host hand-off), then the packet pool's checkdebug
 # poison tests — the runtime tripwire behind the static exactly-once-free
-# proof — in both build-tag modes.
+# proof — in both build-tag modes, and the pooled workload runs (request,
+# data and ACK paths) under that tripwire.
 typestate-smoke:
 	$(GO) test -run 'JoinEnv|MergeAtJoin|LoopWidening|Fixtures/(poollife|handlestate|ownxfer|ownclean)' ./internal/lint
-	$(GO) test -tags checkdebug ./internal/packet
+	$(GO) test -tags checkdebug ./internal/packet ./internal/workload
 	$(GO) test ./internal/packet
 
-check: build vet fmt-check lint lint-fix-check typestate-smoke race fault-smoke sweep-smoke oracle-smoke
+check: build vet fmt-check lint lint-fix-check typestate-smoke race fault-smoke sweep-smoke oracle-smoke perf-smoke
 
 # Fault-injection smoke: a full-mix faulted sweep must complete, stay
 # deterministic, conserve every packet/byte, and keep DCTCP+ no worse than
@@ -107,10 +108,11 @@ bench:
 alloc-check:
 	$(GO) test -run 'AllocBudget|AllocFree' ./internal/sim ./internal/netsim ./internal/tcp
 
-# Regenerate the committed telemetry baseline manifest (reduced scale; see
-# cmd/report -h for the full-figure knobs).
-baseline:
-	$(GO) run ./cmd/report -rounds 24 -warmup 6 -baseline BENCH_baseline.json
+# The benchmark's own smoke (cmd/perf at 1/50 scale: all five workloads,
+# their output checks, every twin run's digest against its facade's). `race`
+# cannot cover it — cmd/perf's child-process tests skip under -race.
+perf-smoke:
+	$(GO) run ./cmd/perf -smoke
 
 clean:
 	$(GO) clean ./...

@@ -20,36 +20,56 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	dcp "dctcpplus"
+	"dctcpplus/internal/cli"
 )
 
-func main() {
-	var (
-		protocols  = flag.String("protocols", "dctcp+,dctcp", "comma-separated protocols")
-		queries    = flag.Int("queries", 1000, "number of query transactions (paper: 7000)")
-		background = flag.Int("background", 1000, "number of background flows (paper: 7000)")
-		short      = flag.Int("short", 0, "number of short-message flows (50KB-1MB)")
-		rtoMin     = flag.Duration("rtomin", 10*time.Millisecond, "minimum (and initial) RTO")
-		maxBg      = flag.Int64("maxbg", 10<<20, "largest background flow in bytes")
-		seed       = flag.Uint64("seed", 1, "experiment seed")
-		incast     = flag.String("incast", "", "run Figs. 11/12 instead: comma-separated incast flow counts")
-		rounds     = flag.Int("rounds", 50, "incast mode: rounds per point")
-		warmup     = flag.Int("warmup", 10, "incast mode: warmup rounds excluded")
-	)
-	flag.Parse()
+var (
+	protocols  = flag.String("protocols", "dctcp+,dctcp", "comma-separated protocols")
+	queries    = flag.Int("queries", 1000, "number of query transactions (paper: 7000)")
+	background = flag.Int("background", 1000, "number of background flows (paper: 7000)")
+	short      = flag.Int("short", 0, "number of short-message flows (50KB-1MB)")
+	rtoMin     = flag.Duration("rtomin", 10*time.Millisecond, "minimum (and initial) RTO")
+	maxBg      = flag.Int64("maxbg", 10<<20, "largest background flow in bytes")
+	seed       = flag.Uint64("seed", 1, "experiment seed")
+	incast     = flag.String("incast", "", "run Figs. 11/12 instead: comma-separated incast flow counts")
+	rounds     = flag.Int("rounds", 50, "incast mode: rounds per point")
+	warmup     = flag.Int("warmup", 10, "incast mode: warmup rounds excluded")
+)
 
-	protoList, err := parseProtocols(*protocols)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchmark:", err)
-		os.Exit(2)
+// validate is the usage gate (exit 2) for the mode the flags select: the
+// incast mode needs a measured round, the traffic mode a non-empty mix
+// whose background sizes fit under -maxbg.
+func validate() error {
+	if *incast != "" {
+		return cli.ValidateRounds(*rounds, *warmup)
 	}
+	minBg := dcp.DefaultBenchmarkOptions(dcp.ProtoDCTCP).Traffic.BackgroundMinBytes
+	switch {
+	case *queries < 0:
+		return fmt.Errorf("-queries %d: cannot be negative", *queries)
+	case *background < 0:
+		return fmt.Errorf("-background %d: cannot be negative", *background)
+	case *short < 0:
+		return fmt.Errorf("-short %d: cannot be negative", *short)
+	case *queries == 0 && *background == 0 && *short == 0:
+		return fmt.Errorf("-queries, -background and -short are all 0: nothing to run")
+	case *background > 0 && *maxBg < minBg:
+		return fmt.Errorf("-maxbg %d: below the smallest background flow (%d bytes)", *maxBg, minBg)
+	}
+	return cli.ValidateRTOMin(*rtoMin)
+}
+
+func main() {
+	flag.Parse()
+	cli.Usage("benchmark", validate())
+	protoList, err := cli.ParseProtocols(*protocols)
+	cli.Usage("benchmark", err)
 
 	if *incast != "" {
-		runBackgroundIncast(protoList, *incast, *rounds, *warmup, *seed)
+		runBackgroundIncast(protoList)
 		return
 	}
 
@@ -68,44 +88,17 @@ func main() {
 	dcp.PrintBenchmarkRows(os.Stdout, all)
 }
 
-func runBackgroundIncast(protoList []dcp.Protocol, flows string, rounds, warmup int, seed uint64) {
-	flowCounts, err := parseInts(flows)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchmark:", err)
-		os.Exit(2)
-	}
+func runBackgroundIncast(protoList []dcp.Protocol) {
+	flowCounts, err := cli.ParseFlowCounts(*incast)
+	cli.Usage("benchmark", err)
 	var all []dcp.BackgroundIncastResult
 	for _, p := range protoList {
 		o := dcp.DefaultBackgroundIncastOptions(p, 0)
-		o.Incast.Rounds = rounds
-		o.Incast.WarmupRounds = warmup
-		o.Incast.Testbed.Seed = seed
+		o.Incast.Rounds = *rounds
+		o.Incast.WarmupRounds = *warmup
+		o.Incast.Testbed.Seed = *seed
 		all = append(all, dcp.SweepBackgroundIncastParallel(o, flowCounts)...)
 	}
 	fmt.Println("Figures 11+12: incast with two persistent background flows")
 	dcp.PrintBackgroundIncastRows(os.Stdout, all)
-}
-
-func parseProtocols(csv string) ([]dcp.Protocol, error) {
-	var out []dcp.Protocol
-	for _, name := range strings.Split(csv, ",") {
-		p, err := dcp.ParseProtocol(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-func parseInts(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad flow count %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -10,24 +10,33 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	dcp "dctcpplus"
+	"dctcpplus/internal/cli"
 )
 
+var (
+	protocols = flag.String("protocols", "dctcp,tcp", "comma-separated protocols")
+	flows     = flag.String("flows", "10,20,40,60", "comma-separated concurrent flow counts")
+	rounds    = flag.Int("rounds", 100, "rounds per point (paper: 1000)")
+	warmup    = flag.Int("warmup", 10, "initial rounds excluded from statistics")
+	rtoMin    = flag.Duration("rtomin", 200*time.Millisecond, "minimum (and initial) RTO")
+	seed      = flag.Uint64("seed", 1, "experiment seed")
+)
+
+// validate is the usage gate (exit 2).
+func validate() error {
+	return cli.First(cli.ValidateRounds(*rounds, *warmup), cli.ValidateRTOMin(*rtoMin))
+}
+
 func main() {
-	var (
-		protocols = flag.String("protocols", "dctcp,tcp", "comma-separated protocols")
-		flows     = flag.String("flows", "10,20,40,60", "comma-separated concurrent flow counts")
-		rounds    = flag.Int("rounds", 100, "rounds per point (paper: 1000)")
-		warmup    = flag.Int("warmup", 10, "initial rounds excluded from statistics")
-		rtoMin    = flag.Duration("rtomin", 200*time.Millisecond, "minimum (and initial) RTO")
-		seed      = flag.Uint64("seed", 1, "experiment seed")
-	)
 	flag.Parse()
+	cli.Usage("cwndstat", validate())
+	protoList, err := cli.ParseProtocols(*protocols)
+	cli.Usage("cwndstat", err)
+	flowCounts, err := cli.ParseFlowCounts(*flows)
+	cli.Usage("cwndstat", err)
 
 	type point struct {
 		p dcp.Protocol
@@ -35,18 +44,8 @@ func main() {
 		r dcp.IncastResult
 	}
 	var points []point
-	for _, name := range strings.Split(*protocols, ",") {
-		p, err := dcp.ParseProtocol(strings.TrimSpace(name))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cwndstat:", err)
-			os.Exit(2)
-		}
-		for _, f := range strings.Split(*flows, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "cwndstat: bad flow count %q\n", f)
-				os.Exit(2)
-			}
+	for _, p := range protoList {
+		for _, n := range flowCounts {
 			o := dcp.DefaultIncastOptions(p, n)
 			o.Rounds = *rounds
 			o.WarmupRounds = *warmup

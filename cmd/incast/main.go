@@ -24,75 +24,67 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	dcp "dctcpplus"
+	"dctcpplus/internal/cli"
 )
 
-func main() {
-	var (
-		protocols = flag.String("protocols", "dctcp+,dctcp,tcp",
-			"comma-separated protocols (tcp, dctcp, dctcp-min1, dctcp+, dctcp+partial, reno+)")
-		flows  = flag.String("flows", "10,20,40,60,80,120,160,200", "comma-separated concurrent flow counts")
-		rounds = flag.Int("rounds", 50, "request/response rounds per point (paper: 1000)")
-		warmup = flag.Int("warmup", 10, "initial rounds excluded from statistics")
-		total  = flag.Int64("total", 1<<20, "total bytes per round, split across flows (1MB/N each)")
-		per    = flag.Int64("perflow", 0, "bytes per flow per round (overrides -total split)")
-		rtoMin = flag.Duration("rtomin", 200*time.Millisecond, "minimum (and initial) RTO")
-		jitter = flag.Duration("jitter", 4*time.Millisecond, "worker service jitter")
-		seed   = flag.Uint64("seed", 1, "experiment seed")
-		telOut = flag.String("telemetry", "",
-			"write the sweep's instrument dump to this file as JSON lines")
-		faults = flag.String("faults", "",
-			"inject faults of these classes (comma-separated: blackout,loss,rate,delay,buffer,stall; \"all\" for every class; empty disables)")
-		faultSeed = flag.Uint64("faultseed", 1, "seed of the fault-plan generator")
-		jobs      = flag.Int("jobs", dcp.DefaultSweepWorkers(), "concurrent experiment points (workers)")
-		cacheDir  = flag.String("cache-dir", "",
-			"content-addressed result cache directory (empty disables caching)")
-		resume = flag.Bool("resume", false, "continue a sweep whose manifest already exists in -cache-dir")
-		oracle = flag.Bool("oracle", false,
-			"run every point under the trace-conformance oracle; any violation fails the command")
-		oracleTrace = flag.String("oracle-trace", "",
-			"write rendered oracle violations (with minimized event windows) to this file; requires -oracle, written only on violation")
+var (
+	protocols = flag.String("protocols", "dctcp+,dctcp,tcp",
+		"comma-separated protocols (tcp, dctcp, dctcp-min1, dctcp+, dctcp+partial, reno+)")
+	flows  = flag.String("flows", "10,20,40,60,80,120,160,200", "comma-separated concurrent flow counts")
+	rounds = flag.Int("rounds", 50, "request/response rounds per point (paper: 1000)")
+	warmup = flag.Int("warmup", 10, "initial rounds excluded from statistics")
+	total  = flag.Int64("total", 1<<20, "total bytes per round, split across flows (1MB/N each)")
+	per    = flag.Int64("perflow", 0, "bytes per flow per round (overrides -total split)")
+	rtoMin = flag.Duration("rtomin", 200*time.Millisecond, "minimum (and initial) RTO")
+	jitter = flag.Duration("jitter", 4*time.Millisecond, "worker service jitter")
+	seed   = flag.Uint64("seed", 1, "experiment seed")
+	telOut = flag.String("telemetry", "",
+		"write the sweep's instrument dump to this file as JSON lines")
+	faults = flag.String("faults", "",
+		"inject faults of these classes (comma-separated: blackout,loss,rate,delay,buffer,stall; \"all\" for every class; empty disables)")
+	faultSeed = flag.Uint64("faultseed", 1, "seed of the fault-plan generator")
+	jobs      = flag.Int("jobs", dcp.DefaultSweepWorkers(), "concurrent experiment points (workers)")
+	cacheDir  = flag.String("cache-dir", "",
+		"content-addressed result cache directory (empty disables caching)")
+	resume = flag.Bool("resume", false, "continue a sweep whose manifest already exists in -cache-dir")
+	oracle = flag.Bool("oracle", false,
+		"run every point under the trace-conformance oracle; any violation fails the command")
+	oracleTrace = flag.String("oracle-trace", "",
+		"write rendered oracle violations (with minimized event windows) to this file; requires -oracle, written only on violation")
+)
+
+// validate is the usage gate: every error it returns is a bad command line
+// (exit 2). The fault spec is parsed eagerly so a bad class list fails
+// here, even though the spec string itself rides into the sweep spec.
+func validate() error {
+	_, faultErr := parseFaultGen(*faults, *faultSeed)
+	return cli.First(
+		cli.ValidateRounds(*rounds, *warmup),
+		cli.ValidateBytes(*total, *per),
+		cli.ValidateRTOMin(*rtoMin),
+		cli.ValidateJitter(*jitter),
+		cli.ValidateSweep(*jobs, *cacheDir, *resume),
+		cli.ValidateOracle(*oracle, *oracleTrace),
+		faultErr,
 	)
+}
+
+func main() {
 	flag.Parse()
-
-	if err := validateFlags(*rounds, *warmup, *total, *per, *rtoMin, *jitter); err != nil {
-		fmt.Fprintln(os.Stderr, "incast:", err)
-		os.Exit(2)
-	}
-	if err := validateSweepFlags(*jobs, *cacheDir, *resume); err != nil {
-		fmt.Fprintln(os.Stderr, "incast:", err)
-		os.Exit(2)
-	}
-	if err := validateOracleFlags(*oracle, *oracleTrace); err != nil {
-		fmt.Fprintln(os.Stderr, "incast:", err)
-		os.Exit(2)
-	}
-
-	// Parse the fault spec eagerly so a bad class list is a usage error,
-	// even though the spec string itself rides into the sweep spec.
-	if _, err := parseFaultGen(*faults, *faultSeed); err != nil {
-		fmt.Fprintln(os.Stderr, "incast:", err)
-		os.Exit(2)
-	}
+	cli.Usage("incast", validate())
+	flowCounts, err := cli.ParseFlowCounts(*flows)
+	cli.Usage("incast", err)
 
 	var reg *dcp.Registry
 	if *telOut != "" {
 		reg = dcp.NewRegistry()
 	}
-
-	flowCounts, err := parseInts(*flows)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "incast:", err)
-		os.Exit(2)
-	}
-
 	spec := dcp.SweepSpec{
 		Name:         "incast",
-		Protocols:    splitCSV(*protocols),
+		Protocols:    cli.SplitCSV(*protocols),
 		Flows:        flowCounts,
 		RTOMins:      []dcp.Duration{dcp.Duration(*rtoMin)},
 		Seeds:        []uint64{*seed},
@@ -107,95 +99,46 @@ func main() {
 	}
 	runner := dcp.SweepRunner{Workers: *jobs, Resume: *resume, Telemetry: reg}
 	if *cacheDir != "" {
-		cache, err := dcp.OpenSweepCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "incast:", err)
-			os.Exit(1)
-		}
-		runner.Cache = cache
+		runner.Cache, err = dcp.OpenSweepCache(*cacheDir)
+		cli.Fatal("incast", err)
 	}
 	out, err := runner.Run(context.Background(), spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "incast:", err)
-		os.Exit(1)
-	}
+	cli.Fatal("incast", err)
 
 	all := make([]dcp.IncastResult, 0, len(out.Results))
 	for _, r := range out.Results {
 		row, err := r.Incast()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "incast:", err)
-			os.Exit(1)
-		}
+		cli.Fatal("incast", err)
 		all = append(all, row)
 	}
 	dcp.PrintIncastRows(os.Stdout, all)
 	if runner.Cache != nil {
 		fmt.Printf("cache: %d hit, %d run -> %s\n", out.Hits, out.Misses, *cacheDir)
 	}
-
-	if reg != nil {
-		f, err := os.Create(*telOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "incast:", err)
-			os.Exit(1)
-		}
-		snap := reg.Snapshot()
-		if err := snap.WriteJSONLines(f); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "incast:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("telemetry: %d instruments -> %s\n", len(snap.Instruments), *telOut)
+	if *telOut != "" {
+		cli.Fatal("incast", cli.WriteTelemetry(reg, *telOut))
 	}
 
 	if *oracle {
 		if total, lines := dcp.SweepOracleReport(out.Results); total > 0 {
-			failOracle("incast", total, lines, *oracleTrace)
+			cli.FailOracle("incast", total, lines, *oracleTrace)
 		}
 		fmt.Printf("oracle: clean (%d points)\n", len(out.Results))
 	}
 }
 
-// failOracle renders the sweep's conformance violations to stderr — and to
-// the -oracle-trace file, which CI uploads as the failure artifact — then
-// exits nonzero.
-func failOracle(tool string, total int64, lines []string, trace string) {
-	for _, ln := range lines {
-		fmt.Fprintln(os.Stderr, ln)
+// parseFaultGen resolves the -faults/-faultseed flags into a fault-plan
+// generator config. An empty spec disables injection (nil config); "all"
+// or a comma-separated class list selects which pathologies to inject.
+func parseFaultGen(spec string, seed uint64) (*dcp.FaultGenConfig, error) {
+	if spec == "" {
+		return nil, nil
 	}
-	if trace != "" {
-		data := strings.Join(lines, "\n") + "\n"
-		if err := os.WriteFile(trace, []byte(data), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-		} else {
-			fmt.Fprintf(os.Stderr, "%s: oracle trace -> %s\n", tool, trace)
-		}
+	classes, err := dcp.ParseFaultClasses(spec)
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "%s: %d oracle violations\n", tool, total)
-	os.Exit(1)
-}
-
-func parseInts(csv string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad flow count %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func splitCSV(csv string) []string {
-	var out []string
-	for _, f := range strings.Split(csv, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
+	g := dcp.DefaultFaultGenConfig(seed)
+	g.Classes = classes
+	return &g, nil
 }

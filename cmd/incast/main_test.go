@@ -5,7 +5,14 @@ import (
 	"time"
 )
 
+// The cases below drive the usage gate through the real flag variables, the
+// way main does; each test restores the flags it touched. The helpers'
+// own tables live in internal/cli.
+
 func TestValidateFlags(t *testing.T) {
+	defer func(r, w int, tot, p int64, rto, jit time.Duration) {
+		*rounds, *warmup, *total, *per, *rtoMin, *jitter = r, w, tot, p, rto, jit
+	}(*rounds, *warmup, *total, *per, *rtoMin, *jitter)
 	const (
 		rto = 200 * time.Millisecond
 		jit = 4 * time.Millisecond
@@ -33,47 +40,12 @@ func TestValidateFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.rounds, c.warmup, c.total, c.perflow, c.rtoMin, c.jitter)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateFlags = %v, wantErr=%v", err, c.wantErr)
+			*rounds, *warmup, *total, *per, *rtoMin, *jitter =
+				c.rounds, c.warmup, c.total, c.perflow, c.rtoMin, c.jitter
+			if err := validate(); (err != nil) != c.wantErr {
+				t.Errorf("validate = %v, wantErr=%v", err, c.wantErr)
 			}
 		})
-	}
-}
-
-func TestParseInts(t *testing.T) {
-	cases := []struct {
-		csv     string
-		want    []int
-		wantErr bool
-	}{
-		{"10,20,40", []int{10, 20, 40}, false},
-		{" 1 , 2 ", []int{1, 2}, false},
-		{"200", []int{200}, false},
-		{"", nil, true},
-		{"10,,20", nil, true},
-		{"0", nil, true},
-		{"-3", nil, true},
-		{"ten", nil, true},
-	}
-	for _, c := range cases {
-		got, err := parseInts(c.csv)
-		if (err != nil) != c.wantErr {
-			t.Errorf("parseInts(%q) err = %v, wantErr=%v", c.csv, err, c.wantErr)
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		if len(got) != len(c.want) {
-			t.Errorf("parseInts(%q) = %v, want %v", c.csv, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("parseInts(%q)[%d] = %d, want %d", c.csv, i, got[i], c.want[i])
-			}
-		}
 	}
 }
 
@@ -118,6 +90,7 @@ func TestParseFaultGen(t *testing.T) {
 }
 
 func TestValidateSweepFlags(t *testing.T) {
+	defer func(j int, d string, r bool) { *jobs, *cacheDir, *resume = j, d, r }(*jobs, *cacheDir, *resume)
 	parent := t.TempDir()
 	cases := []struct {
 		name     string
@@ -137,9 +110,9 @@ func TestValidateSweepFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateSweepFlags(c.jobs, c.cacheDir, c.resume)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateSweepFlags(%d, %q, %v) = %v, wantErr=%v",
+			*jobs, *cacheDir, *resume = c.jobs, c.cacheDir, c.resume
+			if err := validate(); (err != nil) != c.wantErr {
+				t.Errorf("validate(-jobs %d -cache-dir %q -resume=%v) = %v, wantErr=%v",
 					c.jobs, c.cacheDir, c.resume, err, c.wantErr)
 			}
 		})
@@ -147,6 +120,7 @@ func TestValidateSweepFlags(t *testing.T) {
 }
 
 func TestValidateOracleFlags(t *testing.T) {
+	defer func(o bool, tr string) { *oracle, *oracleTrace = o, tr }(*oracle, *oracleTrace)
 	parent := t.TempDir()
 	cases := []struct {
 		name    string
@@ -162,9 +136,9 @@ func TestValidateOracleFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateOracleFlags(c.oracle, c.trace)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateOracleFlags(%v, %q) = %v, wantErr=%v",
+			*oracle, *oracleTrace = c.oracle, c.trace
+			if err := validate(); (err != nil) != c.wantErr {
+				t.Errorf("validate(-oracle=%v -oracle-trace %q) = %v, wantErr=%v",
 					c.oracle, c.trace, err, c.wantErr)
 			}
 		})

@@ -13,47 +13,53 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	dcp "dctcpplus"
+	"dctcpplus/internal/cli"
 )
 
-func main() {
-	var (
-		protocols = flag.String("protocols", "dctcp+,dctcp,tcp", "comma-separated protocols")
-		flows     = flag.String("flows", "30,50,80", "comma-separated concurrent flow counts")
-		rounds    = flag.Int("rounds", 50, "rounds per point")
-		warmup    = flag.Int("warmup", 10, "initial rounds excluded from statistics")
-		rtoMin    = flag.Duration("rtomin", 200*time.Millisecond, "minimum (and initial) RTO")
-		seed      = flag.Uint64("seed", 1, "experiment seed")
-		traceMode = flag.Bool("trace", false, "run the Fig. 14 convergence trace instead of the CDF")
-		binMS     = flag.Int("bin", 50, "trace mode: bin width in ms for the printed series")
-	)
-	flag.Parse()
+var (
+	protocols = flag.String("protocols", "dctcp+,dctcp,tcp", "comma-separated protocols")
+	flows     = flag.String("flows", "30,50,80", "comma-separated concurrent flow counts")
+	rounds    = flag.Int("rounds", 50, "rounds per point")
+	warmup    = flag.Int("warmup", 10, "initial rounds excluded from statistics")
+	rtoMin    = flag.Duration("rtomin", 200*time.Millisecond, "minimum (and initial) RTO")
+	seed      = flag.Uint64("seed", 1, "experiment seed")
+	traceMode = flag.Bool("trace", false, "run the Fig. 14 convergence trace instead of the CDF")
+	binMS     = flag.Int("bin", 50, "trace mode: bin width in ms for the printed series")
+)
 
+// validate is the usage gate (exit 2) for the mode the flags select; the
+// Fig. 14 trace runs at a fixed scale and only needs a bin to print in.
+func validate() error {
+	if *traceMode {
+		if *binMS <= 0 {
+			return fmt.Errorf("-bin %d: must be positive", *binMS)
+		}
+		return nil
+	}
+	return cli.First(cli.ValidateRounds(*rounds, *warmup), cli.ValidateRTOMin(*rtoMin))
+}
+
+func main() {
+	flag.Parse()
+	cli.Usage("queuestat", validate())
 	if *traceMode {
 		runTrace(*seed, *binMS)
 		return
 	}
+	protoList, err := cli.ParseProtocols(*protocols)
+	cli.Usage("queuestat", err)
+	flowCounts, err := cli.ParseFlowCounts(*flows)
+	cli.Usage("queuestat", err)
 
 	fmt.Println("Figure 9: bottleneck queue-length CDF (bytes; sampled every 100us)")
 	fmt.Printf("%-14s %5s | %9s %9s %9s %9s %9s\n",
 		"protocol", "N", "p25", "p50", "p90", "p99", "max")
-	for _, name := range strings.Split(*protocols, ",") {
-		p, err := dcp.ParseProtocol(strings.TrimSpace(name))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "queuestat:", err)
-			os.Exit(2)
-		}
-		for _, f := range strings.Split(*flows, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "queuestat: bad flow count %q\n", f)
-				os.Exit(2)
-			}
+	for _, p := range protoList {
+		for _, n := range flowCounts {
 			o := dcp.DefaultIncastOptions(p, n)
 			o.Rounds = *rounds
 			o.WarmupRounds = *warmup

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	dcp "dctcpplus"
+	"dctcpplus/internal/cli"
 )
 
 var (
@@ -25,7 +26,7 @@ var (
 	telOut = flag.String("telemetry", "",
 		"write the battery's instrument dump to this file as JSON lines, plus a Prometheus text-format sibling (<path>.prom)")
 	baseline = flag.String("baseline", "",
-		"write the run manifest (config, seed, code version, instrument dump) to this JSON file; diffable against BENCH_baseline.json")
+		"write the run manifest (config, seed, code version, instrument dump) to this JSON file; diffable against another run's manifest")
 	faults = flag.Bool("faults", false,
 		"append the fault-injection resilience sweep (DCTCP vs DCTCP+ clean and under each fault class)")
 	jobs     = flag.Int("jobs", dcp.DefaultSweepWorkers(), "concurrent experiment points (workers)")
@@ -50,16 +51,19 @@ func section(title, expectation string) {
 	fmt.Printf("\npaper: %s\n\n", expectation)
 }
 
+// validate is the usage gate (exit 2): every figure needs a measured
+// round after warmup, and the sweep-backed sections a runnable worker
+// pool and cache.
+func validate() error {
+	return cli.First(
+		cli.ValidateRounds(*rounds, *warmup),
+		cli.ValidateSweep(*jobs, *cacheDir, *resume),
+	)
+}
+
 func main() {
 	flag.Parse()
-	if err := validateFlags(*rounds, *warmup); err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(2)
-	}
-	if err := validateSweepFlags(*jobs, *cacheDir, *resume); err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(2)
-	}
+	cli.Usage("report", validate())
 	dcp.SetParallelism(*jobs)
 	start := time.Now()
 	scale := dcp.Scale{Rounds: *rounds, Warmup: *warmup, Seed: *seed}
@@ -129,10 +133,7 @@ func main() {
 	if *faults {
 		violations += resilience(scale, *oracle)
 	}
-	if err := writeTelemetry(scale, time.Since(start)); err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
-	}
+	cli.Fatal("report", writeTelemetry(scale, time.Since(start)))
 	fmt.Printf("\nreport completed in %v\n", time.Since(start).Round(time.Second))
 	if violations > 0 {
 		fmt.Fprintf(os.Stderr, "report: %d oracle violations\n", violations)
@@ -169,26 +170,10 @@ func writeTelemetry(scale dcp.Scale, wall time.Duration) error {
 	}
 	snap := scale.Telemetry.Snapshot()
 	if *telOut != "" {
-		f, err := os.Create(*telOut)
-		if err != nil {
+		if err := cli.WriteFile(*telOut, snap.WriteJSONLines); err != nil {
 			return err
 		}
-		if err := snap.WriteJSONLines(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		pf, err := os.Create(*telOut + ".prom")
-		if err != nil {
-			return err
-		}
-		if err := snap.WritePrometheus(pf); err != nil {
-			pf.Close()
-			return err
-		}
-		if err := pf.Close(); err != nil {
+		if err := cli.WriteFile(*telOut+".prom", snap.WritePrometheus); err != nil {
 			return err
 		}
 		fmt.Printf("\ntelemetry: %d instruments -> %s (and %s.prom)\n",
@@ -320,12 +305,9 @@ func ablations(sc dcp.Scale, oracleOn bool) int64 {
 	}
 	runner := dcp.SweepRunner{Workers: *jobs, Resume: *resume, Telemetry: sc.Telemetry}
 	if *cacheDir != "" {
-		cache, err := dcp.OpenSweepCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
-		}
-		runner.Cache = cache
+		var err error
+		runner.Cache, err = dcp.OpenSweepCache(*cacheDir)
+		cli.Fatal("report", err)
 	}
 	out, err := runner.RunPoints(context.Background(), "report-ablations", []dcp.SweepPoint{
 		pt("dctcp+", 160),
@@ -338,17 +320,11 @@ func ablations(sc dcp.Scale, oracleOn bool) int64 {
 		pt("d2tcp", 120),
 		pt("d2tcp+", 120),
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
-		os.Exit(1)
-	}
+	cli.Fatal("report", err)
 	rows := make([]dcp.IncastResult, 0, len(out.Results))
 	for _, r := range out.Results {
 		row, err := r.Incast()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "report:", err)
-			os.Exit(1)
-		}
+		cli.Fatal("report", err)
 		rows = append(rows, row)
 	}
 	dcp.PrintIncastRows(os.Stdout, rows)

@@ -2,7 +2,12 @@ package main
 
 import "testing"
 
+// The cases below drive the usage gate through the real flag variables, the
+// way main does; each test restores the flags it touched. The helpers'
+// own tables live in internal/cli.
+
 func TestValidateFlags(t *testing.T) {
+	defer func(r, w int) { *rounds, *warmup = r, w }(*rounds, *warmup)
 	cases := []struct {
 		name           string
 		rounds, warmup int
@@ -19,15 +24,16 @@ func TestValidateFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateFlags(c.rounds, c.warmup)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateFlags(%d, %d) = %v, wantErr=%v", c.rounds, c.warmup, err, c.wantErr)
+			*rounds, *warmup = c.rounds, c.warmup
+			if err := validate(); (err != nil) != c.wantErr {
+				t.Errorf("validate(-rounds %d -warmup %d) = %v, wantErr=%v", c.rounds, c.warmup, err, c.wantErr)
 			}
 		})
 	}
 }
 
 func TestValidateSweepFlags(t *testing.T) {
+	defer func(j int, d string, r bool) { *jobs, *cacheDir, *resume = j, d, r }(*jobs, *cacheDir, *resume)
 	parent := t.TempDir()
 	cases := []struct {
 		name     string
@@ -47,9 +53,9 @@ func TestValidateSweepFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateSweepFlags(c.jobs, c.cacheDir, c.resume)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateSweepFlags(%d, %q, %v) = %v, wantErr=%v",
+			*jobs, *cacheDir, *resume = c.jobs, c.cacheDir, c.resume
+			if err := validate(); (err != nil) != c.wantErr {
+				t.Errorf("validate(-jobs %d -cache-dir %q -resume=%v) = %v, wantErr=%v",
 					c.jobs, c.cacheDir, c.resume, err, c.wantErr)
 			}
 		})

@@ -22,62 +22,62 @@ import (
 	"time"
 
 	dcp "dctcpplus"
+	"dctcpplus/internal/cli"
 )
 
-func main() {
-	var (
-		name      = flag.String("name", "sweep", "sweep name (manifest identity inside the cache)")
-		protocols = flag.String("protocols", "dctcp+,dctcp",
-			"comma-separated protocols (tcp, dctcp, dctcp-min1, dctcp+, dctcp+partial, reno+, d2tcp, d2tcp+)")
-		flows  = flag.String("flows", "40,80,160", "comma-separated concurrent flow counts")
-		rtomin = flag.String("rtomin", "200ms", "comma-separated minimum-RTO values")
-		seeds  = flag.String("seeds", "1", "comma-separated experiment seeds")
-		topos  = flag.String("topos", "default", "comma-separated topologies (default, hull)")
-		faults = flag.String("faults", "none",
-			"semicolon-separated fault plans; each is \"none\", \"all\", or a comma list of classes (blackout,loss,rate,delay,buffer,stall)")
-		faultSeed = flag.Uint64("faultseed", 1, "seed of the fault-plan generator")
-		rounds    = flag.Int("rounds", 50, "request/response rounds per point")
-		warmup    = flag.Int("warmup", 10, "initial rounds excluded from statistics")
-		total     = flag.Int64("total", 1<<20, "total bytes per round, split across flows")
-		per       = flag.Int64("perflow", 0, "bytes per flow per round (overrides -total split)")
-		jitter    = flag.Duration("jitter", 4*time.Millisecond, "worker service jitter")
-		preset    = flag.String("preset", "", "named scenario replacing the grid flags (large-n)")
+var (
+	name      = flag.String("name", "sweep", "sweep name (manifest identity inside the cache)")
+	protocols = flag.String("protocols", "dctcp+,dctcp",
+		"comma-separated protocols (tcp, dctcp, dctcp-min1, dctcp+, dctcp+partial, reno+, d2tcp, d2tcp+)")
+	flows  = flag.String("flows", "40,80,160", "comma-separated concurrent flow counts")
+	rtomin = flag.String("rtomin", "200ms", "comma-separated minimum-RTO values")
+	seeds  = flag.String("seeds", "1", "comma-separated experiment seeds")
+	topos  = flag.String("topos", "default", "comma-separated topologies (default, hull)")
+	faults = flag.String("faults", "none",
+		"semicolon-separated fault plans; each is \"none\", \"all\", or a comma list of classes (blackout,loss,rate,delay,buffer,stall)")
+	faultSeed = flag.Uint64("faultseed", 1, "seed of the fault-plan generator")
+	rounds    = flag.Int("rounds", 50, "request/response rounds per point")
+	warmup    = flag.Int("warmup", 10, "initial rounds excluded from statistics")
+	total     = flag.Int64("total", 1<<20, "total bytes per round, split across flows")
+	per       = flag.Int64("perflow", 0, "bytes per flow per round (overrides -total split)")
+	jitter    = flag.Duration("jitter", 4*time.Millisecond, "worker service jitter")
+	preset    = flag.String("preset", "", "named scenario replacing the grid flags (large-n)")
 
-		jobs     = flag.Int("jobs", dcp.DefaultSweepWorkers(), "concurrent sweep jobs (workers)")
-		cacheDir = flag.String("cache-dir", "", "content-addressed result cache directory (empty disables caching)")
-		resume   = flag.Bool("resume", false, "continue a sweep whose manifest already exists in -cache-dir")
-		telOut   = flag.String("telemetry", "", "write the sweep's instrument dump to this file as JSON lines")
-		quiet    = flag.Bool("q", false, "suppress progress lines")
-		oracle   = flag.Bool("oracle", false,
-			"run every job under the trace-conformance oracle; any violation fails the command")
-		oracleTrace = flag.String("oracle-trace", "",
-			"write rendered oracle violations (with minimized event windows) to this file; requires -oracle, written only on violation")
+	jobs     = flag.Int("jobs", dcp.DefaultSweepWorkers(), "concurrent sweep jobs (workers)")
+	cacheDir = flag.String("cache-dir", "", "content-addressed result cache directory (empty disables caching)")
+	resume   = flag.Bool("resume", false, "continue a sweep whose manifest already exists in -cache-dir")
+	telOut   = flag.String("telemetry", "", "write the sweep's instrument dump to this file as JSON lines")
+	quiet    = flag.Bool("q", false, "suppress progress lines")
+	oracle   = flag.Bool("oracle", false,
+		"run every job under the trace-conformance oracle; any violation fails the command")
+	oracleTrace = flag.String("oracle-trace", "",
+		"write rendered oracle violations (with minimized event windows) to this file; requires -oracle, written only on violation")
+)
+
+// validate is the usage gate on the orchestration flags (exit 2). The grid
+// itself is parsed by buildSpec and semantically checked by the Spec's own
+// Validate, which the runner runs.
+func validate() error {
+	return cli.First(
+		cli.ValidateSweep(*jobs, *cacheDir, *resume),
+		cli.ValidateOracle(*oracle, *oracleTrace),
 	)
-	flag.Parse()
+}
 
-	if err := validateSweepFlags(*jobs, *cacheDir, *resume); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
-	if err := validateOracleFlags(*oracle, *oracleTrace); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
+func main() {
+	flag.Parse()
+	cli.Usage("sweep", validate())
 	var spec dcp.SweepSpec
 	switch *preset {
 	case "":
 		var err error
 		spec, err = buildSpec(*name, *protocols, *flows, *rtomin, *seeds, *topos, *faults,
 			*faultSeed, *rounds, *warmup, *total, *per, *jitter)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(2)
-		}
+		cli.Usage("sweep", err)
 	case "large-n":
 		spec = dcp.LargeNSweepSpec()
 	default:
-		fmt.Fprintf(os.Stderr, "sweep: -preset %s: unknown preset (want large-n)\n", *preset)
-		os.Exit(2)
+		cli.Usage("sweep", fmt.Errorf("-preset %s: unknown preset (want large-n)", *preset))
 	}
 	spec.Oracle = *oracle
 
@@ -90,24 +90,15 @@ func main() {
 		runner.Progress = os.Stderr
 	}
 	if *cacheDir != "" {
-		cache, err := dcp.OpenSweepCache(*cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		runner.Cache = cache
+		var err error
+		runner.Cache, err = dcp.OpenSweepCache(*cacheDir)
+		cli.Fatal("sweep", err)
 	}
 
 	out, err := runner.Run(context.Background(), spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
+	cli.Fatal("sweep", err)
 
-	if err := dcp.WriteSweepGroups(os.Stdout, out.Groups); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
+	cli.Fatal("sweep", dcp.WriteSweepGroups(os.Stdout, out.Groups))
 	fmt.Printf("\n%d jobs: %d run, %d cached (hit rate %.0f%%)",
 		out.Jobs, out.Misses, out.Hits, hitRate(out)*100)
 	if out.CacheErrs > 0 {
@@ -117,37 +108,63 @@ func main() {
 	printJobTimings(out)
 
 	if *telOut != "" {
-		if err := writeTelemetry(runner.Telemetry, *telOut); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
+		cli.Fatal("sweep", cli.WriteTelemetry(runner.Telemetry, *telOut))
 	}
 
 	if *oracle {
 		if total, lines := dcp.SweepOracleReport(out.Results); total > 0 {
-			failOracle(total, lines, *oracleTrace)
+			cli.FailOracle("sweep", total, lines, *oracleTrace)
 		}
 		fmt.Printf("oracle: clean (%d jobs)\n", len(out.Results))
 	}
 }
 
-// failOracle renders the sweep's conformance violations to stderr — and to
-// the -oracle-trace file, which CI uploads as the failure artifact — then
-// exits nonzero.
-func failOracle(total int64, lines []string, trace string) {
-	for _, ln := range lines {
-		fmt.Fprintln(os.Stderr, ln)
+// buildSpec assembles the declarative grid from the flag surface. The
+// Spec's own Validate (run by the runner) is the semantic gate; this layer
+// only parses.
+func buildSpec(name, protocols, flows, rtomin, seeds, topos, faults string,
+	faultSeed uint64, rounds, warmup int, total, per int64, jitter time.Duration) (dcp.SweepSpec, error) {
+	flowCounts, err := cli.ParseFlowCounts(flows)
+	if err != nil {
+		return dcp.SweepSpec{}, err
 	}
-	if trace != "" {
-		data := strings.Join(lines, "\n") + "\n"
-		if err := os.WriteFile(trace, []byte(data), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "sweep: oracle trace -> %s\n", trace)
+	rtoMins, err := cli.ParseDurations(rtomin)
+	if err != nil {
+		return dcp.SweepSpec{}, err
+	}
+	seedList, err := cli.ParseSeeds(seeds)
+	if err != nil {
+		return dcp.SweepSpec{}, err
+	}
+	return dcp.SweepSpec{
+		Name:         name,
+		Protocols:    cli.SplitCSV(protocols),
+		Flows:        flowCounts,
+		RTOMins:      rtoMins,
+		Seeds:        seedList,
+		Topos:        cli.SplitCSV(topos),
+		Faults:       parseFaultPlans(faults),
+		FaultSeed:    faultSeed,
+		Rounds:       rounds,
+		WarmupRounds: warmup,
+		TotalBytes:   total,
+		BytesPerFlow: per,
+		Jitter:       dcp.Duration(jitter),
+	}, nil
+}
+
+// parseFaultPlans splits the semicolon-separated plan list, mapping the
+// explicit "none" spelling to the empty (clean) plan.
+func parseFaultPlans(spec string) []string {
+	var out []string
+	for _, plan := range strings.Split(spec, ";") {
+		plan = strings.TrimSpace(plan)
+		if plan == "none" {
+			plan = ""
 		}
+		out = append(out, plan)
 	}
-	fmt.Fprintf(os.Stderr, "sweep: %d oracle violations\n", total)
-	os.Exit(1)
+	return out
 }
 
 func hitRate(out *dcp.SweepOutcome) float64 {
@@ -173,21 +190,4 @@ func printJobTimings(out *dcp.SweepOutcome) {
 	mean := time.Duration(sum / int64(out.Misses)).Round(time.Microsecond)
 	fmt.Printf("per-job wall time: mean %v, max %v (%d executed)\n",
 		mean, time.Duration(max).Round(time.Microsecond), out.Misses)
-}
-
-func writeTelemetry(reg *dcp.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	snap := reg.Snapshot()
-	if err := snap.WriteJSONLines(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("telemetry: %d instruments -> %s\n", len(snap.Instruments), path)
-	return nil
 }

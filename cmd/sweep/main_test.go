@@ -7,7 +7,12 @@ import (
 	dcp "dctcpplus"
 )
 
+// The cases below drive the usage gate through the real flag variables, the
+// way main does; each test restores the flags it touched. The helpers'
+// own tables live in internal/cli.
+
 func TestValidateSweepFlags(t *testing.T) {
+	defer func(j int, d string, r bool) { *jobs, *cacheDir, *resume = j, d, r }(*jobs, *cacheDir, *resume)
 	parent := t.TempDir()
 	cases := []struct {
 		name     string
@@ -27,9 +32,9 @@ func TestValidateSweepFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateSweepFlags(c.jobs, c.cacheDir, c.resume)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateSweepFlags(%d, %q, %v) = %v, wantErr=%v",
+			*jobs, *cacheDir, *resume = c.jobs, c.cacheDir, c.resume
+			if err := validate(); (err != nil) != c.wantErr {
+				t.Errorf("validate(-jobs %d -cache-dir %q -resume=%v) = %v, wantErr=%v",
 					c.jobs, c.cacheDir, c.resume, err, c.wantErr)
 			}
 		})
@@ -37,6 +42,7 @@ func TestValidateSweepFlags(t *testing.T) {
 }
 
 func TestValidateOracleFlags(t *testing.T) {
+	defer func(o bool, tr string) { *oracle, *oracleTrace = o, tr }(*oracle, *oracleTrace)
 	parent := t.TempDir()
 	cases := []struct {
 		name    string
@@ -52,9 +58,9 @@ func TestValidateOracleFlags(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := validateOracleFlags(c.oracle, c.trace)
-			if (err != nil) != c.wantErr {
-				t.Errorf("validateOracleFlags(%v, %q) = %v, wantErr=%v",
+			*oracle, *oracleTrace = c.oracle, c.trace
+			if err := validate(); (err != nil) != c.wantErr {
+				t.Errorf("validate(-oracle=%v -oracle-trace %q) = %v, wantErr=%v",
 					c.oracle, c.trace, err, c.wantErr)
 			}
 		})

@@ -1,0 +1,235 @@
+// Package cli is the one flag-validation, list-parsing and exit-status
+// layer behind the cmd/ binaries. Every command turns a bad flag into the
+// same one-line "tool: -flag value: reason" usage error with status 2
+// here, at the flag boundary, instead of a panic (or a hung run) from
+// whichever layer first trips over the value; run and oracle failures
+// exit 1.
+package cli
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"time"
+
+	"dctcpplus/internal/exp"
+	"dctcpplus/internal/sim"
+	"dctcpplus/internal/telemetry"
+)
+
+// Usage exits 2 with "tool: err" on stderr when err is non-nil: the
+// command line asked for something the tool cannot run.
+func Usage(tool string, err error) { exitOn(tool, err, 2) }
+
+// Fatal exits 1 with "tool: err" on stderr when err is non-nil: the command
+// line was fine, the run (or writing its output) failed.
+func Fatal(tool string, err error) { exitOn(tool, err, 1) }
+
+func exitOn(tool string, err error, status int) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		os.Exit(status)
+	}
+}
+
+// First returns the first non-nil error, so a command states its usage
+// gate as one ordered list of checks.
+func First(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ValidateRounds rejects -rounds/-warmup settings that leave no measured
+// round: exp.RunIncast panics on them.
+func ValidateRounds(rounds, warmup int) error {
+	switch {
+	case rounds <= 0:
+		return fmt.Errorf("-rounds %d: need at least one round", rounds)
+	case warmup < 0:
+		return fmt.Errorf("-warmup %d: cannot be negative", warmup)
+	case warmup >= rounds:
+		return fmt.Errorf("-warmup %d >= -rounds %d: no measured rounds remain", warmup, rounds)
+	}
+	return nil
+}
+
+// ValidateBytes rejects a round with nothing to send: -perflow overrides
+// the -total split, so one of them must be positive.
+func ValidateBytes(total, perflow int64) error {
+	switch {
+	case perflow < 0:
+		return fmt.Errorf("-perflow %d: cannot be negative", perflow)
+	case perflow == 0 && total <= 0:
+		return fmt.Errorf("-total %d: need a positive byte budget (or set -perflow)", total)
+	}
+	return nil
+}
+
+// ValidateRTOMin rejects a non-positive RTO floor: tcp.Config panics on it.
+func ValidateRTOMin(rtoMin time.Duration) error {
+	if rtoMin <= 0 {
+		return fmt.Errorf("-rtomin %v: must be positive", rtoMin)
+	}
+	return nil
+}
+
+// ValidateJitter rejects a negative worker service jitter.
+func ValidateJitter(jitter time.Duration) error {
+	if jitter < 0 {
+		return fmt.Errorf("-jitter %v: cannot be negative", jitter)
+	}
+	return nil
+}
+
+// ValidateSweep rejects orchestration settings the sweep runner cannot
+// honor: the worker pool needs at least one worker, the cache directory's
+// parent must already exist (a typo'd path should fail loudly, not mint a
+// directory tree), and resume without a cache is meaningless.
+func ValidateSweep(jobs int, cacheDir string, resume bool) error {
+	switch {
+	case jobs < 1:
+		return fmt.Errorf("-jobs %d: need at least one worker", jobs)
+	case resume && cacheDir == "":
+		return fmt.Errorf("-resume: requires -cache-dir (resume replays the cache)")
+	case cacheDir != "":
+		return parentExists("-cache-dir", cacheDir)
+	}
+	return nil
+}
+
+// ValidateOracle ties the trace output to the checker: an -oracle-trace
+// without -oracle would silently never be written, and (like -cache-dir) a
+// typo'd trace path should fail at the flag boundary, not after the sweep.
+func ValidateOracle(oracle bool, trace string) error {
+	switch {
+	case trace == "":
+		return nil
+	case !oracle:
+		return fmt.Errorf("-oracle-trace: requires -oracle (the trace renders oracle violations)")
+	}
+	return parentExists("-oracle-trace", trace)
+}
+
+func parentExists(flagName, path string) error {
+	parent := filepath.Dir(filepath.Clean(path))
+	if fi, err := os.Stat(parent); err != nil || !fi.IsDir() {
+		return fmt.Errorf("%s %s: parent directory %s does not exist", flagName, path, parent)
+	}
+	return nil
+}
+
+// SplitCSV splits a comma-separated list, trimming blanks and dropping
+// empty fields.
+func SplitCSV(csv string) []string {
+	var out []string
+	for _, f := range strings.Split(csv, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// parseList parses every comma-separated field (blank-trimmed, empty
+// fields included, so "10,,20" is an error) with parse, naming the
+// offending field as a bad <what>.
+func parseList[T any](csv, what string, parse func(string) (T, bool)) ([]T, error) {
+	var out []T
+	for _, f := range strings.Split(csv, ",") {
+		v, ok := parse(strings.TrimSpace(f))
+		if !ok {
+			return nil, fmt.Errorf("bad %s %q", what, f)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// ParseFlowCounts parses a comma-separated list of positive flow counts.
+func ParseFlowCounts(csv string) ([]int, error) {
+	return parseList(csv, "flow count", func(f string) (int, bool) {
+		n, err := strconv.Atoi(f)
+		return n, err == nil && n > 0
+	})
+}
+
+// ParseSeeds parses a comma-separated list of experiment seeds.
+func ParseSeeds(csv string) ([]uint64, error) {
+	return parseList(csv, "seed", func(f string) (uint64, bool) {
+		n, err := strconv.ParseUint(f, 10, 64)
+		return n, err == nil
+	})
+}
+
+// ParseDurations parses a comma-separated list of positive durations.
+func ParseDurations(csv string) ([]sim.Duration, error) {
+	return parseList(csv, "duration", func(f string) (sim.Duration, bool) {
+		d, err := time.ParseDuration(f)
+		return sim.Duration(d), err == nil && d > 0
+	})
+}
+
+// ParseProtocols parses a comma-separated protocol list; an unknown name
+// is exp.ParseProtocol's error.
+func ParseProtocols(csv string) ([]exp.Protocol, error) {
+	var out []exp.Protocol
+	for _, name := range strings.Split(csv, ",") {
+		p, err := exp.ParseProtocol(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+	}
+	return out, nil
+}
+
+// WriteFile creates path, streams write into it and closes it, returning
+// the first error.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// WriteTelemetry dumps the registry's instruments to path as JSON lines
+// and reports the count on stdout.
+func WriteTelemetry(reg *telemetry.Registry, path string) error {
+	snap := reg.Snapshot()
+	if err := WriteFile(path, snap.WriteJSONLines); err != nil {
+		return err
+	}
+	fmt.Printf("telemetry: %d instruments -> %s\n", len(snap.Instruments), path)
+	return nil
+}
+
+// FailOracle renders a sweep's conformance violations to stderr — and to
+// the -oracle-trace file, which CI uploads as the failure artifact — then
+// exits 1.
+func FailOracle(tool string, total int64, lines []string, trace string) {
+	for _, ln := range lines {
+		fmt.Fprintln(os.Stderr, ln)
+	}
+	if trace != "" {
+		data := strings.Join(lines, "\n") + "\n"
+		if err := os.WriteFile(trace, []byte(data), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
+		} else {
+			fmt.Fprintf(os.Stderr, "%s: oracle trace -> %s\n", tool, trace)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "%s: %d oracle violations\n", tool, total)
+	os.Exit(1)
+}

@@ -134,7 +134,7 @@ type Port struct {
 	// occupancy in bytes (used by queue-length tracers).
 	OnQueueChange func(now sim.Time, qBytes int)
 	// OnTransmit, if set, observes every packet as it begins serialization
-	// onto the link (the packet-capture hook used by trace.PacketTap).
+	// onto the link (the packet-capture hook the conformance oracle taps).
 	OnTransmit func(pkt *packet.Packet)
 }
 

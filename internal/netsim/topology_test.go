@@ -96,6 +96,52 @@ func TestTwoTierWorkerToWorkerCrossLeaf(t *testing.T) {
 	}
 }
 
+// Two workers on one leaf exchange traffic through that leaf alone: two
+// links, never touching the root.
+func TestTwoTierWorkerToWorkerSameLeaf(t *testing.T) {
+	s := sim.NewScheduler()
+	tt := NewTwoTier(s, 3, 3, DefaultTopologyConfig())
+	var got *packet.Packet
+	tt.Workers[1].Register(5, FlowHandlerFunc(func(p *packet.Packet) { got = p }))
+	tt.Workers[0].Send(&packet.Packet{Dst: tt.Workers[1].ID(), Flow: 5, Payload: 1})
+	s.Run()
+	if got == nil {
+		t.Fatal("same-leaf delivery failed")
+	}
+	if got.Hops() != 2 {
+		t.Errorf("same-leaf hops = %d, want 2", got.Hops())
+	}
+	if st := tt.Root.AggregateStats(); st.EnqueuedPkts != 0 {
+		t.Errorf("same-leaf traffic crossed the root: %+v", st)
+	}
+}
+
+func TestSwitchAggregateStats(t *testing.T) {
+	s := sim.NewScheduler()
+	star := NewStar(s, 3, DefaultTopologyConfig())
+	star.Hosts[2].OnUnclaimed = func(*packet.Packet) {}
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 4; j++ {
+			star.Hosts[i].Send(&packet.Packet{Dst: star.Hosts[2].ID(),
+				Flow: packet.FlowID(i + 1), Payload: packet.MSS})
+		}
+	}
+	s.Run()
+	agg := star.Switch.AggregateStats()
+	if agg.Ports != 3 {
+		t.Errorf("ports = %d", agg.Ports)
+	}
+	if agg.EnqueuedPkts != 8 || agg.DequeuedPkts != 8 {
+		t.Errorf("aggregate accounting: %+v", agg)
+	}
+	if agg.DroppedPkts != 0 {
+		t.Errorf("unexpected drops: %+v", agg)
+	}
+	if want := star.Switch.RouteTo(star.Hosts[2].ID()).Stats().MaxQueueBytes; agg.MaxQueueBytes != want {
+		t.Errorf("max queue = %d, want the receiver port's %d", agg.MaxQueueBytes, want)
+	}
+}
+
 func TestTwoTierControlPacketReachesHandler(t *testing.T) {
 	s := sim.NewScheduler()
 	tt := NewTwoTier(s, 1, 2, DefaultTopologyConfig())

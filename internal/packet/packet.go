@@ -99,7 +99,8 @@ const (
 // The ownership contract is machine-checked: simlint's poollife analyzer
 // tracks every pooled packet from its mint (Pool.Get, Host.AllocPacket)
 // to exactly one release (Pool.Put, or a //state: xfer hand-off into the
-// network) per path.
+// network) per path. Those two are the only mints: no non-test code
+// outside this package builds a Packet literal (see Pool).
 //
 // state: pooled owned -> freed
 type Packet struct {

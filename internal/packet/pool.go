@@ -1,20 +1,29 @@
 package packet
 
-// Pool is an optional freelist of Packet objects for steady-state
-// simulations. The network layer frees a packet back to the pool at the
-// points where it leaves the simulation — delivered to a host's transport
-// handler, tail-dropped at a port, or lost on a link — and transports mint
-// new segments from the pool, so a long run recirculates a small working
+// Pool is a freelist of Packet objects for steady-state simulations. The
+// network layer frees a packet back to the pool at the points where it
+// leaves the simulation — delivered to a host's transport handler,
+// tail-dropped at a port, or lost on a link — and everything that sends
+// mints from the pool, so a long run recirculates its in-flight working
 // set instead of feeding the garbage collector per packet.
 //
-// Pooling is opt-in (Topology.EnablePacketPool) because it sharpens the
-// ownership contract: once a packet is handed to the network, the sender
-// must not touch it again, and a delivery handler must copy out any fields
-// it needs before returning. All shipped transports and taps obey this;
-// tests that deliberately retain packets simply leave the pool disabled.
+// One mint path: outside this package, non-test code never writes
+// &packet.Packet{}. Transports and workloads alike (data, ACKs, the
+// aggregator's requests) call Host.AllocPacket, which is Pool.Get. A packet
+// built any other way would still be recycled at delivery, growing the
+// freelist by one Packet per such send for the whole run while Minted
+// stays blind to it.
+//
+// Pooling sharpens the ownership contract: once a packet is handed to the
+// network, the sender must not touch it again, and a delivery handler must
+// copy out any fields it needs before returning. All shipped transports
+// and taps obey this.
 //
 // A nil *Pool is valid: Get mints fresh packets and Put discards, so call
-// sites need no branches.
+// sites need no branches — and tests that deliberately retain delivered
+// packets simply never attach one. That nil receiver is the whole of the
+// "pool off" path; Topology.EnablePacketPool and the SetPool setters stay
+// because cmd/perf's layer-assembled twin runs attach the pool themselves.
 type Pool struct {
 	free     *Packet
 	minted   int64

@@ -23,55 +23,3 @@ func JainIndex(x []float64) float64 {
 	}
 	return sum * sum / (float64(len(x)) * sumSq)
 }
-
-// TimeWeighted accumulates a piecewise-constant signal (such as queue
-// occupancy) and reports its time-weighted mean and maximum. Feed it the
-// signal's change points in nondecreasing time order.
-type TimeWeighted struct {
-	started  bool
-	lastT    float64
-	lastV    float64
-	area     float64
-	duration float64
-	max      float64
-}
-
-// Observe records that the signal held value v starting at time t (the
-// previous value is integrated up to t).
-func (tw *TimeWeighted) Observe(t, v float64) {
-	if tw.started {
-		dt := t - tw.lastT
-		if dt > 0 {
-			tw.area += tw.lastV * dt
-			tw.duration += dt
-		}
-	}
-	tw.started = true
-	tw.lastT = t
-	tw.lastV = v
-	if v > tw.max {
-		tw.max = v
-	}
-}
-
-// Finish integrates the final segment up to time t.
-func (tw *TimeWeighted) Finish(t float64) {
-	if !tw.started {
-		return
-	}
-	tw.Observe(t, tw.lastV)
-}
-
-// Mean returns the time-weighted mean (0 before any interval completes).
-func (tw *TimeWeighted) Mean() float64 {
-	if tw.duration == 0 {
-		return 0
-	}
-	return tw.area / tw.duration
-}
-
-// Max returns the maximum observed value.
-func (tw *TimeWeighted) Max() float64 { return tw.max }
-
-// Duration returns the total integrated time.
-func (tw *TimeWeighted) Duration() float64 { return tw.duration }

@@ -81,66 +81,3 @@ func TestJainIndexScaleInvariance(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTimeWeightedMean(t *testing.T) {
-	var tw TimeWeighted
-	tw.Observe(0, 10) // 10 for [0, 2)
-	tw.Observe(2, 0)  // 0 for [2, 4)
-	tw.Finish(4)
-	if got := tw.Mean(); !almost(got, 5, 1e-12) {
-		t.Errorf("mean = %v, want 5", got)
-	}
-	if tw.Max() != 10 {
-		t.Errorf("max = %v", tw.Max())
-	}
-	if tw.Duration() != 4 {
-		t.Errorf("duration = %v", tw.Duration())
-	}
-}
-
-func TestTimeWeightedIgnoresZeroWidthSegments(t *testing.T) {
-	var tw TimeWeighted
-	tw.Observe(1, 100)
-	tw.Observe(1, 3) // instant change: no area from the 100
-	tw.Finish(2)
-	if got := tw.Mean(); !almost(got, 3, 1e-12) {
-		t.Errorf("mean = %v, want 3", got)
-	}
-}
-
-func TestTimeWeightedEmpty(t *testing.T) {
-	var tw TimeWeighted
-	tw.Finish(10)
-	if tw.Mean() != 0 || tw.Max() != 0 || tw.Duration() != 0 {
-		t.Error("empty accumulator not zero")
-	}
-}
-
-// Property: the time-weighted mean lies within [min, max] of observations.
-func TestTimeWeightedEnvelopeProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		var tw TimeWeighted
-		lo, hi := math.Inf(1), math.Inf(-1)
-		t := 0.0
-		for _, v := range raw {
-			val := float64(v)
-			tw.Observe(t, val)
-			if val < lo {
-				lo = val
-			}
-			if val > hi {
-				hi = val
-			}
-			t += 1
-		}
-		tw.Finish(t)
-		m := tw.Mean()
-		return m >= lo-1e-9 && m <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}

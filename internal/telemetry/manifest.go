@@ -16,8 +16,8 @@ import (
 // run (name, configuration, seed, code version), what it cost (wall time,
 // simulated virtual time), and what it measured (the full instrument
 // dump). Manifests are written next to experiment output so any result is
-// reproducible from its own metadata and diffable against the manifests of
-// earlier PRs (see BENCH_baseline.json at the repo root).
+// reproducible from its own metadata and diffable against another run's
+// manifest (DiffSummaries).
 type Manifest struct {
 	// Name identifies the run (e.g. "report", "incast").
 	Name string `json:"name"`
@@ -141,8 +141,7 @@ func GitDescribe() string {
 }
 
 // DiffSummaries compares two manifests' metrics by instrument identity and
-// returns one line per changed instrument — the perf-trajectory diff
-// future PRs run against BENCH_baseline.json. Only counters and histogram
+// returns one line per changed instrument. Only counters and histogram
 // counts are compared (gauges are last-write noise).
 func DiffSummaries(base, cur *Manifest) []string {
 	type point struct{ base, cur int64 }

@@ -260,13 +260,13 @@ func (b *Benchmark) issueQuery() {
 			conn.Close()
 			delete(b.senders, flow)
 		}
-		b.tt.Aggregator.Send(&packet.Packet{
-			Dst:      w.ID(),
-			Flow:     flow,
-			Flags:    packet.FlagREQ,
-			ReqBytes: b.cfg.QueryResponseBytes,
-			SendTime: start,
-		})
+		pkt := b.tt.Aggregator.AllocPacket()
+		pkt.Dst = w.ID()
+		pkt.Flow = flow
+		pkt.Flags = packet.FlagREQ
+		pkt.ReqBytes = b.cfg.QueryResponseBytes
+		pkt.SendTime = start
+		b.tt.Aggregator.Send(pkt)
 	}
 }
 

@@ -4,13 +4,23 @@ import (
 	"testing"
 
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 )
 
 func runBenchmark(t *testing.T, cfg BenchmarkConfig) *Benchmark {
 	t.Helper()
+	b, _ := runPooledBenchmark(t, cfg)
+	return b
+}
+
+// runPooledBenchmark is runBenchmark returning the packet pool the run
+// used (see runPooledIncast).
+func runPooledBenchmark(t *testing.T, cfg BenchmarkConfig) (*Benchmark, *packet.Pool) {
+	t.Helper()
 	sched := sim.NewScheduler()
 	tt := netsim.NewTwoTier(sched, 3, 3, netsim.DefaultTopologyConfig())
+	pool := tt.EnablePacketPool()
 	b := NewBenchmark(sched, tt, cfg)
 	b.OnFinished = sched.Halt
 	b.Start()
@@ -19,7 +29,7 @@ func runBenchmark(t *testing.T, cfg BenchmarkConfig) *Benchmark {
 		t.Fatalf("benchmark incomplete: %d/%d queries, %d/%d background",
 			len(b.QueryResults()), cfg.Queries, len(b.BackgroundResults()), cfg.BackgroundFlows)
 	}
-	return b
+	return b, pool
 }
 
 func smallBenchCfg() BenchmarkConfig {

@@ -246,14 +246,14 @@ func (in *Incast) startRound() {
 // sendRequest issues the current round's request to flow i's worker. Seq
 // carries the round number so workers can discard duplicates.
 func (in *Incast) sendRequest(i int) {
-	in.tt.Aggregator.Send(&packet.Packet{
-		Dst:      in.conns[i].Receiver.Peer(),
-		Flow:     in.cfg.flowID(i),
-		Seq:      in.round,
-		Flags:    packet.FlagREQ,
-		ReqBytes: in.cfg.BytesPerFlow,
-		SendTime: in.sched.Now(),
-	})
+	pkt := in.tt.Aggregator.AllocPacket()
+	pkt.Dst = in.conns[i].Receiver.Peer()
+	pkt.Flow = in.cfg.flowID(i)
+	pkt.Seq = in.round
+	pkt.Flags = packet.FlagREQ
+	pkt.ReqBytes = in.cfg.BytesPerFlow
+	pkt.SendTime = in.sched.Now()
+	in.tt.Aggregator.Send(pkt)
 }
 
 // retryRequests re-issues the round's request to every flow that has

@@ -6,6 +6,7 @@ import (
 	"dctcpplus/internal/core"
 	"dctcpplus/internal/dctcp"
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/tcp"
 )
@@ -41,8 +42,18 @@ func plusFactory(rtoMin sim.Duration) FlowFactory {
 
 func runIncast(t *testing.T, cfg IncastConfig) *Incast {
 	t.Helper()
+	in, _ := runPooledIncast(t, cfg)
+	return in
+}
+
+// runPooledIncast runs the incast the way internal/exp does, with the
+// packet pool on, so every harness-driven test also exercises the
+// mint/recycle path (and, under -tags checkdebug, its poison tripwire).
+func runPooledIncast(t *testing.T, cfg IncastConfig) (*Incast, *packet.Pool) {
+	t.Helper()
 	sched := sim.NewScheduler()
 	tt := netsim.NewTwoTier(sched, 3, 3, netsim.DefaultTopologyConfig())
+	pool := tt.EnablePacketPool()
 	in := NewIncast(sched, tt, cfg)
 	in.OnFinished = sched.Halt
 	in.Start()
@@ -50,7 +61,7 @@ func runIncast(t *testing.T, cfg IncastConfig) *Incast {
 	if !in.Finished() {
 		t.Fatalf("incast did not finish: %d/%d rounds", len(in.Results()), cfg.Rounds)
 	}
-	return in
+	return in, pool
 }
 
 func TestIncastSmallNCompletes(t *testing.T) {
