@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fmt-check lint lint-fix-check typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke clean
+.PHONY: all build vet test race fmt-check lint typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke clean
 
 all: check
 
@@ -34,28 +34,24 @@ fmt-check:
 # //inv: interval contracts (range proofs, narrow-counter overflow,
 # static<->runtime check coverage), and the //state: typestate contracts
 # (pooled-packet exactly-once free, scheduler handle lifecycles, ownership
-# transfer). -stale-allow also fails the build on //lint:allow directives
-# that no longer suppress anything. Stdlib-only.
+# transfer). A whole-module run also fails the build on //lint:allow
+# directives that no longer suppress anything. Stdlib-only.
 lint:
-	$(GO) run ./cmd/simlint -stale-allow ./...
+	$(GO) run ./cmd/simlint ./...
 
-# Autofix regression gate: apply simlint -fix to the before/after fixtures
-# and require byte-identical golden output plus an idempotent second pass.
-lint-fix-check:
-	$(GO) test -run 'TestFixGoldens|TestApplyEdits|TestRunFix' ./internal/lint ./cmd/simlint
-
-# Typestate smoke: the engine's join/widening unit tests and the three
+# Typestate smoke: the engine's join/widening unit tests, the shared
+# control-flow walker's (flow.go) semantics table, and the three
 # lifecycle-analyzer fixtures (poollife, handlestate, ownxfer, plus the
 # clean Port->Link->Host hand-off), then the packet pool's checkdebug
 # poison tests — the runtime tripwire behind the static exactly-once-free
 # proof — in both build-tag modes, and the pooled workload runs (request,
 # data and ACK paths) under that tripwire.
 typestate-smoke:
-	$(GO) test -run 'JoinEnv|MergeAtJoin|LoopWidening|Fixtures/(poollife|handlestate|ownxfer|ownclean)' ./internal/lint
+	$(GO) test -run 'JoinEnv|MergeAtJoin|LoopWidening|FlowWalker|Fixtures/(poollife|handlestate|ownxfer|ownclean)' ./internal/lint
 	$(GO) test -tags checkdebug ./internal/packet ./internal/workload
 	$(GO) test ./internal/packet
 
-check: build vet fmt-check lint lint-fix-check typestate-smoke race fault-smoke sweep-smoke oracle-smoke perf-smoke
+check: build vet fmt-check lint typestate-smoke race fault-smoke sweep-smoke oracle-smoke perf-smoke
 
 # Fault-injection smoke: a full-mix faulted sweep must complete, stay
 # deterministic, conserve every packet/byte, and keep DCTCP+ no worse than

@@ -9,9 +9,6 @@
 //	simlint ./internal/tcp   # lint one package
 //	simlint -json ./...      # machine-readable diagnostics, one JSON array
 //	simlint -sarif ./...     # SARIF 2.1.0 log for CI code scanning
-//	simlint -fix ./...       # apply suggested fixes, then re-lint
-//	simlint -changed main    # report only packages that differ from a git ref
-//	simlint -stale-allow     # also report //lint:allow directives that suppress nothing
 //	simlint -list            # print the analyzer suite and exit
 //	simlint -version         # print the sweep-cache code-version string
 //
@@ -19,35 +16,19 @@
 // (git describe of the working tree), so "which build wrote this cache
 // entry" is answerable with the lint binary already on the PATH.
 //
-// -changed narrows the report, not the analysis: the matched patterns are
-// loaded and analyzed exactly once as usual (whole-module passes like the
-// call graph need the full picture), and diagnostics are then kept only
-// for packages containing a file that differs from the given ref —
-// `git diff --name-only <ref>` plus untracked files. Outside a git work
-// tree, or with an unresolvable ref, the run fails with status 2.
-//
-// -stale-allow turns the allowlist audit on: every well-formed
-// //lint:allow directive that suppressed no diagnostic in the run is
-// reported as a "staleallow" finding and counts toward the exit status,
-// so justified exemptions are deleted when the code they excused goes
-// away. make lint runs with this flag.
-//
-// -fix applies every suggested fix attached to a surviving diagnostic
-// (simtime's int64→sim.Duration rewrite, floateq's epsilon comparison),
-// writes the files, and re-runs the analysis from the rewritten sources;
-// the exit status reflects the residual diagnostics, so a fully fixable
-// tree converges to 0 in one invocation and -fix is idempotent. When fixes
-// from two different analyzers rewrite overlapping byte ranges of one
-// file, -fix refuses the whole file with a diagnostic naming both
-// analyzers and writes nothing — each rewrite was computed against the
-// original source, and composing them would produce code neither analyzer
-// checked.
+// A whole-module run (the "./..." pattern, which is also the default) adds
+// the allowlist audit: every well-formed //lint:allow directive that
+// suppressed no diagnostic is reported as a "staleallow" finding and counts
+// toward the exit status, so justified exemptions are deleted when the code
+// they excused goes away. Linting a single package skips the audit — the
+// finding a directive excuses can be rooted in a package that was not
+// loaded.
 //
 // Exit status is a contract, relied on by make check and CI:
 //
 //	0  every matched package type-checked and produced no diagnostics
 //	1  the analysis ran and reported at least one diagnostic
-//	2  the analysis could not run: unknown flag, conflicting flags,
+//	2  the analysis could not run: unknown flag, -json with -sarif,
 //	   unresolvable pattern, or a package that fails to type-check
 //
 // Text mode prints file:line:col: analyzer: message per finding, with a
@@ -63,11 +44,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
-	"path"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"dctcpplus/internal/lint"
 	"dctcpplus/internal/sweep"
@@ -85,11 +62,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		jsonOut  = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 		sarifOut = fs.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log on stdout")
-		fix      = fs.Bool("fix", false, "apply suggested fixes, then re-run the analysis")
 		list     = fs.Bool("list", false, "list the analyzer suite and exit")
 		version  = fs.Bool("version", false, "print the sweep-cache code-version string and exit")
-		stale    = fs.Bool("stale-allow", false, "also report //lint:allow directives that no longer suppress any diagnostic")
-		changed  = fs.String("changed", "", "report only packages containing files that differ from this git ref")
 		dir      = fs.String("C", "", "change to this directory before resolving patterns")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -126,47 +100,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		root = cwd
 	}
 
-	diags, moduleRoot, status := analyze(root, patterns, analyzers, *stale, stderr)
-	if status != 0 {
-		return status
+	loader, err := lint.NewLoader(root)
+	if err != nil {
+		fmt.Fprintln(stderr, "simlint:", err)
+		return 2
 	}
-
-	// With -changed, the git question is answered once; the same directory
-	// set filters the post-fix re-analysis below too.
-	var keep map[string]bool
-	if *changed != "" {
-		var err error
-		keep, err = changedDirs(moduleRoot, *changed)
-		if err != nil {
-			fmt.Fprintln(stderr, "simlint:", err)
-			return 2
-		}
-		diags = filterToDirs(diags, moduleRoot, keep)
+	pkgs, err := loader.Load(patterns...)
+	if err != nil {
+		fmt.Fprintln(stderr, "simlint:", err)
+		return 2
 	}
-
-	if *fix {
-		n, err := applyAndWrite(diags, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, "simlint:", err)
-			return 2
-		}
-		if n > 0 {
-			// Re-analyze from the rewritten sources so the report and the
-			// exit status describe the tree as it now stands.
-			diags, moduleRoot, status = analyze(root, patterns, analyzers, *stale, stderr)
-			if status != 0 {
-				return status
-			}
-			if keep != nil {
-				diags = filterToDirs(diags, moduleRoot, keep)
-			}
-		}
-	}
+	diags := lint.Run(pkgs, analyzers)
 
 	// Report paths relative to the module root: stable across machines,
 	// clickable from the repository checkout.
 	for i := range diags {
-		if rel, err := filepath.Rel(moduleRoot, diags[i].File); err == nil {
+		if rel, err := filepath.Rel(loader.ModuleRoot(), diags[i].File); err == nil {
 			diags[i].File = rel
 		}
 	}
@@ -201,113 +150,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// analyze loads the patterns with a fresh loader and runs the suite,
-// returning the diagnostics (with absolute paths), the module root, and a
-// non-zero exit status on load failure.
-func analyze(root string, patterns []string, analyzers []*lint.Analyzer, stale bool, stderr io.Writer) ([]lint.Diagnostic, string, int) {
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		fmt.Fprintln(stderr, "simlint:", err)
-		return nil, "", 2
-	}
-	pkgs, err := loader.Load(patterns...)
-	if err != nil {
-		fmt.Fprintln(stderr, "simlint:", err)
-		return nil, "", 2
-	}
-	run := lint.Run
-	if stale {
-		run = lint.RunStale
-	}
-	return run(pkgs, analyzers), loader.ModuleRoot(), 0
-}
-
-// changedDirs asks git which module-relative directories contain files
-// that differ from ref — committed edits via diff, plus files git does
-// not track yet (a brand-new package differs from every ref). Directories
-// are slash-separated, matching what filterToDirs derives from paths.
-func changedDirs(root, ref string) (map[string]bool, error) {
-	diff, err := gitLines(root, "diff", "--name-only", ref, "--", ".")
-	if err != nil {
-		return nil, err
-	}
-	untracked, err := gitLines(root, "ls-files", "--others", "--exclude-standard")
-	if err != nil {
-		return nil, err
-	}
-	dirs := make(map[string]bool)
-	for _, f := range append(diff, untracked...) {
-		dirs[path.Dir(f)] = true
-	}
-	return dirs, nil
-}
-
-// gitLines runs one git subcommand under root and returns its non-empty
-// output lines, surfacing git's own stderr (unknown ref, not a work tree)
-// as the error text.
-func gitLines(root string, args ...string) ([]string, error) {
-	cmd := exec.Command("git", append([]string{"-C", root}, args...)...)
-	out, err := cmd.Output()
-	if err != nil {
-		if ee, ok := err.(*exec.ExitError); ok && len(ee.Stderr) > 0 {
-			return nil, fmt.Errorf("git %s: %s", args[0], strings.TrimSpace(string(ee.Stderr)))
-		}
-		return nil, fmt.Errorf("git %s: %v", args[0], err)
-	}
-	var lines []string
-	for _, l := range strings.Split(string(out), "\n") {
-		if l = strings.TrimSpace(l); l != "" {
-			lines = append(lines, l)
-		}
-	}
-	return lines, nil
-}
-
-// filterToDirs keeps only diagnostics whose file lives in one of the kept
-// module-relative directories. Paths are still absolute at this point —
-// the module-relative rewrite for display happens after filtering.
-func filterToDirs(diags []lint.Diagnostic, root string, keep map[string]bool) []lint.Diagnostic {
-	out := diags[:0]
-	for _, d := range diags {
-		rel, err := filepath.Rel(root, d.File)
-		if err != nil {
-			out = append(out, d)
-			continue
-		}
-		if keep[path.Dir(filepath.ToSlash(rel))] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// applyAndWrite applies the fixes attached to diags and writes the
-// rewritten files, reporting how many files changed.
-func applyAndWrite(diags []lint.Diagnostic, stderr io.Writer) (int, error) {
-	fixed, err := lint.ApplyFixes(diags)
-	if err != nil {
-		return 0, err
-	}
-	nFixes := 0
-	for _, d := range diags {
-		if d.Fix != nil {
-			nFixes++
-		}
-	}
-	files := make([]string, 0, len(fixed))
-	for file := range fixed {
-		files = append(files, file)
-	}
-	sort.Strings(files) // write in deterministic order
-	for _, file := range files {
-		if err := os.WriteFile(file, fixed[file], 0o644); err != nil {
-			return 0, err
-		}
-	}
-	if len(fixed) > 0 {
-		fmt.Fprintf(stderr, "simlint: applied %d fix(es) to %d file(s)\n", nFixes, len(fixed))
-	}
-	return len(fixed), nil
 }

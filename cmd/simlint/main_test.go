@@ -2,8 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -27,6 +25,9 @@ func moduleRoot(t *testing.T) string {
 // of both output modes against real fixture packages.
 func TestRunExitContract(t *testing.T) {
 	root := moduleRoot(t)
+	// A throwaway module whose one package carries a well-formed
+	// //lint:allow that suppresses nothing.
+	stale := filepath.Join(root, "internal", "lint", "testdata", "stalemod")
 	cases := []struct {
 		name       string
 		args       []string
@@ -71,16 +72,34 @@ func TestRunExitContract(t *testing.T) {
 			wantOut:    "hotalloc",
 		},
 		{
-			name:       "stale directive is ignored by the default run",
-			args:       []string{"-C", root, "internal/lint/testdata/src/staleallow"},
+			name:       "stale directive is ignored when only its package is linted",
+			args:       []string{"-C", stale, "./a"},
 			wantStatus: 0,
 		},
 		{
-			name:       "-stale-allow reports the rotted directive and exits 1",
-			args:       []string{"-stale-allow", "-C", root, "internal/lint/testdata/src/staleallow"},
+			name:       "whole-module run reports the rotted directive and exits 1",
+			args:       []string{"-C", stale},
 			wantStatus: 1,
 			wantOut:    "staleallow: stale //lint:allow floateq directive",
 			wantErr:    "diagnostic(s)",
+		},
+		{
+			name:       "removed -fix exits 2",
+			args:       []string{"-fix", "-C", root, "./internal/check"},
+			wantStatus: 2,
+			wantErr:    "flag provided but not defined",
+		},
+		{
+			name:       "removed -changed exits 2",
+			args:       []string{"-changed", "HEAD", "-C", root, "./internal/check"},
+			wantStatus: 2,
+			wantErr:    "flag provided but not defined",
+		},
+		{
+			name:       "removed -stale-allow exits 2",
+			args:       []string{"-stale-allow", "-C", root, "./internal/check"},
+			wantStatus: 2,
+			wantErr:    "flag provided but not defined",
 		},
 	}
 	for _, c := range cases {
@@ -214,219 +233,5 @@ func TestRunSARIFMode(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "mutually exclusive") {
 		t.Errorf("stderr missing exclusivity message: %s", errb.String())
-	}
-}
-
-// TestRunFix drives the end-to-end -fix path on a scratch copy of the
-// floatcmpfix fixture: the first run rewrites the file to the golden bytes
-// and exits 0 (the tree converges in one invocation); the second run is a
-// no-op.
-func TestRunFix(t *testing.T) {
-	root := moduleRoot(t)
-	fixDir := filepath.Join(root, "internal", "lint", "testdata", "fix", "floatcmpfix")
-	input, err := os.ReadFile(filepath.Join(fixDir, "input.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := os.ReadFile(filepath.Join(fixDir, "input.go.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tmp := filepath.Join(fixDir, "clitmp")
-	if err := os.RemoveAll(tmp); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(tmp, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.RemoveAll(tmp) })
-	target := filepath.Join(tmp, "input.go")
-	if err := os.WriteFile(target, input, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pattern := "internal/lint/testdata/fix/floatcmpfix/clitmp"
-
-	var out, errb strings.Builder
-	if status := run([]string{"-C", root, "-fix", pattern}, &out, &errb); status != 0 {
-		t.Fatalf("-fix run exited %d, want 0\nstdout: %s\nstderr: %s", status, out.String(), errb.String())
-	}
-	if !strings.Contains(errb.String(), "applied") {
-		t.Errorf("stderr missing fix summary: %s", errb.String())
-	}
-	got, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(golden) {
-		t.Errorf("fixed file differs from golden\n--- got ---\n%s--- want ---\n%s", got, golden)
-	}
-
-	out.Reset()
-	errb.Reset()
-	if status := run([]string{"-C", root, "-fix", pattern}, &out, &errb); status != 0 {
-		t.Fatalf("second -fix run exited %d, want 0; stderr: %s", status, errb.String())
-	}
-	if strings.Contains(errb.String(), "applied") {
-		t.Errorf("second -fix run applied fixes again: %s", errb.String())
-	}
-}
-
-// initChangedRepo builds a throwaway module under its own git repo: package
-// a is clean, package b carries a floateq violation, both committed. The
-// -changed tests then edit files and watch which packages get reported.
-func initChangedRepo(t *testing.T) string {
-	t.Helper()
-	if _, err := exec.LookPath("git"); err != nil {
-		t.Skip("git not on PATH")
-	}
-	dir := t.TempDir()
-	files := map[string]string{
-		"go.mod": "module tmpmod\n\ngo 1.21\n",
-		"a/a.go": "package a\n\n// Sum adds.\nfunc Sum(x, y int) int { return x + y }\n",
-		"b/b.go": "package b\n\n// Eq compares floats exactly (a floateq violation).\nfunc Eq(x, y float64) bool { return x == y }\n",
-	}
-	for name, src := range files {
-		p := filepath.Join(dir, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, args := range [][]string{
-		{"init", "-q"},
-		{"config", "user.email", "t@example.invalid"},
-		{"config", "user.name", "t"},
-		{"add", "."},
-		{"commit", "-q", "-m", "seed"},
-	} {
-		cmd := exec.Command("git", append([]string{"-C", dir}, args...)...)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("git %v: %v\n%s", args, err, out)
-		}
-	}
-	return dir
-}
-
-// TestRunChangedMode pins the -changed contract: only packages containing
-// files that differ from the ref are reported, untracked files count as
-// changed, and git failures surface as status 2.
-func TestRunChangedMode(t *testing.T) {
-	cases := []struct {
-		name       string
-		mutate     func(t *testing.T, dir string)
-		args       []string
-		wantStatus int
-		wantOut    string // substring of stdout, "" to skip
-		wantErr    string // substring of stderr, "" to skip
-	}{
-		{
-			name:       "clean tree reports nothing despite the committed violation",
-			mutate:     func(t *testing.T, dir string) {},
-			args:       []string{"-changed", "HEAD", "./..."},
-			wantStatus: 0,
-		},
-		{
-			name: "editing the clean package stays clean",
-			mutate: func(t *testing.T, dir string) {
-				appendFile(t, filepath.Join(dir, "a", "a.go"), "\n// Doc edits change the file, not the findings.\n")
-			},
-			args:       []string{"-changed", "HEAD", "./..."},
-			wantStatus: 0,
-		},
-		{
-			name: "editing the dirty package surfaces its findings",
-			mutate: func(t *testing.T, dir string) {
-				appendFile(t, filepath.Join(dir, "b", "b.go"), "\n// Doc edit to mark package b as changed.\n")
-			},
-			args:       []string{"-changed", "HEAD", "./..."},
-			wantStatus: 1,
-			wantOut:    "floateq",
-		},
-		{
-			name: "untracked package counts as changed",
-			mutate: func(t *testing.T, dir string) {
-				p := filepath.Join(dir, "c", "c.go")
-				if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				src := "package c\n\n// Same compares floats exactly.\nfunc Same(x, y float64) bool { return x == y }\n"
-				if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			args:       []string{"-changed", "HEAD", "./..."},
-			wantStatus: 1,
-			wantOut:    "c.go",
-		},
-		{
-			name:       "unresolvable ref exits 2",
-			mutate:     func(t *testing.T, dir string) {},
-			args:       []string{"-changed", "no-such-ref", "./..."},
-			wantStatus: 2,
-			wantErr:    "git diff",
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			dir := initChangedRepo(t)
-			c.mutate(t, dir)
-			var out, errb strings.Builder
-			status := run(append([]string{"-C", dir}, c.args...), &out, &errb)
-			if status != c.wantStatus {
-				t.Fatalf("run(%v) = %d, want %d\nstdout: %s\nstderr: %s",
-					c.args, status, c.wantStatus, out.String(), errb.String())
-			}
-			if c.wantOut != "" && !strings.Contains(out.String(), c.wantOut) {
-				t.Errorf("stdout missing %q:\n%s", c.wantOut, out.String())
-			}
-			if c.wantErr != "" && !strings.Contains(errb.String(), c.wantErr) {
-				t.Errorf("stderr missing %q:\n%s", c.wantErr, errb.String())
-			}
-		})
-	}
-}
-
-// TestRunChangedOutsideGit pins status 2 when the module is not a git work
-// tree at all.
-func TestRunChangedOutsideGit(t *testing.T) {
-	if _, err := exec.LookPath("git"); err != nil {
-		t.Skip("git not on PATH")
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module tmpmod\n\ngo 1.21\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg := filepath.Join(dir, "a")
-	if err := os.MkdirAll(pkg, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := "package a\n\n// Sum adds.\nfunc Sum(x, y int) int { return x + y }\n"
-	if err := os.WriteFile(filepath.Join(pkg, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb strings.Builder
-	if status := run([]string{"-C", dir, "-changed", "HEAD", "./..."}, &out, &errb); status != 2 {
-		t.Fatalf("run outside git = %d, want 2\nstderr: %s", status, errb.String())
-	}
-	if !strings.Contains(errb.String(), "git") {
-		t.Errorf("stderr missing a git error: %s", errb.String())
-	}
-}
-
-// appendFile appends src to an existing file.
-func appendFile(t *testing.T, path, src string) {
-	t.Helper()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(src); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

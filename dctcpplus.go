@@ -305,8 +305,8 @@ func WriteManifestFile(path string, m *Manifest) error { return telemetry.WriteM
 
 // DiffManifests summarizes the per-instrument deltas between two run
 // manifests (counter values and histogram counts), one human-readable line
-// per changed instrument. Use it to compare a fresh -baseline run against
-// the committed BENCH_baseline.json.
+// per changed instrument. Use it to compare two `cmd/report -baseline`
+// manifests, e.g. one written before a change and one after.
 func DiffManifests(base, cur *Manifest) []string { return telemetry.DiffSummaries(base, cur) }
 
 // Fault injection: deterministic, schedulable pathologies composed with

@@ -57,35 +57,20 @@ func runCacheKey(p *Package) []Diagnostic {
 				if doc == nil && len(gd.Specs) == 1 {
 					doc = gd.Doc
 				}
-				method, ok := cacheKeyDirective(doc)
-				if !ok {
+				lines := directiveLines("cache:key", doc)
+				if len(lines) == 0 {
 					continue
+				}
+				// The payload names the key method; bare means "Key".
+				method := lines[0].payload
+				if method == "" {
+					method = "Key"
 				}
 				out = append(out, p.checkCacheKey(ts, method)...)
 			}
 		}
 	}
 	return out
-}
-
-// cacheKeyDirective extracts the method name from a //cache:key line in a
-// doc comment. Returns "Key" when the directive carries no name.
-func cacheKeyDirective(doc *ast.CommentGroup) (string, bool) {
-	if doc == nil {
-		return "", false
-	}
-	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(c.Text, "//cache:key")
-		if !ok {
-			continue
-		}
-		rest = strings.TrimSpace(rest)
-		if rest == "" {
-			return "Key", true
-		}
-		return rest, true
-	}
-	return "", false
 }
 
 // checkCacheKey verifies field coverage of one annotated struct type.

@@ -44,6 +44,9 @@ type Program struct {
 	modPath string
 	pkgs    []*Package
 	dirty   bool
+	// wholeModule records that a Loader.Load("./...") succeeded, so pkgs
+	// holds every package of the module.
+	wholeModule bool
 
 	nodes     map[*types.Func]*funcNode
 	order     []*funcNode            // nodes in deterministic declaration order
@@ -104,24 +107,12 @@ func (prog *Program) add(p *Package) {
 	prog.dirty = true
 }
 
-// hotAnnotated reports whether the declaration's doc comment carries a
-// //hot:path line.
-func hotAnnotated(decl *ast.FuncDecl) bool {
-	return docAnnotated(decl, "//hot:path")
-}
-
-// sweepAnnotated reports whether the declaration's doc comment carries a
-// //sweep:job line, marking it as a worker-executed sweep job body.
-func sweepAnnotated(decl *ast.FuncDecl) bool {
-	return docAnnotated(decl, "//sweep:job")
-}
-
+// docAnnotated reports whether the declaration's doc comment carries a
+// bare marker line: "hot:path" roots the per-packet rules, "sweep:job"
+// marks a worker-executed sweep job body.
 func docAnnotated(decl *ast.FuncDecl, marker string) bool {
-	if decl.Doc == nil {
-		return false
-	}
-	for _, c := range decl.Doc.List {
-		if strings.TrimSpace(c.Text) == marker {
+	for _, l := range directiveLines(marker, decl.Doc) {
+		if l.payload == "" {
 			return true
 		}
 	}
@@ -192,7 +183,7 @@ func (prog *Program) build() {
 				if !ok {
 					continue
 				}
-				n := &funcNode{fn: fn, decl: decl, pkg: p, hot: hotAnnotated(decl), sweep: sweepAnnotated(decl)}
+				n := &funcNode{fn: fn, decl: decl, pkg: p, hot: docAnnotated(decl, "hot:path"), sweep: docAnnotated(decl, "sweep:job")}
 				prog.nodes[fn] = n
 				prog.order = append(prog.order, n)
 				if decl.Recv != nil {
@@ -368,22 +359,23 @@ func (prog *Program) isTerminal(fn *types.Func) bool {
 	return prog.terminals[fn]
 }
 
+// isTerminalCall reports whether call never returns: the panic builtin, or
+// a terminal helper (check.Failf). Both flow engines end the path there.
+func (p *Package) isTerminalCall(call *ast.CallExpr) bool {
+	if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+		if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin {
+			return true
+		}
+	}
+	callee, _ := p.calleeOf(call)
+	return callee != nil && p.Prog.isTerminal(callee)
+}
+
 // hotNodesIn returns the current package's hot-reachable function nodes in
 // source order, paired with their witness roots.
 func (prog *Program) hotNodesIn(p *Package) []*funcNode {
 	prog.build()
 	return prog.nodesIn(p, prog.hotFrom)
-}
-
-// sweepReachable reports whether fn is statically reachable from a
-// //sweep:job root, returning the first such root as the provenance witness.
-func (prog *Program) sweepReachable(fn *types.Func) (*types.Func, bool) {
-	prog.build()
-	roots := prog.sweepFrom[fn]
-	if len(roots) == 0 {
-		return nil, false
-	}
-	return roots[0], true
 }
 
 // sweepNodesIn returns the current package's sweep-reachable function

@@ -330,55 +330,6 @@ type contractTable struct {
 	errs []Diagnostic
 }
 
-const invPrefix = "//inv:"
-
-// invPayload returns the text after the //inv: marker, accepting both the
-// raw spelling and the "// inv:" form gofmt's doc-comment printer produces
-// (the colon is followed by a space, so the line is not a compiler
-// directive and formatting inserts the space). A contract must not stop
-// binding because the file was formatted.
-func invPayload(c *ast.Comment) (string, bool) {
-	if rest, ok := strings.CutPrefix(c.Text, invPrefix); ok {
-		return rest, true
-	}
-	if rest, ok := strings.CutPrefix(c.Text, "// inv:"); ok {
-		return rest, true
-	}
-	return "", false
-}
-
-// invLines extracts the //inv: payloads of a comment group in order.
-func invLines(groups ...*ast.CommentGroup) []string {
-	var out []string
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			if rest, ok := invPayload(c); ok {
-				out = append(out, strings.TrimSpace(rest))
-			}
-		}
-	}
-	return out
-}
-
-// invComments returns the comments (doc then trailing) of a field that may
-// carry //inv: lines, with their positions for error reporting.
-func invPos(groups ...*ast.CommentGroup) token.Pos {
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			if _, ok := invPayload(c); ok {
-				return c.Pos()
-			}
-		}
-	}
-	return token.NoPos
-}
-
 // contracts returns the program's contract table, building it on first
 // use.
 func (prog *Program) contracts() *contractTable {
@@ -424,11 +375,11 @@ func (t *contractTable) collectPackage(p *Package) {
 func (t *contractTable) collectStruct(p *Package, ts *ast.TypeSpec, st *ast.StructType) {
 	tn, _ := p.Info.Defs[ts.Name].(*types.TypeName)
 	for _, field := range st.Fields.List {
-		lines := invLines(field.Doc, field.Comment)
+		lines := directiveLines("inv:", field.Doc, field.Comment)
 		if len(lines) == 0 {
 			continue
 		}
-		pos := invPos(field.Doc, field.Comment)
+		pos := lines[0].pos
 		if len(field.Names) != 1 {
 			t.errs = append(t.errs, p.diag("rangeproof", pos,
 				"//inv: contract requires exactly one field name per declaration"))
@@ -446,7 +397,7 @@ func (t *contractTable) collectStruct(p *Package, ts *ast.TypeSpec, st *ast.Stru
 		}
 		fc := &fieldContract{field: fv, owner: tn, pos: pos}
 		for _, line := range lines {
-			clauses, err := parseInv(line)
+			clauses, err := parseInv(line.payload)
 			if err != nil {
 				t.errs = append(t.errs, p.diag("rangeproof", pos,
 					"malformed //inv: contract on %s: %v", name.Name, err))
@@ -472,11 +423,11 @@ func (t *contractTable) collectStruct(p *Package, ts *ast.TypeSpec, st *ast.Stru
 // Each clause's subject is a parameter name, a named result, or the
 // keyword "return" for a function with one unnamed result.
 func (t *contractTable) collectFunc(p *Package, d *ast.FuncDecl) {
-	lines := invLines(d.Doc)
+	lines := directiveLines("inv:", d.Doc)
 	if len(lines) == 0 {
 		return
 	}
-	pos := invPos(d.Doc)
+	pos := lines[0].pos
 	fn, ok := p.Info.Defs[d.Name].(*types.Func)
 	if !ok {
 		return
@@ -503,7 +454,7 @@ func (t *contractTable) collectFunc(p *Package, d *ast.FuncDecl) {
 		return resolveFuncPath(p, d, sig, path)
 	}
 	for _, line := range lines {
-		clauses, err := parseInv(line)
+		clauses, err := parseInv(line.payload)
 		if err != nil {
 			t.errs = append(t.errs, p.diag("rangeproof", pos,
 				"malformed //inv: contract on %s: %v", d.Name.Name, err))

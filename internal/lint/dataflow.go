@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // This file is the intraprocedural dataflow engine behind the unitflow
@@ -553,20 +554,17 @@ func (prog *Program) unitResultUnits(fn *types.Func) []unitClass {
 // three passes; the cap only guards degenerate recursion.
 const summaryPassCap = 6
 
-// buildUnitSummaries computes the per-function result-unit table over the
-// whole program to a fixed point, in deterministic node order.
-func (prog *Program) buildUnitSummaries() {
-	prog.build()
-	if prog.unitSummaries != nil {
-		return
-	}
-	prog.unitSummaries = make(map[*types.Func][]unitClass)
+// fixSummaries is the one interprocedural fixed point: it re-summarizes
+// every function in deterministic node order, storing into table (which
+// summarize reads, through the engine's call transfer, for callees), until
+// a whole pass changes nothing or summaryPassCap is reached. A function
+// with no stored summary reads as the empty one.
+func fixSummaries[E comparable](prog *Program, table map[*types.Func][]E, summarize func(*funcNode) []E) {
 	for pass := 0; pass < summaryPassCap; pass++ {
 		changed := false
 		for _, n := range prog.order {
-			sum := prog.summarize(n)
-			if !equalUnits(prog.unitSummaries[n.fn], sum) {
-				prog.unitSummaries[n.fn] = sum
+			if sum := summarize(n); !slices.Equal(table[n.fn], sum) {
+				table[n.fn] = sum
 				changed = true
 			}
 		}
@@ -574,6 +572,17 @@ func (prog *Program) buildUnitSummaries() {
 			break
 		}
 	}
+}
+
+// buildUnitSummaries computes the per-function result-unit table over the
+// whole program.
+func (prog *Program) buildUnitSummaries() {
+	prog.build()
+	if prog.unitSummaries != nil {
+		return
+	}
+	prog.unitSummaries = make(map[*types.Func][]unitClass)
+	fixSummaries(prog, prog.unitSummaries, prog.summarize)
 }
 
 // summarize computes one function's result units: the declared name wins
@@ -597,16 +606,4 @@ func (prog *Program) summarize(n *funcNode) []unitClass {
 		}
 	}
 	return out
-}
-
-func equalUnits(a, b []unitClass) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

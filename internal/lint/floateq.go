@@ -42,10 +42,8 @@ func runFloatEq(p *Package) []Diagnostic {
 			if p.isZeroConst(be.X) || p.isZeroConst(be.Y) {
 				return true
 			}
-			dg := p.diag("floateq", be.OpPos,
-				"floating-point %s comparison: compare with a tolerance, or annotate why exact equality is sound", be.Op)
-			dg.Fix = p.floatEqFix(be)
-			out = append(out, dg)
+			out = append(out, p.diag("floateq", be.OpPos,
+				"floating-point %s comparison: compare with a tolerance, or annotate why exact equality is sound", be.Op))
 			return true
 		})
 	}

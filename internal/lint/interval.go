@@ -14,10 +14,10 @@ import (
 
 // This file implements the interval abstract interpreter behind the
 // rangeproof, overflow and checkcover analyzers: a numeric interval
-// lattice with widening, a statement-structured interpreter with
-// comparison-guided narrowing on branch edges, and per-function result
-// summaries lifted over the Program call graph the way the unit lattice
-// is (dataflow.go).
+// lattice with widening, the transfer functions of straight-line code with
+// comparison-guided narrowing on branch edges (control flow itself is
+// flow.go's), and per-function result summaries lifted over the Program
+// call graph the way the unit lattice is (dataflow.go).
 //
 // Proof semantics and soundness caveats, in one place:
 //
@@ -42,9 +42,9 @@ import (
 //   - Comparison facts learned on branch edges are invalidated by writes
 //     to any mentioned variable but NOT by function calls; the module's
 //     guard-then-update shapes have no interfering calls in between.
-//   - Loops run a bounded descending iteration with widening; deferred
-//     and go'd function literals are interpreted inline at their site.
-//     goto conservatively kills the current path.
+//   - Loop heads widen from the second pass and carry no facts; deferred
+//     and go'd function literals are interpreted inline at their site. A
+//     function whose walk a goto abandoned summarizes to its type ranges.
 //
 // These caveats are deliberate: the interpreter is a prover for the
 // module's own guard-and-clamp idioms, not a general verifier.
@@ -243,9 +243,8 @@ type absState struct {
 	// sym tracks whether each symbolic contract atom of a written field
 	// currently holds; a missing key means the field is untouched and the
 	// contract is still assumed.
-	sym         map[symKey]bool
-	facts       []fact
-	unreachable bool
+	sym   map[symKey]bool
+	facts []fact
 }
 
 func newAbsState() *absState {
@@ -254,10 +253,9 @@ func newAbsState() *absState {
 
 func (st *absState) clone() *absState {
 	c := &absState{
-		vals:        make(map[types.Object]ival, len(st.vals)),
-		sym:         make(map[symKey]bool, len(st.sym)),
-		facts:       append([]fact(nil), st.facts...),
-		unreachable: st.unreachable,
+		vals:  make(map[types.Object]ival, len(st.vals)),
+		sym:   make(map[symKey]bool, len(st.sym)),
+		facts: append([]fact(nil), st.facts...),
 	}
 	for k, v := range st.vals {
 		c.vals[k] = v
@@ -430,6 +428,7 @@ type intervalFlow struct {
 	retsValid bool
 	exit      *absState // join of the state at every exit point
 	hasExit   bool
+	abandoned bool // a goto cut some walk short: rets is incomplete
 
 	writes    map[*types.Var]token.Pos // last write site per annotated field
 	baseOf    map[*types.Var]string    // instance canon at that write
@@ -439,9 +438,6 @@ type intervalFlow struct {
 	seenObl   map[token.Pos]bool
 	seenAccum map[token.Pos]bool
 	seenCheck map[token.Pos]bool
-
-	breakStack [][]*absState
-	contStack  [][]*absState
 }
 
 func newIntervalFlow(p *Package, prog *Program, ct *contractTable, decl *ast.FuncDecl, fn *types.Func, sink bool) *intervalFlow {
@@ -479,10 +475,16 @@ func (f *intervalFlow) run() {
 			}
 		}
 	}
-	f.stmt(f.decl.Body, st)
-	if !st.unreachable {
+	if st, live := f.walk(f.decl.Body, st); live {
 		f.recordExit(st)
 	}
+}
+
+// walk interprets one body (the declaration's or an inline literal's).
+func (f *intervalFlow) walk(body *ast.BlockStmt, st *absState) (*absState, bool) {
+	st, live, abandoned := walkFlow[*absState](f, body, st)
+	f.abandoned = f.abandoned || abandoned
+	return st, live
 }
 
 func (f *intervalFlow) recordExit(st *absState) {
@@ -491,10 +493,12 @@ func (f *intervalFlow) recordExit(st *absState) {
 		f.hasExit = true
 		return
 	}
-	f.exit = f.joinState(f.exit, st)
+	f.exit = f.join(f.exit, st)
 }
 
-// ---- state join / widen / compare ----
+// ---- the flowDomain hooks: clone / join / widen / equal ----
+
+func (f *intervalFlow) clone(st *absState) *absState { return st.clone() }
 
 // stateIval is the interval of obj in st: its tracked value, else its
 // declared contract for annotated fields, else the static type range.
@@ -510,13 +514,7 @@ func (f *intervalFlow) stateIval(st *absState, obj types.Object) ival {
 	return typeRange(obj.Type())
 }
 
-func (f *intervalFlow) joinState(a, b *absState) *absState {
-	if a.unreachable {
-		return b.clone()
-	}
-	if b.unreachable {
-		return a.clone()
-	}
+func (f *intervalFlow) join(a, b *absState) *absState {
 	out := newAbsState()
 	//lint:allow nondeterminism keyed write, join is commutative and the value depends only on the key
 	for k := range a.vals {
@@ -552,21 +550,23 @@ func (f *intervalFlow) joinState(a, b *absState) *absState {
 	return out
 }
 
-// widenState widens old toward new per tracked value.
-func (f *intervalFlow) widenState(old, new_ *absState) *absState {
-	if old.unreachable || new_.unreachable {
-		return f.joinState(old, new_)
+// widen is the loop-head rule: facts never survive a loop head (a back
+// edge may invalidate them), and from the second pass every tracked value
+// widens from prev toward next.
+func (f *intervalFlow) widen(prev, next *absState, n int) *absState {
+	if n >= 2 {
+		//lint:allow nondeterminism keyed write, value depends only on the key: order-insensitive
+		for k, nv := range next.vals {
+			next.vals[k] = f.stateIval(prev, k).widen(nv)
+		}
 	}
-	out := new_.clone()
-	//lint:allow nondeterminism keyed write, value depends only on the key: order-insensitive
-	for k, nv := range out.vals {
-		out.vals[k] = f.stateIval(old, k).widen(nv)
-	}
-	return out
+	next.facts = nil
+	return next
 }
 
-func eqState(a, b *absState) bool {
-	if a.unreachable != b.unreachable || len(a.vals) != len(b.vals) || len(a.sym) != len(b.sym) {
+// equal compares values and symbolic atoms; facts are not loop-carried.
+func (f *intervalFlow) equal(a, b *absState) bool {
+	if len(a.vals) != len(b.vals) || len(a.sym) != len(b.sym) {
 		return false
 	}
 	//lint:allow nondeterminism pure membership test: the boolean result is order-independent
@@ -584,32 +584,12 @@ func eqState(a, b *absState) bool {
 	return true
 }
 
-// ---- statement interpretation ----
+// ---- straight-line transfer (flowDomain.transfer / bindRange / terminal) ----
 
-func (f *intervalFlow) stmt(s ast.Stmt, st *absState) {
-	if s == nil || st.unreachable {
-		return
-	}
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		for _, sub := range s.List {
-			if st.unreachable {
-				return
-			}
-			f.stmt(sub, st)
-		}
-	case *ast.IfStmt:
-		f.stmt(s.Init, st)
-		f.evalForEffects(s.Cond, st)
-		then := st.clone()
-		f.assume(s.Cond, then, true)
-		f.stmt(s.Body, then)
-		els := st.clone()
-		f.assume(s.Cond, els, false)
-		if s.Else != nil {
-			f.stmt(s.Else, els)
-		}
-		*st = *f.joinState(then, els)
+func (f *intervalFlow) transfer(n ast.Node, st *absState) *absState {
+	switch s := n.(type) {
+	case ast.Expr:
+		f.evalForEffects(s, st)
 	case *ast.AssignStmt:
 		f.assign(s, st)
 	case *ast.IncDecStmt:
@@ -628,220 +608,44 @@ func (f *intervalFlow) stmt(s ast.Stmt, st *absState) {
 		f.returnStmt(s, st)
 	case *ast.ExprStmt:
 		f.evalForEffects(s.X, st)
-		if call, ok := unparen(s.X).(*ast.CallExpr); ok && f.isTerminalCall(call) {
-			st.unreachable = true
-		}
 	case *ast.DeclStmt:
 		f.declStmt(s, st)
-	case *ast.ForStmt:
-		f.stmt(s.Init, st)
-		f.loop(s.Cond, s.Body, s.Post, st)
-	case *ast.RangeStmt:
-		f.rangeStmt(s, st)
-	case *ast.SwitchStmt:
-		f.stmt(s.Init, st)
-		f.evalForEffects(s.Tag, st)
-		f.switchBodies(s.Body, st, nil)
-	case *ast.TypeSwitchStmt:
-		f.stmt(s.Init, st)
-		f.stmt(s.Assign, st)
-		f.switchBodies(s.Body, st, nil)
-	case *ast.SelectStmt:
-		f.switchBodies(s.Body, st, nil)
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.BREAK:
-			if n := len(f.breakStack); n > 0 {
-				f.breakStack[n-1] = append(f.breakStack[n-1], st.clone())
-			}
-			st.unreachable = true
-		case token.CONTINUE:
-			if n := len(f.contStack); n > 0 {
-				f.contStack[n-1] = append(f.contStack[n-1], st.clone())
-			}
-			st.unreachable = true
-		case token.GOTO:
-			st.unreachable = true // conservative: path not tracked further
-		}
-	case *ast.LabeledStmt:
-		f.stmt(s.Stmt, st)
-	case *ast.DeferStmt, *ast.GoStmt:
+	case *ast.DeferStmt:
 		// Interpret inline at the site: an approximation (defers run at
 		// exit), adequate for the module's observability-hook literals.
-		var call *ast.CallExpr
-		if d, ok := s.(*ast.DeferStmt); ok {
-			call = d.Call
-		} else {
-			call = s.(*ast.GoStmt).Call
-		}
-		f.evalForEffects(call, st)
+		f.evalForEffects(s.Call, st)
+	case *ast.GoStmt:
+		f.evalForEffects(s.Call, st)
 	case *ast.SendStmt:
 		f.evalForEffects(s.Chan, st)
 		f.evalForEffects(s.Value, st)
-	case *ast.EmptyStmt:
 	}
+	return st
 }
 
-// switchBodies joins the entry state with every clause body, carrying
-// fallthrough states forward. A missing default keeps the entry state as
-// the no-match path; select statements pass the same way (sound, since the
-// join includes entry).
-func (f *intervalFlow) switchBodies(body *ast.BlockStmt, st *absState, _ []*absState) {
-	f.breakStack = append(f.breakStack, nil)
-	entry := st.clone()
-	out := entry.clone() // the no-match / not-taken path
-	var fallthru *absState
-	for _, cl := range body.List {
-		var list []ast.Stmt
-		switch cl := cl.(type) {
-		case *ast.CaseClause:
-			for _, e := range cl.List {
-				f.evalForEffects(e, entry)
-			}
-			list = cl.Body
-		case *ast.CommClause:
-			if cl.Comm != nil {
-				f.stmt(cl.Comm, entry)
-			}
-			list = cl.Body
-		default:
-			continue
-		}
-		cs := entry.clone()
-		if fallthru != nil {
-			cs = f.joinState(cs, fallthru)
-			fallthru = nil
-		}
-		fellThrough := false
-		for _, sub := range list {
-			if br, ok := sub.(*ast.BranchStmt); ok && br.Tok == token.FALLTHROUGH {
-				fellThrough = true
-				break
-			}
-			f.stmt(sub, cs)
-		}
-		if fellThrough {
-			fallthru = cs
-		} else {
-			out = f.joinState(out, cs)
-		}
-	}
-	breaks := f.breakStack[len(f.breakStack)-1]
-	f.breakStack = f.breakStack[:len(f.breakStack)-1]
-	for _, b := range breaks {
-		out = f.joinState(out, b)
-	}
-	*st = *out
-}
-
-// loopPassCap bounds the per-loop descending iteration; widening from the
-// second pass guarantees it converges well before the cap.
-const loopPassCap = 3
-
-func (f *intervalFlow) loop(cond ast.Expr, body *ast.BlockStmt, post ast.Stmt, st *absState) {
-	cur := st.clone()
-	cur.facts = nil
-	var breaks []*absState
-	for pass := 0; pass < loopPassCap; pass++ {
-		it := cur.clone()
-		if cond != nil {
-			f.evalForEffects(cond, it)
-			f.assume(cond, it, true)
-		}
-		f.breakStack = append(f.breakStack, nil)
-		f.contStack = append(f.contStack, nil)
-		f.stmt(body, it)
-		conts := f.contStack[len(f.contStack)-1]
-		f.contStack = f.contStack[:len(f.contStack)-1]
-		for _, c := range conts {
-			it = f.joinState(it, c)
-		}
-		if post != nil && !it.unreachable {
-			f.stmt(post, it)
-		}
-		passBreaks := f.breakStack[len(f.breakStack)-1]
-		f.breakStack = f.breakStack[:len(f.breakStack)-1]
-		breaks = append(breaks, passBreaks...)
-		next := f.joinState(cur, it)
-		if pass >= 1 {
-			next = f.widenState(cur, next)
-		}
-		next.facts = nil
-		if eqState(cur, next) {
-			cur = next
-			break
-		}
-		cur = next
-	}
-	var out *absState
-	if cond != nil {
-		out = cur.clone()
-		f.assume(cond, out, false)
-	} else {
-		out = newAbsState()
-		out.unreachable = true // for{} exits only via break
-	}
-	for _, b := range breaks {
-		out = f.joinState(out, b)
-	}
-	out.facts = nil
-	*st = *out
-}
-
-func (f *intervalFlow) rangeStmt(s *ast.RangeStmt, st *absState) {
-	f.evalForEffects(s.X, st)
-	cur := st.clone()
-	cur.facts = nil
-	assignVar := func(e ast.Expr, v ival, target *absState) {
+func (f *intervalFlow) bindRange(s *ast.RangeStmt, st *absState) *absState {
+	bind := func(e ast.Expr, v ival) {
 		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
 			obj := f.p.Info.Defs[id]
 			if obj == nil {
 				obj = f.p.Info.Uses[id]
 			}
 			if obj != nil && isNumericType(obj.Type()) {
-				target.vals[obj] = v.meet(typeRange(obj.Type()))
-				target.invalidate(obj)
+				st.vals[obj] = v.meet(typeRange(obj.Type()))
+				st.invalidate(obj)
 			}
 		}
 	}
-	var breaks []*absState
-	for pass := 0; pass < loopPassCap; pass++ {
-		it := cur.clone()
-		if s.Key != nil {
-			assignVar(s.Key, ival{0, maxI64f}, it)
-		}
-		if s.Value != nil {
-			assignVar(s.Value, typeRange(f.p.Info.TypeOf(s.Value)), it)
-		}
-		f.breakStack = append(f.breakStack, nil)
-		f.contStack = append(f.contStack, nil)
-		f.stmt(s.Body, it)
-		conts := f.contStack[len(f.contStack)-1]
-		f.contStack = f.contStack[:len(f.contStack)-1]
-		for _, c := range conts {
-			it = f.joinState(it, c)
-		}
-		passBreaks := f.breakStack[len(f.breakStack)-1]
-		f.breakStack = f.breakStack[:len(f.breakStack)-1]
-		breaks = append(breaks, passBreaks...)
-		next := f.joinState(cur, it)
-		if pass >= 1 {
-			next = f.widenState(cur, next)
-		}
-		next.facts = nil
-		if eqState(cur, next) {
-			cur = next
-			break
-		}
-		cur = next
+	if s.Key != nil {
+		bind(s.Key, ival{0, maxI64f})
 	}
-	out := cur
-	for _, b := range breaks {
-		out = f.joinState(out, b)
+	if s.Value != nil {
+		bind(s.Value, typeRange(f.p.Info.TypeOf(s.Value)))
 	}
-	out.facts = nil
-	*st = *out
+	return st
 }
+
+func (f *intervalFlow) terminal(call *ast.CallExpr) bool { return f.p.isTerminalCall(call) }
 
 func (f *intervalFlow) declStmt(s *ast.DeclStmt, st *absState) {
 	gd, ok := s.Decl.(*ast.GenDecl)
@@ -898,7 +702,6 @@ func (f *intervalFlow) returnStmt(s *ast.ReturnStmt, st *absState) {
 		f.noteReturn(vals, results, s.Pos(), st)
 	}
 	f.recordExit(st)
-	st.unreachable = true
 }
 
 // noteReturn joins the returned intervals into the summary and, in sink
@@ -936,16 +739,6 @@ func (f *intervalFlow) noteReturn(vals []ival, exprs []ast.Expr, pos token.Pos, 
 		f.addObl(pos, "returned value cannot be proven to satisfy //inv: %s of %s (computed %s)",
 			a.describe(), f.fn.Name(), v)
 	}
-}
-
-func (f *intervalFlow) isTerminalCall(call *ast.CallExpr) bool {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-		if _, isBuiltin := f.p.Info.Uses[id].(*types.Builtin); isBuiltin {
-			return true
-		}
-	}
-	callee, _ := f.p.calleeOf(call)
-	return callee != nil && f.prog.isTerminal(callee)
 }
 
 // ---- assignment and writes ----
@@ -1605,7 +1398,7 @@ func (f *intervalFlow) funcLit(lit *ast.FuncLit) {
 	if !f.sink || lit.Body == nil {
 		return
 	}
-	f.stmt(lit.Body, newAbsState())
+	f.walk(lit.Body, newAbsState())
 }
 
 // composite records proof obligations for struct literals of types with
@@ -1714,10 +1507,8 @@ func (f *intervalFlow) atomProvenFor(a atom, v ival, expr ast.Expr, st *absState
 
 // ---- branch-edge narrowing ----
 
-func (f *intervalFlow) assume(e ast.Expr, st *absState, want bool) {
-	if e == nil || st.unreachable {
-		return
-	}
+// assume is flowDomain.assume: narrow st along the edge where e == want.
+func (f *intervalFlow) assume(e ast.Expr, st *absState, want bool) *absState {
 	switch e := unparen(e).(type) {
 	case *ast.UnaryExpr:
 		if e.Op == token.NOT {
@@ -1745,6 +1536,7 @@ func (f *intervalFlow) assume(e ast.Expr, st *absState, want bool) {
 			f.assumeCmp(e.X, op, e.Y, st)
 		}
 	}
+	return st
 }
 
 func negateCmp(op token.Token) token.Token {
@@ -1967,7 +1759,7 @@ func (f *intervalFlow) summary() []ival {
 	out := make([]ival, sig.Results().Len())
 	for i := range out {
 		out[i] = topIval().meet(typeRange(sig.Results().At(i).Type()))
-		if f.retsValid && i < len(f.rets) {
+		if f.retsValid && !f.abandoned && i < len(f.rets) {
 			out[i] = f.rets[i].meet(out[i])
 		}
 	}
@@ -1986,9 +1778,8 @@ func (prog *Program) intervalResultIvals(fn *types.Func) []ival {
 	return prog.intervalSummaries[fn]
 }
 
-// buildIntervalSummaries computes per-function result intervals to a
-// bounded descending fixed point over the whole program, in deterministic
-// node order (mirrors buildUnitSummaries).
+// buildIntervalSummaries computes per-function result intervals over the
+// whole program (see fixSummaries).
 func (prog *Program) buildIntervalSummaries() {
 	prog.build()
 	if prog.intervalSummaries != nil {
@@ -1996,34 +1787,11 @@ func (prog *Program) buildIntervalSummaries() {
 	}
 	ct := prog.contracts()
 	prog.intervalSummaries = make(map[*types.Func][]ival)
-	for pass := 0; pass < summaryPassCap; pass++ {
-		changed := false
-		for _, n := range prog.order {
-			fl := newIntervalFlow(n.pkg, prog, ct, n.decl, n.fn, false)
-			fl.run()
-			sum := fl.summary()
-			old, seen := prog.intervalSummaries[n.fn]
-			if !seen || !ivalsEqual(old, sum) {
-				prog.intervalSummaries[n.fn] = sum
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
-func ivalsEqual(a, b []ival) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	fixSummaries(prog, prog.intervalSummaries, func(n *funcNode) []ival {
+		fl := newIntervalFlow(n.pkg, prog, ct, n.decl, n.fn, false)
+		fl.run()
+		return fl.summary()
+	})
 }
 
 // ---- the shared per-package analysis ----

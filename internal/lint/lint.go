@@ -10,16 +10,14 @@
 //   - nondeterminism: wall-clock reads, math/rand, order-sensitive map
 //     iteration, and goroutine spawns inside simulation-scheduled code.
 //   - simtime: raw int64/float64 durations crossing exported boundaries of
-//     packages where the sim.Time/sim.Duration types are available
-//     (carries an autofix rewriting int64 carriers to sim.Duration).
+//     packages where the sim.Time/sim.Duration types are available.
 //   - unitsafety: arithmetic mixing byte-, packet- and segment-valued
 //     identifiers.
 //   - unitflow: flow-sensitive upgrade of unitsafety — byte/packet/segment
 //     taint tracked through assignments, calls and returns by the dataflow
 //     engine (see dataflow.go), with per-function summaries lifted
 //     interprocedurally over the call graph.
-//   - floateq: ==/!= on floating-point operands outside tests (carries an
-//     autofix rewriting to an epsilon comparison).
+//   - floateq: ==/!= on floating-point operands outside tests.
 //   - telemetrysafety: instrument methods that dereference their receiver
 //     without the nil-guard idiom the telemetry layer is built on.
 //   - hotalloc: heap-allocating constructs in //hot:path functions and
@@ -38,7 +36,8 @@
 //     //cache:key-annotated struct flows into its cache-key method.
 //   - rangeproof: interval abstract interpretation of //inv: range
 //     contracts on struct fields and function params/results (see
-//     interval.go, contracts.go); writes the prover cannot discharge at
+//     interval.go, contracts.go; control flow is flow.go's walker, shared
+//     with the typestate engine); writes the prover cannot discharge at
 //     function exit must carry a named internal/check assertion.
 //   - overflow: unbounded narrow-integer accumulation and
 //     wraparound-unsafe sequence arithmetic in //hot:path- or
@@ -66,9 +65,10 @@
 //	//lint:allow <analyzer> <reason>
 //
 // The reason is mandatory: an allowlist entry is documentation, and a bare
-// directive is itself reported as a diagnostic. A small number of built-in
-// path allowlists (wall-clock metadata in cmd/ and the telemetry manifest)
-// are documented on the analyzers that apply them.
+// directive is itself reported as a diagnostic, and on a whole-module run
+// so is a directive that no longer suppresses anything (see Run). A small
+// number of built-in path allowlists (wall-clock metadata in cmd/ and the
+// telemetry manifest) are documented on the analyzers that apply them.
 package lint
 
 import (
@@ -80,15 +80,14 @@ import (
 	"strings"
 )
 
-// Diagnostic is one finding: a position, the analyzer that produced it, a
-// human-readable message, and optionally a machine-applicable fix.
+// Diagnostic is one finding: a position, the analyzer that produced it and
+// a human-readable message.
 type Diagnostic struct {
-	File     string        `json:"file"`
-	Line     int           `json:"line"`
-	Col      int           `json:"col"`
-	Analyzer string        `json:"analyzer"`
-	Message  string        `json:"message"`
-	Fix      *SuggestedFix `json:"fix,omitempty"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -143,6 +142,39 @@ func (p *Package) diag(name string, pos token.Pos, format string, args ...any) D
 	}
 }
 
+// directiveLine is one comment directive: the space-trimmed text after
+// its marker, and where the comment starts.
+type directiveLine struct {
+	payload string
+	pos     token.Pos
+}
+
+// directiveLines is the one reader of the package's comment directives
+// (//lint:allow, //hot:path, //sweep:job, //cache:key, //inv:, //state:).
+// It returns, in order, every line comment of groups that starts with
+// marker — in its raw spelling or behind the single space gofmt's
+// doc-comment printer inserts when the line does not parse as a compiler
+// directive ("//inv: x" is rewritten to "// inv: x"): an annotation must
+// not stop binding because the file was formatted.
+func directiveLines(marker string, groups ...*ast.CommentGroup) []directiveLine {
+	var out []directiveLine
+	for _, g := range groups {
+		if g == nil {
+			continue
+		}
+		for _, c := range g.List {
+			text, ok := strings.CutPrefix(c.Text, "//")
+			if !ok {
+				continue
+			}
+			if rest, ok := strings.CutPrefix(strings.TrimPrefix(text, " "), marker); ok {
+				out = append(out, directiveLine{strings.TrimSpace(rest), c.Pos()})
+			}
+		}
+	}
+	return out
+}
+
 // directive is one parsed //lint:allow comment.
 type directive struct {
 	analyzers map[string]bool
@@ -150,34 +182,21 @@ type directive struct {
 	line      int // the source line the directive appears on
 }
 
-const directivePrefix = "//lint:allow"
-
 // parseDirectives extracts //lint:allow comments from a file. A directive
 // suppresses matching diagnostics on its own line and, when it stands alone
 // on a line, on the line directly below — the same placement rules as
 // //nolint in common linters.
 func parseDirectives(fset *token.FileSet, f *ast.File) []directive {
 	var out []directive
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := c.Text
-			if !strings.HasPrefix(text, directivePrefix) {
-				continue
+	for _, l := range directiveLines("lint:allow", f.Comments...) {
+		d := directive{analyzers: make(map[string]bool), line: fset.Position(l.pos).Line}
+		if fields := strings.Fields(l.payload); len(fields) > 0 {
+			for _, name := range strings.Split(fields[0], ",") {
+				d.analyzers[name] = true
 			}
-			rest := strings.TrimSpace(strings.TrimPrefix(text, directivePrefix))
-			fields := strings.Fields(rest)
-			d := directive{
-				analyzers: make(map[string]bool),
-				line:      fset.Position(c.Pos()).Line,
-			}
-			if len(fields) > 0 {
-				for _, name := range strings.Split(fields[0], ",") {
-					d.analyzers[name] = true
-				}
-				d.reason = strings.TrimSpace(strings.TrimPrefix(rest, fields[0]))
-			}
-			out = append(out, d)
+			d.reason = strings.TrimSpace(strings.TrimPrefix(l.payload, fields[0]))
 		}
+		out = append(out, d)
 	}
 	return out
 }
@@ -261,15 +280,15 @@ func applyDirectives(p *Package, diags []Diagnostic, reportStale bool) []Diagnos
 
 // Run executes the analyzers over the packages and returns the surviving
 // diagnostics sorted by file, line, column and analyzer.
+//
+// When the packages come from a loader that was asked for the whole module
+// ("./..."), Run also audits the allowlist: every well-formed //lint:allow
+// that suppresses no diagnostic is itself reported (analyzer "staleallow"),
+// so exemptions cannot rot in place. The audit is only sound with every
+// package loaded — a directive can excuse a finding whose //hot:path or
+// //sweep:job root lives in another package — so partial loads skip it.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return runSuite(pkgs, analyzers, false)
-}
-
-// RunStale is Run plus stale-directive reporting: every well-formed
-// //lint:allow that suppresses no diagnostic in this run is itself
-// reported (analyzer "staleallow"), so exemptions cannot rot in place.
-func RunStale(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return runSuite(pkgs, analyzers, true)
+	return runSuite(pkgs, analyzers, len(pkgs) > 0 && pkgs[0].Prog.wholeModule)
 }
 
 func runSuite(pkgs []*Package, analyzers []*Analyzer, reportStale bool) []Diagnostic {
@@ -303,19 +322,12 @@ func runSuite(pkgs []*Package, analyzers []*Analyzer, reportStale bool) []Diagno
 	// collapse to one.
 	deduped := out[:0]
 	for i, d := range out {
-		if i > 0 && sameFinding(d, out[i-1]) {
+		if i > 0 && d == out[i-1] {
 			continue
 		}
 		deduped = append(deduped, d)
 	}
 	return deduped
-}
-
-// sameFinding reports whether two diagnostics are the same finding (the Fix
-// pointer is excluded from identity: equal findings carry equal fixes).
-func sameFinding(a, b Diagnostic) bool {
-	return a.File == b.File && a.Line == b.Line && a.Col == b.Col &&
-		a.Analyzer == b.Analyzer && a.Message == b.Message
 }
 
 // importsSim reports whether the package imports the simulation engine (or

@@ -1,6 +1,10 @@
 package lint
 
-import "testing"
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestTimeNamed(t *testing.T) {
 	cases := []struct {
@@ -46,6 +50,45 @@ func TestUnitOfNames(t *testing.T) {
 	for _, c := range cases {
 		if got := unitOfName(c.name); got != c.want {
 			t.Errorf("unitOfName(%q) = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestStaleAllowAudit pins the allowlist audit on its fixture: the audit
+// reports the rotted directive, and a partial load — which is what loading
+// one fixture directory is — does not run it.
+func TestStaleAllowAudit(t *testing.T) {
+	pkgs := []*Package{loadFixturePkg(t, "staleallow")}
+	if diags := Run(pkgs, All()); len(diags) != 0 {
+		t.Errorf("partial load ran the audit: %v", diags)
+	}
+	diags := runSuite(pkgs, All(), true)
+	if len(diags) != 1 || diags[0].Analyzer != "staleallow" ||
+		!strings.Contains(diags[0].Message, "stale //lint:allow floateq directive") {
+		t.Errorf("audit over the fixture = %v, want exactly the stale floateq directive", diags)
+	}
+}
+
+// TestRunAuditsOnlyWholeModuleLoads pins how Run derives the audit, on the
+// throwaway module under testdata/stalemod: its stale directive is reported
+// after Load("./...") and ignored after a load of just its package, where
+// the finding it excuses might be rooted in a package that was never loaded.
+func TestRunAuditsOnlyWholeModuleLoads(t *testing.T) {
+	for _, c := range []struct {
+		pattern string
+		want    int
+	}{{"./a", 0}, {"./...", 1}} {
+		loader, err := NewLoader(filepath.Join("testdata", "stalemod"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs, err := loader.Load(c.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags := Run(pkgs, All())
+		if len(diags) != c.want || (c.want == 1 && diags[0].Analyzer != "staleallow") {
+			t.Errorf("Run after Load(%q) = %v, want %d staleallow finding(s)", c.pattern, diags, c.want)
 		}
 	}
 }

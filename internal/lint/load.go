@@ -102,9 +102,10 @@ func (l *Loader) ModuleRoot() string { return l.modRoot }
 // directory) relative to the module root and returns the matched packages,
 // type-checked and sorted by import path. Directories named testdata are
 // never matched by "./..." — they hold lint fixtures with intentional
-// violations.
+// violations. Loading "./..." also marks the shared Program as holding the
+// whole module, which is what lets Run audit stale allow directives.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs, err := l.expand(patterns)
+	dirs, wholeModule, err := l.expand(patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -120,6 +121,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
+	l.prog.wholeModule = l.prog.wholeModule || wholeModule
 	return out, nil
 }
 
@@ -128,10 +130,10 @@ func isNoGo(err error) bool {
 	return errors.As(err, &noGo)
 }
 
-// expand turns patterns into a sorted list of candidate directories.
-func (l *Loader) expand(patterns []string) ([]string, error) {
+// expand turns patterns into a sorted list of candidate directories, and
+// reports whether one of them asked for the whole module.
+func (l *Loader) expand(patterns []string) (dirs []string, wholeModule bool, err error) {
 	seen := make(map[string]bool)
-	var dirs []string
 	add := func(d string) {
 		if !seen[d] {
 			seen[d] = true
@@ -141,6 +143,7 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 	for _, pat := range patterns {
 		switch {
 		case pat == "./..." || pat == "...":
+			wholeModule = true
 			err := filepath.WalkDir(l.modRoot, func(path string, d os.DirEntry, err error) error {
 				if err != nil {
 					return err
@@ -156,7 +159,7 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 				return nil
 			})
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 		case strings.HasSuffix(pat, "/..."):
 			base := filepath.Join(l.modRoot, strings.TrimSuffix(pat, "/..."))
@@ -175,7 +178,7 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 				return nil
 			})
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 		default:
 			if filepath.IsAbs(pat) {
@@ -186,7 +189,7 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 		}
 	}
 	sort.Strings(dirs)
-	return dirs, nil
+	return dirs, wholeModule, nil
 }
 
 // importPathFor maps a directory under the module root to its import path.

@@ -19,7 +19,7 @@ func SARIF(diags []Diagnostic, analyzers []*Analyzer) ([]byte, error) {
 		})
 	}
 	// The directive pseudo-analyzer reports malformed //lint:allow comments,
-	// and staleallow (the -stale-allow mode) reports well-formed ones that
+	// and staleallow (the whole-module audit) reports well-formed ones that
 	// no longer suppress any diagnostic.
 	rules = append(rules, sarifRule{
 		ID:               "directive",

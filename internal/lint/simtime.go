@@ -113,11 +113,9 @@ func (p *Package) checkFuncTimes(d *ast.FuncDecl) []Diagnostic {
 			}
 			for _, name := range field.Names {
 				if timeNamed(name.Name) {
-					dg := p.diag("simtime", name.Pos(),
+					out = append(out, p.diag("simtime", name.Pos(),
 						"exported %s takes raw %s duration parameter %q: use sim.Duration/sim.Time",
-						d.Name.Name, t, name.Name)
-					dg.Fix = p.durationFix(field.Type, t)
-					out = append(out, dg)
+						d.Name.Name, t, name.Name))
 				}
 			}
 		}
@@ -132,21 +130,17 @@ func (p *Package) checkFuncTimes(d *ast.FuncDecl) []Diagnostic {
 			for _, name := range field.Names {
 				named = true
 				if timeNamed(name.Name) {
-					dg := p.diag("simtime", name.Pos(),
+					out = append(out, p.diag("simtime", name.Pos(),
 						"exported %s returns raw %s duration %q: use sim.Duration/sim.Time",
-						d.Name.Name, t, name.Name)
-					dg.Fix = p.durationFix(field.Type, t)
-					out = append(out, dg)
+						d.Name.Name, t, name.Name))
 				}
 			}
 			// An unnamed result is judged by the function's own name:
 			// func SlowTimeNs() int64 leaks a raw duration.
 			if !named && timeNamed(d.Name.Name) {
-				dg := p.diag("simtime", field.Pos(),
+				out = append(out, p.diag("simtime", field.Pos(),
 					"exported %s returns a raw %s but is named like a time quantity: use sim.Duration/sim.Time",
-					d.Name.Name, t)
-				dg.Fix = p.durationFix(field.Type, t)
-				out = append(out, dg)
+					d.Name.Name, t))
 			}
 		}
 	}
@@ -164,11 +158,9 @@ func (p *Package) checkStructTimes(typeName string, st *ast.StructType) []Diagno
 		}
 		for _, name := range field.Names {
 			if name.IsExported() && timeNamed(name.Name) {
-				dg := p.diag("simtime", name.Pos(),
+				out = append(out, p.diag("simtime", name.Pos(),
 					"exported field %s.%s carries a raw %s duration: use sim.Duration/sim.Time",
-					typeName, name.Name, t)
-				dg.Fix = p.durationFix(field.Type, t)
-				out = append(out, dg)
+					typeName, name.Name, t))
 			}
 		}
 	}

@@ -117,3 +117,68 @@ func BothFree(p *BufPool, s *Store, cond bool) {
 		s.Park(b)
 	}
 }
+
+// The functions below pin the control-flow walker (flow.go): break inside
+// a switch leaves the switch, not the enclosing loop; fallthrough carries
+// the clause's state into the next clause; a labeled break leaves the loop
+// that carries the label.
+
+// SwitchBreakDoubleFree frees in a clause that breaks out of the switch,
+// then frees again after it: the break targets the switch, so the second
+// Put is reached with b already freed.
+func SwitchBreakDoubleFree(p *BufPool, k int) {
+	for {
+		b := p.Get()
+		switch k {
+		case 1:
+			p.Put(b)
+			break
+		default:
+		}
+		p.Put(b)
+	}
+}
+
+// SwitchBreakClean is clean: the bare break only leaves the switch, so
+// every iteration still reaches the release.
+func SwitchBreakClean(p *BufPool, k int) {
+	for {
+		b := p.Get()
+		switch k {
+		case 1:
+			break
+		default:
+		}
+		p.Put(b)
+	}
+}
+
+// FallthroughDoubleFree frees in one clause and falls through into a
+// clause that frees again.
+func FallthroughDoubleFree(p *BufPool, k int) {
+	b := p.Get()
+	switch k {
+	case 1:
+		p.Put(b)
+		fallthrough
+	case 2:
+		p.Put(b)
+	default:
+		p.Put(b)
+	}
+}
+
+// LabeledBreakLeak leaves both loops from the inner one, skipping the
+// release that follows the inner loop.
+func LabeledBreakLeak(p *BufPool, c bool) {
+outer:
+	for {
+		b := p.Get()
+		for {
+			if c {
+				break outer
+			}
+		}
+		p.Put(b)
+	}
+}

@@ -63,3 +63,32 @@ type Broken struct {
 	//inv: v <
 	v int
 }
+
+// Dial carries a small bounded level.
+type Dial struct {
+	//inv: level <= 10
+	level int
+}
+
+// Audit covers Dial.level at runtime, so the unproven write below stays a
+// rangeproof finding only.
+func (d *Dial) Audit() {
+	check.AtMost("dial.level", int64(d.level), 10)
+}
+
+// BreakOuter is not provable: the labeled break carries 100 out of both
+// loops, past the reset that follows the inner one.
+func (d *Dial) BreakOuter(n, k int) {
+	v := 0
+outer:
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if j == k {
+				v = 100
+				break outer
+			}
+		}
+		v = 0
+	}
+	d.level = v
+}

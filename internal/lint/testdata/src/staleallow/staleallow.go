@@ -1,7 +1,7 @@
 // Package staleallow carries a well-formed, justified //lint:allow that
-// no longer suppresses anything — the shape -stale-allow exists to catch.
-// The default run ignores it (empty golden); cmd/simlint's tests assert
-// the -stale-allow mode reports it and flips the exit status.
+// no longer suppresses anything — the shape the whole-module allowlist
+// audit exists to catch. A partial load like this fixture's skips the audit
+// (empty golden); TestStaleAllowAudit runs it over the fixture directly.
 package staleallow
 
 // Answer is benign; the directive beside it has outlived whatever finding

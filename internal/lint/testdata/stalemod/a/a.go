@@ -1,0 +1,10 @@
+// Package a is the one package of a throwaway module whose only finding
+// is a rotted allow directive: linting the module ("./...") must report
+// it, linting just this package must not (see lint.Run).
+package a
+
+// Answer is benign; the directive beside it has outlived whatever finding
+// once justified it.
+//
+//lint:allow floateq the comparison this excused was rewritten long ago
+func Answer() int { return 42 }

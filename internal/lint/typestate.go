@@ -12,8 +12,9 @@ import (
 // This file implements the typestate engine behind the poollife,
 // handlestate and ownxfer analyzers: a //state: annotation grammar that
 // declares object protocols (named states plus function/method
-// transitions), and a path-sensitive abstract interpreter that tracks the
-// per-variable state set through assignments, branches, loops and calls.
+// transitions), and the per-variable state-set lattice and straight-line
+// transfer functions (assignments, calls, returns) that flow.go's walker
+// carries through branches, loops and labels.
 //
 // Grammar. A type's doc comment declares a protocol:
 //
@@ -49,13 +50,12 @@ import (
 //     functions — anywhere else it is reported as an unsanctioned escape.
 //   - Aliasing uses strong updates only: 'y := x' moves the tracking to y
 //     and forgets x.
-//   - Branches join by state-set union, so "freed on some path" findings
-//     are path-sensitive may-analysis. Loops iterate to a fixed point
-//     over the finite state lattice (bounded widening).
+//   - Joins are state-set unions, so "freed on some path" findings are
+//     path-sensitive may-analysis; the lattice is finite, so loop heads
+//     need no widening beyond the union.
 //   - A variable captured by a function literal is forgotten; literal
 //     bodies are analyzed separately with borrowed parameters.
 //   - Defers apply their effects at the defer statement, not at exit.
-//   - goto abandons the function (no findings past the first goto).
 
 // protocol is one //state:-declared object protocol on a named type.
 type protocol struct {
@@ -149,14 +149,6 @@ type funcStateAnn struct {
 	sink      bool
 }
 
-// annotated reports whether the contract carries any transition at all.
-func (a *funcStateAnn) annotated() bool {
-	if a == nil {
-		return false
-	}
-	return a.mint || a.sink || a.recv.kind != dispNone || len(a.params) > 0
-}
-
 // stateTable holds every parsed protocol and function contract in the
 // module, plus the malformed-directive findings (attributed to the
 // declaring package and reported by ownxfer).
@@ -190,36 +182,6 @@ func (prog *Program) typestates() *stateTable {
 	return t
 }
 
-// stateLines extracts the //state: directive lines from a doc comment.
-// Both "//state:" and "// state:" match: gofmt's doc-comment printer
-// inserts the space (the colon is followed by a space, so the line does
-// not parse as a compiler directive), and an annotation must not stop
-// binding because the file was formatted.
-func stateLines(doc *ast.CommentGroup) []*ast.Comment {
-	if doc == nil {
-		return nil
-	}
-	var out []*ast.Comment
-	for _, c := range doc.List {
-		if _, ok := statePayload(c); ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// statePayload returns the text after the //state: marker, in either its
-// raw or gofmt-normalized spelling.
-func statePayload(c *ast.Comment) (string, bool) {
-	if rest, ok := strings.CutPrefix(c.Text, "//state:"); ok {
-		return rest, true
-	}
-	if rest, ok := strings.CutPrefix(c.Text, "// state:"); ok {
-		return rest, true
-	}
-	return "", false
-}
-
 func (t *stateTable) errf(p *Package, pos token.Pos, format string, args ...any) {
 	t.errs[p] = append(t.errs[p], p.diag("ownxfer", pos, format, args...))
 }
@@ -241,7 +203,7 @@ func (t *stateTable) collectProtocols(p *Package) {
 				if doc == nil && len(gd.Specs) == 1 {
 					doc = gd.Doc
 				}
-				for _, c := range stateLines(doc) {
+				for _, c := range directiveLines("state:", doc) {
 					t.addProtocol(p, ts, c)
 				}
 			}
@@ -249,25 +211,24 @@ func (t *stateTable) collectProtocols(p *Package) {
 	}
 }
 
-func (t *stateTable) addProtocol(p *Package, ts *ast.TypeSpec, c *ast.Comment) {
-	payload, _ := statePayload(c)
-	fields := strings.Fields(payload)
+func (t *stateTable) addProtocol(p *Package, ts *ast.TypeSpec, c directiveLine) {
+	fields := strings.Fields(c.payload)
 	if len(fields) == 0 {
-		t.errf(p, c.Pos(), "malformed //state: directive: empty")
+		t.errf(p, c.pos, "malformed //state: directive: empty")
 		return
 	}
 	kind := fields[0]
 	if kind != "pooled" && kind != "handle" {
-		t.errf(p, c.Pos(), "malformed //state: directive on type %s: want 'pooled' or 'handle', got %q", ts.Name.Name, kind)
+		t.errf(p, c.pos, "malformed //state: directive on type %s: want 'pooled' or 'handle', got %q", ts.Name.Name, kind)
 		return
 	}
 	states, ok := parseStateChain(strings.Join(fields[1:], " "))
 	if !ok || len(states) == 0 {
-		t.errf(p, c.Pos(), "malformed //state: directive on type %s: want '//state: %s <state> [-> <state>]...'", ts.Name.Name, kind)
+		t.errf(p, c.pos, "malformed //state: directive on type %s: want '//state: %s <state> [-> <state>]...'", ts.Name.Name, kind)
 		return
 	}
 	if len(states) > maxProtoStates {
-		t.errf(p, c.Pos(), "//state: protocol on type %s declares %d states (max %d)", ts.Name.Name, len(states), maxProtoStates)
+		t.errf(p, c.pos, "//state: protocol on type %s declares %d states (max %d)", ts.Name.Name, len(states), maxProtoStates)
 		return
 	}
 	tn, ok := p.Info.Defs[ts.Name].(*types.TypeName)
@@ -276,7 +237,7 @@ func (t *stateTable) addProtocol(p *Package, ts *ast.TypeSpec, c *ast.Comment) {
 	}
 	named, ok := tn.Type().(*types.Named)
 	if !ok {
-		t.errf(p, c.Pos(), "//state: protocol on %s: not a named type", ts.Name.Name)
+		t.errf(p, c.pos, "//state: protocol on %s: not a named type", ts.Name.Name)
 		return
 	}
 	t.protos[named] = &protocol{
@@ -284,7 +245,7 @@ func (t *stateTable) addProtocol(p *Package, ts *ast.TypeSpec, c *ast.Comment) {
 		kind:   kind,
 		named:  named,
 		states: states,
-		pos:    c.Pos(),
+		pos:    c.pos,
 	}
 }
 
@@ -325,7 +286,7 @@ func (t *stateTable) collectFuncs(p *Package) {
 			if !ok {
 				continue
 			}
-			lines := stateLines(fd.Doc)
+			lines := directiveLines("state:", fd.Doc)
 			if len(lines) == 0 {
 				continue
 			}
@@ -343,7 +304,7 @@ func (t *stateTable) collectFuncs(p *Package) {
 				return true
 			}
 			for _, m := range it.Methods.List {
-				lines := stateLines(m.Doc)
+				lines := directiveLines("state:", m.Doc)
 				if len(lines) == 0 || len(m.Names) == 0 {
 					continue
 				}
@@ -362,7 +323,7 @@ func (t *stateTable) collectFuncs(p *Package) {
 	}
 }
 
-func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList, ftype *ast.FuncType, lines []*ast.Comment) {
+func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList, ftype *ast.FuncType, lines []directiveLine) {
 	ann := t.funcs[fn]
 	if ann == nil {
 		ann = &funcStateAnn{params: make(map[int]paramDisp)}
@@ -381,11 +342,11 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 	}
 	// setDisp installs a disposition for the named parameter or receiver,
 	// reporting the error cases inline.
-	setDisp := func(c *ast.Comment, name string, d paramDisp, needProto bool) (proto *protocol) {
+	setDisp := func(c directiveLine, name string, d paramDisp, needProto bool) (proto *protocol) {
 		if name == recvName && recvName != "" {
 			proto = t.protoOf(recvType)
 			if needProto && proto == nil {
-				t.errf(p, c.Pos(), "//state: directive on %s: receiver %q has no protocol type", fn.Name(), name)
+				t.errf(p, c.pos, "//state: directive on %s: receiver %q has no protocol type", fn.Name(), name)
 				return nil
 			}
 			ann.recv = d
@@ -397,43 +358,42 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 			}
 			proto = t.protoOf(prm.typ)
 			if proto == nil && needProto {
-				t.errf(p, c.Pos(), "//state: directive on %s: parameter %q has no protocol type", fn.Name(), name)
+				t.errf(p, c.pos, "//state: directive on %s: parameter %q has no protocol type", fn.Name(), name)
 				return nil
 			}
 			if proto == nil && !isAnyType(prm.typ) {
-				t.errf(p, c.Pos(), "//state: directive on %s: parameter %q is neither protocol-typed nor any", fn.Name(), name)
+				t.errf(p, c.pos, "//state: directive on %s: parameter %q is neither protocol-typed nor any", fn.Name(), name)
 				return nil
 			}
 			ann.params[i] = d
 			return proto
 		}
-		t.errf(p, c.Pos(), "//state: directive on %s names unknown parameter %q", fn.Name(), name)
+		t.errf(p, c.pos, "//state: directive on %s names unknown parameter %q", fn.Name(), name)
 		return nil
 	}
 	for _, c := range lines {
-		payload, _ := statePayload(c)
-		fields := strings.Fields(payload)
+		fields := strings.Fields(c.payload)
 		if len(fields) == 0 {
-			t.errf(p, c.Pos(), "malformed //state: directive: empty")
+			t.errf(p, c.pos, "malformed //state: directive: empty")
 			continue
 		}
 		switch fields[0] {
 		case "mint":
 			sig := fn.Type().(*types.Signature)
 			if sig.Results().Len() == 0 {
-				t.errf(p, c.Pos(), "//state: mint on %s: function has no results", fn.Name())
+				t.errf(p, c.pos, "//state: mint on %s: function has no results", fn.Name())
 				continue
 			}
 			proto := t.protoOf(sig.Results().At(0).Type())
 			if proto == nil {
-				t.errf(p, c.Pos(), "//state: mint on %s: first result is not a protocol-typed pointer", fn.Name())
+				t.errf(p, c.pos, "//state: mint on %s: first result is not a protocol-typed pointer", fn.Name())
 				continue
 			}
 			state := 0
 			if len(fields) > 1 {
 				state = proto.stateIndex(fields[1])
 				if state < 0 {
-					t.errf(p, c.Pos(), "//state: mint on %s: %s has no state %q", fn.Name(), proto.name, fields[1])
+					t.errf(p, c.pos, "//state: mint on %s: %s has no state %q", fn.Name(), proto.name, fields[1])
 					continue
 				}
 			}
@@ -442,7 +402,7 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 			ann.mintState = proto.bit(state)
 		case "kill", "xfer":
 			if len(fields) != 2 {
-				t.errf(p, c.Pos(), "malformed //state: %s on %s: want '//state: %s <param>'", fields[0], fn.Name(), fields[0])
+				t.errf(p, c.pos, "malformed //state: %s on %s: want '//state: %s <param>'", fields[0], fn.Name(), fields[0])
 				continue
 			}
 			d := paramDisp{kind: dispKill}
@@ -454,7 +414,7 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 			rest := strings.Join(fields[2:], " ")
 			halves := strings.Split(rest, "->")
 			if len(fields) < 3 || len(halves) != 2 {
-				t.errf(p, c.Pos(), "malformed //state: move on %s: want '//state: move <param> <from>[,<from>] -> <to>'", fn.Name())
+				t.errf(p, c.pos, "malformed //state: move on %s: want '//state: move <param> <from>[,<from>] -> <to>'", fn.Name())
 				continue
 			}
 			proto := setDisp(c, fields[1], paramDisp{kind: dispMove}, true)
@@ -466,7 +426,7 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 			for _, s := range strings.Split(halves[0], ",") {
 				i := proto.stateIndex(strings.TrimSpace(s))
 				if i < 0 {
-					t.errf(p, c.Pos(), "//state: move on %s: %s has no state %q", fn.Name(), proto.name, strings.TrimSpace(s))
+					t.errf(p, c.pos, "//state: move on %s: %s has no state %q", fn.Name(), proto.name, strings.TrimSpace(s))
 					bad = true
 					break
 				}
@@ -474,7 +434,7 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 			}
 			toIdx := proto.stateIndex(strings.TrimSpace(halves[1]))
 			if toIdx < 0 && !bad {
-				t.errf(p, c.Pos(), "//state: move on %s: %s has no state %q", fn.Name(), proto.name, strings.TrimSpace(halves[1]))
+				t.errf(p, c.pos, "//state: move on %s: %s has no state %q", fn.Name(), proto.name, strings.TrimSpace(halves[1]))
 				bad = true
 			}
 			if bad {
@@ -484,7 +444,7 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 		case "sink":
 			ann.sink = true
 		default:
-			t.errf(p, c.Pos(), "malformed //state: directive on %s: unknown verb %q (want mint, kill, xfer, move or sink)", fn.Name(), fields[0])
+			t.errf(p, c.pos, "malformed //state: directive on %s: unknown verb %q (want mint, kill, xfer, move or sink)", fn.Name(), fields[0])
 		}
 	}
 }
@@ -578,11 +538,6 @@ func equalEnv(a, b tsEnv) bool {
 	return true
 }
 
-// tsLoopPassCap bounds the loop fixpoint. State sets only grow under union,
-// so the lattice height (states per variable) already guarantees
-// termination; the cap is a safety net mirroring summaryPassCap.
-const tsLoopPassCap = 8
-
 // tsFinding is one engine finding, tagged with the analyzer that owns it.
 type tsFinding struct {
 	analyzer string
@@ -613,7 +568,7 @@ func (prog *Program) typestateOf(p *Package) *typestateAnalysis {
 		if n.pkg != p {
 			continue
 		}
-		f := &tsFlow{pkg: p, prog: prog, tab: tab, out: a, seen: make(map[string]bool)}
+		f := &tsFlow{pkg: p, tab: tab, out: a, seen: make(map[string]bool)}
 		f.analyzeDecl(n.decl, tab.funcs[n.fn])
 	}
 	clearFirstPass(p, prog, tab, a)
@@ -629,26 +584,16 @@ func (prog *Program) typestateOf(p *Package) *typestateAnalysis {
 // literals it contains, each with a fresh environment).
 type tsFlow struct {
 	pkg  *Package
-	prog *Program
 	tab  *stateTable
 	out  *typestateAnalysis
 	seen map[string]bool
 
 	ann      *funcStateAnn // contract of the function under analysis
 	declName string        // for messages: "Enqueue" or "function literal"
-
-	// loop context for break/continue env collection (innermost last).
-	breakEnvs    []*[]tsEnv
-	continueEnvs []*[]tsEnv
-
-	aborted bool // goto encountered: stop reporting in this function
-	lits    []*ast.FuncLit
+	lits     []*ast.FuncLit
 }
 
 func (f *tsFlow) report(analyzer string, pos token.Pos, format string, args ...any) {
-	if f.aborted {
-		return
-	}
 	d := f.pkg.diag(analyzer, pos, format, args...)
 	key := fmt.Sprintf("%s|%s|%d|%d|%s", analyzer, d.File, d.Line, d.Col, d.Message)
 	if f.seen[key] {
@@ -684,7 +629,6 @@ func (f *tsFlow) drainLits() {
 		f.lits = f.lits[1:]
 		f.ann = nil
 		f.declName = "function literal"
-		f.aborted = false
 		env := make(tsEnv)
 		f.seedParams(env, lit.Type.Params, nil)
 		f.runBody(env, lit.Body)
@@ -739,20 +683,20 @@ func (f *tsFlow) seedParam(env tsEnv, name *ast.Ident, disp paramDisp) {
 }
 
 // runBody interprets a body and applies the exit obligations when the
-// body can fall off its end.
+// body can fall off its end. A goto abandons the walk (flow.go), so nothing
+// past it is reported.
 func (f *tsFlow) runBody(env tsEnv, body *ast.BlockStmt) {
 	if body == nil {
 		return
 	}
-	out, terminated := f.stmtList(env, body.List)
-	if !terminated {
-		f.checkExit(out, body.End())
+	if out, live, _ := walkFlow[tsEnv](f, body, env); live {
+		f.checkExit(out)
 	}
 }
 
 // checkExit reports the pooled leak obligation at a function exit: every
 // owned pooled value must have been released or transferred on this path.
-func (f *tsFlow) checkExit(env tsEnv, pos token.Pos) {
+func (f *tsFlow) checkExit(env tsEnv) {
 	for _, v := range sortedEnvVars(env) {
 		val := env[v]
 		if !val.owned || val.tainted || val.proto.kind != "pooled" {
@@ -764,31 +708,30 @@ func (f *tsFlow) checkExit(env tsEnv, pos token.Pos) {
 				val.proto.name, v.Name())
 		}
 	}
-	_ = pos
 }
 
-// stmtList interprets statements in order, stopping at the first
-// terminated path (the rest is unreachable).
-func (f *tsFlow) stmtList(env tsEnv, list []ast.Stmt) (tsEnv, bool) {
-	for _, s := range list {
-		var term bool
-		env, term = f.stmt(env, s)
-		if term || f.aborted {
-			return env, true
-		}
-	}
-	return env, false
+// The flowDomain hooks. Environments are plain maps, joined by union
+// (joinEnv); the lattice is finite, so widen has nothing to add and branch
+// conditions refine nothing.
+
+func (f *tsFlow) clone(env tsEnv) tsEnv                      { return env.clone() }
+func (f *tsFlow) join(a, b tsEnv) tsEnv                      { return joinEnv(a, b) }
+func (f *tsFlow) widen(_, next tsEnv, _ int) tsEnv           { return next }
+func (f *tsFlow) equal(a, b tsEnv) bool                      { return equalEnv(a, b) }
+func (f *tsFlow) assume(_ ast.Expr, env tsEnv, _ bool) tsEnv { return env }
+func (f *tsFlow) terminal(call *ast.CallExpr) bool           { return f.pkg.isTerminalCall(call) }
+func (f *tsFlow) bindRange(s *ast.RangeStmt, env tsEnv) tsEnv {
+	f.untrackAssigned(env, s.Key)
+	f.untrackAssigned(env, s.Value)
+	return env
 }
 
-// stmt interprets one statement, returning the outgoing environment and
-// whether the path terminated (return, panic, terminal call).
-func (f *tsFlow) stmt(env tsEnv, s ast.Stmt) (tsEnv, bool) {
-	switch st := s.(type) {
+// transfer interprets one straight-line statement or bare expression.
+func (f *tsFlow) transfer(n ast.Node, env tsEnv) tsEnv {
+	switch st := n.(type) {
+	case ast.Expr:
+		f.expr(env, st)
 	case *ast.ExprStmt:
-		if f.isTerminalCall(st.X) {
-			f.expr(env, st.X)
-			return env, true
-		}
 		// A discarded mint result is a leak for pooled protocols: the
 		// caller owns it and nothing can ever free it.
 		if call, ok := unparen(st.X).(*ast.CallExpr); ok {
@@ -798,12 +741,11 @@ func (f *tsFlow) stmt(env tsEnv, s ast.Stmt) (tsEnv, bool) {
 					"result of this call is a caller-owned pooled %s: discarding it leaks (bind it and release exactly once)",
 					val.proto.name)
 			}
-			return env, false
+			return env
 		}
 		f.expr(env, st.X)
-		return env, false
 	case *ast.AssignStmt:
-		return f.assign(env, st), false
+		return f.assign(env, st)
 	case *ast.DeclStmt:
 		gd, ok := st.Decl.(*ast.GenDecl)
 		if ok && gd.Tok == token.VAR {
@@ -819,7 +761,6 @@ func (f *tsFlow) stmt(env tsEnv, s ast.Stmt) (tsEnv, bool) {
 				}
 			}
 		}
-		return env, false
 	case *ast.ReturnStmt:
 		for _, res := range st.Results {
 			val, handled := f.valueOf(env, res, true)
@@ -833,115 +774,22 @@ func (f *tsFlow) stmt(env tsEnv, s ast.Stmt) (tsEnv, bool) {
 				f.expr(env, res)
 			}
 		}
-		f.checkExit(env, st.Pos())
-		return env, true
-	case *ast.IfStmt:
-		if st.Init != nil {
-			env, _ = f.stmt(env, st.Init)
-		}
-		f.expr(env, st.Cond)
-		thenEnv, thenTerm := f.stmtList(env.clone(), st.Body.List)
-		var elseEnv tsEnv
-		elseTerm := false
-		if st.Else != nil {
-			elseEnv, elseTerm = f.stmt(env.clone(), st.Else)
-		} else {
-			elseEnv = env
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return env, true
-		case thenTerm:
-			return elseEnv, false
-		case elseTerm:
-			return thenEnv, false
-		default:
-			return joinEnv(thenEnv, elseEnv), false
-		}
-	case *ast.BlockStmt:
-		return f.stmtList(env, st.List)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			env, _ = f.stmt(env, st.Init)
-		}
-		if st.Tag != nil {
-			f.expr(env, st.Tag)
-		}
-		return f.caseClauses(env, st.Body.List, false)
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			env, _ = f.stmt(env, st.Init)
-		}
-		f.stmtUses(env, st.Assign)
-		return f.caseClauses(env, st.Body.List, false)
-	case *ast.SelectStmt:
-		return f.caseClauses(env, st.Body.List, true)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			env, _ = f.stmt(env, st.Init)
-		}
-		exit, broke := f.loop(env, func(in tsEnv) (tsEnv, bool) {
-			if st.Cond != nil {
-				f.expr(in, st.Cond)
-			}
-			out, term := f.stmtList(in, st.Body.List)
-			if !term && st.Post != nil {
-				out, _ = f.stmt(out, st.Post)
-			}
-			return out, term
-		})
-		if st.Cond == nil && !broke {
-			return exit, true // for {} with no break never exits
-		}
-		return exit, false
-	case *ast.RangeStmt:
-		f.expr(env, st.X)
-		f.untrackAssigned(env, st.Key)
-		f.untrackAssigned(env, st.Value)
-		exit, _ := f.loop(env, func(in tsEnv) (tsEnv, bool) {
-			return f.stmtList(in, st.Body.List)
-		})
-		return exit, false
-	case *ast.BranchStmt:
-		switch st.Tok {
-		case token.BREAK:
-			if n := len(f.breakEnvs); n > 0 {
-				*f.breakEnvs[n-1] = append(*f.breakEnvs[n-1], env)
-			}
-			return env, true
-		case token.CONTINUE:
-			if n := len(f.continueEnvs); n > 0 {
-				*f.continueEnvs[n-1] = append(*f.continueEnvs[n-1], env)
-			}
-			return env, true
-		case token.GOTO:
-			// Unstructured flow: abandon the function rather than guess.
-			f.aborted = true
-			return env, true
-		}
-		return env, false // fallthrough: handled as ordinary flow
+		f.checkExit(env)
 	case *ast.DeferStmt:
 		// Approximation: a deferred release applies at the defer site.
 		f.expr(env, st.Call)
-		return env, false
 	case *ast.GoStmt:
 		f.expr(env, st.Call)
-		return env, false
-	case *ast.LabeledStmt:
-		return f.stmt(env, st.Stmt)
 	case *ast.IncDecStmt:
 		f.expr(env, st.X)
-		return env, false
 	case *ast.SendStmt:
 		f.expr(env, st.Chan)
 		f.expr(env, st.Value)
-		return env, false
 	case *ast.EmptyStmt:
-		return env, false
-	default:
-		f.stmtUses(env, s)
-		return env, false
+	case ast.Stmt:
+		f.stmtUses(env, st)
 	}
+	return env
 }
 
 // stmtUses conservatively scans an unmodeled statement for uses of
@@ -957,87 +805,6 @@ func (f *tsFlow) stmtUses(env tsEnv, s ast.Stmt) {
 		}
 		return true
 	})
-}
-
-// caseClauses joins the bodies of switch/select clauses. hasDefault is
-// discovered from the clauses themselves; without a default the entry
-// environment also flows past the statement.
-func (f *tsFlow) caseClauses(env tsEnv, clauses []ast.Stmt, isSelect bool) (tsEnv, bool) {
-	var out tsEnv
-	sawDefault := false
-	anyLive := false
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range cc.List {
-				f.expr(env, e)
-			}
-			if cc.List == nil {
-				sawDefault = true
-			}
-			body = cc.Body
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				f.stmtUses(env, cc.Comm)
-			} else {
-				sawDefault = true
-			}
-			body = cc.Body
-		default:
-			continue
-		}
-		cEnv, term := f.stmtList(env.clone(), body)
-		if !term {
-			out = joinEnv(out, cEnv)
-			anyLive = true
-		}
-	}
-	if !sawDefault || isSelect {
-		out = joinEnv(out, env)
-		anyLive = true
-	}
-	if !anyLive {
-		return env, true
-	}
-	return out, false
-}
-
-// loop iterates body to a fixed point (widening by state-set union over
-// the finite lattice), collecting break/continue environments. It returns
-// the post-loop environment and whether any break can exit the loop.
-func (f *tsFlow) loop(env tsEnv, body func(tsEnv) (tsEnv, bool)) (tsEnv, bool) {
-	pre := env
-	var breaks []tsEnv
-	for pass := 0; pass < tsLoopPassCap; pass++ {
-		breaks = breaks[:0]
-		var continues []tsEnv
-		f.breakEnvs = append(f.breakEnvs, &breaks)
-		f.continueEnvs = append(f.continueEnvs, &continues)
-		out, term := body(pre.clone())
-		f.breakEnvs = f.breakEnvs[:len(f.breakEnvs)-1]
-		f.continueEnvs = f.continueEnvs[:len(f.continueEnvs)-1]
-		backEdge := tsEnv(nil)
-		if !term {
-			backEdge = out
-		}
-		for _, c := range continues {
-			backEdge = joinEnv(backEdge, c)
-		}
-		next := pre
-		if backEdge != nil {
-			next = joinEnv(pre, backEdge)
-		}
-		if equalEnv(next, pre) {
-			break
-		}
-		pre = next
-	}
-	exit := pre
-	for _, b := range breaks {
-		exit = joinEnv(exit, b)
-	}
-	return exit, len(breaks) > 0
 }
 
 // ---------------------------------------------------------------------------
@@ -1218,20 +985,6 @@ func (f *tsFlow) valueOf(env tsEnv, rhs ast.Expr, consume bool) (*tsVal, bool) {
 		return &val, true
 	}
 	return nil, false
-}
-
-// isTerminalCall reports whether the expression statement unconditionally
-// dies: panic(...) or a call to a terminal helper (check.Failf).
-func (f *tsFlow) isTerminalCall(e ast.Expr) bool {
-	call, ok := unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" && f.pkg.Info.Uses[id] == nil {
-		return true
-	}
-	callee, _ := f.pkg.calleeOf(call)
-	return callee != nil && f.prog.isTerminal(callee)
 }
 
 // expr scans an expression, applying call contracts and use checks.
