@@ -29,13 +29,13 @@ fmt-check:
 # simlint is the repository's own static analysis (internal/lint): it
 # enforces determinism (no wall clock, no math/rand, no order-sensitive map
 # iteration, no goroutines in sim-scheduled code), sim-time and unit
-# discipline (name-based and flow-sensitive), sweep worker-race and
-# cache-key completeness, the telemetry nil-safety contract, the
-# //inv: interval contracts (range proofs, narrow-counter overflow,
-# static<->runtime check coverage), and the //state: typestate contracts
-# (pooled-packet exactly-once free, scheduler handle lifecycles, ownership
-# transfer). A whole-module run also fails the build on //lint:allow
-# directives that no longer suppress anything. Stdlib-only.
+# discipline (name-based), sweep worker-race and cache-key completeness,
+# the telemetry nil-safety contract, narrow-counter overflow (discharged
+# only by an //inv: range contract, whose runtime twin internal/check
+# enforces), and the //state: typestate contracts (pooled-packet
+# exactly-once free, scheduler handle lifecycles, ownership transfer). A
+# whole-module run also fails the build on //lint:allow directives that no
+# longer suppress anything. Stdlib-only.
 lint:
 	$(GO) run ./cmd/simlint ./...
 

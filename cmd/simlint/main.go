@@ -1,7 +1,7 @@
 // Command simlint runs the repository's domain-specific static analysis
-// over the module: determinism guards, sim-time discipline, unit safety
-// (name-based and flow-sensitive), float-equality, telemetry nil-safety,
-// sweep worker-race and cache-key checks, and the call-graph passes —
+// over the module: determinism guards, sim-time discipline, name-based
+// unit safety, float-equality, telemetry nil-safety, sweep worker-race and
+// cache-key checks, narrow-counter overflow, and the call-graph passes —
 // hot-path allocation budgets, enum-switch exhaustiveness and whole-graph
 // purity (see internal/lint).
 //

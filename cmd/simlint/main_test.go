@@ -84,6 +84,12 @@ func TestRunExitContract(t *testing.T) {
 			wantErr:    "diagnostic(s)",
 		},
 		{
+			name:       "allow directive naming a retired or unknown analyzer exits 1 on a partial load",
+			args:       []string{"-C", root, "internal/lint/testdata/src/directive"},
+			wantStatus: 1,
+			wantOut:    `directive: //lint:allow names unknown analyzer "nosuchanalyzer"`,
+		},
+		{
 			name:       "removed -fix exits 2",
 			args:       []string{"-fix", "-C", root, "./internal/check"},
 			wantStatus: 2,

@@ -5,10 +5,16 @@
 // slow_time would otherwise surface as a subtly wrong figure instead of a
 // crash with a culprit.
 //
-// The static side of the same contract lives in internal/lint (and runs as
-// cmd/simlint): the analyzers keep wall-clock time, raw durations and
-// mixed units out of the code, while this package checks the quantities
-// the type system cannot see — value ranges and monotonicity.
+// The static side lives in internal/lint (and runs as cmd/simlint): the
+// analyzers keep wall-clock time, raw durations and mixed units out of the
+// code, while this package checks the quantities the type system cannot
+// see — value ranges and monotonicity. The two meet at the //inv: range
+// contracts on struct fields: a contract only declares the range (simlint's
+// overflow trusts it), and an assertion here, labelled in
+// internal/lint's runtimeTwins table, is what enforces it —
+// TestContractsHoldAtRuntime fails for a contract without such a twin, and
+// each owning package's TestRuntimeTwinsFire corrupts the field to show
+// the assertion is live.
 //
 // All assertions funnel through Failf so every violation message carries
 // the same greppable "invariant violated" prefix.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -591,4 +592,21 @@ func TestEnhancedRenoWorks(t *testing.T) {
 	if !done {
 		t.Fatal("reno+ transfer incomplete")
 	}
+}
+
+// TestRuntimeTwinsFire is the sensitivity half of slowTime's //inv:
+// contract (internal/lint's TestContractsHoldAtRuntime names
+// check.NonNegativeDur "core.slow_time" as its always-on twin): a
+// slow_time corrupted negative must panic at the next Algorithm 1 step.
+func TestRuntimeTwinsFire(t *testing.T) {
+	w := newPlusWire(DefaultConfig(), nil)
+	w.enh.evolve(w.conn.Sender, false, false) // control: a sane slow_time steps quietly
+	w.enh.state, w.enh.slowTime = StateTimeInc, -1
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "invariant violated: core.slow_time = ") {
+			t.Fatalf("corrupted slowTime: got panic %q, want the core.slow_time invariant violation", msg)
+		}
+	}()
+	w.enh.evolve(w.conn.Sender, false, false)
 }

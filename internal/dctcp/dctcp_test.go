@@ -2,6 +2,7 @@ package dctcp
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -293,4 +294,21 @@ func TestWindowReanchorsAfterRTO(t *testing.T) {
 	if !snd.Done() {
 		t.Fatal("transfer did not complete after recovery")
 	}
+}
+
+// TestRuntimeTwinsFire is the sensitivity half of alpha's //inv: contract
+// (internal/lint's TestContractsHoldAtRuntime names check.Unit
+// "dctcp.alpha" as its always-on twin): an estimate corrupted out of
+// [0, 1] must panic at the next per-window update.
+func TestRuntimeTwinsFire(t *testing.T) {
+	w, d := newMarkWire(nil)
+	d.OnAck(w.conn.Sender, 1000, false) // control: a sane alpha updates quietly
+	d.alpha = 2
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "invariant violated: dctcp.alpha") {
+			t.Fatalf("corrupted alpha: got panic %q, want the dctcp.alpha invariant violation", msg)
+		}
+	}()
+	d.OnAck(w.conn.Sender, 1000, false)
 }

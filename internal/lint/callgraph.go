@@ -55,25 +55,14 @@ type Program struct {
 	sweepFrom map[*types.Func][]*types.Func
 	terminals map[*types.Func]bool
 
-	// unitSummaries caches the per-function result units the unitflow
-	// dataflow engine lifts through this graph (see dataflow.go). Nil until
-	// the first unitflow query; invalidated whenever the graph rebuilds.
-	unitSummaries map[*types.Func][]unitClass
-
-	// contractTable caches the parsed //inv: contracts (contracts.go) and
-	// intervalSummaries the per-function result intervals the interval
-	// engine lifts through this graph (interval.go). intervalResults
-	// caches the per-package interpreter run shared by the rangeproof,
-	// overflow and checkcover analyzers. All nil until first query;
-	// invalidated whenever the graph rebuilds.
-	contractTable     *contractTable
-	intervalSummaries map[*types.Func][]ival
-	intervalResults   map[*Package]*intervalAnalysis
+	// contractTable caches the parsed //inv: contracts (contracts.go). Nil
+	// until the first query; invalidated whenever the graph rebuilds.
+	contractTable *contractTable
 
 	// stateTable caches the parsed //state: protocols and function
 	// contracts (typestate.go); typestateResults caches the per-package
 	// typestate interpreter run shared by the poollife, handlestate and
-	// ownxfer analyzers. Same lifecycle as the interval caches above.
+	// ownxfer analyzers. Same lifecycle as contractTable.
 	stateTable       *stateTable
 	typestateResults map[*Package]*typestateAnalysis
 }
@@ -164,10 +153,7 @@ func (prog *Program) build() {
 	prog.hotFrom = make(map[*types.Func][]*types.Func)
 	prog.sweepFrom = make(map[*types.Func][]*types.Func)
 	prog.terminals = make(map[*types.Func]bool)
-	prog.unitSummaries = nil
 	prog.contractTable = nil
-	prog.intervalSummaries = nil
-	prog.intervalResults = nil
 	prog.stateTable = nil
 	prog.typestateResults = nil
 

@@ -1,29 +1,111 @@
 package lint
 
 import (
+	"fmt"
+	"go/ast"
+	"go/constant"
+	"go/types"
+	"math"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"dctcpplus/internal/core"
 	"dctcpplus/internal/dctcp"
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/tcp"
 	"dctcpplus/internal/workload"
 )
 
-// TestContractsHoldAtRuntime cross-validates the prover against the live
-// simulator: the same //inv: annotations the interval engine reads from
-// the real sources are sampled at runtime during seeded incast runs, and
-// every observation must land inside its declared interval. A contract the
-// prover trusts but the code violates fails here before it misleads a
-// static proof; a contract this test cannot find fails loudly rather than
-// silently sampling nothing.
+// twin names how one //inv: field contract is enforced at run time. A row
+// may name several; every one it names is verified.
+type twin struct {
+	// asserted is the label of an always-on internal/check call on the
+	// field, in the package that declares it. The owning package's tests
+	// corrupt the field and observe the panic.
+	asserted string
+	// rejects feeds the constructor a config violating only this field; it
+	// must panic with a message containing rejectMsg.
+	rejects   func()
+	rejectMsg string
+	// sampled: the seeded incasts below observe the field through an
+	// existing accessor, at least 100 times, always inside its range.
+	sampled bool
+}
+
+func tcpConfig(edit func(*tcp.Config)) func() {
+	return func() {
+		cfg := tcp.DefaultConfig()
+		edit(&cfg)
+		tcp.NewSender(cfg, nil, nil, 0, 0)
+	}
+}
+
+func coreConfig(edit func(*core.Config)) func() {
+	return func() {
+		cfg := core.DefaultConfig()
+		edit(&cfg)
+		core.New(dctcp.DefaultGain, cfg)
+	}
+}
+
+// runtimeTwins is the one table behind "//inv: means declared, enforced at
+// run time": every field contract in the module has a row here, or
+// TestContractsHoldAtRuntime fails naming it.
+var runtimeTwins = map[string]twin{
+	"tcp.Sender.cwnd":          {asserted: "tcp.cwnd (MSS)", sampled: true},
+	"tcp.Sender.ssthresh":      {asserted: "tcp.ssthresh (MSS)", sampled: true},
+	"tcp.Sender.ltCredit":      {asserted: "tcp.limited-transmit credit"},
+	"tcp.Sender.rtoBackoff":    {asserted: "tcp.rto backoff exponent", sampled: true},
+	"tcp.Receiver.pendingSegs": {asserted: "tcp.receiver pending segments"},
+	"dctcp.DCTCP.alpha":        {asserted: "dctcp.alpha", sampled: true},
+	"core.Enhancer.slowTime":   {asserted: "core.slow_time", sampled: true},
+	"netsim.Port.qBytes":       {asserted: "netsim.port queue bytes", sampled: true},
+	"oracle.Checker.ringLen":   {asserted: "oracle.ring fill"},
+	"packet.Packet.Payload":    {sampled: true},
+
+	"tcp.Config.MSS":         {rejects: tcpConfig(func(c *tcp.Config) { c.MSS = 0 }), rejectMsg: "MSS must be positive"},
+	"tcp.Config.InitialCwnd": {rejects: tcpConfig(func(c *tcp.Config) { c.InitialCwnd = 0.5 }), rejectMsg: "InitialCwnd must be >= 1"},
+	"tcp.Config.MinCwnd":     {rejects: tcpConfig(func(c *tcp.Config) { c.MinCwnd = 0.5 }), rejectMsg: "MinCwnd must be >= 1"},
+	"tcp.Config.MaxCwnd":     {rejects: tcpConfig(func(c *tcp.Config) { c.MaxCwnd = 0.5 }), rejectMsg: "MaxCwnd must be >= InitialCwnd"},
+	"tcp.Config.DupThresh":   {rejects: tcpConfig(func(c *tcp.Config) { c.DupThresh = 0 }), rejectMsg: "DupThresh must be >= 1"},
+	"tcp.Config.DelAckCount": {rejects: tcpConfig(func(c *tcp.Config) { c.DelAckCount = 0 }), rejectMsg: "DelAckCount must be >= 1"},
+
+	"dctcp.DCTCP.g": {rejects: func() { dctcp.New(0) }, rejectMsg: "gain must be in (0, 1]"},
+
+	"core.Config.BackoffUnit":   {rejects: coreConfig(func(c *core.Config) { c.BackoffUnit = 0 }), rejectMsg: "BackoffUnit must be positive"},
+	"core.Config.DivisorFactor": {rejects: coreConfig(func(c *core.Config) { c.DivisorFactor = 1 }), rejectMsg: "DivisorFactor must exceed 1"},
+	"core.Config.ThresholdT":    {rejects: coreConfig(func(c *core.Config) { c.ThresholdT = -1 }), rejectMsg: "negative ThresholdT"},
+	"core.Config.DecayInterval": {rejects: coreConfig(func(c *core.Config) { c.DecayInterval = -1 }), rejectMsg: "negative DecayInterval"},
+
+	"netsim.PortConfig.BufferBytes": {rejects: func() {
+		cfg := netsim.DefaultPortConfig()
+		cfg.BufferBytes = 0
+		netsim.NewPort(sim.NewScheduler(), nil, cfg)
+	}, rejectMsg: "port buffer must be positive"},
+	"netsim.TopologyConfig.HostQueueBytes": {rejects: func() {
+		cfg := netsim.DefaultTopologyConfig()
+		cfg.HostQueueBytes = 0
+		netsim.NewTwoTier(sim.NewScheduler(), 1, 1, cfg)
+	}, rejectMsg: "port buffer must be positive"},
+}
+
+// TestContractsHoldAtRuntime is the gate on the //inv: rule: a contract is
+// a declared range that overflow trusts, so each one must be enforced
+// where the simulator runs. The test reads every field contract out of the
+// real sources and requires its runtimeTwins row to hold — the named
+// check.* assertion exists on that field, the constructor rejects the
+// violating config, or the seeded mixed DCTCP/DCTCP+ incasts below observe
+// the field inside its declared range. A contract without a row, a row
+// without a contract, or a twin that cannot be found or exercised fails
+// naming the field.
 func TestContractsHoldAtRuntime(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads and type-checks four packages, then runs incasts")
+		t.Skip("loads and type-checks the module, then runs incasts")
 	}
-
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
@@ -32,35 +114,154 @@ func TestContractsHoldAtRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.Load("./internal/dctcp", "./internal/tcp", "./internal/core", "./internal/netsim")
+	pkgs, err := loader.Load("./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) == 0 {
-		t.Fatal("no packages loaded")
-	}
 	tbl := pkgs[0].Prog.contracts()
+	for _, errs := range tbl.errs {
+		for _, d := range errs {
+			t.Errorf("malformed contract: %s", d)
+		}
+	}
 
-	alphaIv := declaredFieldIval(t, tbl, "DCTCP", "alpha")
-	cwndIv := declaredFieldIval(t, tbl, "Sender", "cwnd")
-	slowIv := declaredFieldIval(t, tbl, "Enhancer", "slowTime")
-	qIv := declaredFieldIval(t, tbl, "Port", "qBytes")
+	contracts := map[string]*fieldContract{}
+	for fv, fc := range tbl.fields {
+		contracts[fv.Pkg().Name()+"."+fc.owner.Name()+"."+fv.Name()] = fc
+	}
+	for key := range runtimeTwins {
+		if contracts[key] == nil {
+			t.Errorf("%s: runtimeTwins row without an //inv: contract; delete the row", key)
+		}
+	}
+	keys := make([]string, 0, len(contracts))
+	for key := range contracts {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
 
 	// Sanity-pin the numeric halves so a weakened annotation (say alpha's
 	// upper bound dropped) fails the test instead of trivializing it.
-	if alphaIv.lo != 0 || alphaIv.hi != 1 {
-		t.Fatalf("DCTCP.alpha declares [%g, %g], want [0, 1]", alphaIv.lo, alphaIv.hi)
-	}
-	if cwndIv.lo != 1 {
-		t.Fatalf("Sender.cwnd declares lo %g, want 1", cwndIv.lo)
-	}
-	if slowIv.lo != 0 {
-		t.Fatalf("Enhancer.slowTime declares lo %g, want 0", slowIv.lo)
-	}
-	if qIv.lo != 0 {
-		t.Fatalf("Port.qBytes declares lo %g, want 0", qIv.lo)
+	for key, want := range map[string]ival{
+		"dctcp.DCTCP.alpha":      {0, 1},
+		"tcp.Sender.cwnd":        {1, math.Inf(1)},
+		"core.Enhancer.slowTime": {0, math.Inf(1)},
+		"netsim.Port.qBytes":     {0, math.Inf(1)},
+	} {
+		if fc := contracts[key]; fc != nil && declaredRange(fc) != want {
+			t.Fatalf("%s declares %v, want %v", key, declaredRange(fc), want)
+		}
 	}
 
+	observed := map[string]int{}
+	observe := func(key string, v float64) {
+		fc := contracts[key]
+		if fc == nil {
+			t.Fatalf("%s: sampled, but it carries no //inv: contract", key)
+		}
+		if r := declaredRange(fc); !(v >= r.lo && v <= r.hi) {
+			t.Fatalf("%s = %g outside declared [%g, %g]", key, v, r.lo, r.hi)
+		}
+		observed[key]++
+	}
+	runSampledIncasts(t, observe)
+
+	for _, key := range keys {
+		fc, row := contracts[key], runtimeTwins[key]
+		if row.asserted == "" && row.rejects == nil && !row.sampled {
+			t.Errorf("%s: //inv: contract without a runtime twin; add a runtimeTwins row naming its check.* assertion, rejecting constructor or sampler", key)
+			continue
+		}
+		if row.asserted != "" && !assertsField(pkgs, fc.field, row.asserted) {
+			t.Errorf("%s: no internal/check call labelled %q on the field in package %s", key, row.asserted, fc.field.Pkg().Name())
+		}
+		if row.rejects != nil {
+			if msg := panicMessage(row.rejects); !strings.Contains(msg, row.rejectMsg) {
+				t.Errorf("%s: constructor given the violating config panicked with %q, want a panic containing %q", key, msg, row.rejectMsg)
+			}
+		}
+		if row.sampled && observed[key] < 100 {
+			t.Errorf("%s: only %d runtime samples; the sampler checked almost nothing", key, observed[key])
+		}
+	}
+}
+
+// ival is a closed numeric interval [lo, hi] over the extended reals.
+type ival struct{ lo, hi float64 }
+
+// declaredRange is the interval a contract's numeric atoms declare;
+// symbolic bounds (qBytes <= cfg.BufferBytes) are sampled against the
+// concrete config instead.
+func declaredRange(fc *fieldContract) ival {
+	v := ival{math.Inf(-1), math.Inf(1)}
+	for _, a := range fc.atoms {
+		switch {
+		case a.symbolic:
+		case a.upper:
+			v.hi = math.Min(v.hi, a.num)
+		default:
+			v.lo = math.Max(v.lo, a.num)
+		}
+	}
+	return v
+}
+
+// assertsField reports whether the package declaring field calls an
+// internal/check assertion whose label is the given string constant and
+// whose value arguments read the field.
+func assertsField(pkgs []*Package, field *types.Var, label string) bool {
+	for _, p := range pkgs {
+		if p.Types != field.Pkg() {
+			continue
+		}
+		found := false
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || found || len(call.Args) < 2 {
+					return !found
+				}
+				callee, _ := p.calleeOf(call)
+				if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "dctcpplus/internal/check" {
+					return true
+				}
+				tv := p.Info.Types[call.Args[0]]
+				if tv.Value == nil || tv.Value.Kind() != constant.String || constant.StringVal(tv.Value) != label {
+					return true
+				}
+				for _, arg := range call.Args[1:] {
+					ast.Inspect(arg, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok && p.Info.Uses[id] == field {
+							found = true
+						}
+						return !found
+					})
+				}
+				return !found
+			})
+		}
+		return found
+	}
+	return false
+}
+
+// panicMessage runs fn and returns what it panicked with ("" if it
+// returned normally).
+func panicMessage(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// runSampledIncasts runs three seeded incasts mixing plain DCTCP (alpha
+// observable) and DCTCP+ (slowTime observable) flows and feeds every
+// sampled field to observe, on a 10 µs cadence and, for packets, at every
+// transmission through the bottleneck port.
+func runSampledIncasts(t *testing.T, observe func(key string, v float64)) {
 	for _, run := range []struct {
 		seed  uint64
 		flows int
@@ -72,9 +273,10 @@ func TestContractsHoldAtRuntime(t *testing.T) {
 		sched := sim.NewScheduler()
 		topo := netsim.DefaultTopologyConfig()
 		tt := netsim.NewTwoTier(sched, 3, 3, topo)
+		tt.BottleneckPort.OnTransmit = func(pkt *packet.Packet) {
+			observe("packet.Packet.Payload", float64(pkt.Payload))
+		}
 
-		// Even flows run plain DCTCP (alpha observable), odd flows DCTCP+
-		// (slowTime observable); every flow exposes cwnd.
 		factory := func(i int) (tcp.Config, tcp.CongestionControl) {
 			if i%2 == 0 {
 				cfg := dctcp.Config()
@@ -95,31 +297,26 @@ func TestContractsHoldAtRuntime(t *testing.T) {
 			Seed:         run.seed,
 		})
 
-		samples := 0
 		var sample func()
 		sample = func() {
-			samples++
 			for _, c := range in.Conns() {
-				if w := c.Sender.CwndMSS(); w < cwndIv.lo || w > cwndIv.hi {
-					t.Fatalf("seed %d: cwnd %g outside declared [%g, %g]", run.seed, w, cwndIv.lo, cwndIv.hi)
-				}
+				observe("tcp.Sender.cwnd", c.Sender.CwndMSS())
+				observe("tcp.Sender.ssthresh", c.Sender.SsthreshMSS())
+				observe("tcp.Sender.rtoBackoff", float64(c.Sender.RTOBackoff()))
 				switch cc := c.Sender.CC().(type) {
 				case *dctcp.DCTCP:
-					if a := cc.Alpha(); a < alphaIv.lo || a > alphaIv.hi {
-						t.Fatalf("seed %d: alpha %g outside declared [%g, %g]", run.seed, a, alphaIv.lo, alphaIv.hi)
-					}
+					observe("dctcp.DCTCP.alpha", cc.Alpha())
 				case *core.Enhancer:
-					if s := float64(cc.SlowTime()); s < slowIv.lo || s > slowIv.hi {
-						t.Fatalf("seed %d: slowTime %g outside declared [%g, %g]", run.seed, s, slowIv.lo, slowIv.hi)
-					}
+					observe("core.Enhancer.slowTime", float64(cc.SlowTime()))
 				}
 			}
 			// qBytes' upper bound is symbolic (cfg.BufferBytes), so the
-			// runtime leg checks against the concrete config of the port
-			// being sampled.
+			// runtime leg checks it against the concrete config of the
+			// port being sampled.
 			q := tt.BottleneckPort.QueueBytes()
-			if float64(q) < qIv.lo || q > topo.SwitchPort.BufferBytes {
-				t.Fatalf("seed %d: qBytes %d outside [%g, %d]", run.seed, q, qIv.lo, topo.SwitchPort.BufferBytes)
+			observe("netsim.Port.qBytes", float64(q))
+			if q > topo.SwitchPort.BufferBytes {
+				t.Fatalf("seed %d: qBytes %d above the port's %d-byte buffer", run.seed, q, topo.SwitchPort.BufferBytes)
 			}
 			sched.After(10*sim.Microsecond, sample)
 		}
@@ -132,21 +329,5 @@ func TestContractsHoldAtRuntime(t *testing.T) {
 		if !in.Finished() {
 			t.Fatalf("seed %d: incast did not finish", run.seed)
 		}
-		if samples < 100 {
-			t.Fatalf("seed %d: only %d runtime samples; the property checked almost nothing", run.seed, samples)
-		}
 	}
-}
-
-// declaredFieldIval finds the //inv: contract for owner.field in the table
-// built from the real sources and returns the interval a reader may assume.
-func declaredFieldIval(t *testing.T, tbl *contractTable, owner, field string) ival {
-	t.Helper()
-	for fv, fc := range tbl.fields {
-		if fc.owner != nil && fc.owner.Name() == owner && fv.Name() == field {
-			return tbl.declaredIval(fc.atoms)
-		}
-	}
-	t.Fatalf("no //inv: contract found for %s.%s", owner, field)
-	return ival{}
 }

@@ -19,7 +19,6 @@ func TestParseInvValid(t *testing.T) {
 		{"qBytes <= cfg.BufferBytes", 1},
 		{"1 <= a <= b <= 100", 3},
 		{"x >= -2.5e3", 1},
-		{"return >= 1", 1},
 	}
 	for _, c := range cases {
 		got, err := parseInv(c.src)

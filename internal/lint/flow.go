@@ -6,16 +6,18 @@ import (
 )
 
 // This file is the one structured-control-flow interpreter of the package.
-// The interval engine (interval.go) and the typestate engine (typestate.go)
-// supply a lattice and the transfer functions of straight-line code; every
-// rule about where paths fork, meet, loop and end lives here, once.
+// An engine — the typestate engine (typestate.go) is the one client, beside
+// the toy domain of flow_test.go — supplies a lattice and the transfer
+// functions of straight-line code; every rule about where paths fork, meet,
+// loop and end lives here, once.
 //
 // Semantics, in one place (flow_test.go pins each with a toy domain):
 //
 //   - Paths. A state is either live or dead; dead paths contribute nothing
 //     to a join. return, a terminal call (flowDomain.terminal: panic,
 //     check.Failf), break and continue end the path they are on.
-//   - if joins its two arms, each entered through assume(cond, ·, want).
+//   - if joins its two arms; a branch condition is evaluated, never
+//     used to refine the state.
 //   - switch (expression or type) evaluates every case expression on the
 //     entry state in source order, runs each clause from a clone of it,
 //     and joins the live clause exits; only a switch without a default
@@ -32,9 +34,9 @@ import (
 //     with n == k on join(head, back edge) after the k-th pass (continue
 //     states and the post statement included); iteration stops when
 //     equal(head, widened) or after flowPassCap passes. The exit state is
-//     the head refined by the negated condition (a range loop: the head
-//     itself; a condition-less for: nothing) joined with the breaks of the
-//     final pass, so `for {}` without a break is non-exiting.
+//     the head after one more evaluation of the condition (a range loop:
+//     the head itself; a condition-less for: nothing) joined with the
+//     breaks of the final pass, so `for {}` without a break is non-exiting.
 //   - goto is not modelled. The first goto abandons the walk: its path and
 //     every path not yet interpreted end there, and abandoned is set so
 //     the engine can discount what an incomplete walk would otherwise
@@ -54,8 +56,6 @@ type flowDomain[S any] interface {
 	// return) or a bare expression the walker evaluates on the way to a
 	// branch (condition, switch tag, case expression, range operand).
 	transfer(n ast.Node, st S) S
-	// assume refines st with the knowledge that cond evaluated to want.
-	assume(cond ast.Expr, st S, want bool) S
 	// bindRange assigns the iteration variables of s at the top of a pass.
 	bindRange(s *ast.RangeStmt, st S) S
 	// terminal reports whether call never returns.
@@ -63,8 +63,8 @@ type flowDomain[S any] interface {
 }
 
 // flowPassCap bounds the per-loop fixed-point iteration. The typestate
-// lattice is finite and the interval domain widens from the second pass,
-// so real loops settle in two or three passes; the cap is a safety net.
+// lattice is finite, so real loops settle in two or three passes; the cap
+// is a safety net.
 const flowPassCap = 8
 
 // flowTarget collects the states leaving through break and continue for
@@ -140,8 +140,8 @@ func (w *flowWalker[S]) stmt(s ast.Stmt, st S, label string) (S, bool) {
 		return w.stmt(s.Stmt, st, s.Label.Name)
 	case *ast.IfStmt:
 		st = w.transfer(s.Cond, w.transfer(s.Init, st))
-		then, thenLive := w.list(s.Body.List, w.d.assume(s.Cond, w.d.clone(st), true))
-		els, elsLive := w.d.assume(s.Cond, st, false), true
+		then, thenLive := w.list(s.Body.List, w.d.clone(st))
+		els, elsLive := st, true
 		if s.Else != nil {
 			els, elsLive = w.stmt(s.Else, els, "")
 		}
@@ -254,10 +254,7 @@ func (w *flowWalker[S]) loop(label string, st S, cond ast.Expr, post ast.Stmt, r
 	var t *flowTarget[S]
 	for n := 1; ; n++ {
 		t = w.push(label, true)
-		it := w.d.clone(head)
-		if cond != nil {
-			it = w.d.assume(cond, w.transfer(cond, it), true)
-		}
+		it := w.transfer(cond, w.d.clone(head))
 		if rng != nil {
 			it = w.d.bindRange(rng, it)
 		}
@@ -272,12 +269,5 @@ func (w *flowWalker[S]) loop(label string, st S, cond ast.Expr, post ast.Stmt, r
 			break
 		}
 	}
-	var exit S
-	exitLive := cond != nil || rng != nil
-	if cond != nil {
-		exit = w.d.assume(cond, w.transfer(cond, head), false)
-	} else if rng != nil {
-		exit = head
-	}
-	return w.mergeAll(exit, exitLive, t.breaks)
+	return w.mergeAll(w.transfer(cond, head), cond != nil || rng != nil, t.breaks)
 }

@@ -45,7 +45,6 @@ func (d *toyDomain) widen(_, next toyState, n int) toyState {
 	return next
 }
 func (d *toyDomain) equal(a, b toyState) bool                        { return a == b }
-func (d *toyDomain) assume(_ ast.Expr, s toyState, _ bool) toyState  { return s }
 func (d *toyDomain) bindRange(_ *ast.RangeStmt, s toyState) toyState { return s.with('r') }
 
 func (d *toyDomain) transfer(n ast.Node, s toyState) toyState {

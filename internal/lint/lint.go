@@ -5,7 +5,7 @@
 // using nothing but the standard library (go/parser, go/ast, go/token,
 // go/types — the module is dependency-free and must stay that way).
 //
-// Eighteen analyzers ship with the pass:
+// Fifteen analyzers ship with the pass:
 //
 //   - nondeterminism: wall-clock reads, math/rand, order-sensitive map
 //     iteration, and goroutine spawns inside simulation-scheduled code.
@@ -13,10 +13,6 @@
 //     packages where the sim.Time/sim.Duration types are available.
 //   - unitsafety: arithmetic mixing byte-, packet- and segment-valued
 //     identifiers.
-//   - unitflow: flow-sensitive upgrade of unitsafety — byte/packet/segment
-//     taint tracked through assignments, calls and returns by the dataflow
-//     engine (see dataflow.go), with per-function summaries lifted
-//     interprocedurally over the call graph.
 //   - floateq: ==/!= on floating-point operands outside tests.
 //   - telemetrysafety: instrument methods that dereference their receiver
 //     without the nil-guard idiom the telemetry layer is built on.
@@ -34,22 +30,16 @@
 //     sweep-reachable code).
 //   - cachekey: completeness proof that every field of a
 //     //cache:key-annotated struct flows into its cache-key method.
-//   - rangeproof: interval abstract interpretation of //inv: range
-//     contracts on struct fields and function params/results (see
-//     interval.go, contracts.go; control flow is flow.go's walker, shared
-//     with the typestate engine); writes the prover cannot discharge at
-//     function exit must carry a named internal/check assertion.
 //   - overflow: unbounded narrow-integer accumulation and
 //     wraparound-unsafe sequence arithmetic in //hot:path- or
-//     //sweep:job-reachable code.
-//   - checkcover: the runtime half of rangeproof — internal/check
-//     assertions on annotated fields must be named, must agree with the
-//     declared contract, and must exist for every atom left statically
-//     unproven.
+//     //sweep:job-reachable code; an accumulation is discharged only by an
+//     //inv: range contract on the field (see contracts.go), which is
+//     declared here and enforced at run time by its internal/check twin.
 //   - poollife: path-sensitive typestate proof of the //state: pooled
-//     protocols (see typestate.go) — use-after-free, double-free and
-//     leak-on-path for pooled packets, with escape into long-lived
-//     structs sanctioned only inside //state: sink functions.
+//     protocols (see typestate.go; control flow is flow.go's walker) —
+//     use-after-free, double-free and leak-on-path for pooled packets,
+//     with escape into long-lived structs sanctioned only inside //state:
+//     sink functions.
 //   - handlestate: the //state: handle protocols — Cancel on a
 //     possibly-dead scheduler handle, transition misuse (Timer
 //     Reset/Stop), and the clear-field-first rule for re-arming
@@ -65,10 +55,11 @@
 //	//lint:allow <analyzer> <reason>
 //
 // The reason is mandatory: an allowlist entry is documentation, and a bare
-// directive is itself reported as a diagnostic, and on a whole-module run
-// so is a directive that no longer suppresses anything (see Run). A small
-// number of built-in path allowlists (wall-clock metadata in cmd/ and the
-// telemetry manifest) are documented on the analyzers that apply them.
+// directive — or one naming an analyzer outside the suite — is itself
+// reported as a diagnostic, and on a whole-module run so is a directive
+// that no longer suppresses anything (see Run). A small number of built-in
+// path allowlists (wall-clock metadata in cmd/ and the telemetry manifest)
+// are documented on the analyzers that apply them.
 package lint
 
 import (
@@ -118,12 +109,9 @@ func All() []*Analyzer {
 		Exhaustive(),
 		CallPurity(),
 		SweepSafety(),
-		UnitFlow(),
 		SharedState(),
 		CacheKey(),
-		RangeProof(),
 		Overflow(),
-		CheckCover(),
 		Poollife(),
 		HandleState(),
 		OwnXfer(),
@@ -202,12 +190,14 @@ func parseDirectives(fset *token.FileSet, f *ast.File) []directive {
 }
 
 // applyDirectives filters diags through the package's allow directives and
-// appends a diagnostic for every malformed (reason-less) directive: the
-// allowlist policy requires each exception to say why it exists. With
-// reportStale set it additionally reports every well-formed directive that
-// suppressed nothing as a "staleallow" finding — a justified exemption
-// that has outlived the diagnostic it justified is rot, not documentation.
-func applyDirectives(p *Package, diags []Diagnostic, reportStale bool) []Diagnostic {
+// appends a diagnostic for every malformed (reason-less) directive — the
+// allowlist policy requires each exception to say why it exists — and for
+// every name outside known, the suite's analyzer names, which could never
+// suppress anything. With reportStale set it additionally reports every
+// well-formed directive that suppressed nothing as a "staleallow" finding —
+// a justified exemption that has outlived the diagnostic it justified is
+// rot, not documentation.
+func applyDirectives(p *Package, diags []Diagnostic, known map[string]bool, reportStale bool) []Diagnostic {
 	type key struct {
 		file string
 		line int
@@ -223,14 +213,20 @@ func applyDirectives(p *Package, diags []Diagnostic, reportStale bool) []Diagnos
 	for _, f := range p.Files {
 		file := p.Fset.Position(f.Pos()).Filename
 		for _, d := range parseDirectives(p.Fset, f) {
+			bad := func(format string, args ...any) {
+				out = append(out, Diagnostic{File: file, Line: d.line, Col: 1, Analyzer: "directive", Message: fmt.Sprintf(format, args...)})
+			}
 			if len(d.analyzers) == 0 || d.reason == "" {
-				out = append(out, Diagnostic{
-					File:     file,
-					Line:     d.line,
-					Col:      1,
-					Analyzer: "directive",
-					Message:  "malformed //lint:allow directive: want \"//lint:allow <analyzer> <reason>\"",
-				})
+				bad("malformed //lint:allow directive: want \"//lint:allow <analyzer> <reason>\"")
+				continue
+			}
+			for _, name := range sortedNames(d.analyzers) {
+				if !known[name] {
+					bad("//lint:allow names unknown analyzer %q (simlint -list prints the suite)", name)
+					delete(d.analyzers, name)
+				}
+			}
+			if len(d.analyzers) == 0 {
 				continue
 			}
 			e := &allowEntry{d: d, file: file}
@@ -260,22 +256,26 @@ func applyDirectives(p *Package, diags []Diagnostic, reportStale bool) []Diagnos
 			if e.used {
 				continue
 			}
-			names := make([]string, 0, len(e.d.analyzers))
-			for name := range e.d.analyzers {
-				names = append(names, name)
-			}
-			sort.Strings(names)
 			out = append(out, Diagnostic{
 				File:     e.file,
 				Line:     e.d.line,
 				Col:      1,
 				Analyzer: "staleallow",
 				Message: fmt.Sprintf("stale //lint:allow %s directive: it suppresses no diagnostic on this or the next line; delete it (or move it back beside the finding it justifies)",
-					strings.Join(names, ",")),
+					strings.Join(sortedNames(e.d.analyzers), ",")),
 			})
 		}
 	}
 	return out
+}
+
+func sortedNames(set map[string]bool) []string {
+	names := make([]string, 0, len(set))
+	for name := range set {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Run executes the analyzers over the packages and returns the surviving
@@ -292,13 +292,19 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 func runSuite(pkgs []*Package, analyzers []*Analyzer, reportStale bool) []Diagnostic {
+	// A directive may name any analyzer of the suite, not just the ones
+	// this run was handed.
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	var out []Diagnostic
 	for _, p := range pkgs {
 		var raw []Diagnostic
 		for _, a := range analyzers {
 			raw = append(raw, a.Run(p)...)
 		}
-		out = append(out, applyDirectives(p, raw, reportStale)...)
+		out = append(out, applyDirectives(p, raw, known, reportStale)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -23,8 +23,8 @@ import (
 //  4. goroutine spawns inside simulation-scheduled packages (anything
 //     importing internal/sim): the event loop is single-threaded by
 //     design, and concurrency inside it would make event interleaving
-//     scheduler-dependent. internal/exp is exempted — its parallelFor
-//     runs whole, isolated simulations per goroutine.
+//     scheduler-dependent. internal/exp and internal/sweep are exempted
+//     (goroutineAllowed): they run whole, isolated simulations per worker.
 func Nondeterminism() *Analyzer {
 	return &Analyzer{
 		Name: "nondeterminism",

@@ -13,12 +13,13 @@ import (
 // exactly the class no test tier catches:
 //
 //  1. Unbounded accumulation (x++, x += e, and their downward twins) on
-//     narrow integer struct fields. Per-function intervals cannot bound
-//     cross-call growth, so the only static discharge is an //inv:
-//     contract bounding the growing side; everything else must widen to
-//     int64. Plain int/uint count as narrow: a tally that is only safe on
-//     64-bit hosts is a latent port bug. Locals are exempt (loop
-//     counters don't accumulate across calls).
+//     narrow integer struct fields. Nothing per-function can bound
+//     cross-call growth, so the only discharge is an //inv: contract
+//     bounding the growing side (its runtime twin enforces the bound; see
+//     contracts.go); everything else must widen to int64. Plain int/uint
+//     count as narrow: a tally that is only safe on 64-bit hosts is a
+//     latent port bug. Locals are exempt (loop counters don't accumulate
+//     across calls).
 //
 //  2. Sequence-number arithmetic on sub-64-bit values: ordering
 //     comparisons or subtraction on seq/ack-named narrow values wrap at
@@ -26,6 +27,9 @@ import (
 //     (packet.SeqLT/SeqGEQ/SeqDelta). Functions named Seq* are the
 //     helpers themselves and are exempt; the module's own int64 sequence
 //     space never wraps and is exempt by width.
+//
+// As the one consumer of //inv: contracts it also reports the malformed
+// ones, in the package that declares them.
 func Overflow() *Analyzer {
 	return &Analyzer{
 		Name: "overflow",
@@ -39,25 +43,85 @@ func runOverflow(p *Package) []Diagnostic {
 	if prog == nil {
 		return nil
 	}
-	var out []Diagnostic
-	res := prog.intervalAnalysisOf(p)
-	for _, fr := range res.funcs {
-		label, reachable := reachLabel(prog, fr.node.fn)
+	ct := prog.contracts()
+	out := append([]Diagnostic(nil), ct.errs[p]...)
+	for _, n := range prog.order {
+		if n.pkg != p {
+			continue
+		}
+		label, reachable := reachLabel(prog, n.fn)
 		if !reachable {
 			continue
 		}
-		for _, ac := range fr.accums {
-			dir := "grows without an upper bound"
-			if !ac.up {
-				dir = "shrinks without a lower bound"
-			}
-			out = append(out, p.diag("overflow", ac.pos,
-				"%s-typed accumulation %s %s and can wrap %s; widen to int64 or bound it with an //inv: contract",
-				ac.typ.Name(), ac.expr, dir, label))
-		}
-		out = append(out, seqArith(p, fr.node, label)...)
+		out = append(out, accumulations(p, n, ct, label)...)
+		out = append(out, seqArith(p, n, label)...)
 	}
 	return out
+}
+
+// accumulations flags every ++/--/+=/-= in one reachable function (inline
+// function literals included) whose target is a narrow-integer struct
+// field, or an element of a field-held slice or array, unless the field's
+// //inv: contract bounds the growing side.
+func accumulations(p *Package, n *funcNode, ct *contractTable, label string) []Diagnostic {
+	var out []Diagnostic
+	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
+		var lhs ast.Expr
+		var up bool
+		var pos token.Pos
+		switch s := node.(type) {
+		case *ast.IncDecStmt:
+			lhs, up, pos = s.X, s.Tok == token.INC, s.TokPos
+		case *ast.AssignStmt:
+			if s.Tok != token.ADD_ASSIGN && s.Tok != token.SUB_ASSIGN {
+				return true
+			}
+			lhs, up, pos = s.Lhs[0], s.Tok == token.ADD_ASSIGN, s.TokPos
+		default:
+			return true
+		}
+		b, ok := p.Info.TypeOf(lhs).Underlying().(*types.Basic)
+		if !ok || !narrowIntKind(b.Kind()) {
+			return true
+		}
+		target := unparen(lhs)
+		if ix, ok := target.(*ast.IndexExpr); ok {
+			target = unparen(ix.X)
+		}
+		sel, ok := target.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		fv, ok := p.Info.Uses[sel.Sel].(*types.Var)
+		if !ok || !fv.IsField() {
+			return true
+		}
+		if fc, ok := ct.fields[fv]; ok && fc.bounds(up) {
+			return true
+		}
+		dir := "grows without an upper bound"
+		if !up {
+			dir = "shrinks without a lower bound"
+		}
+		out = append(out, p.diag("overflow", pos,
+			"%s-typed accumulation %s %s and can wrap %s; widen to int64 or bound it with an //inv: contract",
+			b.Name(), types.ExprString(lhs), dir, label))
+		return true
+	})
+	return out
+}
+
+// narrowIntKind reports integer kinds the accumulation rule treats as
+// narrow. Plain int/uint count: the module targets 32-bit floors for
+// portability, and a cumulative tally that is only safe on 64-bit hosts
+// is exactly the bug class this analyzer exists for.
+func narrowIntKind(k types.BasicKind) bool {
+	switch k {
+	case types.Int, types.Int8, types.Int16, types.Int32,
+		types.Uint, types.Uint8, types.Uint16, types.Uint32:
+		return true
+	}
+	return false
 }
 
 // reachLabel reports hot/sweep reachability with the witness provenance

@@ -14,8 +14,8 @@ func TestSARIF(t *testing.T) {
 		File:     "internal/tcp/sender.go",
 		Line:     42,
 		Col:      7,
-		Analyzer: "unitflow",
-		Message:  "bytes value flows into packets destination q",
+		Analyzer: "unitsafety",
+		Message:  "arithmetic mixes units: left operand is bytes, right operand is packets",
 	}}
 	out, err := SARIF(diags, All())
 	if err != nil {
@@ -68,8 +68,8 @@ func TestSARIF(t *testing.T) {
 		t.Fatalf("results = %d, want 1", len(run.Results))
 	}
 	res := run.Results[0]
-	if res.RuleID != "unitflow" {
-		t.Errorf("ruleId = %q, want unitflow", res.RuleID)
+	if res.RuleID != "unitsafety" {
+		t.Errorf("ruleId = %q, want unitsafety", res.RuleID)
 	}
 	loc := res.Locations[0].PhysicalLocation
 	if loc.ArtifactLocation.URI != "internal/tcp/sender.go" {

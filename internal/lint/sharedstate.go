@@ -17,7 +17,7 @@ const poolForEachPath = "dctcpplus/internal/sweep/pool.ForEach"
 // in a concurrently executed closure:
 //
 //	sum := 0
-//	pool.ForEach(workers, n, func(w, i int) {
+//	pool.ForEach(workers, n, func(i int) {
 //		sum += weigh(i)     // flagged: workers race on sum
 //	})
 //

@@ -4,3 +4,6 @@ package directive
 
 //lint:allow floateq
 func helper() int { return 0 }
+
+//lint:allow nosuchanalyzer the suite has no analyzer of this name, so this could never suppress anything
+func other() int { return 1 }

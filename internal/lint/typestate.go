@@ -323,6 +323,35 @@ func (t *stateTable) collectFuncs(p *Package) {
 	}
 }
 
+// param pairs a declared parameter name with its type.
+type param struct {
+	name string
+	typ  types.Type
+}
+
+// flattenParams expands a field list into one entry per declared name,
+// resolving types through the declaring package's type info.
+func flattenParams(pkg *Package, fields *ast.FieldList) []param {
+	if fields == nil {
+		return nil
+	}
+	var out []param
+	for _, f := range fields.List {
+		if len(f.Names) == 0 {
+			out = append(out, param{})
+			continue
+		}
+		for _, n := range f.Names {
+			var t types.Type
+			if v, ok := pkg.Info.Defs[n].(*types.Var); ok {
+				t = v.Type()
+			}
+			out = append(out, param{name: n.Name, typ: t})
+		}
+	}
+	return out
+}
+
 func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList, ftype *ast.FuncType, lines []directiveLine) {
 	ann := t.funcs[fn]
 	if ann == nil {
@@ -711,15 +740,13 @@ func (f *tsFlow) checkExit(env tsEnv) {
 }
 
 // The flowDomain hooks. Environments are plain maps, joined by union
-// (joinEnv); the lattice is finite, so widen has nothing to add and branch
-// conditions refine nothing.
+// (joinEnv); the lattice is finite, so widen has nothing to add.
 
-func (f *tsFlow) clone(env tsEnv) tsEnv                      { return env.clone() }
-func (f *tsFlow) join(a, b tsEnv) tsEnv                      { return joinEnv(a, b) }
-func (f *tsFlow) widen(_, next tsEnv, _ int) tsEnv           { return next }
-func (f *tsFlow) equal(a, b tsEnv) bool                      { return equalEnv(a, b) }
-func (f *tsFlow) assume(_ ast.Expr, env tsEnv, _ bool) tsEnv { return env }
-func (f *tsFlow) terminal(call *ast.CallExpr) bool           { return f.pkg.isTerminalCall(call) }
+func (f *tsFlow) clone(env tsEnv) tsEnv            { return env.clone() }
+func (f *tsFlow) join(a, b tsEnv) tsEnv            { return joinEnv(a, b) }
+func (f *tsFlow) widen(_, next tsEnv, _ int) tsEnv { return next }
+func (f *tsFlow) equal(a, b tsEnv) bool            { return equalEnv(a, b) }
+func (f *tsFlow) terminal(call *ast.CallExpr) bool { return f.pkg.isTerminalCall(call) }
 func (f *tsFlow) bindRange(s *ast.RangeStmt, env tsEnv) tsEnv {
 	f.untrackAssigned(env, s.Key)
 	f.untrackAssigned(env, s.Value)

@@ -41,8 +41,6 @@ func (u unitClass) String() string {
 		return "packets"
 	case unitSegments:
 		return "segments (MSS)"
-	case unitMixed:
-		return "mixed"
 	case unitUnknown:
 		return "unknown"
 	default:

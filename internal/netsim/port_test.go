@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -235,4 +236,27 @@ func TestDefaultPortConfigMatchesPaper(t *testing.T) {
 	if cfg.MarkThresholdBytes != 32<<10 {
 		t.Errorf("K = %d, want 32KB", cfg.MarkThresholdBytes)
 	}
+}
+
+// TestRuntimeTwinsFire is the sensitivity half of qBytes' //inv: contract
+// (internal/lint's TestContractsHoldAtRuntime names the check.* calls
+// labelled "netsim.port queue bytes" as its always-on twin): an occupancy
+// corrupted below what the queue really holds must panic at the next
+// dequeue.
+func TestRuntimeTwinsFire(t *testing.T) {
+	s, _, p := newSinkAndPort(t, PortConfig{BufferBytes: 1 << 20}, 1_000_000_000, 0)
+	p.Pause()
+	p.Enqueue(dataPkt(1000, packet.NotECT))
+	p.Resume()
+	s.Run() // control: a sane occupancy dequeues quietly
+	p.Pause()
+	p.Enqueue(dataPkt(1000, packet.NotECT))
+	p.qBytes = 0
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "invariant violated: netsim.port queue bytes") {
+			t.Fatalf("corrupted qBytes: got panic %q, want the netsim.port queue bytes invariant violation", msg)
+		}
+	}()
+	p.Resume()
 }

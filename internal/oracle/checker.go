@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 
+	"dctcpplus/internal/check"
 	"dctcpplus/internal/core"
 	"dctcpplus/internal/netsim"
 	"dctcpplus/internal/packet"
@@ -212,6 +213,7 @@ func (c *Checker) record(ev Event) {
 	if c.ringLen < ringEvents {
 		c.ringLen++
 	}
+	check.AtMost("oracle.ring fill", int64(c.ringLen), ringEvents)
 }
 
 // window extracts the minimized trace for a violation: the most recent

@@ -444,3 +444,22 @@ func TestDuplicateAttachPanics(t *testing.T) {
 	}()
 	ck.AttachConn(conn)
 }
+
+// TestRuntimeTwinsFire is the sensitivity half of ringLen's //inv: contract
+// (internal/lint's TestContractsHoldAtRuntime names check.AtMost
+// "oracle.ring fill" as its always-on twin): a fill level corrupted past
+// the ring's capacity must panic at the next recorded event.
+func TestRuntimeTwinsFire(t *testing.T) {
+	c := NewChecker(sim.NewScheduler())
+	for i := 0; i < ringEvents+10; i++ {
+		c.record(Event{}) // control: wrapping a sane ring records quietly
+	}
+	c.ringLen = ringEvents + 1
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "invariant violated: oracle.ring fill") {
+			t.Fatalf("corrupted ringLen: got panic %q, want the oracle.ring fill invariant violation", msg)
+		}
+	}()
+	c.record(Event{})
+}

@@ -202,13 +202,15 @@ func (r *Receiver) Deliver(pkt *packet.Packet) {
 			return
 		}
 		r.pendingSegs++
+		// Asserted before the flush below zeroes the count, so a corrupted
+		// count is seen instead of being reset.
+		check.AtMost("tcp.receiver pending segments", int64(r.pendingSegs), int64(r.cfg.DelAckCount))
 		if r.pendingSegs >= r.cfg.DelAckCount {
 			r.stats.DelayedAcks++
 			r.sendAck()
 		} else if !r.delackTimer.Armed() {
 			r.delackTimer.Reset(r.cfg.DelAckTimeout)
 		}
-		check.AtMost("tcp.receiver pending segments", int64(r.pendingSegs), int64(r.cfg.DelAckCount))
 	}
 }
 

@@ -376,7 +376,6 @@ func (s *Sender) segSize(seq int64) int {
 	if rem <= 0 {
 		return 0
 	}
-	//lint:allow unitflow cfg.MSS is the segment size in bytes (rem and MSS share a unit); the mss suffix convention marks window counts, which this is not
 	if rem > int64(s.cfg.MSS) {
 		return s.cfg.MSS
 	}
@@ -579,9 +578,13 @@ func (s *Sender) Deliver(pkt *packet.Packet) {
 // assertInvariants checks the sender's window and sequence invariants on
 // the ACK path, the only place this state changes. The window may inflate
 // past MaxCwnd during recovery (one MSS per duplicate ACK), so only the
-// 1-MSS loss-window floor bounds it from below.
+// 1-MSS loss-window floor bounds it from below. These are the runtime
+// twins of the //inv: contracts on the fields they name.
 func (s *Sender) assertInvariants() {
 	check.AtLeast("tcp.cwnd (MSS)", s.cwnd, 1)
+	check.AtLeast("tcp.ssthresh (MSS)", s.ssthresh, 1)
+	check.AtMost("tcp.limited-transmit credit", int64(s.ltCredit), 2)
+	check.AtMost("tcp.rto backoff exponent", int64(s.rtoBackoff), 16)
 	check.NonNegative("tcp.inflight bytes", s.InflightBytes())
 	check.NonNegative("tcp.snd_una", s.sndUna)
 	check.AtMost("tcp.snd_nxt", s.sndNxt, s.totalBytes)
@@ -589,9 +592,7 @@ func (s *Sender) assertInvariants() {
 
 // grow applies slow start or congestion avoidance to the window, honoring
 // any growth cap imposed by the congestion module (see CwndCapper). Both
-// callers guard on forward progress.
-//
-// inv: acked >= 1
+// callers guard on forward progress, so acked is at least 1.
 func (s *Sender) grow(acked int64) {
 	if capper, ok := s.cc.(CwndCapper); ok {
 		if cap, active := capper.CwndCap(s); active && s.cwnd >= cap {
@@ -607,9 +608,8 @@ func (s *Sender) grow(acked int64) {
 	s.cwnd = s.clampCwnd(s.cwnd)
 }
 
-// clampCwnd bounds a window value to [MinCwnd, MaxCwnd].
-//
-// inv: return >= 1
+// clampCwnd bounds a window value to [MinCwnd, MaxCwnd]; MinCwnd is at
+// least 1, so the result never drops below the 1-MSS loss window.
 func (s *Sender) clampCwnd(w float64) float64 {
 	if w < s.cfg.MinCwnd {
 		return s.cfg.MinCwnd
