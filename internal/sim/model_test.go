@@ -1,0 +1,402 @@
+package sim
+
+import (
+	"testing"
+)
+
+// Model-based test of the scheduler: one op stream drives the real
+// Scheduler and a reference queue — a slice kept sorted by when, FIFO among
+// equals (i.e. by (when, seq)), with linear insert and remove — and every
+// observable (fire sequence, Now, Pending, Fired, Timer.Armed/Deadline, live
+// handles' When/Cancelled) is compared after every op. The op stream is a
+// byte string, so the seeded test and FuzzSchedulerModel share one body.
+
+// modelHorizon centres the delay menu: ops draw delays from both sides of
+// it so a queue that treats near and far events differently sees dense ties
+// across that boundary.
+const modelHorizon = 64 * Microsecond
+
+// modelDelays is the delay menu. 200 ms is a multiple of 1 ms and the
+// horizon±1 entries differ by the 1 ns entry, so exact ties between events
+// scheduled at different instants are common.
+var modelDelays = [...]Duration{
+	0, Nanosecond, modelHorizon - 1, modelHorizon, modelHorizon + 1,
+	Millisecond, 200 * Millisecond,
+}
+
+// modelMaxLive caps the plain-event handles outstanding, which bounds the
+// per-op cost of check(); at the cap a schedule op turns into a Cancel.
+const modelMaxLive = 192
+
+const modelTimers = 6
+
+// refEvent is one entry of the reference queue.
+type refEvent struct {
+	when Time
+	id   int
+}
+
+// modelEvent pairs a live scheduler handle with its reference entry.
+type modelEvent struct {
+	ev  *Event
+	ref *refEvent
+}
+
+// modelTimer pairs a Timer with its reference entry (nil while disarmed).
+type modelTimer struct {
+	tm  *Timer
+	ref *refEvent
+}
+
+type schedModel struct {
+	t   *testing.T
+	s   *Scheduler
+	ops []byte
+	pos int
+
+	// Reference state.
+	now    Time
+	fired  uint64
+	queue  []*refEvent // sorted by when, FIFO among equals
+	halted bool        // Halt was called during the current run
+
+	// running is set while Run/RunUntil/RunFor executes; deadline bounds
+	// what that call may fire.
+	running  bool
+	deadline Time
+
+	live   []*modelEvent
+	timers []*modelTimer
+	nextID int
+	argFn  func(any) // once-bound AtArg/AfterArg callback
+	steps  int       // op counter, for failure messages
+}
+
+func newSchedModel(t *testing.T, s *Scheduler, ops []byte) *schedModel {
+	m := &schedModel{t: t, s: s, ops: ops}
+	m.argFn = func(a any) { m.onFire(a.(*modelEvent)) }
+	for i := 0; i < modelTimers; i++ {
+		mt := &modelTimer{}
+		mt.tm = NewTimer(s, func() { m.onTimer(mt) })
+		m.timers = append(m.timers, mt)
+	}
+	return m
+}
+
+// next returns the next op byte; the stream reads as zeros once exhausted
+// and done() turns true.
+func (m *schedModel) next() byte {
+	if m.pos >= len(m.ops) {
+		return 0
+	}
+	b := m.ops[m.pos]
+	m.pos++
+	return b
+}
+
+func (m *schedModel) done() bool { return m.pos >= len(m.ops) }
+
+func (m *schedModel) delay() Duration { return modelDelays[int(m.next())%len(modelDelays)] }
+
+func (m *schedModel) fatalf(format string, args ...any) {
+	m.t.Helper()
+	m.t.Fatalf("op %d (byte %d): "+format, append([]any{m.steps, m.pos}, args...)...)
+}
+
+// refInsert adds an entry after every entry due at or before when: the
+// reference's (when, seq) order.
+func (m *schedModel) refInsert(when Time) *refEvent {
+	r := &refEvent{when: when, id: m.nextID}
+	m.nextID++
+	i := len(m.queue)
+	for i > 0 && m.queue[i-1].when > when {
+		i--
+	}
+	m.queue = append(m.queue, nil)
+	copy(m.queue[i+1:], m.queue[i:])
+	m.queue[i] = r
+	return r
+}
+
+func (m *schedModel) refRemove(r *refEvent) {
+	for i, q := range m.queue {
+		if q == r {
+			m.queue = append(m.queue[:i], m.queue[i+1:]...)
+			return
+		}
+	}
+	m.fatalf("reference lost event %d", r.id)
+}
+
+// refPop is the reference's half of a fire: called first thing in every
+// callback, it advances the reference clock to its earliest entry and
+// checks that this is the event the scheduler chose and was allowed to run.
+func (m *schedModel) refPop(got *refEvent) {
+	if len(m.queue) == 0 {
+		m.fatalf("event %d fired with the reference queue empty", got.id)
+	}
+	want := m.queue[0]
+	m.queue = m.queue[1:]
+	m.now = want.when
+	m.fired++
+	if got != want {
+		m.fatalf("fired event %d (due %v), reference says %d (due %v)", got.id, got.when, want.id, want.when)
+	}
+	if m.running && m.halted {
+		m.fatalf("event %d fired after Halt", got.id)
+	}
+	if m.running && want.when > m.deadline {
+		m.fatalf("event %d due %v fired past the deadline %v", got.id, want.when, m.deadline)
+	}
+}
+
+// check compares every observable of the scheduler with the reference.
+func (m *schedModel) check() {
+	m.t.Helper()
+	s := m.s
+	if s.Now() != m.now || s.Pending() != len(m.queue) || s.Fired() != m.fired {
+		m.fatalf("now/pending/fired = %d/%d/%d, reference %d/%d/%d",
+			s.Now(), s.Pending(), s.Fired(), m.now, len(m.queue), m.fired)
+	}
+	for i, mt := range m.timers {
+		wantDeadline := Infinity
+		if mt.ref != nil {
+			wantDeadline = mt.ref.when
+		}
+		if mt.tm.Armed() != (mt.ref != nil) || mt.tm.Deadline() != wantDeadline {
+			m.fatalf("timer %d armed=%v deadline=%v, reference armed=%v deadline=%v",
+				i, mt.tm.Armed(), mt.tm.Deadline(), mt.ref != nil, wantDeadline)
+		}
+	}
+	for _, le := range m.live {
+		if le.ev.Cancelled() || le.ev.When() != le.ref.when {
+			m.fatalf("live event %d cancelled=%v when=%v, reference due %v",
+				le.ref.id, le.ev.Cancelled(), le.ev.When(), le.ref.when)
+		}
+	}
+}
+
+// dropLive forgets a handle that fired or was cancelled.
+func (m *schedModel) dropLive(le *modelEvent) {
+	for i, l := range m.live {
+		if l == le {
+			m.live[i] = m.live[len(m.live)-1]
+			m.live = m.live[:len(m.live)-1]
+			return
+		}
+	}
+	m.fatalf("event %d not among the live handles", le.ref.id)
+}
+
+func (m *schedModel) pickLive() *modelEvent {
+	if len(m.live) == 0 {
+		return nil
+	}
+	return m.live[int(m.next())%len(m.live)]
+}
+
+func (m *schedModel) pickTimer() *modelTimer {
+	return m.timers[int(m.next())%len(m.timers)]
+}
+
+// schedule mints one plain event through the API variant kind selects.
+func (m *schedModel) schedule(kind byte) {
+	if len(m.live) >= modelMaxLive {
+		m.cancel(false)
+		return
+	}
+	le := &modelEvent{}
+	d := m.delay()
+	switch kind % 5 {
+	case 0:
+		le.ev = m.s.At(m.now.Add(d), func() { m.onFire(le) })
+	case 1:
+		le.ev = m.s.After(d, func() { m.onFire(le) })
+	case 2:
+		le.ev = m.s.AtArg(m.now.Add(d), m.argFn, le)
+	case 3:
+		le.ev = m.s.AfterArg(d, m.argFn, le)
+	case 4:
+		// The exact instant of an event already queued (scheduled earlier,
+		// possibly much earlier): a same-instant tie by construction.
+		d = 0
+		if peer := m.pickLive(); peer != nil {
+			d = peer.ref.when.Sub(m.now)
+		}
+		le.ev = m.s.At(m.now.Add(d), func() { m.onFire(le) })
+	}
+	le.ref = m.refInsert(m.now.Add(d))
+	m.live = append(m.live, le)
+}
+
+// cancel cancels a live handle; with twice, a second time straight away
+// (dead handle, nothing scheduled since: a no-op by contract) and nil too.
+func (m *schedModel) cancel(twice bool) {
+	le := m.pickLive()
+	if le == nil {
+		m.s.Cancel(nil)
+		return
+	}
+	m.s.Cancel(le.ev)
+	if !le.ev.Cancelled() {
+		m.fatalf("event %d not Cancelled() after Cancel", le.ref.id)
+	}
+	if twice {
+		m.s.Cancel(le.ev)
+		m.s.Cancel(nil)
+	}
+	m.refRemove(le.ref)
+	m.dropLive(le)
+}
+
+func (m *schedModel) timerOp(kind byte) {
+	mt := m.pickTimer()
+	if mt.ref != nil {
+		m.refRemove(mt.ref)
+		mt.ref = nil
+	}
+	switch kind % 3 {
+	case 0:
+		d := m.delay()
+		mt.tm.Reset(d)
+		mt.ref = m.refInsert(m.now.Add(d))
+	case 1:
+		at := m.now.Add(m.delay())
+		mt.tm.ResetAt(at)
+		mt.ref = m.refInsert(at)
+	case 2:
+		mt.tm.Stop()
+	}
+}
+
+// onFire is every plain event's callback.
+func (m *schedModel) onFire(le *modelEvent) {
+	m.refPop(le.ref)
+	m.dropLive(le)
+	b := m.next()
+	if b&1 != 0 {
+		// Cancel of a fired handle before anything could reuse it.
+		m.s.Cancel(le.ev)
+	}
+	m.check()
+	m.inCallback(b >> 1)
+}
+
+// onTimer is every timer's callback.
+func (m *schedModel) onTimer(mt *modelTimer) {
+	m.refPop(mt.ref)
+	mt.ref = nil
+	m.check()
+	m.inCallback(m.next())
+}
+
+// inCallback runs up to two ops from inside a firing event.
+func (m *schedModel) inCallback(b byte) {
+	for n := int(b % 3); n > 0 && !m.done(); n-- {
+		switch op := m.next(); op % 8 {
+		case 0, 1, 2:
+			m.schedule(op / 8)
+		case 3:
+			m.cancel(op&8 != 0)
+		case 4, 5, 6:
+			m.timerOp(op / 8)
+		case 7:
+			m.s.Halt()
+			m.halted = true
+		}
+		m.check()
+	}
+}
+
+// run wraps a Run/RunUntil/RunFor call: everything due at or before
+// deadline must fire unless a callback halts the run, and nothing else.
+func (m *schedModel) run(deadline Time, call func()) {
+	m.running, m.halted, m.deadline = true, false, deadline
+	call()
+	m.running = false
+	if !m.halted && len(m.queue) > 0 && m.queue[0].when <= deadline {
+		m.fatalf("run to %v returned with event %d (due %v) still queued",
+			deadline, m.queue[0].id, m.queue[0].when)
+	}
+}
+
+// step runs one op from outside any callback.
+func (m *schedModel) step() {
+	m.steps++
+	switch op := m.next(); op % 16 {
+	case 0, 1, 2, 3, 4, 5, 6:
+		m.schedule(op / 16)
+	case 7:
+		m.cancel(op&16 != 0)
+	case 8, 9, 10:
+		m.timerOp(op / 16)
+	case 11, 12, 13:
+		want := len(m.queue) > 0
+		if got := m.s.Step(); got != want {
+			m.fatalf("Step() = %v with %d events in the reference", got, len(m.queue))
+		}
+	case 14:
+		d := m.delay()
+		deadline := m.now.Add(d)
+		if op&16 != 0 {
+			m.run(deadline, func() { m.s.RunFor(d) })
+		} else {
+			m.run(deadline, func() { m.s.RunUntil(deadline) })
+		}
+	case 15:
+		// Halt outside a run is forgotten by the next Run/RunUntil and
+		// ignored by Step.
+		m.s.Halt()
+	}
+	m.check()
+}
+
+// runSchedulerModel replays ops against s and the reference, then drains
+// what is left with Run (re-entered after every Halt).
+func runSchedulerModel(t *testing.T, s *Scheduler, ops []byte) {
+	m := newSchedModel(t, s, ops)
+	for !m.done() {
+		m.step()
+	}
+	for len(m.queue) > 0 {
+		m.steps++
+		before := m.fired
+		m.run(Infinity, m.s.Run)
+		m.check()
+		if m.fired == before {
+			m.fatalf("Run made no progress with %d events queued", len(m.queue))
+		}
+	}
+	if m.s.Step() {
+		m.fatalf("Step fired with the reference drained")
+	}
+}
+
+// modelOps expands a seed into an op stream.
+func modelOps(seed uint64, n int) []byte {
+	r := NewRNG(seed)
+	ops := make([]byte, n)
+	for i := range ops {
+		ops[i] = byte(r.Uint64() >> 32)
+	}
+	return ops
+}
+
+func TestSchedulerModel(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		runSchedulerModel(t, NewScheduler(), modelOps(seed, 30000))
+	}
+}
+
+func FuzzSchedulerModel(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(modelOps(1, 64))
+	f.Add(modelOps(2, 512))
+	// At(horizon+1); twice At(+1 ns) and Step, so now = 2 ns; At(horizon-1)
+	// ties with the first event from the other side of the horizon; two
+	// Steps must fire them in scheduling order.
+	f.Add([]byte{0, 4, 0, 1, 11, 0, 0, 1, 11, 0, 0, 2, 11, 0, 11, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		runSchedulerModel(t, NewScheduler(), ops)
+	})
+}
