@@ -100,9 +100,10 @@ oracle-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./internal/sim ./internal/netsim ./internal/tcp
 
-# Just the allocation-budget regression tests, without the benchmarks.
+# Just the allocation-budget regression tests, without the benchmarks
+# (internal/workload: an incast round must not allocate per flow).
 alloc-check:
-	$(GO) test -run 'AllocBudget|AllocFree' ./internal/sim ./internal/netsim ./internal/tcp
+	$(GO) test -run 'AllocBudget|AllocFree' ./internal/sim ./internal/netsim ./internal/tcp ./internal/workload
 
 # The benchmark's own smoke (cmd/perf at 1/50 scale: all five workloads,
 # their output checks, every twin run's digest against its facade's). `race`

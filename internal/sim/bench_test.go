@@ -17,6 +17,63 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerIncastMix is the queue composition measured on a massive
+// incast (DESIGN.md, "Event queue"): 2,000 RTO timers parked 200 ms out, 300
+// pacing/service gates 64 us-8 ms out, and 16 packet-hop events 0.5-16.5 us
+// out that make up nine fires in ten; every 12th hop disarms and re-arms one
+// timer, as a flow's last ACK and next request do. Delays are seeded and
+// irregular on purpose: a fixed-delay churn behind the same timers sifts
+// along one perfectly predicted path and hides most of the cost.
+func BenchmarkSchedulerIncastMix(b *testing.B) {
+	s := NewScheduler()
+	r := NewRNG(1)
+	rto := func() Duration { return 200*Millisecond + r.Duration(Millisecond) }
+	timers := make([]*Timer, 2000)
+	for i := range timers {
+		i := i
+		timers[i] = NewTimer(s, func() { timers[i].Reset(rto()) })
+		timers[i].Reset(rto())
+	}
+	var gate, hop func()
+	gate = func() { s.After(64*Microsecond+r.Duration(8*Millisecond-64*Microsecond), gate) }
+	hops := 0
+	hop = func() {
+		if hops++; hops%12 == 0 {
+			tm := timers[r.Intn(len(timers))]
+			tm.Stop()
+			tm.Reset(rto())
+		}
+		s.After(500*Nanosecond+r.Duration(16*Microsecond), hop)
+	}
+	for i := 0; i < 300; i++ {
+		gate()
+	}
+	for i := 0; i < 16; i++ {
+		hop()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+// BenchmarkSchedulerFarChurn is the path the near heap does nothing for:
+// every delay is at or past the horizon, so all 64 events live in the far
+// heap and the split costs one comparison per operation.
+func BenchmarkSchedulerFarChurn(b *testing.B) {
+	s := NewScheduler()
+	r := NewRNG(1)
+	var fn func()
+	fn = func() { s.After(nearHorizon+r.Duration(Millisecond), fn) }
+	for i := 0; i < 64; i++ {
+		fn()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
 func BenchmarkSchedulerCancel(b *testing.B) {
 	s := NewScheduler()
 	evs := make([]*Event, 0, 1024)
@@ -69,27 +126,46 @@ func BenchmarkRNGExp(b *testing.B) {
 }
 
 // TestSchedulerAllocBudget pins the engine's steady-state budget at zero:
-// once the event freelist is primed, churn (fire + reschedule), timer
-// rearming and cancellation all recycle Event objects instead of minting
-// new ones.
+// once the event freelist is primed, churn (fire + reschedule) in either
+// heap or between them, timer rearming — across the horizon too — and
+// cancellation all recycle Event objects instead of minting new ones.
 func TestSchedulerAllocBudget(t *testing.T) {
-	s := NewScheduler()
-	var fn func()
-	fn = func() { s.After(10, fn) }
-	for i := 0; i < 64; i++ {
-		s.After(Duration(i), fn)
-	}
-	for i := 0; i < 128; i++ {
-		s.Step()
-	}
-	if got := testing.AllocsPerRun(500, func() { s.Step() }); got != 0 {
-		t.Fatalf("Step allocates %.1f times per event, want 0", got)
+	for _, c := range []struct {
+		name   string
+		delays [2]Duration
+	}{
+		{"near", [2]Duration{10, 10}},
+		{"far", [2]Duration{nearHorizon, 2 * nearHorizon}},
+		{"mixed near/far", [2]Duration{10, nearHorizon + 10}},
+	} {
+		s := NewScheduler()
+		n := 0
+		var fn func()
+		fn = func() { n++; s.After(c.delays[n%2], fn) }
+		for i := 0; i < 64; i++ {
+			s.After(Duration(i), fn)
+		}
+		for i := 0; i < 1024; i++ {
+			s.Step()
+		}
+		if got := testing.AllocsPerRun(500, func() { s.Step() }); got != 0 {
+			t.Fatalf("%s churn: Step allocates %.1f times per event, want 0", c.name, got)
+		}
 	}
 
+	s := NewScheduler()
 	tm := NewTimer(s, func() {})
 	tm.Reset(Second)
 	if got := testing.AllocsPerRun(500, func() { tm.Reset(Second) }); got != 0 {
 		t.Fatalf("Timer.Reset allocates %.1f times per rearm, want 0", got)
+	}
+	across := [2]Duration{nearHorizon - 1, Second}
+	n := 0
+	rearm := func() { n++; tm.Reset(across[n%2]) }
+	rearm()
+	rearm()
+	if got := testing.AllocsPerRun(500, rearm); got != 0 {
+		t.Fatalf("Timer.Reset across the horizon allocates %.1f times per rearm, want 0", got)
 	}
 
 	noop := func() {}

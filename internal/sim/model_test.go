@@ -1,8 +1,6 @@
 package sim
 
-import (
-	"testing"
-)
+import "testing"
 
 // Model-based test of the scheduler: one op stream drives the real
 // Scheduler and a reference queue — a slice kept sorted by when, FIFO among
@@ -11,18 +9,18 @@ import (
 // handles' When/Cancelled) is compared after every op. The op stream is a
 // byte string, so the seeded test and FuzzSchedulerModel share one body.
 
-// modelHorizon centres the delay menu: ops draw delays from both sides of
-// it so a queue that treats near and far events differently sees dense ties
-// across that boundary.
-const modelHorizon = 64 * Microsecond
-
-// modelDelays is the delay menu. 200 ms is a multiple of 1 ms and the
-// horizon±1 entries differ by the 1 ns entry, so exact ties between events
-// scheduled at different instants are common.
+// modelDelays is the delay menu, dense on both sides of the near/far split.
+// 200 ms is a multiple of 1 ms and the horizon±1 entries differ by the 1 ns
+// entry, so exact ties between events scheduled at different instants — and
+// therefore queued in different heaps — are common.
 var modelDelays = [...]Duration{
-	0, Nanosecond, modelHorizon - 1, modelHorizon, modelHorizon + 1,
+	0, Nanosecond, nearHorizon - 1, nearHorizon, nearHorizon + 1,
 	Millisecond, 200 * Millisecond,
 }
+
+// modelHorizons are the splits every op stream is replayed under: the
+// constant, everything in the far heap, everything in the near heap.
+var modelHorizons = [...]Duration{nearHorizon, 0, Duration(Infinity)}
 
 // modelMaxLive caps the plain-event handles outstanding, which bounds the
 // per-op cost of check(); at the cap a schedule op turns into a Cancel.
@@ -206,12 +204,13 @@ func (m *schedModel) schedule(kind byte) {
 		return
 	}
 	le := &modelEvent{}
+	fn := func() { m.onFire(le) }
 	d := m.delay()
 	switch kind % 5 {
 	case 0:
-		le.ev = m.s.At(m.now.Add(d), func() { m.onFire(le) })
+		le.ev = m.s.At(m.now.Add(d), fn)
 	case 1:
-		le.ev = m.s.After(d, func() { m.onFire(le) })
+		le.ev = m.s.After(d, fn)
 	case 2:
 		le.ev = m.s.AtArg(m.now.Add(d), m.argFn, le)
 	case 3:
@@ -223,7 +222,7 @@ func (m *schedModel) schedule(kind byte) {
 		if peer := m.pickLive(); peer != nil {
 			d = peer.ref.when.Sub(m.now)
 		}
-		le.ev = m.s.At(m.now.Add(d), func() { m.onFire(le) })
+		le.ev = m.s.At(m.now.Add(d), fn)
 	}
 	le.ref = m.refInsert(m.now.Add(d))
 	m.live = append(m.live, le)
@@ -351,9 +350,12 @@ func (m *schedModel) step() {
 	m.check()
 }
 
-// runSchedulerModel replays ops against s and the reference, then drains
-// what is left with Run (re-entered after every Halt).
-func runSchedulerModel(t *testing.T, s *Scheduler, ops []byte) {
+// runSchedulerModel replays ops against a scheduler split at horizon and
+// the reference, then drains what is left with Run (re-entered after every
+// Halt).
+func runSchedulerModel(t *testing.T, horizon Duration, ops []byte) {
+	s := NewScheduler()
+	s.horizon = horizon
 	m := newSchedModel(t, s, ops)
 	for !m.done() {
 		m.step()
@@ -384,7 +386,10 @@ func modelOps(seed uint64, n int) []byte {
 
 func TestSchedulerModel(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		runSchedulerModel(t, NewScheduler(), modelOps(seed, 30000))
+		ops := modelOps(seed, 30000)
+		for _, horizon := range modelHorizons {
+			runSchedulerModel(t, horizon, ops)
+		}
 	}
 }
 
@@ -392,11 +397,13 @@ func FuzzSchedulerModel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(modelOps(1, 64))
 	f.Add(modelOps(2, 512))
-	// At(horizon+1); twice At(+1 ns) and Step, so now = 2 ns; At(horizon-1)
-	// ties with the first event from the other side of the horizon; two
-	// Steps must fire them in scheduling order.
+	// At(horizon+1) -> far; twice At(+1 ns) and Step, so now = 2 ns;
+	// At(horizon-1) -> near, the same instant as the first event; two Steps
+	// must fire them in scheduling order.
 	f.Add([]byte{0, 4, 0, 1, 11, 0, 0, 1, 11, 0, 0, 2, 11, 0, 11, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		runSchedulerModel(t, NewScheduler(), ops)
+		for _, horizon := range modelHorizons {
+			runSchedulerModel(t, horizon, ops)
+		}
 	})
 }

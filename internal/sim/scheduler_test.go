@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSchedulerOrdering(t *testing.T) {
@@ -267,5 +269,106 @@ func TestFiredCounter(t *testing.T) {
 	s.Run()
 	if s.Fired() != 5 {
 		t.Errorf("Fired = %d, want 5", s.Fired())
+	}
+}
+
+// The freelist's size class: an Event must stay one 64-byte object.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 64", got)
+	}
+}
+
+// Two events due at the same instant fire in scheduling order even when the
+// first was queued far and the second, scheduled later with a shorter
+// delay, near. (There is no mirror case: of two events due at one instant
+// the far one has the longer delay, so it was scheduled first.)
+func TestSchedulerSameInstantFIFOAcrossHeaps(t *testing.T) {
+	s := NewScheduler()
+	at := Time(100 * Microsecond)
+	var got []string
+	s.At(at, func() { got = append(got, "A") })
+	s.At(Time(90*Microsecond), func() {
+		s.At(at, func() { got = append(got, "B") })
+	})
+	s.RunUntil(Time(90 * Microsecond))
+	if len(s.far) != 1 || len(s.near) != 1 {
+		t.Fatalf("far/near hold %d/%d events, want 1/1", len(s.far), len(s.near))
+	}
+	s.Run()
+	if !slices.Equal(got, []string{"A", "B"}) {
+		t.Errorf("fired %v, want [A B]", got)
+	}
+}
+
+// Cancel takes an event out of the heap it is in and leaves the other heap
+// alone; Pending counts both.
+func TestSchedulerCancelAcrossHeaps(t *testing.T) {
+	s := NewScheduler()
+	var fired []int
+	add := func(id int, d Duration) *Event {
+		return s.After(d, func() { fired = append(fired, id) })
+	}
+	near := []*Event{add(0, 3), add(1, 1), add(2, 2)}
+	far := []*Event{add(3, 3*Millisecond), add(4, Millisecond), add(5, 2*Millisecond)}
+	if len(s.near) != 3 || len(s.far) != 3 || s.Pending() != 6 {
+		t.Fatalf("near/far/Pending = %d/%d/%d, want 3/3/6", len(s.near), len(s.far), s.Pending())
+	}
+	farBefore := append([]*Event(nil), s.far...)
+	s.Cancel(near[1])
+	if len(s.near) != 2 || s.Pending() != 5 {
+		t.Errorf("after near cancel: near/Pending = %d/%d, want 2/5", len(s.near), s.Pending())
+	}
+	for i, e := range s.far {
+		if e != farBefore[i] {
+			t.Errorf("near cancel moved far[%d]", i)
+		}
+	}
+	nearBefore := append([]*Event(nil), s.near...)
+	s.Cancel(far[1])
+	if len(s.far) != 2 || s.Pending() != 4 {
+		t.Errorf("after far cancel: far/Pending = %d/%d, want 2/4", len(s.far), s.Pending())
+	}
+	for i, e := range s.near {
+		if e != nearBefore[i] {
+			t.Errorf("far cancel moved near[%d]", i)
+		}
+	}
+	s.Run()
+	if want := []int{2, 0, 5, 3}; !slices.Equal(fired, want) {
+		t.Errorf("fired %v, want %v", fired, want)
+	}
+}
+
+// RunUntil stops on the smaller of the two roots, whichever heap holds it,
+// and leaves the clock at the last event fired.
+func TestSchedulerRunUntilAcrossHeaps(t *testing.T) {
+	s := NewScheduler()
+	count := 0
+	tick := func() { count++ }
+	s.At(Time(70*Microsecond), tick) // far
+	s.At(Time(80*Microsecond), tick) // far
+	s.At(Time(10*Microsecond), func() {
+		count++
+		s.At(Time(73*Microsecond), tick) // near, between the two far events
+	})
+	s.RunUntil(Time(75 * Microsecond))
+	if count != 3 || s.Pending() != 1 {
+		t.Errorf("fired %d with %d pending, want 3 and 1", count, s.Pending())
+	}
+	if s.Now() != Time(73*Microsecond) {
+		t.Errorf("Now = %v, want 73us (the last event fired, not the deadline)", s.Now())
+	}
+	// The far root is past the deadline while a near event is not, and the
+	// other way round.
+	s.At(Time(74*Microsecond), tick) // near
+	s.RunUntil(Time(79 * Microsecond))
+	if count != 4 || s.Now() != Time(74*Microsecond) || len(s.far) != 1 {
+		t.Errorf("count/now/far = %d/%v/%d, want 4/74us/1", count, s.Now(), len(s.far))
+	}
+	s.At(Time(90*Microsecond), tick) // near
+	s.RunUntil(Time(85 * Microsecond))
+	if count != 5 || s.Now() != Time(80*Microsecond) || len(s.near) != 1 {
+		t.Errorf("count/now/near = %d/%v/%d, want 5/80us/1", count, s.Now(), len(s.near))
 	}
 }

@@ -1,7 +1,15 @@
 // Package sim provides the discrete-event simulation engine underlying the
-// DCTCP+ reproduction: a virtual clock with nanosecond resolution, a
-// binary-heap event scheduler with cancellable timers, and a deterministic
-// pseudo-random number generator.
+// DCTCP+ reproduction: a virtual clock with nanosecond resolution, an event
+// scheduler with cancellable timers, and a deterministic pseudo-random
+// number generator.
+//
+// The scheduler's queue is two binary heaps split by scheduling delay: a
+// near heap for the microsecond packet-hop events that make up nine fires
+// in ten and a far heap for the RTO timers and pacing gates that sit parked
+// for milliseconds, so the per-packet cycle does not sift past thousands of
+// timers. Both heaps order by (when, seq) and the scheduler fires the
+// smaller root, so events fire in exactly the order one heap would give;
+// see Scheduler.
 //
 // All protocol and network models in this repository are driven exclusively
 // by this engine; no wall-clock time is consulted anywhere, so a run is a

@@ -146,6 +146,11 @@ type Incast struct {
 	// idempotent.
 	servedRound []int
 
+	// respondFn starts a response on the *tcp.Sender it is handed: bound
+	// once so onRequest schedules through AtArg/AfterArg without minting a
+	// closure per flow per round.
+	respondFn func(any)
+
 	results []RoundResult
 
 	// Telemetry instruments; nil (no-op) unless AttachTelemetry was called.
@@ -179,6 +184,8 @@ func NewIncast(sched *sim.Scheduler, tt *netsim.TwoTier, cfg IncastConfig) *Inca
 	for i := range in.servedRound {
 		in.servedRound[i] = -1
 	}
+	n := cfg.BytesPerFlow
+	in.respondFn = func(snd any) { snd.(*tcp.Sender).Send(n) }
 	for i := 0; i < cfg.Flows; i++ {
 		i := i
 		w := tt.Workers[i%len(tt.Workers)]
@@ -277,8 +284,8 @@ func (in *Incast) retryRequests(round int64) {
 }
 
 // onRequest runs on a worker when the aggregator's request arrives: the
-// matching sender responds with the requested bytes after its service
-// delay.
+// matching sender responds with the requested bytes — cfg.BytesPerFlow in
+// every request sendRequest builds — after its service delay.
 func (in *Incast) onRequest(pkt *packet.Packet) {
 	snd, ok := in.senders[pkt.Flow]
 	if !ok {
@@ -289,7 +296,6 @@ func (in *Incast) onRequest(pkt *packet.Packet) {
 		return // duplicate of a request already being served
 	}
 	in.servedRound[i] = int(pkt.Seq)
-	n := pkt.ReqBytes
 	delay := sim.Duration(0)
 	if in.cfg.ServiceJitter > 0 {
 		delay = in.rng.Duration(in.cfg.ServiceJitter)
@@ -305,14 +311,14 @@ func (in *Incast) onRequest(pkt *packet.Packet) {
 		}
 		done := start.Add(in.rng.Exp(in.cfg.ServiceTime))
 		in.cpuFree[w] = done
-		in.sched.At(done, func() { snd.Send(n) })
+		in.sched.AtArg(done, in.respondFn, snd)
 		return
 	}
 	if delay > 0 {
-		in.sched.After(delay, func() { snd.Send(n) })
+		in.sched.AfterArg(delay, in.respondFn, snd)
 		return
 	}
-	snd.Send(n)
+	snd.Send(in.cfg.BytesPerFlow)
 }
 
 // onData tracks per-flow response progress; when the last byte of the last

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"dctcpplus/internal/netsim"
@@ -115,5 +116,32 @@ func TestIncastDeterministicWithJitter(t *testing.T) {
 		if a[i].FCT != b[i].FCT || a[i].Start != b[i].Start {
 			t.Errorf("round %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestIncastRoundAllocBudget pins the per-round allocation of the delayed
+// response path: responses are scheduled with a callback bound once per
+// workload and the sender as the event's argument, so a round costs a
+// handful of allocations (its result record), not one closure per flow.
+func TestIncastRoundAllocBudget(t *testing.T) {
+	const flows = 200
+	mallocs := func(rounds int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runIncast(t, IncastConfig{
+			Flows:        flows,
+			BytesPerFlow: 2000,
+			Rounds:       rounds,
+			ServiceTime:  20 * sim.Microsecond,
+			Seed:         3,
+			Factory:      plusFactory(10 * sim.Millisecond),
+		})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	const short, long = 4, 20
+	perRound := float64(mallocs(long)-mallocs(short)) / (long - short)
+	if perRound >= flows/2 {
+		t.Errorf("%.0f allocations per extra round of %d flows, want well under one per flow", perRound, flows)
 	}
 }
