@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fmt-check lint typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke clean
+.PHONY: all build vet test race fmt-check lint typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke figures-smoke clean
 
 all: check
 
@@ -51,7 +51,7 @@ typestate-smoke:
 	$(GO) test -tags checkdebug ./internal/packet ./internal/workload
 	$(GO) test ./internal/packet
 
-check: build vet fmt-check lint typestate-smoke race fault-smoke sweep-smoke oracle-smoke perf-smoke
+check: build vet fmt-check lint typestate-smoke race fault-smoke sweep-smoke oracle-smoke perf-smoke figures-smoke
 
 # Fault-injection smoke: a full-mix faulted sweep must complete, stay
 # deterministic, conserve every packet/byte, and keep DCTCP+ no worse than
@@ -110,6 +110,24 @@ alloc-check:
 # cannot cover it — cmd/perf's child-process tests skip under -race.
 perf-smoke:
 	$(GO) run ./cmd/perf -smoke
+
+# Figure-binary smoke: cwndstat, queuestat and benchmark are shells over the
+# figure catalogue (exp.Figure) whose tests stop at validate(); run each
+# mode's main path at tiny scale and fail on a non-zero exit or a table
+# without data rows.
+figures-smoke:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./cmd/cwndstat ./cmd/queuestat ./cmd/benchmark; \
+	smoke() { rows="$$1"; shift; \
+		"$$dir/$$@" >"$$dir/out.txt" || { echo "figures-smoke: $$* failed"; exit 1; }; \
+		grep -Eq "$$rows" "$$dir/out.txt" || { \
+			echo "figures-smoke: $$* printed no data rows:"; cat "$$dir/out.txt"; exit 1; }; }; \
+	smoke '^dctcp +8 \|' cwndstat -flows 8 -rounds 4 -warmup 1; \
+	smoke '^dctcp\+ +8 \|' queuestat -flows 8 -rounds 4 -warmup 1; \
+	smoke '^t= +0ms' queuestat -trace; \
+	smoke '^dctcp\+ +20 ' benchmark -queries 20 -background 20; \
+	smoke '^dctcp\+ +8 ' benchmark -incast 4,8 -rounds 4 -warmup 1; \
+	echo "figures-smoke: 5 figure-binary modes ran and printed their tables"
 
 clean:
 	$(GO) clean ./...

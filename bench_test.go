@@ -35,6 +35,15 @@ func fastOpts(p dcp.Protocol, n int) dcp.IncastOptions {
 	return o
 }
 
+// runFigure runs a catalogue figure at bench scale over the given flow
+// counts.
+func runFigure(f *dcp.Figure, flowCounts ...int) *dcp.Figure {
+	f.Scale = dcp.Scale{Rounds: benchRounds, Warmup: benchWarmup, Seed: 1}
+	f.FlowCounts = flowCounts
+	f.Run()
+	return f
+}
+
 // printOnce guards the row dumps so repeated b.N iterations do not spam.
 var printOnce sync.Map
 
@@ -48,19 +57,15 @@ func dumpOnce(key string, f func()) {
 // TCP as the number of concurrent flows grows. Expected shape: TCP
 // collapses past ~10 flows, DCTCP past ~35-40.
 func BenchmarkFig1_IncastDCTCPvsTCP(b *testing.B) {
-	flowCounts := []int{1, 5, 10, 20, 40, 60, 80}
 	for i := 0; i < b.N; i++ {
-		var all []dcp.IncastResult
-		for _, p := range []dcp.Protocol{dcp.ProtoTCP, dcp.ProtoDCTCP} {
-			all = append(all, dcp.SweepIncast(fastOpts(p, 0), flowCounts)...)
-		}
+		f := runFigure(dcp.NewFigure1(), 1, 5, 10, 20, 40, 60, 80)
 		dumpOnce("fig1", func() {
 			fmt.Println("\n=== Figure 1: goodput vs concurrent flows (DCTCP, TCP) ===")
-			dcp.PrintIncastRows(os.Stdout, all)
+			f.Render(os.Stdout)
 		})
 		// Headline: DCTCP goodput at N=40 (last point before its collapse)
 		// and at N=60 (after).
-		for _, r := range all {
+		for _, r := range f.Results {
 			if r.Protocol == dcp.ProtoDCTCP && r.Flows == 40 {
 				b.ReportMetric(r.GoodputMbps.Mean, "dctcp40_mbps")
 			}
@@ -163,14 +168,15 @@ func BenchmarkTable1_TimeoutTaxonomy(b *testing.B) {
 // up past DCTCP's collapse point but degrades again at high N, where the
 // still-synchronized bursts defeat pure rate reduction.
 func BenchmarkFig6_PartialDCTCPPlus(b *testing.B) {
-	flowCounts := []int{20, 40, 60, 80, 120, 160}
 	for i := 0; i < b.N; i++ {
-		partial := dcp.SweepIncast(fastOpts(dcp.ProtoDCTCPPlusPartial, 0), flowCounts)
+		f := dcp.NewFigure6()
+		f.Protocols = f.Protocols[:1] // the partial curve alone; Fig. 7 has the full one
+		runFigure(f, 20, 40, 60, 80, 120, 160)
 		dumpOnce("fig6", func() {
 			fmt.Println("\n=== Figure 6: partially implemented DCTCP+ (no desynchronization) ===")
-			dcp.PrintIncastRows(os.Stdout, partial)
+			f.Render(os.Stdout)
 		})
-		b.ReportMetric(partial[len(partial)-1].GoodputMbps.Mean, "partial_atN160_mbps")
+		b.ReportMetric(f.Results[len(f.Results)-1].GoodputMbps.Mean, "partial_atN160_mbps")
 	}
 }
 
@@ -178,17 +184,13 @@ func BenchmarkFig6_PartialDCTCPPlus(b *testing.B) {
 // Expected shape: DCTCP+ sustains high goodput and low FCT to 200 flows
 // while DCTCP and TCP sit in RTO-dominated collapse.
 func BenchmarkFig7_FullDCTCPPlus(b *testing.B) {
-	flowCounts := []int{20, 60, 120, 200}
 	for i := 0; i < b.N; i++ {
-		var all []dcp.IncastResult
-		for _, p := range []dcp.Protocol{dcp.ProtoDCTCPPlus, dcp.ProtoDCTCP, dcp.ProtoTCP} {
-			all = append(all, dcp.SweepIncast(fastOpts(p, 0), flowCounts)...)
-		}
+		f := runFigure(dcp.NewFigure7(), 20, 60, 120, 200)
 		dumpOnce("fig7", func() {
 			fmt.Println("\n=== Figure 7: full DCTCP+ vs DCTCP vs TCP ===")
-			dcp.PrintIncastRows(os.Stdout, all)
+			f.Render(os.Stdout)
 		})
-		for _, r := range all {
+		for _, r := range f.Results {
 			if r.Protocol == dcp.ProtoDCTCPPlus && r.Flows == 200 {
 				b.ReportMetric(r.GoodputMbps.Mean, "plus200_mbps")
 				b.ReportMetric(r.FCTms.Mean, "plus200_fct_ms")
@@ -202,20 +204,13 @@ func BenchmarkFig7_FullDCTCPPlus(b *testing.B) {
 // the short RTO lifts DCTCP/TCP off the floor but DCTCP+ still wins without
 // touching the timer.
 func BenchmarkFig8_RTO10ms(b *testing.B) {
-	flowCounts := []int{20, 60, 120, 200}
 	for i := 0; i < b.N; i++ {
-		var all []dcp.IncastResult
-		all = append(all, dcp.SweepIncast(fastOpts(dcp.ProtoDCTCPPlus, 0), flowCounts)...)
-		for _, p := range []dcp.Protocol{dcp.ProtoDCTCP, dcp.ProtoTCP} {
-			o := fastOpts(p, 0)
-			o.RTOMin = 10 * dcp.Millisecond
-			all = append(all, dcp.SweepIncast(o, flowCounts)...)
-		}
+		f := runFigure(dcp.NewFigure8(), 20, 60, 120, 200)
 		dumpOnce("fig8", func() {
 			fmt.Println("\n=== Figure 8: DCTCP+ (RTOmin 200ms) vs DCTCP/TCP at RTOmin 10ms ===")
-			dcp.PrintIncastRows(os.Stdout, all)
+			f.Render(os.Stdout)
 		})
-		for _, r := range all {
+		for _, r := range f.Results {
 			if r.Protocol == dcp.ProtoDCTCP && r.Flows == 200 {
 				b.ReportMetric(r.GoodputMbps.Mean, "dctcp10ms200_mbps")
 			}
@@ -229,32 +224,14 @@ func BenchmarkFig8_RTO10ms(b *testing.B) {
 // gap widening as N grows.
 func BenchmarkFig9_QueueCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		type row struct {
-			p dcp.Protocol
-			n int
-			r dcp.IncastResult
-		}
-		var rows []row
-		for _, n := range []int{30, 50, 80} {
-			for _, p := range []dcp.Protocol{dcp.ProtoDCTCPPlus, dcp.ProtoDCTCP, dcp.ProtoTCP} {
-				o := fastOpts(p, n)
-				o.QueueSampleEvery = 100 * dcp.Microsecond
-				rows = append(rows, row{p, n, dcp.RunIncast(o)})
-			}
-		}
+		f := runFigure(dcp.NewFigure9(), 30, 50, 80)
 		dumpOnce("fig9", func() {
 			fmt.Println("\n=== Figure 9: bottleneck queue-length CDF (bytes) ===")
-			fmt.Printf("%-14s %4s | %9s %9s %9s %9s\n", "proto", "N", "p50", "p90", "p99", "max")
-			for _, rw := range rows {
-				cdf := rw.r.QueueCDF()
-				fmt.Printf("%-14s %4d | %9.0f %9.0f %9.0f %9.0f\n",
-					rw.p, rw.n, cdf.Quantile(0.5), cdf.Quantile(0.9),
-					cdf.Quantile(0.99), cdf.Quantile(1))
-			}
+			f.Render(os.Stdout)
 		})
-		for _, rw := range rows {
-			if rw.p == dcp.ProtoDCTCPPlus && rw.n == 80 {
-				b.ReportMetric(rw.r.QueueCDF().Quantile(0.5), "plus80_q50_bytes")
+		for _, r := range f.Results {
+			if r.Protocol == dcp.ProtoDCTCPPlus && r.Flows == 80 {
+				b.ReportMetric(r.QueueCDF().Quantile(0.5), "plus80_q50_bytes")
 			}
 		}
 	}
@@ -269,21 +246,16 @@ func BenchmarkFig11_12_BackgroundIncast(b *testing.B) {
 	// The RTO-collapsed baselines make these the slowest points in the
 	// suite; the bench keeps a reduced sweep (cmd/report runs the full
 	// figure).
-	flowCounts := []int{20, 80}
 	for i := 0; i < b.N; i++ {
-		var all []dcp.BackgroundIncastResult
-		for _, p := range []dcp.Protocol{dcp.ProtoDCTCPPlus, dcp.ProtoDCTCP, dcp.ProtoTCP} {
-			o := dcp.DefaultBackgroundIncastOptions(p, 0)
-			o.Incast.Rounds = 16
-			o.Incast.WarmupRounds = 4
-			o.ChunkBytes = 1 << 20
-			all = append(all, dcp.SweepBackgroundIncastParallel(o, flowCounts)...)
-		}
+		f := dcp.NewFigure11_12()
+		f.Scale = dcp.Scale{Rounds: 16, Warmup: 4, Seed: 1}
+		f.FlowCounts = []int{20, 80}
+		f.Run()
 		dumpOnce("fig11", func() {
 			fmt.Println("\n=== Figures 11+12: incast with background long flows ===")
-			dcp.PrintBackgroundIncastRows(os.Stdout, all)
+			f.Render(os.Stdout)
 		})
-		for _, r := range all {
+		for _, r := range f.Results {
 			if r.Protocol == dcp.ProtoDCTCPPlus && r.Flows == 80 {
 				b.ReportMetric(r.GoodputMbps.Mean, "plus80bg_mbps")
 				b.ReportMetric(r.LongFlowMbps.Mean, "longflow_mbps")

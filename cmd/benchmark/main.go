@@ -91,14 +91,10 @@ func main() {
 func runBackgroundIncast(protoList []dcp.Protocol) {
 	flowCounts, err := cli.ParseFlowCounts(*incast)
 	cli.Usage("benchmark", err)
-	var all []dcp.BackgroundIncastResult
-	for _, p := range protoList {
-		o := dcp.DefaultBackgroundIncastOptions(p, 0)
-		o.Incast.Rounds = *rounds
-		o.Incast.WarmupRounds = *warmup
-		o.Incast.Testbed.Seed = *seed
-		all = append(all, dcp.SweepBackgroundIncastParallel(o, flowCounts)...)
-	}
+	f := dcp.NewFigure11_12()
+	f.Protocols, f.FlowCounts = protoList, flowCounts
+	f.Scale = dcp.Scale{Rounds: *rounds, Warmup: *warmup, Seed: *seed}
+	f.Run()
 	fmt.Println("Figures 11+12: incast with two persistent background flows")
-	dcp.PrintBackgroundIncastRows(os.Stdout, all)
+	f.Render(os.Stdout)
 }

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	dcp "dctcpplus"
@@ -38,57 +39,13 @@ func main() {
 	flowCounts, err := cli.ParseFlowCounts(*flows)
 	cli.Usage("cwndstat", err)
 
-	type point struct {
-		p dcp.Protocol
-		n int
-		r dcp.IncastResult
-	}
-	var points []point
-	for _, p := range protoList {
-		for _, n := range flowCounts {
-			o := dcp.DefaultIncastOptions(p, n)
-			o.Rounds = *rounds
-			o.WarmupRounds = *warmup
-			o.RTOMin = dcp.Duration(*rtoMin)
-			o.Testbed.Seed = *seed
-			o.CollectCwnd = true
-			points = append(points, point{p, n, dcp.RunIncast(o)})
-		}
-	}
+	f := dcp.NewFigure2Table1()
+	f.Protocols, f.FlowCounts = protoList, flowCounts
+	f.Scale = dcp.Scale{Rounds: *rounds, Warmup: *warmup, Seed: *seed}
+	f.Options.RTOMin = dcp.Duration(*rtoMin)
+	f.Run()
 
 	fmt.Println("Figure 2: cwnd frequency distribution (fraction of ACK events per window size)")
-	fmt.Printf("%-12s %5s |", "protocol", "N")
-	for w := 1; w <= 10; w++ {
-		fmt.Printf(" w=%-4d", w)
-	}
-	fmt.Printf(" %s\n", "w>10")
-	for _, pt := range points {
-		h := pt.r.CwndHist
-		fmt.Printf("%-12s %5d |", pt.p, pt.n)
-		var gt float64
-		for _, b := range h.Bins() {
-			if b > 10 {
-				gt += h.Frac(b)
-			}
-		}
-		for w := 1; w <= 10; w++ {
-			fmt.Printf(" %5.3f", h.Frac(w))
-		}
-		fmt.Printf(" %5.3f\n", gt)
-	}
-
-	fmt.Println()
 	fmt.Println("Table I: floor/ECE coincidence and timeout taxonomy (per flow-round)")
-	fmt.Printf("%-12s %5s %14s %10s %10s %10s\n",
-		"protocol", "N", "cwndMin&ECE", "timeout", "FLoss-TO", "LAck-TO")
-	for _, pt := range points {
-		tot := pt.r.FLossTO + pt.r.LAckTO
-		fl, la := 0.0, 0.0
-		if tot > 0 {
-			fl = 100 * float64(pt.r.FLossTO) / float64(tot)
-			la = 100 * float64(pt.r.LAckTO) / float64(tot)
-		}
-		fmt.Printf("%-12s %5d %13.2f%% %9.2f%% %9.2f%% %9.2f%%\n",
-			pt.p, pt.n, 100*pt.r.MinCwndECEFrac, 100*pt.r.TimeoutRoundFrac, fl, la)
-	}
+	f.Render(os.Stdout)
 }

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"time"
 
@@ -55,36 +56,23 @@ func main() {
 	flowCounts, err := cli.ParseFlowCounts(*flows)
 	cli.Usage("queuestat", err)
 
+	f := dcp.NewFigure9()
+	f.Protocols, f.FlowCounts = protoList, flowCounts
+	f.Scale = dcp.Scale{Rounds: *rounds, Warmup: *warmup, Seed: *seed}
+	f.Options.RTOMin = dcp.Duration(*rtoMin)
+	f.Run()
+
 	fmt.Println("Figure 9: bottleneck queue-length CDF (bytes; sampled every 100us)")
-	fmt.Printf("%-14s %5s | %9s %9s %9s %9s %9s\n",
-		"protocol", "N", "p25", "p50", "p90", "p99", "max")
-	for _, p := range protoList {
-		for _, n := range flowCounts {
-			o := dcp.DefaultIncastOptions(p, n)
-			o.Rounds = *rounds
-			o.WarmupRounds = *warmup
-			o.RTOMin = dcp.Duration(*rtoMin)
-			o.Testbed.Seed = *seed
-			o.QueueSampleEvery = 100 * dcp.Microsecond
-			r := dcp.RunIncast(o)
-			cdf := r.QueueCDF()
-			fmt.Printf("%-14s %5d | %9.0f %9.0f %9.0f %9.0f %9.0f\n",
-				p, n, cdf.Quantile(0.25), cdf.Quantile(0.5), cdf.Quantile(0.9),
-				cdf.Quantile(0.99), cdf.Quantile(1))
-		}
-	}
+	f.Render(os.Stdout)
 }
 
 // runTrace reproduces Figure 14: N=50 DCTCP+ flows, 4MB each, queue
 // occupancy over the first rounds.
 func runTrace(seed uint64, binMS int) {
-	o := dcp.DefaultIncastOptions(dcp.ProtoDCTCPPlus, 50)
-	o.BytesPerFlow = 4 << 20
-	o.Rounds = 8
-	o.WarmupRounds = 1
-	o.Testbed.Seed = seed
-	o.QueueSampleEvery = 100 * dcp.Microsecond
-	r := dcp.RunIncast(o)
+	f := dcp.NewFigure14()
+	f.Scale.Seed = seed
+	f.Run()
+	r := f.Results[0]
 
 	fmt.Println("Figure 14: Switch-1 queue occupancy, 50 DCTCP+ flows x 4MB")
 	fmt.Printf("(max occupancy per %dms bin; buffer limit 131072 bytes)\n", binMS)

@@ -37,7 +37,7 @@ var (
 		"run the ablation and resilience sections under the trace-conformance oracle; violations fail the report")
 )
 
-// figure is the common surface of the typed per-figure experiments.
+// figure is the common surface of dcp.Figure and dcp.Figure13.
 type figure interface {
 	Run()
 	Render(w io.Writer)
@@ -73,6 +73,12 @@ func main() {
 	fmt.Println("DCTCP+ reproduction report")
 	fmt.Printf("rounds=%d warmup=%d seed=%d\n", *rounds, *warmup, *seed)
 
+	scaled := func(f *dcp.Figure) *dcp.Figure {
+		f.Scale = scale
+		return f
+	}
+	fig13 := dcp.NewFigure13()
+	fig13.Seed = scale.Seed
 	steps := []struct {
 		title, expectation string
 		fig                figure
@@ -80,47 +86,47 @@ func main() {
 		{
 			"Figure 1: goodput vs concurrent flows (DCTCP, TCP)",
 			"TCP collapses just past 10 flows; DCTCP past ~35",
-			withScale(dcp.NewFigure1(), scale),
+			scaled(dcp.NewFigure1()),
 		},
 		{
 			"Figure 2 + Table I: cwnd distribution and timeout taxonomy",
 			"N>=20: DCTCP mass piles on 1-2 MSS; floor/ECE coincidence common; FLoss dominates deep collapse",
-			withScale(dcp.NewFigure2Table1(), scale),
+			scaled(dcp.NewFigure2Table1()),
 		},
 		{
 			"Figure 6: partial (no desync) vs full DCTCP+",
 			"partial holds past DCTCP's limit but trails the full mechanism at high N",
-			withScale(dcp.NewFigure6(), scale),
+			scaled(dcp.NewFigure6()),
 		},
 		{
 			"Figure 7: full DCTCP+ vs DCTCP vs TCP",
 			"DCTCP+ sustains 600-900 Mbps, 8-17ms FCT beyond 200 flows; DCTCP/TCP sit in RTO collapse",
-			withScale(dcp.NewFigure7(), scale),
+			scaled(dcp.NewFigure7()),
 		},
 		{
 			"Figure 8: DCTCP+ (RTOmin 200ms) vs DCTCP/TCP at RTOmin 10ms",
 			"short RTO lifts DCTCP/TCP but DCTCP+ still wins without touching the timer",
-			withScale(dcp.NewFigure8(), scale),
+			scaled(dcp.NewFigure8()),
 		},
 		{
 			"Figure 9: bottleneck queue-length CDF (bytes, 100us samples)",
 			"DCTCP+ keeps a shorter, stabler queue; the gap widens with N",
-			withScale(dcp.NewFigure9(), scale),
+			scaled(dcp.NewFigure9()),
 		},
 		{
 			"Figures 11 + 12: incast with 2 persistent background flows",
 			"DCTCP+ keeps near-no-background goodput and far shorter FCT; long flows share the residue",
-			withScale(dcp.NewFigure11_12(), scale),
+			scaled(dcp.NewFigure11_12()),
 		},
 		{
 			"Figure 13: benchmark traffic FCT (queries / background), RTOmin 10ms",
 			"DCTCP+ wins mean and especially p99 query FCT; background barely affected",
-			withSeed13(dcp.NewFigure13(), scale),
+			fig13,
 		},
 		{
 			"Figure 14: convergence, 50 DCTCP+ flows x 4MB",
 			"buffer overflows during the first rounds, then the regulation converges",
-			withScale14(dcp.NewFigure14(), scale),
+			scaled(dcp.NewFigure14()),
 		},
 	}
 	for _, st := range steps {
@@ -190,32 +196,6 @@ func writeTelemetry(scale dcp.Scale, wall time.Duration) error {
 		fmt.Printf("baseline manifest -> %s\n", *baseline)
 	}
 	return nil
-}
-
-func withScale[F interface{ figure }](f F, sc dcp.Scale) F {
-	switch v := any(f).(type) {
-	case *dcp.Figure1:
-		v.Scale = sc
-	case *dcp.Figure2Table1:
-		v.Scale = sc
-	case *dcp.Figure7:
-		v.Scale = sc
-	case *dcp.Figure9:
-		v.Scale = sc
-	case *dcp.Figure11_12:
-		v.Scale = sc
-	}
-	return f
-}
-
-func withSeed13(f *dcp.Figure13, sc dcp.Scale) *dcp.Figure13 {
-	f.Seed = sc.Seed
-	return f
-}
-
-func withScale14(f *dcp.Figure14, sc dcp.Scale) *dcp.Figure14 {
-	f.Scale = sc
-	return f
 }
 
 // resilience runs the fault-injection sweep behind the EXPERIMENTS.md

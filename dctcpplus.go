@@ -98,15 +98,12 @@ type (
 	// Testbed describes the simulated cluster.
 	Testbed = exp.Testbed
 	// IncastOptions parameterizes one incast run (Figs. 1/2/6/7/8/9/14,
-	// Table I).
+	// Table I); with BackgroundFlows set it is the §VI-C incast + long
+	// flows (Figs. 10-12).
 	IncastOptions = exp.IncastOptions
-	// IncastResult is one incast experiment point.
+	// IncastResult is one incast experiment point, long-flow numbers
+	// included when the run had background flows.
 	IncastResult = exp.IncastResult
-	// BackgroundIncastOptions parameterizes incast + long flows (Figs.
-	// 10-12).
-	BackgroundIncastOptions = exp.BackgroundIncastOptions
-	// BackgroundIncastResult extends IncastResult with long-flow numbers.
-	BackgroundIncastResult = exp.BackgroundIncastResult
 	// BenchmarkOptions parameterizes the production benchmark mix (Fig. 13).
 	BenchmarkOptions = exp.BenchmarkOptions
 	// BenchmarkResult holds the Fig. 13 rows.
@@ -127,33 +124,18 @@ func DefaultIncastOptions(p Protocol, flows int) IncastOptions {
 	return exp.DefaultIncastOptions(p, flows)
 }
 
-// DefaultBackgroundIncastOptions returns §VI-C settings (incast + 2
-// persistent flows).
-func DefaultBackgroundIncastOptions(p Protocol, flows int) BackgroundIncastOptions {
-	return exp.DefaultBackgroundIncastOptions(p, flows)
-}
-
 // DefaultBenchmarkOptions returns §VI-D benchmark-traffic settings.
 func DefaultBenchmarkOptions(p Protocol) BenchmarkOptions {
 	return exp.DefaultBenchmarkOptions(p)
 }
 
-// RunIncast executes one incast experiment point.
+// RunIncast executes one incast experiment point — the one runner behind
+// every incast figure, background long flows, faults and oracle included.
 func RunIncast(o IncastOptions) IncastResult { return exp.RunIncast(o) }
 
-// SweepIncast runs an incast curve across flow counts.
-func SweepIncast(base IncastOptions, flowCounts []int) []IncastResult {
-	return exp.SweepIncast(base, flowCounts)
-}
-
-// SweepIncastParallel is SweepIncast with the points executed on separate
-// goroutines. Each point is an independent deterministic simulation, so
-// results are positionally identical to the sequential sweep.
-func SweepIncastParallel(base IncastOptions, flowCounts []int) []IncastResult {
-	return exp.SweepIncastParallel(base, flowCounts)
-}
-
-// RunMany executes heterogeneous incast points concurrently.
+// RunMany executes a batch of incast points on separate goroutines — the
+// one fan-out. Each point is an independent deterministic simulation, so
+// results are positionally identical to a RunIncast loop.
 func RunMany(optList []IncastOptions) []IncastResult { return exp.RunMany(optList) }
 
 // Sweep orchestration (internal/sweep): declare a parameter grid as a
@@ -210,27 +192,10 @@ func SweepOracleReport(results []SweepResult) (total int64, lines []string) {
 // worker per available CPU.
 func DefaultSweepWorkers() int { return pool.DefaultWorkers() }
 
-// SetParallelism sets the worker count the *Parallel sweep variants and
-// RunMany fan out to (a command's -jobs flag lands here). Width changes
-// wall-clock time only, never results.
+// SetParallelism sets the worker count RunMany (and so every Figure) fans
+// out to (a command's -jobs flag lands here). Width changes wall-clock
+// time only, never results.
 func SetParallelism(n int) { exp.Parallelism = n }
-
-// RunBackgroundIncast executes incast concurrently with long flows.
-func RunBackgroundIncast(o BackgroundIncastOptions) BackgroundIncastResult {
-	return exp.RunBackgroundIncast(o)
-}
-
-// SweepBackgroundIncast runs the background-incast curve across flow
-// counts.
-func SweepBackgroundIncast(base BackgroundIncastOptions, flowCounts []int) []BackgroundIncastResult {
-	return exp.SweepBackgroundIncast(base, flowCounts)
-}
-
-// SweepBackgroundIncastParallel is SweepBackgroundIncast with the points
-// executed concurrently.
-func SweepBackgroundIncastParallel(base BackgroundIncastOptions, flowCounts []int) []BackgroundIncastResult {
-	return exp.SweepBackgroundIncastParallel(base, flowCounts)
-}
 
 // RunBenchmark executes the production benchmark-traffic experiment.
 func RunBenchmark(o BenchmarkOptions) BenchmarkResult { return exp.RunBenchmark(o) }
@@ -239,7 +204,7 @@ func RunBenchmark(o BenchmarkOptions) BenchmarkResult { return exp.RunBenchmark(
 func PrintIncastRows(w io.Writer, results []IncastResult) { exp.PrintIncastRows(w, results) }
 
 // PrintBackgroundIncastRows writes the Figs. 11/12 rows.
-func PrintBackgroundIncastRows(w io.Writer, results []BackgroundIncastResult) {
+func PrintBackgroundIncastRows(w io.Writer, results []IncastResult) {
 	exp.PrintBackgroundIncastRows(w, results)
 }
 
@@ -351,53 +316,44 @@ func PrintResilienceRows(w io.Writer, protocols []Protocol, rows []ResilienceRow
 	exp.PrintResilienceRows(w, protocols, rows)
 }
 
-// Typed per-figure experiments: construct the spec (NewFigureN), adjust
-// fields, Run, then Render the same rows/series the paper reports.
+// The paper's figures as specs: construct one (NewFigureN), adjust fields,
+// Run, then Render the same rows/series the paper reports.
 type (
 	// Scale applies common run-length settings to figure specs.
 	Scale = exp.Scale
-	// Figure1 is the basic incast goodput comparison (DCTCP vs TCP).
-	Figure1 = exp.Figure1
-	// Figure2Table1 is the cwnd distribution + timeout taxonomy analysis.
-	Figure2Table1 = exp.Figure2Table1
-	// Figure7 is the headline comparison (Figures 6/8 are variants).
-	Figure7 = exp.Figure7
-	// Figure9 is the bottleneck queue-length CDF comparison.
-	Figure9 = exp.Figure9
-	// Figure11_12 is the incast-with-background-flows experiment.
-	Figure11_12 = exp.Figure11_12
+	// Figure is any incast figure: a Protocols x FlowCounts grid of
+	// IncastOptions points run through RunMany, with the figure's renderer.
+	Figure = exp.Figure
 	// Figure13 is the production benchmark-traffic experiment.
 	Figure13 = exp.Figure13
-	// Figure14 is the DCTCP+ convergence trace.
-	Figure14 = exp.Figure14
 )
 
 // DefaultScale returns the report's default run-length settings.
 func DefaultScale() Scale { return exp.DefaultScale() }
 
 // NewFigure1 returns the Figure 1 specification.
-func NewFigure1() *Figure1 { return exp.NewFigure1() }
+func NewFigure1() *Figure { return exp.NewFigure1() }
 
 // NewFigure2Table1 returns the Figure 2 / Table I specification.
-func NewFigure2Table1() *Figure2Table1 { return exp.NewFigure2Table1() }
+func NewFigure2Table1() *Figure { return exp.NewFigure2Table1() }
 
 // NewFigure6 returns the Figure 6 (partial DCTCP+) specification.
-func NewFigure6() *Figure7 { return exp.NewFigure6() }
+func NewFigure6() *Figure { return exp.NewFigure6() }
 
 // NewFigure7 returns the Figure 7 specification.
-func NewFigure7() *Figure7 { return exp.NewFigure7() }
+func NewFigure7() *Figure { return exp.NewFigure7() }
 
 // NewFigure8 returns the Figure 8 (10ms baseline RTO) specification.
-func NewFigure8() *Figure7 { return exp.NewFigure8() }
+func NewFigure8() *Figure { return exp.NewFigure8() }
 
 // NewFigure9 returns the Figure 9 specification.
-func NewFigure9() *Figure9 { return exp.NewFigure9() }
+func NewFigure9() *Figure { return exp.NewFigure9() }
 
 // NewFigure11_12 returns the §VI-C specification.
-func NewFigure11_12() *Figure11_12 { return exp.NewFigure11_12() }
+func NewFigure11_12() *Figure { return exp.NewFigure11_12() }
 
 // NewFigure13 returns the §VI-D specification.
 func NewFigure13() *Figure13 { return exp.NewFigure13() }
 
 // NewFigure14 returns the Figure 14 specification.
-func NewFigure14() *Figure14 { return exp.NewFigure14() }
+func NewFigure14() *Figure { return exp.NewFigure14() }

@@ -19,11 +19,12 @@ func main() {
 	fmt.Printf("%-14s %12s %12s %14s %18s %6s\n",
 		"protocol", "goodput", "fct.p99", "longflow.mean", "longflow.per-flow", "jain")
 	for _, p := range protocols {
-		o := dcp.DefaultBackgroundIncastOptions(p, flows)
-		o.Incast.Rounds = 30
-		o.Incast.WarmupRounds = 8
+		o := dcp.DefaultIncastOptions(p, flows)
+		o.Rounds = 30
+		o.WarmupRounds = 8
+		o.BackgroundFlows = 2
 		o.ChunkBytes = 1 << 20
-		r := dcp.RunBackgroundIncast(o)
+		r := dcp.RunIncast(o)
 		fmt.Printf("%-14s %9.0f Mb %10.2fms %11.0f Mb   %-15v %6.2f\n",
 			p, r.GoodputMbps.Mean, r.FCTms.P99, r.LongFlowMbps.Mean,
 			fmtMbps(r.PerFlowMeanMbps), dcp.JainIndex(r.PerFlowMeanMbps))

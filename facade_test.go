@@ -38,10 +38,12 @@ func TestFacadeSweepAndDurations(t *testing.T) {
 	if dcp.Millisecond != 1000*dcp.Microsecond || dcp.Second != 1000*dcp.Millisecond {
 		t.Error("duration units inconsistent")
 	}
-	o := dcp.DefaultIncastOptions(dcp.ProtoDCTCPPlus, 0)
+	o := dcp.DefaultIncastOptions(dcp.ProtoDCTCPPlus, 2)
 	o.Rounds = 4
 	o.WarmupRounds = 1
-	rs := dcp.SweepIncast(o, []int{2, 3})
+	o3 := o
+	o3.Flows = 3
+	rs := dcp.RunMany([]dcp.IncastOptions{o, o3})
 	if len(rs) != 2 || rs[0].Flows != 2 || rs[1].Flows != 3 {
 		t.Fatal("sweep shape wrong")
 	}
@@ -64,16 +66,17 @@ func TestFacadeEnhancementFactory(t *testing.T) {
 }
 
 func TestFacadeBackgroundIncast(t *testing.T) {
-	o := dcp.DefaultBackgroundIncastOptions(dcp.ProtoDCTCPPlus, 4)
-	o.Incast.Rounds = 4
-	o.Incast.WarmupRounds = 1
+	o := dcp.DefaultIncastOptions(dcp.ProtoDCTCPPlus, 4)
+	o.Rounds = 4
+	o.WarmupRounds = 1
+	o.BackgroundFlows = 2
 	o.ChunkBytes = 1 << 20
-	r := dcp.RunBackgroundIncast(o)
+	r := dcp.RunIncast(o)
 	if len(r.PerFlowMeanMbps) != 2 {
 		t.Fatalf("long flows = %d", len(r.PerFlowMeanMbps))
 	}
 	var sb strings.Builder
-	dcp.PrintBackgroundIncastRows(&sb, []dcp.BackgroundIncastResult{r})
+	dcp.PrintBackgroundIncastRows(&sb, []dcp.IncastResult{r})
 	if sb.Len() == 0 {
 		t.Error("no row output")
 	}

@@ -78,6 +78,15 @@ func fastIncastOpts(p Protocol, flows int) IncastOptions {
 	return o
 }
 
+// fastBackgroundOpts is fastIncastOpts with the §VI-C pair of long flows at
+// a simulation-sized accounting chunk.
+func fastBackgroundOpts(p Protocol, flows int) IncastOptions {
+	o := fastIncastOpts(p, flows)
+	o.BackgroundFlows = 2
+	o.ChunkBytes = 1 << 20
+	return o
+}
+
 func TestRunIncastBasics(t *testing.T) {
 	r := RunIncast(fastIncastOpts(ProtoDCTCP, 8))
 	if r.Rounds != 4 {
@@ -94,6 +103,9 @@ func TestRunIncastBasics(t *testing.T) {
 	}
 	if r.CwndHist != nil || r.QueueSamples != nil {
 		t.Error("probes attached without being requested")
+	}
+	if r.PerFlowMeanMbps != nil || r.LongFlowMbps.Count != 0 {
+		t.Error("long-flow numbers on a run without background flows")
 	}
 }
 
@@ -153,7 +165,7 @@ func TestRunIncastValidation(t *testing.T) {
 }
 
 func TestSweepIncast(t *testing.T) {
-	rs := SweepIncast(fastIncastOpts(ProtoDCTCP, 0), []int{2, 4})
+	rs := RunMany([]IncastOptions{fastIncastOpts(ProtoDCTCP, 2), fastIncastOpts(ProtoDCTCP, 4)})
 	if len(rs) != 2 || rs[0].Flows != 2 || rs[1].Flows != 4 {
 		t.Fatalf("sweep shape wrong: %+v", rs)
 	}
@@ -166,11 +178,7 @@ func TestSweepIncast(t *testing.T) {
 }
 
 func TestRunBackgroundIncast(t *testing.T) {
-	o := DefaultBackgroundIncastOptions(ProtoDCTCPPlus, 8)
-	o.Incast.Rounds = 6
-	o.Incast.WarmupRounds = 2
-	o.ChunkBytes = 1 << 20
-	r := RunBackgroundIncast(o)
+	r := RunIncast(fastBackgroundOpts(ProtoDCTCPPlus, 8))
 	if r.Rounds != 4 {
 		t.Fatalf("rounds = %d", r.Rounds)
 	}
@@ -188,21 +196,21 @@ func TestRunBackgroundIncast(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	PrintBackgroundIncastRows(&sb, []BackgroundIncastResult{r})
+	PrintBackgroundIncastRows(&sb, []IncastResult{r})
 	if !strings.Contains(sb.String(), "longflow") {
 		t.Error("row output missing longflow column")
 	}
 }
 
 func TestRunBackgroundIncastValidation(t *testing.T) {
-	o := DefaultBackgroundIncastOptions(ProtoDCTCP, 4)
+	o := fastBackgroundOpts(ProtoDCTCP, 4)
 	o.BackgroundFlows = 100
 	defer func() {
 		if recover() == nil {
 			t.Error("too many background flows did not panic")
 		}
 	}()
-	RunBackgroundIncast(o)
+	RunIncast(o)
 }
 
 func TestRunBenchmark(t *testing.T) {

@@ -8,10 +8,11 @@ import (
 	"dctcpplus/internal/telemetry"
 )
 
-// This file packages each of the paper's evaluation artifacts as a typed,
-// self-describing experiment: construct the default spec (or adjust its
-// fields), Run it, and Render the same rows/series the paper reports.
-// cmd/report chains them; tests pin their shapes.
+// This file packages the paper's evaluation artifacts as self-describing
+// experiments: construct the default spec (NewFigureN), adjust its fields,
+// Run it, and Render the same rows/series the paper reports. cmd/report
+// chains them, the figure binaries under cmd/ are shells over them, and
+// tests pin their shapes.
 
 // Scale applies common run-length settings to every figure spec.
 type Scale struct {
@@ -20,7 +21,7 @@ type Scale struct {
 	Seed   uint64
 
 	// Telemetry, when non-nil, is threaded into every run of the figure;
-	// atomic instruments make one registry safe across the parallel sweeps.
+	// atomic instruments make one registry safe across RunMany's workers.
 	Telemetry *telemetry.Registry
 }
 
@@ -28,85 +29,102 @@ type Scale struct {
 // own 1000-round scale is Scale{1000, 10, 1}.
 func DefaultScale() Scale { return Scale{Rounds: 50, Warmup: 10, Seed: 1} }
 
-func (sc Scale) apply(o *IncastOptions) {
-	o.Rounds = sc.Rounds
-	o.WarmupRounds = sc.Warmup
-	o.Testbed.Seed = sc.Seed
-	o.Telemetry = sc.Telemetry
-}
-
-// Figure1 is the basic incast goodput comparison (DCTCP vs TCP).
-type Figure1 struct {
+// Figure is one incast artifact of the paper: the Protocols x FlowCounts
+// grid of RunIncast points, fanned out through RunMany and rendered the way
+// the paper reports it. Build one with a NewFigureN constructor.
+type Figure struct {
+	// Options is the per-point template. Run copies it for every
+	// (protocol, N), fills in Protocol and Flows and overlays Scale.
+	Options    IncastOptions
 	Scale      Scale
 	Protocols  []Protocol
 	FlowCounts []int
+	// BaselineRTOMin, when nonzero, applies to every protocol except
+	// DCTCP+ variants — the Figure 8 configuration.
+	BaselineRTOMin sim.Duration
 
+	// Results holds one point per (protocol, N) in row order after Run.
 	Results []IncastResult
+
+	// flowsMajor orders rows N-major (Fig. 9 groups the protocols under
+	// each flow count); every other figure is protocol-major.
+	flowsMajor bool
+	// fixedLength keeps the template's Rounds/WarmupRounds: Fig. 14 traces
+	// the first rounds of a run, so Scale contributes only seed and registry.
+	fixedLength bool
+	render      func(io.Writer, []IncastResult)
 }
 
-// NewFigure1 returns the paper's Figure 1 specification.
-func NewFigure1() *Figure1 {
-	return &Figure1{
+func newFigure(protocols []Protocol, flowCounts []int, render func(io.Writer, []IncastResult)) *Figure {
+	return &Figure{
+		Options:    DefaultIncastOptions(ProtoTCP, 0),
 		Scale:      DefaultScale(),
-		Protocols:  []Protocol{ProtoTCP, ProtoDCTCP},
-		FlowCounts: []int{1, 5, 10, 20, 30, 40, 60, 80, 100},
+		Protocols:  protocols,
+		FlowCounts: flowCounts,
+		render:     render,
 	}
 }
 
-// Run executes the sweep (points in parallel).
-func (f *Figure1) Run() {
-	f.Results = f.Results[:0]
-	for _, p := range f.Protocols {
-		o := DefaultIncastOptions(p, 0)
-		f.Scale.apply(&o)
-		f.Results = append(f.Results, SweepIncastParallel(o, f.FlowCounts)...)
+// Run executes every point of the grid (in parallel, see Parallelism).
+func (f *Figure) Run() {
+	optList := make([]IncastOptions, 0, len(f.Protocols)*len(f.FlowCounts))
+	point := func(p Protocol, n int) {
+		o := f.Options
+		o.Protocol, o.Flows = p, n
+		if !f.fixedLength {
+			o.Rounds, o.WarmupRounds = f.Scale.Rounds, f.Scale.Warmup
+		}
+		o.Testbed.Seed = f.Scale.Seed
+		o.Telemetry = f.Scale.Telemetry
+		if f.BaselineRTOMin > 0 && p != ProtoDCTCPPlus && p != ProtoDCTCPPlusPartial {
+			o.RTOMin = f.BaselineRTOMin
+		}
+		optList = append(optList, o)
 	}
-}
-
-// Render writes the figure's rows.
-func (f *Figure1) Render(w io.Writer) { PrintIncastRows(w, f.Results) }
-
-// Figure2Table1 is the cwnd-distribution and timeout-taxonomy analysis.
-type Figure2Table1 struct {
-	Scale      Scale
-	Protocols  []Protocol
-	FlowCounts []int
-
-	Results []IncastResult
-}
-
-// NewFigure2Table1 returns the paper's Figure 2 / Table I specification.
-func NewFigure2Table1() *Figure2Table1 {
-	return &Figure2Table1{
-		Scale:      DefaultScale(),
-		Protocols:  []Protocol{ProtoDCTCP, ProtoTCP},
-		FlowCounts: []int{10, 20, 40, 60},
-	}
-}
-
-// Run executes every (protocol, N) point with cwnd probes attached.
-func (f *Figure2Table1) Run() {
-	var optList []IncastOptions
-	for _, p := range f.Protocols {
+	if f.flowsMajor {
 		for _, n := range f.FlowCounts {
-			o := DefaultIncastOptions(p, n)
-			f.Scale.apply(&o)
-			o.CollectCwnd = true
-			optList = append(optList, o)
+			for _, p := range f.Protocols {
+				point(p, n)
+			}
+		}
+	} else {
+		for _, p := range f.Protocols {
+			for _, n := range f.FlowCounts {
+				point(p, n)
+			}
 		}
 	}
 	f.Results = RunMany(optList)
 }
 
-// Render writes both the Figure 2 histogram rows and the Table I
+// Render writes the figure's rows.
+func (f *Figure) Render(w io.Writer) { f.render(w, f.Results) }
+
+// NewFigure1 returns the paper's Figure 1 specification: the basic incast
+// goodput comparison (DCTCP vs TCP).
+func NewFigure1() *Figure {
+	return newFigure([]Protocol{ProtoTCP, ProtoDCTCP},
+		[]int{1, 5, 10, 20, 30, 40, 60, 80, 100}, PrintIncastRows)
+}
+
+// NewFigure2Table1 returns the paper's Figure 2 / Table I specification:
+// the cwnd-distribution and timeout-taxonomy analysis, every point with
+// cwnd probes attached.
+func NewFigure2Table1() *Figure {
+	f := newFigure([]Protocol{ProtoDCTCP, ProtoTCP}, []int{10, 20, 40, 60}, printCwndRows)
+	f.Options.CollectCwnd = true
+	return f
+}
+
+// printCwndRows writes both the Figure 2 histogram rows and the Table I
 // percentages.
-func (f *Figure2Table1) Render(w io.Writer) {
+func printCwndRows(w io.Writer, results []IncastResult) {
 	fmt.Fprintf(w, "%-12s %4s |", "protocol", "N")
 	for i := 1; i <= 8; i++ {
 		fmt.Fprintf(w, " w=%-4d", i)
 	}
 	fmt.Fprintf(w, " %s\n", "w>8")
-	for _, r := range f.Results {
+	for _, r := range results {
 		h := r.CwndHist
 		var gt float64
 		for _, b := range h.Bins() {
@@ -122,7 +140,7 @@ func (f *Figure2Table1) Render(w io.Writer) {
 	}
 	fmt.Fprintf(w, "\n%-12s %4s %14s %10s %10s %10s\n",
 		"protocol", "N", "cwndMin&ECE", "timeout", "FLoss-TO", "LAck-TO")
-	for _, r := range f.Results {
+	for _, r := range results {
 		tot := r.FLossTO + r.LAckTO
 		fl, la := 0.0, 0.0
 		if tot > 0 {
@@ -134,97 +152,42 @@ func (f *Figure2Table1) Render(w io.Writer) {
 	}
 }
 
-// Figure7 is the headline comparison (also covers Figure 6 via the partial
-// protocol and Figure 8 via BaselineRTOMin).
-type Figure7 struct {
-	Scale      Scale
-	Protocols  []Protocol
-	FlowCounts []int
-	// BaselineRTOMin, when nonzero, applies to every protocol except
-	// DCTCP+ variants — the Figure 8 configuration.
-	BaselineRTOMin sim.Duration
-
-	Results []IncastResult
-}
-
-// NewFigure7 returns the paper's Figure 7 specification.
-func NewFigure7() *Figure7 {
-	return &Figure7{
-		Scale:      DefaultScale(),
-		Protocols:  []Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP},
-		FlowCounts: []int{20, 60, 120, 200},
-	}
+// NewFigure7 returns the paper's Figure 7 specification, the headline
+// comparison (Figure 6 is its partial-protocol variant, Figure 8 its
+// BaselineRTOMin variant).
+func NewFigure7() *Figure {
+	return newFigure([]Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP},
+		[]int{20, 60, 120, 200}, PrintIncastRows)
 }
 
 // NewFigure6 returns the partial-implementation ablation of Figure 6.
-func NewFigure6() *Figure7 {
+func NewFigure6() *Figure {
 	f := NewFigure7()
 	f.Protocols = []Protocol{ProtoDCTCPPlusPartial, ProtoDCTCPPlus}
 	return f
 }
 
 // NewFigure8 returns Figure 8: baselines at RTOmin = 10ms.
-func NewFigure8() *Figure7 {
+func NewFigure8() *Figure {
 	f := NewFigure7()
 	f.BaselineRTOMin = 10 * sim.Millisecond
 	return f
 }
 
-// Run executes the sweeps.
-func (f *Figure7) Run() {
-	f.Results = f.Results[:0]
-	for _, p := range f.Protocols {
-		o := DefaultIncastOptions(p, 0)
-		f.Scale.apply(&o)
-		if f.BaselineRTOMin > 0 && p != ProtoDCTCPPlus && p != ProtoDCTCPPlusPartial {
-			o.RTOMin = f.BaselineRTOMin
-		}
-		f.Results = append(f.Results, SweepIncastParallel(o, f.FlowCounts)...)
-	}
+// NewFigure9 returns the paper's Figure 9 specification: the bottleneck
+// queue-length CDF comparison, every point with the queue sampler attached.
+func NewFigure9() *Figure {
+	f := newFigure([]Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP}, []int{30, 50, 80}, printQueueCDFRows)
+	f.Options.QueueSampleEvery = 100 * sim.Microsecond
+	f.flowsMajor = true
+	return f
 }
 
-// Render writes the figure's rows.
-func (f *Figure7) Render(w io.Writer) { PrintIncastRows(w, f.Results) }
-
-// Figure9 is the bottleneck queue-length CDF comparison.
-type Figure9 struct {
-	Scale       Scale
-	Protocols   []Protocol
-	FlowCounts  []int
-	SampleEvery sim.Duration
-
-	Results []IncastResult
-}
-
-// NewFigure9 returns the paper's Figure 9 specification.
-func NewFigure9() *Figure9 {
-	return &Figure9{
-		Scale:       DefaultScale(),
-		Protocols:   []Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP},
-		FlowCounts:  []int{30, 50, 80},
-		SampleEvery: 100 * sim.Microsecond,
-	}
-}
-
-// Run executes every point with the queue sampler attached.
-func (f *Figure9) Run() {
-	var optList []IncastOptions
-	for _, n := range f.FlowCounts {
-		for _, p := range f.Protocols {
-			o := DefaultIncastOptions(p, n)
-			f.Scale.apply(&o)
-			o.QueueSampleEvery = f.SampleEvery
-			optList = append(optList, o)
-		}
-	}
-	f.Results = RunMany(optList)
-}
-
-// Render writes queue-CDF quantile rows.
-func (f *Figure9) Render(w io.Writer) {
+// printQueueCDFRows writes queue-CDF quantile rows.
+func printQueueCDFRows(w io.Writer, results []IncastResult) {
 	fmt.Fprintf(w, "%-14s %4s | %9s %9s %9s %9s %9s\n",
 		"protocol", "N", "p25", "p50", "p90", "p99", "max")
-	for _, r := range f.Results {
+	for _, r := range results {
 		cdf := r.QueueCDF()
 		fmt.Fprintf(w, "%-14s %4d | %9.0f %9.0f %9.0f %9.0f %9.0f\n",
 			r.Protocol, r.Flows, cdf.Quantile(0.25), cdf.Quantile(0.5),
@@ -232,42 +195,14 @@ func (f *Figure9) Render(w io.Writer) {
 	}
 }
 
-// Figure11_12 is the incast-with-background-flows experiment.
-type Figure11_12 struct {
-	Scale           Scale
-	Protocols       []Protocol
-	FlowCounts      []int
-	BackgroundFlows int
-	ChunkBytes      int64
-
-	Results []BackgroundIncastResult
+// NewFigure11_12 returns the paper's §VI-C specification: the incast with
+// two persistent background flows.
+func NewFigure11_12() *Figure {
+	f := newFigure([]Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP}, []int{20, 60, 120}, PrintBackgroundIncastRows)
+	f.Options.BackgroundFlows = 2
+	f.Options.ChunkBytes = 1 << 20
+	return f
 }
-
-// NewFigure11_12 returns the paper's §VI-C specification.
-func NewFigure11_12() *Figure11_12 {
-	return &Figure11_12{
-		Scale:           DefaultScale(),
-		Protocols:       []Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP},
-		FlowCounts:      []int{20, 60, 120},
-		BackgroundFlows: 2,
-		ChunkBytes:      1 << 20,
-	}
-}
-
-// Run executes the sweeps.
-func (f *Figure11_12) Run() {
-	f.Results = f.Results[:0]
-	for _, p := range f.Protocols {
-		o := DefaultBackgroundIncastOptions(p, 0)
-		f.Scale.apply(&o.Incast)
-		o.BackgroundFlows = f.BackgroundFlows
-		o.ChunkBytes = f.ChunkBytes
-		f.Results = append(f.Results, SweepBackgroundIncastParallel(o, f.FlowCounts)...)
-	}
-}
-
-// Render writes the figure's rows.
-func (f *Figure11_12) Render(w io.Writer) { PrintBackgroundIncastRows(w, f.Results) }
 
 // Figure13 is the production benchmark-traffic experiment.
 type Figure13 struct {
@@ -310,45 +245,27 @@ func (f *Figure13) Run() {
 // Render writes the figure's rows.
 func (f *Figure13) Render(w io.Writer) { PrintBenchmarkRows(w, f.Results) }
 
-// Figure14 is the convergence trace: 50 DCTCP+ flows at 4MB each.
-type Figure14 struct {
-	Scale        Scale
-	Flows        int
-	BytesPerFlow int64
-	Rounds       int
-
-	Result IncastResult
+// NewFigure14 returns the paper's Figure 14 specification: the convergence
+// trace of 50 DCTCP+ flows at 4MB each over the run's first 8 rounds.
+func NewFigure14() *Figure {
+	f := newFigure([]Protocol{ProtoDCTCPPlus}, []int{50}, printConvergence)
+	f.Options.BytesPerFlow = 4 << 20
+	f.Options.Rounds = 8
+	f.Options.WarmupRounds = 1
+	f.Options.KeepRounds = true
+	f.Options.QueueSampleEvery = 100 * sim.Microsecond
+	f.fixedLength = true
+	return f
 }
 
-// NewFigure14 returns the paper's Figure 14 specification.
-func NewFigure14() *Figure14 {
-	return &Figure14{
-		Scale:        DefaultScale(),
-		Flows:        50,
-		BytesPerFlow: 4 << 20,
-		Rounds:       8,
+// printConvergence writes the per-round series and the convergence verdict.
+func printConvergence(w io.Writer, results []IncastResult) {
+	for _, r := range results {
+		for i, p := range r.Series {
+			fmt.Fprintf(w, "round %d: fct=%8.1fms goodput=%5.0f Mbps flowTimeouts=%d\n",
+				i, p.FCTms, p.GoodputMbps, p.FlowTimeouts)
+		}
+		fmt.Fprintf(w, "converged at round %d; bottleneck drops %d\n",
+			r.ConvergedAtRound(), r.BottleneckDrops)
 	}
-}
-
-// Run executes the trace.
-func (f *Figure14) Run() {
-	o := DefaultIncastOptions(ProtoDCTCPPlus, f.Flows)
-	o.BytesPerFlow = f.BytesPerFlow
-	o.Rounds = f.Rounds
-	o.WarmupRounds = 1
-	o.Testbed.Seed = f.Scale.Seed
-	o.Telemetry = f.Scale.Telemetry
-	o.KeepRounds = true
-	o.QueueSampleEvery = 100 * sim.Microsecond
-	f.Result = RunIncast(o)
-}
-
-// Render writes the per-round series and the convergence verdict.
-func (f *Figure14) Render(w io.Writer) {
-	for i, p := range f.Result.Series {
-		fmt.Fprintf(w, "round %d: fct=%8.1fms goodput=%5.0f Mbps flowTimeouts=%d\n",
-			i, p.FCTms, p.GoodputMbps, p.FlowTimeouts)
-	}
-	fmt.Fprintf(w, "converged at round %d; bottleneck drops %d\n",
-		f.Result.ConvergedAtRound(), f.Result.BottleneckDrops)
 }

@@ -126,16 +126,79 @@ func TestFigure13RunAndRender(t *testing.T) {
 
 func TestFigure14RunAndRender(t *testing.T) {
 	f := NewFigure14()
-	f.Flows = 12
-	f.BytesPerFlow = 256 << 10
-	f.Rounds = 3
+	f.FlowCounts = []int{12}
+	f.Options.BytesPerFlow = 256 << 10
+	f.Options.Rounds = 3
+	f.Scale.Rounds = 50 // a fixed-length trace: Scale must not stretch it
 	f.Run()
-	if len(f.Result.Series) != 3 {
-		t.Fatalf("series = %d", len(f.Result.Series))
+	if len(f.Results) != 1 || len(f.Results[0].Series) != 3 {
+		t.Fatalf("results = %+v", f.Results)
 	}
 	var sb strings.Builder
 	f.Render(&sb)
 	if !strings.Contains(sb.String(), "converged at round") {
 		t.Error("render missing verdict")
+	}
+}
+
+// TestFigureCatalogueShapes runs every incast constructor's grid at tiny
+// scale and requires len(Protocols) x len(FlowCounts) results in the row
+// order each figure's own Run produced before the six FigureN types became
+// one: N-major for Fig. 9, protocol-major for the rest.
+func TestFigureCatalogueShapes(t *testing.T) {
+	cases := []struct {
+		name       string
+		build      func() *Figure
+		flowsMajor bool
+	}{
+		{"Figure1", NewFigure1, false},
+		{"Figure2Table1", NewFigure2Table1, false},
+		{"Figure6", NewFigure6, false},
+		{"Figure7", NewFigure7, false},
+		{"Figure8", NewFigure8, false},
+		{"Figure9", NewFigure9, true},
+		{"Figure11_12", NewFigure11_12, false},
+		{"Figure14", NewFigure14, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.build()
+			f.Scale = tinyScale()
+			f.Options.BytesPerFlow = 32 << 10
+			f.FlowCounts = []int{4, 6}
+			f.Run()
+
+			type row struct {
+				p Protocol
+				n int
+			}
+			var want []row
+			if tc.flowsMajor {
+				for _, n := range f.FlowCounts {
+					for _, p := range f.Protocols {
+						want = append(want, row{p, n})
+					}
+				}
+			} else {
+				for _, p := range f.Protocols {
+					for _, n := range f.FlowCounts {
+						want = append(want, row{p, n})
+					}
+				}
+			}
+			if len(f.Results) != len(f.Protocols)*len(f.FlowCounts) {
+				t.Fatalf("results = %d, want %d", len(f.Results), len(want))
+			}
+			for i, r := range f.Results {
+				if (row{r.Protocol, r.Flows}) != want[i] {
+					t.Errorf("row %d = %v N=%d, want %v N=%d", i, r.Protocol, r.Flows, want[i].p, want[i].n)
+				}
+			}
+			var sb strings.Builder
+			f.Render(&sb)
+			if strings.Count(sb.String(), "\n") < len(want) {
+				t.Errorf("render wrote fewer than %d rows:\n%s", len(want), sb.String())
+			}
+		})
 	}
 }

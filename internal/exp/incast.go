@@ -10,6 +10,7 @@ import (
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/stats"
+	"dctcpplus/internal/tcp"
 	"dctcpplus/internal/telemetry"
 	"dctcpplus/internal/trace"
 	"dctcpplus/internal/workload"
@@ -68,8 +69,9 @@ func (tb Testbed) build() (*sim.Scheduler, *netsim.TwoTier) {
 	return sched, tt
 }
 
-// IncastOptions parameterizes one incast run (one point of Figs. 1/6/7/8,
-// or the instrumented runs behind Fig. 2, Table I, Fig. 9 and Fig. 14).
+// IncastOptions parameterizes one incast run (one point of Figs. 1/6/7/8
+// and 11/12, or the instrumented runs behind Fig. 2, Table I, Fig. 9 and
+// Fig. 14).
 type IncastOptions struct {
 	Testbed  Testbed
 	Protocol Protocol
@@ -80,6 +82,16 @@ type IncastOptions struct {
 	Flows        int
 	TotalBytes   int64
 	BytesPerFlow int64
+
+	// BackgroundFlows is the number of persistent long flows sharing the
+	// bottleneck buffer with the incast (§VI-C, Fig. 10's topology; 2 in
+	// Figs. 11/12), one per distinct worker toward the aggregator. Zero is
+	// the basic incast.
+	BackgroundFlows int
+	// ChunkBytes is the long flows' throughput-accounting granularity (the
+	// paper samples every 1GB; simulations use smaller chunks). It must be
+	// positive when BackgroundFlows is.
+	ChunkBytes int64
 
 	Rounds int
 	// WarmupRounds are excluded from the reported statistics: the paper
@@ -110,8 +122,8 @@ type IncastOptions struct {
 
 	// Telemetry, when non-nil, receives instrument updates from every hot
 	// layer of the run (ports, senders, congestion control, workload) under
-	// the {proto, flows} label set. The registry is safe to share across a
-	// sweep — including SweepIncastParallel — because instruments are
+	// the {proto, flows} label set; background long flows add role=background.
+	// The registry is safe to share across RunMany because instruments are
 	// atomic.
 	Telemetry *telemetry.Registry
 
@@ -213,6 +225,12 @@ type IncastResult struct {
 	// BottleneckDrops counts tail drops at the root->aggregator port.
 	BottleneckDrops int64
 
+	// LongFlowMbps summarizes per-chunk throughput across the background
+	// long flows and PerFlowMeanMbps is each one's mean, in flow order
+	// (Figs. 11/12); zero and nil unless BackgroundFlows > 0.
+	LongFlowMbps    stats.Summary
+	PerFlowMeanMbps []float64
+
 	// Series holds every round (warmup included) when KeepRounds was set.
 	Series []RoundPoint
 
@@ -262,13 +280,17 @@ func (r IncastResult) QueueCDF() *stats.CDF {
 	return stats.NewCDF(vals)
 }
 
-// RunIncast executes one incast experiment point.
+// RunIncast executes one incast experiment point — the only function that
+// assembles an incast run, with or without background long flows.
 func RunIncast(o IncastOptions) IncastResult {
 	if o.Rounds <= o.WarmupRounds {
 		panic("exp: Rounds must exceed WarmupRounds")
 	}
 	if o.MaxSimTime <= 0 {
 		o.MaxSimTime = 30 * 60 * sim.Second
+	}
+	if o.BackgroundFlows < 0 || o.BackgroundFlows >= o.Testbed.Leaves*o.Testbed.HostsPerLeaf {
+		panic("exp: BackgroundFlows must be fewer than the workers")
 	}
 	sched, tt := o.Testbed.build()
 	if o.MirrorWorkers {
@@ -300,6 +322,23 @@ func RunIncast(o IncastOptions) IncastResult {
 		FlowIDs:       o.FlowIDs,
 	})
 
+	// Long flows: one per distinct worker, flow ids above the incast range.
+	var longs []*workload.LongFlow
+	var longConns []*tcp.Conn
+	if o.BackgroundFlows > 0 {
+		longFactory := o.Factory
+		if longFactory == nil {
+			longFactory = o.Protocol.Factory(o.RTOMin, o.Testbed.Seed^0xbac)
+		}
+		for i := 0; i < o.BackgroundFlows; i++ {
+			cfg, cc := longFactory(1_000_000 + i)
+			lf := workload.NewLongFlow(sched, tt.Workers[i], tt.Aggregator,
+				packet.FlowID(900_000+i), cfg, cc, o.ChunkBytes)
+			longs = append(longs, lf)
+			longConns = append(longConns, lf.Conn())
+		}
+	}
+
 	// The conformance checker chains onto the endpoint and topology hooks
 	// before any traffic (and before the fault injector, though chained
 	// observers compose in either order).
@@ -309,11 +348,19 @@ func RunIncast(o IncastOptions) IncastResult {
 		for _, c := range in.Conns() {
 			ck.AttachConn(c)
 		}
+		for _, c := range longConns {
+			ck.AttachConn(c)
+		}
 		ck.AttachTwoTier(tt)
 	}
 
 	labels := attachRunTelemetry(o.Telemetry, tt, in.Conns(), o.Protocol, o.Flows)
 	in.AttachTelemetry(o.Telemetry, labels...)
+	// Long flows report under their own role label so their transport events
+	// do not blend into the incast flows' counters.
+	if len(longConns) > 0 {
+		attachConnTelemetry(o.Telemetry, longConns, withLabel(labels, "role", "background"))
+	}
 
 	var inj *fault.Injector
 	if o.Faults != nil {
@@ -321,6 +368,12 @@ func RunIncast(o IncastOptions) IncastResult {
 		inj = fault.NewInjector(sched, el)
 		inj.AttachTelemetry(o.Telemetry, withLabel(labels, "faults", fault.ClassesLabel(o.Faults.Classes))...)
 		inj.Install(fault.Generate(*o.Faults, len(el.Links), len(el.Ports), len(el.Hosts)))
+	}
+
+	// Every observer above is attached before Start, which pumps a long
+	// flow's first chunk synchronously.
+	for _, lf := range longs {
+		lf.Start()
 	}
 
 	var probes []*trace.CwndProbe
@@ -340,6 +393,9 @@ func RunIncast(o IncastOptions) IncastResult {
 	in.OnFinished = sched.Halt
 	in.Start()
 	sched.RunUntil(sim.Time(o.MaxSimTime))
+	for _, lf := range longs {
+		lf.Stop()
+	}
 	drained := false
 	if o.Oracle && in.Finished() {
 		// Completion halts on the final ACK; duplicate retransmissions
@@ -347,8 +403,14 @@ func RunIncast(o IncastOptions) IncastResult {
 		// conservation ledger balances.
 		sched.RunFor(100 * sim.Millisecond)
 		drained = true
+		// A stopped long flow can still hold two chunks of backlog, more
+		// than the drain window carries at large ChunkBytes; the ledger is
+		// audited only if every one of them was delivered too.
+		for _, c := range longConns {
+			drained = drained && c.Sender.Done()
+		}
 	}
-	finishRunTelemetry(o.Telemetry, sched.Now(), in.Conns())
+	finishRunTelemetry(o.Telemetry, sched.Now(), append(in.Conns(), longConns...))
 
 	res := IncastResult{
 		Protocol: o.Protocol,
@@ -429,19 +491,15 @@ func RunIncast(o IncastOptions) IncastResult {
 		res.QueueSamples = sampler.Samples()
 	}
 	res.BottleneckDrops = tt.BottleneckPort.Stats().DroppedPkts
-	return res
-}
-
-// SweepIncast runs the same options across multiple flow counts — one
-// figure curve.
-func SweepIncast(base IncastOptions, flowCounts []int) []IncastResult {
-	out := make([]IncastResult, 0, len(flowCounts))
-	for _, n := range flowCounts {
-		o := base
-		o.Flows = n
-		out = append(out, RunIncast(o))
+	if len(longs) > 0 {
+		var chunks []float64
+		for _, lf := range longs {
+			chunks = append(chunks, lf.ChunkThroughputMbps()...)
+			res.PerFlowMeanMbps = append(res.PerFlowMeanMbps, lf.MeanThroughputMbps())
+		}
+		res.LongFlowMbps = stats.Summarize(chunks)
 	}
-	return out
+	return res
 }
 
 // PrintIncastRows writes a figure curve as aligned text rows.
@@ -452,5 +510,17 @@ func PrintIncastRows(w io.Writer, results []IncastResult) {
 		fmt.Fprintf(w, "%-14s %5d %7.0f Mb %8.2fms %8.2fms %8.2fms %9d\n",
 			r.Protocol, r.Flows, r.GoodputMbps.Mean,
 			r.FCTms.Mean, r.FCTms.P95, r.FCTms.P99, r.Timeouts)
+	}
+}
+
+// PrintBackgroundIncastRows writes the Figs. 11/12 rows: incast goodput and
+// FCT alongside the long flows' throughput.
+func PrintBackgroundIncastRows(w io.Writer, results []IncastResult) {
+	fmt.Fprintf(w, "%-14s %5s %10s %10s %10s %12s %9s\n",
+		"protocol", "N", "goodput", "fct.mean", "fct.p99", "longflow", "timeouts")
+	for _, r := range results {
+		fmt.Fprintf(w, "%-14s %5d %7.0f Mb %8.2fms %8.2fms %9.0f Mb %9d\n",
+			r.Protocol, r.Flows, r.GoodputMbps.Mean,
+			r.FCTms.Mean, r.FCTms.P99, r.LongFlowMbps.Mean, r.Timeouts)
 	}
 }

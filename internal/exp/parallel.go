@@ -4,39 +4,17 @@ import (
 	"dctcpplus/internal/sweep/pool"
 )
 
-// Parallelism controls how many experiment points run concurrently in the
-// *Parallel sweep variants. Each point is an independent, fully
-// deterministic simulation, so running them on separate goroutines changes
-// wall-clock time only — never results. The fan-out itself is the shared
-// worker pool in internal/sweep/pool; this variable only sets its width for
-// the exp-level sweeps (internal/sweep's Runner has its own Workers knob).
+// Parallelism controls how many experiment points RunMany executes
+// concurrently. Each point is an independent, fully deterministic
+// simulation, so running them on separate goroutines changes wall-clock
+// time only — never results. The fan-out itself is the shared worker pool
+// in internal/sweep/pool; this variable only sets its width for the
+// exp-level batches (internal/sweep's Runner has its own Workers knob).
 var Parallelism = pool.DefaultWorkers()
 
-// SweepIncastParallel is SweepIncast with the points executed concurrently.
-// Results are positionally identical to the sequential sweep.
-func SweepIncastParallel(base IncastOptions, flowCounts []int) []IncastResult {
-	out := make([]IncastResult, len(flowCounts))
-	pool.ForEach(Parallelism, len(flowCounts), func(i int) {
-		o := base
-		o.Flows = flowCounts[i]
-		out[i] = RunIncast(o)
-	})
-	return out
-}
-
-// SweepBackgroundIncastParallel is SweepBackgroundIncast with the points
-// executed concurrently.
-func SweepBackgroundIncastParallel(base BackgroundIncastOptions, flowCounts []int) []BackgroundIncastResult {
-	out := make([]BackgroundIncastResult, len(flowCounts))
-	pool.ForEach(Parallelism, len(flowCounts), func(i int) {
-		o := base
-		o.Incast.Flows = flowCounts[i]
-		out[i] = RunBackgroundIncast(o)
-	})
-	return out
-}
-
-// RunMany executes a batch of heterogeneous incast points concurrently.
+// RunMany executes a batch of incast points concurrently — the only
+// fan-out in this package; results are positionally identical to calling
+// RunIncast on each element in turn.
 func RunMany(optList []IncastOptions) []IncastResult {
 	out := make([]IncastResult, len(optList))
 	pool.ForEach(Parallelism, len(optList), func(i int) {

@@ -4,11 +4,22 @@ import (
 	"testing"
 )
 
+// pointsAt returns the curve of fast points for p at the given flow counts.
+func pointsAt(p Protocol, counts ...int) []IncastOptions {
+	var optList []IncastOptions
+	for _, n := range counts {
+		optList = append(optList, fastIncastOpts(p, n))
+	}
+	return optList
+}
+
 func TestParallelSweepMatchesSequential(t *testing.T) {
-	base := fastIncastOpts(ProtoDCTCPPlus, 0)
-	counts := []int{4, 8, 12}
-	seq := SweepIncast(base, counts)
-	par := SweepIncastParallel(base, counts)
+	optList := pointsAt(ProtoDCTCPPlus, 4, 8, 12)
+	var seq []IncastResult
+	for _, o := range optList {
+		seq = append(seq, RunIncast(o))
+	}
+	par := RunMany(optList)
 	if len(seq) != len(par) {
 		t.Fatal("length mismatch")
 	}
@@ -21,17 +32,16 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelismOneMatchesDefault pins the consolidation contract: the
-// exp-level sweeps ride the shared pool (internal/sweep/pool), and results
-// must be independent of its width.
+// TestParallelismOneMatchesDefault pins the consolidation contract: RunMany
+// rides the shared pool (internal/sweep/pool), and results must be
+// independent of its width.
 func TestParallelismOneMatchesDefault(t *testing.T) {
-	base := fastIncastOpts(ProtoDCTCP, 0)
-	counts := []int{4, 8}
-	wide := SweepIncastParallel(base, counts)
+	optList := pointsAt(ProtoDCTCP, 4, 8)
+	wide := RunMany(optList)
 	old := Parallelism
 	Parallelism = 1
 	defer func() { Parallelism = old }()
-	narrow := SweepIncastParallel(base, counts)
+	narrow := RunMany(optList)
 	for i := range wide {
 		if wide[i].GoodputMbps != narrow[i].GoodputMbps || wide[i].Timeouts != narrow[i].Timeouts {
 			t.Errorf("point %d differs across pool widths", i)
@@ -57,12 +67,13 @@ func TestRunMany(t *testing.T) {
 }
 
 func TestParallelBackgroundSweep(t *testing.T) {
-	o := DefaultBackgroundIncastOptions(ProtoDCTCPPlus, 0)
-	o.Incast.Rounds = 5
-	o.Incast.WarmupRounds = 1
-	o.ChunkBytes = 1 << 20
-	rs := SweepBackgroundIncastParallel(o, []int{4, 6})
+	rs := RunMany([]IncastOptions{fastBackgroundOpts(ProtoDCTCPPlus, 4), fastBackgroundOpts(ProtoDCTCPPlus, 6)})
 	if len(rs) != 2 || rs[0].Flows != 4 || rs[1].Flows != 6 {
 		t.Fatal("shape wrong")
+	}
+	for _, r := range rs {
+		if len(r.PerFlowMeanMbps) != 2 {
+			t.Errorf("N=%d: long flows = %d", r.Flows, len(r.PerFlowMeanMbps))
+		}
 	}
 }

@@ -139,12 +139,9 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 // long-flow transport counters from the incast flows' via the role label.
 func TestBackgroundIncastTelemetryRoles(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	o := DefaultBackgroundIncastOptions(ProtoDCTCPPlus, 8)
-	o.Incast.Rounds = 6
-	o.Incast.WarmupRounds = 2
-	o.ChunkBytes = 1 << 20
-	o.Incast.Telemetry = reg
-	RunBackgroundIncast(o)
+	o := fastBackgroundOpts(ProtoDCTCPPlus, 8)
+	o.Telemetry = reg
+	RunIncast(o)
 
 	snap := reg.Snapshot()
 	if _, ok := snap.Find("tcp_cwnd_mss",
@@ -165,10 +162,12 @@ func TestBackgroundIncastTelemetryRoles(t *testing.T) {
 // long flows near-equal (measured Jain ~0.9999); this test fails if that
 // mitigation silently regresses.
 func TestBackgroundFairnessJainIndex(t *testing.T) {
-	o := DefaultBackgroundIncastOptions(ProtoDCTCPPlus, 20)
-	o.Incast.Rounds = 30
-	o.Incast.WarmupRounds = 5
-	r := RunBackgroundIncast(o)
+	o := DefaultIncastOptions(ProtoDCTCPPlus, 20)
+	o.Rounds = 30
+	o.WarmupRounds = 5
+	o.BackgroundFlows = 2
+	o.ChunkBytes = 4 << 20
+	r := RunIncast(o)
 	if len(r.PerFlowMeanMbps) != o.BackgroundFlows {
 		t.Fatalf("long flows = %d, want %d", len(r.PerFlowMeanMbps), o.BackgroundFlows)
 	}
@@ -183,13 +182,18 @@ func TestBackgroundFairnessJainIndex(t *testing.T) {
 	}
 }
 
-// TestScaleAppliesTelemetry pins that figure specs propagate the registry.
+// TestScaleAppliesTelemetry pins that figure specs propagate the registry,
+// the fixed-length Fig. 14 trace included.
 func TestScaleAppliesTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	sc := Scale{Rounds: 6, Warmup: 2, Seed: 1, Telemetry: reg}
-	var o IncastOptions
-	sc.apply(&o)
-	if o.Telemetry != reg {
-		t.Error("Scale.apply dropped the registry")
+	for i, f := range []*Figure{NewFigure7(), NewFigure14()} {
+		reg := telemetry.NewRegistry()
+		f.Scale = Scale{Rounds: 3, Warmup: 1, Seed: 1, Telemetry: reg}
+		f.Options.BytesPerFlow = 64 << 10
+		f.Protocols = []Protocol{ProtoDCTCP}
+		f.FlowCounts = []int{4}
+		f.Run()
+		if len(reg.Snapshot().Instruments) == 0 {
+			t.Errorf("figure %d: Run dropped the registry", i)
+		}
 	}
 }
