@@ -28,14 +28,14 @@ fmt-check:
 
 # simlint is the repository's own static analysis (internal/lint): it
 # enforces determinism (no wall clock, no math/rand, no order-sensitive map
-# iteration, no goroutines in sim-scheduled code), sim-time and unit
-# discipline (name-based), sweep worker-race and cache-key completeness,
-# the telemetry nil-safety contract, narrow-counter overflow (discharged
-# only by an //inv: range contract, whose runtime twin internal/check
-# enforces), and the //state: typestate contracts (pooled-packet
-# exactly-once free, scheduler handle lifecycles, ownership transfer). A
-# whole-module run also fails the build on //lint:allow directives that no
-# longer suppress anything. Stdlib-only.
+# iteration, no goroutines in sim-scheduled code — with no file or package
+# allowance under a //hot:path root), sim-time and unit discipline
+# (name-based), sweep worker-race freedom, narrow-counter overflow
+# (discharged only by an //inv: range contract, whose runtime twin
+# internal/check enforces), and the //state: typestate contracts
+# (pooled-packet exactly-once free, scheduler handle lifecycles, ownership
+# transfer). A whole-module run also fails the build on //lint:allow
+# directives that no longer suppress anything. Stdlib-only.
 lint:
 	$(GO) run ./cmd/simlint ./...
 

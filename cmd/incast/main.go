@@ -57,11 +57,14 @@ var (
 )
 
 // validate is the usage gate: every error it returns is a bad command line
-// (exit 2). The fault spec is parsed eagerly so a bad class list fails
-// here, even though the spec string itself rides into the sweep spec.
+// (exit 2). The fault spec and the protocol list are parsed eagerly so a
+// bad class list or an empty -protocols fails here, even though the strings
+// themselves ride into the sweep spec.
 func validate() error {
 	_, faultErr := parseFaultGen(*faults, *faultSeed)
+	_, protoErr := cli.ProtocolNames(*protocols)
 	return cli.First(
+		protoErr,
 		cli.ValidateRounds(*rounds, *warmup),
 		cli.ValidateBytes(*total, *per),
 		cli.ValidateRTOMin(*rtoMin),

@@ -10,38 +10,42 @@ import (
 // own tables live in internal/cli.
 
 func TestValidateFlags(t *testing.T) {
-	defer func(r, w int, tot, p int64, rto, jit time.Duration) {
-		*rounds, *warmup, *total, *per, *rtoMin, *jitter = r, w, tot, p, rto, jit
-	}(*rounds, *warmup, *total, *per, *rtoMin, *jitter)
+	defer func(r, w int, tot, p int64, rto, jit time.Duration, pr string) {
+		*rounds, *warmup, *total, *per, *rtoMin, *jitter, *protocols = r, w, tot, p, rto, jit, pr
+	}(*rounds, *warmup, *total, *per, *rtoMin, *jitter, *protocols)
 	const (
 		rto = 200 * time.Millisecond
 		jit = 4 * time.Millisecond
+		pr  = "dctcp+,dctcp"
 	)
 	cases := []struct {
 		name           string
 		rounds, warmup int
 		total, perflow int64
 		rtoMin, jitter time.Duration
+		protocols      string
 		wantErr        bool
 	}{
-		{"defaults", 50, 10, 1 << 20, 0, rto, jit, false},
-		{"perflow overrides total", 50, 10, 0, 64 << 10, rto, jit, false},
-		{"zero warmup", 1, 0, 1 << 20, 0, rto, jit, false},
-		{"zero jitter", 50, 10, 1 << 20, 0, rto, 0, false},
-		{"zero rounds", 0, 0, 1 << 20, 0, rto, jit, true},
-		{"negative rounds", -5, 0, 1 << 20, 0, rto, jit, true},
-		{"negative warmup", 50, -1, 1 << 20, 0, rto, jit, true},
-		{"warmup swallows rounds", 10, 10, 1 << 20, 0, rto, jit, true},
-		{"zero byte budget", 50, 10, 0, 0, rto, jit, true},
-		{"negative total", 50, 10, -1, 0, rto, jit, true},
-		{"negative perflow", 50, 10, 1 << 20, -4096, rto, jit, true},
-		{"zero rtomin", 50, 10, 1 << 20, 0, 0, jit, true},
-		{"negative jitter", 50, 10, 1 << 20, 0, rto, -time.Millisecond, true},
+		{"defaults", 50, 10, 1 << 20, 0, rto, jit, pr, false},
+		{"perflow overrides total", 50, 10, 0, 64 << 10, rto, jit, pr, false},
+		{"zero warmup", 1, 0, 1 << 20, 0, rto, jit, pr, false},
+		{"zero jitter", 50, 10, 1 << 20, 0, rto, 0, pr, false},
+		{"zero rounds", 0, 0, 1 << 20, 0, rto, jit, pr, true},
+		{"negative rounds", -5, 0, 1 << 20, 0, rto, jit, pr, true},
+		{"negative warmup", 50, -1, 1 << 20, 0, rto, jit, pr, true},
+		{"warmup swallows rounds", 10, 10, 1 << 20, 0, rto, jit, pr, true},
+		{"zero byte budget", 50, 10, 0, 0, rto, jit, pr, true},
+		{"negative total", 50, 10, -1, 0, rto, jit, pr, true},
+		{"negative perflow", 50, 10, 1 << 20, -4096, rto, jit, pr, true},
+		{"zero rtomin", 50, 10, 1 << 20, 0, 0, jit, pr, true},
+		{"negative jitter", 50, 10, 1 << 20, 0, rto, -time.Millisecond, pr, true},
+		{"empty protocols", 50, 10, 1 << 20, 0, rto, jit, "", true},
+		{"blank protocols", 50, 10, 1 << 20, 0, rto, jit, " , ", true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			*rounds, *warmup, *total, *per, *rtoMin, *jitter =
-				c.rounds, c.warmup, c.total, c.perflow, c.rtoMin, c.jitter
+			*rounds, *warmup, *total, *per, *rtoMin, *jitter, *protocols =
+				c.rounds, c.warmup, c.total, c.perflow, c.rtoMin, c.jitter, c.protocols
 			if err := validate(); (err != nil) != c.wantErr {
 				t.Errorf("validate = %v, wantErr=%v", err, c.wantErr)
 			}

@@ -1,14 +1,13 @@
 // Command simlint runs the repository's domain-specific static analysis
-// over the module: determinism guards, sim-time discipline, name-based
-// unit safety, float-equality, telemetry nil-safety, sweep worker-race and
-// cache-key checks, narrow-counter overflow, and the call-graph passes —
-// hot-path allocation budgets, enum-switch exhaustiveness and whole-graph
-// purity (see internal/lint).
+// over the module: determinism guards (stricter under //hot:path roots),
+// sim-time discipline, name-based unit safety, float-equality, sweep
+// worker-race checks, narrow-counter overflow, and the call-graph passes —
+// hot-path allocation budgets and enum-switch exhaustiveness (see
+// internal/lint).
 //
 //	simlint ./...            # lint the whole module (the make check gate)
 //	simlint ./internal/tcp   # lint one package
 //	simlint -json ./...      # machine-readable diagnostics, one JSON array
-//	simlint -sarif ./...     # SARIF 2.1.0 log for CI code scanning
 //	simlint -list            # print the analyzer suite and exit
 //	simlint -version         # print the sweep-cache code-version string
 //
@@ -28,14 +27,13 @@
 //
 //	0  every matched package type-checked and produced no diagnostics
 //	1  the analysis ran and reported at least one diagnostic
-//	2  the analysis could not run: unknown flag, -json with -sarif,
-//	   unresolvable pattern, or a package that fails to type-check
+//	2  the analysis could not run: unknown flag, unresolvable pattern, or
+//	   a package that fails to type-check
 //
 // Text mode prints file:line:col: analyzer: message per finding, with a
-// trailing count on stderr. JSON and SARIF modes always print exactly one
-// document on stdout (an empty result set when clean), so a consumer may
-// parse unconditionally; load errors go to stderr and are signalled only
-// by status 2.
+// trailing count on stderr. JSON mode always prints exactly one array on
+// stdout (empty when clean), so a consumer may parse unconditionally; load
+// errors go to stderr and are signalled only by status 2.
 package main
 
 import (
@@ -60,17 +58,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut  = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-		sarifOut = fs.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log on stdout")
-		list     = fs.Bool("list", false, "list the analyzer suite and exit")
-		version  = fs.Bool("version", false, "print the sweep-cache code-version string and exit")
-		dir      = fs.String("C", "", "change to this directory before resolving patterns")
+		jsonOut = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
+		list    = fs.Bool("list", false, "list the analyzer suite and exit")
+		version = fs.Bool("version", false, "print the sweep-cache code-version string and exit")
+		dir     = fs.String("C", "", "change to this directory before resolving patterns")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "simlint: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -120,8 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if diags == nil {
@@ -131,14 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "simlint:", err)
 			return 2
 		}
-	case *sarifOut:
-		doc, err := lint.SARIF(diags, analyzers)
-		if err != nil {
-			fmt.Fprintln(stderr, "simlint:", err)
-			return 2
-		}
-		fmt.Fprintln(stdout, string(doc))
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 		}

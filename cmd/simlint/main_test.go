@@ -107,6 +107,12 @@ func TestRunExitContract(t *testing.T) {
 			wantStatus: 2,
 			wantErr:    "flag provided but not defined",
 		},
+		{
+			name:       "removed -sarif exits 2",
+			args:       []string{"-sarif", "-C", root, "./internal/check"},
+			wantStatus: 2,
+			wantErr:    "flag provided but not defined",
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -192,52 +198,5 @@ func TestRunVersion(t *testing.T) {
 				t.Errorf("run(%v) printed %q, want %q", c.args, out.String(), want)
 			}
 		})
-	}
-}
-
-// TestRunSARIFMode checks the -sarif output parses as a SARIF log in both
-// clean and dirty runs, and that -json and -sarif are mutually exclusive.
-func TestRunSARIFMode(t *testing.T) {
-	root := moduleRoot(t)
-
-	var out, errb strings.Builder
-	if status := run([]string{"-C", root, "-sarif", "./internal/check"}, &out, &errb); status != 0 {
-		t.Fatalf("clean SARIF run exited %d; stderr: %s", status, errb.String())
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Results []json.RawMessage `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &log); err != nil {
-		t.Fatalf("clean output is not SARIF JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("unexpected SARIF shape: version %q, %d runs", log.Version, len(log.Runs))
-	}
-	if len(log.Runs[0].Results) != 0 {
-		t.Fatalf("clean run carries %d results", len(log.Runs[0].Results))
-	}
-
-	out.Reset()
-	errb.Reset()
-	if status := run([]string{"-C", root, "-sarif", "internal/lint/testdata/src/exhaustive"}, &out, &errb); status != 1 {
-		t.Fatalf("dirty SARIF run exited %d, want 1; stderr: %s", status, errb.String())
-	}
-	if err := json.Unmarshal([]byte(out.String()), &log); err != nil {
-		t.Fatalf("dirty output is not SARIF JSON: %v", err)
-	}
-	if len(log.Runs[0].Results) != 2 {
-		t.Fatalf("dirty run carries %d results, want 2", len(log.Runs[0].Results))
-	}
-
-	out.Reset()
-	errb.Reset()
-	if status := run([]string{"-json", "-sarif", "./internal/check"}, &out, &errb); status != 2 {
-		t.Fatalf("-json -sarif exited %d, want 2", status)
-	}
-	if !strings.Contains(errb.String(), "mutually exclusive") {
-		t.Errorf("stderr missing exclusivity message: %s", errb.String())
 	}
 }

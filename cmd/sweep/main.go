@@ -55,8 +55,7 @@ var (
 )
 
 // validate is the usage gate on the orchestration flags (exit 2). The grid
-// itself is parsed by buildSpec and semantically checked by the Spec's own
-// Validate, which the runner runs.
+// itself is parsed and semantically checked by buildSpec.
 func validate() error {
 	return cli.First(
 		cli.ValidateSweep(*jobs, *cacheDir, *resume),
@@ -119,11 +118,16 @@ func main() {
 	}
 }
 
-// buildSpec assembles the declarative grid from the flag surface. The
-// Spec's own Validate (run by the runner) is the semantic gate; this layer
-// only parses.
+// buildSpec assembles the declarative grid from the flag surface and runs
+// the Spec's own Validate, the semantic gate, so a grid the runner would
+// refuse — a -name that escapes the cache directory — is a usage error
+// before the cache is opened.
 func buildSpec(name, protocols, flows, rtomin, seeds, topos, faults string,
 	faultSeed uint64, rounds, warmup int, total, per int64, jitter time.Duration) (dcp.SweepSpec, error) {
+	protoNames, err := cli.ProtocolNames(protocols)
+	if err != nil {
+		return dcp.SweepSpec{}, err
+	}
 	flowCounts, err := cli.ParseFlowCounts(flows)
 	if err != nil {
 		return dcp.SweepSpec{}, err
@@ -136,9 +140,9 @@ func buildSpec(name, protocols, flows, rtomin, seeds, topos, faults string,
 	if err != nil {
 		return dcp.SweepSpec{}, err
 	}
-	return dcp.SweepSpec{
+	spec := dcp.SweepSpec{
 		Name:         name,
-		Protocols:    cli.SplitCSV(protocols),
+		Protocols:    protoNames,
 		Flows:        flowCounts,
 		RTOMins:      rtoMins,
 		Seeds:        seedList,
@@ -150,7 +154,8 @@ func buildSpec(name, protocols, flows, rtomin, seeds, topos, faults string,
 		TotalBytes:   total,
 		BytesPerFlow: per,
 		Jitter:       dcp.Duration(jitter),
-	}, nil
+	}
+	return spec, spec.Validate()
 }
 
 // parseFaultPlans splits the semicolon-separated plan list, mapping the

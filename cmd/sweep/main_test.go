@@ -94,16 +94,19 @@ func TestBuildSpec(t *testing.T) {
 		t.Fatalf("expanded %d jobs, want 144", len(jobs))
 	}
 
-	bad := []struct{ flows, rtomin, seeds string }{
-		{"40,zero", "200ms", "1"},
-		{"40", "200", "1"}, // missing unit
-		{"40", "-5ms", "1"},
-		{"40", "200ms", "minus-one"},
+	bad := []struct{ name, protocols, flows, rtomin, seeds string }{
+		{"t", "dctcp", "40,zero", "200ms", "1"},
+		{"t", "dctcp", "40", "200", "1"}, // missing unit
+		{"t", "dctcp", "40", "-5ms", "1"},
+		{"t", "dctcp", "40", "200ms", "minus-one"},
+		{"t", "", "40", "200ms", "1"},         // would silently run the default protocol
+		{"../t", "dctcp", "40", "200ms", "1"}, // manifest would land beside the cache
 	}
 	for _, b := range bad {
-		if _, err := buildSpec("t", "dctcp", b.flows, b.rtomin, b.seeds,
+		if _, err := buildSpec(b.name, b.protocols, b.flows, b.rtomin, b.seeds,
 			"default", "none", 1, 50, 10, 1<<20, 0, time.Millisecond); err == nil {
-			t.Errorf("buildSpec accepted flows=%q rtomin=%q seeds=%q", b.flows, b.rtomin, b.seeds)
+			t.Errorf("buildSpec accepted name=%q protocols=%q flows=%q rtomin=%q seeds=%q",
+				b.name, b.protocols, b.flows, b.rtomin, b.seeds)
 		}
 	}
 }

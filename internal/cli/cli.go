@@ -137,6 +137,18 @@ func SplitCSV(csv string) []string {
 	return out
 }
 
+// ProtocolNames splits a -protocols value for a sweep spec, which takes
+// the names and checks them itself. An empty list is an error here: the
+// spec would silently substitute its default protocol, where -flows "" is
+// already a usage error.
+func ProtocolNames(csv string) ([]string, error) {
+	names := SplitCSV(csv)
+	if len(names) == 0 {
+		return nil, fmt.Errorf("-protocols %q: need at least one protocol", csv)
+	}
+	return names, nil
+}
+
 // parseList parses every comma-separated field (blank-trimmed, empty
 // fields included, so "10,,20" is an error) with parse, naming the
 // offending field as a bad <what>.

@@ -177,6 +177,17 @@ func TestSplitCSV(t *testing.T) {
 	}
 }
 
+func TestProtocolNames(t *testing.T) {
+	got, err := ProtocolNames(" dctcp+ ,tcp,")
+	if err != nil || !reflect.DeepEqual(got, []string{"dctcp+", "tcp"}) {
+		t.Errorf("ProtocolNames = %q, %v", got, err)
+	}
+	for _, csv := range []string{"", " ", ",,"} {
+		_, err := ProtocolNames(csv)
+		checkErr(t, err, "-protocols")
+	}
+}
+
 func TestParseFlowCounts(t *testing.T) {
 	cases := []struct {
 		csv     string

@@ -54,12 +54,6 @@ func New(g, d float64) *D2TCP {
 // Name returns "d2tcp".
 func (t *D2TCP) Name() string { return "d2tcp" }
 
-// Alpha returns the underlying congestion-extent estimate.
-func (t *D2TCP) Alpha() float64 { return t.inner.Alpha() }
-
-// Gain returns the underlying estimator's EWMA gain.
-func (t *D2TCP) Gain() float64 { return t.inner.Gain() }
-
 // Updates returns the underlying estimator's completed alpha folds.
 func (t *D2TCP) Updates() int64 { return t.inner.Updates() }
 

@@ -234,7 +234,3 @@ func (in *Injector) Finish() Stats {
 	in.mInducedBytes.Add(in.stats.InducedDropBytes)
 	return in.stats
 }
-
-// Stats returns the counters accumulated so far (open windows and induced
-// drops are only totalled by Finish).
-func (in *Injector) Stats() Stats { return in.stats }

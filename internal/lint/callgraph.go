@@ -9,9 +9,10 @@ import (
 
 // Program is the whole-module call graph shared by every package a Loader
 // produces. It exists for the reachability-based analyzers (hotalloc,
-// callpurity): a per-packet budget is a property of everything a hot
-// function can reach, not of one function body, so the analysis unit has to
-// be the module, even though diagnostics are still reported per package.
+// nondeterminism's hot mode): a per-packet budget is a property of
+// everything a hot function can reach, not of one function body, so the
+// analysis unit has to be the module, even though diagnostics are still
+// reported per package.
 //
 // Construction and its approximations:
 //
@@ -27,7 +28,7 @@ import (
 //     This is sound for the module (no reachable implementation is missed)
 //     and tight in practice, because the simulator's interfaces
 //     (CongestionControl, FlowHandler, Node) have few implementations.
-//   - Calls through plain function values — scheduler callbacks, OnDrop /
+//   - Calls through plain function values — scheduler callbacks, OnTransmit /
 //     OnComplete style hooks — are NOT expanded. This is the documented
 //     hole in the approximation: observability hooks are allowed to
 //     allocate, and the functions those callbacks invoke are annotated as

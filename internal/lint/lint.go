@@ -5,31 +5,27 @@
 // using nothing but the standard library (go/parser, go/ast, go/token,
 // go/types — the module is dependency-free and must stay that way).
 //
-// Fifteen analyzers ship with the pass:
+// Twelve analyzers ship with the pass:
 //
 //   - nondeterminism: wall-clock reads, math/rand, order-sensitive map
-//     iteration, and goroutine spawns inside simulation-scheduled code.
+//     iteration, and goroutine spawns inside simulation-scheduled code;
+//     under a //hot:path root the wall-clock and goroutine allowances are
+//     void.
 //   - simtime: raw int64/float64 durations crossing exported boundaries of
 //     packages where the sim.Time/sim.Duration types are available.
 //   - unitsafety: arithmetic mixing byte-, packet- and segment-valued
 //     identifiers.
 //   - floateq: ==/!= on floating-point operands outside tests.
-//   - telemetrysafety: instrument methods that dereference their receiver
-//     without the nil-guard idiom the telemetry layer is built on.
 //   - hotalloc: heap-allocating constructs in //hot:path functions and
 //     everything statically reachable from them (whole-module call graph
 //     with interface calls over-approximated by method signature).
 //   - exhaustive: switches over module enum types must cover every declared
 //     constant or carry a panicking default.
-//   - callpurity: nondeterminism sources anywhere in the call graph
-//     reachable from //hot:path roots, with no per-package allowances.
 //   - sweepsafety: writes to package-level state anywhere reachable from
 //     //sweep:job worker bodies.
 //   - sharedstate: unsynchronized writes to captured variables inside
 //     concurrently executed closures (pool.ForEach literals, goroutines in
 //     sweep-reachable code).
-//   - cachekey: completeness proof that every field of a
-//     //cache:key-annotated struct flows into its cache-key method.
 //   - overflow: unbounded narrow-integer accumulation and
 //     wraparound-unsafe sequence arithmetic in //hot:path- or
 //     //sweep:job-reachable code; an accumulation is discharged only by an
@@ -104,13 +100,10 @@ func All() []*Analyzer {
 		SimTime(),
 		UnitSafety(),
 		FloatEq(),
-		TelemetrySafety(),
 		Hotalloc(),
 		Exhaustive(),
-		CallPurity(),
 		SweepSafety(),
 		SharedState(),
-		CacheKey(),
 		Overflow(),
 		Poollife(),
 		HandleState(),
@@ -138,7 +131,7 @@ type directiveLine struct {
 }
 
 // directiveLines is the one reader of the package's comment directives
-// (//lint:allow, //hot:path, //sweep:job, //cache:key, //inv:, //state:).
+// (//lint:allow, //hot:path, //sweep:job, //inv:, //state:).
 // It returns, in order, every line comment of groups that starts with
 // marker — in its raw spelling or behind the single space gofmt's
 // doc-comment printer inserts when the line does not parse as a compiler

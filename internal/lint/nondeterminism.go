@@ -25,10 +25,17 @@ import (
 //     design, and concurrency inside it would make event interleaving
 //     scheduler-dependent. internal/exp and internal/sweep are exempted
 //     (goroutineAllowed): they run whole, isolated simulations per worker.
+//
+// Inside a //hot:path function and everything statically reachable from one
+// (the shared call graph, see Program) the two allowances are void: cmd/ may
+// read the wall clock for run metadata and internal/exp may spawn goroutines
+// for sweep parallelism, but per-event code may do neither, whichever file
+// or package it lands in. Rules 2 and 3 have no allowance to void. Such a
+// finding names the hot root it is reachable from.
 func Nondeterminism() *Analyzer {
 	return &Analyzer{
 		Name: "nondeterminism",
-		Doc:  "forbid wall-clock reads, math/rand, order-sensitive map iteration, and goroutines in sim-scheduled code",
+		Doc:  "forbid wall-clock reads, math/rand, order-sensitive map iteration, and goroutines in sim-scheduled code (no allowances under //hot:path roots)",
 		Run:  runNondeterminism,
 	}
 }
@@ -79,27 +86,41 @@ func runNondeterminism(p *Package) []Diagnostic {
 			}
 		}
 
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok || !wallClockFuncs[sel.Sel.Name] {
-					return true
+		for _, d := range f.Decls {
+			// Under a //hot:path root both allowances are void, and the
+			// finding names the root in place of the file or package rule.
+			hot := false
+			clockWhere, goWhere := "in simulation code", "in sim-scheduled package "+p.ImportPath
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				fn, _ := p.Info.Defs[fd.Name].(*types.Func)
+				if roots := p.Prog.hotRootsOf(fn); len(roots) > 0 {
+					hot = true
+					clockWhere = "on a hot path " + rootLabel(fn, roots)
+					goWhere = clockWhere
 				}
-				if p.isPkgIdent(sel.X, "time") && !wallClockAllowed(file) {
-					out = append(out, p.diag("nondeterminism", n.Pos(),
-						"wall-clock read time.%s in simulation code: use the sim.Scheduler clock", sel.Sel.Name))
-				}
-			case *ast.GoStmt:
-				if simScheduled {
-					out = append(out, p.diag("nondeterminism", n.Pos(),
-						"goroutine spawn in sim-scheduled package %s: the event loop is single-threaded by design", p.ImportPath))
-				}
-			case *ast.RangeStmt:
-				out = append(out, p.checkMapRange(f, n)...)
 			}
-			return true
-		})
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok || !wallClockFuncs[sel.Sel.Name] {
+						return true
+					}
+					if p.isPkgIdent(sel.X, "time") && (hot || !wallClockAllowed(file)) {
+						out = append(out, p.diag("nondeterminism", n.Pos(),
+							"wall-clock read time.%s %s: use the sim.Scheduler clock", sel.Sel.Name, clockWhere))
+					}
+				case *ast.GoStmt:
+					if hot || simScheduled {
+						out = append(out, p.diag("nondeterminism", n.Pos(),
+							"goroutine spawn %s: the event loop is single-threaded by design", goWhere))
+					}
+				case *ast.RangeStmt:
+					out = append(out, p.checkMapRange(f, n)...)
+				}
+				return true
+			})
+		}
 	}
 	return out
 }

@@ -11,7 +11,7 @@ import (
 // determinism argument ("a job is a pure function of its Point") holds
 // only if the job and everything statically reachable from it never
 // *writes* shared state. The analyzer taints the call graph from every
-// //sweep:job root — the same whole-module closure callpurity uses for
+// //sweep:job root — the same whole-module closure hotalloc uses for
 // //hot:path — and flags, inside any tainted function:
 //
 //   - assignments (including +=, ++ and friends) whose destination roots

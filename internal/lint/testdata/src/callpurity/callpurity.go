@@ -1,6 +1,6 @@
-// Package callpurity reaches nondeterminism sources from a hot root: each
-// site is flagged by the base per-function analyzers and again — with root
-// provenance — by the whole-call-graph taint pass.
+// Package callpurity is the fixture of nondeterminism's hot mode: it does not
+// import internal/sim, so spill's goroutine is flagged only because a hot
+// root reaches it, and stamp.go reads the wall clock in an allow-listed file.
 package callpurity
 
 import (
@@ -14,7 +14,7 @@ import (
 func Tick(seen map[int]int) int64 {
 	jittered := backoff()
 	spill(seen)
-	return jittered
+	return jittered + stamp()
 }
 
 // backoff reads the wall clock and the global RNG one static hop from the

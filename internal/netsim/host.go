@@ -63,9 +63,6 @@ func NewHost(sched *sim.Scheduler, id packet.NodeID, name string) *Host {
 // ID returns the host's node id.
 func (h *Host) ID() packet.NodeID { return h.id }
 
-// Name returns the host's human-readable name.
-func (h *Host) Name() string { return h.name }
-
 // Scheduler returns the event scheduler driving this host.
 func (h *Host) Scheduler() *sim.Scheduler { return h.sched }
 

@@ -176,6 +176,3 @@ func (l *Link) Propagate(pkt *packet.Packet) {
 func (l *Link) deliver(arg any) {
 	l.dst.Deliver(arg.(*packet.Packet))
 }
-
-// Dst returns the node at the receiving end of the link.
-func (l *Link) Dst() Node { return l.dst }

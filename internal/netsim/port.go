@@ -46,9 +46,9 @@ const (
 // PortConfig describes one output port's buffering and AQM behaviour.
 type PortConfig struct {
 	// BufferBytes is the static buffer associated with the port. Packets
-	//inv: BufferBytes >= 1
 	// arriving when the queue cannot hold them are tail-dropped. The
 	// paper's switches use 128KB per port.
+	//inv: BufferBytes >= 1
 	BufferBytes int
 
 	// MarkThresholdBytes is the DCTCP ECN threshold K: "the switch sets the
@@ -127,9 +127,6 @@ type Port struct {
 	mMarked     *telemetry.Counter
 	mQueueDepth *telemetry.Histogram
 
-	// OnDrop, if set, is invoked for every tail-dropped packet (used by
-	// tests and loss accounting).
-	OnDrop func(pkt *packet.Packet)
 	// OnQueueChange, if set, observes every enqueue/dequeue with the new
 	// occupancy in bytes (used by queue-length tracers).
 	OnQueueChange func(now sim.Time, qBytes int)
@@ -317,9 +314,6 @@ func (p *Port) Resume() {
 	}
 }
 
-// Paused reports whether the port is currently frozen.
-func (p *Port) Paused() bool { return p.paused }
-
 // Enqueue accepts a packet for transmission. If the static buffer cannot
 // hold it, the packet is dropped (tail drop). If the instantaneous queue
 // occupancy exceeds the marking threshold K and the packet is ECN-capable,
@@ -336,9 +330,6 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 		p.stats.DroppedPkts++
 		p.stats.DroppedBytes += int64(size)
 		p.mDropped.Add(1)
-		if p.OnDrop != nil {
-			p.OnDrop(pkt)
-		}
 		p.pool.Put(pkt)
 		return
 	}

@@ -81,14 +81,8 @@ func (d Duration) Micros() float64 { return float64(d) / 1e3 }
 // Millis returns the duration as floating-point milliseconds.
 func (d Duration) Millis() float64 { return float64(d) / 1e6 }
 
-// Std converts the virtual duration to a time.Duration for formatting.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // String formats the duration using the standard library's rendering.
 func (d Duration) String() string { return time.Duration(d).String() }
-
-// DurationOf converts a standard library duration into a virtual Duration.
-func DurationOf(d time.Duration) Duration { return Duration(d) }
 
 // Scale returns d scaled by the factor f, rounding toward zero.
 func (d Duration) Scale(f float64) Duration { return Duration(float64(d) * f) }

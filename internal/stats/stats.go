@@ -233,8 +233,12 @@ type Welford struct {
 	m2   float64
 }
 
-// Add folds one sample into the accumulator.
+// Add folds one sample into the accumulator. NaN samples are discarded, the
+// same boundary policy as the batch constructors.
 func (w *Welford) Add(x float64) {
+	if math.IsNaN(x) {
+		return
+	}
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)

@@ -7,7 +7,7 @@ import (
 )
 
 // TestSummaryCountWidth pins Summary.Count to int64. It used to be int,
-// and Stream.Summary narrowed the Welford int64 tally through int(...) —
+// and the Welford int64 tally was narrowed into it through int(...) —
 // correct on 64-bit hosts, silently truncating on 32-bit ones. A width
 // regression reintroduces that portability bug even if every value-level
 // test below still passes on a 64-bit CI host.
@@ -21,21 +21,22 @@ func TestSummaryCountWidth(t *testing.T) {
 	}
 }
 
-// TestStreamSummaryCountBeyondInt32 drives the streaming path with a
-// sample count past the 32-bit boundary. The P² and Welford state are
-// seeded white-box: folding 2^31 real samples is not a unit test.
-func TestStreamSummaryCountBeyondInt32(t *testing.T) {
-	s := NewStream()
+// TestWelfordCountBeyondInt32 drives the accumulator sweep.Group folds into
+// with a sample count past the 32-bit boundary, and checks NaN samples are
+// discarded at Add. The tally is seeded white-box: folding 2^31 real
+// samples is not a unit test.
+func TestWelfordCountBeyondInt32(t *testing.T) {
+	var w Welford
 	for i := 0; i < 8; i++ {
-		s.Add(float64(i))
+		w.Add(float64(i))
+	}
+	w.Add(math.NaN())
+	if w.N() != 8 || w.Mean() != 3.5 {
+		t.Errorf("after 0..7 and a NaN: N = %d, mean = %v; want 8, 3.5 (NaN must not count)", w.N(), w.Mean())
 	}
 	const n = int64(math.MaxInt32) + 7
-	s.w.n = n
-	sum := s.Summary()
-	if sum.Count != n {
-		t.Errorf("Summary.Count = %d, want %d (narrowed through a 32-bit conversion?)", sum.Count, n)
-	}
-	if s.N() != n {
-		t.Errorf("N() = %d, want %d", s.N(), n)
+	w.n = n
+	if w.N() != n {
+		t.Errorf("N() = %d, want %d (narrowed through a 32-bit conversion?)", w.N(), n)
 	}
 }

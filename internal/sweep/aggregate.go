@@ -8,12 +8,11 @@ import (
 )
 
 // Group aggregates the replicates (seed × fault-seed variations) of one
-// experiment point. Metrics accumulate through streaming estimators
-// (internal/stats.Stream: Welford moments + P² quantiles), so a sweep with
-// thousands of replicates per point holds a handful of floats, never the
-// sample sets. Streams fold in job-index order — the runner guarantees
-// delivery order — so group summaries are byte-stable across worker
-// counts and cache states.
+// experiment point. Metrics accumulate through stats.Welford, so a sweep
+// with thousands of replicates per point holds a handful of floats, never
+// the sample sets. They fold in job-index order — the runner guarantees
+// delivery order — so group means are byte-stable across worker counts and
+// cache states.
 type Group struct {
 	// Key is the seed-normalized point identity (Point.GroupKey).
 	Key string
@@ -25,12 +24,12 @@ type Group struct {
 	Jobs int
 	Hits int
 
-	// Goodput streams the per-replicate mean goodput (Mbps); FCT the
+	// Goodput accumulates the per-replicate mean goodput (Mbps); FCT the
 	// per-replicate mean flow-completion time and FCTp99 the
 	// per-replicate P99 (ms).
-	Goodput *stats.Stream
-	FCT     *stats.Stream
-	FCTp99  *stats.Stream
+	Goodput stats.Welford
+	FCT     stats.Welford
+	FCTp99  stats.Welford
 
 	// Timeouts totals RTO events across replicates; Drops totals
 	// bottleneck tail drops; FaultsInjected totals fired fault events.
@@ -38,9 +37,9 @@ type Group struct {
 	Drops          int64
 	FaultsInjected int64
 
-	// TimeoutRoundFrac streams the per-replicate timeout-round fraction
+	// TimeoutRoundFrac accumulates the per-replicate timeout-round fraction
 	// (Table I's headline column).
-	TimeoutRoundFrac *stats.Stream
+	TimeoutRoundFrac stats.Welford
 }
 
 // aggregator folds results into groups keyed by seed-normalized point,
@@ -62,14 +61,7 @@ func (a *aggregator) add(r Result, status string) {
 		pt := r.Point
 		pt.Seed = 0
 		pt.FaultSeed = 0
-		g = &Group{
-			Key:              key,
-			Point:            pt,
-			Goodput:          stats.NewStream(),
-			FCT:              stats.NewStream(),
-			FCTp99:           stats.NewStream(),
-			TimeoutRoundFrac: stats.NewStream(),
-		}
+		g = &Group{Key: key, Point: pt}
 		a.byKey[key] = g
 		a.order = append(a.order, g)
 	}
@@ -112,12 +104,9 @@ func WriteGroups(w io.Writer, groups []*Group) error {
 		return err
 	}
 	for _, g := range groups {
-		gp := g.Goodput.Summary()
-		fct := g.FCT.Summary()
-		p99 := g.FCTp99.Summary()
-		tof := g.TimeoutRoundFrac.Summary()
 		if _, err := fmt.Fprintf(w, "%-44s %5d %12.2f %10.3f %10.3f %8.4f %9d\n",
-			g.Label(), g.Jobs, gp.Mean, fct.Mean, p99.Mean, tof.Mean, g.Timeouts); err != nil {
+			g.Label(), g.Jobs, g.Goodput.Mean(), g.FCT.Mean(), g.FCTp99.Mean(),
+			g.TimeoutRoundFrac.Mean(), g.Timeouts); err != nil {
 			return err
 		}
 	}

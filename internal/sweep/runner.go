@@ -116,6 +116,9 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 // so those callers get caching, resume, and ordered aggregation too. The
 // manifest's spec hash is the hash of the point list.
 func (r *Runner) RunPoints(ctx context.Context, name string, pts []Point) (*Outcome, error) {
+	if err := validName(name); err != nil {
+		return nil, err
+	}
 	jobs := make([]Job, len(pts))
 	for i, pt := range pts {
 		if pt.Rounds <= pt.WarmupRounds {

@@ -141,6 +141,9 @@ func LargeNSpec() Spec {
 // first offending dimension.
 func (s Spec) Validate() error {
 	n := s.normalized()
+	if err := validName(n.Name); err != nil {
+		return err
+	}
 	if n.Rounds <= n.WarmupRounds {
 		return fmt.Errorf("sweep: rounds %d must exceed warmup %d", n.Rounds, n.WarmupRounds)
 	}
@@ -183,6 +186,16 @@ func (s Spec) Validate() error {
 		if _, err := fault.ParseClasses(fs); err != nil {
 			return fmt.Errorf("sweep: %w", err)
 		}
+	}
+	return nil
+}
+
+// validName rejects a sweep name that is not a single path element: the
+// name becomes a file name inside the cache directory (manifestPath), so a
+// separator or ".." would put the journal outside it.
+func validName(name string) error {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
+		return fmt.Errorf("sweep: name %q is not a single path element (it names the manifest file inside the cache directory)", name)
 	}
 	return nil
 }
@@ -276,13 +289,10 @@ func canonicalFaults(spec string) string {
 // the on-disk format — extend with care and bump Runner.CodeVersion
 // semantics when a change alters results.
 //
-// The directive below makes the completeness half machine-checked: simlint's
-// cachekey analyzer proves every field of Point flows into Key, so a new
-// field that silently misses the digest (unexported, or tagged json:"-")
-// fails the lint instead of aliasing distinct experiments onto one cache
-// entry.
-//
-//cache:key Key
+// The completeness half is machine-checked: TestPointKeyCoversEveryField
+// changes each field alone and requires Key to move, so a new field that
+// silently misses the digest (unexported, or tagged json:"-") fails the
+// test instead of aliasing distinct experiments onto one cache entry.
 type Point struct {
 	Topo         string       `json:"topo"`
 	Proto        string       `json:"proto"`

@@ -126,6 +126,43 @@ func TestPointKeyScopesCodeVersion(t *testing.T) {
 	}
 }
 
+// TestPointKeyCoversEveryField is the cache-key completeness proof, run
+// rather than read: changing any one field of Point alone changes Key, so a
+// field added later that misses the digest — unexported, tagged json:"-",
+// dropped by a custom marshaller — fails here by name instead of aliasing
+// distinct experiments onto one cache entry. GroupKey must move with every
+// field except the two seeds it exists to ignore.
+func TestPointKeyCoversEveryField(t *testing.T) {
+	var base Point
+	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+		f := reflect.TypeOf(base).Field(i)
+		if !f.IsExported() {
+			t.Errorf("field %s is unexported: json.Marshal skips it, so it cannot reach Key", f.Name)
+			continue
+		}
+		pt := base
+		switch v := reflect.ValueOf(&pt).Elem().Field(i); v.Kind() {
+		case reflect.String:
+			v.SetString("x")
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			v.SetInt(1)
+		case reflect.Uint64:
+			v.SetUint(1)
+		default:
+			t.Fatalf("field %s: teach this test to change a %s", f.Name, v.Kind())
+		}
+		if pt.Key("v") == base.Key("v") {
+			t.Errorf("changing field %s alone leaves Key unchanged: it does not reach the cache digest", f.Name)
+		}
+		isSeed := f.Name == "Seed" || f.Name == "FaultSeed"
+		if moved := pt.GroupKey() != base.GroupKey(); moved == isSeed {
+			t.Errorf("changing field %s alone: GroupKey moved = %v, want %v", f.Name, moved, !isSeed)
+		}
+	}
+}
+
 func TestCacheRoundTrip(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -242,6 +279,49 @@ func TestRunRefusesStaleManifestWithoutResume(t *testing.T) {
 	}
 }
 
+// TestSweepNameCannotEscapeCacheDir: the sweep name becomes the manifest's
+// file name inside the cache directory, so both entry points reject a name
+// that is not a single path element before creating anything ("../x" used
+// to write x.manifest.jsonl beside the cache). RunPoints takes the name
+// raw, so there the empty name is rejected too; Spec defaults it.
+func TestSweepNameCannotEscapeCacheDir(t *testing.T) {
+	spec := fastSpec("ok")
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := []Point{jobs[0].Point}
+	root := t.TempDir()
+	c, err := OpenCache(filepath.Join(root, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Runner{Workers: 1, Cache: c, CodeVersion: "test-version"}
+	for _, name := range []string{"../x", "a/b", `a\b`, ".", "..", ""} {
+		spec.Name = name
+		if err := spec.Validate(); (err == nil) != (name == "") {
+			t.Errorf("Spec{Name: %q}.Validate() = %v", name, err)
+		}
+		if name != "" {
+			if _, err := r.Run(context.Background(), spec); err == nil {
+				t.Errorf("Run accepted sweep name %q", name)
+			}
+		}
+		if _, err := r.RunPoints(context.Background(), name, pts); err == nil {
+			t.Errorf("RunPoints accepted sweep name %q", name)
+		}
+	}
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err == nil && strings.Contains(d.Name(), "manifest") {
+			t.Errorf("a rejected sweep name still created %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestResumeAfterInterrupt(t *testing.T) {
 	spec := fastSpec("resume")
 	spec.Seeds = []uint64{1, 2, 3, 4} // widen to 16 jobs so the interrupt lands mid-grid
@@ -353,12 +433,34 @@ func TestGroupAggregation(t *testing.T) {
 		if g.Point.Seed != 0 || g.Point.FaultSeed != 0 {
 			t.Errorf("group %s retains a seed", g.Label())
 		}
-		if g.Goodput.N() != 2 || g.Goodput.Summary().Mean <= 0 {
-			t.Errorf("group %s goodput stream wrong: n=%d", g.Label(), g.Goodput.N())
+		if g.Goodput.N() != 2 || g.Goodput.Mean() <= 0 {
+			t.Errorf("group %s goodput accumulator wrong: n=%d", g.Label(), g.Goodput.N())
 		}
 	}
 	if !strings.Contains(table, "dctcp+ N=8") {
 		t.Errorf("table missing expected group label:\n%s", table)
+	}
+}
+
+// groupsGolden is WriteGroups' table for the spec below, pinned before
+// sweep.Group's metrics became plain stats.Welford accumulators: the
+// aggregate layer must keep printing these bytes.
+const groupsGolden = `point                                         runs      goodput     fct_ms    fct_p99  to_frac  timeouts
+dctcp N=8 rtomin=10ms                            3       925.23      9.072      9.327   0.0000         0
+dctcp N=120 rtomin=10ms                          3       360.84     23.662     25.022   0.3000       537
+dctcp+ N=8 rtomin=10ms                           3       876.83      9.817     12.059   0.0000         0
+dctcp+ N=120 rtomin=10ms                         3       650.94     12.970     14.218   0.0000         8
+`
+
+// TestWriteGroupsGolden runs 2 protocols × 2 flow counts × 3 seeds (N=120
+// times out under DCTCP, so every column carries a non-zero value) and
+// compares the aggregate table byte for byte.
+func TestWriteGroupsGolden(t *testing.T) {
+	spec := fastSpec("golden")
+	spec.Flows = []int{8, 120}
+	spec.Seeds = []uint64{1, 2, 3}
+	if _, table := runOutcome(t, spec, 1, "", false); table != groupsGolden {
+		t.Errorf("aggregate table moved:\n--- got ---\n%s--- want ---\n%s", table, groupsGolden)
 	}
 }
 

@@ -17,7 +17,7 @@ type ReceiverStats struct {
 	AcksOut       int64
 	DelayedAcks   int64 // ACKs sent by the delayed-ACK counter/timer path
 	ImmediateAcks int64 // ACKs forced by dup/out-of-order/CE-transition
-	CEMarskSeen   int64 // data segments arriving with CE set
+	CEMarksSeen   int64 // data segments arriving with CE set
 }
 
 // interval is a half-open byte range [lo, hi) in the reassembly buffer. ce
@@ -123,7 +123,7 @@ func (r *Receiver) Deliver(pkt *packet.Packet) {
 
 	ce := pkt.ECN == packet.CE
 	if ce {
-		r.stats.CEMarskSeen++
+		r.stats.CEMarksSeen++
 	}
 	switch r.cfg.ECN {
 	case ECNOff:

@@ -150,8 +150,8 @@ func TestPreciseEchoStateMachine(t *testing.T) {
 			t.Errorf("ack[%d] = %+v, want %+v", i, acks[i], want[i])
 		}
 	}
-	if r.Stats().CEMarskSeen != 3 {
-		t.Errorf("CE seen = %d, want 3", r.Stats().CEMarskSeen)
+	if r.Stats().CEMarksSeen != 3 {
+		t.Errorf("CE seen = %d, want 3", r.Stats().CEMarksSeen)
 	}
 }
 

@@ -165,6 +165,52 @@ func TestNilRegistry(t *testing.T) {
 	}
 }
 
+// TestNilReceiversAreNoOps is the contract the hot layers rely on when they
+// attach and call instruments unconditionally: every exported method of the
+// four instrument types returns its zero result on a typed nil receiver
+// instead of dereferencing it. Reflection enumerates the methods, so one
+// added later is covered without being listed here. Arguments are non-zero:
+// a guard like Counter.Add's `c == nil || n <= 0` must not pass on n alone.
+func TestNilReceiversAreNoOps(t *testing.T) {
+	for _, nilPtr := range []any{(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil), (*Registry)(nil)} {
+		recv := reflect.ValueOf(nilPtr)
+		for i := 0; i < recv.NumMethod(); i++ {
+			name := recv.Type().Elem().Name() + "." + recv.Type().Method(i).Name
+			fn := recv.Method(i)
+			var args []reflect.Value
+			for j := 0; j < fn.Type().NumIn(); j++ {
+				if fn.Type().IsVariadic() && j == fn.Type().NumIn()-1 {
+					break // an empty variadic tail
+				}
+				arg := reflect.New(fn.Type().In(j)).Elem()
+				switch arg.Kind() {
+				case reflect.Int64:
+					arg.SetInt(1)
+				case reflect.Float64:
+					arg.SetFloat(1)
+				case reflect.String:
+					arg.SetString("x")
+				default:
+					t.Fatalf("%s: teach this test to build a %s argument", name, arg.Kind())
+				}
+				args = append(args, arg)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s panics on a nil receiver: %v", name, r)
+					}
+				}()
+				for _, out := range fn.Call(args) {
+					if !out.IsZero() {
+						t.Errorf("%s on a nil receiver returned %v, want the zero value", name, out)
+					}
+				}
+			}()
+		}
+	}
+}
+
 func TestAdvanceSimTime(t *testing.T) {
 	r := NewRegistry()
 	r.AdvanceSimTime(100)
