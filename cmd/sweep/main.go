@@ -128,6 +128,10 @@ func buildSpec(name, protocols, flows, rtomin, seeds, topos, faults string,
 	if err != nil {
 		return dcp.SweepSpec{}, err
 	}
+	topoNames, err := cli.TopoNames(topos)
+	if err != nil {
+		return dcp.SweepSpec{}, err
+	}
 	flowCounts, err := cli.ParseFlowCounts(flows)
 	if err != nil {
 		return dcp.SweepSpec{}, err
@@ -146,7 +150,7 @@ func buildSpec(name, protocols, flows, rtomin, seeds, topos, faults string,
 		Flows:        flowCounts,
 		RTOMins:      rtoMins,
 		Seeds:        seedList,
-		Topos:        cli.SplitCSV(topos),
+		Topos:        topoNames,
 		Faults:       parseFaultPlans(faults),
 		FaultSeed:    faultSeed,
 		Rounds:       rounds,

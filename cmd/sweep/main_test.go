@@ -94,19 +94,21 @@ func TestBuildSpec(t *testing.T) {
 		t.Fatalf("expanded %d jobs, want 144", len(jobs))
 	}
 
-	bad := []struct{ name, protocols, flows, rtomin, seeds string }{
-		{"t", "dctcp", "40,zero", "200ms", "1"},
-		{"t", "dctcp", "40", "200", "1"}, // missing unit
-		{"t", "dctcp", "40", "-5ms", "1"},
-		{"t", "dctcp", "40", "200ms", "minus-one"},
-		{"t", "", "40", "200ms", "1"},         // would silently run the default protocol
-		{"../t", "dctcp", "40", "200ms", "1"}, // manifest would land beside the cache
+	bad := []struct{ name, protocols, flows, rtomin, seeds, topos string }{
+		{"t", "dctcp", "40,zero", "200ms", "1", "default"},
+		{"t", "dctcp", "40", "200", "1", "default"}, // missing unit
+		{"t", "dctcp", "40", "-5ms", "1", "default"},
+		{"t", "dctcp", "40", "200ms", "minus-one", "default"},
+		{"t", "", "40", "200ms", "1", "default"},         // would silently run the default protocol
+		{"t", "dctcp", "40", "200ms", "1", ""},           // would silently run the default topology
+		{"t", "dctcp", "40", "200ms", "1", ","},          // likewise
+		{"../t", "dctcp", "40", "200ms", "1", "default"}, // manifest would land beside the cache
 	}
 	for _, b := range bad {
 		if _, err := buildSpec(b.name, b.protocols, b.flows, b.rtomin, b.seeds,
-			"default", "none", 1, 50, 10, 1<<20, 0, time.Millisecond); err == nil {
-			t.Errorf("buildSpec accepted name=%q protocols=%q flows=%q rtomin=%q seeds=%q",
-				b.name, b.protocols, b.flows, b.rtomin, b.seeds)
+			b.topos, "none", 1, 50, 10, 1<<20, 0, time.Millisecond); err == nil {
+			t.Errorf("buildSpec accepted name=%q protocols=%q flows=%q rtomin=%q seeds=%q topos=%q",
+				b.name, b.protocols, b.flows, b.rtomin, b.seeds, b.topos)
 		}
 	}
 }

@@ -141,10 +141,18 @@ func SplitCSV(csv string) []string {
 // the names and checks them itself. An empty list is an error here: the
 // spec would silently substitute its default protocol, where -flows "" is
 // already a usage error.
-func ProtocolNames(csv string) ([]string, error) {
+func ProtocolNames(csv string) ([]string, error) { return nameList("-protocols", "protocol", csv) }
+
+// TopoNames splits a -topos value the same way: with no name left the spec
+// would silently run its default topology.
+func TopoNames(csv string) ([]string, error) { return nameList("-topos", "topology", csv) }
+
+// nameList splits a comma-separated list of names the sweep spec checks
+// itself, refusing only the list that has none.
+func nameList(flagName, what, csv string) ([]string, error) {
 	names := SplitCSV(csv)
 	if len(names) == 0 {
-		return nil, fmt.Errorf("-protocols %q: need at least one protocol", csv)
+		return nil, fmt.Errorf("%s %q: need at least one %s", flagName, csv, what)
 	}
 	return names, nil
 }

@@ -188,6 +188,27 @@ func TestProtocolNames(t *testing.T) {
 	}
 }
 
+func TestTopoNames(t *testing.T) {
+	cases := []struct {
+		csv     string
+		want    []string
+		wantErr string
+	}{
+		{"default", []string{"default"}, ""},
+		{" default , hull,", []string{"default", "hull"}, ""},
+		{"", nil, `-topos "": need at least one topology`},
+		{",", nil, `-topos ",": need at least one topology`},
+		{" , ", nil, `-topos " , ": need at least one topology`},
+	}
+	for _, c := range cases {
+		got, err := TopoNames(c.csv)
+		checkErr(t, err, c.wantErr)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("TopoNames(%q) = %q, want %q", c.csv, got, c.want)
+		}
+	}
+}
+
 func TestParseFlowCounts(t *testing.T) {
 	cases := []struct {
 		csv     string

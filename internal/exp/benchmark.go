@@ -64,19 +64,19 @@ func RunBenchmark(o BenchmarkOptions) BenchmarkResult {
 	sched.RunUntil(sim.Time(o.MaxSimTime))
 
 	res := BenchmarkResult{Protocol: o.Protocol}
-	var qf []float64
+	qf := make([]float64, 0, cfg.Queries)
 	for _, q := range b.QueryResults() {
 		qf = append(qf, q.FCT.Millis())
 	}
 	res.Queries = len(qf)
 	res.QueryFCTms = stats.Summarize(qf)
-	var sf []float64
+	sf := make([]float64, 0, cfg.ShortFlows)
 	for _, f := range b.ShortResults() {
 		sf = append(sf, f.FCT.Millis())
 	}
 	res.Short = len(sf)
 	res.ShortFCTms = stats.Summarize(sf)
-	var bf []float64
+	bf := make([]float64, 0, cfg.BackgroundFlows)
 	for _, f := range b.BackgroundResults() {
 		bf = append(bf, f.FCT.Millis())
 	}

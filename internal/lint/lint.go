@@ -26,11 +26,10 @@
 //   - sharedstate: unsynchronized writes to captured variables inside
 //     concurrently executed closures (pool.ForEach literals, goroutines in
 //     sweep-reachable code).
-//   - overflow: unbounded narrow-integer accumulation and
-//     wraparound-unsafe sequence arithmetic in //hot:path- or
-//     //sweep:job-reachable code; an accumulation is discharged only by an
-//     //inv: range contract on the field (see contracts.go), which is
-//     declared here and enforced at run time by its internal/check twin.
+//   - overflow: unbounded narrow-integer accumulation in //hot:path- or
+//     //sweep:job-reachable code, discharged only by an //inv: range
+//     contract on the field (see contracts.go), which is declared here and
+//     enforced at run time by its internal/check twin.
 //   - poollife: path-sensitive typestate proof of the //state: pooled
 //     protocols (see typestate.go; control flow is flow.go's walker) —
 //     use-after-free, double-free and leak-on-path for pooled packets,

@@ -1,6 +1,6 @@
 // Package overflow exercises the overflow analyzer: unbounded narrow
-// accumulation on a hot path, a contract-bounded accumulation that is
-// exempt, and wraparound-unsafe arithmetic on 32-bit sequence values.
+// accumulation on a hot path, and a contract-bounded accumulation that is
+// exempt.
 package overflow
 
 // Tally accumulates per-packet counters.
@@ -15,10 +15,9 @@ type Tally struct {
 // bump is the per-packet path.
 //
 //hot:path
-func (t *Tally) bump(seqNo, limit uint32) bool {
+func (t *Tally) bump() {
 	t.hits++
 	if t.credits < 4 {
 		t.credits++
 	}
-	return seqNo < limit
 }

@@ -16,19 +16,17 @@ type Switch struct {
 	name  string
 	sched *sim.Scheduler
 
-	ports  []*Port
-	routes map[packet.NodeID]*Port
+	ports []*Port
+	// routes is indexed by destination NodeID (small dense integers minted
+	// by the topology builder); nil where no route is installed. A slice,
+	// not a map: this is one lookup per switch hop.
+	routes []*Port
 }
 
 // NewSwitch creates a switch with no ports. Ports are added with AddPort
 // and routes installed with AddRoute by the topology builder.
 func NewSwitch(sched *sim.Scheduler, id packet.NodeID, name string) *Switch {
-	return &Switch{
-		id:     id,
-		name:   name,
-		sched:  sched,
-		routes: make(map[packet.NodeID]*Port),
-	}
+	return &Switch{id: id, name: name, sched: sched}
 }
 
 // ID returns the switch's node id.
@@ -50,11 +48,19 @@ func (s *Switch) Ports() []*Port { return s.ports }
 
 // AddRoute installs dst -> out in the forwarding table.
 func (s *Switch) AddRoute(dst packet.NodeID, out *Port) {
+	for int(dst) >= len(s.routes) {
+		s.routes = append(s.routes, nil)
+	}
 	s.routes[dst] = out
 }
 
 // RouteTo returns the output port used to reach dst, or nil.
-func (s *Switch) RouteTo(dst packet.NodeID) *Port { return s.routes[dst] }
+func (s *Switch) RouteTo(dst packet.NodeID) *Port {
+	if dst < 0 || int(dst) >= len(s.routes) {
+		return nil
+	}
+	return s.routes[dst]
+}
 
 // SwitchStats aggregates counters over all of a switch's output ports.
 type SwitchStats struct {
@@ -90,8 +96,8 @@ func (s *Switch) AggregateStats() SwitchStats {
 //
 // state: xfer pkt
 func (s *Switch) Deliver(pkt *packet.Packet) {
-	out, ok := s.routes[pkt.Dst]
-	if !ok {
+	out := s.RouteTo(pkt.Dst)
+	if out == nil {
 		panic(fmt.Sprintf("netsim: %s has no route to node %d (pkt %v)", s.name, pkt.Dst, pkt))
 	}
 	out.Enqueue(pkt)

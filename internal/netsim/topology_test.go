@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dctcpplus/internal/packet"
@@ -41,6 +43,33 @@ func TestTwoTierShape(t *testing.T) {
 	}
 	if tt.BottleneckPort != tt.Root.RouteTo(tt.Aggregator.ID()) {
 		t.Error("bottleneck port is not the root->aggregator port")
+	}
+}
+
+// The routing table is a slice indexed by node id: an id it has no entry
+// for — a hole below the highest routed id, one past the end, a negative
+// one — is still "no route", nil from RouteTo and a diagnosed panic from
+// Deliver.
+func TestSwitchUnknownDestination(t *testing.T) {
+	s := sim.NewScheduler()
+	sw := NewSwitch(s, 0, "sw")
+	h := NewHost(s, 5, "h")
+	connect(s, h, sw, DefaultTopologyConfig())
+	if sw.RouteTo(5) == nil {
+		t.Fatal("installed route not found")
+	}
+	for _, dst := range []packet.NodeID{3, 6, 1 << 20, -1} {
+		if p := sw.RouteTo(dst); p != nil {
+			t.Errorf("RouteTo(%d) = %v, want nil", dst, p)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "no route to node") {
+					t.Errorf("Deliver to node %d: recovered %v, want the no-route panic", dst, r)
+				}
+			}()
+			sw.Deliver(&packet.Packet{Dst: dst})
+		}()
 	}
 }
 

@@ -21,6 +21,11 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// Reseed restarts the generator, in place, on the stream NewRNG(seed) would
+// produce: how a recycled owner (a reopened tcp.Conn) gets a fresh stream
+// without a fresh object.
+func (r *RNG) Reseed(seed uint64) { r.state = seed }
+
 // Fork derives a new independent generator from this one. Used to give each
 // flow/host its own stream so that adding a flow does not perturb the draws
 // seen by existing flows.

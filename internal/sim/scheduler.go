@@ -386,12 +386,24 @@ type Timer struct {
 //
 // state: mint
 func NewTimer(s *Scheduler, fn func()) *Timer {
-	t := &Timer{s: s, fn: fn}
+	t := &Timer{}
+	t.Init(s, fn)
+	return t
+}
+
+// Init binds a zero Timer, in place, to its scheduler and expiry callback,
+// for owners that embed the Timer by value instead of paying NewTimer's
+// separate allocation (a tcp.Conn holds both of its timers this way). It is
+// called once: the binding then lasts for the life of the value.
+func (t *Timer) Init(s *Scheduler, fn func()) {
+	if t.s != nil {
+		panic("sim: Timer.Init on a timer that is already bound")
+	}
+	t.s, t.fn = s, fn
 	t.wrap = func() {
 		t.ev = nil
 		t.fn()
 	}
-	return t
 }
 
 // Reset (re-)arms the timer to fire d from now.

@@ -221,7 +221,10 @@ func (r *Runner) runJobs(ctx context.Context, name, specHash string, jobs []Job)
 			cacheErrs := 0
 			if r.Cache != nil {
 				res, ok, err := r.Cache.Get(key)
-				if err != nil {
+				if err != nil || (ok && res.Point != j.Point) {
+					// An object that decodes but does not echo the
+					// requesting point ({}, a truncated or misplaced one)
+					// is corruption like any other: count it and re-run.
 					cacheErrs++
 				} else if ok {
 					done <- jobDone{idx: i, res: res, status: StatusHit}

@@ -256,6 +256,60 @@ func TestCacheHitSecondPassIdentical(t *testing.T) {
 	}
 }
 
+// A cache hit must echo the requesting point. Cache.Get accepts anything
+// that unmarshals, so an object that decodes without being this job's
+// result must count as a cache error and the job must re-run — and the
+// re-run's Put repairs the object.
+func TestCacheHitMustEchoPoint(t *testing.T) {
+	spec := fastSpec("echo")
+	dir := t.TempDir()
+	first, table1 := runOutcome(t, spec, 2, dir, false)
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) string { return first.Results[i].Point.Key("test-version") }
+	marshal := func(v any) []byte {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// Job 0's point with every field after proto cut off.
+	truncated := marshal(map[string]any{"point": map[string]any{
+		"topo": first.Results[0].Point.Topo, "proto": first.Results[0].Point.Proto}})
+	for _, tc := range []struct {
+		name   string
+		job    int
+		object []byte
+	}{
+		{"empty object", 0, []byte("{}")},
+		{"truncated but valid", 0, truncated},
+		{"misplaced", 1, marshal(first.Results[2])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(c.Path(key(tc.job)), tc.object, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			out, table := runOutcome(t, spec, 2, dir, true)
+			if out.CacheErrs != 1 || out.Misses != 1 || out.Hits != out.Jobs-1 {
+				t.Fatalf("cache errors=%d misses=%d hits=%d of %d jobs, want the one bad object re-run",
+					out.CacheErrs, out.Misses, out.Hits, out.Jobs)
+			}
+			if out.Status[tc.job] != StatusMiss {
+				t.Fatalf("job %d status %q, want %q", tc.job, out.Status[tc.job], StatusMiss)
+			}
+			if !reflect.DeepEqual(out.Results, first.Results) || table != table1 {
+				t.Fatal("results differ from the first pass: the bad object entered the aggregate")
+			}
+			if got, ok, err := c.Get(key(tc.job)); err != nil || !ok || !reflect.DeepEqual(got, first.Results[tc.job]) {
+				t.Fatalf("object not repaired by the re-run: ok=%v err=%v", ok, err)
+			}
+		})
+	}
+}
+
 func TestRunRefusesStaleManifestWithoutResume(t *testing.T) {
 	spec := fastSpec("guard")
 	dir := t.TempDir()

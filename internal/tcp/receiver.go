@@ -43,12 +43,16 @@ type ackRun struct {
 // semantics — either the RFC 3168 latch or DCTCP's precise two-state
 // delayed-ACK machine, which is what lets the DCTCP sender estimate the
 // fraction of marked packets.
+//
+// Like the Sender, a Receiver is (re)initialised only by open.
 type Receiver struct {
 	cfg   Config
 	host  *netsim.Host
 	sched *sim.Scheduler
 	flow  packet.FlowID
 	peer  packet.NodeID
+	// live is set by open and cleared by Close; Deliver and open assert it.
+	live bool
 
 	rcvNxt int64
 	ooo    []interval // sorted, disjoint, all above rcvNxt
@@ -60,7 +64,7 @@ type Receiver struct {
 	// DelAckCount triggers an ACK that resets it.
 	//inv: 0 <= pendingSegs && pendingSegs <= cfg.DelAckCount
 	pendingSegs int
-	delackTimer *sim.Timer
+	delackTimer sim.Timer
 
 	// ECN echo state.
 	eceLatch bool // RFC 3168: set by CE, cleared by CWR
@@ -80,22 +84,45 @@ type Receiver struct {
 // NewReceiver creates a receiver for flow on host, acknowledging toward
 // peer, and registers it for the flow's data segments.
 func NewReceiver(cfg Config, host *netsim.Host, peer packet.NodeID, flow packet.FlowID) *Receiver {
+	r := &Receiver{}
+	r.open(cfg, host, peer, flow)
+	return r
+}
+
+// open is the receiver's one initialiser; see Sender.open, which has also
+// checked that a reopened connection stays on its scheduler.
+func (r *Receiver) open(cfg Config, host *netsim.Host, peer packet.NodeID, flow packet.FlowID) {
 	cfg.validate()
-	r := &Receiver{
+	sched := host.Scheduler()
+	switch {
+	case r.sched == nil:
+		r.delackTimer.Init(sched, r.onDelAck)
+	case r.live:
+		check.Failf("tcp.receiver open: flow %d is still open", r.flow)
+	}
+	*r = Receiver{
 		cfg:   cfg,
 		host:  host,
-		sched: host.Scheduler(),
+		sched: sched,
 		flow:  flow,
 		peer:  peer,
+		live:  true,
+
+		// The keep-list: the delayed-ACK timer (disarmed by Close) stays
+		// bound, and the two scratch slices keep their high-water capacity.
+		delackTimer: r.delackTimer,
+		ooo:         r.ooo[:0],
+		ackRuns:     r.ackRuns[:0],
 	}
-	r.delackTimer = sim.NewTimer(r.sched, func() {
-		if r.pendingSegs > 0 {
-			r.stats.DelayedAcks++
-			r.sendAck()
-		}
-	})
-	host.Register(flow, netsim.FlowHandlerFunc(r.Deliver))
-	return r
+	host.Register(flow, r)
+}
+
+// onDelAck is the delayed-ACK timer's expiry: flush a pending obligation.
+func (r *Receiver) onDelAck() {
+	if r.pendingSegs > 0 {
+		r.stats.DelayedAcks++
+		r.sendAck()
+	}
 }
 
 // RcvNxt returns the next expected in-order byte.
@@ -107,14 +134,19 @@ func (r *Receiver) Peer() packet.NodeID { return r.peer }
 // Stats returns a snapshot of the receiver counters.
 func (r *Receiver) Stats() ReceiverStats { return r.stats }
 
-// Close unregisters the receiver from its host.
+// Close disarms the delayed-ACK timer and unregisters the receiver from its
+// host.
 func (r *Receiver) Close() {
 	r.delackTimer.Stop()
 	r.host.Unregister(r.flow)
+	r.live = false
 }
 
 // Deliver processes one arriving data segment.
 func (r *Receiver) Deliver(pkt *packet.Packet) {
+	if !r.live {
+		check.Failf("tcp.receiver Deliver: flow %d is closed", r.flow)
+	}
 	if !pkt.IsData() {
 		return
 	}

@@ -19,8 +19,8 @@ type rttEstimator struct {
 	rtoMin, rtoMax, rtoInit sim.Duration
 }
 
-func newRTTEstimator(cfg Config) *rttEstimator {
-	return &rttEstimator{rtoMin: cfg.RTOMin, rtoMax: cfg.RTOMax, rtoInit: cfg.RTOInit}
+func newRTTEstimator(cfg Config) rttEstimator {
+	return rttEstimator{rtoMin: cfg.RTOMin, rtoMax: cfg.RTOMax, rtoInit: cfg.RTOInit}
 }
 
 // Sample folds a fresh RTT measurement into the estimator.

@@ -64,14 +64,21 @@ type SenderStats struct {
 // Sender is the sending half of a connection: it owns the congestion
 // window, the retransmission machinery and the pacing gate, and it
 // transmits application bytes toward the peer host.
+//
+// A Sender is (re)initialised only by open, which resets every field by
+// whole-struct assignment except the keep-list it spells out; see Conn for
+// the lifecycle.
 type Sender struct {
 	cfg   Config
 	cc    CongestionControl
 	host  *netsim.Host
 	sched *sim.Scheduler
-	rng   *sim.RNG
+	rng   sim.RNG
 	flow  packet.FlowID
 	peer  packet.NodeID
+	// live is set by open and cleared by Close; Send, Deliver and open
+	// assert it.
+	live bool
 
 	// Byte-stream bookkeeping. The application appends bytes with Send;
 	// completion fires each time sndUna catches up with the total.
@@ -110,13 +117,13 @@ type Sender struct {
 	timedSeq   int64
 	timedAt    sim.Time
 	timedValid bool
-	rtt        *rttEstimator
+	rtt        rttEstimator
 	// rtoBackoff is the RTO exponent (rto << rtoBackoff), capped by the
 	// guard on its only increment so the shift stays well-defined.
 	//inv: rtoBackoff <= 16
 	rtoBackoff uint
 
-	rtoTimer     *sim.Timer
+	rtoTimer     sim.Timer
 	acksSinceArm int64 // feedback since the RTO was (re)armed, for taxonomy
 
 	// Pacing: cc.PacingDelay gates data transmissions. Every packet is
@@ -128,7 +135,7 @@ type Sender struct {
 	headWaitedFrom sim.Time     // when the head packet became eligible; -1 when none
 	headGap        sim.Duration // pacing draw cached for the waiting head packet
 	sendEv         *sim.Event
-	pumpFn         func() // pacing-gate callback, bound once at construction
+	pumpFn         func() // pacing-gate callback, bound once at the first open
 	rtxPending     bool
 
 	stats SenderStats
@@ -155,32 +162,55 @@ type Sender struct {
 // NewSender creates a sender for flow on host, targeting the peer node, and
 // registers it to receive that flow's ACKs.
 func NewSender(cfg Config, cc CongestionControl, host *netsim.Host, peer packet.NodeID, flow packet.FlowID) *Sender {
+	s := &Sender{}
+	s.open(cfg, cc, host, peer, flow)
+	return s
+}
+
+// open is the sender's one initialiser, run on a zero Sender by NewSender
+// and NewConn and on a closed one by Conn.Reopen: a recycled sender is a
+// fresh one except for the keep-list below.
+func (s *Sender) open(cfg Config, cc CongestionControl, host *netsim.Host, peer packet.NodeID, flow packet.FlowID) {
 	cfg.validate()
 	if cc == nil {
 		panic("tcp: nil congestion control")
 	}
-	s := &Sender{
+	sched := host.Scheduler()
+	switch {
+	case s.sched == nil:
+		// First open: bind the callbacks every later open keeps.
+		s.rtoTimer.Init(sched, s.onRTO)
+		s.pumpFn = func() {
+			s.sendEv = nil
+			s.pump()
+		}
+	case s.live:
+		check.Failf("tcp.sender open: flow %d is still open", s.flow)
+	case s.sched != sched:
+		check.Failf("tcp.sender open: flow %d moved to another scheduler", flow)
+	}
+	*s = Sender{
 		cfg:            cfg,
 		cc:             cc,
 		host:           host,
-		sched:          host.Scheduler(),
-		rng:            sim.NewRNG(cfg.Seed),
+		sched:          sched,
 		flow:           flow,
 		peer:           peer,
+		live:           true,
 		cwnd:           cfg.InitialCwnd,
 		ssthresh:       cfg.MaxCwnd,
+		rtt:            newRTTEstimator(cfg),
 		lastSendAt:     -1 << 62,
 		headWaitedFrom: -1,
+
+		// The keep-list: the RTO timer (disarmed by Close) and the pacing
+		// callback stay bound to this sender.
+		rtoTimer: s.rtoTimer,
+		pumpFn:   s.pumpFn,
 	}
-	s.rtt = newRTTEstimator(cfg)
-	s.rtoTimer = sim.NewTimer(s.sched, s.onRTO)
-	s.pumpFn = func() {
-		s.sendEv = nil
-		s.pump()
-	}
-	host.Register(flow, netsim.FlowHandlerFunc(s.Deliver))
+	s.rng.Reseed(cfg.Seed)
+	host.Register(flow, s)
 	cc.Init(s)
-	return s
 }
 
 // Accessors used by congestion-control modules and experiments.
@@ -216,7 +246,7 @@ func (s *Sender) InflightBytes() int64 { return s.sndNxt - s.sndUna }
 func (s *Sender) Now() sim.Time { return s.sched.Now() }
 
 // RNG returns the sender's private random stream (for randomized CC).
-func (s *Sender) RNG() *sim.RNG { return s.rng }
+func (s *Sender) RNG() *sim.RNG { return &s.rng }
 
 // Config returns the connection configuration.
 func (s *Sender) Config() Config { return s.cfg }
@@ -262,12 +292,13 @@ func (s *Sender) LastAckECE() bool { return s.lastAckECE }
 // Done reports whether every byte handed to Send has been acknowledged.
 func (s *Sender) Done() bool { return s.totalBytes > 0 && s.sndUna >= s.totalBytes }
 
-// Close unregisters the sender from its host.
+// Close disarms the sender's timers and unregisters it from its host.
 func (s *Sender) Close() {
 	s.rtoTimer.Stop()
 	s.sched.Cancel(s.sendEv)
 	s.sendEv = nil
 	s.host.Unregister(s.flow)
+	s.live = false
 }
 
 // Send appends n application bytes to the stream and starts transmitting.
@@ -276,6 +307,9 @@ func (s *Sender) Close() {
 func (s *Sender) Send(n int64) {
 	if n <= 0 {
 		panic(fmt.Sprintf("tcp: Send(%d)", n))
+	}
+	if !s.live {
+		check.Failf("tcp.sender Send: flow %d is closed", s.flow)
 	}
 	// Window restart after idle (tcp_slow_start_after_idle): a window
 	// grown before an idle period reflects stale network state and must
@@ -445,6 +479,9 @@ func (s *Sender) armRTO() {
 // Deliver processes an arriving packet (ACKs; data is ignored — the flow is
 // one-directional).
 func (s *Sender) Deliver(pkt *packet.Packet) {
+	if !s.live {
+		check.Failf("tcp.sender Deliver: flow %d is closed", s.flow)
+	}
 	if !pkt.Flags.Has(packet.FlagACK) {
 		return
 	}

@@ -116,7 +116,10 @@ type FlowResult struct {
 	FCT   sim.Duration
 }
 
-// Benchmark drives the §VI-D traffic mix over a two-tier topology.
+// Benchmark drives the §VI-D traffic mix over a two-tier topology. Every
+// query response and every transfer is its own short-lived connection; the
+// mix opens ~20 of them per query, so it keeps retired ones (mixFlow) on a
+// free list and reopens them instead of allocating.
 type Benchmark struct {
 	sched *sim.Scheduler
 	tt    *netsim.TwoTier
@@ -125,6 +128,11 @@ type Benchmark struct {
 
 	nextFlow packet.FlowID
 	senders  map[packet.FlowID]*tcp.Sender
+	free     *mixFlow // retired flow records, linked through mixFlow.next
+	// queryLeft counts, per query in issue order, the responses not yet
+	// fully delivered. A response flow refers to its query by index: the
+	// countdown outlives any one of the query's flows.
+	queryLeft []int
 
 	queriesDone int
 	shortDone   int
@@ -142,17 +150,45 @@ type Benchmark struct {
 	OnFinished func()
 }
 
+// mixFlow is one connection of the mix with what its two callbacks need.
+// It is (re)initialised only by Benchmark.openFlow, which resets every
+// field by whole-struct assignment except the keep-list spelled out there.
+type mixFlow struct {
+	b    *Benchmark
+	conn *tcp.Conn
+	// Method values of delivered/retire, bound once when the record is
+	// first built and re-attached to the connection on every open.
+	onData     func(n int64)
+	onComplete func(total int64)
+
+	next *mixFlow // free-list link while retired
+
+	flow  packet.FlowID
+	start sim.Time
+	want  int64 // bytes this flow carries
+	got   int64 // bytes delivered in order so far
+	// query is the index in b.queryLeft of the fan-in this response belongs
+	// to, or -1 for a transfer, which records into results/done instead.
+	query   int
+	results *[]FlowResult
+	done    *int
+}
+
 // NewBenchmark wires the benchmark onto the topology. Flow ids start at
 // 10000 to stay clear of other workloads sharing the topology.
 func NewBenchmark(sched *sim.Scheduler, tt *netsim.TwoTier, cfg BenchmarkConfig) *Benchmark {
 	cfg.validate()
 	b := &Benchmark{
-		sched:    sched,
-		tt:       tt,
-		cfg:      cfg,
-		rng:      sim.NewRNG(cfg.Seed),
-		nextFlow: 10000,
-		senders:  make(map[packet.FlowID]*tcp.Sender),
+		sched:        sched,
+		tt:           tt,
+		cfg:          cfg,
+		rng:          sim.NewRNG(cfg.Seed),
+		nextFlow:     10000,
+		senders:      make(map[packet.FlowID]*tcp.Sender),
+		queryLeft:    make([]int, 0, cfg.Queries),
+		queryResults: make([]QueryResult, 0, cfg.Queries),
+		shortResults: make([]FlowResult, 0, cfg.ShortFlows),
+		bgResults:    make([]FlowResult, 0, cfg.BackgroundFlows),
 	}
 	for _, w := range tt.Workers {
 		w.OnControl = b.onRequest
@@ -185,20 +221,22 @@ func (b *Benchmark) Finished() bool {
 
 // Start schedules every arrival. The caller then runs the scheduler.
 func (b *Benchmark) Start() {
+	// One method value per class, not one per arrival.
+	issueQuery, issueShort, issueBackground := b.issueQuery, b.issueShort, b.issueBackground
 	var t sim.Time
 	for i := 0; i < b.cfg.Queries; i++ {
 		t = t.Add(b.rng.Exp(b.cfg.QueryMeanGap))
-		b.sched.At(t, b.issueQuery)
+		b.sched.At(t, issueQuery)
 	}
 	t = 0
 	for i := 0; i < b.cfg.ShortFlows; i++ {
 		t = t.Add(b.rng.Exp(b.cfg.ShortMeanGap))
-		b.sched.At(t, b.issueShort)
+		b.sched.At(t, issueShort)
 	}
 	t = 0
 	for i := 0; i < b.cfg.BackgroundFlows; i++ {
 		t = t.Add(b.rng.Exp(b.cfg.BackgroundMeanGap))
-		b.sched.At(t, b.issueBackground)
+		b.sched.At(t, issueBackground)
 	}
 }
 
@@ -212,12 +250,6 @@ func (b *Benchmark) issueShort() {
 	b.issueTransfer(size, &b.shortResults, &b.shortDone)
 }
 
-func (b *Benchmark) allocFlow() packet.FlowID {
-	id := b.nextFlow
-	b.nextFlow++
-	return id
-}
-
 // onRequest dispatches an arriving query request to its response sender.
 func (b *Benchmark) onRequest(pkt *packet.Packet) {
 	if snd, ok := b.senders[pkt.Flow]; ok {
@@ -225,44 +257,100 @@ func (b *Benchmark) onRequest(pkt *packet.Packet) {
 	}
 }
 
-// issueQuery starts one partition/aggregate transaction: a fresh connection
-// from every worker, a 40-byte request to each, completion when the last
+// openFlow opens a connection from src to dst that will carry want bytes,
+// under the next flow id (ids are never reused: see tcp.Conn), and attaches
+// its record's callbacks. The record and its connection come off the free
+// list when a retired one is there; either way they go through the same
+// initialisers, so a recycled flow behaves as a fresh one.
+func (b *Benchmark) openFlow(src, dst *netsim.Host, want int64) *mixFlow {
+	flow := b.nextFlow
+	b.nextFlow++
+	cfg, cc := b.cfg.Factory(int(flow))
+	f := b.free
+	if f == nil {
+		f = &mixFlow{b: b, conn: tcp.NewConn(cfg, cc, src, dst, flow)}
+		f.onData, f.onComplete = f.delivered, f.retire
+	} else {
+		b.free = f.next
+		f.conn.Reopen(cfg, cc, src, dst, flow)
+	}
+	*f = mixFlow{
+		flow:  flow,
+		start: b.sched.Now(),
+		want:  want,
+		query: -1,
+
+		// The keep-list: owner, connection and the once-bound callbacks.
+		b:          f.b,
+		conn:       f.conn,
+		onData:     f.onData,
+		onComplete: f.onComplete,
+	}
+	f.conn.Receiver.OnData = f.onData
+	f.conn.Sender.OnComplete = f.onComplete
+	return f
+}
+
+// delivered is the flow's Receiver.OnData: when the last byte lands, the
+// flow's result is recorded — for a query response, once the whole fan-in
+// has landed.
+func (f *mixFlow) delivered(n int64) {
+	f.got += n
+	if f.got != f.want {
+		return
+	}
+	b := f.b
+	now := b.sched.Now()
+	if f.query < 0 {
+		*f.results = append(*f.results, FlowResult{
+			Start: f.start,
+			Bytes: f.want,
+			FCT:   now.Sub(f.start),
+		})
+		*f.done++
+		b.maybeFinish()
+		return
+	}
+	b.queryLeft[f.query]--
+	if b.queryLeft[f.query] == 0 {
+		// Every flow of a query starts at the instant it was issued.
+		b.queryResults = append(b.queryResults, QueryResult{
+			Start: f.start,
+			FCT:   now.Sub(f.start),
+		})
+		b.queriesDone++
+		b.maybeFinish()
+	}
+}
+
+// retire is the flow's Sender.OnComplete: every byte is acknowledged, so
+// the connection closes and the record goes on the free list.
+func (f *mixFlow) retire(int64) {
+	b := f.b
+	st := f.conn.Sender.Stats()
+	b.timeouts += st.Timeouts
+	b.retrans += st.RetransPkts
+	f.conn.Close()
+	delete(b.senders, f.flow)
+	f.next = b.free
+	b.free = f
+}
+
+// issueQuery starts one partition/aggregate transaction: a connection from
+// every worker, a 40-byte request to each, completion when the last
 // response byte lands at the aggregator.
 func (b *Benchmark) issueQuery() {
 	start := b.sched.Now()
-	remaining := len(b.tt.Workers)
+	query := len(b.queryLeft)
+	b.queryLeft = append(b.queryLeft, len(b.tt.Workers))
 	for _, w := range b.tt.Workers {
-		flow := b.allocFlow()
-		cfg, cc := b.cfg.Factory(int(flow))
-		conn := tcp.NewConn(cfg, cc, w, b.tt.Aggregator, flow)
-		b.senders[flow] = conn.Sender
+		f := b.openFlow(w, b.tt.Aggregator, b.cfg.QueryResponseBytes)
+		f.query = query
+		b.senders[f.flow] = f.conn.Sender
 
-		var got int64
-		conn.Receiver.OnData = func(n int64) {
-			got += n
-			if got == b.cfg.QueryResponseBytes {
-				remaining--
-				if remaining == 0 {
-					b.queryResults = append(b.queryResults, QueryResult{
-						Start: start,
-						FCT:   b.sched.Now().Sub(start),
-					})
-					b.queriesDone++
-					b.maybeFinish()
-				}
-			}
-		}
-		conn.Sender.OnComplete = func(int64) {
-			// Response fully acknowledged: retire the connection.
-			st := conn.Sender.Stats()
-			b.timeouts += st.Timeouts
-			b.retrans += st.RetransPkts
-			conn.Close()
-			delete(b.senders, flow)
-		}
 		pkt := b.tt.Aggregator.AllocPacket()
 		pkt.Dst = w.ID()
-		pkt.Flow = flow
+		pkt.Flow = f.flow
 		pkt.Flags = packet.FlagREQ
 		pkt.ReqBytes = b.cfg.QueryResponseBytes
 		pkt.SendTime = start
@@ -285,52 +373,32 @@ func (b *Benchmark) issueBackground() {
 // and a random other host (another worker or the aggregator), recording
 // its completion into the given result set.
 func (b *Benchmark) issueTransfer(size int64, results *[]FlowResult, done *int) {
-	start := b.sched.Now()
-	src := b.tt.Workers[b.rng.Intn(len(b.tt.Workers))]
-	dst := b.pickDst(src)
+	srcIdx := b.rng.Intn(len(b.tt.Workers))
+	src := b.tt.Workers[srcIdx]
+	dst := b.pickDst(srcIdx)
 
-	flow := b.allocFlow()
-	cfg, cc := b.cfg.Factory(int(flow))
-	conn := tcp.NewConn(cfg, cc, src, dst, flow)
-
-	var got int64
-	conn.Receiver.OnData = func(n int64) {
-		got += n
-		if got == size {
-			*results = append(*results, FlowResult{
-				Start: start,
-				Bytes: size,
-				FCT:   b.sched.Now().Sub(start),
-			})
-			*done++
-			b.maybeFinish()
-		}
-	}
-	conn.Sender.OnComplete = func(int64) {
-		st := conn.Sender.Stats()
-		b.timeouts += st.Timeouts
-		b.retrans += st.RetransPkts
-		conn.Close()
-	}
-	conn.Sender.Send(size)
+	f := b.openFlow(src, dst, size)
+	f.results, f.done = results, done
+	f.conn.Sender.Send(size)
 }
 
-// pickDst chooses a destination host distinct from src: the aggregator
-// with probability BackgroundAggFrac, otherwise a uniform other worker.
-func (b *Benchmark) pickDst(src *netsim.Host) *netsim.Host {
+// pickDst chooses a destination host distinct from worker srcIdx: the
+// aggregator with probability BackgroundAggFrac, otherwise a uniform other
+// worker.
+func (b *Benchmark) pickDst(srcIdx int) *netsim.Host {
 	if b.rng.Float64() < b.cfg.BackgroundAggFrac {
 		return b.tt.Aggregator
 	}
-	hosts := make([]*netsim.Host, 0, len(b.tt.Workers))
-	for _, w := range b.tt.Workers {
-		if w != src {
-			hosts = append(hosts, w)
-		}
-	}
-	if len(hosts) == 0 {
+	others := len(b.tt.Workers) - 1
+	if others == 0 {
 		return b.tt.Aggregator
 	}
-	return hosts[b.rng.Intn(len(hosts))]
+	// Index into the workers with srcIdx skipped.
+	i := b.rng.Intn(others)
+	if i >= srcIdx {
+		i++
+	}
+	return b.tt.Workers[i]
 }
 
 func (b *Benchmark) maybeFinish() {
