@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fmt-check lint typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke figures-smoke clean
+.PHONY: all build vet test race fmt-check lint typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke figures-smoke report-smoke clean
 
 all: check
 
@@ -51,7 +51,7 @@ typestate-smoke:
 	$(GO) test -tags checkdebug ./internal/packet ./internal/workload
 	$(GO) test ./internal/packet
 
-check: build vet fmt-check lint typestate-smoke race fault-smoke sweep-smoke oracle-smoke perf-smoke figures-smoke
+check: build vet fmt-check lint typestate-smoke race fault-smoke sweep-smoke oracle-smoke perf-smoke figures-smoke report-smoke
 
 # Fault-injection smoke: a full-mix faulted sweep must complete, stay
 # deterministic, conserve every packet/byte, and keep DCTCP+ no worse than
@@ -128,6 +128,19 @@ figures-smoke:
 	smoke '^dctcp\+ +20 ' benchmark -queries 20 -background 20; \
 	smoke '^dctcp\+ +8 ' benchmark -incast 4,8 -rounds 4 -warmup 1; \
 	echo "figures-smoke: 5 figure-binary modes ran and printed their tables"
+
+# Battery smoke: the whole report at 4 rounds (every catalogue entry, the
+# resilience table included; about a minute) must reproduce its committed
+# output byte for byte, the wall-time line aside. A behavioural change shows
+# up as a diff of cmd/report/testdata/battery_r4.golden — regenerate it with
+# the command below and review that diff like code.
+report-smoke:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) run ./cmd/report -rounds 4 -warmup 1 -seed 1 -faults \
+		| grep -v '^report completed in ' >"$$dir/battery.txt"; \
+	diff cmd/report/testdata/battery_r4.golden "$$dir/battery.txt" || { \
+		echo "report-smoke: the battery's output moved (see the diff above)"; exit 1; }; \
+	echo "report-smoke: battery output byte-identical to battery_r4.golden"
 
 clean:
 	$(GO) clean ./...

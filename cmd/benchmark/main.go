@@ -91,9 +91,8 @@ func main() {
 func runBackgroundIncast(protoList []dcp.Protocol) {
 	flowCounts, err := cli.ParseFlowCounts(*incast)
 	cli.Usage("benchmark", err)
-	f := dcp.NewFigure11_12()
-	f.Protocols, f.FlowCounts = protoList, flowCounts
-	f.Scale = dcp.Scale{Rounds: *rounds, Warmup: *warmup, Seed: *seed}
+	f := dcp.NewFigure11_12(dcp.Scale{Rounds: *rounds, Warmup: *warmup, Seed: *seed})
+	f.Points = dcp.Grid(f.Points[0], protoList, flowCounts)
 	f.Run()
 	fmt.Println("Figures 11+12: incast with two persistent background flows")
 	f.Render(os.Stdout)

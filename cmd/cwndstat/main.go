@@ -39,10 +39,9 @@ func main() {
 	flowCounts, err := cli.ParseFlowCounts(*flows)
 	cli.Usage("cwndstat", err)
 
-	f := dcp.NewFigure2Table1()
-	f.Protocols, f.FlowCounts = protoList, flowCounts
-	f.Scale = dcp.Scale{Rounds: *rounds, Warmup: *warmup, Seed: *seed}
-	f.Options.RTOMin = dcp.Duration(*rtoMin)
+	f := dcp.NewFigure2Table1(dcp.Scale{Rounds: *rounds, Warmup: *warmup, Seed: *seed})
+	f.Points[0].RTOMin = dcp.Duration(*rtoMin)
+	f.Points = dcp.Grid(f.Points[0], protoList, flowCounts)
 	f.Run()
 
 	fmt.Println("Figure 2: cwnd frequency distribution (fraction of ACK events per window size)")

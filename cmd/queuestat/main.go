@@ -56,10 +56,13 @@ func main() {
 	flowCounts, err := cli.ParseFlowCounts(*flows)
 	cli.Usage("queuestat", err)
 
-	f := dcp.NewFigure9()
-	f.Protocols, f.FlowCounts = protoList, flowCounts
-	f.Scale = dcp.Scale{Rounds: *rounds, Warmup: *warmup, Seed: *seed}
-	f.Options.RTOMin = dcp.Duration(*rtoMin)
+	f := dcp.NewFigure9(dcp.Scale{Rounds: *rounds, Warmup: *warmup, Seed: *seed})
+	tmpl := f.Points[0]
+	tmpl.RTOMin = dcp.Duration(*rtoMin)
+	f.Points = nil
+	for _, n := range flowCounts { // N-major, like the figure
+		f.Points = append(f.Points, dcp.Grid(tmpl, protoList, []int{n})...)
+	}
 	f.Run()
 
 	fmt.Println("Figure 9: bottleneck queue-length CDF (bytes; sampled every 100us)")
@@ -69,8 +72,7 @@ func main() {
 // runTrace reproduces Figure 14: N=50 DCTCP+ flows, 4MB each, queue
 // occupancy over the first rounds.
 func runTrace(seed uint64, binMS int) {
-	f := dcp.NewFigure14()
-	f.Scale.Seed = seed
+	f := dcp.NewFigure14(dcp.Scale{Seed: seed})
 	f.Run()
 	r := f.Results[0]
 

@@ -26,7 +26,7 @@
 //	internal/workload incast / background / production-benchmark traffic
 //	internal/stats    summaries, CDFs, histograms
 //	internal/trace    cwnd probes and queue samplers
-//	internal/exp      per-figure experiment runners
+//	internal/exp      incast/benchmark runners and the battery catalogue
 //	internal/sweep    grid orchestration: worker pool, result cache, resume
 //
 // # Quick start
@@ -145,8 +145,6 @@ func RunMany(optList []IncastOptions) []IncastResult { return exp.RunMany(optLis
 type (
 	// SweepSpec declares a sweep as a cross product of grid dimensions.
 	SweepSpec = sweep.Spec
-	// SweepPoint is the complete identity of one sweep job.
-	SweepPoint = sweep.Point
 	// SweepJob is one expanded grid point with its position.
 	SweepJob = sweep.Job
 	// SweepResult is the cacheable outcome of one job.
@@ -159,12 +157,6 @@ type (
 	SweepGroup = sweep.Group
 	// SweepCache is the content-addressed on-disk result store.
 	SweepCache = sweep.Cache
-)
-
-// Topology names accepted by SweepSpec.Topos / SweepPoint.Topo.
-const (
-	SweepTopoDefault = sweep.TopoDefault
-	SweepTopoHULL    = sweep.TopoHULL
 )
 
 // OpenSweepCache opens (creating if needed) a sweep result cache at dir.
@@ -202,11 +194,6 @@ func RunBenchmark(o BenchmarkOptions) BenchmarkResult { return exp.RunBenchmark(
 
 // PrintIncastRows writes an incast curve as aligned text rows.
 func PrintIncastRows(w io.Writer, results []IncastResult) { exp.PrintIncastRows(w, results) }
-
-// PrintBackgroundIncastRows writes the Figs. 11/12 rows.
-func PrintBackgroundIncastRows(w io.Writer, results []IncastResult) {
-	exp.PrintBackgroundIncastRows(w, results)
-}
 
 // PrintBenchmarkRows writes the Fig. 13 rows.
 func PrintBenchmarkRows(w io.Writer, results []BenchmarkResult) {
@@ -279,8 +266,7 @@ func DiffManifests(base, cur *Manifest) []string { return telemetry.DiffSummarie
 // degradation, switch buffer carving, host stalls (see DESIGN.md's fault
 // model). Set IncastOptions.Faults to a FaultGenConfig and the run injects
 // the generated plan at its virtual times; the run stays a pure function
-// of options + seed. RunResilience produces the EXPERIMENTS.md resilience
-// table.
+// of options + seed. NewResilience is the EXPERIMENTS.md resilience table.
 type (
 	// FaultClass names a family of faults: blackout, loss, rate, delay,
 	// buffer, stall.
@@ -289,11 +275,6 @@ type (
 	FaultGenConfig = fault.GenConfig
 	// FaultStats totals what a fault plan did to a run.
 	FaultStats = fault.Stats
-	// ResilienceOptions parameterizes the clean-vs-faulted, per-class
-	// protocol comparison sweep.
-	ResilienceOptions = exp.ResilienceOptions
-	// ResilienceRow is one fault class evaluated across the protocols.
-	ResilienceRow = exp.ResilienceRow
 )
 
 // DefaultFaultGenConfig returns the moderate fault mix (two 10ms-scale
@@ -307,53 +288,53 @@ func AllFaultClasses() []FaultClass { return fault.AllClasses() }
 // "" selects every class).
 func ParseFaultClasses(s string) ([]FaultClass, error) { return fault.ParseClasses(s) }
 
-// RunResilience executes the resilience sweep: each protocol clean, then
-// under each fault class in isolation.
-func RunResilience(o ResilienceOptions) []ResilienceRow { return exp.RunResilience(o) }
-
-// PrintResilienceRows writes the resilience sweep as aligned text rows.
-func PrintResilienceRows(w io.Writer, protocols []Protocol, rows []ResilienceRow) {
-	exp.PrintResilienceRows(w, protocols, rows)
-}
-
-// The paper's figures as specs: construct one (NewFigureN), adjust fields,
-// Run, then Render the same rows/series the paper reports.
+// The evaluation as a catalogue: Battery lists every entry — the paper's
+// figures, the §V-D ablations and compositions, the resilience table — in
+// paper order. An entry is a heading, an explicit list of points and a
+// renderer: inspect or replace Points (Grid lays out a protocols x flows
+// grid from any point), Run, then Render the rows the paper reports.
 type (
-	// Scale applies common run-length settings to figure specs.
+	// Scale applies common run-length settings to catalogue entries.
 	Scale = exp.Scale
-	// Figure is any incast figure: a Protocols x FlowCounts grid of
-	// IncastOptions points run through RunMany, with the figure's renderer.
+	// Section is the surface every battery entry shares: Head, Check, Run,
+	// Render, Incast.
+	Section = exp.Section
+	// Figure is an incast entry: Points run through RunMany, with the
+	// entry's renderer.
 	Figure = exp.Figure
-	// Figure13 is the production benchmark-traffic experiment.
-	Figure13 = exp.Figure13
+	// Resilience is the clean-vs-faulted, per-fault-class table.
+	Resilience = exp.Resilience
 )
 
-// DefaultScale returns the report's default run-length settings.
-func DefaultScale() Scale { return exp.DefaultScale() }
+// Battery returns the whole evaluation in paper order at the given scale.
+func Battery(sc Scale) []Section { return exp.Battery(sc) }
 
-// NewFigure1 returns the Figure 1 specification.
-func NewFigure1() *Figure { return exp.NewFigure1() }
+// Grid lays out a protocols x flowCounts grid of points, protocol-major,
+// each the template with Protocol and Flows filled in.
+func Grid(template IncastOptions, protocols []Protocol, flowCounts []int) []IncastOptions {
+	return exp.Grid(template, protocols, flowCounts)
+}
 
-// NewFigure2Table1 returns the Figure 2 / Table I specification.
-func NewFigure2Table1() *Figure { return exp.NewFigure2Table1() }
+// OracleReport folds an entry's conformance outcome: total violations plus
+// rendered lines for the violating points.
+func OracleReport(label string, results []IncastResult) (total int64, lines []string) {
+	return exp.OracleReport(label, results)
+}
 
-// NewFigure6 returns the Figure 6 (partial DCTCP+) specification.
-func NewFigure6() *Figure { return exp.NewFigure6() }
+// The entries the figure binaries and examples drive on their own.
 
-// NewFigure7 returns the Figure 7 specification.
-func NewFigure7() *Figure { return exp.NewFigure7() }
+// NewFigure2Table1 returns the Figure 2 / Table I entry.
+func NewFigure2Table1(sc Scale) *Figure { return exp.NewFigure2Table1(sc) }
 
-// NewFigure8 returns the Figure 8 (10ms baseline RTO) specification.
-func NewFigure8() *Figure { return exp.NewFigure8() }
+// NewFigure9 returns the Figure 9 entry.
+func NewFigure9(sc Scale) *Figure { return exp.NewFigure9(sc) }
 
-// NewFigure9 returns the Figure 9 specification.
-func NewFigure9() *Figure { return exp.NewFigure9() }
+// NewFigure11_12 returns the §VI-C entry.
+func NewFigure11_12(sc Scale) *Figure { return exp.NewFigure11_12(sc) }
 
-// NewFigure11_12 returns the §VI-C specification.
-func NewFigure11_12() *Figure { return exp.NewFigure11_12() }
+// NewFigure14 returns the Figure 14 entry.
+func NewFigure14(sc Scale) *Figure { return exp.NewFigure14(sc) }
 
-// NewFigure13 returns the §VI-D specification.
-func NewFigure13() *Figure13 { return exp.NewFigure13() }
-
-// NewFigure14 returns the Figure 14 specification.
-func NewFigure14() *Figure { return exp.NewFigure14() }
+// NewAblations returns the §V-D ablation section: backoff unit, divisor,
+// the desync / min-cwnd / composition table and the HULL pair.
+func NewAblations(sc Scale) *Figure { return exp.NewAblations(sc) }

@@ -1,59 +1,23 @@
-// Ablation sweeps the DCTCP+ design parameters the paper's §V-D gives
-// guidance for — backoff_time_unit and divisor_factor — plus the
-// desynchronization switch, using the library's custom-factory hook. It is
-// the runnable counterpart of the BenchmarkAblation_* benches.
+// Ablation prints the catalogue's §V-D section — the same entry cmd/report
+// prints, so the values explored are declared once (internal/exp): the
+// backoff_time_unit and divisor_factor sweeps the paper gives guidance for,
+// then the table holding the desynchronization switch (dctcp+ vs
+// dctcp+partial), the min-cwnd control and the compositions.
 package main
 
 import (
 	"fmt"
+	"os"
 
 	dcp "dctcpplus"
 )
 
-const flows = 120
-
-func run(cfg dcp.EnhancementConfig) dcp.IncastResult {
-	o := dcp.DefaultIncastOptions(dcp.ProtoDCTCPPlus, flows)
-	o.Rounds = 30
-	o.WarmupRounds = 8
-	o.Factory = dcp.DCTCPPlusFactory(o.RTOMin, o.Testbed.Seed, cfg)
-	return dcp.RunIncast(o)
-}
-
 func main() {
-	fmt.Printf("DCTCP+ parameter ablations at N=%d concurrent flows\n\n", flows)
-
-	fmt.Println("backoff_time_unit (additive slow_time step):")
-	for _, unit := range []dcp.Duration{
-		100 * dcp.Microsecond, 200 * dcp.Microsecond, 400 * dcp.Microsecond,
-		800 * dcp.Microsecond, 1600 * dcp.Microsecond, 3200 * dcp.Microsecond,
-	} {
-		cfg := dcp.DefaultEnhancementConfig()
-		cfg.BackoffUnit = unit
-		r := run(cfg)
-		fmt.Printf("  unit=%-8v goodput=%5.0f Mbps  fct=%7.2fms  timeouts=%d\n",
-			unit, r.GoodputMbps.Mean, r.FCTms.Mean, r.Timeouts)
-	}
-	fmt.Println("  (§V-D: too small cannot relieve severe fan-in congestion;")
-	fmt.Println("   too large over-throttles and wastes bandwidth)")
-
-	fmt.Println("\ndivisor_factor (multiplicative slow_time decrease):")
-	for _, div := range []float64{1.25, 1.5, 2, 4, 8} {
-		cfg := dcp.DefaultEnhancementConfig()
-		cfg.DivisorFactor = div
-		r := run(cfg)
-		fmt.Printf("  divisor=%-5v goodput=%5.0f Mbps  fct=%7.2fms  timeouts=%d\n",
-			div, r.GoodputMbps.Mean, r.FCTms.Mean, r.Timeouts)
-	}
-	fmt.Println("  (§V-D: too big recovers prematurely; too conservative")
-	fmt.Println("   retards the rate regulation)")
-
-	fmt.Println("\ndesynchronization (randomized vs deterministic backoff):")
-	for _, randomize := range []bool{true, false} {
-		cfg := dcp.DefaultEnhancementConfig()
-		cfg.Randomize = randomize
-		r := run(cfg)
-		fmt.Printf("  randomize=%-5v goodput=%5.0f Mbps  fct=%7.2fms  timeouts=%d\n",
-			randomize, r.GoodputMbps.Mean, r.FCTms.Mean, r.Timeouts)
-	}
+	f := dcp.NewAblations(dcp.Scale{Rounds: 30, Warmup: 8, Seed: 1})
+	f.Run()
+	fmt.Printf("%s\npaper: %s\n\n", f.Title, f.Expectation)
+	f.Render(os.Stdout)
+	fmt.Println("\n§V-D: a unit too small cannot relieve severe fan-in congestion, one too large")
+	fmt.Println("over-throttles; a divisor too big recovers prematurely, one too conservative")
+	fmt.Println("retards the rate regulation.")
 }

@@ -66,19 +66,16 @@ func TestFacadeEnhancementFactory(t *testing.T) {
 }
 
 func TestFacadeBackgroundIncast(t *testing.T) {
-	o := dcp.DefaultIncastOptions(dcp.ProtoDCTCPPlus, 4)
-	o.Rounds = 4
-	o.WarmupRounds = 1
-	o.BackgroundFlows = 2
-	o.ChunkBytes = 1 << 20
-	r := dcp.RunIncast(o)
-	if len(r.PerFlowMeanMbps) != 2 {
-		t.Fatalf("long flows = %d", len(r.PerFlowMeanMbps))
+	f := dcp.NewFigure11_12(dcp.Scale{Rounds: 4, Warmup: 1, Seed: 1})
+	f.Points = dcp.Grid(f.Points[0], []dcp.Protocol{dcp.ProtoDCTCPPlus}, []int{4})
+	f.Run()
+	if len(f.Results) != 1 || len(f.Results[0].PerFlowMeanMbps) != 2 {
+		t.Fatalf("results = %+v", f.Results)
 	}
 	var sb strings.Builder
-	dcp.PrintBackgroundIncastRows(&sb, []dcp.IncastResult{r})
-	if sb.Len() == 0 {
-		t.Error("no row output")
+	f.Render(&sb)
+	if !strings.Contains(sb.String(), "longflow") {
+		t.Errorf("row output missing the long-flow column:\n%s", sb.String())
 	}
 }
 

@@ -114,8 +114,7 @@ type Config struct {
 // equilibrium slow_time then reaches the "hundreds to thousands of
 // microseconds" the paper describes (§V-A), which is what lets hundreds of
 // concurrent flows share the bottleneck without loss. See
-// BenchmarkAblation_BackoffUnit for the sensitivity sweep behind this
-// choice.
+// exp.NewBackoffUnitAblation for the sensitivity sweep behind this choice.
 func DefaultConfig() Config {
 	return Config{
 		BackoffUnit:   800 * sim.Microsecond,

@@ -8,13 +8,17 @@ import (
 	"dctcpplus/internal/telemetry"
 )
 
-// This file packages the paper's evaluation artifacts as self-describing
-// experiments: construct the default spec (NewFigureN), adjust its fields,
-// Run it, and Render the same rows/series the paper reports. cmd/report
-// chains them, the figure binaries under cmd/ are shells over them, and
-// tests pin their shapes.
+// This file is the catalogue of the reproduction battery: every figure and
+// table of the paper's evaluation, the §V-D parameter ablations and
+// compositions, and the resilience table, each a self-describing entry —
+// heading, the explicit list of points it runs, and the renderer that prints
+// the rows the paper reports. Battery lists them in paper order; cmd/report
+// is a loop over that list, the figure binaries under cmd/ are shells over
+// single entries, and tests pin their shapes.
 
-// Scale applies common run-length settings to every figure spec.
+// Scale applies common run-length settings to every catalogue entry.
+// cmd/report defaults to Scale{50, 10, 1}, balancing statistical stability
+// against runtime; the paper's own 1000-round scale is Scale{1000, 10, 1}.
 type Scale struct {
 	Rounds int
 	Warmup int
@@ -25,95 +29,128 @@ type Scale struct {
 	Telemetry *telemetry.Registry
 }
 
-// DefaultScale balances statistical stability against runtime; the paper's
-// own 1000-round scale is Scale{1000, 10, 1}.
-func DefaultScale() Scale { return Scale{Rounds: 50, Warmup: 10, Seed: 1} }
+// point returns the catalogue's per-point template: the §VI-B defaults for
+// (p, n) at the scale's run length, seed and registry.
+func (sc Scale) point(p Protocol, n int) IncastOptions {
+	o := DefaultIncastOptions(p, n)
+	o.Rounds, o.WarmupRounds = sc.Rounds, sc.Warmup
+	o.Testbed.Seed = sc.Seed
+	o.Telemetry = sc.Telemetry
+	return o
+}
 
-// Figure is one incast artifact of the paper: the Protocols x FlowCounts
-// grid of RunIncast points, fanned out through RunMany and rendered the way
-// the paper reports it. Build one with a NewFigureN constructor.
+// Grid lays a protocols x flowCounts grid of points out protocol-major:
+// each point is the template with Protocol and Flows filled in. The grid-
+// shaped entries are built with it, and a caller that wants an entry over
+// its own grid (the figure binaries' -protocols/-flows) re-grids the same
+// way: f.Points = Grid(f.Points[0], protocols, flowCounts).
+func Grid(template IncastOptions, protocols []Protocol, flowCounts []int) []IncastOptions {
+	pts := make([]IncastOptions, 0, len(protocols)*len(flowCounts))
+	for _, p := range protocols {
+		for _, n := range flowCounts {
+			o := template
+			o.Protocol, o.Flows = p, n
+			pts = append(pts, o)
+		}
+	}
+	return pts
+}
+
+// Heading is what the report prints above an entry's rows.
+type Heading struct {
+	Title string
+	// Expectation is the paper's claim the rows are to be read against.
+	Expectation string
+}
+
+// Head returns the heading (promoted into every entry type that embeds it).
+func (h Heading) Head() Heading { return h }
+
+// Section is one entry of the battery, the surface cmd/report drives.
+type Section interface {
+	Head() Heading
+	// Check turns the conformance oracle on for the entry's points where
+	// the entry is one cmd/report -oracle covers: the ablations and the
+	// resilience table. The paper's figures never ran under it and still do
+	// not — TCP at RTOmin 10ms in Fig. 8 would trip the open
+	// retrans-legality finding (ROADMAP 4(a)) — so on them Check is a no-op.
+	Check()
+	Run()
+	Render(w io.Writer)
+	// Incast returns the entry's incast results, flat and in point order,
+	// for the oracle tally; nil for an entry that runs no incast point.
+	Incast() []IncastResult
+}
+
+// Figure is one incast entry: Points fanned out through RunMany and
+// rendered the way the paper reports them. Build one with a constructor
+// below; Points is plain data, to be inspected or replaced before Run.
 type Figure struct {
-	// Options is the per-point template. Run copies it for every
-	// (protocol, N), fills in Protocol and Flows and overlays Scale.
-	Options    IncastOptions
-	Scale      Scale
-	Protocols  []Protocol
-	FlowCounts []int
-	// BaselineRTOMin, when nonzero, applies to every protocol except
-	// DCTCP+ variants — the Figure 8 configuration.
-	BaselineRTOMin sim.Duration
-
-	// Results holds one point per (protocol, N) in row order after Run.
+	Heading
+	// Points lists every run of the entry in row order.
+	Points []IncastOptions
+	// Results holds one result per point, in the same order, after Run.
 	Results []IncastResult
 
-	// flowsMajor orders rows N-major (Fig. 9 groups the protocols under
-	// each flow count); every other figure is protocol-major.
-	flowsMajor bool
-	// fixedLength keeps the template's Rounds/WarmupRounds: Fig. 14 traces
-	// the first rounds of a run, so Scale contributes only seed and registry.
-	fixedLength bool
-	render      func(io.Writer, []IncastResult)
+	render func(io.Writer, []IncastResult)
+	// checked marks the entries Check applies to.
+	checked bool
 }
 
-func newFigure(protocols []Protocol, flowCounts []int, render func(io.Writer, []IncastResult)) *Figure {
-	return &Figure{
-		Options:    DefaultIncastOptions(ProtoTCP, 0),
-		Scale:      DefaultScale(),
-		Protocols:  protocols,
-		FlowCounts: flowCounts,
-		render:     render,
-	}
-}
-
-// Run executes every point of the grid (in parallel, see Parallelism).
-func (f *Figure) Run() {
-	optList := make([]IncastOptions, 0, len(f.Protocols)*len(f.FlowCounts))
-	point := func(p Protocol, n int) {
-		o := f.Options
-		o.Protocol, o.Flows = p, n
-		if !f.fixedLength {
-			o.Rounds, o.WarmupRounds = f.Scale.Rounds, f.Scale.Warmup
-		}
-		o.Testbed.Seed = f.Scale.Seed
-		o.Telemetry = f.Scale.Telemetry
-		if f.BaselineRTOMin > 0 && p != ProtoDCTCPPlus && p != ProtoDCTCPPlusPartial {
-			o.RTOMin = f.BaselineRTOMin
-		}
-		optList = append(optList, o)
-	}
-	if f.flowsMajor {
-		for _, n := range f.FlowCounts {
-			for _, p := range f.Protocols {
-				point(p, n)
-			}
-		}
-	} else {
-		for _, p := range f.Protocols {
-			for _, n := range f.FlowCounts {
-				point(p, n)
-			}
-		}
-	}
-	f.Results = RunMany(optList)
-}
+// Run executes every point (in parallel, see Parallelism).
+func (f *Figure) Run() { f.Results = RunMany(f.Points) }
 
 // Render writes the figure's rows.
 func (f *Figure) Render(w io.Writer) { f.render(w, f.Results) }
 
-// NewFigure1 returns the paper's Figure 1 specification: the basic incast
-// goodput comparison (DCTCP vs TCP).
-func NewFigure1() *Figure {
-	return newFigure([]Protocol{ProtoTCP, ProtoDCTCP},
-		[]int{1, 5, 10, 20, 30, 40, 60, 80, 100}, PrintIncastRows)
+// Incast returns Results.
+func (f *Figure) Incast() []IncastResult { return f.Results }
+
+// Check implements Section.
+func (f *Figure) Check() {
+	if !f.checked {
+		return
+	}
+	for i := range f.Points {
+		f.Points[i].Oracle = true
+	}
 }
 
-// NewFigure2Table1 returns the paper's Figure 2 / Table I specification:
-// the cwnd-distribution and timeout-taxonomy analysis, every point with
-// cwnd probes attached.
-func NewFigure2Table1() *Figure {
-	f := newFigure([]Protocol{ProtoDCTCP, ProtoTCP}, []int{10, 20, 40, 60}, printCwndRows)
-	f.Options.CollectCwnd = true
-	return f
+// Battery returns the whole evaluation in paper order — Figs. 1, 2 + Table
+// I, 6-9, 11 + 12, 13, 14, then the §V-D ablations and the fault-resilience
+// table — every entry at the given scale.
+func Battery(sc Scale) []Section {
+	return []Section{
+		NewFigure1(sc), NewFigure2Table1(sc), NewFigure6(sc), NewFigure7(sc), NewFigure8(sc),
+		NewFigure9(sc), NewFigure11_12(sc), NewFigure13(sc), NewFigure14(sc),
+		NewAblations(sc), NewResilience(sc),
+	}
+}
+
+// NewFigure1 returns the paper's Figure 1: the basic incast goodput
+// comparison (DCTCP vs TCP).
+func NewFigure1(sc Scale) *Figure {
+	return &Figure{
+		Heading: Heading{"Figure 1: goodput vs concurrent flows (DCTCP, TCP)",
+			"TCP collapses just past 10 flows; DCTCP past ~35"},
+		Points: Grid(sc.point(ProtoTCP, 0), []Protocol{ProtoTCP, ProtoDCTCP},
+			[]int{1, 5, 10, 20, 30, 40, 60, 80, 100}),
+		render: PrintIncastRows,
+	}
+}
+
+// NewFigure2Table1 returns the paper's Figure 2 / Table I: the
+// cwnd-distribution and timeout-taxonomy analysis, every point with cwnd
+// probes attached.
+func NewFigure2Table1(sc Scale) *Figure {
+	tmpl := sc.point(ProtoDCTCP, 0)
+	tmpl.CollectCwnd = true
+	return &Figure{
+		Heading: Heading{"Figure 2 + Table I: cwnd distribution and timeout taxonomy",
+			"N>=20: DCTCP mass piles on 1-2 MSS; floor/ECE coincidence common; FLoss dominates deep collapse"},
+		Points: Grid(tmpl, []Protocol{ProtoDCTCP, ProtoTCP}, []int{10, 20, 40, 60}),
+		render: printCwndRows,
+	}
 }
 
 // printCwndRows writes both the Figure 2 histogram rows and the Table I
@@ -152,34 +189,58 @@ func printCwndRows(w io.Writer, results []IncastResult) {
 	}
 }
 
-// NewFigure7 returns the paper's Figure 7 specification, the headline
-// comparison (Figure 6 is its partial-protocol variant, Figure 8 its
-// BaselineRTOMin variant).
-func NewFigure7() *Figure {
-	return newFigure([]Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP},
-		[]int{20, 60, 120, 200}, PrintIncastRows)
+// figure7Flows are the flow counts of the headline comparison and its two
+// variants.
+var figure7Flows = []int{20, 60, 120, 200}
+
+// NewFigure7 returns the paper's Figure 7, the headline comparison.
+func NewFigure7(sc Scale) *Figure {
+	return &Figure{
+		Heading: Heading{"Figure 7: full DCTCP+ vs DCTCP vs TCP",
+			"DCTCP+ sustains 600-900 Mbps, 8-17ms FCT beyond 200 flows; DCTCP/TCP sit in RTO collapse"},
+		Points: Grid(sc.point(ProtoTCP, 0), []Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP}, figure7Flows),
+		render: PrintIncastRows,
+	}
 }
 
 // NewFigure6 returns the partial-implementation ablation of Figure 6.
-func NewFigure6() *Figure {
-	f := NewFigure7()
-	f.Protocols = []Protocol{ProtoDCTCPPlusPartial, ProtoDCTCPPlus}
+func NewFigure6(sc Scale) *Figure {
+	return &Figure{
+		Heading: Heading{"Figure 6: partial (no desync) vs full DCTCP+",
+			"partial holds past DCTCP's limit but trails the full mechanism at high N"},
+		Points: Grid(sc.point(ProtoTCP, 0), []Protocol{ProtoDCTCPPlusPartial, ProtoDCTCPPlus}, figure7Flows),
+		render: PrintIncastRows,
+	}
+}
+
+// NewFigure8 returns Figure 8: Figure 7's grid with every baseline — each
+// protocol that is not a DCTCP+ variant — at RTOmin 10ms.
+func NewFigure8(sc Scale) *Figure {
+	f := NewFigure7(sc)
+	f.Heading = Heading{"Figure 8: DCTCP+ (RTOmin 200ms) vs DCTCP/TCP at RTOmin 10ms",
+		"short RTO lifts DCTCP/TCP but DCTCP+ still wins without touching the timer"}
+	for i, pt := range f.Points {
+		if pt.Protocol != ProtoDCTCPPlus && pt.Protocol != ProtoDCTCPPlusPartial {
+			f.Points[i].RTOMin = 10 * sim.Millisecond
+		}
+	}
 	return f
 }
 
-// NewFigure8 returns Figure 8: baselines at RTOmin = 10ms.
-func NewFigure8() *Figure {
-	f := NewFigure7()
-	f.BaselineRTOMin = 10 * sim.Millisecond
-	return f
-}
-
-// NewFigure9 returns the paper's Figure 9 specification: the bottleneck
-// queue-length CDF comparison, every point with the queue sampler attached.
-func NewFigure9() *Figure {
-	f := newFigure([]Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP}, []int{30, 50, 80}, printQueueCDFRows)
-	f.Options.QueueSampleEvery = 100 * sim.Microsecond
-	f.flowsMajor = true
+// NewFigure9 returns the paper's Figure 9: the bottleneck queue-length CDF
+// comparison, every point with the queue sampler attached. Rows are
+// N-major — the protocols grouped under each flow count.
+func NewFigure9(sc Scale) *Figure {
+	tmpl := sc.point(ProtoTCP, 0)
+	tmpl.QueueSampleEvery = 100 * sim.Microsecond
+	f := &Figure{
+		Heading: Heading{"Figure 9: bottleneck queue-length CDF (bytes, 100us samples)",
+			"DCTCP+ keeps a shorter, stabler queue; the gap widens with N"},
+		render: printQueueCDFRows,
+	}
+	for _, n := range []int{30, 50, 80} {
+		f.Points = append(f.Points, Grid(tmpl, []Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP}, []int{n})...)
+	}
 	return f
 }
 
@@ -195,17 +256,23 @@ func printQueueCDFRows(w io.Writer, results []IncastResult) {
 	}
 }
 
-// NewFigure11_12 returns the paper's §VI-C specification: the incast with
-// two persistent background flows.
-func NewFigure11_12() *Figure {
-	f := newFigure([]Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP}, []int{20, 60, 120}, PrintBackgroundIncastRows)
-	f.Options.BackgroundFlows = 2
-	f.Options.ChunkBytes = 1 << 20
-	return f
+// NewFigure11_12 returns the paper's §VI-C entry: the incast with two
+// persistent background flows.
+func NewFigure11_12(sc Scale) *Figure {
+	tmpl := sc.point(ProtoTCP, 0)
+	tmpl.BackgroundFlows = 2
+	tmpl.ChunkBytes = 1 << 20
+	return &Figure{
+		Heading: Heading{"Figures 11 + 12: incast with 2 persistent background flows",
+			"DCTCP+ keeps near-no-background goodput and far shorter FCT; long flows share the residue"},
+		Points: Grid(tmpl, []Protocol{ProtoDCTCPPlus, ProtoDCTCP, ProtoTCP}, []int{20, 60, 120}),
+		render: PrintBackgroundIncastRows,
+	}
 }
 
 // Figure13 is the production benchmark-traffic experiment.
 type Figure13 struct {
+	Heading
 	Protocols  []Protocol
 	Queries    int
 	Background int
@@ -215,15 +282,17 @@ type Figure13 struct {
 	Results []BenchmarkResult
 }
 
-// NewFigure13 returns the paper's §VI-D specification at reduced scale
-// (the paper runs 7,000 + 7,000).
-func NewFigure13() *Figure13 {
+// NewFigure13 returns the paper's §VI-D entry at reduced scale (the paper
+// runs 7,000 + 7,000); of the scale only the seed applies.
+func NewFigure13(sc Scale) *Figure13 {
 	return &Figure13{
+		Heading: Heading{"Figure 13: benchmark traffic FCT (queries / background), RTOmin 10ms",
+			"DCTCP+ wins mean and especially p99 query FCT; background barely affected"},
 		Protocols:  []Protocol{ProtoDCTCPPlus, ProtoDCTCP},
 		Queries:    1000,
 		Background: 1000,
 		RTOMin:     10 * sim.Millisecond,
-		Seed:       1,
+		Seed:       sc.Seed,
 	}
 }
 
@@ -245,17 +314,27 @@ func (f *Figure13) Run() {
 // Render writes the figure's rows.
 func (f *Figure13) Render(w io.Writer) { PrintBenchmarkRows(w, f.Results) }
 
-// NewFigure14 returns the paper's Figure 14 specification: the convergence
-// trace of 50 DCTCP+ flows at 4MB each over the run's first 8 rounds.
-func NewFigure14() *Figure {
-	f := newFigure([]Protocol{ProtoDCTCPPlus}, []int{50}, printConvergence)
-	f.Options.BytesPerFlow = 4 << 20
-	f.Options.Rounds = 8
-	f.Options.WarmupRounds = 1
-	f.Options.KeepRounds = true
-	f.Options.QueueSampleEvery = 100 * sim.Microsecond
-	f.fixedLength = true
-	return f
+// Incast implements Section: the benchmark mix runs no incast point.
+func (f *Figure13) Incast() []IncastResult { return nil }
+
+// Check implements Section: RunBenchmark has no oracle attachment.
+func (f *Figure13) Check() {}
+
+// NewFigure14 returns the paper's Figure 14: the convergence trace of 50
+// DCTCP+ flows at 4MB each. It traces the first 8 rounds of a run, so it
+// pins its own length: the scale contributes only seed and registry.
+func NewFigure14(sc Scale) *Figure {
+	pt := sc.point(ProtoDCTCPPlus, 50)
+	pt.BytesPerFlow = 4 << 20
+	pt.Rounds, pt.WarmupRounds = 8, 1
+	pt.KeepRounds = true
+	pt.QueueSampleEvery = 100 * sim.Microsecond
+	return &Figure{
+		Heading: Heading{"Figure 14: convergence, 50 DCTCP+ flows x 4MB",
+			"buffer overflows during the first rounds, then the regulation converges"},
+		Points: []IncastOptions{pt},
+		render: printConvergence,
+	}
 }
 
 // printConvergence writes the per-round series and the convergence verdict.
@@ -268,4 +347,22 @@ func printConvergence(w io.Writer, results []IncastResult) {
 		fmt.Fprintf(w, "converged at round %d; bottleneck drops %d\n",
 			r.ConvergedAtRound(), r.BottleneckDrops)
 	}
+}
+
+// OracleReport folds the conformance outcome of an entry's results: the
+// total violation count plus, per violating point, one identifying line and
+// its first three violations. (0, nil) means the entry ran clean.
+func OracleReport(label string, results []IncastResult) (total int64, lines []string) {
+	for i, r := range results {
+		if r.OracleTotal == 0 {
+			continue
+		}
+		total += r.OracleTotal
+		lines = append(lines, fmt.Sprintf("%s: point %d (%v N=%d): %d oracle violations",
+			label, i, r.Protocol, r.Flows, r.OracleTotal))
+		for _, v := range r.OracleViolations[:min(3, len(r.OracleViolations))] {
+			lines = append(lines, "  "+v.String())
+		}
+	}
+	return total, lines
 }

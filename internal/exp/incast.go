@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -112,8 +113,8 @@ type IncastOptions struct {
 	MaxSimTime sim.Duration
 
 	// Factory, when non-nil, overrides Protocol's default endpoint
-	// construction (used by the ablation benches to inject custom DCTCP+
-	// parameters; see DCTCPPlusFactory).
+	// construction (used by the §V-D ablation entries to inject custom
+	// DCTCP+ parameters; see DCTCPPlusFactory).
 	Factory workload.FlowFactory
 
 	// KeepRounds retains the per-round series (including warmup) in the
@@ -181,6 +182,21 @@ func DefaultIncastOptions(p Protocol, flows int) IncastOptions {
 		RTOMin:       200 * sim.Millisecond,
 		MaxSimTime:   30 * 60 * sim.Second,
 	}
+}
+
+// validate rejects options no run can be assembled from. RunIncast panics
+// on its error, and RunMany checks a whole batch before fanning out, so a
+// bad point fails on the caller's goroutine whatever the pool width.
+func (o IncastOptions) validate() error {
+	switch {
+	case o.Flows < 1:
+		return errors.New("Flows must be at least 1")
+	case o.Rounds <= o.WarmupRounds:
+		return errors.New("Rounds must exceed WarmupRounds")
+	case o.BackgroundFlows < 0 || o.BackgroundFlows >= o.Testbed.Leaves*o.Testbed.HostsPerLeaf:
+		return errors.New("BackgroundFlows must be fewer than the workers")
+	}
+	return nil
 }
 
 func (o IncastOptions) perFlowBytes() int64 {
@@ -283,14 +299,11 @@ func (r IncastResult) QueueCDF() *stats.CDF {
 // RunIncast executes one incast experiment point — the only function that
 // assembles an incast run, with or without background long flows.
 func RunIncast(o IncastOptions) IncastResult {
-	if o.Rounds <= o.WarmupRounds {
-		panic("exp: Rounds must exceed WarmupRounds")
+	if err := o.validate(); err != nil {
+		panic("exp: " + err.Error())
 	}
 	if o.MaxSimTime <= 0 {
 		o.MaxSimTime = 30 * 60 * sim.Second
-	}
-	if o.BackgroundFlows < 0 || o.BackgroundFlows >= o.Testbed.Leaves*o.Testbed.HostsPerLeaf {
-		panic("exp: BackgroundFlows must be fewer than the workers")
 	}
 	sched, tt := o.Testbed.build()
 	if o.MirrorWorkers {

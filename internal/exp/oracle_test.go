@@ -32,28 +32,25 @@ func failViolations(t *testing.T, label string, res IncastResult) {
 // massive-incast regime, so TCP and DCTCP hit real RTOs and NewReno
 // recovery) — and requires the whole matrix oracle-clean. The fault rows
 // auto-calibrate their episode windows to each protocol's run span (see
-// ResilienceOptions.Gen), so every cell's pathology actually overlaps
-// traffic.
+// Resilience.Gen), so every cell's pathology actually overlaps traffic.
 func TestOracleMatrix(t *testing.T) {
 	base := DefaultIncastOptions(ProtoDCTCP, 64)
 	base.Rounds = 5
 	base.WarmupRounds = 1
 	base.Oracle = true
-	rows := RunResilience(ResilienceOptions{
-		Base:      base,
-		Protocols: Protocols,
-		Gen:       fault.GenConfig{Seed: 11, LossRate: 0.2},
-	})
+	r := NewResilience(Scale{})
+	r.Points = Grid(base, Protocols, []int{64})
+	r.Gen = fault.GenConfig{Seed: 11, LossRate: 0.2}
+	r.Run()
 	var stressed bool
-	for _, row := range rows {
-		for c, res := range row.Results {
-			failViolations(t, row.Label+"/"+Protocols[c].String(), res)
-			if row.Label != "none" && (res.FaultStats == nil || res.FaultStats.EventsFired == 0) {
-				t.Errorf("%s/%s: no fault events fired; the cell is vacuous", row.Label, Protocols[c])
-			}
-			if res.Timeouts > 0 {
-				stressed = true
-			}
+	for i, res := range r.Results {
+		label := r.RowLabel(i/len(Protocols)) + "/" + res.Protocol.String()
+		failViolations(t, label, res)
+		if i >= len(Protocols) && (res.FaultStats == nil || res.FaultStats.EventsFired == 0) {
+			t.Errorf("%s: no fault events fired; the cell is vacuous", label)
+		}
+		if res.Timeouts > 0 {
+			stressed = true
 		}
 	}
 	if !stressed {
@@ -68,21 +65,17 @@ func TestOracleMatrix(t *testing.T) {
 // formerly a retrans-legality false positive (the RTO grant stopped at the
 // wire-observed frontier instead of the pre-rewind snd_nxt).
 func TestOracleResilienceReportScale(t *testing.T) {
-	base := DefaultIncastOptions(ProtoDCTCP, 150)
-	base.Rounds = 10
-	base.WarmupRounds = 2
-	base.RTOMin = 10 * sim.Millisecond
-	base.Oracle = true
-	rows := RunResilience(ResilienceOptions{
-		Base:      base,
-		Protocols: []Protocol{ProtoDCTCP, ProtoDCTCPPlus},
-		Gen:       fault.GenConfig{Seed: 1},
-	})
-	protos := []Protocol{ProtoDCTCP, ProtoDCTCPPlus}
-	for _, row := range rows {
-		for c, res := range row.Results {
-			failViolations(t, row.Label+"/"+protos[c].String(), res)
+	r := NewResilience(Scale{Seed: 1})
+	for _, pt := range r.Points {
+		if pt.Flows != 150 || pt.RTOMin != 10*sim.Millisecond || pt.Rounds != 10 || pt.WarmupRounds != 2 {
+			t.Fatalf("operating point moved: %v N=%d RTOmin %v rounds %d/%d",
+				pt.Protocol, pt.Flows, pt.RTOMin, pt.Rounds, pt.WarmupRounds)
 		}
+	}
+	r.Check()
+	r.Run()
+	for i, res := range r.Results {
+		failViolations(t, r.RowLabel(i/len(r.Points))+"/"+res.Protocol.String(), res)
 	}
 }
 

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"dctcpplus/internal/sweep/pool"
 )
 
@@ -15,7 +17,16 @@ var Parallelism = pool.DefaultWorkers()
 // RunMany executes a batch of incast points concurrently — the only
 // fan-out in this package; results are positionally identical to calling
 // RunIncast on each element in turn.
+//
+// Every point is validated before any runs: a bad one panics here, on the
+// calling goroutine and naming its index, where the caller can recover it —
+// not inside a pool worker, and not after its neighbours already ran.
 func RunMany(optList []IncastOptions) []IncastResult {
+	for i, o := range optList {
+		if err := o.validate(); err != nil {
+			panic(fmt.Sprintf("exp: RunMany point %d: %v", i, err))
+		}
+	}
 	out := make([]IncastResult, len(optList))
 	pool.ForEach(Parallelism, len(optList), func(i int) {
 		out[i] = RunIncast(optList[i])

@@ -1,7 +1,11 @@
 package exp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+
+	"dctcpplus/internal/telemetry"
 )
 
 // pointsAt returns the curve of fast points for p at the given flow counts.
@@ -74,6 +78,34 @@ func TestParallelBackgroundSweep(t *testing.T) {
 	for _, r := range rs {
 		if len(r.PerFlowMeanMbps) != 2 {
 			t.Errorf("N=%d: long flows = %d", r.Flows, len(r.PerFlowMeanMbps))
+		}
+	}
+}
+
+// TestRunManyValidatesBeforeFanOut: a bad point must fail the whole batch
+// up front — on the calling goroutine (a panic inside a pool worker would
+// kill the test binary, not reach this recover), naming its index, before
+// any point has run — and the same way at every pool width.
+func TestRunManyValidatesBeforeFanOut(t *testing.T) {
+	defer func(old int) { Parallelism = old }(Parallelism)
+	for _, width := range []int{1, 4} {
+		Parallelism = width
+		reg := telemetry.NewRegistry()
+		optList := pointsAt(ProtoDCTCP, 4, 4, 4, 4)
+		for i := range optList {
+			optList[i].Telemetry = reg
+		}
+		optList[2].Rounds = optList[2].WarmupRounds
+		msg := func() (msg string) {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			RunMany(optList)
+			return
+		}()
+		if !strings.Contains(msg, "point 2") || !strings.Contains(msg, "Rounds must exceed WarmupRounds") {
+			t.Errorf("Parallelism %d: panic = %q, want one naming point 2 and the precondition", width, msg)
+		}
+		if n := len(reg.Snapshot().Instruments); n != 0 {
+			t.Errorf("Parallelism %d: %d instruments registered; a point ran before the batch was rejected", width, n)
 		}
 	}
 }

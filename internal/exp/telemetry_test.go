@@ -185,12 +185,11 @@ func TestBackgroundFairnessJainIndex(t *testing.T) {
 // TestScaleAppliesTelemetry pins that figure specs propagate the registry,
 // the fixed-length Fig. 14 trace included.
 func TestScaleAppliesTelemetry(t *testing.T) {
-	for i, f := range []*Figure{NewFigure7(), NewFigure14()} {
+	for i, build := range []func(Scale) *Figure{NewFigure7, NewFigure14} {
 		reg := telemetry.NewRegistry()
-		f.Scale = Scale{Rounds: 3, Warmup: 1, Seed: 1, Telemetry: reg}
-		f.Options.BytesPerFlow = 64 << 10
-		f.Protocols = []Protocol{ProtoDCTCP}
-		f.FlowCounts = []int{4}
+		f := build(Scale{Rounds: 3, Warmup: 1, Seed: 1, Telemetry: reg})
+		f.Points[0].BytesPerFlow = 64 << 10
+		f.Points = Grid(f.Points[0], []Protocol{ProtoDCTCP}, []int{4})
 		f.Run()
 		if len(reg.Snapshot().Instruments) == 0 {
 			t.Errorf("figure %d: Run dropped the registry", i)

@@ -95,7 +95,8 @@ type jobDone struct {
 	res       Result
 	status    string
 	wallNs    int64
-	cacheErrs int // read/write failures downgraded to recompute/no-memoize
+	cacheErrs int    // read/write failures downgraded to recompute/no-memoize
+	key       string // the point's cache key, computed once by the worker
 }
 
 // Run expands the spec and executes it. The returned Outcome is valid
@@ -107,32 +108,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.runJobs(ctx, spec.normalized().Name, spec.Hash(), jobs)
-}
-
-// RunPoints executes an explicit point list under the same machinery as
-// Run. It exists for the irregular batches no cross-product expands to —
-// cmd/report's ablation grid pairs each protocol with its own flow count —
-// so those callers get caching, resume, and ordered aggregation too. The
-// manifest's spec hash is the hash of the point list.
-func (r *Runner) RunPoints(ctx context.Context, name string, pts []Point) (*Outcome, error) {
-	if err := validName(name); err != nil {
-		return nil, err
-	}
-	jobs := make([]Job, len(pts))
-	for i, pt := range pts {
-		if pt.Rounds <= pt.WarmupRounds {
-			return nil, fmt.Errorf("sweep: point %d: rounds %d must exceed warmup %d", i, pt.Rounds, pt.WarmupRounds)
-		}
-		if _, err := pt.Options(); err != nil {
-			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-		}
-		jobs[i] = Job{Index: i, Point: pt}
-	}
-	return r.runJobs(ctx, name, hashPoints(pts), jobs)
-}
-
-func (r *Runner) runJobs(ctx context.Context, name, specHash string, jobs []Job) (*Outcome, error) {
+	name, specHash := spec.normalized().Name, spec.Hash()
 	codeVersion := r.CodeVersion
 	if codeVersion == "" {
 		codeVersion = CodeVersion()
@@ -227,7 +203,7 @@ func (r *Runner) runJobs(ctx context.Context, name, specHash string, jobs []Job)
 					// is corruption like any other: count it and re-run.
 					cacheErrs++
 				} else if ok {
-					done <- jobDone{idx: i, res: res, status: StatusHit}
+					done <- jobDone{idx: i, res: res, status: StatusHit, key: key}
 					return
 				}
 			}
@@ -246,7 +222,7 @@ func (r *Runner) runJobs(ctx context.Context, name, specHash string, jobs []Job)
 					cacheErrs++
 				}
 			}
-			done <- jobDone{idx: i, res: res, status: StatusMiss, wallNs: wall, cacheErrs: cacheErrs}
+			done <- jobDone{idx: i, res: res, status: StatusMiss, wallNs: wall, cacheErrs: cacheErrs, key: key}
 		})
 	}()
 
@@ -284,7 +260,7 @@ func (r *Runner) runJobs(ctx context.Context, name, specHash string, jobs []Job)
 			if man != nil {
 				e := manifestEntry{
 					Index:  d.idx,
-					Key:    jobs[d.idx].Point.Key(codeVersion),
+					Key:    d.key,
 					Status: d.status,
 					WallNs: d.wallNs,
 				}

@@ -141,8 +141,10 @@ func LargeNSpec() Spec {
 // first offending dimension.
 func (s Spec) Validate() error {
 	n := s.normalized()
-	if err := validName(n.Name); err != nil {
-		return err
+	// The name becomes a file name inside the cache directory
+	// (manifestPath), so a separator or ".." would put the journal outside.
+	if n.Name == "." || n.Name == ".." || strings.ContainsAny(n.Name, `/\`) {
+		return fmt.Errorf("sweep: name %q is not a single path element (it names the manifest file inside the cache directory)", n.Name)
 	}
 	if n.Rounds <= n.WarmupRounds {
 		return fmt.Errorf("sweep: rounds %d must exceed warmup %d", n.Rounds, n.WarmupRounds)
@@ -186,16 +188,6 @@ func (s Spec) Validate() error {
 		if _, err := fault.ParseClasses(fs); err != nil {
 			return fmt.Errorf("sweep: %w", err)
 		}
-	}
-	return nil
-}
-
-// validName rejects a sweep name that is not a single path element: the
-// name becomes a file name inside the cache directory (manifestPath), so a
-// separator or ".." would put the journal outside it.
-func validName(name string) error {
-	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
-		return fmt.Errorf("sweep: name %q is not a single path element (it names the manifest file inside the cache directory)", name)
 	}
 	return nil
 }
@@ -248,17 +240,6 @@ func (s Spec) Hash() string {
 	if err != nil {
 		// Spec is a plain struct of scalars and slices; Marshal cannot fail.
 		panic(fmt.Sprintf("sweep: marshal spec: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// hashPoints is the spec-hash analogue for explicit point lists
-// (Runner.RunPoints).
-func hashPoints(pts []Point) string {
-	data, err := json.Marshal(pts)
-	if err != nil {
-		panic(fmt.Sprintf("sweep: marshal points: %v", err))
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])

@@ -123,17 +123,16 @@ type Incast struct {
 	tt    *netsim.TwoTier
 	cfg   IncastConfig
 
-	conns   []*tcp.Conn
-	senders map[packet.FlowID]*tcp.Sender
-	rng     *sim.RNG
+	conns []*tcp.Conn
+	rng   *sim.RNG
 
-	// cpuFree[h] is the virtual time at which worker host h's CPU becomes
-	// available to start the next response (service-time serialization).
-	cpuFree map[packet.NodeID]sim.Time
-	// workerOf maps a flow to its worker host for service accounting.
-	workerOf map[packet.FlowID]packet.NodeID
+	// cpuFree[w] is the virtual time at which the CPU of tt.Workers[w]
+	// becomes available to start the next response (service-time
+	// serialization); flow i runs on worker i mod W.
+	cpuFree []sim.Time
 	// flowIdx maps a flow id back to its index (the inverse of
-	// IncastConfig.flowID), for request demux under relabeled ids.
+	// IncastConfig.flowID) — the one flow-keyed table: the sender is
+	// conns[i].Sender, the worker position i mod W.
 	flowIdx map[packet.FlowID]int
 
 	round      int64
@@ -172,13 +171,11 @@ func NewIncast(sched *sim.Scheduler, tt *netsim.TwoTier, cfg IncastConfig) *Inca
 		sched:       sched,
 		tt:          tt,
 		cfg:         cfg,
-		senders:     make(map[packet.FlowID]*tcp.Sender, cfg.Flows),
 		recvd:       make([]int64, cfg.Flows),
 		statsMark:   make([]tcp.SenderStats, cfg.Flows),
 		servedRound: make([]int, cfg.Flows),
 		rng:         sim.NewRNG(cfg.Seed ^ 0x1ca5717e),
-		cpuFree:     make(map[packet.NodeID]sim.Time),
-		workerOf:    make(map[packet.FlowID]packet.NodeID),
+		cpuFree:     make([]sim.Time, len(tt.Workers)),
 		flowIdx:     make(map[packet.FlowID]int, cfg.Flows),
 	}
 	for i := range in.servedRound {
@@ -194,8 +191,6 @@ func NewIncast(sched *sim.Scheduler, tt *netsim.TwoTier, cfg IncastConfig) *Inca
 		conn := tcp.NewConn(tcfg, cc, w, tt.Aggregator, flow)
 		conn.Receiver.OnData = func(n int64) { in.onData(i, n) }
 		in.conns = append(in.conns, conn)
-		in.senders[flow] = conn.Sender
-		in.workerOf[flow] = w.ID()
 		in.flowIdx[flow] = i
 	}
 	// All workers dispatch arriving requests to the matching flow sender.
@@ -287,11 +282,11 @@ func (in *Incast) retryRequests(round int64) {
 // matching sender responds with the requested bytes — cfg.BytesPerFlow in
 // every request sendRequest builds — after its service delay.
 func (in *Incast) onRequest(pkt *packet.Packet) {
-	snd, ok := in.senders[pkt.Flow]
+	i, ok := in.flowIdx[pkt.Flow]
 	if !ok {
 		panic(fmt.Sprintf("workload: request for unknown flow %d", pkt.Flow))
 	}
-	i := in.flowIdx[pkt.Flow]
+	snd := in.conns[i].Sender
 	if int(pkt.Seq) <= in.servedRound[i] {
 		return // duplicate of a request already being served
 	}
@@ -304,7 +299,7 @@ func (in *Incast) onRequest(pkt *packet.Packet) {
 		// Serialize response preparation on the worker's CPU: this
 		// response starts when the CPU frees up, and holds it for an
 		// exponential service time.
-		w := in.workerOf[pkt.Flow]
+		w := i % len(in.cpuFree)
 		start := in.sched.Now().Add(delay)
 		if free := in.cpuFree[w]; free > start {
 			start = free
