@@ -101,9 +101,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./internal/sim ./internal/netsim ./internal/tcp
 
 # Just the allocation-budget regression tests, without the benchmarks
-# (internal/workload: an incast round must not allocate per flow).
+# (internal/workload: an incast round must not allocate per flow, a §VI-D
+# query not at all; internal/exp: a sweep-shaped job on a warm rig stays
+# within TestRigJobAllocBudget's pinned budget).
 alloc-check:
-	$(GO) test -run 'AllocBudget|AllocFree' ./internal/sim ./internal/netsim ./internal/tcp ./internal/workload
+	$(GO) test -run 'AllocBudget|AllocFree' ./internal/sim ./internal/netsim ./internal/tcp ./internal/workload ./internal/exp
 
 # The benchmark's own smoke (cmd/perf at 1/50 scale: all five workloads,
 # their output checks, every twin run's digest against its facade's). `race`
@@ -130,17 +132,24 @@ figures-smoke:
 	echo "figures-smoke: 5 figure-binary modes ran and printed their tables"
 
 # Battery smoke: the whole report at 4 rounds (every catalogue entry, the
-# resilience table included; about a minute) must reproduce its committed
-# output byte for byte, the wall-time line aside. A behavioural change shows
-# up as a diff of cmd/report/testdata/battery_r4.golden — regenerate it with
-# the command below and review that diff like code.
+# resilience table included; about a minute per pass) must reproduce its
+# committed output byte for byte, the wall-time line aside — at -jobs 1 and
+# again at -jobs 2. Each pool worker runs its points on one reused rig, so
+# the two widths give the points different run histories: a reset that
+# leaks state from one run into the next shows up here. A behavioural
+# change shows up as a diff of cmd/report/testdata/battery_r4.golden —
+# regenerate it with the command below (-jobs 1) and review that diff like
+# code.
 report-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/report -rounds 4 -warmup 1 -seed 1 -faults \
-		| grep -v '^report completed in ' >"$$dir/battery.txt"; \
-	diff cmd/report/testdata/battery_r4.golden "$$dir/battery.txt" || { \
-		echo "report-smoke: the battery's output moved (see the diff above)"; exit 1; }; \
-	echo "report-smoke: battery output byte-identical to battery_r4.golden"
+	$(GO) build -o "$$dir/report" ./cmd/report; \
+	for jobs in 1 2; do \
+		"$$dir/report" -rounds 4 -warmup 1 -seed 1 -faults -jobs $$jobs \
+			| grep -v '^report completed in ' >"$$dir/battery.txt"; \
+		diff cmd/report/testdata/battery_r4.golden "$$dir/battery.txt" || { \
+			echo "report-smoke: the battery's output moved at -jobs $$jobs (see the diff above)"; exit 1; }; \
+	done; \
+	echo "report-smoke: battery output byte-identical to battery_r4.golden at -jobs 1 and 2"
 
 clean:
 	$(GO) clean ./...

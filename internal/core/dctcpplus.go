@@ -179,12 +179,32 @@ type Enhancer struct {
 // Enhance wraps inner with the enhancement mechanism. Use New for DCTCP+
 // proper; Enhance exists for the §VII extension experiments (e.g. Reno-ECN
 // plus the mechanism).
-func Enhance(inner tcp.CongestionControl, cfg Config) *Enhancer {
+func Enhance(inner tcp.CongestionControl, cfg Config) *Enhancer { return Recycle(nil, inner, cfg) }
+
+// Recycle is Enhance under the workload.FlowFactory recycle contract: old is
+// the retiring connection's module (nil for a new connection). When it is an
+// *Enhancer it is re-wrapped in place around inner — recycle the wrapped
+// module first, from Unwrap(old) — and returned, the reset left to Init;
+// anything else is left alone for a new Enhancer.
+func Recycle(old, inner tcp.CongestionControl, cfg Config) *Enhancer {
 	cfg.validate()
 	if inner == nil {
 		panic("core: nil inner congestion control")
 	}
+	if e, ok := old.(*Enhancer); ok && e != nil {
+		e.inner, e.cfg = inner, cfg
+		return e
+	}
 	return &Enhancer{inner: inner, cfg: cfg}
+}
+
+// Unwrap returns the module an *Enhancer wraps, or nil for anything else —
+// the old inner module a factory recycles before re-wrapping it.
+func Unwrap(cc tcp.CongestionControl) tcp.CongestionControl {
+	if e, ok := cc.(*Enhancer); ok && e != nil {
+		return e.inner
+	}
+	return nil
 }
 
 // New returns DCTCP+: DCTCP with the enhancement mechanism. gain is the
@@ -267,15 +287,17 @@ func (e *Enhancer) FlushTelemetry(now sim.Time) {
 // ConfigUsed returns the enhancement configuration.
 func (e *Enhancer) ConfigUsed() Config { return e.cfg }
 
-// Init anchors the state-machine clocks at the sender's start time, then
-// initializes the inner module. Senders are created mid-run (staggered
-// incast arrivals, background flows); without the anchor, the first
+// Init resets the state machine to its as-constructed state — DCTCP_NORMAL,
+// slow_time zero, stats and instruments cleared; the inner module and the
+// config are kept — anchors its clocks at the sender's start time, then
+// resets the inner module. Senders are created mid-run (staggered incast
+// arrivals, background flows); without the anchor, the first
 // setState/Occupancy call would attribute all virtual time since t=0 to
 // DCTCP_NORMAL occupancy, and the decay cadence would measure from the
 // epoch instead of from the flow's start.
 func (e *Enhancer) Init(s *tcp.Sender) {
-	e.stateFrom = s.Now()
-	e.lastDecay = s.Now()
+	now := s.Now()
+	*e = Enhancer{inner: e.inner, cfg: e.cfg, stateFrom: now, lastDecay: now}
 	e.inner.Init(s)
 }
 

@@ -41,12 +41,22 @@ type D2TCP struct {
 // Tc/D — the ratio of the flow's needed completion time to its remaining
 // deadline; this library takes it as an explicit parameter so workloads
 // can assign urgency directly.
-func New(g, d float64) *D2TCP {
+func New(g, d float64) *D2TCP { return Recycle(nil, g, d) }
+
+// Recycle is New under the workload.FlowFactory recycle contract: old is the
+// retiring connection's module (nil for a new connection). When it is a
+// *D2TCP it is re-parameterised in place, its estimator with it — the reset
+// is Init's — and anything else is left alone for a new module.
+func Recycle(old tcp.CongestionControl, g, d float64) *D2TCP {
 	if d < MinDeadlineFactor {
 		d = MinDeadlineFactor
 	}
 	if d > MaxDeadlineFactor {
 		d = MaxDeadlineFactor
+	}
+	if t, ok := old.(*D2TCP); ok && t != nil {
+		t.inner, t.d = dctcp.Recycle(t.inner, g), d
+		return t
 	}
 	return &D2TCP{inner: dctcp.New(g), d: d}
 }
@@ -65,7 +75,8 @@ func (t *D2TCP) Penalty() float64 {
 	return pow(t.inner.Alpha(), t.d)
 }
 
-// Init initializes the alpha estimator's observation window.
+// Init resets the alpha estimator (the module's only state; d is a
+// parameter) and starts its observation window.
 func (t *D2TCP) Init(s *tcp.Sender) { t.inner.Init(s) }
 
 // OnAck delegates marked-byte accounting to the DCTCP estimator.

@@ -46,9 +46,20 @@ type DCTCP struct {
 // New returns a DCTCP module with gain g (use DefaultGain). Alpha starts at
 // 1, matching the Linux module's conservative initialization: the first
 // congestion signal halves the window until real estimates accumulate.
-func New(g float64) *DCTCP {
+func New(g float64) *DCTCP { return Recycle(nil, g) }
+
+// Recycle is New under the workload.FlowFactory recycle contract: old is the
+// retiring connection's module (nil for a new connection). When it is a
+// *DCTCP it is re-parameterised in place and returned — the reset is Init's,
+// run by the connection's open — and anything else is left alone for a new
+// module.
+func Recycle(old tcp.CongestionControl, g float64) *DCTCP {
 	if g <= 0 || g > 1 {
 		panic("dctcp: gain must be in (0, 1]")
+	}
+	if d, ok := old.(*DCTCP); ok && d != nil {
+		d.g = g
+		return d
 	}
 	return &DCTCP{g: g, alpha: 1}
 }
@@ -77,8 +88,10 @@ func (d *DCTCP) AttachTelemetry(reg *telemetry.Registry, labels ...telemetry.Lab
 	d.mAlpha = reg.Gauge("dctcp_alpha", labels...)
 }
 
-// Init starts the first observation window.
-func (d *DCTCP) Init(s *tcp.Sender) { d.windowEnd = s.SndNxt() }
+// Init resets the estimator to its as-constructed state — alpha 1, no
+// accumulated bytes, no folds, no instruments — and starts the first
+// observation window. The gain is kept.
+func (d *DCTCP) Init(s *tcp.Sender) { *d = DCTCP{g: d.g, alpha: 1, windowEnd: s.SndNxt()} }
 
 // OnAck accumulates acknowledged and marked bytes and, once per window of
 // data (when the cumulative ACK passes the snd_nxt recorded at the window

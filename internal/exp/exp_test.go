@@ -25,8 +25,8 @@ func TestProtocolStringsRoundTrip(t *testing.T) {
 func TestProtocolFactoriesBuildDistinctSeeds(t *testing.T) {
 	for _, p := range Protocols {
 		f := p.Factory(10*sim.Millisecond, 7)
-		c0, cc0 := f(0)
-		c1, cc1 := f(1)
+		c0, cc0 := f(0, nil)
+		c1, cc1 := f(1, nil)
 		if c0.Seed == c1.Seed {
 			t.Errorf("%v: flows share a seed", p)
 		}
@@ -56,7 +56,7 @@ func TestProtocolFactoryConfigShapes(t *testing.T) {
 		{ProtoD2TCPPlus, 1, "d2tcp+", true},
 	}
 	for _, tc := range cases {
-		cfg, cc := tc.p.Factory(200*sim.Millisecond, 1)(0)
+		cfg, cc := tc.p.Factory(200*sim.Millisecond, 1)(0, nil)
 		if cfg.MinCwnd != tc.minCwnd {
 			t.Errorf("%v: MinCwnd = %v, want %v", tc.p, cfg.MinCwnd, tc.minCwnd)
 		}

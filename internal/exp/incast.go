@@ -70,6 +70,14 @@ func (tb Testbed) build() (*sim.Scheduler, *netsim.TwoTier) {
 	return sched, tt
 }
 
+// topology is the part of the testbed build reads: Seed and ServiceJitter
+// only seed and pace the workload, so two testbeds that differ in them alone
+// share one tree.
+func (tb Testbed) topology() Testbed {
+	tb.Seed, tb.ServiceJitter = 0, 0
+	return tb
+}
+
 // IncastOptions parameterizes one incast run (one point of Figs. 1/6/7/8
 // and 11/12, or the instrumented runs behind Fig. 2, Table I, Fig. 9 and
 // Fig. 14).
@@ -296,16 +304,61 @@ func (r IncastResult) QueueCDF() *stats.CDF {
 	return stats.NewCDF(vals)
 }
 
-// RunIncast executes one incast experiment point — the only function that
-// assembles an incast run, with or without background long flows.
+// RunIncast executes one incast experiment point on a one-shot Rig.
 func RunIncast(o IncastOptions) IncastResult {
+	var rig Rig
+	return rig.Run(o)
+}
+
+// Rig is the assembler of incast runs — the only one, with or without
+// background long flows: a scheduler, the testbed's two-tier tree (packet
+// pool attached) and the incast workload, wired by Run. Between runs a rig
+// keeps all three and resets them rather than rebuilding: at the end of a
+// run every connection is closed (the workload retires, the long flows
+// close), and the next run resets the tree and the scheduler — in that
+// order, after the close, so no timer outlives its run — and reopens the
+// workload, whose factory recycles each connection's congestion-control
+// module. Every layer's reset leaves it equal to a fresh build outside its
+// keep-list, so a run's result does not depend on what ran on the rig
+// before it (TestRigReuseEqualsFresh).
+//
+// The zero Rig is ready: it builds on its first Run and again whenever a
+// run's testbed has a different topology. A Rig serves one goroutine; the
+// fan-outs (RunMany, sweep.Runner) give each pool worker its own for the
+// duration of one call, so nothing outlives the batch it served. A Run that
+// panics leaves its rig unusable.
+type Rig struct {
+	topo  Testbed // the testbed the tree was built for, as topology() sees it
+	sched *sim.Scheduler
+	tt    *netsim.TwoTier
+	in    *workload.Incast
+	halt  func() // sched.Halt, bound once per build
+}
+
+// prepare readies the scheduler and tree for a run on tb: a reset of the
+// ones the rig holds when their topology matches, a new build otherwise.
+func (rig *Rig) prepare(tb Testbed) {
+	if rig.sched != nil && rig.topo == tb.topology() {
+		rig.tt.Reset()
+		rig.sched.Reset()
+		return
+	}
+	rig.topo = tb.topology()
+	rig.sched, rig.tt = tb.build()
+	rig.in = nil
+	rig.halt = rig.sched.Halt
+}
+
+// Run executes one incast experiment point on the rig.
+func (rig *Rig) Run(o IncastOptions) IncastResult {
 	if err := o.validate(); err != nil {
 		panic("exp: " + err.Error())
 	}
 	if o.MaxSimTime <= 0 {
 		o.MaxSimTime = 30 * 60 * sim.Second
 	}
-	sched, tt := o.Testbed.build()
+	rig.prepare(o.Testbed)
+	sched, tt := rig.sched, rig.tt
 	if o.MirrorWorkers {
 		for i, j := 0, len(tt.Workers)-1; i < j; i, j = i+1, j-1 {
 			tt.Workers[i], tt.Workers[j] = tt.Workers[j], tt.Workers[i]
@@ -324,7 +377,7 @@ func RunIncast(o IncastOptions) IncastResult {
 	if o.Faults != nil {
 		reqRetry = 10 * sim.Millisecond
 	}
-	in := workload.NewIncast(sched, tt, workload.IncastConfig{
+	cfg := workload.IncastConfig{
 		Flows:         o.Flows,
 		BytesPerFlow:  o.perFlowBytes(),
 		Rounds:        o.Rounds,
@@ -333,7 +386,13 @@ func RunIncast(o IncastOptions) IncastResult {
 		Seed:          o.Testbed.Seed,
 		RequestRetry:  reqRetry,
 		FlowIDs:       o.FlowIDs,
-	})
+	}
+	if rig.in == nil {
+		rig.in = workload.NewIncast(sched, tt, cfg)
+	} else {
+		rig.in.Reopen(cfg)
+	}
+	in := rig.in
 
 	// Long flows: one per distinct worker, flow ids above the incast range.
 	var longs []*workload.LongFlow
@@ -344,7 +403,7 @@ func RunIncast(o IncastOptions) IncastResult {
 			longFactory = o.Protocol.Factory(o.RTOMin, o.Testbed.Seed^0xbac)
 		}
 		for i := 0; i < o.BackgroundFlows; i++ {
-			cfg, cc := longFactory(1_000_000 + i)
+			cfg, cc := longFactory(1_000_000+i, nil)
 			lf := workload.NewLongFlow(sched, tt.Workers[i], tt.Aggregator,
 				packet.FlowID(900_000+i), cfg, cc, o.ChunkBytes)
 			longs = append(longs, lf)
@@ -403,7 +462,7 @@ func RunIncast(o IncastOptions) IncastResult {
 		sampler.Start()
 	}
 
-	in.OnFinished = sched.Halt
+	in.OnFinished = rig.halt
 	in.Start()
 	sched.RunUntil(sim.Time(o.MaxSimTime))
 	for _, lf := range longs {
@@ -459,7 +518,8 @@ func RunIncast(o IncastOptions) IncastResult {
 	}
 	res.Rounds = len(measured)
 
-	var goodputs, fcts []float64
+	goodputs := make([]float64, 0, len(measured))
+	fcts := make([]float64, 0, len(measured))
 	var timeoutFlags, eceFlags, totalFlags int64
 	for _, r := range measured {
 		goodputs = append(goodputs, r.GoodputMbps())
@@ -511,6 +571,12 @@ func RunIncast(o IncastOptions) IncastResult {
 			res.PerFlowMeanMbps = append(res.PerFlowMeanMbps, lf.MeanThroughputMbps())
 		}
 		res.LongFlowMbps = stats.Summarize(chunks)
+	}
+	// Retire: every connection closes while the scheduler still holds its
+	// timers' events, leaving the rig ready for the next prepare.
+	in.Close()
+	for _, c := range longConns {
+		c.Close()
 	}
 	return res
 }

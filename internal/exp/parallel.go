@@ -16,7 +16,8 @@ var Parallelism = pool.DefaultWorkers()
 
 // RunMany executes a batch of incast points concurrently — the only
 // fan-out in this package; results are positionally identical to calling
-// RunIncast on each element in turn.
+// RunIncast on each element in turn. Each pool worker runs its points on
+// its own Rig, kept for this call only.
 //
 // Every point is validated before any runs: a bad one panics here, on the
 // calling goroutine and naming its index, where the caller can recover it —
@@ -28,8 +29,9 @@ func RunMany(optList []IncastOptions) []IncastResult {
 		}
 	}
 	out := make([]IncastResult, len(optList))
-	pool.ForEach(Parallelism, len(optList), func(i int) {
-		out[i] = RunIncast(optList[i])
+	rigs := make([]Rig, pool.Width(Parallelism, len(optList)))
+	pool.ForEach(Parallelism, len(optList), func(w, i int) {
+		out[i] = rigs[w].Run(optList[i])
 	})
 	return out
 }

@@ -92,57 +92,60 @@ var deadlineCycle = []float64{0.5, 1, 2}
 // DCTCPPlusFactory builds DCTCP+ endpoints with a custom enhancement
 // configuration — the hook the ablation benches use to sweep
 // backoff_time_unit, divisor_factor and the desynchronization switch
-// (§V-D parameter guidance).
+// (§V-D parameter guidance). A retiring DCTCP+ module is recycled.
 func DCTCPPlusFactory(rtoMin sim.Duration, seedBase uint64, ecfg core.Config) workload.FlowFactory {
-	return func(i int) (tcp.Config, tcp.CongestionControl) {
+	return func(i int, old tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		cfg := core.SenderConfig()
 		cfg.RTOMin = rtoMin
 		cfg.RTOInit = rtoMin
 		cfg.Seed = seedBase + uint64(i+1)*seedStride
-		return cfg, core.New(dctcp.DefaultGain, ecfg)
+		return cfg, core.Recycle(old, dctcp.Recycle(core.Unwrap(old), dctcp.DefaultGain), ecfg)
 	}
 }
 
 // Factory returns a workload.FlowFactory building this protocol's
 // endpoints. rtoMin sets both the minimum and initial RTO (the connections
 // are persistent, so the estimator takes over after the first sample).
-// seedBase parameterizes the per-flow random streams.
+// seedBase parameterizes the per-flow random streams. A retiring module of
+// the kind the protocol builds is recycled (re-parameterised in place), so
+// a reopened workload allocates no congestion control.
 func (p Protocol) Factory(rtoMin sim.Duration, seedBase uint64) workload.FlowFactory {
-	return func(i int) (tcp.Config, tcp.CongestionControl) {
+	return func(i int, old tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		var cfg tcp.Config
 		var cc tcp.CongestionControl
+		inner := core.Unwrap(old) // the module an enhancer wraps, recycled under a new wrap
 		switch p {
 		case ProtoTCP:
 			cfg = tcp.DefaultConfig()
 			cc = tcp.NewReno{}
 		case ProtoDCTCP:
 			cfg = dctcp.Config()
-			cc = dctcp.New(dctcp.DefaultGain)
+			cc = dctcp.Recycle(old, dctcp.DefaultGain)
 		case ProtoDCTCPMin1:
 			cfg = dctcp.Config()
 			cfg.MinCwnd = 1
-			cc = dctcp.New(dctcp.DefaultGain)
+			cc = dctcp.Recycle(old, dctcp.DefaultGain)
 		case ProtoDCTCPPlus:
 			cfg = core.SenderConfig()
-			cc = core.New(dctcp.DefaultGain, core.DefaultConfig())
+			cc = core.Recycle(old, dctcp.Recycle(inner, dctcp.DefaultGain), core.DefaultConfig())
 		case ProtoDCTCPPlusPartial:
 			cfg = core.SenderConfig()
 			ecfg := core.DefaultConfig()
 			ecfg.Randomize = false
-			cc = core.New(dctcp.DefaultGain, ecfg)
+			cc = core.Recycle(old, dctcp.Recycle(inner, dctcp.DefaultGain), ecfg)
 		case ProtoRenoPlus:
 			cfg = tcp.DefaultConfig()
 			cfg.ECN = tcp.ECNClassic
 			cfg.MinCwnd = 1
 			cfg.DelAckCount = 1
-			cc = core.Enhance(tcp.NewReno{}, core.DefaultConfig())
+			cc = core.Recycle(old, tcp.NewReno{}, core.DefaultConfig())
 		case ProtoD2TCP:
 			cfg = d2tcp.Config()
-			cc = d2tcp.New(dctcp.DefaultGain, deadlineCycle[i%len(deadlineCycle)])
+			cc = d2tcp.Recycle(old, dctcp.DefaultGain, deadlineCycle[i%len(deadlineCycle)])
 		case ProtoD2TCPPlus:
 			cfg = d2tcp.Config()
 			cfg.MinCwnd = 1
-			cc = core.Enhance(d2tcp.New(dctcp.DefaultGain,
+			cc = core.Recycle(old, d2tcp.Recycle(inner, dctcp.DefaultGain,
 				deadlineCycle[i%len(deadlineCycle)]), core.DefaultConfig())
 		default:
 			panic(fmt.Sprintf("exp: unknown protocol %d", int(p)))

@@ -32,13 +32,13 @@ func withLabel(base []telemetry.Label, key, value string) []telemetry.Label {
 // attachRunTelemetry attaches every port of the topology (the bottleneck
 // port separated out by the port label) and every connection's sender and
 // congestion-control module. It returns the base label set for further
-// attachments (workloads). A nil registry attaches nothing: the layers'
-// instruments stay nil no-ops.
+// attachments (workloads). A nil registry attaches nothing — the layers'
+// instruments stay nil no-ops — and needs no labels.
 func attachRunTelemetry(reg *telemetry.Registry, tt *netsim.TwoTier, conns []*tcp.Conn, proto Protocol, flows int) []telemetry.Label {
-	base := pointLabels(proto, flows)
 	if reg == nil {
-		return base
+		return nil
 	}
+	base := pointLabels(proto, flows)
 	switches := append([]*netsim.Switch{tt.Root}, tt.Leaves...)
 	for _, sw := range switches {
 		for _, p := range sw.Ports() {

@@ -20,7 +20,7 @@ func TestConservationUnderFaults(t *testing.T) {
 	sched := sim.NewScheduler()
 	tt := netsim.NewTwoTier(sched, 3, 3, netsim.DefaultTopologyConfig())
 	tt.EnablePacketPool()
-	factory := func(i int) (tcp.Config, tcp.CongestionControl) {
+	factory := func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		cfg := dctcp.Config()
 		cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond
 		cfg.Seed = 7 + uint64(i)

@@ -277,7 +277,7 @@ func runSampledIncasts(t *testing.T, observe func(key string, v float64)) {
 			observe("packet.Packet.Payload", float64(pkt.Payload))
 		}
 
-		factory := func(i int) (tcp.Config, tcp.CongestionControl) {
+		factory := func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 			if i%2 == 0 {
 				cfg := dctcp.Config()
 				cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond

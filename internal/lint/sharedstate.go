@@ -17,7 +17,7 @@ const poolForEachPath = "dctcpplus/internal/sweep/pool.ForEach"
 // in a concurrently executed closure:
 //
 //	sum := 0
-//	pool.ForEach(workers, n, func(i int) {
+//	pool.ForEach(workers, n, func(w, i int) {
 //		sum += weigh(i)     // flagged: workers race on sum
 //	})
 //
@@ -31,9 +31,10 @@ const poolForEachPath = "dctcpplus/internal/sweep/pool.ForEach"
 //
 // Inside such a literal, a write (assignment, ++/--, delete/clear/copy)
 // whose destination resolves to a variable declared *outside* the literal
-// is flagged. The sanctioned idiom stays silent: writing through a slice
-// index that mentions one of the literal's own parameters (out[i] = ...,
-// with i the worker-provided index) touches a worker-private slot. Map
+// is flagged. The sanctioned idioms stay silent: writing through a slice
+// index that mentions one of the literal's own parameters — out[i] = ...
+// with i the job index, rigs[w] with w the calling worker's — touches a
+// slot no other call writes concurrently. Map
 // writes are flagged regardless of index — concurrent map writes fault at
 // run time no matter how the keys partition. A write lexically preceded by
 // a sync.Locker Lock() call in the same literal is exempt.

@@ -10,15 +10,18 @@ import (
 )
 
 // Tally fans out over the worker pool and races on its accumulators; the
-// worker-indexed slot write is the sanctioned idiom and stays clean.
+// slot writes indexed by a parameter — the job's result slot, the calling
+// worker's own scratch — are the sanctioned idioms and stay clean.
 func Tally(xs []float64) float64 {
 	sum := 0.0
 	seen := map[int]bool{}
 	out := make([]float64, len(xs))
-	pool.ForEach(2, len(xs), func(i int) {
-		sum += xs[i]   // flagged: captured scalar, workers race
-		seen[i] = true // flagged: captured map — racy regardless of key
-		out[i] = xs[i] // clean: worker-private slot indexed by the param
+	scratch := make([][]float64, pool.Width(2, len(xs)))
+	pool.ForEach(2, len(xs), func(w, i int) {
+		sum += xs[i]                           // flagged: captured scalar, workers race
+		seen[i] = true                         // flagged: captured map — racy regardless of key
+		out[i] = xs[i]                         // clean: the slot of index i
+		scratch[w] = append(scratch[w], xs[i]) // clean: worker w's own slot
 	})
 	total := 0.0
 	for _, v := range out {
@@ -31,7 +34,7 @@ func Tally(xs []float64) float64 {
 func Guarded(xs []float64) float64 {
 	var mu sync.Mutex
 	sum := 0.0
-	pool.ForEach(2, len(xs), func(i int) {
+	pool.ForEach(2, len(xs), func(_, i int) {
 		v := xs[i]
 		mu.Lock()
 		sum += v

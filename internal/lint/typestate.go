@@ -1330,8 +1330,8 @@ func clearFirstPass(p *Package, prog *Program, tab *stateTable, out *typestateAn
 }
 
 // litFieldMap collects 'x.field = func(){...}' assignments in the
-// package, so once-bound callback fields (Timer.wrap, Sender.pumpFn)
-// resolve to their literal bodies.
+// package, so once-bound callback fields (Sender.pumpFn) resolve to their
+// literal bodies.
 func litFieldMap(p *Package) map[*types.Var]*ast.FuncLit {
 	out := make(map[*types.Var]*ast.FuncLit)
 	for _, f := range p.Files {
@@ -1368,12 +1368,18 @@ func fieldVarOf(p *Package, sel *ast.SelectorExpr) *types.Var {
 }
 
 // resolveCallback maps a callback argument to the function body that will
-// run: an inline literal, a method value, or a field holding a literal
-// bound in this package.
+// run: an inline literal, a declared function (sim.Timer's static expire),
+// a method value, or a field holding a literal bound in this package.
 func resolveCallback(p *Package, prog *Program, lits map[*types.Var]*ast.FuncLit, arg ast.Expr) *ast.BlockStmt {
 	switch a := unparen(arg).(type) {
 	case *ast.FuncLit:
 		return a.Body
+	case *ast.Ident:
+		if fn, ok := p.Info.Uses[a].(*types.Func); ok {
+			if n := prog.nodes[fn]; n != nil {
+				return n.decl.Body
+			}
+		}
 	case *ast.SelectorExpr:
 		if s, ok := p.Info.Selections[a]; ok {
 			switch s.Kind() {

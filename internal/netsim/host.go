@@ -60,6 +60,25 @@ func NewHost(sched *sim.Scheduler, id packet.NodeID, name string) *Host {
 	}
 }
 
+// Reset returns the host to its as-built state for the next run on a reset
+// scheduler: no flow registered (the demux map keeps its buckets), delivery
+// counters zero, the OnControl/OnUnclaimed/OnDeliver hooks cleared.
+// Identity, scheduler, uplink wiring and pool are kept; the uplink port has
+// its own Reset.
+func (h *Host) Reset() {
+	clear(h.flows)
+	*h = Host{
+		id:    h.id,
+		name:  h.name,
+		flows: h.flows,
+
+		// The keep-list.
+		sched:  h.sched,
+		uplink: h.uplink,
+		pool:   h.pool,
+	}
+}
+
 // ID returns the host's node id.
 func (h *Host) ID() packet.NodeID { return h.id }
 

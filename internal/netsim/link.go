@@ -63,15 +63,33 @@ type Link struct {
 
 // NewLink creates a link to dst with the given rate and propagation delay.
 func NewLink(sched *sim.Scheduler, dst Node, rateBps int64, delay sim.Duration) *Link {
+	l := &Link{sched: sched, dst: dst}
+	l.deliverFn = l.deliver
+	l.Reset(rateBps, delay)
+	return l
+}
+
+// Reset returns the link, in place, to the state NewLink builds with the
+// given rate and delay — for a topology, the ones it was built with, which
+// undoes a run's fault edits: no loss, not down, drop counters zero. The
+// endpoint, the pool and the once-bound delivery callback are kept.
+func (l *Link) Reset(rateBps int64, delay sim.Duration) {
 	if rateBps <= 0 {
 		panic("netsim: link rate must be positive")
 	}
 	if delay < 0 {
 		panic("netsim: negative link delay")
 	}
-	l := &Link{sched: sched, dst: dst, RateBps: rateBps, Delay: delay}
-	l.deliverFn = l.deliver
-	return l
+	*l = Link{
+		RateBps: rateBps,
+		Delay:   delay,
+
+		// The keep-list.
+		sched:     l.sched,
+		dst:       l.dst,
+		pool:      l.pool,
+		deliverFn: l.deliverFn,
+	}
 }
 
 // SetPool attaches a packet freelist; packets dropped by fault injection

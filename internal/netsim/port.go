@@ -137,6 +137,14 @@ type Port struct {
 
 // NewPort creates a port feeding the given link.
 func NewPort(sched *sim.Scheduler, link *Link, cfg PortConfig) *Port {
+	cfg.validate()
+	p := &Port{sched: sched, link: link, cfg: cfg, rng: sim.NewRNG(cfg.Seed ^ 0x9047)}
+	p.txFn = p.transmitDone
+	return p
+}
+
+// validate panics on a configuration no port can run with.
+func (cfg PortConfig) validate() {
 	if cfg.BufferBytes <= 0 {
 		panic("netsim: port buffer must be positive")
 	}
@@ -156,9 +164,32 @@ func NewPort(sched *sim.Scheduler, link *Link, cfg PortConfig) *Port {
 			panic("netsim: phantom threshold must be positive")
 		}
 	}
-	p := &Port{sched: sched, link: link, cfg: cfg, rng: sim.NewRNG(cfg.Seed ^ 0x9047)}
-	p.txFn = p.transmitDone
-	return p
+}
+
+// Reset returns the port, in place, to the state NewPort builds with cfg —
+// for a topology, the configuration it was built with, which undoes a run's
+// fault edits — ready for the next run on a reset scheduler: the queue
+// emptied (its packets back to the pool, the ring's capacity kept), the RED
+// stream reseeded, the phantom queue, stats, hooks and telemetry
+// instruments cleared. The wiring, the pool and the once-bound transmit
+// callback are kept; the link it feeds has its own Reset.
+func (p *Port) Reset(cfg PortConfig) {
+	cfg.validate()
+	for p.qLen > 0 {
+		p.pool.Put(p.pop())
+	}
+	*p = Port{
+		cfg: cfg,
+		rng: p.rng,
+
+		// The keep-list.
+		sched: p.sched,
+		link:  p.link,
+		q:     p.q,
+		pool:  p.pool,
+		txFn:  p.txFn,
+	}
+	p.rng.Reseed(cfg.Seed ^ 0x9047)
 }
 
 // SetPool attaches a packet freelist; tail-dropped packets are returned to

@@ -137,6 +137,11 @@ type TwoTier struct {
 	// aggregator — the port whose queue the paper's Figures 9 and 14
 	// sample.
 	BottleneckPort *Port
+
+	// cfg and built are what the tree was built with — the configuration
+	// and Workers in construction order — which Reset restores.
+	cfg   TopologyConfig
+	built []*Host
 }
 
 // NewTwoTier builds the 2-tier tree with the given fan-out: leaves leaf
@@ -148,7 +153,7 @@ func NewTwoTier(sched *sim.Scheduler, leaves, hostsPerLeaf int, cfg TopologyConf
 	}
 	ids := &idAllocator{}
 	root := NewSwitch(sched, ids.alloc(), "switch1")
-	tt := &TwoTier{Root: root}
+	tt := &TwoTier{Root: root, cfg: cfg}
 
 	// Aggregator hangs off the root.
 	agg := NewHost(sched, ids.alloc(), "aggregator")
@@ -185,7 +190,42 @@ func NewTwoTier(sched *sim.Scheduler, leaves, hostsPerLeaf int, cfg TopologyConf
 	}
 	// Root routes to aggregator already installed by connect; worker routes
 	// installed above.
+	tt.built = append([]*Host(nil), tt.Workers...)
 	return tt
+}
+
+// Reset returns the whole tree to its as-built state for the next run on a
+// reset scheduler: every host, port and link reset (see Host.Reset,
+// Port.Reset, Link.Reset) — ports and links to the configuration the tree
+// was built with, undoing a run's fault edits — and Workers back in
+// construction order, undoing a run's mirroring. Elements, routes and the
+// packet pool are kept. Close every connection on the tree first: Reset
+// unregisters whatever is left without disarming its timers.
+func (tt *TwoTier) Reset() {
+	copy(tt.Workers, tt.built)
+	tt.resetHost(tt.Aggregator)
+	for _, w := range tt.Workers {
+		tt.resetHost(w)
+	}
+	tt.resetPorts(tt.Root)
+	for _, leaf := range tt.Leaves {
+		tt.resetPorts(leaf)
+	}
+}
+
+// resetHost resets a host of the tree, its uplink and the uplink's link.
+func (tt *TwoTier) resetHost(h *Host) {
+	h.Reset()
+	h.Uplink().Reset(PortConfig{BufferBytes: tt.cfg.HostQueueBytes})
+	h.Uplink().Link().Reset(tt.cfg.LinkRateBps, tt.cfg.LinkDelay)
+}
+
+// resetPorts resets a switch's output ports and the links they feed.
+func (tt *TwoTier) resetPorts(sw *Switch) {
+	for _, p := range sw.Ports() {
+		p.Reset(tt.cfg.SwitchPort)
+		p.Link().Reset(tt.cfg.LinkRateBps, tt.cfg.LinkDelay)
+	}
 }
 
 // EnablePacketPool turns on packet recycling across the whole tree and

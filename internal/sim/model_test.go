@@ -343,11 +343,42 @@ func (m *schedModel) step() {
 			m.run(deadline, func() { m.s.RunUntil(deadline) })
 		}
 	case 15:
+		if op>>4 == 15 {
+			m.reset()
+			break
+		}
 		// Halt outside a run is forgotten by the next Run/RunUntil and
 		// ignored by Step.
 		m.s.Halt()
 	}
 	m.check()
+}
+
+// reset replays a rig's close-before-reset order: every timer is disarmed,
+// then Scheduler.Reset releases what is still pending. The reference
+// restarts as an empty sorted slice at clock 0 (and seq 0: the next event is
+// ordered as if it were the first ever scheduled). Each handle that was
+// pending is now dead, and cancelling it before anything is scheduled again
+// is the harmless no-op the Event contract promises; fired and cancelled
+// events already on the freelist are reused by what follows.
+func (m *schedModel) reset() {
+	for _, mt := range m.timers {
+		mt.tm.Stop()
+		mt.ref = nil
+	}
+	m.s.Reset()
+	for _, le := range m.live {
+		if !le.ev.Cancelled() {
+			m.fatalf("event %d still live after Reset", le.ref.id)
+		}
+		m.s.Cancel(le.ev)
+	}
+	m.live = m.live[:0]
+	m.queue = m.queue[:0]
+	m.now, m.fired = 0, 0
+	if m.s.Pending() != 0 || m.s.Step() {
+		m.fatalf("Reset left %d events pending", m.s.Pending())
+	}
 }
 
 // runSchedulerModel replays ops against a scheduler split at horizon and
@@ -401,6 +432,9 @@ func FuzzSchedulerModel(f *testing.F) {
 	// At(horizon-1) -> near, the same instant as the first event; two Steps
 	// must fire them in scheduling order.
 	f.Add([]byte{0, 4, 0, 1, 11, 0, 0, 1, 11, 0, 0, 2, 11, 0, 11, 0})
+	// At(+1 ms) and timer 0 armed 1 ns out, then Reset with both pending;
+	// At(+1 ns) on the reset clock and two Steps.
+	f.Add([]byte{0, 5, 8, 0, 1, 0xff, 0, 1, 11, 11})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, horizon := range modelHorizons {
 			runSchedulerModel(t, horizon, ops)

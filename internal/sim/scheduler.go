@@ -104,19 +104,27 @@ func (s *Scheduler) Pending() int { return len(s.near) + len(s.far) }
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// alloc takes an event from the freelist, minting a new one only when the
-// pool is dry — after warm-up the live set reaches its high-water mark and
-// every schedule reuses a fired event.
+// eventSlab is how many events alloc mints at once when the freelist is dry.
+const eventSlab = 64
+
+// alloc takes an event from the freelist, minting a slab of them only when
+// the pool is dry — after warm-up the live set reaches its high-water mark
+// and every schedule reuses a fired event.
 //
 //hot:path
 func (s *Scheduler) alloc() *Event {
-	if e := s.free; e != nil {
-		s.free = e.next
-		e.next = nil
-		return e
+	if s.free == nil {
+		//lint:allow hotalloc one slab of 64 events per dry freelist: a run's thousands of pre-scheduled arrivals and parked timers cost an allocation per 64 instead of one each, and the freelist then recycles them forever
+		slab := make([]Event, eventSlab)
+		for i := range slab {
+			slab[i].next = s.free
+			s.free = &slab[i]
+		}
 	}
-	//lint:allow hotalloc event pool growth is amortized: the freelist reaches the backlog's high-water mark and then every schedule reuses a fired event
-	return &Event{}
+	e := s.free
+	s.free = e.next
+	e.next = nil
+	return e
 }
 
 // release recycles a fired or cancelled event. Callback and argument are
@@ -292,6 +300,25 @@ func (s *Scheduler) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 // Pending events remain queued.
 func (s *Scheduler) Halt() { s.halted = true }
 
+// Reset returns the scheduler to its as-built state — clock, sequence and
+// fired counter at zero, nothing pending, not halted — so the next run on it
+// is indistinguishable from one on a NewScheduler. Pending events are
+// released to the freelist, whose events and the heaps' backing arrays are
+// kept. Every handle into the old run dies with it: owners disarm their
+// timers and drop their event handles before the reset (a rig closes every
+// connection first), since a stale Cancel after it could hit a recycled
+// event. Reset is called between runs, never from inside a callback.
+func (s *Scheduler) Reset() {
+	for _, h := range [...]*eventHeap{&s.near, &s.far} {
+		for i, e := range *h {
+			(*h)[i] = nil
+			s.release(e)
+		}
+		*h = (*h)[:0]
+	}
+	s.now, s.nextSeq, s.fired, s.halted = 0, 0, 0, false
+}
+
 // eventHeap is a binary min-heap of events ordered by (when, seq); each
 // event records its slot in idx.
 type eventHeap []*Event
@@ -370,16 +397,16 @@ func (h eventHeap) down(i int) {
 
 // Timer is a restartable one-shot timer bound to a scheduler, in the style
 // of kernel timers: Reset re-arms it (replacing any pending expiry), Stop
-// disarms it. The callback is fixed at construction, and so is the wrapper
-// that clears the pending-event handle — re-arming (the per-ACK RTO reset)
-// allocates nothing.
+// disarms it. The callback is fixed at construction; expiry goes through
+// the one static expire callback with the Timer itself as the event's
+// argument, so neither binding nor re-arming (the per-ACK RTO reset)
+// allocates.
 //
 // state: handle disarmed -> armed
 type Timer struct {
-	s    *Scheduler
-	fn   func()
-	wrap func()
-	ev   *Event
+	s  *Scheduler
+	fn func()
+	ev *Event
 }
 
 // NewTimer creates a disarmed timer that will invoke fn on expiry.
@@ -400,10 +427,13 @@ func (t *Timer) Init(s *Scheduler, fn func()) {
 		panic("sim: Timer.Init on a timer that is already bound")
 	}
 	t.s, t.fn = s, fn
-	t.wrap = func() {
-		t.ev = nil
-		t.fn()
-	}
+}
+
+// expire is every timer's event callback; arg is the *Timer. The handle is
+// dead once the event fires, so it is cleared before fn can re-arm.
+func expire(arg any) {
+	arg.(*Timer).ev = nil
+	arg.(*Timer).fn()
 }
 
 // Reset (re-)arms the timer to fire d from now.
@@ -413,7 +443,7 @@ func (t *Timer) Init(s *Scheduler, fn func()) {
 //hot:path
 func (t *Timer) Reset(d Duration) {
 	t.s.Cancel(t.ev)
-	t.ev = t.s.After(d, t.wrap)
+	t.ev = t.s.AfterArg(d, expire, t)
 }
 
 // ResetAt (re-)arms the timer to fire at absolute time at.
@@ -421,7 +451,7 @@ func (t *Timer) Reset(d Duration) {
 // state: move t disarmed,armed -> armed
 func (t *Timer) ResetAt(at Time) {
 	t.s.Cancel(t.ev)
-	t.ev = t.s.At(at, t.wrap)
+	t.ev = t.s.AtArg(at, expire, t)
 }
 
 // Stop disarms the timer if it is pending.

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"dctcpplus/internal/resetcheck"
 )
 
 func TestSchedulerOrdering(t *testing.T) {
@@ -269,6 +271,47 @@ func TestFiredCounter(t *testing.T) {
 	s.Run()
 	if s.Fired() != 5 {
 		t.Errorf("Fired = %d, want 5", s.Fired())
+	}
+}
+
+// TestSchedulerResetEqualsFresh: a scheduler that has run — events pending
+// in both heaps, some fired, one cancelled, a timer armed and then stopped
+// (close-before-reset), halted — and is then Reset must equal NewScheduler
+// outside its keep-list: the two heaps' backing arrays and the freelist.
+func TestSchedulerResetEqualsFresh(t *testing.T) {
+	s := NewScheduler()
+	tm := NewTimer(s, func() {})
+	for i := 0; i < 100; i++ {
+		s.After(Duration(i)*Microsecond, func() {})
+	}
+	s.Cancel(s.After(Second, func() {}))
+	tm.Reset(200 * Millisecond)
+	s.At(Time(30*Microsecond), s.Halt)
+	s.Run()
+	if len(s.near) == 0 || len(s.far) == 0 || !s.halted || s.nextSeq == 0 {
+		t.Fatalf("first life too quiet: near=%d far=%d halted=%v seq=%d", len(s.near), len(s.far), s.halted, s.nextSeq)
+	}
+	tm.Stop()
+	nearCap, farCap := cap(s.near), cap(s.far)
+	s.Reset()
+	resetcheck.Diff(t, s, NewScheduler(), "near", "far", "free")
+	if len(s.near) != 0 || len(s.far) != 0 || cap(s.near) != nearCap || cap(s.far) != farCap {
+		t.Errorf("heaps after Reset: near %d/%d, far %d/%d (len/cap), want empty with capacity %d/%d kept",
+			len(s.near), cap(s.near), len(s.far), cap(s.far), nearCap, farCap)
+	}
+	// The second life: the released events serve new schedules without a
+	// new slab, and fire in order on the reset clock.
+	var got []int
+	for i := 3; i > 0; i-- {
+		i := i
+		s.After(Duration(i), func() { got = append(got, i) })
+	}
+	if allocs := testing.AllocsPerRun(1, func() { s.Cancel(s.After(1, func() {})) }); allocs != 0 {
+		t.Errorf("schedule after Reset allocated %.0f times, want 0 (the freelist is kept)", allocs)
+	}
+	s.Run()
+	if !slices.Equal(got, []int{1, 2, 3}) || s.Now() != 3 || s.Fired() != 3 {
+		t.Errorf("second life fired %v, now %v, fired %d; want [1 2 3] at 3 with 3 fired", got, s.Now(), s.Fired())
 	}
 }
 

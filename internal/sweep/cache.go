@@ -65,6 +65,19 @@ func (c *Cache) Get(key string) (Result, bool, error) {
 	return r, true, nil
 }
 
+// lookup is the runner's read for the job at pt: a miss, an error, or a hit
+// whose result echoes pt. Get accepts anything that unmarshals, so an
+// object that decodes without being this job's result ({}, a truncated or a
+// misplaced one) is corruption like any other: it comes back as an error
+// and the job re-runs (FuzzCacheGet, TestCacheHitMustEchoPoint).
+func (c *Cache) lookup(key string, pt Point) (Result, bool, error) {
+	r, ok, err := c.Get(key)
+	if ok && r.Point != pt {
+		return Result{}, false, fmt.Errorf("sweep: cache object %s does not echo its point", key)
+	}
+	return r, ok, err
+}
+
 // Put stores a result under key atomically.
 func (c *Cache) Put(key string, r Result) error {
 	path := c.Path(key)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"dctcpplus/internal/exp"
 	"dctcpplus/internal/sweep/pool"
 	"dctcpplus/internal/telemetry"
 )
@@ -17,8 +18,9 @@ const (
 	StatusSkipped = "skipped" // not executed: context canceled first
 )
 
-// Runner executes a sweep: jobs fan out over a bounded worker pool, each
-// checked against the content-addressed cache first, and the completed
+// Runner executes a sweep: jobs fan out over a bounded worker pool (each
+// worker running its jobs on its own exp.Rig for the duration of one Run),
+// each checked against the content-addressed cache first, and the completed
 // results stream — in job-index order, regardless of completion order —
 // through the manifest journal, the per-group aggregators, and the
 // OnResult hook. Index-order delivery is what makes every output of a
@@ -185,9 +187,10 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	// handoff ahead is what lets an OnResult cancellation actually stop
 	// the pool instead of racing a drained queue.
 	done := make(chan jobDone)
+	rigs := make([]exp.Rig, pool.Width(r.Workers, len(jobs)))
 	go func() {
 		defer close(done)
-		pool.ForEach(r.Workers, len(jobs), func(i int) {
+		pool.ForEach(r.Workers, len(jobs), func(w, i int) {
 			j := jobs[i]
 			if canceled() {
 				done <- jobDone{idx: i, status: StatusSkipped}
@@ -196,11 +199,10 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 			key := j.Point.Key(codeVersion)
 			cacheErrs := 0
 			if r.Cache != nil {
-				res, ok, err := r.Cache.Get(key)
-				if err != nil || (ok && res.Point != j.Point) {
-					// An object that decodes but does not echo the
-					// requesting point ({}, a truncated or misplaced one)
-					// is corruption like any other: count it and re-run.
+				res, ok, err := r.Cache.lookup(key, j.Point)
+				if err != nil {
+					// Unreadable, corrupt or not this job's: count it and
+					// re-run.
 					cacheErrs++
 				} else if ok {
 					done <- jobDone{idx: i, res: res, status: StatusHit, key: key}
@@ -208,7 +210,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 				}
 			}
 			start := time.Now()
-			res, err := j.run(r.Telemetry)
+			res, err := j.run(&rigs[w], r.Telemetry)
 			if err != nil {
 				// Unreachable for expanded jobs: Expand validates every
 				// dimension Options can reject. Degrade to a skip rather

@@ -464,17 +464,18 @@ func resultOf(pt Point, r exp.IncastResult) Result {
 	return res
 }
 
-// run executes the job's simulation. The body is worker-executed: it must
-// build all state — scheduler, topology, connections — privately and touch
-// nothing shared (the sweepsafety lint check enforces this). The telemetry
-// registry is the one sanctioned shared sink; its instruments are atomic.
+// run executes the job's simulation on rig, the calling worker's own. The
+// body is worker-executed: all its state — the rig's scheduler, topology and
+// connections — is private to the worker, and it touches nothing shared
+// (the sweepsafety lint check enforces this). The telemetry registry is the
+// one sanctioned shared sink; its instruments are atomic.
 //
 //sweep:job
-func (j Job) run(reg *telemetry.Registry) (Result, error) {
+func (j Job) run(rig *exp.Rig, reg *telemetry.Registry) (Result, error) {
 	o, err := j.Point.Options()
 	if err != nil {
 		return Result{}, err
 	}
 	o.Telemetry = reg
-	return resultOf(j.Point, exp.RunIncast(o)), nil
+	return resultOf(j.Point, rig.Run(o)), nil
 }

@@ -256,6 +256,50 @@ func TestCacheHitSecondPassIdentical(t *testing.T) {
 	}
 }
 
+// FuzzCacheGet: whatever bytes sit under a job's key — a torn write, a
+// foreign object, garbage — the runner's cache read gives a miss, an error
+// or a hit that echoes the requesting point: never a panic, never another
+// job's result. The seeds are the three PR 21 cases, which
+// TestCacheHitMustEchoPoint drives end to end through Runner.Run (each
+// counts as one cache error and its job re-runs), plus the echoing object.
+func FuzzCacheGet(f *testing.F) {
+	pt := Point{Topo: TopoDefault, Proto: "dctcp+", Flows: 40, RTOMin: 10 * sim.Millisecond, Seed: 1,
+		Rounds: 5, WarmupRounds: 1, TotalBytes: 1 << 20, Jitter: 4 * sim.Millisecond, MaxSimTime: sim.Second}
+	other := pt
+	other.Seed = 2
+	marshal := func(v any) []byte {
+		data, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	f.Add([]byte("{}"))
+	f.Add(marshal(map[string]any{"point": map[string]any{"topo": pt.Topo, "proto": pt.Proto}}))
+	f.Add(marshal(Result{Point: other, Timeouts: 3}))
+	f.Add(marshal(Result{Point: pt, Timeouts: 3}))
+	c, err := OpenCache(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := pt.Key("fuzz")
+	if err := os.MkdirAll(filepath.Dir(c.Path(key)), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, object []byte) {
+		if err := os.WriteFile(c.Path(key), object, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, ok, err := c.lookup(key, pt)
+		switch {
+		case err != nil && ok:
+			t.Fatalf("lookup reports a hit and an error (%v)", err)
+		case ok && res.Point != pt:
+			t.Fatalf("lookup hit with another job's point %+v", res.Point)
+		}
+	})
+}
+
 // A cache hit must echo the requesting point. Cache.Get accepts anything
 // that unmarshals, so an object that decodes without being this job's
 // result must count as a cache error and the job must re-run — and the

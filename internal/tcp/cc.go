@@ -17,7 +17,14 @@ type CongestionControl interface {
 	// Name identifies the algorithm ("reno", "dctcp", "dctcp+"...).
 	Name() string
 
-	// Init is called once when the sender is created.
+	// Init is called by the sender's initialiser, on every open of a
+	// connection: when it is created and on each Conn.Reopen. It is a full
+	// reset — afterwards every field of the module outside its parameters
+	// (gain, deadline factor, enhancement config, the wrapped module) equals
+	// a freshly constructed one's, estimator, state machine, counters and
+	// telemetry instruments included — so a connection's module can be
+	// recycled with it (see workload.FlowFactory). Instruments are attached
+	// after open.
 	Init(s *Sender)
 
 	// OnAck observes every arriving ACK. acked is the number of newly
@@ -64,7 +71,7 @@ type NewReno struct{}
 // Name returns "reno".
 func (NewReno) Name() string { return "reno" }
 
-// Init is a no-op for NewReno.
+// Init is a no-op: NewReno holds no state to reset.
 func (NewReno) Init(*Sender) {}
 
 // OnAck is a no-op: the engine's shared growth logic is exactly Reno.

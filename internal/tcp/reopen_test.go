@@ -2,12 +2,11 @@ package tcp
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"dctcpplus/internal/packet"
+	"dctcpplus/internal/resetcheck"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/telemetry"
 )
@@ -19,36 +18,6 @@ var (
 	senderKeeps   = []string{"rtoTimer", "pumpFn"}
 	receiverKeeps = []string{"delackTimer", "ooo", "ackRuns"}
 )
-
-// diffOutsideKeepList compares got and want (pointers to the same struct
-// type) field by field, unexported fields included, skipping the keep-list,
-// and reports each differing field by name. A keep-list entry that names no
-// field is an error too.
-func diffOutsideKeepList(t *testing.T, got, want any, keeps []string) {
-	t.Helper()
-	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
-	kept := map[string]bool{}
-	for _, k := range keeps {
-		kept[k] = true
-		if _, ok := g.Type().FieldByName(k); !ok {
-			t.Errorf("%s: keep-list names %q, which is not a field", g.Type(), k)
-		}
-	}
-	read := func(v reflect.Value, i int) any {
-		f := v.Field(i)
-		return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
-	}
-	for i := 0; i < g.NumField(); i++ {
-		name := g.Type().Field(i).Name
-		if kept[name] {
-			continue
-		}
-		if a, b := read(g, i), read(w, i); !reflect.DeepEqual(a, b) {
-			t.Errorf("%s.%s survives Reopen: %+v, a fresh one has %+v — reset it in open or put it on the keep-list",
-				g.Type(), name, a, b)
-		}
-	}
-}
 
 // TestReopenEqualsFresh: a connection that has lived — a transfer with
 // reordering, a timeout, every hook and telemetry instrument attached — is
@@ -100,8 +69,8 @@ func TestReopenEqualsFresh(t *testing.T) {
 
 	c.Reopen(cfg2, NewReno{}, w.a, w.b, 8)
 	gotS, gotR := *c.Sender, *c.Receiver
-	diffOutsideKeepList(t, &gotS, &wantS, senderKeeps)
-	diffOutsideKeepList(t, &gotR, &wantR, receiverKeeps)
+	resetcheck.Diff(t, &gotS, &wantS, senderKeeps...)
+	resetcheck.Diff(t, &gotR, &wantR, receiverKeeps...)
 
 	// What is kept is kept in its idle state.
 	if c.Sender.rtoTimer.Armed() || c.Receiver.delackTimer.Armed() {
@@ -124,6 +93,36 @@ func TestReopenEqualsFresh(t *testing.T) {
 	w.sched.Run()
 	if st := c.Sender.Stats(); !done || st.Timeouts == 0 || c.Receiver.Stats().DeliveredByte != 100 {
 		t.Fatalf("second life: done=%v stats=%+v, want the lost segment recovered by the RTO", done, st)
+	}
+}
+
+// TestCloseDisarmsDelayedAck: a rig closes every connection mid-state at
+// the end of a job, so Close must disarm a pending delayed ACK. With
+// DelAckCount 2 and one segment in, the timer is armed; after Close it must
+// not be, and running the scheduler on must emit no ACK — a stale expiry
+// would send one for a flow that no longer exists (and, across a scheduler
+// reset, cancel a recycled event).
+func TestCloseDisarmsDelayedAck(t *testing.T) {
+	w := newWire(t)
+	cfg := DefaultConfig()
+	cfg.DelAckCount = 2
+	c := w.conn(cfg, NewReno{})
+	c.Sender.Send(packet.MSS)
+	for c.Receiver.Stats().SegsIn == 0 && w.sched.Step() {
+	}
+	if !c.Receiver.delackTimer.Armed() || c.Receiver.pendingSegs != 1 {
+		t.Fatalf("one segment in: delayed-ACK armed=%v pending=%d, want armed with 1 pending",
+			c.Receiver.delackTimer.Armed(), c.Receiver.pendingSegs)
+	}
+	acks, delivered := c.Receiver.Stats().AcksOut, w.a.DeliveredPkts()
+	c.Close()
+	if c.Receiver.delackTimer.Armed() {
+		t.Fatal("Close left the delayed-ACK timer armed")
+	}
+	w.sched.Run()
+	if got := c.Receiver.Stats().AcksOut; got != acks || w.a.DeliveredPkts() != delivered {
+		t.Fatalf("after Close the receiver sent %d ACK(s) (%d packets reached the sender host)",
+			got-acks, w.a.DeliveredPkts()-delivered)
 	}
 }
 

@@ -260,18 +260,20 @@ func (b *Benchmark) onRequest(pkt *packet.Packet) {
 // openFlow opens a connection from src to dst that will carry want bytes,
 // under the next flow id (ids are never reused: see tcp.Conn), and attaches
 // its record's callbacks. The record and its connection come off the free
-// list when a retired one is there; either way they go through the same
-// initialisers, so a recycled flow behaves as a fresh one.
+// list when a retired one is there, and the factory is handed the retired
+// connection's congestion-control module to recycle; either way they go
+// through the same initialisers, so a recycled flow behaves as a fresh one.
 func (b *Benchmark) openFlow(src, dst *netsim.Host, want int64) *mixFlow {
 	flow := b.nextFlow
 	b.nextFlow++
-	cfg, cc := b.cfg.Factory(int(flow))
 	f := b.free
 	if f == nil {
+		cfg, cc := b.cfg.Factory(int(flow), nil)
 		f = &mixFlow{b: b, conn: tcp.NewConn(cfg, cc, src, dst, flow)}
 		f.onData, f.onComplete = f.delivered, f.retire
 	} else {
 		b.free = f.next
+		cfg, cc := b.cfg.Factory(int(flow), f.conn.Sender.CC())
 		f.conn.Reopen(cfg, cc, src, dst, flow)
 	}
 	*f = mixFlow{

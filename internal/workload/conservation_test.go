@@ -30,21 +30,21 @@ func TestIncastConservationProperty(t *testing.T) {
 		var factory FlowFactory
 		switch protoRaw % 3 {
 		case 0:
-			factory = func(i int) (tcp.Config, tcp.CongestionControl) {
+			factory = func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 				cfg := tcp.DefaultConfig()
 				cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond
 				cfg.Seed = seed + uint64(i)
 				return cfg, tcp.NewReno{}
 			}
 		case 1:
-			factory = func(i int) (tcp.Config, tcp.CongestionControl) {
+			factory = func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 				cfg := dctcp.Config()
 				cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond
 				cfg.Seed = seed + uint64(i)
 				return cfg, dctcp.New(dctcp.DefaultGain)
 			}
 		default:
-			factory = func(i int) (tcp.Config, tcp.CongestionControl) {
+			factory = func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 				cfg := core.SenderConfig()
 				cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond
 				cfg.Seed = seed + uint64(i)

@@ -16,11 +16,14 @@ import (
 )
 
 // FlowFactory produces the transport configuration and congestion-control
-// module for the i-th flow of a workload. Factories must return a fresh
-// CongestionControl per call (modules hold per-sender state) and should
-// derive cfg.Seed from i so concurrent flows draw independent random
-// streams.
-type FlowFactory func(i int) (tcp.Config, tcp.CongestionControl)
+// module for the i-th flow of a workload. old is the module of the retired
+// connection the flow is about to reopen, or nil for a new connection: a
+// factory may hand old back re-parameterised when it is the kind of module
+// it builds (dctcp.Recycle, d2tcp.Recycle, core.Recycle — the sender's open
+// then runs Init, a full reset), or return a new one; either way the module
+// it returns serves this flow alone. Factories should derive cfg.Seed from
+// i so concurrent flows draw independent random streams.
+type FlowFactory func(i int, old tcp.CongestionControl) (tcp.Config, tcp.CongestionControl)
 
 // IncastConfig parameterizes the basic incast benchmark: the aggregator
 // requests BytesPerFlow from each of Flows workers, waits for all
@@ -118,13 +121,29 @@ func (r RoundResult) GoodputMbps() float64 {
 // Incast drives the barrier-synchronized incast workload over a two-tier
 // topology. Connections are persistent: the same N flows serve every
 // round, as in the multithreaded benchmark the paper adapted.
+//
+// Lifecycle, as for tcp.Conn: NewIncast builds the workload and opens it;
+// Close retires it (every connection closed); Reopen runs the same
+// initialiser, open, on a retired workload — typically for the next run on
+// the same scheduler and tree after both were reset — so a run that reuses
+// it reopens the connections, congestion-control modules and per-flow
+// tables the previous run built instead of allocating them. A reopened
+// workload is a fresh one except for the keep-list open spells out.
 type Incast struct {
 	sched *sim.Scheduler
 	tt    *netsim.TwoTier
 	cfg   IncastConfig
+	// live is set by open and cleared by Close; open asserts it is clear.
+	live bool
 
-	conns []*tcp.Conn
-	rng   *sim.RNG
+	// conns is the open connections, flow i at index i: a prefix of built,
+	// every connection the workload has ever made (the rest stay closed
+	// until a larger Flows reopens them). onData[i] is connection i's
+	// Receiver.OnData, bound once when the connection is built.
+	conns  []*tcp.Conn
+	built  []*tcp.Conn
+	onData []func(n int64)
+	rng    sim.RNG
 
 	// cpuFree[w] is the virtual time at which the CPU of tt.Workers[w]
 	// becomes available to start the next response (service-time
@@ -147,8 +166,10 @@ type Incast struct {
 
 	// respondFn starts a response on the *tcp.Sender it is handed: bound
 	// once so onRequest schedules through AtArg/AfterArg without minting a
-	// closure per flow per round.
+	// closure per flow per round. requestFn is onRequest, bound once and
+	// installed as every worker's OnControl on each open.
 	respondFn func(any)
+	requestFn func(*packet.Packet)
 
 	results []RoundResult
 
@@ -166,38 +187,101 @@ type Incast struct {
 // lives on worker i mod W (the paper round-robins threads over its nine
 // servers) and its receiver on the aggregator.
 func NewIncast(sched *sim.Scheduler, tt *netsim.TwoTier, cfg IncastConfig) *Incast {
-	cfg.validate()
-	in := &Incast{
-		sched:       sched,
-		tt:          tt,
-		cfg:         cfg,
-		recvd:       make([]int64, cfg.Flows),
-		statsMark:   make([]tcp.SenderStats, cfg.Flows),
-		servedRound: make([]int, cfg.Flows),
-		rng:         sim.NewRNG(cfg.Seed ^ 0x1ca5717e),
-		cpuFree:     make([]sim.Time, len(tt.Workers)),
-		flowIdx:     make(map[packet.FlowID]int, cfg.Flows),
+	in := &Incast{sched: sched, tt: tt}
+	in.respondFn = in.respond
+	in.requestFn = in.onRequest
+	in.open(cfg)
+	return in
+}
+
+// Close retires the workload: every connection closes, its timers disarmed
+// and its endpoints unregistered. Results stay readable until the next
+// Reopen.
+func (in *Incast) Close() {
+	for _, c := range in.conns {
+		c.Close()
 	}
+	in.live = false
+}
+
+// Reopen re-initialises a retired workload for cfg, exactly as NewIncast
+// would build it on the workload's scheduler and tree; hooks (OnFinished)
+// and telemetry must be attached again. Reopening a workload that was not
+// closed is an invariant violation.
+func (in *Incast) Reopen(cfg IncastConfig) { in.open(cfg) }
+
+// open is the workload's one initialiser, run by NewIncast on a new
+// workload and by Reopen on a retired one: it resets every field by
+// whole-struct assignment except the keep-list below, then opens flow i's
+// connection — reopening the i-th one already built, its
+// congestion-control module handed to the factory to recycle, or building
+// it.
+func (in *Incast) open(cfg IncastConfig) {
+	cfg.validate()
+	if in.live {
+		check.Failf("workload.incast open: the workload is still open")
+	}
+	n := cfg.Flows
+	*in = Incast{
+		cfg:  cfg,
+		live: true,
+
+		// The keep-list: wiring, the once-bound callbacks, every connection
+		// built so far with its OnData callback, and the per-flow tables'
+		// and results' storage (emptied below).
+		sched:       in.sched,
+		tt:          in.tt,
+		built:       in.built,
+		onData:      in.onData,
+		respondFn:   in.respondFn,
+		requestFn:   in.requestFn,
+		flowIdx:     in.flowIdx,
+		cpuFree:     zeroed(in.cpuFree, len(in.tt.Workers)),
+		recvd:       zeroed(in.recvd, n),
+		statsMark:   zeroed(in.statsMark, n),
+		servedRound: zeroed(in.servedRound, n),
+		results:     in.results[:0],
+	}
+	in.rng.Reseed(cfg.Seed ^ 0x1ca5717e)
+	if in.flowIdx == nil {
+		in.flowIdx = make(map[packet.FlowID]int, n)
+	}
+	clear(in.flowIdx)
 	for i := range in.servedRound {
 		in.servedRound[i] = -1
 	}
-	n := cfg.BytesPerFlow
-	in.respondFn = func(snd any) { snd.(*tcp.Sender).Send(n) }
-	for i := 0; i < cfg.Flows; i++ {
-		i := i
-		w := tt.Workers[i%len(tt.Workers)]
-		tcfg, cc := cfg.Factory(i)
+	for i := 0; i < n; i++ {
+		w := in.tt.Workers[i%len(in.tt.Workers)]
 		flow := cfg.flowID(i)
-		conn := tcp.NewConn(tcfg, cc, w, tt.Aggregator, flow)
-		conn.Receiver.OnData = func(n int64) { in.onData(i, n) }
-		in.conns = append(in.conns, conn)
+		if i < len(in.built) {
+			c := in.built[i]
+			tcfg, cc := cfg.Factory(i, c.Sender.CC())
+			c.Reopen(tcfg, cc, w, in.tt.Aggregator, flow)
+		} else {
+			i := i
+			tcfg, cc := cfg.Factory(i, nil)
+			in.built = append(in.built, tcp.NewConn(tcfg, cc, w, in.tt.Aggregator, flow))
+			in.onData = append(in.onData, func(n int64) { in.deliver(i, n) })
+		}
+		in.built[i].Receiver.OnData = in.onData[i]
 		in.flowIdx[flow] = i
 	}
+	in.conns = in.built[:n:n] // capped: appending to Conns() must not write over a spare
 	// All workers dispatch arriving requests to the matching flow sender.
-	for _, w := range tt.Workers {
-		w.OnControl = in.onRequest
+	for _, w := range in.tt.Workers {
+		w.OnControl = in.requestFn
 	}
-	return in
+}
+
+// zeroed returns s resized to n zero elements, reusing its storage when it
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // AttachTelemetry registers the workload's instruments on reg under the
@@ -316,9 +400,12 @@ func (in *Incast) onRequest(pkt *packet.Packet) {
 	snd.Send(in.cfg.BytesPerFlow)
 }
 
-// onData tracks per-flow response progress; when the last byte of the last
+// respond is respondFn: the delayed start of a response on the sender.
+func (in *Incast) respond(snd any) { snd.(*tcp.Sender).Send(in.cfg.BytesPerFlow) }
+
+// deliver tracks per-flow response progress; when the last byte of the last
 // flow arrives the round closes and the next begins.
-func (in *Incast) onData(i int, n int64) {
+func (in *Incast) deliver(i int, n int64) {
 	in.recvd[i] += n
 	check.AtMost("workload.incast received bytes", in.recvd[i], in.cfg.BytesPerFlow)
 	if in.recvd[i] == in.cfg.BytesPerFlow {
@@ -331,11 +418,17 @@ func (in *Incast) onData(i int, n int64) {
 
 func (in *Incast) endRound() {
 	now := in.sched.Now()
+	// A reopened workload rewrites the previous run's rounds in place: the
+	// slot past the end may still hold a per-flow table to reuse.
+	var flows []FlowRound
+	if k := len(in.results); k < cap(in.results) {
+		flows = in.results[:k+1][k].Flows
+	}
 	res := RoundResult{
 		Start: in.roundStart,
 		FCT:   now.Sub(in.roundStart),
 		Bytes: in.cfg.BytesPerFlow * int64(in.cfg.Flows),
-		Flows: make([]FlowRound, in.cfg.Flows),
+		Flows: zeroed(flows, in.cfg.Flows),
 	}
 	for i, c := range in.conns {
 		st := c.Sender.Stats()

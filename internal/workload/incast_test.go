@@ -11,10 +11,11 @@ import (
 	"dctcpplus/internal/tcp"
 )
 
-// factories for the three protocols under test.
+// factories for the three protocols under test; the DCTCP-family ones
+// recycle a retiring module, as exp's protocol factories do.
 
 func renoFactory(rtoMin sim.Duration) FlowFactory {
-	return func(i int) (tcp.Config, tcp.CongestionControl) {
+	return func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		cfg := tcp.DefaultConfig()
 		cfg.RTOMin, cfg.RTOInit = rtoMin, rtoMin
 		cfg.Seed = uint64(i) + 1
@@ -23,20 +24,20 @@ func renoFactory(rtoMin sim.Duration) FlowFactory {
 }
 
 func dctcpFactory(rtoMin sim.Duration) FlowFactory {
-	return func(i int) (tcp.Config, tcp.CongestionControl) {
+	return func(i int, old tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		cfg := dctcp.Config()
 		cfg.RTOMin, cfg.RTOInit = rtoMin, rtoMin
 		cfg.Seed = uint64(i) + 1
-		return cfg, dctcp.New(dctcp.DefaultGain)
+		return cfg, dctcp.Recycle(old, dctcp.DefaultGain)
 	}
 }
 
 func plusFactory(rtoMin sim.Duration) FlowFactory {
-	return func(i int) (tcp.Config, tcp.CongestionControl) {
+	return func(i int, old tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		cfg := core.SenderConfig()
 		cfg.RTOMin, cfg.RTOInit = rtoMin, rtoMin
 		cfg.Seed = uint64(i) + 1
-		return cfg, core.New(dctcp.DefaultGain, core.DefaultConfig())
+		return cfg, core.Recycle(old, dctcp.Recycle(core.Unwrap(old), dctcp.DefaultGain), core.DefaultConfig())
 	}
 }
 
@@ -208,7 +209,7 @@ func time200() sim.Duration { return 200 * sim.Millisecond }
 func TestLongFlowChunks(t *testing.T) {
 	sched := sim.NewScheduler()
 	tt := netsim.NewTwoTier(sched, 3, 3, netsim.DefaultTopologyConfig())
-	cfg, cc := dctcpFactory(200 * sim.Millisecond)(0)
+	cfg, cc := dctcpFactory(200*sim.Millisecond)(0, nil)
 	lf := NewLongFlow(sched, tt.Workers[0], tt.Aggregator, 500, cfg, cc, 1<<20)
 	lf.Start()
 	lf.Start() // idempotent
@@ -234,7 +235,7 @@ func TestLongFlowChunks(t *testing.T) {
 func TestLongFlowValidation(t *testing.T) {
 	sched := sim.NewScheduler()
 	tt := netsim.NewTwoTier(sched, 1, 1, netsim.DefaultTopologyConfig())
-	cfg, cc := renoFactory(time200())(0)
+	cfg, cc := renoFactory(time200())(0, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("zero chunk did not panic")
@@ -246,7 +247,7 @@ func TestLongFlowValidation(t *testing.T) {
 func TestLongFlowEmptyMean(t *testing.T) {
 	sched := sim.NewScheduler()
 	tt := netsim.NewTwoTier(sched, 1, 1, netsim.DefaultTopologyConfig())
-	cfg, cc := renoFactory(time200())(0)
+	cfg, cc := renoFactory(time200())(0, nil)
 	lf := NewLongFlow(sched, tt.Workers[0], tt.Aggregator, 1, cfg, cc, 1<<20)
 	if lf.MeanThroughputMbps() != 0 {
 		t.Error("mean of no chunks should be 0")
