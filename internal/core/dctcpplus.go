@@ -259,9 +259,12 @@ func (e *Enhancer) AttachTelemetry(reg *telemetry.Registry, labels ...telemetry.
 	e.mDecSteps = reg.Counter("core_slow_time_dec_steps_total", labels...)
 	e.mReturnsNormal = reg.Counter("core_returns_normal_total", labels...)
 	e.mSlowTime = reg.Histogram("core_slow_time_ns", labels...)
+	// One label set on the stack, its state label rewritten per state: the
+	// registry copies labels only when it creates an instrument.
+	var buf [8]telemetry.Label
+	lbls := append(append(buf[:0], labels...), telemetry.Label{Key: "state"})
 	for st := StateNormal; st <= StateTimeDes; st++ {
-		lbls := append(append([]telemetry.Label(nil), labels...),
-			telemetry.L("state", st.String()))
+		lbls[len(lbls)-1].Value = st.String()
 		e.mOccupancy[st] = reg.Counter("core_state_occupancy_ns", lbls...)
 	}
 	if a, ok := e.inner.(telemetry.Attacher); ok {

@@ -548,16 +548,7 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 		res.LAckTO += st.LAckTimeouts
 	}
 	if o.CollectCwnd {
-		res.CwndHist = stats.NewHist()
-		var eceAtMin, events int64
-		for _, p := range probes {
-			res.CwndHist.Merge(p.Hist())
-			events += p.Events()
-			eceAtMin += int64(p.ECEAtMinFrac() * float64(p.Events()))
-		}
-		if events > 0 {
-			res.ECEAtMinFrac = float64(eceAtMin) / float64(events)
-		}
+		res.CwndHist, res.ECEAtMinFrac = mergeCwndProbes(probes)
 	}
 	if sampler != nil {
 		sampler.Stop()
@@ -579,6 +570,23 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 		c.Close()
 	}
 	return res
+}
+
+// mergeCwndProbes folds the per-flow probes into the run's cwnd histogram
+// (Fig. 2) and the fraction of all their ACK events that saw ECE at the
+// window floor, summing the probes' exact counts.
+func mergeCwndProbes(probes []*trace.CwndProbe) (*stats.Hist, float64) {
+	hist := stats.NewHist()
+	var eceAtMin, events int64
+	for _, p := range probes {
+		hist.Merge(p.Hist())
+		eceAtMin += p.ECEAtMin()
+		events += p.Events()
+	}
+	if events == 0 {
+		return hist, 0
+	}
+	return hist, float64(eceAtMin) / float64(events)
 }
 
 // PrintIncastRows writes a figure curve as aligned text rows.

@@ -1,0 +1,76 @@
+package exp
+
+import (
+	"runtime"
+	"testing"
+
+	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/sim"
+	"dctcpplus/internal/tcp"
+	"dctcpplus/internal/telemetry"
+	"dctcpplus/internal/trace"
+)
+
+// TestMergeCwndProbesCountsExactly: the run's ECE-at-floor fraction sums the
+// probes' event counts, not counts rebuilt from each probe's fraction — a
+// probe at 1 event in 49 rebuilds as (1/49)·49 = 0.999…, which truncates to
+// zero.
+func TestMergeCwndProbesCountsExactly(t *testing.T) {
+	sched := sim.NewScheduler()
+	star := netsim.NewStar(sched, 2, netsim.DefaultTopologyConfig())
+	// A fresh sender sits at the window floor.
+	snd := tcp.NewConn(tcp.DefaultConfig(), tcp.NewReno{}, star.Hosts[0], star.Hosts[1], 1).Sender
+	probe := func(eceAtMin, events int) *trace.CwndProbe {
+		p := trace.NewCwndProbe()
+		for i := 0; i < events; i++ {
+			p.Observe(snd, i < eceAtMin)
+		}
+		return p
+	}
+	hist, frac := mergeCwndProbes([]*trace.CwndProbe{probe(1, 49), probe(0, 51)})
+	if want := 1.0 / 100; frac != want {
+		t.Errorf("ECE-at-floor fraction = %v, want %v", frac, want)
+	}
+	if hist.Total() != 100 {
+		t.Errorf("merged histogram holds %d events, want 100", hist.Total())
+	}
+	if _, frac := mergeCwndProbes(nil); frac != 0 {
+		t.Errorf("no probes: fraction = %v, want 0", frac)
+	}
+}
+
+// observedRunExtraBudget is how many more allocations an observed N=20 run
+// of 80 rounds may make than one of 20, beyond its extra queue-sample
+// blocks. Measured at 80: the workload's per-round flow table, one for
+// each of the 60 extra rounds of a fresh run, and slice growth. A cost per
+// event would be thousands: the longer run samples the queue 8,500 more
+// times and sends over 40,000 more data segments.
+const observedRunExtraBudget = 100
+
+// TestObservedRunAllocBudget pins "per run, not per event" for every
+// observer at once: with telemetry, the oracle, cwnd probes and the queue
+// sampler attached, running four times the rounds may cost only the extra
+// sample blocks and a pinned constant more allocations.
+func TestObservedRunAllocBudget(t *testing.T) {
+	run := func(rounds int) (mallocs uint64, samples int) {
+		o := DefaultIncastOptions(ProtoDCTCPPlus, 20)
+		o.Rounds, o.WarmupRounds = rounds, 2
+		o.Telemetry = telemetry.NewRegistry()
+		o.Oracle, o.CollectCwnd = true, true
+		o.QueueSampleEvery = 100 * sim.Microsecond
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := RunIncast(o)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, len(res.QueueSamples)
+	}
+	// The sampler stores 4,096 samples per block.
+	blocks := func(samples int) uint64 { return uint64(samples+4095) / 4096 }
+	short, shortSamples := run(20)
+	long, longSamples := run(80)
+	budget := short + blocks(longSamples) - blocks(shortSamples) + observedRunExtraBudget
+	if long > budget {
+		t.Fatalf("80 rounds allocate %d times, 20 rounds %d: want at most %d (%d vs %d queue samples)",
+			long, short, budget, longSamples, shortSamples)
+	}
+}

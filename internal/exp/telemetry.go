@@ -39,6 +39,9 @@ func attachRunTelemetry(reg *telemetry.Registry, tt *netsim.TwoTier, conns []*tc
 		return nil
 	}
 	base := pointLabels(proto, flows)
+	// One port label set on the stack, its role rewritten per port.
+	var buf [8]telemetry.Label
+	portLabels := append(append(buf[:0], base...), telemetry.Label{Key: "port"})
 	switches := append([]*netsim.Switch{tt.Root}, tt.Leaves...)
 	for _, sw := range switches {
 		for _, p := range sw.Ports() {
@@ -46,7 +49,8 @@ func attachRunTelemetry(reg *telemetry.Registry, tt *netsim.TwoTier, conns []*tc
 			if p == tt.BottleneckPort {
 				role = "bottleneck"
 			}
-			p.AttachTelemetry(reg, withLabel(base, "port", role)...)
+			portLabels[len(portLabels)-1].Value = role
+			p.AttachTelemetry(reg, portLabels...)
 		}
 	}
 	attachConnTelemetry(reg, conns, base)

@@ -35,7 +35,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -279,6 +278,7 @@ type BucketCount struct {
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*entry
+	keyBuf  []byte // lookup's key scratch, guarded by mu
 
 	simTimeNs atomic.Int64 // high-water mark of observed virtual time
 }
@@ -298,42 +298,67 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*entry)}
 }
 
-// instrumentKey builds the canonical identity: name plus sorted labels.
-func instrumentKey(name string, labels []Label) (string, []Label) {
-	if len(labels) == 0 {
-		return name, nil
-	}
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range sorted {
-		if i > 0 {
-			b.WriteByte(',')
+// stackLabels is how many labels a lookup sorts without a heap copy; the
+// simulator's own instruments carry at most three.
+const stackLabels = 8
+
+// sortLabels copies labels into dst and sorts them by key with a stable
+// insertion sort: label sets are a handful long, and sorting into the
+// caller's array keeps a lookup hit off the heap.
+func sortLabels(dst, labels []Label) []Label {
+	dst = append(dst[:0], labels...)
+	for i := 1; i < len(dst); i++ {
+		for j := i; j > 0 && dst[j].Key < dst[j-1].Key; j-- {
+			dst[j], dst[j-1] = dst[j-1], dst[j]
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
 	}
-	b.WriteByte('}')
-	return b.String(), sorted
+	return dst
 }
 
-// lookup returns the entry for (name, labels), creating it with mk on
-// first use, and panics on a kind clash — instrument names are a schema,
-// and reusing one with a different type is always a bug.
+// appendKey appends the canonical identity of name and its sorted labels
+// to b: name{k=v,...}, or the bare name when there are no labels.
+func appendKey(b []byte, name string, sorted []Label) []byte {
+	b = append(b, name...)
+	if len(sorted) == 0 {
+		return b
+	}
+	b = append(b, '{')
+	for i, l := range sorted {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = append(b, l.Value...)
+	}
+	return append(b, '}')
+}
+
+// instrumentKey builds the canonical identity: name plus sorted labels.
+func instrumentKey(name string, labels []Label) string {
+	var stack [stackLabels]Label
+	return string(appendKey(nil, name, sortLabels(stack[:0], labels)))
+}
+
+// lookup returns the entry for (name, labels), creating it on first use,
+// and panics on a kind clash — instrument names are a schema, and reusing
+// one with a different type is always a bug. A hit allocates nothing: the
+// labels are sorted on the stack and the key is built in the registry's
+// scratch buffer; the key string and the retained label copy are made only
+// for a new entry.
 func (r *Registry) lookup(name string, kind Kind, labels []Label) *entry {
-	key, sorted := instrumentKey(name, labels)
+	var stack [stackLabels]Label
+	sorted := sortLabels(stack[:0], labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.entries[key]; ok {
+	r.keyBuf = appendKey(r.keyBuf[:0], name, sorted)
+	if e, ok := r.entries[string(r.keyBuf)]; ok {
 		if e.kind != kind {
-			panic(fmt.Sprintf("telemetry: %s registered as %v, requested as %v", key, e.kind, kind))
+			panic(fmt.Sprintf("telemetry: %s registered as %v, requested as %v", r.keyBuf, e.kind, kind))
 		}
 		return e
 	}
-	e := &entry{name: name, labels: sorted, kind: kind}
+	e := &entry{name: name, labels: append([]Label(nil), sorted...), kind: kind}
 	switch kind {
 	case KindCounter:
 		e.counter = &Counter{}
@@ -342,7 +367,7 @@ func (r *Registry) lookup(name string, kind Kind, labels []Label) *entry {
 	case KindHistogram:
 		e.hist = newHistogram()
 	}
-	r.entries[key] = e
+	r.entries[string(r.keyBuf)] = e
 	return e
 }
 
@@ -425,8 +450,7 @@ type InstrumentSnapshot struct {
 
 // key reproduces the registry identity for ordering and diffing.
 func (s InstrumentSnapshot) key() string {
-	k, _ := instrumentKey(s.Name, s.Labels)
-	return k
+	return instrumentKey(s.Name, s.Labels)
 }
 
 // Snapshot is the frozen state of a whole registry, stamped with the
@@ -501,7 +525,7 @@ func (s *byKey) Swap(i, j int) {
 // Find returns the snapshot of the instrument with the given name and
 // labels, or false if absent. Convenience for tests and acceptance checks.
 func (s Snapshot) Find(name string, labels ...Label) (InstrumentSnapshot, bool) {
-	key, _ := instrumentKey(name, labels)
+	key := instrumentKey(name, labels)
 	for _, is := range s.Instruments {
 		if is.key() == key {
 			return is, true

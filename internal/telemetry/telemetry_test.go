@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -491,4 +492,60 @@ func BenchmarkHistogramObserveNil(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
 	}
+}
+
+// TestRegistryLookupAllocFree: attaching N connections asks for the same
+// instruments N times, so a lookup that finds its instrument must not
+// allocate, whatever order the labels come in.
+func TestRegistryLookupAllocFree(t *testing.T) {
+	r := NewRegistry()
+	labels := []Label{L("proto", "dctcp+"), L("flows", "200"), L("state", "timeinc")}
+	permuted := []Label{labels[2], labels[0], labels[1]}
+	c := r.Counter("x_total", labels...)
+	g := r.Gauge("x_level", labels...)
+	h := r.Histogram("x_ns", labels...)
+	bare := r.Counter("bare_total")
+
+	checks := []struct {
+		name string
+		fn   func() bool
+	}{
+		{"Counter", func() bool { return r.Counter("x_total", permuted...) == c }},
+		{"Gauge", func() bool { return r.Gauge("x_level", permuted...) == g }},
+		{"Histogram", func() bool { return r.Histogram("x_ns", permuted...) == h }},
+		{"Counter, literal labels", func() bool {
+			return r.Counter("x_total", L("flows", "200"), L("state", "timeinc"), L("proto", "dctcp+")) == c
+		}},
+		{"Counter, no labels", func() bool { return r.Counter("bare_total") == bare }},
+	}
+	for _, ck := range checks {
+		if !ck.fn() {
+			t.Errorf("%s: a permuted repeat lookup returned a different instrument", ck.name)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { ck.fn() }); allocs != 0 {
+			t.Errorf("%s: a repeat lookup allocates %.1f times, want 0", ck.name, allocs)
+		}
+	}
+	if r.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", r.Len())
+	}
+
+	// Past the stack array the labels spill to the heap; identity holds.
+	var many []Label
+	for _, k := range []string{"i", "h", "g", "f", "e", "d", "c", "b", "a"} {
+		many = append(many, L(k, k+k))
+	}
+	wide := r.Counter("wide_total", many...)
+	slices.Reverse(many)
+	if r.Counter("wide_total", many...) != wide {
+		t.Error("nine permuted labels returned a different instrument")
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "x_total{flows=200,proto=dctcp+,state=timeinc}") {
+			t.Fatalf("kind clash panic %q does not name the key", msg)
+		}
+	}()
+	r.Histogram("x_total", permuted...)
 }

@@ -7,6 +7,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 
 	"dctcpplus/internal/netsim"
 	"dctcpplus/internal/sim"
@@ -61,6 +62,10 @@ func (p *CwndProbe) Hist() *stats.Hist { return p.hist }
 // Events returns the number of ACKs observed.
 func (p *CwndProbe) Events() int64 { return p.events }
 
+// ECEAtMin returns the number of ACK events with the window pinned at the
+// floor while ECE was set.
+func (p *CwndProbe) ECEAtMin() int64 { return p.eceAtMin }
+
 // ECEAtMinFrac returns the fraction of ACK events with the window pinned
 // at the floor while ECE was set.
 func (p *CwndProbe) ECEAtMinFrac() float64 {
@@ -76,15 +81,23 @@ type QueueSample struct {
 	Bytes int
 }
 
+// sampleBlock is how many samples one storage block holds: 4,096 × 16 B =
+// 64 KiB. Blocks are allocated as sampling reaches them and never copied
+// once filled, so a run pays one allocation per block rather than a slice
+// regrown (and copied) every few thousand ticks.
+const sampleBlock = 4096
+
 // QueueSampler periodically samples a switch port's queue occupancy, like
 // the paper's "collect the instant queue length every 100us on Switch 1".
+// It re-arms one bound sim.Timer per tick, so sampling allocates per block,
+// not per tick.
 type QueueSampler struct {
 	sched    *sim.Scheduler
 	port     *netsim.Port
 	interval sim.Duration
-	samples  []QueueSample
-	ev       *sim.Event
-	running  bool
+	timer    sim.Timer
+	blocks   [][]QueueSample // each of capacity sampleBlock, all but the last full
+	flat     []QueueSample   // Samples' concatenation; nil until asked for after a tick
 }
 
 // NewQueueSampler creates a sampler for port at the given interval
@@ -93,46 +106,47 @@ func NewQueueSampler(sched *sim.Scheduler, port *netsim.Port, interval sim.Durat
 	if interval <= 0 {
 		panic("trace: sampler interval must be positive")
 	}
-	return &QueueSampler{sched: sched, port: port, interval: interval}
+	q := &QueueSampler{sched: sched, port: port, interval: interval}
+	q.timer.Init(sched, q.tick)
+	return q
 }
 
 // Start begins periodic sampling from the current instant.
 func (q *QueueSampler) Start() {
-	if q.running {
+	if q.timer.Armed() {
 		return
 	}
-	q.running = true
 	q.tick()
 }
 
 func (q *QueueSampler) tick() {
-	// The event that invoked us is dead and its handle may be recycled by
-	// the re-arm below, so clear the field before anything else (the
-	// sim.Event contract; enforced by simlint's handlestate analyzer).
-	// Without this, a Stop between the sample and a later reuse of the
-	// recycled handle would cancel somebody else's event.
-	q.ev = nil
-	if !q.running {
-		return
+	if len(q.blocks) == 0 || len(q.blocks[len(q.blocks)-1]) == sampleBlock {
+		q.blocks = append(q.blocks, make([]QueueSample, 0, sampleBlock))
 	}
-	q.samples = append(q.samples, QueueSample{At: q.sched.Now(), Bytes: q.port.QueueBytes()})
-	q.ev = q.sched.After(q.interval, q.tick)
+	last := &q.blocks[len(q.blocks)-1]
+	*last = append(*last, QueueSample{At: q.sched.Now(), Bytes: q.port.QueueBytes()})
+	q.flat = nil
+	q.timer.Reset(q.interval)
 }
 
 // Stop halts sampling; collected samples remain available.
-func (q *QueueSampler) Stop() {
-	q.running = false
-	q.sched.Cancel(q.ev)
-	q.ev = nil
-}
+func (q *QueueSampler) Stop() { q.timer.Stop() }
 
-// Samples returns the collected time series.
-func (q *QueueSampler) Samples() []QueueSample { return q.samples }
+// Samples returns the collected time series. The blocks are concatenated
+// into one exactly-sized slice on the first call after a tick, and that
+// slice is returned again until sampling adds to it.
+func (q *QueueSampler) Samples() []QueueSample {
+	if q.flat == nil {
+		q.flat = slices.Concat(q.blocks...)
+	}
+	return q.flat
+}
 
 // Values returns the occupancies as float64s (bytes), for CDF building.
 func (q *QueueSampler) Values() []float64 {
-	out := make([]float64, len(q.samples))
-	for i, s := range q.samples {
+	samples := q.Samples()
+	out := make([]float64, len(samples))
+	for i, s := range samples {
 		out[i] = float64(s.Bytes)
 	}
 	return out

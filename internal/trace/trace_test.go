@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"dctcpplus/internal/netsim"
@@ -159,5 +160,83 @@ func TestQueueSamplerStopBeforeStart(t *testing.T) {
 	q.Stop() // must not panic
 	if len(q.Samples()) != 0 {
 		t.Error("samples without start")
+	}
+}
+
+// TestQueueSamplerBlocks drives the sampler across several storage blocks:
+// every sample sits on its tick, Samples is cached until the next tick and
+// then grows, and a Stop→Start resumes at the new phase, appending.
+func TestQueueSamplerBlocks(t *testing.T) {
+	s := sim.NewScheduler()
+	star := netsim.NewStar(s, 2, netsim.DefaultTopologyConfig())
+	port := star.Switch.RouteTo(star.Hosts[1].ID())
+	const iv = 10 * sim.Microsecond
+	t0 := sim.Time(3 * sim.Microsecond)
+	tick := func(k int) sim.Time { return t0.Add(sim.Duration(k) * iv) }
+	q := NewQueueSampler(s, port, iv)
+	s.At(t0, q.Start)
+
+	s.RunUntil(tick(sampleBlock - 1))
+	mid := q.Samples()
+	if len(mid) != sampleBlock {
+		t.Fatalf("one block in: %d samples, want %d", len(mid), sampleBlock)
+	}
+
+	const n = 10_000
+	s.RunUntil(tick(n - 1))
+	all := q.Samples()
+	if len(all) != n {
+		t.Fatalf("%d samples, want %d", len(all), n)
+	}
+	for k, smp := range all {
+		if smp.At != tick(k) || smp.Bytes != 0 {
+			t.Fatalf("sample %d = %+v, want {At:%v Bytes:0}", k, smp, tick(k))
+		}
+	}
+	if !slices.Equal(all[:len(mid)], mid) {
+		t.Error("the samples taken mid-run changed")
+	}
+	if again := q.Samples(); !slices.Equal(again, all) || &again[0] != &all[0] {
+		t.Error("a second Samples call without a tick did not return the cached slice")
+	}
+
+	q.Stop()
+	restart := tick(n - 1).Add(25 * sim.Microsecond) // off the old phase
+	s.At(restart, q.Start)
+	s.At(restart, q.Start) // idempotent while running
+	s.RunUntil(restart.Add(2 * iv))
+	q.Stop()
+	got := q.Samples()
+	if len(got) != n+3 {
+		t.Fatalf("after restart: %d samples, want %d", len(got), n+3)
+	}
+	if !slices.Equal(got[:n], all) {
+		t.Error("restart rewrote earlier samples")
+	}
+	for k, smp := range got[n:] {
+		if want := restart.Add(sim.Duration(k) * iv); smp.At != want {
+			t.Errorf("restarted sample %d at %v, want %v", k, smp.At, want)
+		}
+	}
+	if vals := q.Values(); len(vals) != len(got) {
+		t.Errorf("Values has %d entries, want %d", len(vals), len(got))
+	}
+}
+
+// TestQueueSamplerAllocBudget pins the sampler's cost at one allocation per
+// storage block: its timer re-arms without a closure and a filled block is
+// never regrown.
+func TestQueueSamplerAllocBudget(t *testing.T) {
+	s := sim.NewScheduler()
+	star := netsim.NewStar(s, 2, netsim.DefaultTopologyConfig())
+	port := star.Switch.RouteTo(star.Hosts[1].ID())
+	q := NewQueueSampler(s, port, sim.Microsecond)
+	q.Start()
+	const blocks = 3
+	run := func() { s.RunFor(blocks * sampleBlock * sim.Microsecond) }
+	// The slice holding the blocks regrows now and then: a small constant.
+	const budget = blocks + 2
+	if got := testing.AllocsPerRun(1, run); got > budget {
+		t.Fatalf("%d ticks allocate %.0f times, want at most %d", blocks*sampleBlock, got, budget)
 	}
 }
