@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -70,36 +71,41 @@ func main() {
 }
 
 // runTrace reproduces Figure 14: N=50 DCTCP+ flows, 4MB each, queue
-// occupancy over the first rounds.
+// occupancy over the first rounds, scaled to the buffer the point's
+// testbed gives its switch ports.
 func runTrace(seed uint64, binMS int) {
 	f := dcp.NewFigure14(dcp.Scale{Seed: seed})
 	f.Run()
 	r := f.Results[0]
+	buf := f.Points[0].Testbed.Topo.SwitchPort.BufferBytes
 
 	fmt.Println("Figure 14: Switch-1 queue occupancy, 50 DCTCP+ flows x 4MB")
-	fmt.Printf("(max occupancy per %dms bin; buffer limit 131072 bytes)\n", binMS)
+	fmt.Printf("(max occupancy per %dms bin; buffer limit %d bytes)\n", binMS, buf)
 	bin := dcp.Duration(binMS) * dcp.Millisecond
 	cur, binIdx := 0, 0
-	for _, s := range r.QueueSamples {
-		idx := int(dcp.Duration(s.At) / bin)
+	for i := 0; i < r.Queue.Len(); i++ {
+		at, bytes := r.Queue.Sample(i)
+		idx := int(dcp.Duration(at) / bin)
 		for idx > binIdx {
-			printBin(binIdx, binMS, cur)
+			printBin(os.Stdout, binIdx, binMS, cur, buf)
 			binIdx++
 			cur = 0
 		}
-		if s.Bytes > cur {
-			cur = s.Bytes
+		if bytes > cur {
+			cur = bytes
 		}
 	}
-	printBin(binIdx, binMS, cur)
+	printBin(os.Stdout, binIdx, binMS, cur, buf)
 	fmt.Printf("\nbottleneck drops: %d   timeouts: %d\n", r.BottleneckDrops, r.Timeouts)
 }
 
-func printBin(idx, binMS, maxBytes int) {
+// printBin writes one bin's row, its bar scaled so a full buffer of
+// bufBytes spans the width.
+func printBin(w io.Writer, idx, binMS, maxBytes, bufBytes int) {
 	const width = 60
-	bar := maxBytes * width / (128 << 10)
+	bar := maxBytes * width / bufBytes
 	if bar > width {
 		bar = width
 	}
-	fmt.Printf("t=%5dms %6dB |%s\n", idx*binMS, maxBytes, strings.Repeat("#", bar))
+	fmt.Fprintf(w, "t=%5dms %6dB |%s\n", idx*binMS, maxBytes, strings.Repeat("#", bar))
 }

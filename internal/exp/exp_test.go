@@ -101,7 +101,7 @@ func TestRunIncastBasics(t *testing.T) {
 	if r.Protocol != ProtoDCTCP || r.Flows != 8 {
 		t.Error("identity fields wrong")
 	}
-	if r.CwndHist != nil || r.QueueSamples != nil {
+	if r.CwndHist != nil || r.Queue.Len() != 0 {
 		t.Error("probes attached without being requested")
 	}
 	if r.PerFlowMeanMbps != nil || r.LongFlowMbps.Count != 0 {
@@ -125,11 +125,16 @@ func TestRunIncastProbes(t *testing.T) {
 	if r.CwndHist == nil || r.CwndHist.Total() == 0 {
 		t.Fatal("no cwnd histogram")
 	}
-	if len(r.QueueSamples) == 0 {
-		t.Fatal("no queue samples")
+	if r.Queue.Len() == 0 || r.Queue.Every != o.QueueSampleEvery {
+		t.Fatalf("queue series: %d samples every %v, want some every %v", r.Queue.Len(), r.Queue.Every, o.QueueSampleEvery)
+	}
+	// One Start at t=0: the series spans the run at the sampling period.
+	last, _ := r.Queue.Sample(r.Queue.Len() - 1)
+	if gap := r.SimTime - last.Sub(0); gap < 0 || gap >= o.QueueSampleEvery {
+		t.Errorf("last sample at %v of a %v run every %v", last, r.SimTime, o.QueueSampleEvery)
 	}
 	cdf := r.QueueCDF()
-	if cdf.Len() != len(r.QueueSamples) {
+	if cdf.Len() != r.Queue.Len() {
 		t.Error("CDF size mismatch")
 	}
 	// With 16 DCTCP flows, queue builds: max sample must exceed K/2.

@@ -196,7 +196,7 @@ func TestFigure9RunAndRender(t *testing.T) {
 	f := NewFigure9(tinyScale())
 	f.Points = Grid(f.Points[0], []Protocol{ProtoDCTCP}, []int{8})
 	f.Run()
-	if len(f.Results) != 1 || len(f.Results[0].QueueSamples) == 0 {
+	if len(f.Results) != 1 || f.Results[0].Queue.Len() == 0 {
 		t.Fatal("no queue samples")
 	}
 }

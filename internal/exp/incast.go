@@ -243,8 +243,9 @@ type IncastResult struct {
 	// ECE set; only meaningful with CollectCwnd.
 	ECEAtMinFrac float64
 
-	// Queue observations (Figs. 9/14); nil unless QueueSampleEvery > 0.
-	QueueSamples []trace.QueueSample
+	// Queue is the bottleneck occupancy series (Figs. 9/14); empty unless
+	// QueueSampleEvery > 0.
+	Queue trace.QueueSeries
 
 	// BottleneckDrops counts tail drops at the root->aggregator port.
 	BottleneckDrops int64
@@ -297,9 +298,10 @@ func (r IncastResult) ConvergedAtRound() int {
 
 // QueueCDF builds the queue-length CDF (Fig. 9) from the samples.
 func (r IncastResult) QueueCDF() *stats.CDF {
-	vals := make([]float64, len(r.QueueSamples))
-	for i, s := range r.QueueSamples {
-		vals[i] = float64(s.Bytes)
+	vals := make([]float64, r.Queue.Len())
+	for i := range vals {
+		_, bytes := r.Queue.Sample(i)
+		vals[i] = float64(bytes)
 	}
 	return stats.NewCDF(vals)
 }
@@ -552,7 +554,7 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 	}
 	if sampler != nil {
 		sampler.Stop()
-		res.QueueSamples = sampler.Samples()
+		res.Queue = sampler.Series()
 	}
 	res.BottleneckDrops = tt.BottleneckPort.Stats().DroppedPkts
 	if len(longs) > 0 {

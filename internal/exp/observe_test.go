@@ -47,12 +47,20 @@ func TestMergeCwndProbesCountsExactly(t *testing.T) {
 // times and sends over 40,000 more data segments.
 const observedRunExtraBudget = 100
 
+// observedRunExtraBytes is how many more bytes the 80-round run may
+// allocate than the 20-round one, beyond 4 per extra queue sample.
+// Measured at 26.6 KiB: the unfilled rest of the last 16 KiB sample block
+// (14.7 KiB), the extra rounds' flow tables and slice growth. Samples
+// stored with their timestamps, 16 bytes each, would add 100 KiB.
+const observedRunExtraBytes = 48 << 10
+
 // TestObservedRunAllocBudget pins "per run, not per event" for every
 // observer at once: with telemetry, the oracle, cwnd probes and the queue
 // sampler attached, running four times the rounds may cost only the extra
-// sample blocks and a pinned constant more allocations.
+// sample blocks and a pinned constant more allocations, and only 4 bytes
+// per extra sample and a pinned constant more bytes.
 func TestObservedRunAllocBudget(t *testing.T) {
-	run := func(rounds int) (mallocs uint64, samples int) {
+	run := func(rounds int) (mallocs, bytes uint64, samples int) {
 		o := DefaultIncastOptions(ProtoDCTCPPlus, 20)
 		o.Rounds, o.WarmupRounds = rounds, 2
 		o.Telemetry = telemetry.NewRegistry()
@@ -62,15 +70,20 @@ func TestObservedRunAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		res := RunIncast(o)
 		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs, len(res.QueueSamples)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, res.Queue.Len()
 	}
 	// The sampler stores 4,096 samples per block.
 	blocks := func(samples int) uint64 { return uint64(samples+4095) / 4096 }
-	short, shortSamples := run(20)
-	long, longSamples := run(80)
+	short, shortBytes, shortSamples := run(20)
+	long, longBytes, longSamples := run(80)
 	budget := short + blocks(longSamples) - blocks(shortSamples) + observedRunExtraBudget
 	if long > budget {
 		t.Fatalf("80 rounds allocate %d times, 20 rounds %d: want at most %d (%d vs %d queue samples)",
 			long, short, budget, longSamples, shortSamples)
+	}
+	byteBudget := shortBytes + 4*uint64(longSamples-shortSamples) + observedRunExtraBytes
+	if longBytes > byteBudget {
+		t.Fatalf("80 rounds allocate %d bytes, 20 rounds %d: want at most %d (%d vs %d queue samples)",
+			longBytes, shortBytes, byteBudget, longSamples, shortSamples)
 	}
 }

@@ -39,6 +39,38 @@ func TestParseClasses(t *testing.T) {
 	}
 }
 
+// FuzzParseClasses: a class list never panics the parser, an accepted one
+// names only known classes, and its ClassesLabel (classes joined by "+")
+// parses back, with "+" read as ",", to the same classes.
+func FuzzParseClasses(f *testing.F) {
+	for _, seed := range []string{"", "all", " all ", "loss", "loss, stall", "loss,loss",
+		"blackout+rate", "loss,nope", ",", " , ", "ALL", "delay,\x00", "\xff\xfe"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		cs, err := ParseClasses(s)
+		if err != nil {
+			if cs != nil {
+				t.Errorf("ParseClasses(%q) = %v with error %v", s, cs, err)
+			}
+			return
+		}
+		if len(cs) == 0 {
+			t.Fatalf("ParseClasses(%q) accepted no classes", s)
+		}
+		for _, c := range cs {
+			if c < 0 || c >= numClasses {
+				t.Fatalf("ParseClasses(%q) returned unknown class %d", s, int(c))
+			}
+		}
+		label := ClassesLabel(cs)
+		again, err := ParseClasses(strings.ReplaceAll(label, "+", ","))
+		if err != nil || !reflect.DeepEqual(again, cs) {
+			t.Errorf("ParseClasses(%q) = %v, labelled %q, re-parses to %v, %v", s, cs, label, again, err)
+		}
+	})
+}
+
 // TestPlanSortStable pins the application order: by time, ties in append
 // order.
 func TestPlanSortStable(t *testing.T) {

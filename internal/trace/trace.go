@@ -6,9 +6,11 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
+	"dctcpplus/internal/check"
 	"dctcpplus/internal/netsim"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/stats"
@@ -66,91 +68,86 @@ func (p *CwndProbe) Events() int64 { return p.events }
 // floor while ECE was set.
 func (p *CwndProbe) ECEAtMin() int64 { return p.eceAtMin }
 
-// ECEAtMinFrac returns the fraction of ACK events with the window pinned
-// at the floor while ECE was set.
-func (p *CwndProbe) ECEAtMinFrac() float64 {
-	if p.events == 0 {
-		return 0
-	}
-	return float64(p.eceAtMin) / float64(p.events)
-}
-
-// QueueSample is one timestamped queue-occupancy observation.
-type QueueSample struct {
-	At    sim.Time
-	Bytes int
-}
-
-// sampleBlock is how many samples one storage block holds: 4,096 × 16 B =
-// 64 KiB. Blocks are allocated as sampling reaches them and never copied
-// once filled, so a run pays one allocation per block rather than a slice
-// regrown (and copied) every few thousand ticks.
+// sampleBlock is how many samples one storage block holds: 16 KiB of
+// int32s, filled in place, so a run pays one allocation per block.
 const sampleBlock = 4096
+
+// QueueSeries is a queue-occupancy time series sampled every Every. Only
+// occupancies are stored, 4 bytes each: the k-th sample after a Start at
+// instant t was taken at t + k·Every. A copy shares the sampler's blocks
+// and does not see samples taken after it was made.
+type QueueSeries struct {
+	Every sim.Duration
+
+	starts []sim.Time // the instant of each Start
+	firsts []int64    // the index of each Start's first sample
+	blocks [][]int32  // sampleBlock occupancies each; the first n are samples
+	n      int64
+}
+
+// Len returns the number of samples.
+func (s QueueSeries) Len() int { return int(s.n) }
+
+// Sample returns the i-th sample's instant and queue occupancy in bytes.
+func (s QueueSeries) Sample(i int) (at sim.Time, bytes int) {
+	if i < 0 || int64(i) >= s.n {
+		panic(fmt.Sprintf("trace: sample %d of a %d-sample series", i, s.n))
+	}
+	k, _ := slices.BinarySearch(s.firsts, int64(i)+1)
+	k-- // the last Start at or before sample i
+	at = s.starts[k].Add(sim.Duration(int64(i)-s.firsts[k]) * s.Every)
+	return at, int(s.blocks[i/sampleBlock][i%sampleBlock])
+}
 
 // QueueSampler periodically samples a switch port's queue occupancy, like
 // the paper's "collect the instant queue length every 100us on Switch 1".
-// It re-arms one bound sim.Timer per tick, so sampling allocates per block,
-// not per tick.
+// It re-arms one bound sim.Timer, so it allocates per block, not per tick.
 type QueueSampler struct {
-	sched    *sim.Scheduler
-	port     *netsim.Port
-	interval sim.Duration
-	timer    sim.Timer
-	blocks   [][]QueueSample // each of capacity sampleBlock, all but the last full
-	flat     []QueueSample   // Samples' concatenation; nil until asked for after a tick
+	sched  *sim.Scheduler
+	port   *netsim.Port
+	timer  sim.Timer
+	series QueueSeries
 }
 
 // NewQueueSampler creates a sampler for port at the given interval
-// (100us in the paper). Call Start to begin.
+// (100us in the paper). Call Start to begin. It rejects a port whose
+// buffer can hold more bytes than an int32 sample represents.
 func NewQueueSampler(sched *sim.Scheduler, port *netsim.Port, interval sim.Duration) *QueueSampler {
 	if interval <= 0 {
 		panic("trace: sampler interval must be positive")
 	}
-	q := &QueueSampler{sched: sched, port: port, interval: interval}
+	if buf := port.Config().BufferBytes; buf > math.MaxInt32 {
+		panic(fmt.Sprintf("trace: a %d-byte port buffer overflows the sampler's int32 occupancies", buf))
+	}
+	q := &QueueSampler{sched: sched, port: port, series: QueueSeries{Every: interval}}
 	q.timer.Init(sched, q.tick)
 	return q
 }
 
-// Start begins periodic sampling from the current instant.
+// Start begins sampling from the current instant, a new phase after Stop.
 func (q *QueueSampler) Start() {
 	if q.timer.Armed() {
 		return
 	}
+	q.series.starts = append(q.series.starts, q.sched.Now())
+	q.series.firsts = append(q.series.firsts, q.series.n)
 	q.tick()
 }
 
 func (q *QueueSampler) tick() {
-	if len(q.blocks) == 0 || len(q.blocks[len(q.blocks)-1]) == sampleBlock {
-		q.blocks = append(q.blocks, make([]QueueSample, 0, sampleBlock))
+	s := &q.series
+	if s.n == int64(len(s.blocks))*sampleBlock {
+		s.blocks = append(s.blocks, make([]int32, sampleBlock))
 	}
-	last := &q.blocks[len(q.blocks)-1]
-	*last = append(*last, QueueSample{At: q.sched.Now(), Bytes: q.port.QueueBytes()})
-	q.flat = nil
-	q.timer.Reset(q.interval)
+	b := q.port.QueueBytes() // SetBufferBytes may have grown the buffer NewQueueSampler checked
+	check.AtMost("trace.sampler queue bytes", int64(b), math.MaxInt32)
+	s.blocks[s.n/sampleBlock][s.n%sampleBlock] = int32(b)
+	s.n++
+	q.timer.Reset(s.Every)
 }
 
 // Stop halts sampling; collected samples remain available.
 func (q *QueueSampler) Stop() { q.timer.Stop() }
 
-// Samples returns the collected time series. The blocks are concatenated
-// into one exactly-sized slice on the first call after a tick, and that
-// slice is returned again until sampling adds to it.
-func (q *QueueSampler) Samples() []QueueSample {
-	if q.flat == nil {
-		q.flat = slices.Concat(q.blocks...)
-	}
-	return q.flat
-}
-
-// Values returns the occupancies as float64s (bytes), for CDF building.
-func (q *QueueSampler) Values() []float64 {
-	samples := q.Samples()
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = float64(s.Bytes)
-	}
-	return out
-}
-
-// CDF builds the empirical CDF of the sampled occupancies.
-func (q *QueueSampler) CDF() *stats.CDF { return stats.NewCDF(q.Values()) }
+// Series returns the collected samples, sharing the sampler's blocks.
+func (q *QueueSampler) Series() QueueSeries { return q.series }

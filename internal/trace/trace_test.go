@@ -1,7 +1,10 @@
 package trace
 
 import (
-	"slices"
+	"math"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"dctcpplus/internal/netsim"
@@ -29,9 +32,9 @@ func TestCwndProbeRecordsPerAck(t *testing.T) {
 	if p.Events() == 0 || p.Hist().Total() != p.Events() {
 		t.Errorf("events=%d histTotal=%d", p.Events(), p.Hist().Total())
 	}
-	// Clean transfer: no ECE ever, so the coincidence fraction is zero.
-	if p.ECEAtMinFrac() != 0 {
-		t.Errorf("ECEAtMinFrac = %v on clean path", p.ECEAtMinFrac())
+	// Clean transfer: no ECE ever, so the coincidence never occurs.
+	if p.ECEAtMin() != 0 {
+		t.Errorf("ECEAtMin = %d on clean path", p.ECEAtMin())
 	}
 	// cwnd grew past initial 2 during slow start: histogram has bins > 2.
 	found := false
@@ -70,8 +73,8 @@ func TestCwndProbeFloorBin(t *testing.T) {
 	// Observe directly with a synthetic ECE at the floor: fresh sender has
 	// cwnd = 2 = MinCwnd.
 	p.Observe(c.Sender, true)
-	if p.ECEAtMinFrac() != 1 {
-		t.Errorf("ECEAtMinFrac = %v, want 1", p.ECEAtMinFrac())
+	if p.ECEAtMin() != 1 || p.Events() != 1 {
+		t.Errorf("ECEAtMin = %d of %d events, want 1 of 1", p.ECEAtMin(), p.Events())
 	}
 	if p.Hist().Count(2) != 1 {
 		t.Errorf("bin 2 count = %d", p.Hist().Count(2))
@@ -87,17 +90,18 @@ func TestQueueSamplerInterval(t *testing.T) {
 	q.Start() // idempotent
 	s.After(1050*sim.Microsecond, func() { q.Stop() })
 	s.Run()
-	n := len(q.Samples())
+	series := q.Series()
 	// Samples at t=0, 100us, ..., 1000us -> 11.
-	if n != 11 {
-		t.Errorf("samples = %d, want 11", n)
+	if series.Len() != 11 || series.Every != 100*sim.Microsecond {
+		t.Errorf("samples = %d every %v, want 11 every 100us", series.Len(), series.Every)
 	}
-	for i, smp := range q.Samples() {
-		if want := sim.Time(i) * sim.Time(100*sim.Microsecond); smp.At != want {
-			t.Errorf("sample %d at %v, want %v", i, smp.At, want)
+	for i := 0; i < series.Len(); i++ {
+		at, bytes := series.Sample(i)
+		if want := sim.Time(i) * sim.Time(100*sim.Microsecond); at != want {
+			t.Errorf("sample %d at %v, want %v", i, at, want)
 		}
-		if smp.Bytes != 0 {
-			t.Errorf("idle queue sample = %d bytes", smp.Bytes)
+		if bytes != 0 {
+			t.Errorf("idle queue sample = %d bytes", bytes)
 		}
 	}
 }
@@ -118,25 +122,18 @@ func TestQueueSamplerObservesOccupancy(t *testing.T) {
 	}
 	s.RunUntil(sim.Time(5 * sim.Millisecond))
 	q.Stop()
+	series := q.Series()
 	max := 0
-	for _, v := range q.Samples() {
-		if v.Bytes > max {
-			max = v.Bytes
+	for i := 0; i < series.Len(); i++ {
+		if _, bytes := series.Sample(i); bytes > max {
+			max = bytes
 		}
 	}
 	if max == 0 {
 		t.Error("sampler never observed a non-empty queue")
 	}
-	cdf := q.CDF()
-	if cdf.Len() != len(q.Samples()) {
-		t.Error("CDF sample count mismatch")
-	}
-	if got := cdf.At(float64(max)); got != 1 {
-		t.Errorf("CDF at max = %v", got)
-	}
-	vals := q.Values()
-	if len(vals) != len(q.Samples()) {
-		t.Error("Values length mismatch")
+	if max > port.Config().BufferBytes {
+		t.Errorf("sampled %d bytes in a %d-byte buffer", max, port.Config().BufferBytes)
 	}
 }
 
@@ -152,20 +149,43 @@ func TestQueueSamplerValidation(t *testing.T) {
 	NewQueueSampler(s, port, 0)
 }
 
+// TestQueueSamplerRejectsWideBuffer: an occupancy is stored as an int32, so
+// a port whose buffer could hold more is refused up front, with the buffer
+// named in the diagnosis, rather than sampled into wrapped values.
+func TestQueueSamplerRejectsWideBuffer(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot hold a buffer past the int32 range")
+	}
+	s := sim.NewScheduler()
+	star := netsim.NewStar(s, 2, netsim.DefaultTopologyConfig())
+	port := star.Switch.RouteTo(star.Hosts[1].ID())
+	wide := math.MaxInt32
+	wide++
+	port.SetBufferBytes(wide)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, strconv.Itoa(wide)+"-byte port buffer") || !strings.Contains(msg, "int32") {
+			t.Errorf("over-int32 buffer: panic %q, want a diagnosis naming the %d-byte buffer", msg, wide)
+		}
+	}()
+	NewQueueSampler(s, port, sim.Microsecond)
+}
+
 func TestQueueSamplerStopBeforeStart(t *testing.T) {
 	s := sim.NewScheduler()
 	star := netsim.NewStar(s, 2, netsim.DefaultTopologyConfig())
 	port := star.Switch.RouteTo(star.Hosts[1].ID())
 	q := NewQueueSampler(s, port, sim.Microsecond)
 	q.Stop() // must not panic
-	if len(q.Samples()) != 0 {
+	if q.Series().Len() != 0 {
 		t.Error("samples without start")
 	}
 }
 
 // TestQueueSamplerBlocks drives the sampler across several storage blocks:
-// every sample sits on its tick, Samples is cached until the next tick and
-// then grows, and a Stop→Start resumes at the new phase, appending.
+// Sample(k) is tick k's instant, a series taken mid-run stays as it was
+// while sampling goes on, and a Stop→Start resumes at the new phase,
+// appending.
 func TestQueueSamplerBlocks(t *testing.T) {
 	s := sim.NewScheduler()
 	star := netsim.NewStar(s, 2, netsim.DefaultTopologyConfig())
@@ -175,30 +195,35 @@ func TestQueueSamplerBlocks(t *testing.T) {
 	tick := func(k int) sim.Time { return t0.Add(sim.Duration(k) * iv) }
 	q := NewQueueSampler(s, port, iv)
 	s.At(t0, q.Start)
-
-	s.RunUntil(tick(sampleBlock - 1))
-	mid := q.Samples()
-	if len(mid) != sampleBlock {
-		t.Fatalf("one block in: %d samples, want %d", len(mid), sampleBlock)
-	}
-
-	const n = 10_000
-	s.RunUntil(tick(n - 1))
-	all := q.Samples()
-	if len(all) != n {
-		t.Fatalf("%d samples, want %d", len(all), n)
-	}
-	for k, smp := range all {
-		if smp.At != tick(k) || smp.Bytes != 0 {
-			t.Fatalf("sample %d = %+v, want {At:%v Bytes:0}", k, smp, tick(k))
+	// Every sample of series from its own index on sits on its tick: the
+	// k-th sample of phase p at p's start + k·iv.
+	onTicks := func(series QueueSeries, from int, start sim.Time) {
+		t.Helper()
+		for k := from; k < series.Len(); k++ {
+			at, bytes := series.Sample(k)
+			if want := start.Add(sim.Duration(k-from) * iv); at != want || bytes != 0 {
+				t.Fatalf("sample %d = (%v, %d), want (%v, 0)", k, at, bytes, want)
+			}
 		}
 	}
-	if !slices.Equal(all[:len(mid)], mid) {
-		t.Error("the samples taken mid-run changed")
+
+	s.RunUntil(tick(sampleBlock - 1))
+	mid := q.Series()
+	if mid.Len() != sampleBlock {
+		t.Fatalf("one block in: %d samples, want %d", mid.Len(), sampleBlock)
 	}
-	if again := q.Samples(); !slices.Equal(again, all) || &again[0] != &all[0] {
-		t.Error("a second Samples call without a tick did not return the cached slice")
+
+	const n = 10_000 // past two block edges
+	s.RunUntil(tick(n - 1))
+	all := q.Series()
+	if all.Len() != n {
+		t.Fatalf("%d samples, want %d", all.Len(), n)
 	}
+	onTicks(all, 0, t0)
+	if mid.Len() != sampleBlock {
+		t.Errorf("the series taken mid-run grew to %d samples", mid.Len())
+	}
+	onTicks(mid, 0, t0)
 
 	q.Stop()
 	restart := tick(n - 1).Add(25 * sim.Microsecond) // off the old phase
@@ -206,26 +231,35 @@ func TestQueueSamplerBlocks(t *testing.T) {
 	s.At(restart, q.Start) // idempotent while running
 	s.RunUntil(restart.Add(2 * iv))
 	q.Stop()
-	got := q.Samples()
-	if len(got) != n+3 {
-		t.Fatalf("after restart: %d samples, want %d", len(got), n+3)
+	got := q.Series()
+	if got.Len() != n+3 {
+		t.Fatalf("after restart: %d samples, want %d", got.Len(), n+3)
 	}
-	if !slices.Equal(got[:n], all) {
-		t.Error("restart rewrote earlier samples")
-	}
-	for k, smp := range got[n:] {
-		if want := restart.Add(sim.Duration(k) * iv); smp.At != want {
-			t.Errorf("restarted sample %d at %v, want %v", k, smp.At, want)
+	for k := 0; k < n; k++ {
+		at, bytes := got.Sample(k)
+		if wantAt, wantBytes := all.Sample(k); at != wantAt || bytes != wantBytes {
+			t.Fatalf("restart rewrote sample %d: (%v, %d), was (%v, %d)", k, at, bytes, wantAt, wantBytes)
 		}
 	}
-	if vals := q.Values(); len(vals) != len(got) {
-		t.Errorf("Values has %d entries, want %d", len(vals), len(got))
+	onTicks(got, n, restart)
+	for _, k := range []int{-1, n + 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Sample(%d) of a %d-sample series did not panic", k, got.Len())
+				}
+			}()
+			got.Sample(k)
+		}()
 	}
 }
 
+// sliceHeader is the size of one []int32 header on a 64-bit host.
+const sliceHeader = 24
+
 // TestQueueSamplerAllocBudget pins the sampler's cost at one allocation per
-// storage block: its timer re-arms without a closure and a filled block is
-// never regrown.
+// storage block and 4 bytes per sample: its timer re-arms without a closure,
+// a filled block is never regrown, and no timestamp is stored.
 func TestQueueSamplerAllocBudget(t *testing.T) {
 	s := sim.NewScheduler()
 	star := netsim.NewStar(s, 2, netsim.DefaultTopologyConfig())
@@ -234,6 +268,19 @@ func TestQueueSamplerAllocBudget(t *testing.T) {
 	q.Start()
 	const blocks = 3
 	run := func() { s.RunFor(blocks * sampleBlock * sim.Microsecond) }
+
+	// Bytes: 4 per sample, plus the slice of block headers. It doubles as it
+	// grows, so its allocations sum to at most twice a capacity of at most
+	// twice the blocks+1 it ends up holding.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	const byteBudget = 4*blocks*sampleBlock + 2*2*(blocks+1)*sliceHeader
+	if got := after.TotalAlloc - before.TotalAlloc; got > byteBudget {
+		t.Fatalf("%d ticks allocate %d bytes, want at most %d", blocks*sampleBlock, got, byteBudget)
+	}
+
 	// The slice holding the blocks regrows now and then: a small constant.
 	const budget = blocks + 2
 	if got := testing.AllocsPerRun(1, run); got > budget {
