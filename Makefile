@@ -82,8 +82,11 @@ sweep-smoke:
 	echo "sweep-smoke: 8/8 cache hits, aggregates byte-identical"
 
 # Trace-oracle conformance smoke: the rule-level oracle tests, the full
-# protocol × fault-class matrix (TestOracleMatrix) and the metamorphic
-# harness must run violation-free, then the incast command's -oracle gate
+# protocol × fault-class matrix (TestOracleMatrix), the metamorphic harness
+# and the ten-point reproduction grid of the repacketized-repair finding
+# (TestOracleRepairClippedAtMaxSent: TCP at N=8/20, seeds 1-5, RTOmin 10ms,
+# 30 rounds; a sender that re-cuts a repair past the highest byte it sent
+# fails it) must run violation-free, then the incast command's -oracle gate
 # must pass a faulted multi-protocol sweep end to end. On violation the
 # command writes the minimized event-window trace to $(ORACLE_TRACE),
 # which CI uploads as the failure artifact.

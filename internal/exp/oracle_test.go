@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,6 +77,34 @@ func TestOracleResilienceReportScale(t *testing.T) {
 	r.Run()
 	for i, res := range r.Results {
 		failViolations(t, r.RowLabel(i/len(r.Points))+"/"+res.Protocol.String(), res)
+	}
+}
+
+// TestOracleRepairClippedAtMaxSent is the reproduction grid of the
+// repacketized-repair finding: plain TCP at N = 8 and 20, seeds 1-5,
+// RTOmin 10ms, 30 rounds, no warm-up, where a round's short tail segment
+// is lost and the next round's Send appends bytes before the repair goes
+// out. A sender that re-cut the repair to a full MSS against the grown
+// stream sent bytes beyond anything ever transmitted, and the oracle's
+// retrans-legality rule caught it on 8 of the 10 points (N=8 seeds 1-4: 5,
+// 3, 3 and 2 violations; N=20 seeds 2-5: 4, 2, 3 and 6). Every point must
+// run oracle-clean: a repair ends at the highest byte ever sent.
+func TestOracleRepairClippedAtMaxSent(t *testing.T) {
+	for _, flows := range []int{8, 20} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			o := DefaultIncastOptions(ProtoTCP, flows)
+			o.Testbed.Seed = seed
+			o.RTOMin = 10 * sim.Millisecond
+			o.Rounds = 30
+			o.WarmupRounds = 0
+			o.Oracle = true
+			res := RunIncast(o)
+			label := fmt.Sprintf("tcp N=%d seed %d", flows, seed)
+			failViolations(t, label, res)
+			if res.Timeouts == 0 {
+				t.Errorf("%s: no RTO fired; the point no longer exercises repair", label)
+			}
+		}
 	}
 }
 

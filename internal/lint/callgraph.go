@@ -32,7 +32,7 @@ import (
 //     OnComplete style hooks — are NOT expanded. This is the documented
 //     hole in the approximation: observability hooks are allowed to
 //     allocate, and the functions those callbacks invoke are annotated as
-//     hot roots themselves (Port.transmitDone, Link.deliver, Sender.onRTO),
+//     hot roots themselves (Port.wake, Link.deliver, Sender.onRTO),
 //     so the per-packet machinery stays covered.
 //
 // Hot roots are declared in source with a "//hot:path" line in a function's

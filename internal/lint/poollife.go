@@ -4,7 +4,7 @@ package lint
 // site (a //state: mint function such as packet.Pool.Get or
 // netsim.Host.AllocPacket) must reach exactly one release — a //state:
 // kill call (Pool.Put), an ownership transfer into a //state: xfer
-// parameter (Host.Send, Port.Enqueue, Link.Propagate), or a sanctioned
+// parameter (Host.Send, Port.Enqueue, Link.transmit), or a sanctioned
 // escape inside a //state: sink function (the Port ring slots). On top of
 // the shared typestate interpreter (typestate.go) it reports:
 //

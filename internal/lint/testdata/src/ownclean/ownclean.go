@@ -23,13 +23,12 @@ func RoundTrip(h *netsim.Host, pool *packet.Pool, cond bool) {
 	}
 }
 
-// Forward walks a packet through each stage of the Port -> Link -> Host
-// chain; every stage takes ownership.
-func Forward(port *netsim.Port, link *netsim.Link, host *netsim.Host, pool *packet.Pool) {
+// Forward hands a packet to each exported stage of the Port -> Link -> Host
+// chain (the link's entry point is internal to netsim, reached only through
+// the port); every stage takes ownership.
+func Forward(port *netsim.Port, host *netsim.Host, pool *packet.Pool) {
 	a := pool.Get()
 	port.Enqueue(a)
-	b := pool.Get()
-	link.Propagate(b)
 	c := pool.Get()
 	host.Deliver(c)
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"dctcpplus/internal/packet"
@@ -8,7 +9,7 @@ import (
 )
 
 // TestLinkBlackhole pins the blackout primitive: while a link is down,
-// every packet handed to Propagate is destroyed and counted; after the
+// every packet that starts onto it is destroyed and counted; after the
 // link comes back up, traffic flows again. Packets destroyed while down
 // appear in the conservation ledger as blackholed.
 func TestLinkBlackhole(t *testing.T) {
@@ -47,6 +48,44 @@ func TestLinkBlackhole(t *testing.T) {
 	}
 	if got := link.Blackholed(); got != 5 {
 		t.Fatalf("blackholed grew to %d after restore, want 5", got)
+	}
+}
+
+// TestLinkFateDecidedAtSerializationStart pins when a fault edit takes hold
+// on a packet: as it starts serializing. Two back-to-back packets start at
+// 0 and 12us on a 1Gbps, 10us link, and each edit lands at 6us, while the
+// first is still on the wire: the first keeps the fate it started with and
+// the second takes the new one.
+func TestLinkFateDecidedAtSerializationStart(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		edit             func(*Link)
+		arrivals         []sim.Time // of the packets that deliver
+		blackholed, lost int64
+	}{
+		{"down", func(l *Link) { l.SetDown(true) }, []sim.Time{22000}, 1, 0},
+		{"loss", func(l *Link) { l.SetLoss(1, 9) }, []sim.Time{22000}, 0, 1},
+		{"delay", func(l *Link) { l.SetDelay(30 * sim.Microsecond) }, []sim.Time{22000, 54000}, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, pool, port, dst := benchPath(t)
+			link := port.Link()
+			var arrivals []sim.Time
+			dst.OnDeliver = func(*packet.Packet) { arrivals = append(arrivals, s.Now()) }
+			for i := 0; i < 2; i++ {
+				pkt := pool.Get()
+				fill(pkt, dst, int64(i)*packet.MSS)
+				port.Enqueue(pkt)
+			}
+			s.At(6000, func() { tc.edit(link) })
+			s.Run()
+			if !slices.Equal(arrivals, tc.arrivals) {
+				t.Errorf("arrivals %v, want %v", arrivals, tc.arrivals)
+			}
+			if link.Blackholed() != tc.blackholed || link.Lost() != tc.lost {
+				t.Errorf("blackholed %d, lost %d; want %d, %d", link.Blackholed(), link.Lost(), tc.blackholed, tc.lost)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,11 @@
 // The model matches the paper's testbed (§III): NetFPGA-style GbE switches
 // with a static 128KB buffer per port and K=32KB, 1Gbps host links, and a
 // canonical 2-tier tree topology.
+//
+// Each hop is one scheduler event: when a port starts serializing a packet,
+// its link schedules the packet's arrival at start + serialization +
+// propagation, and the packet's wire fate (blackout, injected loss,
+// propagation delay) is fixed at that start.
 package netsim
 
 import (
@@ -31,9 +36,11 @@ type Node interface {
 const maxHops = 32
 
 // Link is a unidirectional point-to-point channel with a transmission rate
-// and a fixed propagation delay. Serialization is modeled by the Port that
-// feeds the link; the link itself only adds propagation latency, so
-// back-to-back packets may be "in flight" simultaneously (as on real wire).
+// and a fixed propagation delay. The Port that feeds the link paces packets
+// onto it one serialization time apart; the link takes each packet as it
+// starts serializing and schedules its arrival after that serialization time
+// plus the propagation delay, so back-to-back packets may be "in flight"
+// simultaneously (as on real wire).
 type Link struct {
 	sched *sim.Scheduler
 	dst   Node
@@ -50,9 +57,9 @@ type Link struct {
 	lost      int64
 	lostBytes int64
 
-	// Fault injection (SetDown): while the link is down every packet
-	// handed to Propagate is blackholed — the internal/fault blackout
-	// primitive.
+	// Fault injection (SetDown): while the link is down every packet that
+	// starts serializing onto it is blackholed — the internal/fault
+	// blackout primitive.
 	down            bool
 	blackholed      int64
 	blackholedBytes int64
@@ -103,8 +110,10 @@ func (l *Link) SerializationDelay(bytes int) sim.Duration {
 }
 
 // SetLoss enables independent random packet loss on the link at the given
-// rate in [0, 1], drawn from a stream seeded with seed. Used for fault
-// injection; production topologies leave it at zero.
+// rate in [0, 1], drawn from a stream seeded with seed. The draw is made as
+// a packet starts serializing, so the rate applies to packets that start
+// after the call; one already on the wire keeps the fate it started with.
+// Used for fault injection; production topologies leave it at zero.
 func (l *Link) SetLoss(rate float64, seed uint64) {
 	if rate < 0 || rate > 1 {
 		panic("netsim: loss rate out of [0,1]")
@@ -119,10 +128,13 @@ func (l *Link) Lost() int64 { return l.lost }
 // LostBytes returns the bytes dropped by injected random loss.
 func (l *Link) LostBytes() int64 { return l.lostBytes }
 
-// SetDown raises or clears a link blackout. While down, every packet
-// handed to Propagate is blackholed (counted, then recycled); packets
-// already in flight on the wire still deliver. Used by internal/fault for
-// deterministic link-failure windows.
+// SetDown raises or clears a link blackout. While down, every packet that
+// starts serializing onto the link is blackholed (counted, then recycled);
+// packets that started before the call, still serializing or propagating,
+// deliver. A blackout window therefore acts on the packets that start
+// inside it, which shifts its edges by at most one serialization time
+// against the instants the packets finish (12 µs for a 1,500 B frame at
+// 1 Gbps). Used by internal/fault for deterministic link-failure windows.
 func (l *Link) SetDown(down bool) { l.down = down }
 
 // IsDown reports whether the link is currently blacked out.
@@ -135,8 +147,9 @@ func (l *Link) Blackholed() int64 { return l.blackholed }
 func (l *Link) BlackholedBytes() int64 { return l.blackholedBytes }
 
 // SetRate changes the transmission rate mid-run (fault injection: link
-// degradation). The port reads the rate at each serialization, so the new
-// rate applies from the next packet clocked out.
+// degradation). The port reads the rate as each packet starts serializing,
+// so the new rate applies from the next packet to start; the one on the
+// wire finishes, and arrives, at the rate it started with.
 func (l *Link) SetRate(rateBps int64) {
 	if rateBps <= 0 {
 		panic("netsim: link rate must be positive")
@@ -145,9 +158,10 @@ func (l *Link) SetRate(rateBps int64) {
 }
 
 // SetDelay changes the propagation delay mid-run (fault injection: path
-// rerouting / delay jitter). Packets already propagating keep the delay
-// they departed with; later packets may therefore arrive out of order,
-// exactly as on a real reroute.
+// rerouting / delay jitter). It applies to packets that start serializing
+// after the call; packets already on the wire keep the delay they started
+// with, so later packets may arrive out of order, exactly as on a real
+// reroute.
 func (l *Link) SetDelay(d sim.Duration) {
 	if d < 0 {
 		panic("netsim: negative link delay")
@@ -155,14 +169,15 @@ func (l *Link) SetDelay(d sim.Duration) {
 	l.Delay = d
 }
 
-// Propagate schedules delivery of pkt at the destination after the
-// propagation delay. The caller is responsible for having accounted for
-// serialization time (the Port does this). The link consumes the packet
-// on every path: blackholed and lost packets go back to the pool, the
-// rest ride the delivery event to the destination node.
+// transmit takes pkt as it starts serializing onto the wire, which it
+// occupies for ser, and decides its fate now: a packet started while the
+// link is down is blackholed, one the injected loss picks is lost, and the
+// rest ride the one delivery event, at the destination after ser plus the
+// current propagation delay. The link consumes the packet on every path:
+// blackholed and lost packets go back to the pool.
 //
 // state: xfer pkt
-func (l *Link) Propagate(pkt *packet.Packet) {
+func (l *Link) transmit(pkt *packet.Packet, ser sim.Duration) {
 	if pkt.Hop() > maxHops {
 		panic(fmt.Sprintf("netsim: packet exceeded %d hops (routing loop?): %v", maxHops, pkt))
 	}
@@ -179,12 +194,12 @@ func (l *Link) Propagate(pkt *packet.Packet) {
 		return
 	}
 	// Arg-carrying schedule with the once-bound deliverFn: several packets
-	// can be propagating on the same link concurrently, and none of them
-	// costs a closure.
-	l.sched.AfterArg(l.Delay, l.deliverFn, pkt)
+	// can be on the same link concurrently, and none of them costs a
+	// closure.
+	l.sched.AfterArg(ser+l.Delay, l.deliverFn, pkt)
 }
 
-// deliver hands a propagated packet to the destination node. It runs as a
+// deliver hands an arriving packet to the destination node. It runs as a
 // scheduler callback — invisible to the static call graph — so it is a hot
 // root itself; everything per-packet downstream (switch forwarding, host
 // demux, TCP ACK processing, congestion control) inherits the budget from

@@ -93,6 +93,12 @@ func DefaultPortConfig() PortConfig {
 // Port is an output-queued switch/host port: a byte-limited FIFO drained at
 // the attached link's rate. ECN marking happens on enqueue against the
 // instantaneous queue occupancy, exactly the DCTCP switch rule.
+//
+// A hop costs one scheduler event. A packet leaves the queue when it starts
+// serializing, and the link schedules its delivery for then. The port only
+// remembers when the wire frees (busyUntil). It arms a wake-up for that
+// instant only while a packet is waiting behind the one on the wire, so a
+// packet that finds the port idle costs its delivery and nothing else.
 type Port struct {
 	sched *sim.Scheduler
 	link  *Link
@@ -109,11 +115,15 @@ type Port struct {
 	// arrival that would push it past the static buffer.
 	//inv: 0 <= qBytes && qBytes <= cfg.BufferBytes
 	qBytes int
-	busy   bool
-	paused bool // fault injection: frozen serialization (host stall)
-	rng    *sim.RNG
-	pool   *packet.Pool // optional packet freelist; nil = pooling off
-	txFn   func(any)    // transmitDone, bound once at construction
+	// busyUntil is when the packet last started finishes serializing; the
+	// next one may start no earlier. waking is set while the wake-up for
+	// that instant is scheduled.
+	busyUntil sim.Time
+	waking    bool
+	paused    bool // fault injection: frozen serialization (host stall)
+	rng       *sim.RNG
+	pool      *packet.Pool // optional packet freelist; nil = pooling off
+	wakeFn    func(any)    // wake, bound once at construction
 
 	// Phantom queue state (MarkPhantomQueue).
 	vqBytes  float64
@@ -139,7 +149,7 @@ type Port struct {
 func NewPort(sched *sim.Scheduler, link *Link, cfg PortConfig) *Port {
 	cfg.validate()
 	p := &Port{sched: sched, link: link, cfg: cfg, rng: sim.NewRNG(cfg.Seed ^ 0x9047)}
-	p.txFn = p.transmitDone
+	p.wakeFn = p.wake
 	return p
 }
 
@@ -171,7 +181,7 @@ func (cfg PortConfig) validate() {
 // fault edits — ready for the next run on a reset scheduler: the queue
 // emptied (its packets back to the pool, the ring's capacity kept), the RED
 // stream reseeded, the phantom queue, stats, hooks and telemetry
-// instruments cleared. The wiring, the pool and the once-bound transmit
+// instruments cleared. The wiring, the pool and the once-bound wake-up
 // callback are kept; the link it feeds has its own Reset.
 func (p *Port) Reset(cfg PortConfig) {
 	cfg.validate()
@@ -183,11 +193,11 @@ func (p *Port) Reset(cfg PortConfig) {
 		rng: p.rng,
 
 		// The keep-list.
-		sched: p.sched,
-		link:  p.link,
-		q:     p.q,
-		pool:  p.pool,
-		txFn:  p.txFn,
+		sched:  p.sched,
+		link:   p.link,
+		q:      p.q,
+		pool:   p.pool,
+		wakeFn: p.wakeFn,
 	}
 	p.rng.Reseed(cfg.Seed ^ 0x9047)
 }
@@ -336,13 +346,11 @@ func (p *Port) SetMarkThreshold(n int) {
 // host-stall primitive (a GC-pause-style sender freeze).
 func (p *Port) Pause() { p.paused = true }
 
-// Resume unfreezes a paused port and, if the queue is nonempty and no
-// packet is mid-serialization, restarts transmission.
+// Resume unfreezes a paused port and restarts transmission: at once if no
+// packet is mid-serialization, else as soon as that packet finishes.
 func (p *Port) Resume() {
 	p.paused = false
-	if !p.busy && p.qLen > 0 {
-		p.transmitNext()
-	}
+	p.kick()
 }
 
 // Enqueue accepts a packet for transmission. If the static buffer cannot
@@ -391,20 +399,47 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 	if p.OnQueueChange != nil {
 		p.OnQueueChange(p.sched.Now(), p.qBytes)
 	}
-	if !p.busy {
-		p.transmitNext()
-	}
+	p.kick()
 }
 
-// transmitNext clocks the head-of-line packet onto the link, holding the
-// port busy for its serialization time, then hands it to the link for
-// propagation and continues with the next queued packet.
-func (p *Port) transmitNext() {
-	if p.qLen == 0 || p.paused {
-		p.busy = false
+// kick starts the head-of-line packet as soon as the port may: now if the
+// wire is free, else at busyUntil through the wake-up. It does nothing while
+// paused, with an empty queue, or with the wake-up already scheduled — the
+// wake-up then starts the head itself.
+func (p *Port) kick() {
+	if p.paused || p.qLen == 0 || p.waking {
 		return
 	}
-	p.busy = true
+	if p.sched.Now() < p.busyUntil {
+		p.armWake()
+		return
+	}
+	p.transmitNext()
+}
+
+// armWake schedules the wake-up at busyUntil. The arg-carrying schedule with
+// the once-bound wakeFn creates no closure on the per-packet path.
+func (p *Port) armWake() {
+	p.waking = true
+	p.sched.AtArg(p.busyUntil, p.wakeFn, nil)
+}
+
+// wake fires when the wire frees while a packet is waiting, and starts the
+// head of the queue (unless a Pause came in between). It runs as a scheduler
+// callback, which the call graph cannot see through — so it is a hot root in
+// its own right.
+//
+//hot:path
+func (p *Port) wake(any) {
+	p.waking = false
+	p.kick()
+}
+
+// transmitNext clocks the head-of-line packet onto the link: it leaves the
+// queue now, the link schedules its arrival at the far end in the same step,
+// and the port stays busy for its serialization time. If more packets wait,
+// the wake-up at busyUntil starts the next one.
+func (p *Port) transmitNext() {
 	pkt := p.pop()
 	size := pkt.Size()
 	p.qBytes -= size
@@ -417,18 +452,10 @@ func (p *Port) transmitNext() {
 	if p.OnTransmit != nil {
 		p.OnTransmit(pkt)
 	}
-	// Arg-carrying schedule with the once-bound txFn: the per-packet path
-	// creates no closure (a fresh closure capturing pkt would allocate).
-	p.sched.AfterArg(p.link.SerializationDelay(size), p.txFn, pkt)
-}
-
-// transmitDone fires when the head-of-line packet finishes serializing:
-// hand it to the link for propagation and start on the next packet. It runs
-// as a scheduler callback, which the call graph cannot see through — so it
-// is a hot root in its own right.
-//
-//hot:path
-func (p *Port) transmitDone(arg any) {
-	p.link.Propagate(arg.(*packet.Packet))
-	p.transmitNext()
+	ser := p.link.SerializationDelay(size)
+	p.busyUntil = p.sched.Now().Add(ser)
+	p.link.transmit(pkt, ser)
+	if p.qLen > 0 {
+		p.armWake()
+	}
 }

@@ -94,6 +94,65 @@ func TestPortSerializesBackToBack(t *testing.T) {
 			t.Errorf("arrival[%d] = %v, want %v", i, sink.when[i], want)
 		}
 	}
+
+	// A second burst of four at 36us, paused while the first is on the wire
+	// and resumed at 86us, with the rate halved at 106us while the third is
+	// on the wire. The pause holds the queue behind the packet it cannot
+	// un-transmit, Resume restarts at once (the wire is long free), and the
+	// rate applies from the next packet to start: the third arrives at the
+	// rate it started with, the fourth takes 24us.
+	sink.got, sink.when = nil, nil
+	base := s.Now()
+	for i := 0; i < 4; i++ {
+		p.Enqueue(dataPkt(1460, packet.ECT))
+	}
+	s.At(base.Add(6*sim.Microsecond), p.Pause)
+	s.At(base.Add(50*sim.Microsecond), p.Resume)
+	s.At(base.Add(70*sim.Microsecond), func() { p.Link().SetRate(500_000_000) })
+	s.Run()
+	if len(sink.got) != 4 {
+		t.Fatalf("second burst delivered %d, want 4", len(sink.got))
+	}
+	for i, us := range []int64{12, 62, 74, 98} {
+		if want := base.Add(sim.Duration(us) * sim.Microsecond); sink.when[i] != want {
+			t.Errorf("second burst arrival[%d] = %v, want %v", i, sink.when[i], want)
+		}
+	}
+}
+
+// TestOneEventPerHop pins a hop's scheduler cost: a packet that finds its
+// port idle costs one event, its delivery, scheduled as it starts
+// serializing. A back-to-back burst of k costs 2k-1: k deliveries plus the
+// k-1 wake-ups that start each waiting packet as the wire frees. Packet i
+// of a burst arrives at (i+1)·serialization + propagation, the instants of
+// a port that scheduled its tx-complete and the link's delivery apart.
+func TestOneEventPerHop(t *testing.T) {
+	s, pool, port, dst := benchPath(t)
+	link := port.Link()
+	ser := link.SerializationDelay(packet.MSS + packet.HeaderBytes)
+	var arrivals []sim.Time
+	dst.OnDeliver = func(*packet.Packet) { arrivals = append(arrivals, s.Now()) }
+	for _, k := range []int{1, 2, 8} {
+		arrivals = arrivals[:0]
+		start, fired := s.Now(), s.Fired()
+		for i := 0; i < k; i++ {
+			pkt := pool.Get()
+			fill(pkt, dst, int64(i)*packet.MSS)
+			port.Enqueue(pkt)
+		}
+		s.Run()
+		if got, want := s.Fired()-fired, uint64(2*k-1); got != want {
+			t.Errorf("burst of %d fired %d events, want %d", k, got, want)
+		}
+		if len(arrivals) != k {
+			t.Fatalf("burst of %d delivered %d", k, len(arrivals))
+		}
+		for i, at := range arrivals {
+			if want := start.Add(sim.Duration(i+1)*ser + link.Delay); at != want {
+				t.Errorf("burst of %d: arrival[%d] at %v, want %v", k, i, at, want)
+			}
+		}
+	}
 }
 
 func TestPortTailDrop(t *testing.T) {

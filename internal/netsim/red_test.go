@@ -110,7 +110,7 @@ func TestLinkLossInjection(t *testing.T) {
 	link.SetLoss(0.5, 3)
 	const n = 10000
 	for i := 0; i < n; i++ {
-		link.Propagate(&packet.Packet{Dst: 99})
+		link.transmit(&packet.Packet{Dst: 99}, 0)
 	}
 	s.Run()
 	delivered := len(sink.got)
@@ -139,7 +139,7 @@ func TestLinkLossZeroIsTransparent(t *testing.T) {
 	sink := &sinkNode{id: 99, s: s}
 	link := NewLink(s, sink, 1e9, 0)
 	for i := 0; i < 100; i++ {
-		link.Propagate(&packet.Packet{Dst: 99})
+		link.transmit(&packet.Packet{Dst: 99}, 0)
 	}
 	s.Run()
 	if len(sink.got) != 100 || link.Lost() != 0 {

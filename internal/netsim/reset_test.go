@@ -13,7 +13,7 @@ import (
 // run — wiring, the packet pool, once-bound callbacks, ring capacity.
 // Everything else must come out of Reset exactly as a fresh build has it.
 var (
-	portKeeps = []string{"sched", "link", "q", "pool", "txFn"}
+	portKeeps = []string{"sched", "link", "q", "pool", "wakeFn"}
 	linkKeeps = []string{"sched", "dst", "pool", "deliverFn"}
 	hostKeeps = []string{"sched", "uplink", "pool"}
 )

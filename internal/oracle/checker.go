@@ -83,7 +83,7 @@ func (c *Checker) AttachConn(conn *tcp.Conn) {
 	}
 	prevTO := snd.OnTimeoutEvent
 	snd.OnTimeoutEvent = func(kind tcp.TimeoutKind) {
-		fs.onRTO(snd)
+		fs.onRTO()
 		if prevTO != nil {
 			prevTO(kind)
 		}

@@ -175,9 +175,34 @@ func TestRetransLegalityRTOCoversQueuedFrontier(t *testing.T) {
 
 	// Timeout before anything serialized: the grant must cover the
 	// pre-rewind frontier, so the queued window's go-back-N copy is clean.
-	fs.onRTO(conn.Sender)
+	fs.onRTO()
 	fs.onDataSent(dataPkt(0, int(nxt), true, false))
 	requireClean(t, ck)
+}
+
+// TestRetransLegalityDupackCoversQueuedFrontier is the fast-retransmit twin
+// of the test above: a dupack-threshold crossing while the window still sits
+// in the uplink queue sets the NewReno recovery point at the engine's
+// snd_nxt, and the episode's partial-ACK repairs up to it are legal. A
+// repair past the engine's frontier is still flagged.
+func TestRetransLegalityDupackCoversQueuedFrontier(t *testing.T) {
+	sched := sim.NewScheduler()
+	star := netsim.NewStar(sched, 2, netsim.DefaultTopologyConfig())
+	ck := NewChecker(sched)
+	conn := tcp.NewConn(tcp.DefaultConfig(), tcp.NewReno{}, star.Hosts[0], star.Hosts[1], 7)
+	ck.AttachConn(conn)
+	fs := ck.flows[7]
+
+	conn.Sender.Send(64 * packet.MSS)
+	nxt := conn.Sender.SndNxt()
+	for i := 0; i < fs.cfg.DupThresh; i++ {
+		fs.onAckDeliver(ackPkt(0, false))
+	}
+	fs.onDataSent(dataPkt(nxt-packet.MSS, packet.MSS, true, false))
+	requireClean(t, ck)
+
+	fs.onDataSent(dataPkt(nxt, packet.MSS, true, false))
+	requireViolation(t, ck, "retrans-legality", "no dupack threshold or RTO")
 }
 
 func TestAckMonotonicity(t *testing.T) {

@@ -29,6 +29,7 @@ type flowState struct {
 	c    *Checker
 	flow packet.FlowID
 	cfg  tcp.Config
+	snd  *tcp.Sender // read for its send frontier when permission is granted
 
 	plus    *core.Enhancer // nil unless the flow runs the DCTCP+ enhancer
 	plusCfg core.Config
@@ -77,7 +78,7 @@ type flowState struct {
 }
 
 func newFlowState(c *Checker, flow packet.FlowID, snd *tcp.Sender) *flowState {
-	fs := &flowState{c: c, flow: flow, cfg: snd.Config()}
+	fs := &flowState{c: c, flow: flow, cfg: snd.Config(), snd: snd}
 	cc := snd.CC()
 	if e := enhancerOf(cc); e != nil {
 		fs.plus = e
@@ -132,7 +133,9 @@ func (fs *flowState) onDataSent(pkt *packet.Packet) {
 // retransmission-permission envelope: cumulative advances reset the dupack
 // run; repeats of the current cumulative point count toward the fast-
 // retransmit threshold, which grants permission up to the current send
-// frontier (the NewReno recovery point is at most that).
+// frontier. The hook fires before the engine processes the ACK, so the
+// engine's snd_nxt here is the NewReno recovery point (RFC 6582) the
+// crossing sets: every partial-ACK repair of the episode lies below it.
 func (fs *flowState) onAckDeliver(pkt *packet.Packet) {
 	now := fs.c.sched.Now()
 	fs.c.record(Event{At: now, Kind: EvAckDeliver, Flow: fs.flow,
@@ -143,10 +146,20 @@ func (fs *flowState) onAckDeliver(pkt *packet.Packet) {
 		fs.dupacks = 0
 	case pkt.AckNo == fs.modelSndUna:
 		fs.dupacks++
-		if fs.dupacks >= int64(fs.cfg.DupThresh) && fs.maxSentEnd > fs.permittedEnd {
-			fs.permittedEnd = fs.maxSentEnd
+		if fs.dupacks >= int64(fs.cfg.DupThresh) {
+			fs.grant(fs.snd.SndNxt())
 		}
 	}
+}
+
+// grant extends retransmission permission to the engine's send frontier
+// nxt or the wire-observed one, whichever is further. The engine's frontier
+// can run ahead of the wire's: transmitted segments may still sit
+// unserialized in the sender host's uplink queue (the kernel-TCP analogue
+// is data in the qdisc), and a repair of them is as legal as of any other
+// sent byte.
+func (fs *flowState) grant(nxt int64) {
+	fs.permittedEnd = max(fs.permittedEnd, nxt, fs.maxSentEnd)
 }
 
 // onDataDeliver feeds the receiver echo model with the segment's final
@@ -327,7 +340,8 @@ func (fs *flowState) dropBelow(ackNo int64) {
 // rewound frontier, and invalidates any pending fresh-send evidence.
 // The hook fires before the engine rewinds snd_nxt, so snd still reports
 // the pre-rewind frontier here.
-func (fs *flowState) onRTO(snd *tcp.Sender) {
+func (fs *flowState) onRTO() {
+	snd := fs.snd
 	now := fs.c.sched.Now()
 	una := snd.SndUna() // unchanged by the rewind (only snd_nxt rewinds)
 	fs.c.record(Event{At: now, Kind: EvRTO, Flow: fs.flow,
@@ -335,17 +349,8 @@ func (fs *flowState) onRTO(snd *tcp.Sender) {
 	fs.rtoCount++
 	fs.freshEnd = 0
 	// Go-back-N legally retransmits everything below the pre-rewind
-	// snd_nxt. That frontier can run ahead of the wire-observed one: the
-	// timer may fire while transmitted segments still sit unserialized in
-	// the sender host's uplink queue (the kernel-TCP analogue is an RTO
-	// firing with data in the qdisc), so the grant must extend to the
-	// engine's frontier, not just maxSentEnd.
-	if nxt := snd.SndNxt(); nxt > fs.permittedEnd {
-		fs.permittedEnd = nxt
-	}
-	if fs.maxSentEnd > fs.permittedEnd {
-		fs.permittedEnd = fs.maxSentEnd
-	}
+	// snd_nxt, which the timer may find still queued at the uplink.
+	fs.grant(snd.SndNxt())
 	// The estimator re-anchors windowEnd at the rewound snd_nxt == snd_una
 	// and clears its accumulators (the PR 4 contract — the D2TCP module
 	// originally swallowed this hook, which this model's overdue rule

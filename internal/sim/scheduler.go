@@ -55,9 +55,9 @@ func (e *Event) before(o *Event) bool {
 // callback, which may schedule further events.
 //
 // The event queue is two binary heaps, each ordered by (when, seq). An
-// event due less than horizon after the instant it is scheduled — a port's
-// serialization completion, a link's propagation delivery: nine events in
-// ten — goes into near; everything else — the RTO timer every flow keeps
+// event due less than horizon after the instant it is scheduled — a link's
+// packet delivery, a port's wake-up: three events in four or more — goes
+// into near; everything else — the RTO timer every flow keeps
 // parked 200 ms out, pacing gates, pre-scheduled arrivals — into far. With
 // thousands of flows far is thousands deep and near holds the dozen packets
 // in flight, so the per-packet schedule/fire cycle sifts through a heap of
@@ -180,8 +180,8 @@ func (s *Scheduler) After(d Duration, fn func()) *Event {
 }
 
 // AtArg schedules fn(arg) to run at time t. Binding the argument in the
-// event instead of a closure lets per-packet callers (the port's
-// serialization completion, the link's propagation delivery) schedule with
+// event instead of a closure lets per-packet callers (the link's packet
+// delivery, the port's wake-up for its next packet) schedule with
 // a callback constructed once at wiring time: passing a pointer through
 // arg does not allocate, while capturing it in a fresh closure would.
 //

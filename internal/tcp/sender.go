@@ -340,13 +340,13 @@ func (s *Sender) pump() {
 		switch {
 		case s.rtxPending:
 			seq = s.sndUna
-			payload = s.segSize(seq)
-			hole = true
-			if payload == 0 {
-				// Everything is acknowledged; stale flag.
+			if seq >= s.maxSent {
+				// Everything sent is acknowledged; stale flag.
 				s.rtxPending = false
 				continue
 			}
+			payload = s.segSize(seq)
+			hole = true
 		case s.sndNxt < s.totalBytes:
 			seq = s.sndNxt
 			payload = s.segSize(seq)
@@ -404,9 +404,17 @@ func (s *Sender) pump() {
 	}
 }
 
-// segSize returns the payload length of the segment starting at seq.
+// segSize returns the payload length of the segment starting at seq: at
+// most one MSS, cut at totalBytes. A repair — a segment starting below
+// maxSent — is cut at maxSent instead, as an skb-based stack resends the
+// segment it sent: bytes Send appended since are new data, never glued onto
+// a retransmission.
 func (s *Sender) segSize(seq int64) int {
-	rem := s.totalBytes - seq
+	end := s.totalBytes
+	if seq < s.maxSent {
+		end = s.maxSent
+	}
+	rem := end - seq
 	if rem <= 0 {
 		return 0
 	}

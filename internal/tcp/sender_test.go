@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -383,6 +384,87 @@ func TestKarnNoRTTSampleFromRetransmit(t *testing.T) {
 	}
 	if srtt > 5*sim.Millisecond {
 		t.Errorf("SRTT = %v: retransmitted segment appears to have been sampled", srtt)
+	}
+}
+
+// TestRepairClippedAtMaxSent: a round's short tail segment is lost, an RTO
+// rewinds the sender, and the next round's Send appends bytes before the
+// go-back-N repair reaches the tail. The repair resends the tail as it was
+// sent — its 500 bytes, not a full MSS re-cut against the grown stream —
+// marked Retransmit, so the ACK that covers only the repair takes no RTT
+// sample and leaves the RTO backoff in place (Karn).
+func TestRepairClippedAtMaxSent(t *testing.T) {
+	w := newWire(t)
+	cfg := DefaultConfig()
+	cfg.InitialCwnd = 10
+	cfg.DelAckCount = 1
+	cfg.RTOMin = 10 * sim.Millisecond
+	cfg.RTOInit = 10 * sim.Millisecond
+	c := w.conn(cfg, NewReno{})
+	const tail = 500
+	tailSeq := int64(2 * packet.MSS)
+	round := tailSeq + tail
+	// Lose the head, so the middle segment raises a single dupack and only
+	// the RTO recovers, and the short tail.
+	w.filter.drop = dropSeqOnce(0, tailSeq)
+	var repairs []packet.Packet
+	w.filter.mangle = func(p *packet.Packet) {
+		if p.IsData() && p.Seq == tailSeq && p.Retransmit {
+			repairs = append(repairs, *p)
+		}
+	}
+	backoffAtRound := -1
+	c.Sender.OnAckProbe = func(s *Sender, _ bool) {
+		if s.SndUna() == round {
+			backoffAtRound = int(s.RTOBackoff())
+		}
+	}
+	c.Sender.Send(round)
+	for w.sched.Step() && c.Sender.Stats().Timeouts == 0 {
+	}
+	// The RTO has resent the head with a 1-MSS window; the next round's
+	// bytes arrive before its ACK opens the window for the tail's repair.
+	c.Sender.Send(10 * packet.MSS)
+	w.sched.Run()
+
+	if !c.Sender.Done() {
+		t.Fatal("transfer did not complete")
+	}
+	if len(repairs) != 1 {
+		t.Fatalf("tail repaired %d times, want once", len(repairs))
+	}
+	if got := repairs[0].Payload; got != tail {
+		t.Errorf("tail repair carries %d bytes, want the tail's %d: a repair ends at the highest byte sent", got, tail)
+	}
+	if backoffAtRound != 1 {
+		t.Errorf("RTO backoff %d once the repair was acknowledged, want 1: an ACK of retransmitted data takes no RTT sample", backoffAtRound)
+	}
+	if c.Sender.RTOBackoff() != 0 {
+		t.Errorf("backoff %d after fresh data was acknowledged, want 0", c.Sender.RTOBackoff())
+	}
+}
+
+// TestStaleRepairFlagSendsNoDuplicate: a repair still pending once
+// everything sent is acknowledged — a pacing gate held a partial ACK's
+// repair until the full ACK arrived — repairs nothing. The bytes Send
+// appends from maxSent on are new data and go out once, not first as a
+// "repair" and then again as new.
+func TestStaleRepairFlagSendsNoDuplicate(t *testing.T) {
+	w := newWire(t)
+	c := w.conn(DefaultConfig(), NewReno{})
+	var seqs []int64
+	w.a.Uplink().OnTransmit = func(p *packet.Packet) {
+		if p.IsData() {
+			seqs = append(seqs, p.Seq)
+		}
+	}
+	c.Sender.Send(packet.MSS)
+	w.sched.Run()
+	c.Sender.rtxPending = true
+	c.Sender.Send(packet.MSS)
+	w.sched.Run()
+	if want := []int64{0, packet.MSS}; !slices.Equal(seqs, want) {
+		t.Errorf("segments sent at %v, want %v", seqs, want)
 	}
 }
 
