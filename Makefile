@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fmt-check lint typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke figures-smoke report-smoke clean
+.PHONY: all build vet test race fmt-check lint typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke clean
 
 all: check
 
@@ -51,7 +51,7 @@ typestate-smoke:
 	$(GO) test -tags checkdebug ./internal/packet ./internal/workload
 	$(GO) test ./internal/packet
 
-check: build vet fmt-check lint typestate-smoke race fault-smoke sweep-smoke oracle-smoke perf-smoke figures-smoke report-smoke
+check: build vet fmt-check lint typestate-smoke race fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke
 
 # Fault-injection smoke: a full-mix faulted sweep must complete, stay
 # deterministic, conserve every packet/byte, and keep DCTCP+ no worse than
@@ -120,33 +120,17 @@ alloc-check:
 perf-smoke:
 	$(GO) run ./cmd/perf -smoke
 
-# Figure-binary smoke: cwndstat, queuestat and benchmark are shells over the
-# figure catalogue (exp.Figure) whose tests stop at validate(); run each
-# mode's main path at tiny scale and fail on a non-zero exit or a table
-# without data rows.
-figures-smoke:
-	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) build -o "$$dir/" ./cmd/cwndstat ./cmd/queuestat ./cmd/benchmark; \
-	smoke() { rows="$$1"; shift; \
-		"$$dir/$$@" >"$$dir/out.txt" || { echo "figures-smoke: $$* failed"; exit 1; }; \
-		grep -Eq "$$rows" "$$dir/out.txt" || { \
-			echo "figures-smoke: $$* printed no data rows:"; cat "$$dir/out.txt"; exit 1; }; }; \
-	smoke '^dctcp +8 \|' cwndstat -flows 8 -rounds 4 -warmup 1; \
-	smoke '^dctcp\+ +8 \|' queuestat -flows 8 -rounds 4 -warmup 1; \
-	smoke '^t= +0ms' queuestat -trace; \
-	smoke '^dctcp\+ +20 ' benchmark -queries 20 -background 20; \
-	smoke '^dctcp\+ +8 ' benchmark -incast 4,8 -rounds 4 -warmup 1; \
-	echo "figures-smoke: 5 figure-binary modes ran and printed their tables"
-
 # Battery smoke: the whole report at 4 rounds (every catalogue entry, the
 # resilience table included; about a minute per pass) must reproduce its
 # committed output byte for byte, the wall-time line aside — at -jobs 1 and
 # again at -jobs 2. Each pool worker runs its points on one reused rig, so
 # the two widths give the points different run histories: a reset that
-# leaks state from one run into the next shows up here. A behavioural
-# change shows up as a diff of cmd/report/testdata/battery_r4.golden —
-# regenerate it with the command below (-jobs 1) and review that diff like
-# code.
+# leaks state from one run into the next shows up here. A third pass runs
+# five entries alone through -only (Figs. 2, 9, 11 + 12, 13 and 14 — the
+# single-figure runs): each must print its golden block byte for byte. A
+# behavioural change shows up as a diff of
+# cmd/report/testdata/battery_r4.golden — regenerate it with the first
+# command below (-jobs 1) and review that diff like code.
 report-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/report" ./cmd/report; \
@@ -156,7 +140,19 @@ report-smoke:
 		diff cmd/report/testdata/battery_r4.golden "$$dir/battery.txt" || { \
 			echo "report-smoke: the battery's output moved at -jobs $$jobs (see the diff above)"; exit 1; }; \
 	done; \
-	echo "report-smoke: battery output byte-identical to battery_r4.golden at -jobs 1 and 2"
+	"$$dir/report" -only "figure 2,figure 9,figures 11,figure 13,figure 14" -rounds 4 -warmup 1 -seed 1 -jobs 2 \
+		| grep -v '^report completed in ' >"$$dir/only.txt"; \
+	test "$$(grep -Ec '^-+$$' "$$dir/only.txt")" -eq 5 || { \
+		echo "report-smoke: -only did not print the five sections it names:"; cat "$$dir/only.txt"; exit 1; }; \
+	awk 'NR == FNR { if ($$0 ~ /^-+$$/) want[prev] = 1; prev = $$0; next } \
+		{ line[++n] = $$0 } \
+		END { keep = 1; for (i = 1; i <= n; i++) { \
+			if (line[i] == "" && line[i+2] ~ /^-+$$/) keep = (line[i+1] in want); \
+			if (keep || i == n) print line[i] } }' \
+		"$$dir/only.txt" cmd/report/testdata/battery_r4.golden >"$$dir/want.txt"; \
+	diff "$$dir/want.txt" "$$dir/only.txt" || { \
+		echo "report-smoke: a section run through -only differs from its golden block (see the diff above)"; exit 1; }; \
+	echo "report-smoke: battery output byte-identical to battery_r4.golden at -jobs 1 and 2, and through -only"
 
 clean:
 	$(GO) clean ./...

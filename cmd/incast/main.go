@@ -71,6 +71,7 @@ func validate() error {
 		cli.ValidateJitter(*jitter),
 		cli.ValidateSweep(*jobs, *cacheDir, *resume),
 		cli.ValidateOracle(*oracle, *oracleTrace),
+		cli.ValidateOutput("-telemetry", *telOut),
 		faultErr,
 	)
 }

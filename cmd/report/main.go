@@ -2,10 +2,12 @@
 // every figure and table of the paper's evaluation, the ablations and, with
 // -faults, the resilience table — and prints a single consolidated report
 // with the paper's expectation next to each measured result. EXPERIMENTS.md
-// is generated from this tool's output.
+// is generated from this tool's output. -only runs just the entries it
+// names.
 //
-//	report              # default scale (~minutes)
-//	report -rounds 200  # closer to paper statistics (slower)
+//	report                                # default scale (~minutes)
+//	report -rounds 200                    # closer to paper statistics (slower)
+//	report -only "figure 2,figure 14"     # Fig. 2 + Table I, then Fig. 14
 package main
 
 import (
@@ -14,6 +16,7 @@ import (
 	"os"
 	"strings"
 	"time"
+	"unicode"
 	"unicode/utf8"
 
 	dcp "dctcpplus"
@@ -25,7 +28,7 @@ var (
 	warmup = flag.Int("warmup", 10, "initial rounds excluded from statistics")
 	seed   = flag.Uint64("seed", 1, "experiment seed")
 	telOut = flag.String("telemetry", "",
-		"write the battery's instrument dump to this file as JSON lines, plus a Prometheus text-format sibling (<path>.prom)")
+		"write the battery's instrument dump to this file as JSON lines")
 	baseline = flag.String("baseline", "",
 		"write the run manifest (config, seed, code version, instrument dump) to this JSON file; diffable against another run's manifest")
 	faults = flag.Bool("faults", false,
@@ -33,15 +36,66 @@ var (
 	jobs   = flag.Int("jobs", dcp.DefaultSweepWorkers(), "concurrent experiment points (workers)")
 	oracle = flag.Bool("oracle", false,
 		"run the ablation and resilience sections under the trace-conformance oracle; violations fail the report")
+	only = flag.String("only", "",
+		"run only these entries: comma-separated, case-insensitive prefixes of their titles, ending at a word boundary (\"figure 2\", \"figures 11\", \"resilience\"); a named entry runs even without -faults")
 )
 
 // validate is the usage gate (exit 2): every entry needs a measured round
-// after warmup and a runnable worker pool.
+// after warmup and a runnable worker pool, and every output file a parent
+// directory.
 func validate() error {
 	return cli.First(
 		cli.ValidateRounds(*rounds, *warmup),
 		cli.ValidateSweep(*jobs, "", false),
+		cli.ValidateOutput("-telemetry", *telOut),
+		cli.ValidateOutput("-baseline", *baseline),
 	)
+}
+
+// selectSections returns the entries of battery that only names, in
+// battery order; an empty only names them all. Each comma-separated value
+// must be a case-insensitive prefix of exactly one entry's title, ending at
+// a word boundary: "figure 1" names Figure 1, not Figure 13.
+func selectSections(battery []dcp.Section, only string) ([]dcp.Section, error) {
+	if only == "" {
+		return battery, nil
+	}
+	picked := make([]bool, len(battery))
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		var hits []int
+		for i, s := range battery {
+			if titlePrefix(s.Head().Title, name) {
+				hits = append(hits, i)
+			}
+		}
+		if len(hits) != 1 {
+			titles := make([]string, len(battery))
+			for i, s := range battery {
+				titles[i] = s.Head().Title
+			}
+			return nil, fmt.Errorf("-only %q: names %d entries, want 1; the titles are:\n  %s",
+				name, len(hits), strings.Join(titles, "\n  "))
+		}
+		picked[hits[0]] = true
+	}
+	var out []dcp.Section
+	for i, s := range battery {
+		if picked[i] {
+			out = append(out, s)
+		}
+	}
+	return out, nil
+}
+
+// titlePrefix reports whether name is a case-insensitive prefix of title
+// that ends at a word boundary. The empty name is no such prefix.
+func titlePrefix(title, name string) bool {
+	if len(name) > len(title) || !strings.EqualFold(title[:len(name)], name) {
+		return false
+	}
+	r, n := utf8.DecodeRuneInString(title[len(name):])
+	return n == 0 || !unicode.IsLetter(r) && !unicode.IsDigit(r)
 }
 
 func main() {
@@ -53,6 +107,8 @@ func main() {
 	if *telOut != "" || *baseline != "" {
 		scale.Telemetry = dcp.NewRegistry()
 	}
+	sections, err := selectSections(dcp.Battery(scale), *only)
+	cli.Usage("report", err)
 	fmt.Println("DCTCP+ reproduction report")
 	fmt.Printf("rounds=%d warmup=%d seed=%d\n", *rounds, *warmup, *seed)
 
@@ -60,8 +116,8 @@ func main() {
 	// reported as they are found and fail the report at the end, so the
 	// rest of its output is not lost.
 	var violations int64
-	for _, s := range dcp.Battery(scale) {
-		if _, ok := s.(*dcp.Resilience); ok && !*faults {
+	for _, s := range sections {
+		if _, ok := s.(*dcp.Resilience); ok && !*faults && *only == "" {
 			continue
 		}
 		if *oracle {
@@ -91,19 +147,10 @@ func main() {
 // writeTelemetry dumps the shared registry to the -telemetry and -baseline
 // outputs.
 func writeTelemetry(scale dcp.Scale, wall time.Duration) error {
-	if scale.Telemetry == nil {
-		return nil
-	}
-	snap := scale.Telemetry.Snapshot()
 	if *telOut != "" {
-		if err := cli.WriteFile(*telOut, snap.WriteJSONLines); err != nil {
+		if err := cli.WriteTelemetry(scale.Telemetry, *telOut); err != nil {
 			return err
 		}
-		if err := cli.WriteFile(*telOut+".prom", snap.WritePrometheus); err != nil {
-			return err
-		}
-		fmt.Printf("\ntelemetry: %d instruments -> %s (and %s.prom)\n",
-			len(snap.Instruments), *telOut, *telOut)
 	}
 	if *baseline != "" {
 		m := dcp.NewManifest("report", *seed)

@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	dcp "dctcpplus"
+)
 
 // The cases below drive the usage gate through the real flag variables, the
 // way main does; each test restores the flags it touched. The helpers'
@@ -51,5 +58,96 @@ func TestValidateSweepFlags(t *testing.T) {
 				t.Errorf("validate(-jobs %d) = %v, wantErr=%v", c.jobs, err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestValidateOutputFlags: an output file under a missing directory is a
+// usage error before the run, not a failure after it.
+func TestValidateOutputFlags(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no", "such", "out.json")
+	cases := []struct {
+		name string
+		flag *string
+	}{
+		{"-telemetry", telOut},
+		{"-baseline", baseline},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func(v string) { *c.flag = v }(*c.flag)
+			*c.flag = missing
+			if err := validate(); err == nil || !strings.Contains(err.Error(), c.name+" "+missing) {
+				t.Errorf("validate(%s %s) = %v, want a usage error naming the flag", c.name, missing, err)
+			}
+		})
+	}
+}
+
+// TestSelectSections runs -only's selection over the real battery: each of
+// its eleven entries is selectable by the name the docs use, a name stops at
+// a word boundary, and a value that names no entry or several is an error
+// listing every title.
+func TestSelectSections(t *testing.T) {
+	battery := dcp.Battery(dcp.Scale{Rounds: 2, Warmup: 1, Seed: 1})
+	if len(battery) != 11 {
+		t.Fatalf("Battery has %d entries, the table 11", len(battery))
+	}
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	cases := []struct {
+		only string
+		want []int // indices into battery; nil: a usage error
+	}{
+		{"", all},
+		{"figure 1", []int{0}}, // neither Figure 13 nor Figure 14
+		{"figure 2", []int{1}},
+		{"figure 6", []int{2}},
+		{"figure 7", []int{3}},
+		{"figure 8", []int{4}},
+		{"figure 9", []int{5}},
+		{"figures 11", []int{6}},
+		{"figure 13", []int{7}},
+		{"figure 14", []int{8}},
+		{"ablations", []int{9}},
+		{"resilience", []int{10}},
+		{"Figure 1:", []int{0}},
+		{" FIGURE 14 , figure 2", []int{1, 8}}, // battery order, any case, blanks trimmed
+		{"figure 9,figure 9", []int{5}},
+		{" ", nil},
+		{"figure 2,", nil},
+		{"figure", nil},    // every Figure entry
+		{"fig", nil},       // not at a word boundary
+		{"figures 1", nil}, // likewise: Figures 11 + 12 goes on with a digit
+		{"figure 3", nil},
+		{"table i", nil},
+	}
+	for _, c := range cases {
+		got, err := selectSections(battery, c.only)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("-only %q selected %d entries, want a usage error", c.only, len(got))
+				continue
+			}
+			for _, s := range battery {
+				if !strings.Contains(err.Error(), "\n  "+s.Head().Title) {
+					t.Errorf("-only %q: error does not list %q:\n%v", c.only, s.Head().Title, err)
+				}
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-only %q: %v", c.only, err)
+			continue
+		}
+		var gotIdx []int
+		for _, s := range got {
+			for i := range battery {
+				if battery[i] == s {
+					gotIdx = append(gotIdx, i)
+				}
+			}
+		}
+		if !reflect.DeepEqual(gotIdx, c.want) {
+			t.Errorf("-only %q selected entries %v, want %v", c.only, gotIdx, c.want)
+		}
 	}
 }

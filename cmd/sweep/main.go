@@ -60,6 +60,7 @@ func validate() error {
 	return cli.First(
 		cli.ValidateSweep(*jobs, *cacheDir, *resume),
 		cli.ValidateOracle(*oracle, *oracleTrace),
+		cli.ValidateOutput("-telemetry", *telOut),
 	)
 }
 

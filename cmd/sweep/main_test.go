@@ -1,6 +1,8 @@
 package main
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,5 +112,26 @@ func TestBuildSpec(t *testing.T) {
 			t.Errorf("buildSpec accepted name=%q protocols=%q flows=%q rtomin=%q seeds=%q topos=%q",
 				b.name, b.protocols, b.flows, b.rtomin, b.seeds, b.topos)
 		}
+	}
+}
+
+// TestValidateOutputFlags: an output file under a missing directory is a
+// usage error before the run, not a failure after it.
+func TestValidateOutputFlags(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no", "such", "out.json")
+	cases := []struct {
+		name string
+		flag *string
+	}{
+		{"-telemetry", telOut},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func(v string) { *c.flag = v }(*c.flag)
+			*c.flag = missing
+			if err := validate(); err == nil || !strings.Contains(err.Error(), c.name+" "+missing) {
+				t.Errorf("validate(%s %s) = %v, want a usage error naming the flag", c.name, missing, err)
+			}
+		})
 	}
 }

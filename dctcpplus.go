@@ -195,11 +195,6 @@ func RunBenchmark(o BenchmarkOptions) BenchmarkResult { return exp.RunBenchmark(
 // PrintIncastRows writes an incast curve as aligned text rows.
 func PrintIncastRows(w io.Writer, results []IncastResult) { exp.PrintIncastRows(w, results) }
 
-// PrintBenchmarkRows writes the Fig. 13 rows.
-func PrintBenchmarkRows(w io.Writer, results []BenchmarkResult) {
-	exp.PrintBenchmarkRows(w, results)
-}
-
 // EnhancementConfig parameterizes the DCTCP+ mechanism itself (backoff
 // unit, divisor, threshold, desynchronization) for ablation studies.
 type EnhancementConfig = core.Config
@@ -224,9 +219,8 @@ func JainIndex(x []float64) float64 { return stats.JainIndex(x) }
 // Observability: set IncastOptions.Telemetry (or Scale.Telemetry for the
 // figure specs) to a Registry and every hot layer of the run — switch
 // ports, senders, congestion control, workload — records its events there.
-// Snapshot the registry after the run and export it as JSON lines,
-// Prometheus text format, or a human table; see README's "Observability"
-// section.
+// Snapshot the registry after the run and export it as JSON lines; see
+// README's "Observability" section.
 type (
 	// Registry collects named, label-keyed instruments. Instruments are
 	// atomic, so one registry serves parallel sweeps; a nil *Registry is a
@@ -234,8 +228,8 @@ type (
 	Registry = telemetry.Registry
 	// MetricLabel is one key=value pair of an instrument's identity.
 	MetricLabel = telemetry.Label
-	// MetricsSnapshot is a point-in-time dump of a registry, with the
-	// exporter methods (WriteJSONLines, WritePrometheus, WriteTable).
+	// MetricsSnapshot is a point-in-time dump of a registry, exported with
+	// WriteJSONLines.
 	MetricsSnapshot = telemetry.Snapshot
 	// Manifest is the machine-readable record of one run (config, seed,
 	// code version, wall/sim time, instrument dump).
@@ -291,8 +285,8 @@ func ParseFaultClasses(s string) ([]FaultClass, error) { return fault.ParseClass
 // The evaluation as a catalogue: Battery lists every entry — the paper's
 // figures, the §V-D ablations and compositions, the resilience table — in
 // paper order. An entry is a heading, an explicit list of points and a
-// renderer: inspect or replace Points (Grid lays out a protocols x flows
-// grid from any point), Run, then Render the rows the paper reports.
+// renderer: inspect or replace Points, Run, then Render the rows the paper
+// reports. cmd/report runs the whole list, or with -only the entries named.
 type (
 	// Scale applies common run-length settings to catalogue entries.
 	Scale = exp.Scale
@@ -309,32 +303,8 @@ type (
 // Battery returns the whole evaluation in paper order at the given scale.
 func Battery(sc Scale) []Section { return exp.Battery(sc) }
 
-// Grid lays out a protocols x flowCounts grid of points, protocol-major,
-// each the template with Protocol and Flows filled in.
-func Grid(template IncastOptions, protocols []Protocol, flowCounts []int) []IncastOptions {
-	return exp.Grid(template, protocols, flowCounts)
-}
-
 // OracleReport folds an entry's conformance outcome: total violations plus
 // rendered lines for the violating points.
 func OracleReport(label string, results []IncastResult) (total int64, lines []string) {
 	return exp.OracleReport(label, results)
 }
-
-// The entries the figure binaries and examples drive on their own.
-
-// NewFigure2Table1 returns the Figure 2 / Table I entry.
-func NewFigure2Table1(sc Scale) *Figure { return exp.NewFigure2Table1(sc) }
-
-// NewFigure9 returns the Figure 9 entry.
-func NewFigure9(sc Scale) *Figure { return exp.NewFigure9(sc) }
-
-// NewFigure11_12 returns the §VI-C entry.
-func NewFigure11_12(sc Scale) *Figure { return exp.NewFigure11_12(sc) }
-
-// NewFigure14 returns the Figure 14 entry.
-func NewFigure14(sc Scale) *Figure { return exp.NewFigure14(sc) }
-
-// NewAblations returns the §V-D ablation section: backoff unit, divisor,
-// the desync / min-cwnd / composition table and the HULL pair.
-func NewAblations(sc Scale) *Figure { return exp.NewAblations(sc) }

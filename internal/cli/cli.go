@@ -8,7 +8,6 @@ package cli
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -98,26 +97,28 @@ func ValidateSweep(jobs int, cacheDir string, resume bool) error {
 		return fmt.Errorf("-jobs %d: need at least one worker", jobs)
 	case resume && cacheDir == "":
 		return fmt.Errorf("-resume: requires -cache-dir (resume replays the cache)")
-	case cacheDir != "":
-		return parentExists("-cache-dir", cacheDir)
 	}
-	return nil
+	return ValidateOutput("-cache-dir", cacheDir)
 }
 
 // ValidateOracle ties the trace output to the checker: an -oracle-trace
 // without -oracle would silently never be written, and (like -cache-dir) a
 // typo'd trace path should fail at the flag boundary, not after the sweep.
 func ValidateOracle(oracle bool, trace string) error {
-	switch {
-	case trace == "":
-		return nil
-	case !oracle:
+	if trace != "" && !oracle {
 		return fmt.Errorf("-oracle-trace: requires -oracle (the trace renders oracle violations)")
 	}
-	return parentExists("-oracle-trace", trace)
+	return ValidateOutput("-oracle-trace", trace)
 }
 
-func parentExists(flagName, path string) error {
+// ValidateOutput rejects an output path whose parent directory does not
+// exist. The commands write their output files after the run, so without
+// this gate a typo'd directory would waste the whole run and then fail. An
+// empty path (the flag unset) passes.
+func ValidateOutput(flagName, path string) error {
+	if path == "" {
+		return nil
+	}
 	parent := filepath.Dir(filepath.Clean(path))
 	if fi, err := os.Stat(parent); err != nil || !fi.IsDir() {
 		return fmt.Errorf("%s %s: parent directory %s does not exist", flagName, path, parent)
@@ -210,25 +211,19 @@ func ParseProtocols(csv string) ([]exp.Protocol, error) {
 	return out, nil
 }
 
-// WriteFile creates path, streams write into it and closes it, returning
-// the first error.
-func WriteFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // WriteTelemetry dumps the registry's instruments to path as JSON lines
 // and reports the count on stdout.
 func WriteTelemetry(reg *telemetry.Registry, path string) error {
 	snap := reg.Snapshot()
-	if err := WriteFile(path, snap.WriteJSONLines); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := snap.WriteJSONLines(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("telemetry: %d instruments -> %s\n", len(snap.Instruments), path)

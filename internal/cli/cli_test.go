@@ -140,6 +140,31 @@ func TestValidateOracle(t *testing.T) {
 	}
 }
 
+func TestValidateOutput(t *testing.T) {
+	parent := t.TempDir()
+	file := filepath.Join(parent, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		path    string
+		wantErr string
+	}{
+		{"unset", "", ""},
+		{"bare file name", "tel.json", ""},
+		{"existing parent", parent + "/tel.json", ""},
+		{"nonexistent parent", parent + "/no/such/tel.json",
+			"-telemetry " + parent + "/no/such/tel.json: parent directory " + parent + "/no/such does not exist"},
+		{"parent is a file", file + "/tel.json", "parent directory " + file + " does not exist"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			checkErr(t, ValidateOutput("-telemetry", c.path), c.wantErr)
+		})
+	}
+}
+
 func checkErr(t *testing.T, err error, want string) {
 	t.Helper()
 	switch {

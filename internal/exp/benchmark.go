@@ -21,8 +21,9 @@ type BenchmarkOptions struct {
 	MaxSimTime sim.Duration
 }
 
-// DefaultBenchmarkOptions returns a scaled-down §VI-D run; cmd/benchmark
-// exposes the full 7,000+7,000 configuration.
+// DefaultBenchmarkOptions returns a scaled-down §VI-D run; set
+// Traffic.Queries and Traffic.BackgroundFlows to 7,000 each for the paper's
+// scale (README, "Reproducing the paper").
 func DefaultBenchmarkOptions(p Protocol) BenchmarkOptions {
 	return BenchmarkOptions{
 		Testbed:    DefaultTestbed(),

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/telemetry"
@@ -13,8 +14,8 @@ import (
 // compositions, and the resilience table, each a self-describing entry —
 // heading, the explicit list of points it runs, and the renderer that prints
 // the rows the paper reports. Battery lists them in paper order; cmd/report
-// is a loop over that list, the figure binaries under cmd/ are shells over
-// single entries, and tests pin their shapes.
+// is a loop over that list (or, with -only, over the entries it names), and
+// tests pin their shapes.
 
 // Scale applies common run-length settings to every catalogue entry.
 // cmd/report defaults to Scale{50, 10, 1}, balancing statistical stability
@@ -42,8 +43,8 @@ func (sc Scale) point(p Protocol, n int) IncastOptions {
 // Grid lays a protocols x flowCounts grid of points out protocol-major:
 // each point is the template with Protocol and Flows filled in. The grid-
 // shaped entries are built with it, and a caller that wants an entry over
-// its own grid (the figure binaries' -protocols/-flows) re-grids the same
-// way: f.Points = Grid(f.Points[0], protocols, flowCounts).
+// its own grid re-grids the same way: f.Points = Grid(f.Points[0],
+// protocols, flowCounts).
 func Grid(template IncastOptions, protocols []Protocol, flowCounts []int) []IncastOptions {
 	pts := make([]IncastOptions, 0, len(protocols)*len(flowCounts))
 	for _, p := range protocols {
@@ -72,8 +73,10 @@ type Section interface {
 	// Check turns the conformance oracle on for the entry's points where
 	// the entry is one cmd/report -oracle covers: the ablations and the
 	// resilience table. The paper's figures never ran under it and still do
-	// not — TCP at RTOmin 10ms in Fig. 8 would trip the open
-	// retrans-legality finding (ROADMAP 4(a)) — so on them Check is a no-op.
+	// not: a checked point drains 100ms for the conservation ledger before
+	// its result is read, which moves SimTime, sender stats, queue samples
+	// and cwnd probes (ROADMAP 1), so checking would change the figures'
+	// numbers. On them Check is a no-op.
 	Check()
 	Run()
 	Render(w io.Writer)
@@ -329,24 +332,52 @@ func NewFigure14(sc Scale) *Figure {
 	pt.Rounds, pt.WarmupRounds = 8, 1
 	pt.KeepRounds = true
 	pt.QueueSampleEvery = 100 * sim.Microsecond
-	return &Figure{
+	f := &Figure{
 		Heading: Heading{"Figure 14: convergence, 50 DCTCP+ flows x 4MB",
 			"buffer overflows during the first rounds, then the regulation converges"},
 		Points: []IncastOptions{pt},
-		render: printConvergence,
 	}
+	f.render = func(w io.Writer, results []IncastResult) {
+		for i, r := range results {
+			printConvergence(w, r, f.Points[i].Testbed.Topo.SwitchPort.BufferBytes)
+		}
+	}
+	return f
 }
 
-// printConvergence writes the per-round series and the convergence verdict.
-func printConvergence(w io.Writer, results []IncastResult) {
-	for _, r := range results {
-		for i, p := range r.Series {
-			fmt.Fprintf(w, "round %d: fct=%8.1fms goodput=%5.0f Mbps flowTimeouts=%d\n",
-				i, p.FCTms, p.GoodputMbps, p.FlowTimeouts)
-		}
-		fmt.Fprintf(w, "converged at round %d; bottleneck drops %d\n",
-			r.ConvergedAtRound(), r.BottleneckDrops)
+// convergenceBin is the width of one bar of Fig. 14's queue chart.
+const convergenceBin = 50 * sim.Millisecond
+
+// printConvergence writes the per-round series, the queue occupancy chart
+// (the peak of each 50ms bin, scaled to the switch buffer bufBytes) and the
+// convergence verdict.
+func printConvergence(w io.Writer, r IncastResult, bufBytes int) {
+	for i, p := range r.Series {
+		fmt.Fprintf(w, "round %d: fct=%8.1fms goodput=%5.0f Mbps flowTimeouts=%d\n",
+			i, p.FCTms, p.GoodputMbps, p.FlowTimeouts)
 	}
+	binMS := int(convergenceBin / sim.Millisecond)
+	fmt.Fprintf(w, "(max occupancy per %dms bin; buffer limit %d bytes)\n", binMS, bufBytes)
+	cur, binIdx := 0, 0
+	for i := 0; i < r.Queue.Len(); i++ {
+		at, bytes := r.Queue.Sample(i)
+		for idx := int(sim.Duration(at) / convergenceBin); binIdx < idx; binIdx++ {
+			printBin(w, binIdx, binMS, cur, bufBytes)
+			cur = 0
+		}
+		cur = max(cur, bytes)
+	}
+	printBin(w, binIdx, binMS, cur, bufBytes)
+	fmt.Fprintf(w, "converged at round %d; bottleneck drops %d\n",
+		r.ConvergedAtRound(), r.BottleneckDrops)
+}
+
+// printBin writes one bin's row, its bar scaled so a full buffer of
+// bufBytes spans the width.
+func printBin(w io.Writer, idx, binMS, maxBytes, bufBytes int) {
+	const width = 60
+	bar := min(maxBytes*width/bufBytes, width)
+	fmt.Fprintf(w, "t=%5dms %6dB |%s\n", idx*binMS, maxBytes, strings.Repeat("#", bar))
 }
 
 // OracleReport folds the conformance outcome of an entry's results: the

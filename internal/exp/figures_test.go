@@ -161,8 +161,8 @@ func TestFigure7VariantsConfigs(t *testing.T) {
 
 // TestFigure8AppliesBaselineRTOOnlyToBaselines reads the point list: the
 // DCTCP+ variants keep the 200ms default, every baseline runs at 10ms. A
-// caller that re-grids per protocol from the entry's own points (the way
-// cmd/queuestat re-grids per flow count) keeps each protocol's RTOmin.
+// caller that re-grids per protocol from the entry's own points keeps each
+// protocol's RTOmin.
 func TestFigure8AppliesBaselineRTOOnlyToBaselines(t *testing.T) {
 	want := func(p Protocol) sim.Duration {
 		if p == ProtoDCTCPPlus || p == ProtoDCTCPPlusPartial {
@@ -225,7 +225,9 @@ func TestFigure13RunAndRender(t *testing.T) {
 }
 
 // TestFigure14RunAndRender: a fixed-length trace — the scale must not
-// stretch it, and the whole series (warmup included) is kept.
+// stretch it, and the whole series (warmup included) is kept. The queue
+// chart is scaled to the buffer of the point as run, read at render time,
+// and has one row per 50ms bin up to the last sample.
 func TestFigure14RunAndRender(t *testing.T) {
 	f := NewFigure14(Scale{Rounds: 50, Warmup: 10, Seed: 1})
 	pt := &f.Points[0]
@@ -233,9 +235,19 @@ func TestFigure14RunAndRender(t *testing.T) {
 		t.Fatalf("rounds = %d/%d, want the pinned 8/1", pt.Rounds, pt.WarmupRounds)
 	}
 	pt.Flows, pt.BytesPerFlow, pt.Rounds = 12, 256<<10, 3
+	pt.Testbed.Topo.SwitchPort.BufferBytes = 256 << 10
 	f.Run()
 	if len(f.Results) != 1 || len(f.Results[0].Series) != 3 {
 		t.Fatalf("results = %+v", f.Results)
+	}
+	out := render(f)
+	if !strings.Contains(out, "(max occupancy per 50ms bin; buffer limit 262144 bytes)\n") {
+		t.Errorf("chart not scaled to the point's 256 KiB buffer:\n%s", out)
+	}
+	q := f.Results[0].Queue
+	last, _ := q.Sample(q.Len() - 1)
+	if rows, want := strings.Count(out, "\nt="), int(sim.Duration(last)/convergenceBin)+1; rows != want {
+		t.Errorf("chart has %d bin rows, want %d for samples up to %v", rows, want, last)
 	}
 }
 

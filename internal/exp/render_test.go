@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -45,5 +46,26 @@ func TestHULLTestbedConfig(t *testing.T) {
 	}
 	if tb.Topo.SwitchPort.PhantomDrainFactor != 0.95 {
 		t.Error("HULL drain factor wrong")
+	}
+}
+
+// TestPrintBinScalesToBuffer: the Fig. 14 bar spans the buffer the testbed
+// simulated, not a fixed 128 KiB, and a bin above it is capped.
+func TestPrintBinScalesToBuffer(t *testing.T) {
+	cases := []struct {
+		maxBytes, bufBytes, bars int
+	}{
+		{64 << 10, 128 << 10, 30},
+		{64 << 10, 256 << 10, 15},
+		{128 << 10, 128 << 10, 60},
+		{300 << 10, 256 << 10, 60},
+	}
+	for _, c := range cases {
+		var sb strings.Builder
+		printBin(&sb, 2, 50, c.maxBytes, c.bufBytes)
+		want := fmt.Sprintf("t=  100ms %6dB |%s\n", c.maxBytes, strings.Repeat("#", c.bars))
+		if sb.String() != want {
+			t.Errorf("%d bytes in a %d-byte buffer: %q, want %q", c.maxBytes, c.bufBytes, sb.String(), want)
+		}
 	}
 }

@@ -2,14 +2,11 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
 )
 
-// This file implements the pluggable sinks: JSON lines (machine diffing,
-// one instrument per line), Prometheus text exposition format (scraping /
-// promtool), and an aligned human table (cmd/report).
+// This file implements the snapshot's sink: JSON lines (machine diffing,
+// one instrument per line), what the commands' -telemetry flag writes.
 
 // WriteJSONLines writes the snapshot as JSON lines: a header object
 // carrying the virtual-time stamp, then one object per instrument. Every
@@ -29,116 +26,4 @@ func (s Snapshot) WriteJSONLines(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// promName sanitizes an instrument name into the Prometheus metric-name
-// alphabet [a-zA-Z0-9_:].
-func promName(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		ok := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(r >= '0' && r <= '9' && i > 0)
-		if ok {
-			b.WriteRune(r)
-		} else {
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-// promLabels renders a label set (plus optional extra pairs) in exposition
-// syntax, escaping values.
-func promLabels(labels []Label, extra ...Label) string {
-	all := append(append([]Label(nil), labels...), extra...)
-	if len(all) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range all {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		v := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(l.Value)
-		fmt.Fprintf(&b, `%s="%s"`, promName(l.Key), v)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// WritePrometheus writes the snapshot in the Prometheus text exposition
-// format (version 0.0.4): TYPE headers per metric family, cumulative
-// le-labeled buckets for histograms, and a dctcpplus_sim_time_ns gauge
-// carrying the virtual-time stamp.
-func (s Snapshot) WritePrometheus(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("# TYPE dctcpplus_sim_time_ns gauge\ndctcpplus_sim_time_ns %d\n", s.SimTimeNs)
-	typed := make(map[string]bool)
-	for _, is := range s.Instruments {
-		name := promName(is.Name)
-		if !typed[name] {
-			typed[name] = true
-			p("# TYPE %s %s\n", name, is.Kind)
-		}
-		switch is.Kind {
-		case KindGauge.String():
-			p("%s%s %g\n", name, promLabels(is.Labels), is.GaugeValue)
-		case KindHistogram.String():
-			var cum int64
-			for _, b := range is.Buckets {
-				cum += b.Count
-				p("%s_bucket%s %d\n", name, promLabels(is.Labels, L("le", fmt.Sprintf("%d", b.UpperBound))), cum)
-			}
-			p("%s_bucket%s %d\n", name, promLabels(is.Labels, L("le", "+Inf")), is.Count)
-			p("%s_sum%s %d\n", name, promLabels(is.Labels), is.Sum)
-			p("%s_count%s %d\n", name, promLabels(is.Labels), is.Count)
-		default: // counter
-			p("%s%s %d\n", name, promLabels(is.Labels), is.Value)
-		}
-	}
-	return err
-}
-
-// WriteTable writes the snapshot as an aligned human-readable table:
-// counters and gauges as single values, histograms as
-// count/mean/min/max. cmd/report prints this next to the figures.
-func (s Snapshot) WriteTable(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("%-44s %-36s %-9s %s\n", "instrument", "labels", "kind", "value")
-	for _, is := range s.Instruments {
-		var labels string
-		for i, l := range is.Labels {
-			if i > 0 {
-				labels += ","
-			}
-			labels += l.Key + "=" + l.Value
-		}
-		var val string
-		switch is.Kind {
-		case KindGauge.String():
-			val = fmt.Sprintf("%g", is.GaugeValue)
-		case KindHistogram.String():
-			mean := 0.0
-			if is.Count > 0 {
-				mean = float64(is.Sum) / float64(is.Count)
-			}
-			val = fmt.Sprintf("count=%d mean=%.1f min=%d max=%d", is.Count, mean, is.Min, is.Max)
-		default:
-			val = fmt.Sprintf("%d", is.Value)
-		}
-		p("%-44s %-36s %-9s %s\n", is.Name, labels, is.Kind, val)
-	}
-	return err
 }

@@ -2,8 +2,8 @@
 // of named, label-keyed instruments (Counter, Gauge, Histogram) that every
 // hot layer of the stack — switch ports, the TCP engine, the DCTCP alpha
 // estimator, the DCTCP+ state machine, and the workload drivers — reports
-// into, plus pluggable sinks (JSON lines, Prometheus text format, a human
-// table) and a per-run Manifest for reproducible, diffable experiments.
+// into, plus a JSON-lines sink and a per-run Manifest for reproducible,
+// diffable experiments.
 //
 // Design constraints, in order:
 //

@@ -295,73 +295,6 @@ func TestWriteJSONLines(t *testing.T) {
 	}
 }
 
-func TestWritePrometheus(t *testing.T) {
-	snap := buildSnapshot(t)
-	var buf bytes.Buffer
-	if err := snap.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE dctcpplus_sim_time_ns gauge",
-		"dctcpplus_sim_time_ns 1500000",
-		"# TYPE netsim_port_ce_marked_pkts_total counter",
-		`netsim_port_ce_marked_pkts_total{port="bottleneck"} 42`,
-		"# TYPE dctcp_alpha gauge",
-		`dctcp_alpha{proto="dctcp+"} 0.25`,
-		"# TYPE tcp_cwnd_mss histogram",
-		`tcp_cwnd_mss_bucket{le="+Inf"} 5`,
-		"tcp_cwnd_mss_sum 16",
-		"tcp_cwnd_mss_count 5",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q\n%s", want, out)
-		}
-	}
-	// Buckets must be cumulative: the series of _bucket values never
-	// decreases and ends at the count.
-	var last int64 = -1
-	for _, ln := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(ln, "tcp_cwnd_mss_bucket") {
-			continue
-		}
-		var v int64
-		if _, err := fmtSscanLast(ln, &v); err != nil {
-			t.Fatalf("parse %q: %v", ln, err)
-		}
-		if v < last {
-			t.Fatalf("non-cumulative bucket series: %q after %d", ln, last)
-		}
-		last = v
-	}
-	if last != 5 {
-		t.Fatalf("final cumulative bucket = %d, want 5", last)
-	}
-}
-
-// fmtSscanLast parses the final whitespace-separated field of a line.
-func fmtSscanLast(line string, v *int64) (int, error) {
-	fields := strings.Fields(line)
-	return 1, json.Unmarshal([]byte(fields[len(fields)-1]), v)
-}
-
-func TestWriteTable(t *testing.T) {
-	snap := buildSnapshot(t)
-	var buf bytes.Buffer
-	if err := snap.WriteTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"instrument", "netsim_port_ce_marked_pkts_total", "port=bottleneck",
-		"dctcp_alpha", "count=5", "mean=3.2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table output missing %q\n%s", want, out)
-		}
-	}
-}
-
 func TestManifestRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("tcp_rto_total", L("proto", "dctcp")).Add(7)
