@@ -104,13 +104,15 @@ bench:
 	$(GO) test -bench=. -benchmem ./internal/sim ./internal/netsim ./internal/tcp
 
 # Just the allocation-budget regression tests, without the benchmarks
-# (internal/workload: an incast round must not allocate per flow, a §VI-D
-# query not at all; internal/exp: a sweep-shaped job on a warm rig stays
-# within TestRigJobAllocBudget's pinned budget, and an observed run's
-# allocations and bytes grow with its rounds only by its queue samples, 4
-# bytes each; internal/trace: the queue sampler allocates per sample block,
-# not per tick, and 4 bytes per sample; internal/telemetry: an instrument
-# lookup that hits allocates nothing).
+# (internal/netsim and internal/tcp: a port hop and a steady-state transfer
+# allocate nothing, also with an obs.Sink subscriber attached — the
+# TestObserved*AllocBudget cases; internal/workload: an incast round must
+# not allocate per flow, a §VI-D query not at all; internal/exp: a
+# sweep-shaped job on a warm rig stays within TestRigJobAllocBudget's
+# pinned budget, and an observed run's allocations and bytes grow with its
+# rounds only by its queue samples, 4 bytes each; internal/trace: the queue
+# sampler allocates per sample block, not per tick, and 4 bytes per sample;
+# internal/telemetry: an instrument lookup that hits allocates nothing).
 alloc-check:
 	$(GO) test -run 'AllocBudget|AllocFree' ./internal/sim ./internal/netsim ./internal/tcp ./internal/workload ./internal/exp ./internal/trace ./internal/telemetry
 

@@ -32,7 +32,7 @@ import (
 
 var (
 	protocols = flag.String("protocols", "dctcp+,dctcp,tcp",
-		"comma-separated protocols (tcp, dctcp, dctcp-min1, dctcp+, dctcp+partial, reno+)")
+		"comma-separated protocols (tcp, dctcp, dctcp-min1, dctcp+, dctcp+partial, reno+, d2tcp, d2tcp+)")
 	flows  = flag.String("flows", "10,20,40,60,80,120,160,200", "comma-separated concurrent flow counts")
 	rounds = flag.Int("rounds", 50, "request/response rounds per point (paper: 1000)")
 	warmup = flag.Int("warmup", 10, "initial rounds excluded from statistics")

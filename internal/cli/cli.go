@@ -14,7 +14,6 @@ import (
 	"strings"
 	"time"
 
-	"dctcpplus/internal/exp"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/telemetry"
 )
@@ -195,20 +194,6 @@ func ParseDurations(csv string) ([]sim.Duration, error) {
 		d, err := time.ParseDuration(f)
 		return sim.Duration(d), err == nil && d > 0
 	})
-}
-
-// ParseProtocols parses a comma-separated protocol list; an unknown name
-// is exp.ParseProtocol's error.
-func ParseProtocols(csv string) ([]exp.Protocol, error) {
-	var out []exp.Protocol
-	for _, name := range strings.Split(csv, ",") {
-		p, err := exp.ParseProtocol(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // WriteTelemetry dumps the registry's instruments to path as JSON lines

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"dctcpplus/internal/exp"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/telemetry"
 )
@@ -296,21 +295,6 @@ func TestParseDurations(t *testing.T) {
 		checkErr(t, err, c.wantErr)
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("ParseDurations(%q) = %v, want %v", c.csv, got, c.want)
-		}
-	}
-}
-
-func TestParseProtocols(t *testing.T) {
-	got, err := ParseProtocols("dctcp+, dctcp,tcp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []exp.Protocol{exp.ProtoDCTCPPlus, exp.ProtoDCTCP, exp.ProtoTCP}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ParseProtocols = %v, want %v", got, want)
-	}
-	for _, bad := range []string{"bogus", "dctcp,,tcp", ""} {
-		if _, err := ParseProtocols(bad); err == nil {
-			t.Errorf("ParseProtocols(%q) accepted", bad)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"dctcpplus/internal/dctcp"
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/tcp"
@@ -532,11 +533,11 @@ func TestEndToEndEngagesUnderHeavyMarking(t *testing.T) {
 	w := newPlusWire(DefaultConfig(), nil)
 	*w.mark = true
 	engaged := false
-	w.conn.Sender.OnAckProbe = func(s *tcp.Sender, _ bool) {
-		if w.enh.State() != StateNormal {
+	w.conn.Sender.Sink.Subscribe(new(obs.Sub), func(r obs.Record, _ *packet.Packet) {
+		if r.Kind == obs.AckProcessed && w.enh.State() != StateNormal {
 			engaged = true
 		}
-	}
+	})
 	done := false
 	w.conn.Sender.OnComplete = func(int64) { done = true }
 	w.conn.Sender.Send(200 * packet.MSS)

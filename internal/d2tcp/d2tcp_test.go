@@ -7,6 +7,7 @@ import (
 	"dctcpplus/internal/core"
 	"dctcpplus/internal/dctcp"
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/tcp"
@@ -138,13 +139,14 @@ func TestOnTimeoutForwardsToEstimator(t *testing.T) {
 	// Cut the data path once 10 MSS are acknowledged — mid-window, with the
 	// estimator's observation anchor strictly ahead of snd_una.
 	checked := false
-	snd.OnAckProbe = func(ps *tcp.Sender, _ bool) {
-		if !*drop && !checked && ps.SndUna() >= 10*packet.MSS {
-			*drop = true
+	snd.Sink.Subscribe(new(obs.Sub), func(r obs.Record, _ *packet.Packet) {
+		if r.Kind == obs.AckProcessed {
+			if !*drop && !checked && snd.SndUna() >= 10*packet.MSS {
+				*drop = true
+			}
+			return
 		}
-	}
-	snd.OnTimeoutEvent = func(tcp.TimeoutKind) {
-		if checked {
+		if r.Kind != obs.Timeout || checked {
 			return
 		}
 		checked = true
@@ -163,7 +165,7 @@ func TestOnTimeoutForwardsToEstimator(t *testing.T) {
 			}
 			s.Halt()
 		})
-	}
+	})
 
 	snd.Send(64 * packet.MSS)
 	s.RunUntil(sim.Time(5 * sim.Second))

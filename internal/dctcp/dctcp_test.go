@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/tcp"
@@ -261,18 +262,19 @@ func TestWindowReanchorsAfterRTO(t *testing.T) {
 	// Cut the data path once 10 MSS are acknowledged — mid-window, with
 	// alpha's observation anchor strictly ahead of snd_una.
 	checked := false
-	snd.OnAckProbe = func(ps *tcp.Sender, _ bool) {
-		if !*drop && !checked && ps.SndUna() >= 10*packet.MSS {
-			*drop = true
+	snd.Sink.Subscribe(new(obs.Sub), func(r obs.Record, _ *packet.Packet) {
+		if r.Kind == obs.AckProcessed {
+			if !*drop && !checked && snd.SndUna() >= 10*packet.MSS {
+				*drop = true
+			}
+			return
 		}
-	}
-	snd.OnTimeoutEvent = func(tcp.TimeoutKind) {
-		if checked {
+		if r.Kind != obs.Timeout || checked {
 			return
 		}
 		checked = true
 		*drop = false // let the retransmissions through
-		// The RTO handler has not rewound yet when this hook fires;
+		// The RTO handler has not rewound yet when the record is emitted;
 		// inspect the estimator right after it completes.
 		s.After(0, func() {
 			if d.windowEnd != snd.SndUna() {
@@ -284,7 +286,7 @@ func TestWindowReanchorsAfterRTO(t *testing.T) {
 					d.ackedBytes, d.markedBytes)
 			}
 		})
-	}
+	})
 
 	snd.Send(64 * packet.MSS)
 	s.RunUntil(sim.Time(5 * sim.Second))

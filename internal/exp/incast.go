@@ -146,9 +146,9 @@ type IncastOptions struct {
 	// Oracle attaches the internal/oracle conformance checker to every
 	// connection and the whole topology: protocol violations (ACK
 	// monotonicity, retransmission legality, RTO backoff, ECE echo, alpha
-	// cadence, the DCTCP+ machine) and network violations (queue bounds,
-	// conservation) land on the result's OracleViolations. The checker is
-	// a pure observer chained onto existing hooks; a run's traffic is
+	// cadence, the DCTCP+ machine) and conservation violations land on the
+	// result's OracleViolations. The checker is a pure observer subscribed
+	// to the endpoints' and uplinks' sinks; a run's traffic is
 	// byte-identical with it on or off, but the run drains an extra 100ms
 	// of virtual time before the conservation audit.
 	Oracle bool
@@ -239,9 +239,6 @@ type IncastResult struct {
 	// CwndHist is the merged per-ACK cwnd histogram in MSS (Fig. 2);
 	// nil unless CollectCwnd.
 	CwndHist *stats.Hist
-	// ECEAtMinFrac is the fraction of ACK events at the window floor with
-	// ECE set; only meaningful with CollectCwnd.
-	ECEAtMinFrac float64
 
 	// Queue is the bottleneck occupancy series (Figs. 9/14); empty unless
 	// QueueSampleEvery > 0.
@@ -413,9 +410,8 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 		}
 	}
 
-	// The conformance checker chains onto the endpoint and topology hooks
-	// before any traffic (and before the fault injector, though chained
-	// observers compose in either order).
+	// The conformance checker subscribes before any traffic (observers
+	// compose in any order, the fault injector's included).
 	var ck *oracle.Checker
 	if o.Oracle {
 		ck = oracle.NewChecker(sched)
@@ -550,7 +546,7 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 		res.LAckTO += st.LAckTimeouts
 	}
 	if o.CollectCwnd {
-		res.CwndHist, res.ECEAtMinFrac = mergeCwndProbes(probes)
+		res.CwndHist = mergeCwndProbes(probes)
 	}
 	if sampler != nil {
 		sampler.Stop()
@@ -575,20 +571,13 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 }
 
 // mergeCwndProbes folds the per-flow probes into the run's cwnd histogram
-// (Fig. 2) and the fraction of all their ACK events that saw ECE at the
-// window floor, summing the probes' exact counts.
-func mergeCwndProbes(probes []*trace.CwndProbe) (*stats.Hist, float64) {
+// (Fig. 2).
+func mergeCwndProbes(probes []*trace.CwndProbe) *stats.Hist {
 	hist := stats.NewHist()
-	var eceAtMin, events int64
 	for _, p := range probes {
 		hist.Merge(p.Hist())
-		eceAtMin += p.ECEAtMin()
-		events += p.Events()
 	}
-	if events == 0 {
-		return hist, 0
-	}
-	return hist, float64(eceAtMin) / float64(events)
+	return hist
 }
 
 // PrintIncastRows writes a figure curve as aligned text rows.

@@ -5,37 +5,33 @@ import (
 	"testing"
 
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
+	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/tcp"
 	"dctcpplus/internal/telemetry"
 	"dctcpplus/internal/trace"
 )
 
-// TestMergeCwndProbesCountsExactly: the run's ECE-at-floor fraction sums the
-// probes' event counts, not counts rebuilt from each probe's fraction — a
-// probe at 1 event in 49 rebuilds as (1/49)·49 = 0.999…, which truncates to
-// zero.
+// TestMergeCwndProbesCountsExactly: the run's cwnd histogram holds every
+// probe's every ACK.
 func TestMergeCwndProbesCountsExactly(t *testing.T) {
 	sched := sim.NewScheduler()
 	star := netsim.NewStar(sched, 2, netsim.DefaultTopologyConfig())
-	// A fresh sender sits at the window floor.
-	snd := tcp.NewConn(tcp.DefaultConfig(), tcp.NewReno{}, star.Hosts[0], star.Hosts[1], 1).Sender
-	probe := func(eceAtMin, events int) *trace.CwndProbe {
+	probe := func(flow packet.FlowID, acks int) *trace.CwndProbe {
+		snd := tcp.NewConn(tcp.DefaultConfig(), tcp.NewReno{}, star.Hosts[0], star.Hosts[1], flow).Sender
 		p := trace.NewCwndProbe()
-		for i := 0; i < events; i++ {
-			p.Observe(snd, i < eceAtMin)
+		p.Attach(snd)
+		for i := 0; i < acks; i++ {
+			snd.Sink.Emit(obs.Record{Kind: obs.AckProcessed}, nil)
 		}
 		return p
 	}
-	hist, frac := mergeCwndProbes([]*trace.CwndProbe{probe(1, 49), probe(0, 51)})
-	if want := 1.0 / 100; frac != want {
-		t.Errorf("ECE-at-floor fraction = %v, want %v", frac, want)
-	}
-	if hist.Total() != 100 {
+	if hist := mergeCwndProbes([]*trace.CwndProbe{probe(1, 49), probe(2, 51)}); hist.Total() != 100 {
 		t.Errorf("merged histogram holds %d events, want 100", hist.Total())
 	}
-	if _, frac := mergeCwndProbes(nil); frac != 0 {
-		t.Errorf("no probes: fraction = %v, want 0", frac)
+	if hist := mergeCwndProbes(nil); hist.Total() != 0 {
+		t.Errorf("no probes: merged histogram holds %d events", hist.Total())
 	}
 }
 

@@ -28,11 +28,11 @@ import (
 //     This is sound for the module (no reachable implementation is missed)
 //     and tight in practice, because the simulator's interfaces
 //     (CongestionControl, FlowHandler, Node) have few implementations.
-//   - Calls through plain function values — scheduler callbacks, OnTransmit /
-//     OnComplete style hooks — are NOT expanded. This is the documented
-//     hole in the approximation: observability hooks are allowed to
-//     allocate, and the functions those callbacks invoke are annotated as
-//     hot roots themselves (Port.wake, Link.deliver, Sender.onRTO),
+//   - Calls through plain function values — scheduler callbacks, obs.Sink
+//     subscribers, OnComplete style hooks — are NOT expanded. This is the
+//     documented hole in the approximation: observability hooks are allowed
+//     to allocate, and the functions those callbacks invoke are annotated
+//     as hot roots themselves (Port.wake, Link.deliver, Sender.onRTO),
 //     so the per-packet machinery stays covered.
 //
 // Hot roots are declared in source with a "//hot:path" line in a function's

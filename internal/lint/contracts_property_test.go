@@ -14,6 +14,7 @@ import (
 	"dctcpplus/internal/core"
 	"dctcpplus/internal/dctcp"
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/tcp"
@@ -273,9 +274,9 @@ func runSampledIncasts(t *testing.T, observe func(key string, v float64)) {
 		sched := sim.NewScheduler()
 		topo := netsim.DefaultTopologyConfig()
 		tt := netsim.NewTwoTier(sched, 3, 3, topo)
-		tt.BottleneckPort.OnTransmit = func(pkt *packet.Packet) {
+		tt.BottleneckPort.Sink.Subscribe(new(obs.Sub), func(_ obs.Record, pkt *packet.Packet) {
 			observe("packet.Packet.Payload", float64(pkt.Payload))
-		}
+		})
 
 		factory := func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 			if i%2 == 0 {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 )
@@ -57,6 +58,44 @@ func TestEnqueueDeliverAllocBudget(t *testing.T) {
 	}
 	if pool.Minted() > 64 {
 		t.Fatalf("pool minted %d packets for a one-in-flight workload", pool.Minted())
+	}
+}
+
+// TestObservedHopAllocBudget is TestEnqueueDeliverAllocBudget with a
+// subscriber on the port's sink: emitting a record costs no allocation, and
+// the subscriber sees each hop exactly once, with its packet.
+func TestObservedHopAllocBudget(t *testing.T) {
+	s, pool, port, dst := benchPath(t)
+	var sub obs.Sub
+	var records int
+	var lastSeq int64
+	port.Sink.Subscribe(&sub, func(r obs.Record, pkt *packet.Packet) {
+		if r.Kind != obs.Transmit || r.Flow != pkt.Flow || r.At != s.Now() {
+			t.Fatalf("record %+v for packet of flow %d at %v", r, pkt.Flow, s.Now())
+		}
+		records++
+		lastSeq = pkt.Seq
+	})
+
+	seq := int64(0)
+	send := func() {
+		pkt := pool.Get()
+		fill(pkt, dst, seq)
+		port.Enqueue(pkt)
+		s.Run()
+		if lastSeq != seq {
+			t.Fatalf("last record carried seq %d, want %d", lastSeq, seq)
+		}
+		seq += packet.MSS
+	}
+	for i := 0; i < 64; i++ {
+		send()
+	}
+	if got := testing.AllocsPerRun(200, send); got != 0 {
+		t.Fatalf("observed hop allocates %.1f times per packet, want 0", got)
+	}
+	if want := int(seq / packet.MSS); records != want {
+		t.Fatalf("subscriber saw %d records for %d hops", records, want)
 	}
 }
 

@@ -37,9 +37,6 @@ type Host struct {
 
 	// OnControl handles REQ packets (application requests).
 	OnControl func(pkt *packet.Packet)
-	// OnUnclaimed, if set, observes packets for flows with no registered
-	// handler; otherwise they are silently dropped (like RST-less discard).
-	OnUnclaimed func(pkt *packet.Packet)
 	// OnDeliver, if set, observes every arriving packet before demux — data
 	// with its final (post-marking) ECN codepoint and returning ACKs alike,
 	// in the exact order the endpoint processes them, which is what lets the
@@ -62,7 +59,7 @@ func NewHost(sched *sim.Scheduler, id packet.NodeID, name string) *Host {
 
 // Reset returns the host to its as-built state for the next run on a reset
 // scheduler: no flow registered (the demux map keeps its buckets), delivery
-// counters zero, the OnControl/OnUnclaimed/OnDeliver hooks cleared.
+// counters zero, the OnControl/OnDeliver hooks cleared.
 // Identity, scheduler, uplink wiring and pool are kept; the uplink port has
 // its own Reset.
 func (h *Host) Reset() {
@@ -136,7 +133,8 @@ func (h *Host) Send(pkt *packet.Packet) {
 	h.uplink.Enqueue(pkt)
 }
 
-// Deliver demultiplexes an arriving packet. The host is the packet's final
+// Deliver demultiplexes an arriving packet (one for an unregistered flow is
+// discarded, like an RST-less drop). The host is the packet's final
 // owner: once the handler returns, the packet is recycled (when a pool is
 // attached), so handlers must copy out any fields they keep.
 //
@@ -153,8 +151,6 @@ func (h *Host) Deliver(pkt *packet.Packet) {
 		}
 	} else if fh, ok := h.flows[pkt.Flow]; ok {
 		fh.Deliver(pkt)
-	} else if h.OnUnclaimed != nil {
-		h.OnUnclaimed(pkt)
 	}
 	h.pool.Put(pkt)
 }

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"dctcpplus/internal/check"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/telemetry"
@@ -137,12 +138,9 @@ type Port struct {
 	mMarked     *telemetry.Counter
 	mQueueDepth *telemetry.Histogram
 
-	// OnQueueChange, if set, observes every enqueue/dequeue with the new
-	// occupancy in bytes (used by queue-length tracers).
-	OnQueueChange func(now sim.Time, qBytes int)
-	// OnTransmit, if set, observes every packet as it begins serialization
-	// onto the link (the packet-capture hook the conformance oracle taps).
-	OnTransmit func(pkt *packet.Packet)
+	// Sink receives an obs.Transmit record, with the packet, as each packet
+	// begins serializing onto the link.
+	Sink obs.Sink
 }
 
 // NewPort creates a port feeding the given link.
@@ -180,7 +178,7 @@ func (cfg PortConfig) validate() {
 // for a topology, the configuration it was built with, which undoes a run's
 // fault edits — ready for the next run on a reset scheduler: the queue
 // emptied (its packets back to the pool, the ring's capacity kept), the RED
-// stream reseeded, the phantom queue, stats, hooks and telemetry
+// stream reseeded, the phantom queue, stats, sink subscribers and telemetry
 // instruments cleared. The wiring, the pool and the once-bound wake-up
 // callback are kept; the link it feeds has its own Reset.
 func (p *Port) Reset(cfg PortConfig) {
@@ -396,9 +394,6 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 	if p.qBytes > p.stats.MaxQueueBytes {
 		p.stats.MaxQueueBytes = p.qBytes
 	}
-	if p.OnQueueChange != nil {
-		p.OnQueueChange(p.sched.Now(), p.qBytes)
-	}
 	p.kick()
 }
 
@@ -446,11 +441,8 @@ func (p *Port) transmitNext() {
 	check.NonNegative("netsim.port queue bytes", int64(p.qBytes))
 	p.stats.DequeuedPkts++
 	p.stats.DequeuedBytes += int64(size)
-	if p.OnQueueChange != nil {
-		p.OnQueueChange(p.sched.Now(), p.qBytes)
-	}
-	if p.OnTransmit != nil {
-		p.OnTransmit(pkt)
+	if p.Sink.Active() {
+		p.Sink.Emit(obs.Record{At: p.sched.Now(), Flow: pkt.Flow, Kind: obs.Transmit}, pkt)
 	}
 	ser := p.link.SerializationDelay(size)
 	p.busyUntil = p.sched.Now().Add(ser)

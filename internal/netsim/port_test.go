@@ -228,24 +228,6 @@ func TestPortMarkingDisabledWhenKZero(t *testing.T) {
 	}
 }
 
-func TestPortQueueChangeHook(t *testing.T) {
-	s, _, p := newSinkAndPort(t, DefaultPortConfig(), 1_000_000_000, 0)
-	var samples []int
-	p.OnQueueChange = func(_ sim.Time, q int) { samples = append(samples, q) }
-	for i := 0; i < 3; i++ {
-		p.Enqueue(dataPkt(1460, packet.ECT))
-	}
-	s.Run()
-	// Enqueues: 0 (immediately dequeued to service -> also 0 after), then
-	// two enqueues raising to 1500, 3000, then dequeues back down.
-	if len(samples) < 6 {
-		t.Fatalf("too few queue samples: %v", samples)
-	}
-	if p.QueueBytes() != 0 || p.QueueLen() != 0 {
-		t.Errorf("queue not drained: %d bytes %d pkts", p.QueueBytes(), p.QueueLen())
-	}
-}
-
 // Property: conservation — every enqueued packet is either dequeued or
 // dropped, and the queue drains to zero when the scheduler idles.
 func TestPortConservationProperty(t *testing.T) {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/resetcheck"
 	"dctcpplus/internal/sim"
@@ -19,24 +20,28 @@ var (
 )
 
 // dirtyTwoTier runs traffic across tt until every port has moved packets
-// and some are still queued, with every hook, telemetry instrument and
-// fault edit applied and the workers mirrored — everything a faulted,
-// observed run leaves behind.
-func dirtyTwoTier(t *testing.T, s *sim.Scheduler, tt *TwoTier) {
+// and some are still queued, with every hook, a sink subscriber on every
+// port, telemetry instruments and fault edits applied and the workers
+// mirrored — everything a faulted, observed run leaves behind. The
+// subscribers count their records into *seen.
+func dirtyTwoTier(t *testing.T, s *sim.Scheduler, tt *TwoTier, seen *int) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	hook := func(*packet.Packet) {}
 	hosts := append([]*Host{tt.Aggregator}, tt.Workers...)
 	for i, h := range hosts {
 		h.Register(packet.FlowID(i+1), FlowHandlerFunc(hook))
-		h.OnControl, h.OnUnclaimed, h.OnDeliver = hook, hook, hook
+		h.OnControl, h.OnDeliver = hook, hook
 	}
 	for _, sw := range append([]*Switch{tt.Root}, tt.Leaves...) {
 		for _, p := range sw.Ports() {
 			p.AttachTelemetry(reg)
-			p.OnQueueChange = func(sim.Time, int) {}
-			p.OnTransmit = hook
 		}
+	}
+	ports := tt.ports()
+	subs := make([]obs.Sub, len(ports))
+	for i, p := range ports {
+		p.Sink.Subscribe(&subs[i], func(obs.Record, *packet.Packet) { *seen++ })
 	}
 	// Bursts from every worker to the aggregator and to one another: the
 	// bottleneck queue builds, marks (drawing RED coins where configured),
@@ -70,18 +75,19 @@ func dirtyTwoTier(t *testing.T, s *sim.Scheduler, tt *TwoTier) {
 	for i, j := 0, len(tt.Workers)-1; i < j; i, j = i+1, j-1 {
 		tt.Workers[i], tt.Workers[j] = tt.Workers[j], tt.Workers[i]
 	}
-	if st := bn.Stats(); st.MarkedPkts == 0 || st.DroppedPkts == 0 || bn.QueueLen() == 0 || bn.Link().Lost() == 0 {
-		t.Fatalf("first life too quiet to dirty the tree: bottleneck %+v queue %d lost %d",
-			st, bn.QueueLen(), bn.Link().Lost())
+	if st := bn.Stats(); st.MarkedPkts == 0 || st.DroppedPkts == 0 || bn.QueueLen() == 0 || bn.Link().Lost() == 0 || *seen == 0 {
+		t.Fatalf("first life too quiet to dirty the tree: bottleneck %+v queue %d lost %d records %d",
+			st, bn.QueueLen(), bn.Link().Lost(), *seen)
 	}
 }
 
 // TestTwoTierResetEqualsFresh: after a faulted, observed run and a Reset
 // (scheduler first emptied, as a rig does), every host, port and link of the
 // tree equals its counterpart in a freshly built one outside the keep-lists
-// — nominal config restored, stats, hooks and instruments cleared, RNGs
-// reseeded, rings and flow maps empty, Workers back in construction order —
-// under the DCTCP threshold, RED and HULL marking alike.
+// — nominal config restored, stats, hooks, sink subscribers and instruments
+// cleared, RNGs reseeded, rings and flow maps empty, Workers back in
+// construction order — under the DCTCP threshold, RED and HULL marking
+// alike.
 func TestTwoTierResetEqualsFresh(t *testing.T) {
 	red := DefaultTopologyConfig()
 	red.SwitchPort = PortConfig{BufferBytes: 128 << 10, Policy: MarkREDLinear,
@@ -93,12 +99,13 @@ func TestTwoTierResetEqualsFresh(t *testing.T) {
 			s := sim.NewScheduler()
 			tt := NewTwoTier(s, 3, 3, cfg)
 			pool := tt.EnablePacketPool()
-			dirtyTwoTier(t, s, tt)
+			var seen int
+			dirtyTwoTier(t, s, tt, &seen)
 			ringCaps := map[*Port]int{}
 			for _, p := range tt.ports() {
 				ringCaps[p] = cap(p.q)
 			}
-			minted := pool.Minted()
+			minted, seenBefore := pool.Minted(), seen
 			s.Reset()
 			tt.Reset()
 
@@ -136,6 +143,9 @@ func TestTwoTierResetEqualsFresh(t *testing.T) {
 			if pool.Minted() != minted || tt.Aggregator.DeliveredPkts() != 1 {
 				t.Errorf("second life: minted %d -> %d, aggregator received %d; want a recycled packet delivered once",
 					minted, pool.Minted(), tt.Aggregator.DeliveredPkts())
+			}
+			if seen != seenBefore {
+				t.Errorf("second life: %d records reached the first life's subscribers, want Reset to drop them", seen-seenBefore)
 			}
 		})
 	}

@@ -32,9 +32,6 @@ func NewSwitch(sched *sim.Scheduler, id packet.NodeID, name string) *Switch {
 // ID returns the switch's node id.
 func (s *Switch) ID() packet.NodeID { return s.id }
 
-// Name returns the human-readable switch name (e.g. "switch1").
-func (s *Switch) Name() string { return s.name }
-
 // AddPort attaches an output port feeding a link to a neighbour and
 // returns it.
 func (s *Switch) AddPort(link *Link, cfg PortConfig) *Port {

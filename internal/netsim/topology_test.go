@@ -148,7 +148,6 @@ func TestTwoTierWorkerToWorkerSameLeaf(t *testing.T) {
 func TestSwitchAggregateStats(t *testing.T) {
 	s := sim.NewScheduler()
 	star := NewStar(s, 3, DefaultTopologyConfig())
-	star.Hosts[2].OnUnclaimed = func(*packet.Packet) {}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 4; j++ {
 			star.Hosts[i].Send(&packet.Packet{Dst: star.Hosts[2].ID(),
@@ -192,12 +191,11 @@ func TestHostUnclaimedAndDuplicateRegistration(t *testing.T) {
 	s := sim.NewScheduler()
 	star := NewStar(s, 2, DefaultTopologyConfig())
 	h := star.Hosts[1]
-	var unclaimed int
-	h.OnUnclaimed = func(*packet.Packet) { unclaimed++ }
+	// An unclaimed packet is delivered to the host and discarded there.
 	star.Hosts[0].Send(&packet.Packet{Dst: h.ID(), Flow: 5, Payload: 1})
 	s.Run()
-	if unclaimed != 1 {
-		t.Errorf("unclaimed = %d", unclaimed)
+	if h.DeliveredPkts() != 1 {
+		t.Errorf("delivered = %d, want the unclaimed packet", h.DeliveredPkts())
 	}
 
 	h.Register(5, FlowHandlerFunc(func(*packet.Packet) {}))
@@ -216,12 +214,10 @@ func TestHostUnregister(t *testing.T) {
 	n := 0
 	h.Register(9, FlowHandlerFunc(func(*packet.Packet) { n++ }))
 	h.Unregister(9)
-	var unclaimed int
-	h.OnUnclaimed = func(*packet.Packet) { unclaimed++ }
 	star.Hosts[0].Send(&packet.Packet{Dst: h.ID(), Flow: 9, Payload: 1})
 	s.Run()
-	if n != 0 || unclaimed != 1 {
-		t.Errorf("n=%d unclaimed=%d after Unregister", n, unclaimed)
+	if n != 0 || h.DeliveredPkts() != 1 {
+		t.Errorf("n=%d delivered=%d after Unregister", n, h.DeliveredPkts())
 	}
 }
 

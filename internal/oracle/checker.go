@@ -6,6 +6,7 @@ import (
 	"dctcpplus/internal/check"
 	"dctcpplus/internal/core"
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/tcp"
@@ -56,11 +57,12 @@ func NewChecker(sched *sim.Scheduler) *Checker {
 	}
 }
 
-// AttachConn subscribes one connection's endpoint streams: the sender's
-// per-ACK probe and RTO taxonomy hooks and the receiver's ACK-emission
-// hook. The flow's packet-level events come from the host taps — pair
-// AttachConn with AttachTwoTier (or AttachHost on both endpoints' hosts),
-// or the packet-driven oracles see no traffic and stay vacuous.
+// AttachConn subscribes one connection's endpoint streams: the flow's one
+// bound subscriber joins the sender's sink (per-ACK probes, RTO taxonomy)
+// and the receiver's (ACK emission). The flow's packet-level events come
+// from the host taps — pair AttachConn with AttachTwoTier (or AttachHost on
+// both endpoints' hosts), or the packet-driven oracles see no traffic and
+// stay vacuous.
 func (c *Checker) AttachConn(conn *tcp.Conn) {
 	if c == nil {
 		return
@@ -74,47 +76,22 @@ func (c *Checker) AttachConn(conn *tcp.Conn) {
 	c.flows[flow] = fs
 	c.order = append(c.order, flow)
 
-	prevProbe := snd.OnAckProbe
-	snd.OnAckProbe = func(s *tcp.Sender, ece bool) {
-		fs.onProbe(s, ece)
-		if prevProbe != nil {
-			prevProbe(s, ece)
-		}
-	}
-	prevTO := snd.OnTimeoutEvent
-	snd.OnTimeoutEvent = func(kind tcp.TimeoutKind) {
-		fs.onRTO()
-		if prevTO != nil {
-			prevTO(kind)
-		}
-	}
-	prevAck := conn.Receiver.OnAckSent
-	conn.Receiver.OnAckSent = func(pkt *packet.Packet) {
-		fs.onAckSent(pkt)
-		if prevAck != nil {
-			prevAck(pkt)
-		}
-	}
+	observe := fs.observe
+	snd.Sink.Subscribe(&fs.sndSub, observe)
+	conn.Receiver.Sink.Subscribe(&fs.rcvSub, observe)
 }
 
-// AttachHost installs the packet taps on one host: its uplink transmit
-// hook (data segments entering the network) and its delivery hook (data
-// with final ECN marks at receivers, returning ACKs at senders). Safe to
-// call for hosts already attached.
+// AttachHost installs the packet taps on one host: its uplink's sink (data
+// segments entering the network) and its delivery hook (data with final ECN
+// marks at receivers, returning ACKs at senders). Safe to call for hosts
+// already attached.
 func (c *Checker) AttachHost(h *netsim.Host) {
 	if c == nil || h == nil || c.hosts[h.ID()] {
 		return
 	}
 	c.hosts[h.ID()] = true
 	if up := h.Uplink(); up != nil {
-		prevTx := up.OnTransmit
-		up.OnTransmit = func(pkt *packet.Packet) {
-			c.onTransmit(pkt)
-			if prevTx != nil {
-				prevTx(pkt)
-			}
-		}
-		c.watchPort(up, fmt.Sprintf("host[%d].uplink", h.ID()))
+		up.Sink.Subscribe(new(obs.Sub), c.onTransmit)
 	}
 	prevDel := h.OnDeliver
 	h.OnDeliver = func(pkt *packet.Packet) {
@@ -125,19 +102,9 @@ func (c *Checker) AttachHost(h *netsim.Host) {
 	}
 }
 
-// AttachSwitch installs queue-occupancy watches on every port of a switch.
-func (c *Checker) AttachSwitch(sw *netsim.Switch) {
-	if c == nil || sw == nil {
-		return
-	}
-	for i, p := range sw.Ports() {
-		c.watchPort(p, fmt.Sprintf("%s.port[%d]", sw.Name(), i))
-	}
-}
-
 // AttachTwoTier wires the whole two-tier testbed: packet taps on the
-// aggregator and every worker, queue watches on every switch port, and the
-// topology handle the conservation ledger audits at Finish.
+// aggregator and every worker, and the topology handle the conservation
+// ledger audits at Finish.
 func (c *Checker) AttachTwoTier(tt *netsim.TwoTier) {
 	if c == nil || tt == nil {
 		return
@@ -147,38 +114,12 @@ func (c *Checker) AttachTwoTier(tt *netsim.TwoTier) {
 	for _, w := range tt.Workers {
 		c.AttachHost(w)
 	}
-	c.AttachSwitch(tt.Root)
-	for _, leaf := range tt.Leaves {
-		c.AttachSwitch(leaf)
-	}
-}
-
-// watchPort chains the queue-change hook and enforces the occupancy bound
-// 0 <= qBytes <= BufferBytes at every enqueue/dequeue. Fault plans may
-// shrink BufferBytes below the live occupancy; the queue then legally
-// exceeds the (new) capacity until it drains, so an over-capacity sample
-// is only a violation when the occupancy *grew* into it.
-func (c *Checker) watchPort(p *netsim.Port, label string) {
-	prevQ := p.QueueBytes()
-	prev := p.OnQueueChange
-	p.OnQueueChange = func(now sim.Time, qBytes int) {
-		if qBytes < 0 {
-			c.report("queue-bounds", 0, now, fmt.Sprintf("%s occupancy %d < 0", label, qBytes))
-		} else if limit := p.Config().BufferBytes; qBytes > limit && qBytes > prevQ {
-			c.report("queue-bounds", 0, now,
-				fmt.Sprintf("%s occupancy grew to %d > BufferBytes %d", label, qBytes, limit))
-		}
-		prevQ = qBytes
-		if prev != nil {
-			prev(now, qBytes)
-		}
-	}
 }
 
 // onTransmit observes a packet starting serialization at a host uplink.
 // Only data segments of attached flows feed the oracles; the receiver-side
-// ACK stream is observed at emission (OnAckSent) instead.
-func (c *Checker) onTransmit(pkt *packet.Packet) {
+// ACK stream is observed at emission (obs.AckSent) instead.
+func (c *Checker) onTransmit(_ obs.Record, pkt *packet.Packet) {
 	if !pkt.IsData() || pkt.Flags.Has(packet.FlagREQ) {
 		return
 	}

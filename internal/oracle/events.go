@@ -1,19 +1,16 @@
 // Package oracle is the trace-oracle conformance layer: it subscribes to
-// the simulator's packet taps and per-ACK probe streams and replays every
-// packet, ACK and timer event through a set of pluggable state-machine
-// oracles — cumulative-ACK monotonicity, retransmission legality (RFC 5681
-// fast retransmit / RFC 6582 NewReno deflation arithmetic), RFC 6298 RTO
-// backoff/reset discipline (Karn), RFC 3168 / DCTCP precise ECE echo,
-// DCTCP's once-per-window alpha cadence, the DCTCP+ Figure 4 state machine
-// with Algorithm 1's slow_time bounds, per-event queue-occupancy bounds,
-// and whole-network packet/byte conservation.
+// the simulator's observation sinks and host delivery taps and replays
+// every packet, ACK and timer event through a set of pluggable
+// state-machine oracles — cumulative-ACK monotonicity, retransmission
+// legality (RFC 5681 fast retransmit / RFC 6582 NewReno deflation
+// arithmetic), RFC 6298 RTO backoff/reset discipline (Karn), RFC 3168 /
+// DCTCP precise ECE echo, DCTCP's once-per-window alpha cadence, the DCTCP+
+// Figure 4 state machine with Algorithm 1's slow_time bounds, and
+// whole-network packet/byte conservation. (Queue occupancy bounds are not
+// a rule: the port asserts them itself before any observer could see them.)
 //
-// The checker is a pure observer: it chains onto the existing hook fields
-// (Port.OnTransmit, Host.OnDeliver, Receiver.OnAckSent, Sender.OnAckProbe,
-// Sender.OnTimeoutEvent, Port.OnQueueChange) without replacing them, and
-// every method on a nil *Checker is a no-op, so disabled runs pay zero
-// allocations and zero branches beyond the hook nil-checks that already
-// exist. Rules are envelopes: they admit every behavior the engine can
+// The checker is a pure observer, and every method on a nil *Checker is a
+// no-op. Rules are envelopes: they admit every behavior the engine can
 // legally produce (no false positives under fault-induced reordering) and
 // flag what the RFCs and the paper forbid. Each violation carries a
 // minimized event-window trace — the last few events of the offending flow
@@ -130,7 +127,7 @@ func (e Event) format() string {
 type Violation struct {
 	At   sim.Time
 	Rule string
-	Flow packet.FlowID // 0 for network-wide rules (conservation, queues)
+	Flow packet.FlowID // 0 for network-wide rules (conservation)
 	Msg  string
 	// Window is the minimized trace: the last <= windowEvents ring events
 	// touching the flow (all flows for network-wide rules).

@@ -28,7 +28,6 @@ func runTransfer(t *testing.T, cfg tcp.Config, cc tcp.CongestionControl, total i
 	ck.AttachConn(conn)
 	ck.AttachHost(star.Hosts[0])
 	ck.AttachHost(star.Hosts[1])
-	ck.AttachSwitch(star.Switch)
 	if lossRate > 0 {
 		star.Hosts[0].Uplink().Link().SetLoss(lossRate, 42)
 	}
@@ -420,23 +419,10 @@ func TestPlusMachineTransitions(t *testing.T) {
 	requireClean(t, ck6)
 }
 
-func TestQueueBoundsRule(t *testing.T) {
-	sched := sim.NewScheduler()
-	star := netsim.NewStar(sched, 2, netsim.DefaultTopologyConfig())
-	ck := NewChecker(sched)
-	ck.AttachSwitch(star.Switch)
-	p := star.Switch.Ports()[0]
-	p.OnQueueChange(sched.Now(), -1)
-	requireViolation(t, ck, "queue-bounds", "< 0")
-	p.OnQueueChange(sched.Now(), p.Config().BufferBytes+1)
-	requireViolation(t, ck, "queue-bounds", "grew to")
-}
-
 func TestNilCheckerIsNoOp(t *testing.T) {
 	var ck *Checker
 	ck.AttachConn(nil)
 	ck.AttachHost(nil)
-	ck.AttachSwitch(nil)
 	ck.AttachTwoTier(nil)
 	if ck.Total() != 0 || ck.Violations() != nil || ck.Finish(true) != nil {
 		t.Error("nil checker not a no-op")

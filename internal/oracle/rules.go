@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"dctcpplus/internal/core"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/tcp"
@@ -30,6 +31,8 @@ type flowState struct {
 	flow packet.FlowID
 	cfg  tcp.Config
 	snd  *tcp.Sender // read for its send frontier when permission is granted
+
+	sndSub, rcvSub obs.Sub // the flow's subscriptions to its endpoints' sinks
 
 	plus    *core.Enhancer // nil unless the flow runs the DCTCP+ enhancer
 	plusCfg core.Config
@@ -90,6 +93,20 @@ func newFlowState(c *Checker, flow packet.FlowID, snd *tcp.Sender) *flowState {
 	// frontier.
 	fs.aLoEnd, fs.aHiEnd = snd.SndUna(), snd.SndNxt()
 	return fs
+}
+
+// observe is the flow's one subscriber, shared by both endpoints' sinks.
+func (fs *flowState) observe(r obs.Record, pkt *packet.Packet) {
+	switch r.Kind {
+	case obs.AckSent:
+		fs.onAckSent(pkt)
+	case obs.AckProcessed:
+		fs.onProbe(r.ECE)
+	case obs.Timeout:
+		fs.onRTO()
+	default:
+		panic("oracle: a port's record reached a flow's endpoint subscriber")
+	}
 }
 
 func (fs *flowState) report(rule, msg string) {
@@ -338,8 +355,8 @@ func (fs *flowState) dropBelow(ackNo int64) {
 // onRTO observes a retransmission timeout: it grants go-back-N repair
 // permission, re-anchors the alpha-cadence model at the (about to be)
 // rewound frontier, and invalidates any pending fresh-send evidence.
-// The hook fires before the engine rewinds snd_nxt, so snd still reports
-// the pre-rewind frontier here.
+// The Timeout record is emitted before the engine rewinds snd_nxt, so snd
+// still reports the pre-rewind frontier here.
 func (fs *flowState) onRTO() {
 	snd := fs.snd
 	now := fs.c.sched.Now()
@@ -362,7 +379,8 @@ func (fs *flowState) onRTO() {
 // onProbe is the per-ACK sender oracle: NewReno recovery arithmetic
 // (RFC 6582), RTO backoff discipline (RFC 6298 §5.5-5.7 with Karn's
 // reset rule), DCTCP alpha cadence, and the DCTCP+ Figure 4 machine.
-func (fs *flowState) onProbe(snd *tcp.Sender, ece bool) {
+func (fs *flowState) onProbe(ece bool) {
+	snd := fs.snd
 	now := fs.c.sched.Now()
 	ev := Event{At: now, Kind: EvAckProbe, Flow: fs.flow, Ece: ece,
 		Cwnd: snd.CwndMSS(), Ssthresh: snd.SsthreshMSS(),

@@ -10,7 +10,7 @@ import (
 // rtoScenario drives a live connection into a genuine RTO: the wire drops
 // every data segment once sndUna passes 4 MSS, and re-opens when the first
 // timeout fires, leaving the sender to repair via go-back-N. onRTO runs
-// inside the first OnTimeoutEvent (before the rewind, so SndNxt() is still
+// inside the first Timeout record (before the rewind, so SndNxt() is still
 // the pre-RTO frontier); onProbe sees every ACK after it.
 func rtoScenario(t *testing.T, onRTO func(s *Sender), onProbe func(s *Sender)) (*wire, *Sender) {
 	t.Helper()
@@ -24,23 +24,23 @@ func rtoScenario(t *testing.T, onRTO func(s *Sender), onProbe func(s *Sender)) (
 	w.filter.drop = func(p *packet.Packet) bool { return dropping && p.IsData() }
 
 	rtoFired := false
-	snd.OnAckProbe = func(ps *Sender, _ bool) {
+	onAck(snd, func() {
 		if !rtoFired {
-			if !dropping && ps.SndUna() >= 4*packet.MSS {
+			if !dropping && snd.SndUna() >= 4*packet.MSS {
 				dropping = true
 			}
 			return
 		}
-		onProbe(ps)
-	}
-	snd.OnTimeoutEvent = func(TimeoutKind) {
+		onProbe(snd)
+	})
+	onTimeout(snd, func(TimeoutKind) {
 		if rtoFired {
 			return
 		}
 		rtoFired = true
 		dropping = false // let the go-back-N repair traffic through
 		onRTO(snd)
-	}
+	})
 	snd.Send(64 * packet.MSS)
 	w.sched.RunUntil(sim.Time(10 * sim.Second))
 	if !rtoFired {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 )
@@ -80,6 +81,44 @@ func TestTransferAllocBudget(t *testing.T) {
 	}
 	if pool.Minted() > 256 {
 		t.Fatalf("pool minted %d packets for a 64-segment window", pool.Minted())
+	}
+}
+
+// TestObservedTransferAllocBudget is TestTransferAllocBudget with a
+// subscriber on the sender's and the receiver's sink: emitting costs no
+// allocation, and the subscribers see every processed and every emitted ACK
+// exactly once.
+func TestObservedTransferAllocBudget(t *testing.T) {
+	s := sim.NewScheduler()
+	star := netsim.NewStar(s, 2, netsim.DefaultTopologyConfig())
+	star.EnablePacketPool()
+	cfg := DefaultConfig()
+	cfg.MaxCwnd = 64
+	c := NewConn(cfg, NewReno{}, star.Hosts[0], star.Hosts[1], 1)
+	var sndSub, rcvSub obs.Sub
+	var seen [obs.Timeout + 1]int64
+	count := func(r obs.Record, _ *packet.Packet) { seen[r.Kind]++ }
+	c.Sender.Sink.Subscribe(&sndSub, count)
+	c.Receiver.Sink.Subscribe(&rcvSub, count)
+
+	transfer := func() {
+		c.Sender.Send(64 << 10)
+		s.Run()
+	}
+	for i := 0; i < 4; i++ {
+		transfer()
+	}
+	if got := testing.AllocsPerRun(20, transfer); got != 0 {
+		t.Fatalf("observed steady-state transfer allocates %.1f times per 64KB, want 0", got)
+	}
+	if !c.Sender.Done() {
+		t.Fatal("transfers incomplete")
+	}
+	if acks := c.Sender.Stats().AcksIn; seen[obs.AckProcessed] != acks {
+		t.Errorf("sender sink saw %d ACKs processed, sender counted %d", seen[obs.AckProcessed], acks)
+	}
+	if acks := c.Receiver.Stats().AcksOut; seen[obs.AckSent] != acks || acks == 0 {
+		t.Errorf("receiver sink saw %d ACKs sent, receiver counted %d", seen[obs.AckSent], acks)
 	}
 }
 

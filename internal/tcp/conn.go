@@ -17,7 +17,7 @@ import (
 // initialiser NewConn used, under a new flow id, so a workload that churns
 // through short connections (the §VI-D mix) recycles them instead of
 // allocating. A reopened connection is a fresh one — window, sequence
-// space, estimator, counters, hooks and telemetry all reset, the random
+// space, estimator, counters, hooks, sinks, telemetry reset, the random
 // stream restarted from cfg.Seed — except that it keeps its timers and
 // pacing callback (still bound to it) and the receiver's scratch capacity.
 // Flow ids are never reused: a closed flow's stragglers still in the
@@ -43,9 +43,9 @@ func NewConn(cfg Config, cc CongestionControl, from, to *netsim.Host, flow packe
 }
 
 // Reopen re-initialises a closed connection for a new flow, exactly as
-// NewConn would a new one; hooks (OnComplete, OnData, ...) and telemetry
-// must be attached again. Reopening a connection that is still open is an
-// invariant violation.
+// NewConn would a new one; hooks (OnComplete, OnData), sink subscribers
+// and telemetry must be attached again. Reopening a connection that is
+// still open is an invariant violation.
 func (c *Conn) Reopen(cfg Config, cc CongestionControl, from, to *netsim.Host, flow packet.FlowID) {
 	c.snd.open(cfg, cc, from, to.ID(), flow)
 	c.rcv.open(cfg, to, from.ID(), flow)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 )
@@ -74,4 +75,22 @@ func dropSeqOnce(seqs ...int64) func(*packet.Packet) bool {
 		}
 		return false
 	}
+}
+
+// onAck subscribes fn to every ACK the sender finishes processing.
+func onAck(s *Sender, fn func()) {
+	s.Sink.Subscribe(new(obs.Sub), func(r obs.Record, _ *packet.Packet) {
+		if r.Kind == obs.AckProcessed {
+			fn()
+		}
+	})
+}
+
+// onTimeout subscribes fn to every RTO the sender reports.
+func onTimeout(s *Sender, fn func(TimeoutKind)) {
+	s.Sink.Subscribe(new(obs.Sub), func(r obs.Record, _ *packet.Packet) {
+		if r.Kind == obs.Timeout {
+			fn(TimeoutKind(r.Timeout))
+		}
+	})
 }

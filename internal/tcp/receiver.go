@@ -3,6 +3,7 @@ package tcp
 import (
 	"dctcpplus/internal/check"
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 )
@@ -74,11 +75,9 @@ type Receiver struct {
 
 	// OnData observes each in-order delivery (n bytes).
 	OnData func(n int64)
-	// OnAckSent observes every ACK at the exact emission instant, before any
-	// host-queue or serialization delay — the receiver-side tap the oracle
-	// conformance layer replays ACK streams from. The packet is recycled
-	// after Send; observers must copy fields out synchronously.
-	OnAckSent func(pkt *packet.Packet)
+	// Sink receives an obs.AckSent record, with the ACK, at the exact
+	// emission instant, before any host-queue or serialization delay.
+	Sink obs.Sink
 }
 
 // NewReceiver creates a receiver for flow on host, acknowledging toward
@@ -384,8 +383,8 @@ func (r *Receiver) sendAckAt(ackNo int64) {
 	pkt.AckNo = ackNo
 	pkt.Flags = flags
 	pkt.SendTime = r.sched.Now()
-	if r.OnAckSent != nil {
-		r.OnAckSent(pkt)
+	if r.Sink.Active() {
+		r.Sink.Emit(obs.Record{At: pkt.SendTime, Flow: r.flow, Kind: obs.AckSent, ECE: flags.Has(packet.FlagECE)}, pkt)
 	}
 	r.host.Send(pkt)
 }

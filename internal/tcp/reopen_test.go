@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/resetcheck"
 	"dctcpplus/internal/sim"
@@ -20,11 +21,12 @@ var (
 )
 
 // TestReopenEqualsFresh: a connection that has lived — a transfer with
-// reordering, a timeout, every hook and telemetry instrument attached — is
-// closed and reopened; outside the keep-list, every field of both endpoints
-// must then equal a freshly constructed twin's. A field added later that
-// outlives Close fails here by name until open resets it or the keep-list
-// takes it.
+// reordering, a timeout, every hook, sink subscriber and telemetry
+// instrument attached — is closed and reopened; outside the keep-list, every
+// field of both endpoints must then equal a freshly constructed twin's, and
+// the first life's subscribers hear nothing of the second. A field added
+// later that outlives Close fails here by name until open resets it or the
+// keep-list takes it.
 func TestReopenEqualsFresh(t *testing.T) {
 	w := newWire(t)
 	// Lose a mid-window segment (reassembly at the receiver, duplicate ACKs
@@ -38,10 +40,11 @@ func TestReopenEqualsFresh(t *testing.T) {
 	c := w.conn(cfg, NewReno{})
 	c.Sender.AttachTelemetry(telemetry.NewRegistry())
 	c.Sender.OnComplete = func(int64) {}
-	c.Sender.OnAckProbe = func(*Sender, bool) {}
-	c.Sender.OnTimeoutEvent = func(TimeoutKind) {}
 	c.Receiver.OnData = func(int64) {}
-	c.Receiver.OnAckSent = func(*packet.Packet) {}
+	records := 0
+	count := func(obs.Record, *packet.Packet) { records++ }
+	c.Sender.Sink.Subscribe(new(obs.Sub), count)
+	c.Receiver.Sink.Subscribe(new(obs.Sub), count)
 	c.Sender.Send(first)
 	w.sched.Run()
 	c.Sender.Send(100)
@@ -59,6 +62,7 @@ func TestReopenEqualsFresh(t *testing.T) {
 			c.Receiver.ooo, c.Sender.rtoTimer.Armed(), c.Sender.Done())
 	}
 	oooCap, runsCap := cap(c.Receiver.ooo), cap(c.Receiver.ackRuns)
+	firstLife := records
 	c.Close()
 
 	cfg2 := cfg
@@ -93,6 +97,10 @@ func TestReopenEqualsFresh(t *testing.T) {
 	w.sched.Run()
 	if st := c.Sender.Stats(); !done || st.Timeouts == 0 || c.Receiver.Stats().DeliveredByte != 100 {
 		t.Fatalf("second life: done=%v stats=%+v, want the lost segment recovered by the RTO", done, st)
+	}
+	if firstLife == 0 || records != firstLife {
+		t.Errorf("subscribers saw %d records in the first life and %d in the second, want some and none",
+			firstLife, records-firstLife)
 	}
 }
 

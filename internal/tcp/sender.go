@@ -5,6 +5,7 @@ import (
 
 	"dctcpplus/internal/check"
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/telemetry"
@@ -152,11 +153,9 @@ type Sender struct {
 	// OnComplete fires when all bytes handed to Send so far are
 	// acknowledged; total is the acknowledged byte count.
 	OnComplete func(total int64)
-	// OnAckProbe observes every processed ACK after state updates — the
-	// tcp_probe analog used by the cwnd-distribution experiments.
-	OnAckProbe func(s *Sender, ece bool)
-	// OnTimeoutEvent observes every RTO with its taxonomy classification.
-	OnTimeoutEvent func(kind TimeoutKind)
+	// Sink receives an obs.AckProcessed record after every processed ACK
+	// (the tcp_probe analog) and an obs.Timeout record at every RTO.
+	Sink obs.Sink
 }
 
 // NewSender creates a sender for flow on host, targeting the peer node, and
@@ -615,8 +614,8 @@ func (s *Sender) Deliver(pkt *packet.Packet) {
 	// paper's tcp_probe captures behind Fig. 2/Fig. 9.
 	s.mCwnd.Observe(int64(s.cwnd + 0.5))
 
-	if s.OnAckProbe != nil {
-		s.OnAckProbe(s, ece)
+	if s.Sink.Active() {
+		s.Sink.Emit(obs.Record{At: now, Flow: s.flow, Kind: obs.AckProcessed, ECE: ece}, nil)
 	}
 }
 
@@ -720,8 +719,8 @@ func (s *Sender) onRTO() {
 		s.stats.LAckTimeouts++
 		s.mLAckTO.Add(1)
 	}
-	if s.OnTimeoutEvent != nil {
-		s.OnTimeoutEvent(kind)
+	if s.Sink.Active() {
+		s.Sink.Emit(obs.Record{At: s.sched.Now(), Flow: s.flow, Kind: obs.Timeout, Timeout: uint8(kind)}, nil)
 	}
 
 	s.ssthresh = s.cc.SsthreshAfterLoss(s)

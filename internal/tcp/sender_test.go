@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 )
@@ -248,7 +249,7 @@ func TestFullWindowLossIsFLossTimeout(t *testing.T) {
 		return p.IsData() && w.sched.Now() < sim.Time(5*sim.Millisecond)
 	}
 	var kinds []TimeoutKind
-	c.Sender.OnTimeoutEvent = func(k TimeoutKind) { kinds = append(kinds, k) }
+	onTimeout(c.Sender, func(k TimeoutKind) { kinds = append(kinds, k) })
 	done := false
 	c.Sender.OnComplete = func(int64) { done = true }
 	c.Sender.Send(10 * packet.MSS)
@@ -281,7 +282,7 @@ func TestInsufficientDupAcksIsLAckTimeout(t *testing.T) {
 	// two dupacks — below DupThresh — so only the RTO recovers: LAck-TO.
 	w.filter.drop = dropSeqOnce(1 * packet.MSS)
 	var kinds []TimeoutKind
-	c.Sender.OnTimeoutEvent = func(k TimeoutKind) { kinds = append(kinds, k) }
+	onTimeout(c.Sender, func(k TimeoutKind) { kinds = append(kinds, k) })
 	done := false
 	c.Sender.OnComplete = func(int64) { done = true }
 	c.Sender.Send(4 * packet.MSS)
@@ -312,9 +313,6 @@ func TestTimeoutCollapsesCwndToOne(t *testing.T) {
 		return p.IsData() && w.sched.Now() < sim.Time(5*sim.Millisecond)
 	}
 	var cwndAtTO float64 = -1
-	c.Sender.OnTimeoutEvent = func(TimeoutKind) {
-		// Callback fires before the collapse; sample just after via state.
-	}
 	c.Sender.Send(10 * packet.MSS)
 	// Step until the first timeout has been processed.
 	for w.sched.Step() {
@@ -347,9 +345,9 @@ func TestRTOExponentialBackoff(t *testing.T) {
 		return w.sched.Now() < sim.Time(100*sim.Millisecond)
 	}
 	var timeoutTimes []sim.Time
-	c.Sender.OnTimeoutEvent = func(TimeoutKind) {
+	onTimeout(c.Sender, func(TimeoutKind) {
 		timeoutTimes = append(timeoutTimes, w.sched.Now())
-	}
+	})
 	done := false
 	c.Sender.OnComplete = func(int64) { done = true }
 	c.Sender.Send(5 * packet.MSS)
@@ -414,11 +412,11 @@ func TestRepairClippedAtMaxSent(t *testing.T) {
 		}
 	}
 	backoffAtRound := -1
-	c.Sender.OnAckProbe = func(s *Sender, _ bool) {
-		if s.SndUna() == round {
-			backoffAtRound = int(s.RTOBackoff())
+	onAck(c.Sender, func() {
+		if c.Sender.SndUna() == round {
+			backoffAtRound = int(c.Sender.RTOBackoff())
 		}
-	}
+	})
 	c.Sender.Send(round)
 	for w.sched.Step() && c.Sender.Stats().Timeouts == 0 {
 	}
@@ -453,11 +451,11 @@ func TestStaleRepairFlagSendsNoDuplicate(t *testing.T) {
 	w := newWire(t)
 	c := w.conn(DefaultConfig(), NewReno{})
 	var seqs []int64
-	w.a.Uplink().OnTransmit = func(p *packet.Packet) {
+	w.a.Uplink().Sink.Subscribe(new(obs.Sub), func(_ obs.Record, p *packet.Packet) {
 		if p.IsData() {
 			seqs = append(seqs, p.Seq)
 		}
-	}
+	})
 	c.Sender.Send(packet.MSS)
 	w.sched.Run()
 	c.Sender.rtxPending = true
@@ -481,11 +479,11 @@ func TestMinCwndFloorHolds(t *testing.T) {
 		}
 	}
 	minSeen := 1e9
-	c.Sender.OnAckProbe = func(s *Sender, _ bool) {
-		if s.State() != StateLoss && s.CwndMSS() < minSeen {
+	onAck(c.Sender, func() {
+		if s := c.Sender; s.State() != StateLoss && s.CwndMSS() < minSeen {
 			minSeen = s.CwndMSS()
 		}
-	}
+	})
 	c.Sender.Send(200 * packet.MSS)
 	w.sched.Run()
 	if !c.Sender.Done() {
@@ -551,13 +549,13 @@ func TestCloseUnregisters(t *testing.T) {
 	c.Sender.Send(packet.MSS)
 	w.sched.Run()
 	c.Close()
-	var unclaimedA int
-	w.a.OnUnclaimed = func(*packet.Packet) { unclaimedA++ }
-	// An ACK arriving after close must be unclaimed, not crash.
+	delivered, acks := w.a.DeliveredPkts(), c.Sender.Stats().AcksIn
+	// An ACK arriving after close must be discarded unclaimed, not crash.
 	w.b.Send(&packet.Packet{Dst: w.a.ID(), Flow: 7, Flags: packet.FlagACK, AckNo: 1})
 	w.sched.Run()
-	if unclaimedA != 1 {
-		t.Errorf("unclaimed = %d", unclaimedA)
+	if got := w.a.DeliveredPkts() - delivered; got != 1 || c.Sender.Stats().AcksIn != acks {
+		t.Errorf("after Close: %d packet(s) reached the host, sender ACKs %d -> %d; want one, unclaimed",
+			got, acks, c.Sender.Stats().AcksIn)
 	}
 }
 

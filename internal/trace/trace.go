@@ -12,21 +12,19 @@ import (
 
 	"dctcpplus/internal/check"
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
+	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/stats"
 	"dctcpplus/internal/tcp"
 )
 
 // CwndProbe records the congestion window (in whole MSS) observed at every
-// ACK on one sender — the tcp_probe analog. Attach installs it on the
-// sender's OnAckProbe hook, chaining any previously installed hook.
+// ACK on one sender — the tcp_probe analog. Attach subscribes it to the
+// sender's sink, beside any other subscriber.
 type CwndProbe struct {
 	hist *stats.Hist
-
-	// eceAtMin counts ACK events where the window sat at (or below) the
-	// configured floor while ECE was set — the Fig. 2/Table I coincidence.
-	eceAtMin int64
-	events   int64
+	sub  obs.Sub
 }
 
 // NewCwndProbe returns an empty probe.
@@ -34,39 +32,17 @@ func NewCwndProbe() *CwndProbe {
 	return &CwndProbe{hist: stats.NewHist()}
 }
 
-// Attach hooks the probe onto the sender.
+// Attach subscribes the probe to one sender's processed ACKs.
 func (p *CwndProbe) Attach(s *tcp.Sender) {
-	prev := s.OnAckProbe
-	s.OnAckProbe = func(snd *tcp.Sender, ece bool) {
-		p.Observe(snd, ece)
-		if prev != nil {
-			prev(snd, ece)
+	s.Sink.Subscribe(&p.sub, func(r obs.Record, _ *packet.Packet) {
+		if r.Kind == obs.AckProcessed {
+			p.hist.Add(max(int(math.Round(s.CwndMSS())), 1))
 		}
-	}
-}
-
-// Observe records one ACK event.
-func (p *CwndProbe) Observe(s *tcp.Sender, ece bool) {
-	w := int(math.Round(s.CwndMSS()))
-	if w < 1 {
-		w = 1
-	}
-	p.hist.Add(w)
-	p.events++
-	if ece && s.CwndMSS() <= s.MinCwndMSS() {
-		p.eceAtMin++
-	}
+	})
 }
 
 // Hist returns the cwnd frequency histogram (bins in MSS).
 func (p *CwndProbe) Hist() *stats.Hist { return p.hist }
-
-// Events returns the number of ACKs observed.
-func (p *CwndProbe) Events() int64 { return p.events }
-
-// ECEAtMin returns the number of ACK events with the window pinned at the
-// floor while ECE was set.
-func (p *CwndProbe) ECEAtMin() int64 { return p.eceAtMin }
 
 // sampleBlock is how many samples one storage block holds: 16 KiB of
 // int32s, filled in place, so a run pays one allocation per block.

@@ -3,11 +3,13 @@ package trace
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"dctcpplus/internal/netsim"
+	"dctcpplus/internal/obs"
 	"dctcpplus/internal/packet"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/tcp"
@@ -29,12 +31,8 @@ func TestCwndProbeRecordsPerAck(t *testing.T) {
 	if !c.Sender.Done() {
 		t.Fatal("transfer incomplete")
 	}
-	if p.Events() == 0 || p.Hist().Total() != p.Events() {
-		t.Errorf("events=%d histTotal=%d", p.Events(), p.Hist().Total())
-	}
-	// Clean transfer: no ECE ever, so the coincidence never occurs.
-	if p.ECEAtMin() != 0 {
-		t.Errorf("ECEAtMin = %d on clean path", p.ECEAtMin())
+	if acks := c.Sender.Stats().AcksIn; acks == 0 || p.Hist().Total() != acks {
+		t.Errorf("acks=%d histTotal=%d", acks, p.Hist().Total())
 	}
 	// cwnd grew past initial 2 during slow start: histogram has bins > 2.
 	found := false
@@ -48,36 +46,51 @@ func TestCwndProbeRecordsPerAck(t *testing.T) {
 	}
 }
 
-func TestCwndProbeChainsExistingHook(t *testing.T) {
+// TestCwndProbeBesideAnotherSubscriber: a probe and a subscriber that
+// joined the sender's sink before it each see every processed ACK exactly
+// once, in emission order.
+func TestCwndProbeBesideAnotherSubscriber(t *testing.T) {
 	s, star := twoHosts(t)
 	c := tcp.NewConn(tcp.DefaultConfig(), tcp.NewReno{}, star.Hosts[0], star.Hosts[1], 1)
-	var prevCalls int
-	c.Sender.OnAckProbe = func(*tcp.Sender, bool) { prevCalls++ }
+	var first []sim.Time
+	c.Sender.Sink.Subscribe(new(obs.Sub), func(r obs.Record, _ *packet.Packet) {
+		if r.Kind == obs.AckProcessed {
+			first = append(first, r.At)
+		}
+	})
 	p := NewCwndProbe()
 	p.Attach(c.Sender)
-	c.Sender.Send(4 * packet.MSS)
+	var last []sim.Time
+	c.Sender.Sink.Subscribe(new(obs.Sub), func(r obs.Record, _ *packet.Packet) {
+		if r.Kind == obs.AckProcessed {
+			last = append(last, r.At)
+			if len(first) != len(last) || p.Hist().Total() != int64(len(last)) {
+				t.Fatalf("ACK %d reached the subscribers out of order: %d, %d, %d",
+					len(last), len(first), p.Hist().Total(), len(last))
+			}
+		}
+	})
+	c.Sender.Send(16 * packet.MSS)
 	s.Run()
-	if prevCalls == 0 {
-		t.Error("existing hook was not chained")
+	if acks := c.Sender.Stats().AcksIn; acks == 0 || int64(len(first)) != acks || p.Hist().Total() != acks {
+		t.Errorf("sender processed %d ACKs; subscribers saw %d and %d", acks, len(first), p.Hist().Total())
 	}
-	if p.Events() != int64(prevCalls) {
-		t.Errorf("probe %d vs chained %d", p.Events(), prevCalls)
+	if !slices.Equal(first, last) || !slices.IsSorted(first) {
+		t.Errorf("subscribers disagree or saw ACKs out of emission order: %v vs %v", first, last)
 	}
 }
 
 func TestCwndProbeFloorBin(t *testing.T) {
 	p := NewCwndProbe()
-	s, star := twoHosts(t)
+	_, star := twoHosts(t)
 	c := tcp.NewConn(tcp.DefaultConfig(), tcp.NewReno{}, star.Hosts[0], star.Hosts[1], 2)
-	_ = s
-	// Observe directly with a synthetic ECE at the floor: fresh sender has
-	// cwnd = 2 = MinCwnd.
-	p.Observe(c.Sender, true)
-	if p.ECEAtMin() != 1 || p.Events() != 1 {
-		t.Errorf("ECEAtMin = %d of %d events, want 1 of 1", p.ECEAtMin(), p.Events())
-	}
-	if p.Hist().Count(2) != 1 {
-		t.Errorf("bin 2 count = %d", p.Hist().Count(2))
+	p.Attach(c.Sender)
+	// A fresh sender sits at its floor, cwnd = 2 = MinCwnd; records of other
+	// kinds leave the probe alone.
+	c.Sender.Sink.Emit(obs.Record{Kind: obs.AckProcessed, ECE: true}, nil)
+	c.Sender.Sink.Emit(obs.Record{Kind: obs.Timeout}, nil)
+	if p.Hist().Count(2) != 1 || p.Hist().Total() != 1 {
+		t.Errorf("bin 2 count = %d of %d", p.Hist().Count(2), p.Hist().Total())
 	}
 }
 
