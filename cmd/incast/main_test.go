@@ -31,7 +31,7 @@ func TestValidateFlags(t *testing.T) {
 		{"defaults", 50, 10, 1 << 20, 0, rto, jit, pr, false},
 		{"perflow overrides total", 50, 10, 0, 64 << 10, rto, jit, pr, false},
 		{"zero warmup", 1, 0, 1 << 20, 0, rto, jit, pr, false},
-		{"zero jitter", 50, 10, 1 << 20, 0, rto, 0, pr, false},
+		{"zero jitter", 50, 10, 1 << 20, 0, rto, 0, pr, true},
 		{"zero rounds", 0, 0, 1 << 20, 0, rto, jit, pr, true},
 		{"negative rounds", -5, 0, 1 << 20, 0, rto, jit, pr, true},
 		{"negative warmup", 50, -1, 1 << 20, 0, rto, jit, pr, true},

@@ -54,10 +54,12 @@ var (
 		"write rendered oracle violations (with minimized event windows) to this file; requires -oracle, written only on violation")
 )
 
-// validate is the usage gate on the orchestration flags (exit 2). The grid
-// itself is parsed and semantically checked by buildSpec.
+// validate is the usage gate on the orchestration flags and -jitter, whose
+// zero the spec would read as "unset" (exit 2). The grid itself is parsed
+// and semantically checked by buildSpec.
 func validate() error {
 	return cli.First(
+		cli.ValidateJitter(*jitter),
 		cli.ValidateSweep(*jobs, *cacheDir, *resume),
 		cli.ValidateOracle(*oracle, *oracleTrace),
 		cli.ValidateOutput("-telemetry", *telOut),

@@ -43,6 +43,29 @@ func TestValidateSweepFlags(t *testing.T) {
 	}
 }
 
+// TestValidateJitterFlag: -jitter 0 is refused rather than silently run at
+// the spec's 4 ms default.
+func TestValidateJitterFlag(t *testing.T) {
+	defer func(j time.Duration) { *jitter = j }(*jitter)
+	cases := []struct {
+		name    string
+		jitter  time.Duration
+		wantErr bool
+	}{
+		{"defaults", 4 * time.Millisecond, false},
+		{"zero jitter", 0, true},
+		{"negative jitter", -time.Millisecond, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			*jitter = c.jitter
+			if err := validate(); (err != nil) != c.wantErr {
+				t.Errorf("validate(-jitter %v) = %v, wantErr=%v", c.jitter, err, c.wantErr)
+			}
+		})
+	}
+}
+
 func TestValidateOracleFlags(t *testing.T) {
 	defer func(o bool, tr string) { *oracle, *oracleTrace = o, tr }(*oracle, *oracleTrace)
 	parent := t.TempDir()

@@ -47,7 +47,6 @@ import (
 	"dctcpplus/internal/exp"
 	"dctcpplus/internal/fault"
 	"dctcpplus/internal/sim"
-	"dctcpplus/internal/stats"
 	"dctcpplus/internal/sweep"
 	"dctcpplus/internal/sweep/pool"
 	"dctcpplus/internal/telemetry"
@@ -211,10 +210,6 @@ type FlowFactory = workload.FlowFactory
 func DCTCPPlusFactory(rtoMin Duration, seedBase uint64, cfg EnhancementConfig) FlowFactory {
 	return exp.DCTCPPlusFactory(rtoMin, seedBase, cfg)
 }
-
-// JainIndex computes Jain's fairness index over per-flow allocations
-// (1 = perfectly equal shares, 1/n = one flow holds everything).
-func JainIndex(x []float64) float64 { return stats.JainIndex(x) }
 
 // Observability: set IncastOptions.Telemetry (or Scale.Telemetry for the
 // figure specs) to a Registry and every hot layer of the run — switch

@@ -78,10 +78,12 @@ func ValidateRTOMin(rtoMin time.Duration) error {
 	return nil
 }
 
-// ValidateJitter rejects a negative worker service jitter.
+// ValidateJitter rejects a non-positive worker service jitter: a negative
+// one is meaningless, and the sweep spec reads 0 as "unset", so -jitter 0
+// would silently run with the 4 ms default.
 func ValidateJitter(jitter time.Duration) error {
-	if jitter < 0 {
-		return fmt.Errorf("-jitter %v: cannot be negative", jitter)
+	if jitter <= 0 {
+		return fmt.Errorf("-jitter %v: must be positive", jitter)
 	}
 	return nil
 }

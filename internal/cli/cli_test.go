@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -81,8 +82,8 @@ func TestValidateJitter(t *testing.T) {
 		wantErr string
 	}{
 		{"defaults", 4 * time.Millisecond, ""},
-		{"zero jitter", 0, ""},
-		{"negative jitter", -time.Millisecond, "-jitter -1ms: cannot be negative"},
+		{"zero jitter", 0, "-jitter 0s: must be positive"},
+		{"negative jitter", -time.Millisecond, "-jitter -1ms: must be positive"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -297,6 +298,62 @@ func TestParseDurations(t *testing.T) {
 			t.Errorf("ParseDurations(%q) = %v, want %v", c.csv, got, c.want)
 		}
 	}
+}
+
+// FuzzParseLists: no flag value panics a list parser; an accepted list,
+// printed back and re-joined with ",", parses to the same values; flow
+// counts and durations are positive; and SplitCSV's fields are non-empty,
+// trimmed, comma-free and split back to themselves.
+func FuzzParseLists(f *testing.F) {
+	for _, seed := range []string{"", ",", " , ", "10,20,40", " 1 , 2 ", "10,,20", "0", "-3", "+7",
+		"200ms,10ms", "1h2m3.5s", "-5ms", "0s", "9223372036854775807", "18446744073709551616",
+		"tcp,,reno+,", "\x00", "\xff\xfe,1"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if ns, err := ParseFlowCounts(s); err == nil {
+			strs := make([]string, len(ns))
+			for i, n := range ns {
+				if n <= 0 {
+					t.Fatalf("ParseFlowCounts(%q) accepted %d", s, n)
+				}
+				strs[i] = strconv.Itoa(n)
+			}
+			if again, err := ParseFlowCounts(strings.Join(strs, ",")); err != nil || !reflect.DeepEqual(again, ns) {
+				t.Errorf("ParseFlowCounts(%q) = %v, re-parses to %v, %v", s, ns, again, err)
+			}
+		}
+		if seeds, err := ParseSeeds(s); err == nil {
+			strs := make([]string, len(seeds))
+			for i, n := range seeds {
+				strs[i] = strconv.FormatUint(n, 10)
+			}
+			if again, err := ParseSeeds(strings.Join(strs, ",")); err != nil || !reflect.DeepEqual(again, seeds) {
+				t.Errorf("ParseSeeds(%q) = %v, re-parses to %v, %v", s, seeds, again, err)
+			}
+		}
+		if ds, err := ParseDurations(s); err == nil {
+			strs := make([]string, len(ds))
+			for i, d := range ds {
+				if d <= 0 {
+					t.Fatalf("ParseDurations(%q) accepted %v", s, d)
+				}
+				strs[i] = time.Duration(d).String()
+			}
+			if again, err := ParseDurations(strings.Join(strs, ",")); err != nil || !reflect.DeepEqual(again, ds) {
+				t.Errorf("ParseDurations(%q) = %v, re-parses to %v, %v", s, ds, again, err)
+			}
+		}
+		fields := SplitCSV(s)
+		for _, fld := range fields {
+			if fld == "" || fld != strings.TrimSpace(fld) || strings.Contains(fld, ",") {
+				t.Fatalf("SplitCSV(%q) yields field %q", s, fld)
+			}
+		}
+		if again := SplitCSV(strings.Join(fields, ",")); !reflect.DeepEqual(again, fields) {
+			t.Errorf("SplitCSV(%q) = %q, re-splits to %q", s, fields, again)
+		}
+	})
 }
 
 func TestWriteTelemetry(t *testing.T) {

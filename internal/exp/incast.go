@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"dctcpplus/internal/fault"
 	"dctcpplus/internal/netsim"
@@ -201,8 +202,16 @@ func (o IncastOptions) validate() error {
 		return errors.New("Flows must be at least 1")
 	case o.Rounds <= o.WarmupRounds:
 		return errors.New("Rounds must exceed WarmupRounds")
+	case o.RTOMin <= 0:
+		return errors.New("RTOMin must be positive")
+	case !slices.Contains(Protocols, o.Protocol):
+		return fmt.Errorf("unknown protocol %v", o.Protocol)
+	case o.Testbed.Leaves < 1 || o.Testbed.HostsPerLeaf < 1:
+		return errors.New("Testbed needs at least one leaf and one host per leaf")
 	case o.BackgroundFlows < 0 || o.BackgroundFlows >= o.Testbed.Leaves*o.Testbed.HostsPerLeaf:
 		return errors.New("BackgroundFlows must be fewer than the workers")
+	case o.BackgroundFlows > 0 && o.ChunkBytes <= 0:
+		return errors.New("ChunkBytes must be positive with BackgroundFlows")
 	}
 	return nil
 }

@@ -85,27 +85,43 @@ func TestParallelBackgroundSweep(t *testing.T) {
 // TestRunManyValidatesBeforeFanOut: a bad point must fail the whole batch
 // up front — on the calling goroutine (a panic inside a pool worker would
 // kill the test binary, not reach this recover), naming its index, before
-// any point has run — and the same way at every pool width.
+// any point has run — and the same way at every pool width. Each row is an
+// input some layer below would otherwise panic on mid-run.
 func TestRunManyValidatesBeforeFanOut(t *testing.T) {
 	defer func(old int) { Parallelism = old }(Parallelism)
-	for _, width := range []int{1, 4} {
-		Parallelism = width
-		reg := telemetry.NewRegistry()
-		optList := pointsAt(ProtoDCTCP, 4, 4, 4, 4)
-		for i := range optList {
-			optList[i].Telemetry = reg
-		}
-		optList[2].Rounds = optList[2].WarmupRounds
-		msg := func() (msg string) {
-			defer func() { msg = fmt.Sprint(recover()) }()
-			RunMany(optList)
-			return
-		}()
-		if !strings.Contains(msg, "point 2") || !strings.Contains(msg, "Rounds must exceed WarmupRounds") {
-			t.Errorf("Parallelism %d: panic = %q, want one naming point 2 and the precondition", width, msg)
-		}
-		if n := len(reg.Snapshot().Instruments); n != 0 {
-			t.Errorf("Parallelism %d: %d instruments registered; a point ran before the batch was rejected", width, n)
+	cases := []struct {
+		name, want string
+		spoil      func(o *IncastOptions)
+	}{
+		{"warmup swallows rounds", "Rounds must exceed WarmupRounds", func(o *IncastOptions) { o.Rounds = o.WarmupRounds }},
+		{"zero rtomin", "RTOMin must be positive", func(o *IncastOptions) { o.RTOMin = 0 }},
+		{"unknown protocol", "unknown protocol", func(o *IncastOptions) { o.Protocol = Protocol(len(Protocols)) }},
+		{"no leaves", "at least one leaf", func(o *IncastOptions) { o.Testbed.Leaves = 0 }},
+		{"no hosts per leaf", "at least one leaf", func(o *IncastOptions) { o.Testbed.HostsPerLeaf = 0 }},
+		{"background without chunks", "ChunkBytes must be positive", func(o *IncastOptions) { o.BackgroundFlows = 2 }},
+	}
+	for _, c := range cases {
+		for _, width := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s at width %d", c.name, width), func(t *testing.T) {
+				Parallelism = width
+				reg := telemetry.NewRegistry()
+				optList := pointsAt(ProtoDCTCP, 4, 4, 4, 4)
+				for i := range optList {
+					optList[i].Telemetry = reg
+				}
+				c.spoil(&optList[2])
+				msg := func() (msg string) {
+					defer func() { msg = fmt.Sprint(recover()) }()
+					RunMany(optList)
+					return
+				}()
+				if !strings.Contains(msg, "point 2") || !strings.Contains(msg, c.want) {
+					t.Errorf("panic = %q, want one naming point 2 and %q", msg, c.want)
+				}
+				if n := len(reg.Snapshot().Instruments); n != 0 {
+					t.Errorf("%d instruments registered; a point ran before the batch was rejected", n)
+				}
+			})
 		}
 	}
 }

@@ -28,12 +28,6 @@ const (
 	// packet arriving while the instantaneous queue exceeds K. This is
 	// what the paper's NetFPGA switches implement.
 	MarkInstantaneous MarkPolicy = iota
-	// MarkREDLinear marks probabilistically, RED-style: probability 0 at
-	// REDMinBytes rising linearly to REDMaxProb at REDMaxBytes, and 1
-	// above. Provided as an ablation substrate — many commodity switches
-	// only offer RED/ECN, and the DCTCP paper discusses this configuration
-	// (min=max=K recovers the instantaneous rule).
-	MarkREDLinear
 	// MarkPhantomQueue implements HULL's Phantom Queue (Alizadeh et al.,
 	// NSDI 2012 — §VII names HULL as a composition target): a virtual
 	// counter drains at PhantomDrainFactor x link rate and marks once it
@@ -60,18 +54,11 @@ type PortConfig struct {
 
 	// Policy selects the marking discipline (default MarkInstantaneous).
 	Policy MarkPolicy
-	// REDMinBytes/REDMaxBytes/REDMaxProb parameterize MarkREDLinear.
-	REDMinBytes int
-	REDMaxBytes int
-	REDMaxProb  float64
 
 	// PhantomDrainFactor (gamma, e.g. 0.95) and PhantomThresholdBytes
 	// (e.g. 3KB) parameterize MarkPhantomQueue.
 	PhantomDrainFactor    float64
 	PhantomThresholdBytes int
-
-	// Seed drives the RED coin flips (deterministic per port).
-	Seed uint64
 }
 
 // HULLPortConfig returns a phantom-queue port preset in the spirit of the
@@ -92,8 +79,9 @@ func DefaultPortConfig() PortConfig {
 }
 
 // Port is an output-queued switch/host port: a byte-limited FIFO drained at
-// the attached link's rate. ECN marking happens on enqueue against the
-// instantaneous queue occupancy, exactly the DCTCP switch rule.
+// the attached link's rate. ECN marking happens on enqueue, against the
+// instantaneous queue occupancy (exactly the DCTCP switch rule) or against
+// HULL's phantom queue; neither draws a random number.
 //
 // A hop costs one scheduler event. A packet leaves the queue when it starts
 // serializing, and the link schedules its delivery for then. The port only
@@ -121,8 +109,7 @@ type Port struct {
 	// that instant is scheduled.
 	busyUntil sim.Time
 	waking    bool
-	paused    bool // fault injection: frozen serialization (host stall)
-	rng       *sim.RNG
+	paused    bool         // fault injection: frozen serialization (host stall)
 	pool      *packet.Pool // optional packet freelist; nil = pooling off
 	wakeFn    func(any)    // wake, bound once at construction
 
@@ -146,7 +133,7 @@ type Port struct {
 // NewPort creates a port feeding the given link.
 func NewPort(sched *sim.Scheduler, link *Link, cfg PortConfig) *Port {
 	cfg.validate()
-	p := &Port{sched: sched, link: link, cfg: cfg, rng: sim.NewRNG(cfg.Seed ^ 0x9047)}
+	p := &Port{sched: sched, link: link, cfg: cfg}
 	p.wakeFn = p.wake
 	return p
 }
@@ -155,14 +142,6 @@ func NewPort(sched *sim.Scheduler, link *Link, cfg PortConfig) *Port {
 func (cfg PortConfig) validate() {
 	if cfg.BufferBytes <= 0 {
 		panic("netsim: port buffer must be positive")
-	}
-	if cfg.Policy == MarkREDLinear {
-		switch {
-		case cfg.REDMinBytes < 0 || cfg.REDMaxBytes < cfg.REDMinBytes:
-			panic("netsim: invalid RED thresholds")
-		case cfg.REDMaxProb < 0 || cfg.REDMaxProb > 1:
-			panic("netsim: RED max probability out of [0,1]")
-		}
 	}
 	if cfg.Policy == MarkPhantomQueue {
 		switch {
@@ -177,10 +156,10 @@ func (cfg PortConfig) validate() {
 // Reset returns the port, in place, to the state NewPort builds with cfg —
 // for a topology, the configuration it was built with, which undoes a run's
 // fault edits — ready for the next run on a reset scheduler: the queue
-// emptied (its packets back to the pool, the ring's capacity kept), the RED
-// stream reseeded, the phantom queue, stats, sink subscribers and telemetry
-// instruments cleared. The wiring, the pool and the once-bound wake-up
-// callback are kept; the link it feeds has its own Reset.
+// emptied (its packets back to the pool, the ring's capacity kept), the
+// phantom queue, stats, sink subscribers and telemetry instruments cleared.
+// The wiring, the pool and the once-bound wake-up callback are kept; the
+// link it feeds has its own Reset.
 func (p *Port) Reset(cfg PortConfig) {
 	cfg.validate()
 	for p.qLen > 0 {
@@ -188,7 +167,6 @@ func (p *Port) Reset(cfg PortConfig) {
 	}
 	*p = Port{
 		cfg: cfg,
-		rng: p.rng,
 
 		// The keep-list.
 		sched:  p.sched,
@@ -197,7 +175,6 @@ func (p *Port) Reset(cfg PortConfig) {
 		pool:   p.pool,
 		wakeFn: p.wakeFn,
 	}
-	p.rng.Reseed(cfg.Seed ^ 0x9047)
 }
 
 // SetPool attaches a packet freelist; tail-dropped packets are returned to
@@ -272,17 +249,6 @@ func (p *Port) shouldMark(qBytes int) bool {
 	switch p.cfg.Policy {
 	case MarkInstantaneous:
 		return p.cfg.MarkThresholdBytes > 0 && qBytes > p.cfg.MarkThresholdBytes
-	case MarkREDLinear:
-		switch {
-		case qBytes <= p.cfg.REDMinBytes:
-			return false
-		case qBytes >= p.cfg.REDMaxBytes:
-			return true
-		default:
-			span := float64(p.cfg.REDMaxBytes - p.cfg.REDMinBytes)
-			prob := p.cfg.REDMaxProb * float64(qBytes-p.cfg.REDMinBytes) / span
-			return p.rng.Float64() < prob
-		}
 	case MarkPhantomQueue:
 		// Decision is made against the virtual queue, updated by Enqueue
 		// before calling shouldMark; qBytes (the real queue) is unused.

@@ -44,8 +44,8 @@ func dirtyTwoTier(t *testing.T, s *sim.Scheduler, tt *TwoTier, seen *int) {
 		p.Sink.Subscribe(&subs[i], func(obs.Record, *packet.Packet) { *seen++ })
 	}
 	// Bursts from every worker to the aggregator and to one another: the
-	// bottleneck queue builds, marks (drawing RED coins where configured),
-	// feeds the phantom queue and, once the buffer shrinks, drops.
+	// bottleneck queue builds, marks, feeds the phantom queue and, once the
+	// buffer shrinks, drops.
 	burst := func() {
 		for round := 0; round < 40; round++ {
 			for _, w := range tt.Workers {
@@ -85,16 +85,12 @@ func dirtyTwoTier(t *testing.T, s *sim.Scheduler, tt *TwoTier, seen *int) {
 // (scheduler first emptied, as a rig does), every host, port and link of the
 // tree equals its counterpart in a freshly built one outside the keep-lists
 // — nominal config restored, stats, hooks, sink subscribers and instruments
-// cleared, RNGs reseeded, rings and flow maps empty, Workers back in
-// construction order — under the DCTCP threshold, RED and HULL marking
-// alike.
+// cleared, rings and flow maps empty, Workers back in construction order —
+// under the DCTCP threshold and HULL marking alike.
 func TestTwoTierResetEqualsFresh(t *testing.T) {
-	red := DefaultTopologyConfig()
-	red.SwitchPort = PortConfig{BufferBytes: 128 << 10, Policy: MarkREDLinear,
-		REDMinBytes: 0, REDMaxBytes: 64 << 10, REDMaxProb: 0.5, Seed: 3}
 	hull := DefaultTopologyConfig()
 	hull.SwitchPort = HULLPortConfig()
-	for name, cfg := range map[string]TopologyConfig{"threshold": DefaultTopologyConfig(), "red": red, "hull": hull} {
+	for name, cfg := range map[string]TopologyConfig{"threshold": DefaultTopologyConfig(), "hull": hull} {
 		t.Run(name, func(t *testing.T) {
 			s := sim.NewScheduler()
 			tt := NewTwoTier(s, 3, 3, cfg)

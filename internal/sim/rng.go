@@ -26,15 +26,6 @@ func NewRNG(seed uint64) *RNG {
 // without a fresh object.
 func (r *RNG) Reseed(seed uint64) { r.state = seed }
 
-// Fork derives a new independent generator from this one. Used to give each
-// flow/host its own stream so that adding a flow does not perturb the draws
-// seen by existing flows.
-func (r *RNG) Fork() *RNG {
-	// Mix the next output into a fresh state with an odd constant so the
-	// child stream decorrelates from the parent's continuation.
-	return &RNG{state: r.Uint64()*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9}
-}
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -100,22 +91,4 @@ func (r *RNG) Pareto(lo, hi float64, alpha float64) float64 {
 	la := math.Pow(lo, alpha)
 	ha := math.Pow(hi, alpha)
 	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the n elements accessed via swap uniformly at random.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -158,69 +157,6 @@ func TestRNGParetoHeavyTail(t *testing.T) {
 	}
 	if float64(below)/n < 0.75 {
 		t.Errorf("expected heavy tail (most samples below mean); below=%d/%d", below, n)
-	}
-}
-
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(3)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestRNGPermProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRNGFork(t *testing.T) {
-	parent := NewRNG(1)
-	child := parent.Fork()
-	// Child stream should not mirror the parent continuation.
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("forked stream collided %d/1000 times", same)
-	}
-}
-
-func TestRNGShuffle(t *testing.T) {
-	r := NewRNG(6)
-	v := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
-	seen := make([]bool, 10)
-	for _, x := range v {
-		seen[x] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("element %d lost in shuffle", i)
-		}
 	}
 }
 

@@ -60,18 +60,15 @@ func TestCDFDropsNaN(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("len = %d, want 4", c.Len())
 	}
-	if got := c.At(2.5); !almost(got, 0.5, 1e-12) {
-		t.Errorf("At(2.5) = %v, want 0.5", got)
+	if got := c.Quantile(0.5); got != 2.5 {
+		t.Errorf("q0.5 = %v, want 2.5", got)
 	}
 	if got := c.Quantile(1); got != 4 {
 		t.Errorf("q1 = %v, want 4", got)
 	}
 	empty := NewCDF([]float64{nan})
-	if empty.Len() != 0 || empty.Quantile(0.5) != 0 || empty.At(1) != 0 {
+	if empty.Len() != 0 || empty.Quantile(0.5) != 0 {
 		t.Error("all-NaN CDF must behave as empty")
-	}
-	if empty.Curve(5) != nil {
-		t.Error("all-NaN CDF curve must be nil")
 	}
 }
 

@@ -120,40 +120,8 @@ func NewCDF(samples []float64) *CDF {
 // Len returns the sample count.
 func (c *CDF) Len() int { return len(c.sorted) }
 
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-quantile (inverse CDF).
 func (c *CDF) Quantile(q float64) float64 { return quantileSorted(c.sorted, q) }
-
-// Point is one (x, P(X<=x)) pair of a rendered CDF curve.
-type Point struct{ X, P float64 }
-
-// Curve renders n evenly spaced points across the sample range, suitable
-// for plotting the paper's queue-length CDFs (Fig. 9).
-func (c *CDF) Curve(n int) []Point {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	//lint:allow floateq lo and hi are untouched copies of stored samples; a degenerate range compares exactly
-	if n == 1 || hi == lo {
-		return []Point{{hi, 1}}
-	}
-	pts := make([]Point, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range pts {
-		x := lo + float64(i)*step
-		pts[i] = Point{X: x, P: c.At(x)}
-	}
-	return pts
-}
 
 // Hist is an integer-bin frequency histogram — used for the paper's cwnd
 // size distributions (Fig. 2), where bins are whole MSS counts.
@@ -171,15 +139,6 @@ func (h *Hist) Add(v int) {
 	h.total++
 }
 
-// AddN records n observations of bin v.
-func (h *Hist) AddN(v int, n int64) {
-	if n <= 0 {
-		return
-	}
-	h.counts[v] += n
-	h.total += n
-}
-
 // Total returns the number of observations.
 func (h *Hist) Total() int64 { return h.total }
 
@@ -192,20 +151,6 @@ func (h *Hist) Frac(v int) float64 {
 		return 0
 	}
 	return float64(h.counts[v]) / float64(h.total)
-}
-
-// FracRange returns the fraction of observations with lo <= bin <= hi.
-func (h *Hist) FracRange(lo, hi int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var n int64
-	for v, c := range h.counts {
-		if v >= lo && v <= hi {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.total)
 }
 
 // Bins returns the occupied bins in ascending order.

@@ -76,24 +76,6 @@ func TestSummaryOrderingProperty(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
-	}
-	for _, tc := range cases {
-		if got := c.At(tc.x); !almost(got, tc.want, 1e-12) {
-			t.Errorf("At(%v) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-	if NewCDF(nil).At(5) != 0 {
-		t.Error("empty CDF At != 0")
-	}
-}
-
 func TestCDFQuantileInverse(t *testing.T) {
 	var data []float64
 	for i := 1; i <= 100; i++ {
@@ -108,40 +90,13 @@ func TestCDFQuantileInverse(t *testing.T) {
 	}
 }
 
-func TestCDFCurve(t *testing.T) {
-	c := NewCDF([]float64{0, 10})
-	pts := c.Curve(11)
-	if len(pts) != 11 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].X != 0 || pts[10].X != 10 {
-		t.Errorf("range wrong: %+v", pts)
-	}
-	if pts[10].P != 1 {
-		t.Errorf("final P = %v", pts[10].P)
-	}
-	// Monotone non-decreasing P.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].P < pts[i-1].P {
-			t.Fatalf("CDF not monotone at %d", i)
-		}
-	}
-	if NewCDF(nil).Curve(5) != nil {
-		t.Error("empty curve should be nil")
-	}
-	one := NewCDF([]float64{3, 3}).Curve(4)
-	if len(one) != 1 || one[0].P != 1 {
-		t.Errorf("degenerate curve = %+v", one)
-	}
-}
-
 func TestHistBasics(t *testing.T) {
 	h := NewHist()
 	h.Add(2)
 	h.Add(2)
 	h.Add(5)
-	h.AddN(1, 2)
-	h.AddN(9, 0) // no-op
+	h.Add(1)
+	h.Add(1)
 	if h.Total() != 5 {
 		t.Errorf("total = %d", h.Total())
 	}
@@ -151,15 +106,12 @@ func TestHistBasics(t *testing.T) {
 	if !almost(h.Frac(2), 0.4, 1e-12) {
 		t.Errorf("frac(2) = %v", h.Frac(2))
 	}
-	if !almost(h.FracRange(1, 2), 0.8, 1e-12) {
-		t.Errorf("fracRange(1,2) = %v", h.FracRange(1, 2))
-	}
 	bins := h.Bins()
 	if !sort.IntsAreSorted(bins) || len(bins) != 3 {
 		t.Errorf("bins = %v", bins)
 	}
-	if NewHist().Frac(1) != 0 || NewHist().FracRange(0, 10) != 0 {
-		t.Error("empty hist fractions not 0")
+	if NewHist().Frac(1) != 0 {
+		t.Error("empty hist fraction not 0")
 	}
 }
 

@@ -58,7 +58,7 @@ type Spec struct {
 
 	// Scalar settings shared by every point.
 	Rounds       int          // rounds per point; 0 = 50
-	WarmupRounds int          // excluded from statistics; defaults to Rounds/5
+	WarmupRounds int          // excluded from statistics; 10 when Rounds is also 0
 	TotalBytes   int64        // split across flows; 0 = 1MB
 	BytesPerFlow int64        // overrides the TotalBytes split when > 0
 	Jitter       sim.Duration // worker service jitter; 0 = 4ms
@@ -92,11 +92,13 @@ func (s Spec) normalized() Spec {
 	if len(s.Seeds) == 0 {
 		s.Seeds = []uint64{1}
 	}
+	// A warm-up of 0 is a real setting once Rounds is given: only a spec
+	// that leaves both unset gets the default warm-up.
 	if s.Rounds == 0 {
 		s.Rounds = 50
-	}
-	if s.WarmupRounds == 0 {
-		s.WarmupRounds = s.Rounds / 5
+		if s.WarmupRounds == 0 {
+			s.WarmupRounds = 10
+		}
 	}
 	if s.TotalBytes == 0 {
 		s.TotalBytes = 1 << 20

@@ -41,6 +41,14 @@ func TestSpecDefaultsAndValidate(t *testing.T) {
 		pt.Seed != 1 || pt.Rounds != 50 || pt.WarmupRounds != 10 {
 		t.Errorf("zero-spec defaults wrong: %+v", pt)
 	}
+	// A zero warm-up beside explicit rounds is a setting, not "unset".
+	jobs, err = Spec{Name: "r5", Rounds: 5}.Expand()
+	if err != nil {
+		t.Fatalf("Spec{Rounds: 5}: %v", err)
+	}
+	if pt := jobs[0].Point; pt.Rounds != 5 || pt.WarmupRounds != 0 {
+		t.Errorf("Spec{Rounds: 5} expands to %d rounds with warm-up %d, want 5 with 0", pt.Rounds, pt.WarmupRounds)
+	}
 
 	bad := []Spec{
 		{Name: "p", Protocols: []string{"nope"}},

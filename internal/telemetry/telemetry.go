@@ -204,52 +204,6 @@ func (h *Histogram) Max() int64 {
 	return h.max.Load()
 }
 
-// Mean returns the arithmetic mean of the observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
-// Quantile returns an estimate of the q-quantile (0..1) from the log2
-// buckets, interpolating linearly inside the selected bucket. The estimate
-// is exact to within the bucket's power-of-two resolution.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(n-1)
-	var seen float64
-	for i := 0; i < histBuckets; i++ {
-		c := float64(h.buckets[i].Load())
-		if c == 0 {
-			continue
-		}
-		if seen+c > rank {
-			lo, hi := bucketBounds(i)
-			frac := (rank - seen + 1) / c
-			if frac > 1 {
-				frac = 1
-			}
-			return float64(lo) + frac*float64(hi-lo)
-		}
-		seen += c
-	}
-	return float64(h.Max())
-}
-
 // bucketBounds returns the [lo, hi] sample range of bucket i.
 func bucketBounds(i int) (lo, hi int64) {
 	if i == 0 {

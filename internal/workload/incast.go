@@ -42,14 +42,7 @@ type IncastConfig struct {
 	// response starts after an independent uniform delay in
 	// [0, ServiceJitter). Zero yields the fully synchronized worst case.
 	ServiceJitter sim.Duration
-	// ServiceTime models the per-response CPU cost on a worker,
-	// exponentially distributed with this mean and *serialized per worker
-	// host*: the paper's benchmark runs N/9 sender threads on each
-	// dual-core server, so responses leave a machine staggered by
-	// scheduling, with the stagger growing with the number of colocated
-	// flows. Zero disables service-time modeling.
-	ServiceTime sim.Duration
-	// Seed drives the service-jitter/service-time streams.
+	// Seed drives the service-jitter stream.
 	Seed uint64
 
 	// FlowIDs, when non-nil, assigns flow i the i-th id instead of the
@@ -145,10 +138,6 @@ type Incast struct {
 	onData []func(n int64)
 	rng    sim.RNG
 
-	// cpuFree[w] is the virtual time at which the CPU of tt.Workers[w]
-	// becomes available to start the next response (service-time
-	// serialization); flow i runs on worker i mod W.
-	cpuFree []sim.Time
 	// flowIdx maps a flow id back to its index (the inverse of
 	// IncastConfig.flowID) — the one flow-keyed table: the sender is
 	// conns[i].Sender, the worker position i mod W.
@@ -236,7 +225,6 @@ func (in *Incast) open(cfg IncastConfig) {
 		respondFn:   in.respondFn,
 		requestFn:   in.requestFn,
 		flowIdx:     in.flowIdx,
-		cpuFree:     zeroed(in.cpuFree, len(in.tt.Workers)),
 		recvd:       zeroed(in.recvd, n),
 		statsMark:   zeroed(in.statsMark, n),
 		servedRound: zeroed(in.servedRound, n),
@@ -375,25 +363,8 @@ func (in *Incast) onRequest(pkt *packet.Packet) {
 		return // duplicate of a request already being served
 	}
 	in.servedRound[i] = int(pkt.Seq)
-	delay := sim.Duration(0)
-	if in.cfg.ServiceJitter > 0 {
-		delay = in.rng.Duration(in.cfg.ServiceJitter)
-	}
-	if in.cfg.ServiceTime > 0 {
-		// Serialize response preparation on the worker's CPU: this
-		// response starts when the CPU frees up, and holds it for an
-		// exponential service time.
-		w := i % len(in.cpuFree)
-		start := in.sched.Now().Add(delay)
-		if free := in.cpuFree[w]; free > start {
-			start = free
-		}
-		done := start.Add(in.rng.Exp(in.cfg.ServiceTime))
-		in.cpuFree[w] = done
-		in.sched.AtArg(done, in.respondFn, snd)
-		return
-	}
-	if delay > 0 {
+	// Duration draws nothing from the stream when ServiceJitter is zero.
+	if delay := in.rng.Duration(in.cfg.ServiceJitter); delay > 0 {
 		in.sched.AfterArg(delay, in.respondFn, snd)
 		return
 	}

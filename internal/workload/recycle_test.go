@@ -195,7 +195,7 @@ func BenchmarkConnChurn(bm *testing.B) {
 var incastKeeps = []string{"sched", "tt", "conns", "built", "onData", "respondFn", "requestFn", "results"}
 
 // TestIncastReopenEqualsFresh: an incast that has lived — 60 flows with
-// service time, request retries, telemetry and OnFinished attached, over a
+// service jitter, request retries, telemetry and OnFinished attached, over a
 // tree whose workers are mirrored — is closed, its scheduler and tree are
 // reset, and it is reopened for 12 other flows under another seed. Outside
 // the keep-list it must equal a NewIncast of that config on a fresh tree,
@@ -203,7 +203,7 @@ var incastKeeps = []string{"sched", "tt", "conns", "built", "onData", "respondFn
 // reopen that grows past every connection built so far builds the rest.
 func TestIncastReopenEqualsFresh(t *testing.T) {
 	first := IncastConfig{Flows: 60, BytesPerFlow: 32 << 10, Rounds: 4, Factory: plusFactory(10 * sim.Millisecond),
-		ServiceTime: 5 * sim.Microsecond, RequestRetry: 10 * sim.Millisecond, Seed: 3}
+		ServiceJitter: 5 * sim.Microsecond, RequestRetry: 10 * sim.Millisecond, Seed: 3}
 	second := IncastConfig{Flows: 12, BytesPerFlow: 30 << 10, Rounds: 3, Factory: plusFactory(10 * sim.Millisecond),
 		ServiceJitter: 2 * sim.Millisecond, Seed: 4, FlowIDs: make([]packet.FlowID, 12)}
 	for i := range second.FlowIDs {
