@@ -107,7 +107,9 @@ bench:
 # (internal/netsim and internal/tcp: a port hop and a steady-state transfer
 # allocate nothing, also with an obs.Sink subscriber attached — the
 # TestObserved*AllocBudget cases; internal/workload: an incast round must
-# not allocate per flow, a §VI-D query not at all; internal/exp: a
+# not allocate per flow, a §VI-D query not at all, and the mix's Start
+# (TestBenchmarkStartAllocBudget) a fixed count whatever its arrival count,
+# leaving one queued event per traffic class; internal/exp: a
 # sweep-shaped job on a warm rig stays within TestRigJobAllocBudget's
 # pinned budget, and an observed run's allocations and bytes grow with its
 # rounds only by its queue samples, 4 bytes each; internal/trace: the queue

@@ -54,6 +54,7 @@ var (
 		"run every point under the trace-conformance oracle; any violation fails the command")
 	oracleTrace = flag.String("oracle-trace", "",
 		"write rendered oracle violations (with minimized event windows) to this file; requires -oracle, written only on violation")
+	prof = cli.ProfileFlags()
 )
 
 // validate is the usage gate: every error it returns is a bad command line
@@ -72,6 +73,7 @@ func validate() error {
 		cli.ValidateSweep(*jobs, *cacheDir, *resume),
 		cli.ValidateOracle(*oracle, *oracleTrace),
 		cli.ValidateOutput("-telemetry", *telOut),
+		prof.Validate(),
 		faultErr,
 	)
 }
@@ -81,6 +83,8 @@ func main() {
 	cli.Usage("incast", validate())
 	flowCounts, err := cli.ParseFlowCounts(*flows)
 	cli.Usage("incast", err)
+	stopProfiles, err := prof.Start()
+	cli.Fatal("incast", err)
 
 	var reg *dcp.Registry
 	if *telOut != "" {
@@ -122,6 +126,7 @@ func main() {
 	if *telOut != "" {
 		cli.Fatal("incast", cli.WriteTelemetry(reg, *telOut))
 	}
+	cli.Fatal("incast", stopProfiles())
 
 	if *oracle {
 		if total, lines := dcp.SweepOracleReport(out.Results); total > 0 {

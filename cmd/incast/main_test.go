@@ -160,6 +160,8 @@ func TestValidateOutputFlags(t *testing.T) {
 		flag *string
 	}{
 		{"-telemetry", telOut},
+		{"-cpuprofile", &prof.CPU},
+		{"-memprofile", &prof.Mem},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -38,6 +38,7 @@ var (
 		"run the ablation and resilience sections under the trace-conformance oracle; violations fail the report")
 	only = flag.String("only", "",
 		"run only these entries: comma-separated, case-insensitive prefixes of their titles, ending at a word boundary (\"figure 2\", \"figures 11\", \"resilience\"); a named entry runs even without -faults")
+	prof = cli.ProfileFlags()
 )
 
 // validate is the usage gate (exit 2): every entry needs a measured round
@@ -49,6 +50,7 @@ func validate() error {
 		cli.ValidateSweep(*jobs, "", false),
 		cli.ValidateOutput("-telemetry", *telOut),
 		cli.ValidateOutput("-baseline", *baseline),
+		prof.Validate(),
 	)
 }
 
@@ -109,6 +111,8 @@ func main() {
 	}
 	sections, err := selectSections(dcp.Battery(scale), *only)
 	cli.Usage("report", err)
+	stopProfiles, err := prof.Start()
+	cli.Fatal("report", err)
 	fmt.Println("DCTCP+ reproduction report")
 	fmt.Printf("rounds=%d warmup=%d seed=%d\n", *rounds, *warmup, *seed)
 
@@ -133,6 +137,7 @@ func main() {
 		}
 		violations += total
 	}
+	cli.Fatal("report", stopProfiles())
 	cli.Fatal("report", writeTelemetry(scale, time.Since(start)))
 	fmt.Printf("\nreport completed in %v\n", time.Since(start).Round(time.Second))
 	if violations > 0 {

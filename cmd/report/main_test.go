@@ -71,6 +71,8 @@ func TestValidateOutputFlags(t *testing.T) {
 	}{
 		{"-telemetry", telOut},
 		{"-baseline", baseline},
+		{"-cpuprofile", &prof.CPU},
+		{"-memprofile", &prof.Mem},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -52,6 +52,7 @@ var (
 		"run every job under the trace-conformance oracle; any violation fails the command")
 	oracleTrace = flag.String("oracle-trace", "",
 		"write rendered oracle violations (with minimized event windows) to this file; requires -oracle, written only on violation")
+	prof = cli.ProfileFlags()
 )
 
 // validate is the usage gate on the orchestration flags and -jitter, whose
@@ -63,6 +64,7 @@ func validate() error {
 		cli.ValidateSweep(*jobs, *cacheDir, *resume),
 		cli.ValidateOracle(*oracle, *oracleTrace),
 		cli.ValidateOutput("-telemetry", *telOut),
+		prof.Validate(),
 	)
 }
 
@@ -82,6 +84,8 @@ func main() {
 		cli.Usage("sweep", fmt.Errorf("-preset %s: unknown preset (want large-n)", *preset))
 	}
 	spec.Oracle = *oracle
+	stopProfiles, err := prof.Start()
+	cli.Fatal("sweep", err)
 
 	runner := dcp.SweepRunner{
 		Workers:   *jobs,
@@ -92,7 +96,6 @@ func main() {
 		runner.Progress = os.Stderr
 	}
 	if *cacheDir != "" {
-		var err error
 		runner.Cache, err = dcp.OpenSweepCache(*cacheDir)
 		cli.Fatal("sweep", err)
 	}
@@ -112,6 +115,7 @@ func main() {
 	if *telOut != "" {
 		cli.Fatal("sweep", cli.WriteTelemetry(runner.Telemetry, *telOut))
 	}
+	cli.Fatal("sweep", stopProfiles())
 
 	if *oracle {
 		if total, lines := dcp.SweepOracleReport(out.Results); total > 0 {

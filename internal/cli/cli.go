@@ -7,9 +7,12 @@
 package cli
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -196,6 +199,62 @@ func ParseDurations(csv string) ([]sim.Duration, error) {
 		d, err := time.ParseDuration(f)
 		return sim.Duration(d), err == nil && d > 0
 	})
+}
+
+// Profiles is the -cpuprofile/-memprofile pair the experiment commands
+// take: raw runtime/pprof output for `go tool pprof`.
+type Profiles struct {
+	CPU, Mem string
+}
+
+// ProfileFlags registers -cpuprofile and -memprofile on the command line.
+func ProfileFlags() *Profiles {
+	p := &Profiles{}
+	flag.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile of the run to this file")
+	flag.StringVar(&p.Mem, "memprofile", "", "write a heap profile, taken after the run, to this file")
+	return p
+}
+
+// Validate is the profiles' usage gate: each path needs a parent directory.
+func (p *Profiles) Validate() error {
+	return First(ValidateOutput("-cpuprofile", p.CPU), ValidateOutput("-memprofile", p.Mem))
+}
+
+// Start starts the CPU profile, when one is asked for. The returned stop
+// ends it and writes the heap profile, when one is asked for; a command
+// calls it once its run is done.
+func (p *Profiles) Start() (stop func() error, err error) {
+	var cpu *os.File
+	if p.CPU != "" {
+		if cpu, err = os.Create(p.CPU); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if p.Mem == "" {
+			return nil
+		}
+		f, err := os.Create(p.Mem)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the heap profile reports the state as of the last collection
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // WriteTelemetry dumps the registry's instruments to path as JSON lines

@@ -376,6 +376,47 @@ func TestWriteTelemetry(t *testing.T) {
 	}
 }
 
+// TestProfiles: Start and its stop write both profiles, each non-empty; a
+// pair with neither path set writes nothing, and Validate names the flag of
+// a path without a parent directory.
+func TestProfiles(t *testing.T) {
+	dir := t.TempDir()
+	p := &Profiles{CPU: filepath.Join(dir, "cpu.pprof"), Mem: filepath.Join(dir, "mem.pprof")}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	stop, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{p.CPU, p.Mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", path, err)
+		}
+	}
+
+	none, err := (&Profiles{}).Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := none(); err != nil {
+		t.Errorf("stop with no profiles asked for: %v", err)
+	}
+
+	missing := filepath.Join(dir, "no", "such", "p.pprof")
+	for _, c := range []struct {
+		flag string
+		p    Profiles
+	}{{"-cpuprofile", Profiles{CPU: missing}}, {"-memprofile", Profiles{Mem: missing}}} {
+		if err := c.p.Validate(); err == nil || !strings.Contains(err.Error(), c.flag+" "+missing) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %s", c.p, err, c.flag)
+		}
+	}
+}
+
 // TestExitStatus pins the exit contract every command shares — 2 for a bad
 // command line, 1 for a failed run or an oracle violation, one "tool: err"
 // line on stderr — by re-running this test binary with the exiting call

@@ -49,8 +49,12 @@ type BenchmarkResult struct {
 	Timeouts int64 // total RTOs across all flows
 }
 
-// RunBenchmark executes the benchmark-traffic experiment.
+// RunBenchmark executes the benchmark-traffic experiment. Options no run
+// can be built from panic with an "exp:" message before anything is built.
 func RunBenchmark(o BenchmarkOptions) BenchmarkResult {
+	if err := validateRun(o.Testbed, o.Protocol, o.RTOMin); err != nil {
+		panic("exp: " + err.Error())
+	}
 	if o.MaxSimTime <= 0 {
 		o.MaxSimTime = 60 * 60 * sim.Second
 	}

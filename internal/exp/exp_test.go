@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -234,6 +235,39 @@ func TestRunBenchmark(t *testing.T) {
 	PrintBenchmarkRows(&sb, []BenchmarkResult{r})
 	if !strings.Contains(sb.String(), "q.p99") {
 		t.Error("row output missing columns")
+	}
+}
+
+// TestRunBenchmarkValidatesBeforeBuild: RunBenchmark shares RunIncast's run
+// check, so each option a layer below would panic on mid-build — tcp on the
+// RTO floor, the protocol factory, netsim on an empty tree — panics with the
+// exp: message first. Every row also carries an empty traffic mix, which
+// workload.NewBenchmark would reject once the tree was built.
+func TestRunBenchmarkValidatesBeforeBuild(t *testing.T) {
+	cases := []struct {
+		name, want string
+		spoil      func(o *BenchmarkOptions)
+	}{
+		{"zero rtomin", "exp: RTOMin must be positive", func(o *BenchmarkOptions) { o.RTOMin = 0 }},
+		{"negative rtomin", "exp: RTOMin must be positive", func(o *BenchmarkOptions) { o.RTOMin = -sim.Millisecond }},
+		{"unknown protocol", "exp: unknown protocol Protocol(8)", func(o *BenchmarkOptions) { o.Protocol = Protocol(len(Protocols)) }},
+		{"no leaves", "exp: Testbed needs at least one leaf and one host per leaf", func(o *BenchmarkOptions) { o.Testbed.Leaves = 0 }},
+		{"no hosts per leaf", "exp: Testbed needs at least one leaf and one host per leaf", func(o *BenchmarkOptions) { o.Testbed.HostsPerLeaf = 0 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := DefaultBenchmarkOptions(ProtoDCTCP)
+			o.Traffic.Queries, o.Traffic.ShortFlows, o.Traffic.BackgroundFlows = 0, 0, 0
+			c.spoil(&o)
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				RunBenchmark(o)
+				return "no panic"
+			}()
+			if msg != c.want {
+				t.Errorf("panic = %q, want %q", msg, c.want)
+			}
+		})
 	}
 }
 

@@ -202,16 +202,30 @@ func (o IncastOptions) validate() error {
 		return errors.New("Flows must be at least 1")
 	case o.Rounds <= o.WarmupRounds:
 		return errors.New("Rounds must exceed WarmupRounds")
-	case o.RTOMin <= 0:
-		return errors.New("RTOMin must be positive")
-	case !slices.Contains(Protocols, o.Protocol):
-		return fmt.Errorf("unknown protocol %v", o.Protocol)
-	case o.Testbed.Leaves < 1 || o.Testbed.HostsPerLeaf < 1:
-		return errors.New("Testbed needs at least one leaf and one host per leaf")
+	}
+	if err := validateRun(o.Testbed, o.Protocol, o.RTOMin); err != nil {
+		return err
+	}
+	switch {
 	case o.BackgroundFlows < 0 || o.BackgroundFlows >= o.Testbed.Leaves*o.Testbed.HostsPerLeaf:
 		return errors.New("BackgroundFlows must be fewer than the workers")
 	case o.BackgroundFlows > 0 && o.ChunkBytes <= 0:
 		return errors.New("ChunkBytes must be positive with BackgroundFlows")
+	}
+	return nil
+}
+
+// validateRun rejects the options every experiment builds its run from, each
+// of which a layer below would otherwise panic on mid-build: tcp on the RTO
+// floor, the protocol table on an unknown protocol, netsim on an empty tree.
+func validateRun(tb Testbed, p Protocol, rtoMin sim.Duration) error {
+	switch {
+	case rtoMin <= 0:
+		return errors.New("RTOMin must be positive")
+	case !slices.Contains(Protocols, p):
+		return fmt.Errorf("unknown protocol %v", p)
+	case tb.Leaves < 1 || tb.HostsPerLeaf < 1:
+		return errors.New("Testbed needs at least one leaf and one host per leaf")
 	}
 	return nil
 }

@@ -6,8 +6,10 @@ import "testing"
 // Scheduler and a reference queue — a slice kept sorted by when, FIFO among
 // equals (i.e. by (when, seq)), with linear insert and remove — and every
 // observable (fire sequence, Now, Pending, Fired, Timer.Armed/Deadline, live
-// handles' When/Cancelled) is compared after every op. The op stream is a
-// byte string, so the seeded test and FuzzSchedulerModel share one body.
+// handles' When/Cancelled) is compared after every op. An AtSorted stream is
+// that many successive entries in the reference, and one pending event in
+// the scheduler while any of them is left. The op stream is a byte string,
+// so the seeded test and FuzzSchedulerModel share one body.
 
 // modelDelays is the delay menu, dense on both sides of the near/far split.
 // 200 ms is a multiple of 1 ms and the horizon±1 entries differ by the 1 ns
@@ -46,6 +48,15 @@ type modelTimer struct {
 	ref *refEvent
 }
 
+// modelStream is one AtSorted call's reference entries still to fire, in
+// order.
+type modelStream struct {
+	refs []*refEvent
+}
+
+// modelMaxStream is the longest stream an op starts.
+const modelMaxStream = 8
+
 type schedModel struct {
 	t   *testing.T
 	s   *Scheduler
@@ -68,6 +79,11 @@ type schedModel struct {
 	nextID int
 	argFn  func(any) // once-bound AtArg/AfterArg callback
 	steps  int       // op counter, for failure messages
+
+	// streams counts the streams with instants left, streamRefs those
+	// instants: the scheduler queues streams events where the reference
+	// holds streamRefs entries.
+	streams, streamRefs int
 }
 
 func newSchedModel(t *testing.T, s *Scheduler, ops []byte) *schedModel {
@@ -152,9 +168,10 @@ func (m *schedModel) refPop(got *refEvent) {
 func (m *schedModel) check() {
 	m.t.Helper()
 	s := m.s
-	if s.Now() != m.now || s.Pending() != len(m.queue) || s.Fired() != m.fired {
+	pending := len(m.queue) - m.streamRefs + m.streams
+	if s.Now() != m.now || s.Pending() != pending || s.Fired() != m.fired {
 		m.fatalf("now/pending/fired = %d/%d/%d, reference %d/%d/%d",
-			s.Now(), s.Pending(), s.Fired(), m.now, len(m.queue), m.fired)
+			s.Now(), s.Pending(), s.Fired(), m.now, pending, m.fired)
 	}
 	for i, mt := range m.timers {
 		wantDeadline := Infinity
@@ -228,6 +245,30 @@ func (m *schedModel) schedule(kind byte) {
 	m.live = append(m.live, le)
 }
 
+// stream starts an AtSorted stream of 1 to modelMaxStream instants, each
+// the previous one plus a delay off the menu (0 and 1 ns make ties inside
+// the run common). The first is now plus a delay, or, when kind's low bit is
+// set, the instant of an event already queued.
+func (m *schedModel) stream(kind byte) {
+	n := 1 + int(m.next())%modelMaxStream
+	at := m.now.Add(m.delay())
+	if peer := m.pickLive(); kind&1 != 0 && peer != nil {
+		at = peer.ref.when
+	}
+	ms := &modelStream{}
+	times := make([]Time, n)
+	for i := range times {
+		if i > 0 {
+			at = at.Add(m.delay())
+		}
+		times[i] = at
+		ms.refs = append(ms.refs, m.refInsert(at))
+	}
+	m.s.AtSorted(times, func() { m.onStream(ms) })
+	m.streams++
+	m.streamRefs += n
+}
+
 // cancel cancels a live handle; with twice, a second time straight away
 // (dead handle, nothing scheduled since: a no-op by contract) and nil too.
 func (m *schedModel) cancel(twice bool) {
@@ -289,12 +330,28 @@ func (m *schedModel) onTimer(mt *modelTimer) {
 	m.inCallback(m.next())
 }
 
+// onStream is every stream's callback: the stream's own next reference
+// entry must be the one due.
+func (m *schedModel) onStream(ms *modelStream) {
+	r := ms.refs[0]
+	ms.refs = ms.refs[1:]
+	m.streamRefs--
+	if len(ms.refs) == 0 {
+		m.streams--
+	}
+	m.refPop(r)
+	m.check()
+	m.inCallback(m.next())
+}
+
 // inCallback runs up to two ops from inside a firing event.
 func (m *schedModel) inCallback(b byte) {
 	for n := int(b % 3); n > 0 && !m.done(); n-- {
 		switch op := m.next(); op % 8 {
-		case 0, 1, 2:
+		case 0, 1:
 			m.schedule(op / 8)
+		case 2:
+			m.stream(op / 8)
 		case 3:
 			m.cancel(op&8 != 0)
 		case 4, 5, 6:
@@ -323,8 +380,10 @@ func (m *schedModel) run(deadline Time, call func()) {
 func (m *schedModel) step() {
 	m.steps++
 	switch op := m.next(); op % 16 {
-	case 0, 1, 2, 3, 4, 5, 6:
+	case 0, 1, 2, 3, 4, 5:
 		m.schedule(op / 16)
+	case 6:
+		m.stream(op / 16)
 	case 7:
 		m.cancel(op&16 != 0)
 	case 8, 9, 10:
@@ -355,12 +414,14 @@ func (m *schedModel) step() {
 }
 
 // reset replays a rig's close-before-reset order: every timer is disarmed,
-// then Scheduler.Reset releases what is still pending. The reference
-// restarts as an empty sorted slice at clock 0 (and seq 0: the next event is
-// ordered as if it were the first ever scheduled). Each handle that was
-// pending is now dead, and cancelling it before anything is scheduled again
-// is the harmless no-op the Event contract promises; fired and cancelled
-// events already on the freelist are reused by what follows.
+// then Scheduler.Reset releases what is still pending, streams included. The
+// reference restarts as an empty sorted slice at clock 0 (and seq 0: the
+// next event is ordered as if it were the first ever scheduled). Each handle
+// that was pending is now dead, and cancelling it before anything is
+// scheduled again is the harmless no-op the Event contract promises; fired
+// and cancelled events already on the freelist are reused by what follows.
+// A stream's unfired instants are gone: the drain would catch any that
+// fired.
 func (m *schedModel) reset() {
 	for _, mt := range m.timers {
 		mt.tm.Stop()
@@ -376,6 +437,7 @@ func (m *schedModel) reset() {
 	m.live = m.live[:0]
 	m.queue = m.queue[:0]
 	m.now, m.fired = 0, 0
+	m.streams, m.streamRefs = 0, 0
 	if m.s.Pending() != 0 || m.s.Step() {
 		m.fatalf("Reset left %d events pending", m.s.Pending())
 	}
@@ -435,6 +497,13 @@ func FuzzSchedulerModel(f *testing.F) {
 	// At(+1 ms) and timer 0 armed 1 ns out, then Reset with both pending;
 	// At(+1 ns) on the reset clock and two Steps.
 	f.Add([]byte{0, 5, 8, 0, 1, 0xff, 0, 1, 11, 11})
+	// At(+1 ms), then a stream of eight instants at that same instant (a tie
+	// with the queued event and seven inside the run); the drain must fire
+	// the plain event first.
+	f.Add([]byte{0, 5, 0x16, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// A stream at +200 ms, +1 ns, +1 ms; one Step fires its first instant,
+	// then Reset with two pending and At(+1 ns): only that event may fire.
+	f.Add([]byte{6, 2, 6, 1, 5, 11, 0, 0xff, 0, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, horizon := range modelHorizons {
 			runSchedulerModel(t, horizon, ops)

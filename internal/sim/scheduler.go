@@ -57,8 +57,8 @@ func (e *Event) before(o *Event) bool {
 // The event queue is two binary heaps, each ordered by (when, seq). An
 // event due less than horizon after the instant it is scheduled — a link's
 // packet delivery, a port's wake-up: three events in four or more — goes
-// into near; everything else — the RTO timer every flow keeps
-// parked 200 ms out, pacing gates, pre-scheduled arrivals — into far. With
+// into near; everything else — the RTO timer every flow keeps parked
+// 200 ms out, pacing gates, an arrival stream's next instant — into far. With
 // thousands of flows far is thousands deep and near holds the dozen packets
 // in flight, so the per-packet schedule/fire cycle sifts through a heap of
 // that dozen instead of past every parked timer.
@@ -208,6 +208,68 @@ func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) *Event {
 	return s.AtArg(s.now.Add(d), fn, arg)
 }
 
+// AtSorted schedules fn to run at each instant of times, which must be
+// non-decreasing and start no earlier than now. The run fires exactly as
+// len(times) successive At calls would — same order among ties, same Fired
+// count — but keeps only one event queued: the sequence numbers are all
+// reserved here, and the stream's event re-arms itself at the next instant
+// under the next one. A workload's pre-drawn arrivals thus cost one queue
+// entry instead of one each. There is no handle: a stream cannot be
+// cancelled, and it dies with Reset. Pending counts it once while instants
+// remain. times is read as the stream advances and must not be changed.
+func (s *Scheduler) AtSorted(times []Time, fn func()) {
+	if len(times) == 0 {
+		return
+	}
+	if times[0] < s.now {
+		panic(fmt.Sprintf("sim: stream starting at %v before now %v", times[0], s.now))
+	}
+	for i := 1; i < len(times); i++ {
+		if times[i] < times[i-1] {
+			panic(fmt.Sprintf("sim: stream instant %d at %v precedes instant %d at %v", i, times[i], i-1, times[i-1]))
+		}
+	}
+	st := &stream{s: s, times: times, seq: s.nextSeq, fn: fn}
+	s.nextSeq += uint64(len(times))
+	st.arm()
+}
+
+// stream is one AtSorted call in flight: the instants still to fire and the
+// sequence number reserved for the first of them.
+type stream struct {
+	s     *Scheduler
+	times []Time
+	seq   uint64
+	fn    func()
+}
+
+// arm queues the stream's next instant under its reserved sequence number.
+// schedule numbers an event from nextSeq, so the stream lends it that
+// number for the one call; At and AtArg pay nothing for streams.
+func (st *stream) arm() {
+	s := st.s
+	e := s.alloc()
+	e.afn = fireStream
+	e.arg = st
+	next := s.nextSeq
+	s.nextSeq = st.seq
+	s.schedule(e, st.times[0])
+	s.nextSeq = next
+}
+
+// fireStream is every stream's event callback; arg is the *stream. The
+// successor is queued before fn runs, so Pending sees the stream while it
+// has instants left; fn's own events take later sequence numbers, so they
+// cannot overtake it.
+func fireStream(arg any) {
+	st := arg.(*stream)
+	st.times, st.seq = st.times[1:], st.seq+1
+	if len(st.times) > 0 {
+		st.arm()
+	}
+	st.fn()
+}
+
 // Cancel removes a pending event so it never fires. Cancelling nil or an
 // event that has already fired or been cancelled is a harmless no-op (as
 // long as the handle has not been recycled — see the Event contract),
@@ -304,10 +366,10 @@ func (s *Scheduler) Halt() { s.halted = true }
 // fired counter at zero, nothing pending, not halted — so the next run on it
 // is indistinguishable from one on a NewScheduler. Pending events are
 // released to the freelist, whose events and the heaps' backing arrays are
-// kept. Every handle into the old run dies with it: owners disarm their
-// timers and drop their event handles before the reset (a rig closes every
-// connection first), since a stale Cancel after it could hit a recycled
-// event. Reset is called between runs, never from inside a callback.
+// kept. Every handle and AtSorted stream of the old run dies with it: owners
+// disarm their timers and drop their event handles before the reset (a rig
+// closes every connection first), since a stale Cancel after it could hit a
+// recycled event. Reset is called between runs, never from inside a callback.
 func (s *Scheduler) Reset() {
 	for _, h := range [...]*eventHeap{&s.near, &s.far} {
 		for i, e := range *h {

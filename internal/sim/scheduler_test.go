@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -312,6 +314,68 @@ func TestSchedulerResetEqualsFresh(t *testing.T) {
 	s.Run()
 	if !slices.Equal(got, []int{1, 2, 3}) || s.Now() != 3 || s.Fired() != 3 {
 		t.Errorf("second life fired %v, now %v, fired %d; want [1 2 3] at 3 with 3 fired", got, s.Now(), s.Fired())
+	}
+}
+
+// AtSorted checks its instants when called: a descending slice or a first
+// instant in the past panics there, with nothing scheduled and no sequence
+// number taken.
+func TestAtSortedRejectsAtTheCall(t *testing.T) {
+	cases := []struct {
+		name  string
+		times []Time
+	}{
+		{"descending", []Time{200, 300, 300, 250}},
+		{"past first instant", []Time{99, 150}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewScheduler()
+			s.At(100, func() {})
+			s.Run()
+			seq := s.nextSeq
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				s.AtSorted(c.times, func() { t.Error("a rejected stream fired") })
+				return ""
+			}()
+			if !strings.HasPrefix(msg, "sim: stream") {
+				t.Errorf("AtSorted(%v) at now 100 panicked with %q, want a sim: stream error", c.times, msg)
+			}
+			if s.Pending() != 0 || s.nextSeq != seq {
+				t.Errorf("rejected stream left %d pending, seq %d -> %d", s.Pending(), seq, s.nextSeq)
+			}
+			s.Run()
+		})
+	}
+}
+
+// A stream fires like successive At calls — ties with events queued before
+// it and after it in sequence order — while one event stands for it.
+func TestAtSortedFiresLikeSuccessiveAt(t *testing.T) {
+	s := NewScheduler()
+	var got []string
+	add := func(name string) func() { return func() { got = append(got, name) } }
+	s.At(20, add("a"))
+	s.AtSorted([]Time{10, 20, 20, 30}, add("s"))
+	s.At(20, add("b"))
+	if s.Pending() != 3 {
+		t.Errorf("Pending = %d, want 3 (the stream counts once)", s.Pending())
+	}
+	s.At(10, func() {
+		got = append(got, "c")
+		s.At(10, add("d")) // scheduled while the stream's 10 is due: after it
+	})
+	s.Run()
+	if want := []string{"s", "c", "d", "a", "s", "s", "b", "s"}; !slices.Equal(got, want) {
+		t.Errorf("fired %v, want %v", got, want)
+	}
+	if s.Fired() != 8 || s.Pending() != 0 {
+		t.Errorf("Fired/Pending = %d/%d, want 8/0", s.Fired(), s.Pending())
+	}
+	s.AtSorted(nil, add("never"))
+	if s.Pending() != 0 {
+		t.Errorf("an empty stream queued %d events", s.Pending())
 	}
 }
 

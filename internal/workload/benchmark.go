@@ -219,25 +219,26 @@ func (b *Benchmark) Finished() bool {
 		b.bgDone == b.cfg.BackgroundFlows
 }
 
-// Start schedules every arrival. The caller then runs the scheduler.
+// Start draws every arrival instant — queries, then short messages, then
+// background flows, so every later draw sees the same random stream — and
+// hands each class to the scheduler as one stream: one queued event per
+// class, not one per arrival. The caller then runs the scheduler.
 func (b *Benchmark) Start() {
-	// One method value per class, not one per arrival.
-	issueQuery, issueShort, issueBackground := b.issueQuery, b.issueShort, b.issueBackground
+	b.sched.AtSorted(b.arrivals(b.cfg.Queries, b.cfg.QueryMeanGap), b.issueQuery)
+	b.sched.AtSorted(b.arrivals(b.cfg.ShortFlows, b.cfg.ShortMeanGap), b.issueShort)
+	b.sched.AtSorted(b.arrivals(b.cfg.BackgroundFlows, b.cfg.BackgroundMeanGap), b.issueBackground)
+}
+
+// arrivals draws n Poisson arrival instants with the given mean gap, counted
+// from the epoch.
+func (b *Benchmark) arrivals(n int, meanGap sim.Duration) []sim.Time {
+	times := make([]sim.Time, n)
 	var t sim.Time
-	for i := 0; i < b.cfg.Queries; i++ {
-		t = t.Add(b.rng.Exp(b.cfg.QueryMeanGap))
-		b.sched.At(t, issueQuery)
+	for i := range times {
+		t = t.Add(b.rng.Exp(meanGap))
+		times[i] = t
 	}
-	t = 0
-	for i := 0; i < b.cfg.ShortFlows; i++ {
-		t = t.Add(b.rng.Exp(b.cfg.ShortMeanGap))
-		b.sched.At(t, issueShort)
-	}
-	t = 0
-	for i := 0; i < b.cfg.BackgroundFlows; i++ {
-		t = t.Add(b.rng.Exp(b.cfg.BackgroundMeanGap))
-		b.sched.At(t, issueBackground)
-	}
+	return times
 }
 
 // issueShort starts one short-message transfer: a uniform size in

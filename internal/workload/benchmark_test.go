@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"dctcpplus/internal/netsim"
@@ -200,5 +202,108 @@ func TestBenchmarkValidation(t *testing.T) {
 			}()
 			NewBenchmark(sched, tt, cfg)
 		}()
+	}
+}
+
+// startPerArrival is Start with every arrival its own At call, drawn and
+// scheduled class by class: the reference the streams must reproduce.
+func startPerArrival(b *Benchmark) {
+	issueQuery, issueShort, issueBackground := b.issueQuery, b.issueShort, b.issueBackground
+	var t sim.Time
+	for i := 0; i < b.cfg.Queries; i++ {
+		t = t.Add(b.rng.Exp(b.cfg.QueryMeanGap))
+		b.sched.At(t, issueQuery)
+	}
+	t = 0
+	for i := 0; i < b.cfg.ShortFlows; i++ {
+		t = t.Add(b.rng.Exp(b.cfg.ShortMeanGap))
+		b.sched.At(t, issueShort)
+	}
+	t = 0
+	for i := 0; i < b.cfg.BackgroundFlows; i++ {
+		t = t.Add(b.rng.Exp(b.cfg.BackgroundMeanGap))
+		b.sched.At(t, issueBackground)
+	}
+}
+
+// TestMixStreamsEqualPerArrivalEvents: the mix with one arrival stream per
+// class must run exactly as with one queued event per arrival — every class's
+// results, the RTO and retransmission totals, the event count and the final
+// clock — for DCTCP and DCTCP+, each under two seeds.
+func TestMixStreamsEqualPerArrivalEvents(t *testing.T) {
+	type outcome struct {
+		queries           []QueryResult
+		shorts, bg        []FlowResult
+		timeouts, retrans int64
+		fired             uint64
+		end               sim.Time
+	}
+	run := func(cfg BenchmarkConfig, start func(*Benchmark)) outcome {
+		sched, b := newChurnBenchmark(cfg)
+		start(b)
+		sched.RunUntil(sim.Time(60 * sim.Second))
+		if !b.Finished() {
+			t.Fatalf("seed %d: mix incomplete", cfg.Seed)
+		}
+		return outcome{b.QueryResults(), b.ShortResults(), b.BackgroundResults(),
+			b.TotalTimeouts(), b.TotalRetransmissions(), sched.Fired(), sched.Now()}
+	}
+	protocols := []struct {
+		name    string
+		factory FlowFactory
+	}{
+		{"dctcp", dctcpFactory(10 * sim.Millisecond)},
+		{"dctcp+", plusFactory(10 * sim.Millisecond)},
+	}
+	for _, p := range protocols {
+		for _, seed := range []uint64{5, 6} {
+			cfg := churnCfg()
+			cfg.Factory, cfg.Seed = p.factory, seed
+			streams := run(cfg, (*Benchmark).Start)
+			events := run(cfg, startPerArrival)
+			if !reflect.DeepEqual(streams, events) {
+				t.Errorf("%s seed %d: streams differ from per-arrival events:\nstreams %+v\nevents  %+v", p.name, seed, streams, events)
+			}
+			if streams.timeouts == 0 {
+				t.Errorf("%s seed %d: no flow timed out; the mix is too quiet to compare", p.name, seed)
+			}
+		}
+	}
+}
+
+// TestBenchmarkStartAllocBudget: Start's allocations do not grow with the
+// arrival count — per class one instant slice, one stream record and the
+// method value of its issue callback, nine in all — and it leaves at most
+// one queued event per class. (Per-arrival At calls cost one 64-event slab
+// per 64 arrivals and a far heap that many slots deep.)
+func TestBenchmarkStartAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	start := func(queries, background, short int) (mallocs uint64, pending int) {
+		cfg := churnCfg()
+		cfg.Queries, cfg.BackgroundFlows, cfg.ShortFlows = queries, background, short
+		sched, b := newChurnBenchmark(cfg)
+		// Mint the scheduler's first event slab and grow both heaps to three
+		// slots outside the measurement: a run's scheduler keeps them.
+		var warm []*sim.Event
+		for i := 0; i < 3; i++ {
+			warm = append(warm, sched.At(0, func() {}), sched.At(sim.Time(sim.Second), func() {}))
+		}
+		for _, e := range warm {
+			sched.Cancel(e)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.Start()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, sched.Pending()
+	}
+	small, _ := start(10, 10, 3)
+	large, pending := start(10000, 10000, 2500)
+	t.Logf("Start: %d allocations, %d events queued", large, pending)
+	if large != small || large > 9 {
+		t.Errorf("Start allocates %d times for 22,500 arrivals and %d for 23, want the same count, at most 9", large, small)
+	}
+	if pending > 3 {
+		t.Errorf("Start queued %d events, want at most 3 (one per class)", pending)
 	}
 }
