@@ -60,17 +60,18 @@ fault-smoke:
 	$(GO) test -run 'Faulted|Conservation|Resilience|RequestRetry' \
 		./internal/fault ./internal/exp ./internal/workload
 
-# Sweep-orchestration smoke: run a tiny grid twice against the same cache.
-# The second pass must be pure cache replay (100% hit rate) and its
-# aggregate table must be byte-identical to the first pass — the
-# end-to-end guarantee behind internal/sweep's content-addressed cache.
+# Sweep-orchestration smoke: run a tiny grid through cmd/incast twice
+# against the same cache, the second pass with -resume. It must be pure
+# cache replay (100% hit rate) and its aggregate table must be
+# byte-identical to the first pass — the end-to-end guarantee behind
+# internal/sweep's content-addressed cache.
 sweep-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) build -o "$$dir/sweep" ./cmd/sweep; \
+	$(GO) build -o "$$dir/incast" ./cmd/incast; \
 	args="-q -name smoke -protocols dctcp+,dctcp -flows 20,40 -seeds 1,2 \
 		-rounds 6 -warmup 2 -rtomin 10ms -cache-dir $$dir/cache"; \
-	"$$dir/sweep" $$args >"$$dir/first.txt"; \
-	"$$dir/sweep" $$args -resume >"$$dir/second.txt"; \
+	"$$dir/incast" $$args >"$$dir/first.txt"; \
+	"$$dir/incast" $$args -resume >"$$dir/second.txt"; \
 	grep -q "0 run, 8 cached (hit rate 100%)" "$$dir/second.txt" || { \
 		echo "sweep-smoke: second pass was not pure cache replay:"; \
 		cat "$$dir/second.txt"; exit 1; }; \
@@ -87,7 +88,7 @@ sweep-smoke:
 # (TestOracleRepairClippedAtMaxSent: TCP at N=8/20, seeds 1-5, RTOmin 10ms,
 # 30 rounds; a sender that re-cuts a repair past the highest byte it sent
 # fails it) must run violation-free, then the incast command's -oracle gate
-# must pass a faulted multi-protocol sweep end to end. On violation the
+# must pass a faulted multi-protocol grid end to end. On violation the
 # command writes the minimized event-window trace to $(ORACLE_TRACE),
 # which CI uploads as the failure artifact.
 ORACLE_TRACE ?= oracle-violations.txt

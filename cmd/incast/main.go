@@ -1,7 +1,9 @@
-// Command incast runs the paper's incast experiments (Figures 1, 6, 7, 8):
-// N concurrent flows answer a barrier-synchronized aggregator through the
-// bottleneck switch, and the tool reports per-point goodput, FCT and
-// timeout counts.
+// Command incast runs the paper's incast experiments (Figures 1, 6, 7, 8,
+// and the N = 100…2000 large-N scenario beyond them) as one declarative
+// grid — protocol × flows × RTOmin × seed × fault plan × topology. In each
+// point N concurrent flows answer a barrier-synchronized aggregator through
+// the bottleneck switch; the tool prints one row per point with goodput,
+// FCT and timeouts, averaged across the point's seeds.
 //
 // Examples:
 //
@@ -10,13 +12,17 @@
 //	incast -protocols dctcp+,dctcp,tcp -flows 20,60,120,200        # Fig. 7
 //	incast -protocols dctcp,tcp -rtomin 10ms -flows 20,60,120,200  # Fig. 8
 //	incast -protocols dctcp+ -flows 200 -rounds 1000               # paper scale
-//	incast -protocols dctcp+,dctcp -flows 150 -faults all          # resilience
-//	incast -flows 200 -rounds 500 -cache-dir .sweepcache           # memoized
+//	incast -protocols dctcp+,dctcp -flows 40,80,160 -seeds 1,2,3   # cross-seed means
+//	incast -protocols dctcp+,dctcp -flows 150 -faults "none;all"   # resilience
+//	incast -preset large-n -cache-dir .sweepcache                  # N=100..2000
 //
-// The point grid runs through the sweep orchestrator (internal/sweep):
-// -jobs bounds the worker pool, and with -cache-dir completed points are
-// content-addressed on disk, so repeating or extending a run only computes
-// what changed.
+// The grid runs through the sweep orchestrator (internal/sweep): -jobs
+// bounds the worker pool, and -cache-dir stores every completed point under
+// a content address. The cache journals each run under -name: a second run
+// under the same name needs -resume, which continues an interrupted grid or
+// replays a finished one, and is refused if the grid changed. A changed
+// grid takes a new -name; every point it shares with earlier runs is still
+// a cache hit.
 package main
 
 import (
@@ -24,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	dcp "dctcpplus"
@@ -31,26 +38,29 @@ import (
 )
 
 var (
+	name      = flag.String("name", "incast", "run name (the manifest's identity inside -cache-dir)")
 	protocols = flag.String("protocols", "dctcp+,dctcp,tcp",
 		"comma-separated protocols (tcp, dctcp, dctcp-min1, dctcp+, dctcp+partial, reno+, d2tcp, d2tcp+)")
 	flows  = flag.String("flows", "10,20,40,60,80,120,160,200", "comma-separated concurrent flow counts")
-	rounds = flag.Int("rounds", 50, "request/response rounds per point (paper: 1000)")
-	warmup = flag.Int("warmup", 10, "initial rounds excluded from statistics")
-	total  = flag.Int64("total", 1<<20, "total bytes per round, split across flows (1MB/N each)")
-	per    = flag.Int64("perflow", 0, "bytes per flow per round (overrides -total split)")
-	rtoMin = flag.Duration("rtomin", 200*time.Millisecond, "minimum (and initial) RTO")
-	jitter = flag.Duration("jitter", 4*time.Millisecond, "worker service jitter")
-	seed   = flag.Uint64("seed", 1, "experiment seed")
-	telOut = flag.String("telemetry", "",
-		"write the sweep's instrument dump to this file as JSON lines")
+	rtomin = flag.String("rtomin", "200ms", "comma-separated minimum (and initial) RTO values")
+	seeds  = flag.String("seeds", "1", "comma-separated experiment seeds (each row averages its point's seeds)")
+	topos  = flag.String("topos", "default", "comma-separated topologies (default, hull)")
 	faults = flag.String("faults", "",
-		"inject faults of these classes (comma-separated: blackout,loss,rate,delay,buffer,stall; \"all\" for every class; empty disables)")
+		"semicolon-separated fault plans; each is empty or \"none\" (clean), \"all\", or a comma list of classes (blackout,loss,rate,delay,buffer,stall)")
 	faultSeed = flag.Uint64("faultseed", 1, "seed of the fault-plan generator")
-	jobs      = flag.Int("jobs", dcp.DefaultSweepWorkers(), "concurrent experiment points (workers)")
-	cacheDir  = flag.String("cache-dir", "",
-		"content-addressed result cache directory (empty disables caching)")
-	resume = flag.Bool("resume", false, "continue a sweep whose manifest already exists in -cache-dir")
-	oracle = flag.Bool("oracle", false,
+	rounds    = flag.Int("rounds", 50, "request/response rounds per point (paper: 1000)")
+	warmup    = flag.Int("warmup", 10, "initial rounds excluded from statistics")
+	total     = flag.Int64("total", 1<<20, "total bytes per round, split across flows (1MB/N each)")
+	per       = flag.Int64("perflow", 0, "bytes per flow per round (overrides -total split)")
+	jitter    = flag.Duration("jitter", 4*time.Millisecond, "worker service jitter")
+	preset    = flag.String("preset", "", "named scenario replacing the grid flags (large-n)")
+
+	jobs     = flag.Int("jobs", dcp.DefaultSweepWorkers(), "concurrent experiment points (workers)")
+	cacheDir = flag.String("cache-dir", "", "content-addressed result cache directory (empty disables caching)")
+	resume   = flag.Bool("resume", false, "continue or replay the run whose manifest -name already has in -cache-dir")
+	telOut   = flag.String("telemetry", "", "write the run's instrument dump to this file as JSON lines")
+	quiet    = flag.Bool("q", false, "suppress progress lines")
+	oracle   = flag.Bool("oracle", false,
 		"run every point under the trace-conformance oracle; any violation fails the command")
 	oracleTrace = flag.String("oracle-trace", "",
 		"write rendered oracle violations (with minimized event windows) to this file; requires -oracle, written only on violation")
@@ -58,54 +68,48 @@ var (
 )
 
 // validate is the usage gate: every error it returns is a bad command line
-// (exit 2). The fault spec and the protocol list are parsed eagerly so a
-// bad class list or an empty -protocols fails here, even though the strings
-// themselves ride into the sweep spec.
-func validate() error {
-	_, faultErr := parseFaultGen(*faults, *faultSeed)
-	_, protoErr := cli.ProtocolNames(*protocols)
-	return cli.First(
-		protoErr,
+// (exit 2), raised before the cache is opened or any point runs. The scalar
+// checks come first — the spec reads a zero -rounds, -total, -jitter or
+// -faultseed as "unset" and would silently run its default — then the grid
+// is parsed and checked by the spec's own Validate.
+func validate() (dcp.SweepSpec, error) {
+	if err := cli.First(
 		cli.ValidateRounds(*rounds, *warmup),
 		cli.ValidateBytes(*total, *per),
-		cli.ValidateRTOMin(*rtoMin),
 		cli.ValidateJitter(*jitter),
+		cli.ValidateFaultSeed(*faultSeed),
 		cli.ValidateSweep(*jobs, *cacheDir, *resume),
 		cli.ValidateOracle(*oracle, *oracleTrace),
 		cli.ValidateOutput("-telemetry", *telOut),
 		prof.Validate(),
-		faultErr,
-	)
+	); err != nil {
+		return dcp.SweepSpec{}, err
+	}
+	switch *preset {
+	case "":
+		return buildSpec(*name, *protocols, *flows, *rtomin, *seeds, *topos, *faults,
+			*faultSeed, *rounds, *warmup, *total, *per, *jitter)
+	case "large-n":
+		return dcp.LargeNSweepSpec(), nil
+	}
+	return dcp.SweepSpec{}, fmt.Errorf("-preset %s: unknown preset (want large-n)", *preset)
 }
 
 func main() {
 	flag.Parse()
-	cli.Usage("incast", validate())
-	flowCounts, err := cli.ParseFlowCounts(*flows)
+	spec, err := validate()
 	cli.Usage("incast", err)
+	spec.Oracle = *oracle
 	stopProfiles, err := prof.Start()
 	cli.Fatal("incast", err)
 
-	var reg *dcp.Registry
+	runner := dcp.SweepRunner{Workers: *jobs, Resume: *resume}
 	if *telOut != "" {
-		reg = dcp.NewRegistry()
+		runner.Telemetry = dcp.NewRegistry()
 	}
-	spec := dcp.SweepSpec{
-		Name:         "incast",
-		Protocols:    cli.SplitCSV(*protocols),
-		Flows:        flowCounts,
-		RTOMins:      []dcp.Duration{dcp.Duration(*rtoMin)},
-		Seeds:        []uint64{*seed},
-		Faults:       []string{*faults},
-		FaultSeed:    *faultSeed,
-		Rounds:       *rounds,
-		WarmupRounds: *warmup,
-		TotalBytes:   *total,
-		BytesPerFlow: *per,
-		Jitter:       dcp.Duration(*jitter),
-		Oracle:       *oracle,
+	if !*quiet {
+		runner.Progress = os.Stderr
 	}
-	runner := dcp.SweepRunner{Workers: *jobs, Resume: *resume, Telemetry: reg}
 	if *cacheDir != "" {
 		runner.Cache, err = dcp.OpenSweepCache(*cacheDir)
 		cli.Fatal("incast", err)
@@ -113,18 +117,10 @@ func main() {
 	out, err := runner.Run(context.Background(), spec)
 	cli.Fatal("incast", err)
 
-	all := make([]dcp.IncastResult, 0, len(out.Results))
-	for _, r := range out.Results {
-		row, err := r.Incast()
-		cli.Fatal("incast", err)
-		all = append(all, row)
-	}
-	dcp.PrintIncastRows(os.Stdout, all)
-	if runner.Cache != nil {
-		fmt.Printf("cache: %d hit, %d run -> %s\n", out.Hits, out.Misses, *cacheDir)
-	}
+	cli.Fatal("incast", dcp.WriteSweepGroups(os.Stdout, out.Groups))
+	printSummary(out)
 	if *telOut != "" {
-		cli.Fatal("incast", cli.WriteTelemetry(reg, *telOut))
+		cli.Fatal("incast", cli.WriteTelemetry(runner.Telemetry, *telOut))
 	}
 	cli.Fatal("incast", stopProfiles())
 
@@ -132,22 +128,90 @@ func main() {
 		if total, lines := dcp.SweepOracleReport(out.Results); total > 0 {
 			cli.FailOracle("incast", total, lines, *oracleTrace)
 		}
-		fmt.Printf("oracle: clean (%d points)\n", len(out.Results))
+		fmt.Printf("oracle: clean (%d jobs)\n", len(out.Results))
 	}
 }
 
-// parseFaultGen resolves the -faults/-faultseed flags into a fault-plan
-// generator config. An empty spec disables injection (nil config); "all"
-// or a comma-separated class list selects which pathologies to inject.
-func parseFaultGen(spec string, seed uint64) (*dcp.FaultGenConfig, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	classes, err := dcp.ParseFaultClasses(spec)
+// buildSpec assembles the declarative grid from the flag surface and runs
+// the Spec's own Validate, the semantic gate, so a grid the runner would
+// refuse — a -name that escapes the cache directory — is a usage error
+// before the cache is opened.
+func buildSpec(name, protocols, flows, rtomin, seeds, topos, faults string,
+	faultSeed uint64, rounds, warmup int, total, per int64, jitter time.Duration) (dcp.SweepSpec, error) {
+	protoNames, err := cli.ProtocolNames(protocols)
 	if err != nil {
-		return nil, err
+		return dcp.SweepSpec{}, err
 	}
-	g := dcp.DefaultFaultGenConfig(seed)
-	g.Classes = classes
-	return &g, nil
+	topoNames, err := cli.TopoNames(topos)
+	if err != nil {
+		return dcp.SweepSpec{}, err
+	}
+	flowCounts, err := cli.ParseFlowCounts(flows)
+	if err != nil {
+		return dcp.SweepSpec{}, err
+	}
+	rtoMins, err := cli.ParseDurations(rtomin)
+	if err != nil {
+		return dcp.SweepSpec{}, err
+	}
+	seedList, err := cli.ParseSeeds(seeds)
+	if err != nil {
+		return dcp.SweepSpec{}, err
+	}
+	spec := dcp.SweepSpec{
+		Name:         name,
+		Protocols:    protoNames,
+		Flows:        flowCounts,
+		RTOMins:      rtoMins,
+		Seeds:        seedList,
+		Topos:        topoNames,
+		Faults:       parseFaultPlans(faults),
+		FaultSeed:    faultSeed,
+		Rounds:       rounds,
+		WarmupRounds: warmup,
+		TotalBytes:   total,
+		BytesPerFlow: per,
+		Jitter:       dcp.Duration(jitter),
+	}
+	return spec, spec.Validate()
+}
+
+// parseFaultPlans splits the semicolon-separated plan list, mapping the
+// explicit "none" spelling to the empty (clean) plan.
+func parseFaultPlans(spec string) []string {
+	var out []string
+	for _, plan := range strings.Split(spec, ";") {
+		plan = strings.TrimSpace(plan)
+		if plan == "none" {
+			plan = ""
+		}
+		out = append(out, plan)
+	}
+	return out
+}
+
+// printSummary follows the table with the cache accounting and the per-job
+// wall time over the jobs that actually executed (cache hits cost no
+// simulation time).
+func printSummary(out *dcp.SweepOutcome) {
+	var rate float64
+	if done := out.Completed(); done > 0 {
+		rate = float64(out.Hits) / float64(done)
+	}
+	fmt.Printf("\n%d jobs: %d run, %d cached (hit rate %.0f%%)", out.Jobs, out.Misses, out.Hits, rate*100)
+	if out.CacheErrs > 0 {
+		fmt.Printf(", %d cache errors", out.CacheErrs)
+	}
+	fmt.Println()
+	if out.Misses == 0 {
+		return
+	}
+	var sum, longest int64
+	for _, ns := range out.JobWallNs {
+		sum += ns
+		longest = max(longest, ns)
+	}
+	fmt.Printf("per-job wall time: mean %v, max %v (%d executed)\n",
+		time.Duration(sum/int64(out.Misses)).Round(time.Microsecond),
+		time.Duration(longest).Round(time.Microsecond), out.Misses)
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	dcp "dctcpplus"
 )
 
 // The cases below drive the usage gate through the real flag variables, the
@@ -12,86 +14,52 @@ import (
 // own tables live in internal/cli.
 
 func TestValidateFlags(t *testing.T) {
-	defer func(r, w int, tot, p int64, rto, jit time.Duration, pr string) {
-		*rounds, *warmup, *total, *per, *rtoMin, *jitter, *protocols = r, w, tot, p, rto, jit, pr
-	}(*rounds, *warmup, *total, *per, *rtoMin, *jitter, *protocols)
+	defer func(r, w int, tot, p int64, rto string, jit time.Duration, pr string, fs uint64) {
+		*rounds, *warmup, *total, *per, *rtomin, *jitter, *protocols, *faultSeed = r, w, tot, p, rto, jit, pr, fs
+	}(*rounds, *warmup, *total, *per, *rtomin, *jitter, *protocols, *faultSeed)
 	const (
-		rto = 200 * time.Millisecond
+		rto = "200ms"
 		jit = 4 * time.Millisecond
 		pr  = "dctcp+,dctcp"
 	)
+	// "zero rounds", "zero byte budget" and "zero faultseed" are values the
+	// spec reads as "unset": without the gate they would silently run 50
+	// rounds, 1 MB and fault seed 1.
 	cases := []struct {
 		name           string
 		rounds, warmup int
 		total, perflow int64
-		rtoMin, jitter time.Duration
+		rtoMin         string
+		jitter         time.Duration
 		protocols      string
+		faultSeed      uint64
 		wantErr        bool
 	}{
-		{"defaults", 50, 10, 1 << 20, 0, rto, jit, pr, false},
-		{"perflow overrides total", 50, 10, 0, 64 << 10, rto, jit, pr, false},
-		{"zero warmup", 1, 0, 1 << 20, 0, rto, jit, pr, false},
-		{"zero jitter", 50, 10, 1 << 20, 0, rto, 0, pr, true},
-		{"zero rounds", 0, 0, 1 << 20, 0, rto, jit, pr, true},
-		{"negative rounds", -5, 0, 1 << 20, 0, rto, jit, pr, true},
-		{"negative warmup", 50, -1, 1 << 20, 0, rto, jit, pr, true},
-		{"warmup swallows rounds", 10, 10, 1 << 20, 0, rto, jit, pr, true},
-		{"zero byte budget", 50, 10, 0, 0, rto, jit, pr, true},
-		{"negative total", 50, 10, -1, 0, rto, jit, pr, true},
-		{"negative perflow", 50, 10, 1 << 20, -4096, rto, jit, pr, true},
-		{"zero rtomin", 50, 10, 1 << 20, 0, 0, jit, pr, true},
-		{"negative jitter", 50, 10, 1 << 20, 0, rto, -time.Millisecond, pr, true},
-		{"empty protocols", 50, 10, 1 << 20, 0, rto, jit, "", true},
-		{"blank protocols", 50, 10, 1 << 20, 0, rto, jit, " , ", true},
+		{"defaults", 50, 10, 1 << 20, 0, rto, jit, pr, 1, false},
+		{"perflow overrides total", 50, 10, 0, 64 << 10, rto, jit, pr, 1, false},
+		{"zero warmup", 1, 0, 1 << 20, 0, rto, jit, pr, 1, false},
+		{"zero jitter", 50, 10, 1 << 20, 0, rto, 0, pr, 1, true},
+		{"zero rounds", 0, 0, 1 << 20, 0, rto, jit, pr, 1, true},
+		{"negative rounds", -5, 0, 1 << 20, 0, rto, jit, pr, 1, true},
+		{"negative warmup", 50, -1, 1 << 20, 0, rto, jit, pr, 1, true},
+		{"warmup swallows rounds", 10, 10, 1 << 20, 0, rto, jit, pr, 1, true},
+		{"zero byte budget", 50, 10, 0, 0, rto, jit, pr, 1, true},
+		{"negative total", 50, 10, -1, 0, rto, jit, pr, 1, true},
+		{"negative perflow", 50, 10, 1 << 20, -4096, rto, jit, pr, 1, true},
+		{"zero rtomin", 50, 10, 1 << 20, 0, "0ms", jit, pr, 1, true},
+		{"negative jitter", 50, 10, 1 << 20, 0, rto, -time.Millisecond, pr, 1, true},
+		{"empty protocols", 50, 10, 1 << 20, 0, rto, jit, "", 1, true},
+		{"blank protocols", 50, 10, 1 << 20, 0, rto, jit, " , ", 1, true},
+		{"zero faultseed", 50, 10, 1 << 20, 0, rto, jit, pr, 0, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			*rounds, *warmup, *total, *per, *rtoMin, *jitter, *protocols =
-				c.rounds, c.warmup, c.total, c.perflow, c.rtoMin, c.jitter, c.protocols
-			if err := validate(); (err != nil) != c.wantErr {
+			*rounds, *warmup, *total, *per, *rtomin, *jitter, *protocols, *faultSeed =
+				c.rounds, c.warmup, c.total, c.perflow, c.rtoMin, c.jitter, c.protocols, c.faultSeed
+			if _, err := validate(); (err != nil) != c.wantErr {
 				t.Errorf("validate = %v, wantErr=%v", err, c.wantErr)
 			}
 		})
-	}
-}
-
-func TestParseFaultGen(t *testing.T) {
-	cases := []struct {
-		spec        string
-		wantNil     bool
-		wantClasses int
-		wantErr     bool
-	}{
-		{"", true, 0, false},
-		{"all", false, 6, false},
-		{"blackout", false, 1, false},
-		{"loss,stall", false, 2, false},
-		{"blackout, rate ", false, 2, false},
-		{"bogus", false, 0, true},
-		{"loss,,stall", false, 0, true},
-	}
-	for _, c := range cases {
-		gen, err := parseFaultGen(c.spec, 7)
-		if (err != nil) != c.wantErr {
-			t.Errorf("parseFaultGen(%q) err = %v, wantErr=%v", c.spec, err, c.wantErr)
-			continue
-		}
-		if err != nil {
-			continue
-		}
-		if (gen == nil) != c.wantNil {
-			t.Errorf("parseFaultGen(%q) nil = %v, want %v", c.spec, gen == nil, c.wantNil)
-			continue
-		}
-		if gen == nil {
-			continue
-		}
-		if gen.Seed != 7 {
-			t.Errorf("parseFaultGen(%q) seed = %d, want 7", c.spec, gen.Seed)
-		}
-		if len(gen.Classes) != c.wantClasses {
-			t.Errorf("parseFaultGen(%q) classes = %d, want %d", c.spec, len(gen.Classes), c.wantClasses)
-		}
 	}
 }
 
@@ -117,7 +85,7 @@ func TestValidateSweepFlags(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			*jobs, *cacheDir, *resume = c.jobs, c.cacheDir, c.resume
-			if err := validate(); (err != nil) != c.wantErr {
+			if _, err := validate(); (err != nil) != c.wantErr {
 				t.Errorf("validate(-jobs %d -cache-dir %q -resume=%v) = %v, wantErr=%v",
 					c.jobs, c.cacheDir, c.resume, err, c.wantErr)
 			}
@@ -143,7 +111,7 @@ func TestValidateOracleFlags(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			*oracle, *oracleTrace = c.oracle, c.trace
-			if err := validate(); (err != nil) != c.wantErr {
+			if _, err := validate(); (err != nil) != c.wantErr {
 				t.Errorf("validate(-oracle=%v -oracle-trace %q) = %v, wantErr=%v",
 					c.oracle, c.trace, err, c.wantErr)
 			}
@@ -167,9 +135,56 @@ func TestValidateOutputFlags(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			defer func(v string) { *c.flag = v }(*c.flag)
 			*c.flag = missing
-			if err := validate(); err == nil || !strings.Contains(err.Error(), c.name+" "+missing) {
+			if _, err := validate(); err == nil || !strings.Contains(err.Error(), c.name+" "+missing) {
 				t.Errorf("validate(%s %s) = %v, want a usage error naming the flag", c.name, missing, err)
 			}
 		})
+	}
+}
+
+func TestBuildSpec(t *testing.T) {
+	spec, err := buildSpec("t", "dctcp+,dctcp", "40,80", "200ms,10ms", "1,2,3",
+		"default,hull", "none;all;loss,delay", 7, 50, 10, 1<<20, 0, 4*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Protocols) != 2 || len(spec.Flows) != 2 || len(spec.RTOMins) != 2 ||
+		len(spec.Seeds) != 3 || len(spec.Topos) != 2 || len(spec.Faults) != 3 {
+		t.Fatalf("spec dimensions wrong: %+v", spec)
+	}
+	if spec.Faults[0] != "" || spec.Faults[1] != "all" || spec.Faults[2] != "loss,delay" {
+		t.Fatalf("fault plans wrong: %v", spec.Faults)
+	}
+	if spec.RTOMins[1] != 10*dcp.Millisecond {
+		t.Fatalf("rtomin parse wrong: %v", spec.RTOMins)
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("built spec does not validate: %v", err)
+	}
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2*2*2*3*2*3 {
+		t.Fatalf("expanded %d jobs, want 144", len(jobs))
+	}
+
+	bad := []struct{ name, protocols, flows, rtomin, seeds, topos string }{
+		{"t", "dctcp", "40,zero", "200ms", "1", "default"},
+		{"t", "dctcp", "40", "200", "1", "default"}, // missing unit
+		{"t", "dctcp", "40", "-5ms", "1", "default"},
+		{"t", "dctcp", "40", "0ms", "1", "default"}, // tcp.Config panics on a zero RTO floor
+		{"t", "dctcp", "40", "200ms", "minus-one", "default"},
+		{"t", "", "40", "200ms", "1", "default"},         // would silently run the default protocol
+		{"t", "dctcp", "40", "200ms", "1", ""},           // would silently run the default topology
+		{"t", "dctcp", "40", "200ms", "1", ","},          // likewise
+		{"../t", "dctcp", "40", "200ms", "1", "default"}, // manifest would land beside the cache
+	}
+	for _, b := range bad {
+		if _, err := buildSpec(b.name, b.protocols, b.flows, b.rtomin, b.seeds,
+			b.topos, "none", 1, 50, 10, 1<<20, 0, time.Millisecond); err == nil {
+			t.Errorf("buildSpec accepted name=%q protocols=%q flows=%q rtomin=%q seeds=%q topos=%q",
+				b.name, b.protocols, b.flows, b.rtomin, b.seeds, b.topos)
+		}
 	}
 }

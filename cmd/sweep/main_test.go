@@ -1,44 +1,99 @@
-package main
+// Package sweep holds no command: the sweep grid command was folded into
+// cmd/incast, which takes every one of its flags. These tests build
+// cmd/incast and drive it with the sweep command lines they used to check,
+// pinning that each is still accepted, or refused as a usage error (exit 2)
+// before any point runs.
+package sweep
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	dcp "dctcpplus"
 )
 
-// The cases below drive the usage gate through the real flag variables, the
-// way main does; each test restores the flags it touched. The helpers'
-// own tables live in internal/cli.
+var incastBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "incast-bin")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	incastBin = filepath.Join(dir, "incast")
+	if out, err := exec.Command("go", "build", "-o", incastBin, "dctcpplus/cmd/incast").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building cmd/incast: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// tiny is a one-point grid that finishes in milliseconds, so an accepted
+// command line costs next to nothing to run to the end.
+var tiny = []string{"-protocols", "dctcp", "-flows", "2", "-rounds", "2", "-warmup", "1", "-q"}
+
+// incast runs the built command on tiny followed by args and returns its
+// exit status and standard error.
+func incast(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var stderr bytes.Buffer
+	cmd := exec.CommandContext(ctx, incastBin, append(append([]string{}, tiny...), args...)...)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("running incast %v: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// checkExit runs incast on args and wants exit 2 when wantErr, else 0.
+func checkExit(t *testing.T, wantErr bool, args ...string) {
+	t.Helper()
+	want := 0
+	if wantErr {
+		want = 2
+	}
+	if code, stderr := incast(t, args...); code != want {
+		t.Errorf("incast %s: exit %d, want %d\n%s", strings.Join(args, " "), code, want, stderr)
+	}
+}
 
 func TestValidateSweepFlags(t *testing.T) {
-	defer func(j int, d string, r bool) { *jobs, *cacheDir, *resume = j, d, r }(*jobs, *cacheDir, *resume)
-	parent := t.TempDir()
 	cases := []struct {
 		name     string
 		jobs     int
-		cacheDir string
+		cacheDir string // under a fresh temporary parent; empty disables the cache
 		resume   bool
 		wantErr  bool
 	}{
 		{"defaults, no cache", 4, "", false, false},
 		{"single worker", 1, "", false, false},
-		{"cache under existing parent", 2, parent + "/cache", false, false},
-		{"resume with cache", 2, parent + "/cache", true, false},
+		{"cache under existing parent", 2, "cache", false, false},
+		{"resume with cache", 2, "cache", true, false},
 		{"zero jobs", 0, "", false, true},
 		{"negative jobs", -3, "", false, true},
-		{"nonexistent cache parent", 2, parent + "/no/such/cache", false, true},
+		{"nonexistent cache parent", 2, "no/such/cache", false, true},
 		{"resume without cache", 2, "", true, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			*jobs, *cacheDir, *resume = c.jobs, c.cacheDir, c.resume
-			if err := validate(); (err != nil) != c.wantErr {
-				t.Errorf("validate(-jobs %d -cache-dir %q -resume=%v) = %v, wantErr=%v",
-					c.jobs, c.cacheDir, c.resume, err, c.wantErr)
+			args := []string{"-jobs", fmt.Sprint(c.jobs), fmt.Sprintf("-resume=%v", c.resume)}
+			if c.cacheDir != "" {
+				args = append(args, "-cache-dir", filepath.Join(t.TempDir(), c.cacheDir))
 			}
+			checkExit(t, c.wantErr, args...)
 		})
 	}
 }
@@ -46,95 +101,43 @@ func TestValidateSweepFlags(t *testing.T) {
 // TestValidateJitterFlag: -jitter 0 is refused rather than silently run at
 // the spec's 4 ms default.
 func TestValidateJitterFlag(t *testing.T) {
-	defer func(j time.Duration) { *jitter = j }(*jitter)
 	cases := []struct {
 		name    string
-		jitter  time.Duration
+		jitter  string
 		wantErr bool
 	}{
-		{"defaults", 4 * time.Millisecond, false},
-		{"zero jitter", 0, true},
-		{"negative jitter", -time.Millisecond, true},
+		{"defaults", "4ms", false},
+		{"zero jitter", "0s", true},
+		{"negative jitter", "-1ms", true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			*jitter = c.jitter
-			if err := validate(); (err != nil) != c.wantErr {
-				t.Errorf("validate(-jitter %v) = %v, wantErr=%v", c.jitter, err, c.wantErr)
-			}
+			checkExit(t, c.wantErr, "-jitter", c.jitter)
 		})
 	}
 }
 
 func TestValidateOracleFlags(t *testing.T) {
-	defer func(o bool, tr string) { *oracle, *oracleTrace = o, tr }(*oracle, *oracleTrace)
-	parent := t.TempDir()
 	cases := []struct {
 		name    string
 		oracle  bool
-		trace   string
+		trace   string // under a fresh temporary parent
 		wantErr bool
 	}{
 		{"both off", false, "", false},
 		{"oracle without trace", true, "", false},
-		{"oracle with trace", true, parent + "/viol.txt", false},
-		{"trace without oracle", false, parent + "/viol.txt", true},
-		{"nonexistent trace parent", true, parent + "/no/such/viol.txt", true},
+		{"oracle with trace", true, "viol.txt", false},
+		{"trace without oracle", false, "viol.txt", true},
+		{"nonexistent trace parent", true, "no/such/viol.txt", true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			*oracle, *oracleTrace = c.oracle, c.trace
-			if err := validate(); (err != nil) != c.wantErr {
-				t.Errorf("validate(-oracle=%v -oracle-trace %q) = %v, wantErr=%v",
-					c.oracle, c.trace, err, c.wantErr)
+			args := []string{fmt.Sprintf("-oracle=%v", c.oracle)}
+			if c.trace != "" {
+				args = append(args, "-oracle-trace", filepath.Join(t.TempDir(), c.trace))
 			}
+			checkExit(t, c.wantErr, args...)
 		})
-	}
-}
-
-func TestBuildSpec(t *testing.T) {
-	spec, err := buildSpec("t", "dctcp+,dctcp", "40,80", "200ms,10ms", "1,2,3",
-		"default,hull", "none;all;loss,delay", 7, 50, 10, 1<<20, 0, 4*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spec.Protocols) != 2 || len(spec.Flows) != 2 || len(spec.RTOMins) != 2 ||
-		len(spec.Seeds) != 3 || len(spec.Topos) != 2 || len(spec.Faults) != 3 {
-		t.Fatalf("spec dimensions wrong: %+v", spec)
-	}
-	if spec.Faults[0] != "" || spec.Faults[1] != "all" || spec.Faults[2] != "loss,delay" {
-		t.Fatalf("fault plans wrong: %v", spec.Faults)
-	}
-	if spec.RTOMins[1] != 10*dcp.Millisecond {
-		t.Fatalf("rtomin parse wrong: %v", spec.RTOMins)
-	}
-	if err := spec.Validate(); err != nil {
-		t.Fatalf("built spec does not validate: %v", err)
-	}
-	jobs, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 2*2*2*3*2*3 {
-		t.Fatalf("expanded %d jobs, want 144", len(jobs))
-	}
-
-	bad := []struct{ name, protocols, flows, rtomin, seeds, topos string }{
-		{"t", "dctcp", "40,zero", "200ms", "1", "default"},
-		{"t", "dctcp", "40", "200", "1", "default"}, // missing unit
-		{"t", "dctcp", "40", "-5ms", "1", "default"},
-		{"t", "dctcp", "40", "200ms", "minus-one", "default"},
-		{"t", "", "40", "200ms", "1", "default"},         // would silently run the default protocol
-		{"t", "dctcp", "40", "200ms", "1", ""},           // would silently run the default topology
-		{"t", "dctcp", "40", "200ms", "1", ","},          // likewise
-		{"../t", "dctcp", "40", "200ms", "1", "default"}, // manifest would land beside the cache
-	}
-	for _, b := range bad {
-		if _, err := buildSpec(b.name, b.protocols, b.flows, b.rtomin, b.seeds,
-			b.topos, "none", 1, 50, 10, 1<<20, 0, time.Millisecond); err == nil {
-			t.Errorf("buildSpec accepted name=%q protocols=%q flows=%q rtomin=%q seeds=%q topos=%q",
-				b.name, b.protocols, b.flows, b.rtomin, b.seeds, b.topos)
-		}
 	}
 }
 
@@ -142,20 +145,12 @@ func TestBuildSpec(t *testing.T) {
 // usage error before the run, not a failure after it.
 func TestValidateOutputFlags(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "out.json")
-	cases := []struct {
-		name string
-		flag *string
-	}{
-		{"-telemetry", telOut},
-		{"-cpuprofile", &prof.CPU},
-		{"-memprofile", &prof.Mem},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			defer func(v string) { *c.flag = v }(*c.flag)
-			*c.flag = missing
-			if err := validate(); err == nil || !strings.Contains(err.Error(), c.name+" "+missing) {
-				t.Errorf("validate(%s %s) = %v, want a usage error naming the flag", c.name, missing, err)
+	for _, flag := range []string{"-telemetry", "-cpuprofile", "-memprofile"} {
+		t.Run(flag, func(t *testing.T) {
+			code, stderr := incast(t, flag, missing)
+			if code != 2 || !strings.Contains(stderr, flag+" "+missing) {
+				t.Errorf("incast %s %s: exit %d, want 2 with a usage error naming the flag\n%s",
+					flag, missing, code, stderr)
 			}
 		})
 	}

@@ -191,9 +191,6 @@ func SetParallelism(n int) { exp.Parallelism = n }
 // RunBenchmark executes the production benchmark-traffic experiment.
 func RunBenchmark(o BenchmarkOptions) BenchmarkResult { return exp.RunBenchmark(o) }
 
-// PrintIncastRows writes an incast curve as aligned text rows.
-func PrintIncastRows(w io.Writer, results []IncastResult) { exp.PrintIncastRows(w, results) }
-
 // EnhancementConfig parameterizes the DCTCP+ mechanism itself (backoff
 // unit, divisor, threshold, desynchronization) for ablation studies.
 type EnhancementConfig = core.Config

@@ -27,11 +27,6 @@ func TestFacadeIncastEndToEnd(t *testing.T) {
 	if r.GoodputMbps.Mean <= 0 || r.FCTms.Mean <= 0 {
 		t.Error("degenerate summaries")
 	}
-	var sb strings.Builder
-	dcp.PrintIncastRows(&sb, []dcp.IncastResult{r})
-	if !strings.Contains(sb.String(), "dctcp") {
-		t.Error("row output missing protocol")
-	}
 }
 
 func TestFacadeSweepAndDurations(t *testing.T) {

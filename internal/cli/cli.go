@@ -73,20 +73,21 @@ func ValidateBytes(total, perflow int64) error {
 	return nil
 }
 
-// ValidateRTOMin rejects a non-positive RTO floor: tcp.Config panics on it.
-func ValidateRTOMin(rtoMin time.Duration) error {
-	if rtoMin <= 0 {
-		return fmt.Errorf("-rtomin %v: must be positive", rtoMin)
-	}
-	return nil
-}
-
 // ValidateJitter rejects a non-positive worker service jitter: a negative
 // one is meaningless, and the sweep spec reads 0 as "unset", so -jitter 0
 // would silently run with the 4 ms default.
 func ValidateJitter(jitter time.Duration) error {
 	if jitter <= 0 {
 		return fmt.Errorf("-jitter %v: must be positive", jitter)
+	}
+	return nil
+}
+
+// ValidateFaultSeed rejects a zero fault-plan seed for the same reason: the
+// sweep spec reads 0 as "unset", so -faultseed 0 would silently run seed 1.
+func ValidateFaultSeed(seed uint64) error {
+	if seed == 0 {
+		return fmt.Errorf("-faultseed 0: must be positive")
 	}
 	return nil
 }

@@ -57,24 +57,6 @@ func TestValidateBytes(t *testing.T) {
 	}
 }
 
-func TestValidateRTOMin(t *testing.T) {
-	const rto = 200 * time.Millisecond
-	cases := []struct {
-		name    string
-		rtoMin  time.Duration
-		wantErr string
-	}{
-		{"defaults", rto, ""},
-		{"zero rtomin", 0, "-rtomin 0s: must be positive"},
-		{"negative rtomin", -rto, "-rtomin -200ms: must be positive"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			checkErr(t, ValidateRTOMin(c.rtoMin), c.wantErr)
-		})
-	}
-}
-
 func TestValidateJitter(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -90,6 +72,11 @@ func TestValidateJitter(t *testing.T) {
 			checkErr(t, ValidateJitter(c.jitter), c.wantErr)
 		})
 	}
+}
+
+func TestValidateFaultSeed(t *testing.T) {
+	checkErr(t, ValidateFaultSeed(1), "")
+	checkErr(t, ValidateFaultSeed(0), "-faultseed 0: must be positive")
 }
 
 func TestValidateSweep(t *testing.T) {

@@ -25,10 +25,11 @@ type Group struct {
 	Hits int
 
 	// Goodput accumulates the per-replicate mean goodput (Mbps); FCT the
-	// per-replicate mean flow-completion time and FCTp99 the
-	// per-replicate P99 (ms).
+	// per-replicate mean flow-completion time, FCTp95 and FCTp99 the
+	// per-replicate P95 and P99 (ms).
 	Goodput stats.Welford
 	FCT     stats.Welford
+	FCTp95  stats.Welford
 	FCTp99  stats.Welford
 
 	// Timeouts totals RTO events across replicates; Drops totals
@@ -71,6 +72,7 @@ func (a *aggregator) add(r Result, status string) {
 	}
 	g.Goodput.Add(r.GoodputMbps.Mean)
 	g.FCT.Add(r.FCTms.Mean)
+	g.FCTp95.Add(r.FCTms.P95)
 	g.FCTp99.Add(r.FCTms.P99)
 	g.TimeoutRoundFrac.Add(r.TimeoutRoundFrac)
 	g.Timeouts += r.Timeouts
@@ -99,13 +101,13 @@ func (g *Group) Label() string {
 // two runs of the same spec against the same build produce byte-identical
 // tables — the property `make sweep-smoke` asserts.
 func WriteGroups(w io.Writer, groups []*Group) error {
-	if _, err := fmt.Fprintf(w, "%-44s %5s %12s %10s %10s %8s %9s\n",
-		"point", "runs", "goodput", "fct_ms", "fct_p99", "to_frac", "timeouts"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-44s %5s %12s %10s %10s %10s %8s %9s\n",
+		"point", "runs", "goodput", "fct_ms", "fct_p95", "fct_p99", "to_frac", "timeouts"); err != nil {
 		return err
 	}
 	for _, g := range groups {
-		if _, err := fmt.Fprintf(w, "%-44s %5d %12.2f %10.3f %10.3f %8.4f %9d\n",
-			g.Label(), g.Jobs, g.Goodput.Mean(), g.FCT.Mean(), g.FCTp99.Mean(),
+		if _, err := fmt.Fprintf(w, "%-44s %5d %12.2f %10.3f %10.3f %10.3f %8.4f %9d\n",
+			g.Label(), g.Jobs, g.Goodput.Mean(), g.FCT.Mean(), g.FCTp95.Mean(), g.FCTp99.Mean(),
 			g.TimeoutRoundFrac.Mean(), g.Timeouts); err != nil {
 			return err
 		}

@@ -406,32 +406,6 @@ type Result struct {
 	OracleSample     []string `json:"oracle_sample,omitempty"`
 }
 
-// Incast re-expresses the result in the experiment package's row shape, so
-// sweep-backed commands feed the same printers (exp.PrintIncastRows) as
-// direct runs. Only the cached summary fields are populated; per-round
-// series, histograms and queue samples are not part of a sweep Result.
-func (r Result) Incast() (exp.IncastResult, error) {
-	proto, err := exp.ParseProtocol(r.Point.Proto)
-	if err != nil {
-		return exp.IncastResult{}, err
-	}
-	return exp.IncastResult{
-		Protocol:         proto,
-		Flows:            r.Point.Flows,
-		Rounds:           r.MeasuredRounds,
-		GoodputMbps:      r.GoodputMbps,
-		FCTms:            r.FCTms,
-		MinCwndECEFrac:   r.MinCwndECEFrac,
-		TimeoutRoundFrac: r.TimeoutRoundFrac,
-		Timeouts:         r.Timeouts,
-		FLossTO:          r.FLossTO,
-		LAckTO:           r.LAckTO,
-		BottleneckDrops:  r.BottleneckDrops,
-		SimTime:          r.SimTime,
-		OracleTotal:      r.OracleViolations,
-	}, nil
-}
-
 // resultOf projects an experiment result onto the cacheable subset.
 func resultOf(pt Point, r exp.IncastResult) Result {
 	res := Result{

@@ -385,6 +385,27 @@ func TestRunRefusesStaleManifestWithoutResume(t *testing.T) {
 	}
 }
 
+// TestSupersetGridHitsCacheUnderNewName: a changed grid cannot resume the
+// old name (above), but under a new name on the same cache every point it
+// shares with the old grid is a hit, and its table equals a cold run's.
+func TestSupersetGridHitsCacheUnderNewName(t *testing.T) {
+	a := fastSpec("a")
+	dir := t.TempDir()
+	first, _ := runOutcome(t, a, 2, dir, false)
+
+	b := a
+	b.Name = "b"
+	b.Flows = []int{4, 8, 12}
+	out, table := runOutcome(t, b, 2, dir, false)
+	if out.Hits != first.Jobs || out.Misses != out.Jobs-first.Jobs {
+		t.Fatalf("superset: hits=%d misses=%d of %d jobs, want %d hits (grid a's jobs)",
+			out.Hits, out.Misses, out.Jobs, first.Jobs)
+	}
+	if _, cold := runOutcome(t, b, 2, "", false); table != cold {
+		t.Fatalf("superset table differs from a cold run's:\n%s\n---\n%s", table, cold)
+	}
+}
+
 // TestSweepNameCannotEscapeCacheDir: the sweep name becomes the manifest's
 // file name inside the cache directory, so Validate and Run reject a name
 // that is not a single path element before creating anything ("../x" used
@@ -543,11 +564,11 @@ func TestGroupAggregation(t *testing.T) {
 // groupsGolden is WriteGroups' table for the spec below, pinned before
 // sweep.Group's metrics became plain stats.Welford accumulators: the
 // aggregate layer must keep printing these bytes.
-const groupsGolden = `point                                         runs      goodput     fct_ms    fct_p99  to_frac  timeouts
-dctcp N=8 rtomin=10ms                            3       925.49      9.069      9.324   0.0000         0
-dctcp N=120 rtomin=10ms                          3       380.95     22.707     24.754   0.2972       534
-dctcp+ N=8 rtomin=10ms                           3       865.07     10.025     12.846   0.0000         0
-dctcp+ N=120 rtomin=10ms                         3       659.98     12.799     14.206   0.0000         8
+const groupsGolden = `point                                         runs      goodput     fct_ms    fct_p95    fct_p99  to_frac  timeouts
+dctcp N=8 rtomin=10ms                            3       925.49      9.069      9.291      9.324   0.0000         0
+dctcp N=120 rtomin=10ms                          3       380.95     22.707     24.704     24.754   0.2972       534
+dctcp+ N=8 rtomin=10ms                           3       865.07     10.025     12.395     12.846   0.0000         0
+dctcp+ N=120 rtomin=10ms                         3       659.98     12.799     14.093     14.206   0.0000         8
 `
 
 // TestWriteGroupsGolden runs 2 protocols × 2 flow counts × 3 seeds (N=120
