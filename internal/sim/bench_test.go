@@ -57,7 +57,33 @@ func BenchmarkSchedulerIncastMix(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerFarChurn is the path the near heap does nothing for:
+// BenchmarkSchedulerHopTrain is the packet path's own pattern, the one the
+// near run is built for: 16 links, each re-delivering at now +
+// serialization + 10 us propagation, half with a data packet's 12 us
+// serialization and half with an ACK's 0.5 us. A data link's push appends;
+// an ACK link's lands before the data deliveries already queued.
+func BenchmarkSchedulerHopTrain(b *testing.B) {
+	s := NewScheduler()
+	type link struct{ ser Duration }
+	var deliver func(any)
+	deliver = func(arg any) {
+		l := arg.(*link)
+		s.AfterArg(l.ser+10*Microsecond, deliver, l)
+	}
+	for i := 0; i < 16; i++ {
+		l := &link{ser: 12 * Microsecond}
+		if i%2 == 1 {
+			l.ser = 500 * Nanosecond
+		}
+		s.AfterArg(Duration(i)*Microsecond, deliver, l)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+// BenchmarkSchedulerFarChurn is the path the near run does nothing for:
 // every delay is at or past the horizon, so all 64 events live in the far
 // heap and the split costs one comparison per operation.
 func BenchmarkSchedulerFarChurn(b *testing.B) {
@@ -126,9 +152,11 @@ func BenchmarkRNGExp(b *testing.B) {
 }
 
 // TestSchedulerAllocBudget pins the engine's steady-state budget at zero:
-// once the event freelist is primed, churn (fire + reschedule) in either
-// heap or between them, timer rearming — across the horizon too — and
-// cancellation all recycle Event objects instead of minting new ones.
+// once the event freelist is primed, churn (fire + reschedule) on either
+// side of the queue or between them, timer rearming — across the horizon
+// too — and cancellation all recycle Event objects instead of minting new
+// ones, and the near run's out-of-order pushes, middle cancels and slides
+// reuse its backing array.
 func TestSchedulerAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -172,5 +200,46 @@ func TestSchedulerAllocBudget(t *testing.T) {
 	s.Cancel(s.After(Second, noop)) // prime the one extra freelist slot
 	if got := testing.AllocsPerRun(500, func() { s.Cancel(s.After(Second, noop)) }); got != 0 {
 		t.Fatalf("schedule+cancel allocates %.1f times per cycle, want 0", got)
+	}
+
+	// The near run's slower paths: a push that lands before the tail, a
+	// cancel from the middle, and the slide to the front of a full slice.
+	s = NewScheduler()
+	n = 0
+	var hop func()
+	hop = func() { n++; s.After([2]Duration{20, 5}[n%2], hop) }
+	for i := 0; i < 64; i++ {
+		s.After(Duration(i), hop)
+	}
+	for i := 0; i < 1024; i++ {
+		s.Step()
+	}
+	if got := testing.AllocsPerRun(500, func() { s.Step() }); got != 0 {
+		t.Fatalf("out-of-order near churn: Step allocates %.1f times per event, want 0", got)
+	}
+
+	s = NewScheduler()
+	s.After(10, noop)
+	s.After(30, noop)
+	s.Cancel(s.After(20, noop))
+	if got := testing.AllocsPerRun(500, func() { s.Cancel(s.After(20, noop)) }); got != 0 {
+		t.Fatalf("near insert+cancel in the middle allocates %.1f times per cycle, want 0", got)
+	}
+
+	// 64 events live in a slice of 128: every 64 pops, a push finds the
+	// slice full and slides the run to the front instead of growing it.
+	s = NewScheduler()
+	var fifo func()
+	fifo = func() { s.After(64, fifo) }
+	for i := 0; i < 64; i++ {
+		s.After(Duration(i), fifo)
+	}
+	for i := 0; i < 1024; i++ {
+		s.Step()
+	}
+	c := cap(s.near.q)
+	if got := testing.AllocsPerRun(500, func() { s.Step() }); got != 0 || cap(s.near.q) != c {
+		t.Fatalf("near slide to front: Step allocates %.1f times per event and cap %d -> %d, want 0 and unchanged",
+			got, c, cap(s.near.q))
 	}
 }

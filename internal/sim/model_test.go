@@ -14,14 +14,14 @@ import "testing"
 // modelDelays is the delay menu, dense on both sides of the near/far split.
 // 200 ms is a multiple of 1 ms and the horizon±1 entries differ by the 1 ns
 // entry, so exact ties between events scheduled at different instants — and
-// therefore queued in different heaps — are common.
+// therefore queued on different sides — are common.
 var modelDelays = [...]Duration{
 	0, Nanosecond, nearHorizon - 1, nearHorizon, nearHorizon + 1,
 	Millisecond, 200 * Millisecond,
 }
 
 // modelHorizons are the splits every op stream is replayed under: the
-// constant, everything in the far heap, everything in the near heap.
+// constant, everything in the far heap, everything in the near run.
 var modelHorizons = [...]Duration{nearHorizon, 0, Duration(Infinity)}
 
 // modelMaxLive caps the plain-event handles outstanding, which bounds the
@@ -504,6 +504,18 @@ func FuzzSchedulerModel(f *testing.F) {
 	// A stream at +200 ms, +1 ns, +1 ms; one Step fires its first instant,
 	// then Reset with two pending and At(+1 ns): only that event may fire.
 	f.Add([]byte{6, 2, 6, 1, 5, 11, 0, 0xff, 0, 1})
+	// Out-of-order near pushes, as an ACK's short hop lands before a queued
+	// data packet's long one: At(+horizon-1) twice (a tie), At(+1 ns) into
+	// the middle of the run, At(+0) at its head, then four Steps.
+	f.Add([]byte{0, 2, 0, 2, 0, 1, 0, 0, 11, 11, 11, 11})
+	// The same run with cancels: the 1 ns event from the middle, then two
+	// more picked from what is live, with Steps between.
+	f.Add([]byte{0, 2, 0, 1, 0, 2, 0, 0, 7, 1, 11, 7, 1, 7, 0, 11, 11})
+	// At(+1 ns) = E; a stream of two instants at E's instant; E's callback
+	// schedules F at that instant too. The stream's second instant re-arms
+	// under a seq reserved before F's and must fire before F, although F is
+	// already at the tail of the near run.
+	f.Add([]byte{0, 1, 0x16, 1, 0, 0, 0, 11, 2, 0, 0, 11, 0, 11, 0, 11, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, horizon := range modelHorizons {
 			runSchedulerModel(t, horizon, ops)

@@ -29,8 +29,8 @@ type Event struct {
 	fn   func()
 	afn  func(any) // arg-carrying callback (exactly one of fn/afn is set)
 	arg  any
-	idx  int32  // slot in its heap, -1 once removed
-	far  bool   // which heap: Scheduler.far, else Scheduler.near
+	idx  int32  // -1 once removed; a far event's slot in its heap, 0 for a queued near one
+	far  bool   // which queue: the far heap, else the near run
 	next *Event // freelist link while recycled
 }
 
@@ -54,40 +54,47 @@ func (e *Event) before(o *Event) bool {
 // simulation advances by popping the earliest event and running its
 // callback, which may schedule further events.
 //
-// The event queue is two binary heaps, each ordered by (when, seq). An
-// event due less than horizon after the instant it is scheduled — a link's
-// packet delivery, a port's wake-up: three events in four or more — goes
-// into near; everything else — the RTO timer every flow keeps parked
-// 200 ms out, pacing gates, an arrival stream's next instant — into far. With
-// thousands of flows far is thousands deep and near holds the dozen packets
-// in flight, so the per-packet schedule/fire cycle sifts through a heap of
-// that dozen instead of past every parked timer.
+// The event queue is split by scheduling delay, and each side is ordered by
+// (when, seq). An event due less than horizon after the instant it is
+// scheduled — a link's packet delivery, a port's wake-up: three events in
+// four or more — goes into near; everything else — the RTO timer every flow
+// keeps parked 200 ms out, pacing gates, an arrival stream's next instant —
+// into far. With thousands of flows far is thousands deep and near holds the
+// dozen packets in flight, so the per-packet schedule/fire cycle never meets
+// a parked timer.
 //
-// The split is a speed heuristic and cannot affect order: each heap is
-// exact, Step fires the smaller of the two roots under the same (when, seq)
+// The two sides are built for their traffic. far is a binary heap: timers
+// are re-armed and cancelled at random. near is a sorted run (nearRun):
+// packet hops are scheduled close to the order they fire and almost never
+// cancelled, so a push appends or lands a few slots before the tail, and a
+// pop advances the run's head — no sifting either way.
+//
+// The split is a speed heuristic and cannot affect order: each side is
+// exact, Step fires the smaller of the two minima under the same (when, seq)
 // comparison, and the smaller of two exact minima is the exact minimum. An
 // event on the "wrong" side (a long link delay queued far, a timer's last
-// microseconds spent there) costs sift work, never position.
+// microseconds spent there) costs queue work, never position.
 //
 // Fired or cancelled events are recycled through a freelist, so the
 // steady-state schedule/fire cycle — the per-packet inner loop of every
 // experiment — allocates nothing.
 type Scheduler struct {
-	now       Time
-	near, far eventHeap
-	horizon   Duration // nearHorizon, except in tests that force one side
-	nextSeq   uint64
-	fired     uint64
-	halted    bool
-	free      *Event // recycled events
+	now     Time
+	near    nearRun
+	far     eventHeap
+	horizon Duration // nearHorizon, except in tests that force one side
+	nextSeq uint64
+	fired   uint64
+	halted  bool
+	free    *Event // recycled events
 }
 
 // nearHorizon is the scheduling delay below which an event is queued in the
-// near heap: above every per-hop delay in the tree (serialization 0.5-12 us,
+// near run: above every per-hop delay in the tree (serialization 0.5-12 us,
 // propagation 10 us), three orders of magnitude below RTOmin. It is not a
 // tuning knob: anywhere between those two groups gives the same split
 // (20 us measures the same; at 1 ms the sub-millisecond pacing gates join
-// the near heap and give a third of the gain back).
+// the near run, out of order and often cancelled, and give the gain back).
 const nearHorizon = 64 * Microsecond
 
 // NewScheduler returns an empty scheduler positioned at the epoch.
@@ -99,7 +106,7 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) Now() Time { return s.now }
 
 // Pending returns the number of events currently queued.
-func (s *Scheduler) Pending() int { return len(s.near) + len(s.far) }
+func (s *Scheduler) Pending() int { return s.near.len() + len(s.far) }
 
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
@@ -114,7 +121,7 @@ const eventSlab = 64
 //hot:path
 func (s *Scheduler) alloc() *Event {
 	if s.free == nil {
-		//lint:allow hotalloc one slab of 64 events per dry freelist: a run's thousands of pre-scheduled arrivals and parked timers cost an allocation per 64 instead of one each, and the freelist then recycles them forever
+		//lint:allow hotalloc one slab of 64 events per dry freelist: a run's thousands of parked timers and pacing gates cost an allocation per 64 instead of one each, and the freelist then recycles them forever
 		slab := make([]Event, eventSlab)
 		for i := range slab {
 			slab[i].next = s.free
@@ -138,7 +145,7 @@ func (s *Scheduler) release(e *Event) {
 	s.free = e
 }
 
-// schedule inserts a prepared event into the heap its delay selects.
+// schedule inserts a prepared event into the queue its delay selects.
 func (s *Scheduler) schedule(e *Event, t Time) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
@@ -147,16 +154,12 @@ func (s *Scheduler) schedule(e *Event, t Time) *Event {
 	e.seq = s.nextSeq
 	s.nextSeq++
 	e.far = t.Sub(s.now) >= s.horizon
-	s.heapOf(e).push(e)
-	return e
-}
-
-// heapOf returns the heap e.far assigns e to.
-func (s *Scheduler) heapOf(e *Event) *eventHeap {
 	if e.far {
-		return &s.far
+		s.far.push(e)
+	} else {
+		s.near.push(e)
 	}
-	return &s.near
+	return e
 }
 
 // At schedules fn to run at time t and returns a cancellable handle.
@@ -280,22 +283,24 @@ func (s *Scheduler) Cancel(e *Event) {
 	if e == nil || e.idx < 0 {
 		return
 	}
-	s.heapOf(e).remove(int(e.idx))
+	if e.far {
+		s.far.remove(int(e.idx))
+	} else {
+		s.near.remove(e)
+	}
 	s.release(e)
 }
 
-// earliest returns the heap whose root is the next event to fire, nil when
-// nothing is pending.
-func (s *Scheduler) earliest() *eventHeap {
-	switch {
-	case len(s.near) == 0 && len(s.far) == 0:
-		return nil
-	case len(s.near) == 0:
-		return &s.far
-	case len(s.far) == 0 || s.near[0].before(s.far[0]):
-		return &s.near
+// earliest returns the next event to fire, nil when nothing is pending.
+func (s *Scheduler) earliest() *Event {
+	n := s.near.min()
+	if len(s.far) == 0 {
+		return n
 	}
-	return &s.far
+	if f := s.far[0]; n == nil || f.before(n) {
+		return f
+	}
+	return n
 }
 
 // Step executes the single earliest pending event, advancing the clock to
@@ -303,21 +308,24 @@ func (s *Scheduler) earliest() *eventHeap {
 //
 //hot:path
 func (s *Scheduler) Step() bool {
-	h := s.earliest()
-	if h == nil {
+	e := s.earliest()
+	if e == nil {
 		return false
 	}
-	s.fire(h)
+	s.fire(e)
 	return true
 }
 
-// fire pops the root of h, which earliest chose, and runs it.
-func (s *Scheduler) fire(h *eventHeap) {
-	e := (*h)[0]
-	h.remove(0)
+// fire dequeues e, which earliest chose, and runs it.
+func (s *Scheduler) fire(e *Event) {
+	if e.far {
+		s.far.remove(0)
+	} else {
+		s.near.pop()
+	}
 	// Monotone-clock invariant, asserted inline because internal/check
 	// imports this package: At() rejects past scheduling at insertion, and
-	// this guards the pop side against heap corruption.
+	// this guards the pop side against queue corruption.
 	if e.when < s.now {
 		panic(fmt.Sprintf("sim: clock would move backwards: %v -> %v", s.now, e.when))
 	}
@@ -347,11 +355,11 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) RunUntil(deadline Time) {
 	s.halted = false
 	for !s.halted {
-		h := s.earliest()
-		if h == nil || (*h)[0].when > deadline {
+		e := s.earliest()
+		if e == nil || e.when > deadline {
 			return
 		}
-		s.fire(h)
+		s.fire(e)
 	}
 }
 
@@ -365,20 +373,109 @@ func (s *Scheduler) Halt() { s.halted = true }
 // Reset returns the scheduler to its as-built state — clock, sequence and
 // fired counter at zero, nothing pending, not halted — so the next run on it
 // is indistinguishable from one on a NewScheduler. Pending events are
-// released to the freelist, whose events and the heaps' backing arrays are
+// released to the freelist, whose events and the queues' backing arrays are
 // kept. Every handle and AtSorted stream of the old run dies with it: owners
 // disarm their timers and drop their event handles before the reset (a rig
 // closes every connection first), since a stale Cancel after it could hit a
 // recycled event. Reset is called between runs, never from inside a callback.
 func (s *Scheduler) Reset() {
-	for _, h := range [...]*eventHeap{&s.near, &s.far} {
-		for i, e := range *h {
-			(*h)[i] = nil
-			s.release(e)
-		}
-		*h = (*h)[:0]
+	for _, e := range s.near.q[s.near.head:] {
+		s.release(e)
 	}
+	s.near.q, s.near.head = s.near.q[:0], 0
+	for i, e := range s.far {
+		s.far[i] = nil
+		s.release(e)
+	}
+	s.far = s.far[:0]
 	s.now, s.nextSeq, s.fired, s.halted = 0, 0, 0, false
+}
+
+// nearRun is the near side of the queue: the pending events in q[head:],
+// ascending in (when, seq). Slots before head held events already popped.
+// A near event's idx is only the queued flag (0, and -1 once removed): its
+// slot is found again by binary search on its unique (when, seq).
+//
+// Packet hops arrive close to firing order — every delivery is due at its
+// start plus serialization plus the link delay, every wake-up at its start
+// plus serialization — so pop is head++ and a push is an append, or, when
+// it overtakes events already queued (a wake-up or an ACK's short hop
+// landing before data deliveries in flight: about three pushes in five), a
+// binary search of the run and a copy of the few slots after its place
+// (three to five on average at the depths packet traffic reaches, 9-15). A
+// cancel copies the slots after the event down one; packet traffic
+// cancels almost nothing near.
+type nearRun struct {
+	q    []*Event
+	head int
+}
+
+// len returns the number of queued events.
+func (r *nearRun) len() int { return len(r.q) - r.head }
+
+// min returns the earliest queued event, nil when the run is empty.
+func (r *nearRun) min() *Event {
+	if r.head == len(r.q) {
+		return nil
+	}
+	return r.q[r.head]
+}
+
+// push inserts e in (when, seq) order. A full slice whose popped prefix is
+// at least half its length slides the run to the front instead of growing,
+// so the backing array stays at about twice the high-water depth and each
+// slide is paid for by as many pops as it moves.
+func (r *nearRun) push(e *Event) {
+	e.idx = 0
+	n := len(r.q)
+	if n == cap(r.q) && r.head > 0 && 2*r.head >= n {
+		n = copy(r.q, r.q[r.head:])
+		r.q, r.head = r.q[:n], 0
+	}
+	//lint:allow hotalloc run growth is amortized: the backing array reaches about twice the near backlog's high-water mark and is then reused
+	r.q = append(r.q, e)
+	if n > r.head && !r.q[n-1].before(e) {
+		i := r.search(e)
+		copy(r.q[i+1:], r.q[i:n])
+		r.q[i] = e
+	}
+}
+
+// search returns the first slot in q[head:] whose event does not fire
+// before e: e's own slot if e is queued, else where it belongs. e itself
+// may sit at the tail, as push leaves it.
+func (r *nearRun) search(e *Event) int {
+	lo, hi := r.head, len(r.q)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.q[m].before(e) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// pop removes the earliest event. It leaves the event's idx alone: release
+// marks it removed. An emptied run restarts at the front of its slice.
+func (r *nearRun) pop() {
+	//lint:allow overflow head <= len(q): pop runs only on a non-empty run (Step and Cancel reach it through a queued event), and the drain and the slide return head to 0
+	r.head++
+	if r.head == len(r.q) {
+		r.q, r.head = r.q[:0], 0
+	}
+}
+
+// remove takes queued event e out of the run.
+func (r *nearRun) remove(e *Event) {
+	i := r.search(e)
+	if i == r.head {
+		r.pop()
+		return
+	}
+	copy(r.q[i:], r.q[i+1:])
+	r.q = r.q[:len(r.q)-1]
 }
 
 // eventHeap is a binary min-heap of events ordered by (when, seq); each

@@ -277,9 +277,9 @@ func TestFiredCounter(t *testing.T) {
 }
 
 // TestSchedulerResetEqualsFresh: a scheduler that has run — events pending
-// in both heaps, some fired, one cancelled, a timer armed and then stopped
+// in both queues, some fired, one cancelled, a timer armed and then stopped
 // (close-before-reset), halted — and is then Reset must equal NewScheduler
-// outside its keep-list: the two heaps' backing arrays and the freelist.
+// outside its keep-list: the two queues' backing arrays and the freelist.
 func TestSchedulerResetEqualsFresh(t *testing.T) {
 	s := NewScheduler()
 	tm := NewTimer(s, func() {})
@@ -290,16 +290,16 @@ func TestSchedulerResetEqualsFresh(t *testing.T) {
 	tm.Reset(200 * Millisecond)
 	s.At(Time(30*Microsecond), s.Halt)
 	s.Run()
-	if len(s.near) == 0 || len(s.far) == 0 || !s.halted || s.nextSeq == 0 {
-		t.Fatalf("first life too quiet: near=%d far=%d halted=%v seq=%d", len(s.near), len(s.far), s.halted, s.nextSeq)
+	if s.near.len() == 0 || len(s.far) == 0 || !s.halted || s.nextSeq == 0 {
+		t.Fatalf("first life too quiet: near=%d far=%d halted=%v seq=%d", s.near.len(), len(s.far), s.halted, s.nextSeq)
 	}
 	tm.Stop()
-	nearCap, farCap := cap(s.near), cap(s.far)
+	nearCap, farCap := cap(s.near.q), cap(s.far)
 	s.Reset()
 	resetcheck.Diff(t, s, NewScheduler(), "near", "far", "free")
-	if len(s.near) != 0 || len(s.far) != 0 || cap(s.near) != nearCap || cap(s.far) != farCap {
-		t.Errorf("heaps after Reset: near %d/%d, far %d/%d (len/cap), want empty with capacity %d/%d kept",
-			len(s.near), cap(s.near), len(s.far), cap(s.far), nearCap, farCap)
+	if len(s.near.q) != 0 || s.near.head != 0 || len(s.far) != 0 || cap(s.near.q) != nearCap || cap(s.far) != farCap {
+		t.Errorf("queues after Reset: near %d/%d from %d, far %d/%d (len/cap), want empty with capacity %d/%d kept",
+			len(s.near.q), cap(s.near.q), s.near.head, len(s.far), cap(s.far), nearCap, farCap)
 	}
 	// The second life: the released events serve new schedules without a
 	// new slab, and fire in order on the reset clock.
@@ -399,8 +399,8 @@ func TestSchedulerSameInstantFIFOAcrossHeaps(t *testing.T) {
 		s.At(at, func() { got = append(got, "B") })
 	})
 	s.RunUntil(Time(90 * Microsecond))
-	if len(s.far) != 1 || len(s.near) != 1 {
-		t.Fatalf("far/near hold %d/%d events, want 1/1", len(s.far), len(s.near))
+	if len(s.far) != 1 || s.near.len() != 1 {
+		t.Fatalf("far/near hold %d/%d events, want 1/1", len(s.far), s.near.len())
 	}
 	s.Run()
 	if !slices.Equal(got, []string{"A", "B"}) {
@@ -408,7 +408,7 @@ func TestSchedulerSameInstantFIFOAcrossHeaps(t *testing.T) {
 	}
 }
 
-// Cancel takes an event out of the heap it is in and leaves the other heap
+// Cancel takes an event out of the queue it is in and leaves the other queue
 // alone; Pending counts both.
 func TestSchedulerCancelAcrossHeaps(t *testing.T) {
 	s := NewScheduler()
@@ -418,25 +418,25 @@ func TestSchedulerCancelAcrossHeaps(t *testing.T) {
 	}
 	near := []*Event{add(0, 3), add(1, 1), add(2, 2)}
 	far := []*Event{add(3, 3*Millisecond), add(4, Millisecond), add(5, 2*Millisecond)}
-	if len(s.near) != 3 || len(s.far) != 3 || s.Pending() != 6 {
-		t.Fatalf("near/far/Pending = %d/%d/%d, want 3/3/6", len(s.near), len(s.far), s.Pending())
+	if s.near.len() != 3 || len(s.far) != 3 || s.Pending() != 6 {
+		t.Fatalf("near/far/Pending = %d/%d/%d, want 3/3/6", s.near.len(), len(s.far), s.Pending())
 	}
 	farBefore := append([]*Event(nil), s.far...)
 	s.Cancel(near[1])
-	if len(s.near) != 2 || s.Pending() != 5 {
-		t.Errorf("after near cancel: near/Pending = %d/%d, want 2/5", len(s.near), s.Pending())
+	if s.near.len() != 2 || s.Pending() != 5 {
+		t.Errorf("after near cancel: near/Pending = %d/%d, want 2/5", s.near.len(), s.Pending())
 	}
 	for i, e := range s.far {
 		if e != farBefore[i] {
 			t.Errorf("near cancel moved far[%d]", i)
 		}
 	}
-	nearBefore := append([]*Event(nil), s.near...)
+	nearBefore := append([]*Event(nil), s.near.q[s.near.head:]...)
 	s.Cancel(far[1])
 	if len(s.far) != 2 || s.Pending() != 4 {
 		t.Errorf("after far cancel: far/Pending = %d/%d, want 2/4", len(s.far), s.Pending())
 	}
-	for i, e := range s.near {
+	for i, e := range s.near.q[s.near.head:] {
 		if e != nearBefore[i] {
 			t.Errorf("far cancel moved near[%d]", i)
 		}
@@ -447,7 +447,7 @@ func TestSchedulerCancelAcrossHeaps(t *testing.T) {
 	}
 }
 
-// RunUntil stops on the smaller of the two roots, whichever heap holds it,
+// RunUntil stops on the smaller of the two roots, whichever queue holds it,
 // and leaves the clock at the last event fired.
 func TestSchedulerRunUntilAcrossHeaps(t *testing.T) {
 	s := NewScheduler()
@@ -475,7 +475,7 @@ func TestSchedulerRunUntilAcrossHeaps(t *testing.T) {
 	}
 	s.At(Time(90*Microsecond), tick) // near
 	s.RunUntil(Time(85 * Microsecond))
-	if count != 5 || s.Now() != Time(80*Microsecond) || len(s.near) != 1 {
-		t.Errorf("count/now/near = %d/%v/%d, want 5/80us/1", count, s.Now(), len(s.near))
+	if count != 5 || s.Now() != Time(80*Microsecond) || s.near.len() != 1 {
+		t.Errorf("count/now/near = %d/%v/%d, want 5/80us/1", count, s.Now(), s.near.len())
 	}
 }

@@ -3,13 +3,14 @@
 // scheduler with cancellable timers, and a deterministic pseudo-random
 // number generator.
 //
-// The scheduler's queue is two binary heaps split by scheduling delay: a
-// near heap for the microsecond packet-hop events that make up nine fires
-// in ten and a far heap for the RTO timers and pacing gates that sit parked
-// for milliseconds, so the per-packet cycle does not sift past thousands of
-// timers. Both heaps order by (when, seq) and the scheduler fires the
-// smaller root, so events fire in exactly the order one heap would give;
-// see Scheduler.
+// The scheduler's queue is split by scheduling delay: a sorted near run for
+// the microsecond packet-hop events that make up nine fires in ten, which
+// are scheduled close to firing order and leave from the run's head, and a
+// far binary heap for the RTO timers and pacing gates that sit parked for
+// milliseconds, so the per-packet cycle neither sifts nor meets thousands
+// of timers. Both sides order by (when, seq) and the scheduler fires the
+// smaller minimum, so events fire in exactly the order one heap would
+// give; see Scheduler.
 //
 // All protocol and network models in this repository are driven exclusively
 // by this engine; no wall-clock time is consulted anywhere, so a run is a

@@ -16,6 +16,7 @@ const (
 	StatusHit     = "hit"     // result served from the cache
 	StatusMiss    = "miss"    // result computed (and stored if a cache is open)
 	StatusSkipped = "skipped" // not executed: context canceled first
+	StatusFailed  = "failed"  // executed without a result: Run reports the first error
 )
 
 // Runner executes a sweep: jobs fan out over a bounded worker pool (each
@@ -67,7 +68,7 @@ type Outcome struct {
 	CodeVersion string
 
 	// Jobs is the expanded grid size; Results and Status are indexed by
-	// job index. Skipped jobs leave a zero Result.
+	// job index. Skipped and failed jobs leave a zero Result.
 	Jobs    int
 	Results []Result
 	Status  []string
@@ -75,6 +76,7 @@ type Outcome struct {
 	Hits    int
 	Misses  int
 	Skipped int
+	Failed  int
 
 	// CacheErrs counts cache read/write failures that were downgraded to
 	// recomputation or forgone memoization.
@@ -99,12 +101,16 @@ type jobDone struct {
 	wallNs    int64
 	cacheErrs int    // read/write failures downgraded to recompute/no-memoize
 	key       string // the point's cache key, computed once by the worker
+	err       error  // why a failed job has no result
 }
 
 // Run expands the spec and executes it. The returned Outcome is valid
 // (partial) even when err is non-nil: cancellation reports ctx.Err() with
 // every completed job accounted and cached, which is what makes an
-// interrupted sweep resumable.
+// interrupted sweep resumable. A job whose run fails (one MaxSimTime cut
+// short) is counted in Failed and kept out of the cache, the manifest and
+// the groups; the other jobs still run, and Run returns the first such
+// error in job order.
 func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	jobs, err := spec.Expand()
 	if err != nil {
@@ -212,10 +218,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 			start := time.Now()
 			res, err := j.run(&rigs[w], r.Telemetry)
 			if err != nil {
-				// Unreachable for expanded jobs: Expand validates every
-				// dimension Options can reject. Degrade to a skip rather
-				// than losing the sweep.
-				done <- jobDone{idx: i, status: StatusSkipped, cacheErrs: cacheErrs}
+				done <- jobDone{idx: i, status: StatusFailed, cacheErrs: cacheErrs, err: err}
 				return
 			}
 			wall := time.Since(start).Nanoseconds()
@@ -254,8 +257,13 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 		case StatusSkipped:
 			out.Skipped++
 			skipCtr.Inc()
+		case StatusFailed:
+			out.Failed++
+			if firstErr == nil {
+				firstErr = d.err
+			}
 		}
-		if d.status != StatusSkipped {
+		if d.status == StatusHit || d.status == StatusMiss {
 			out.Results[d.idx] = d.res
 			out.JobWallNs[d.idx] = d.wallNs
 			agg.add(d.res, d.status)
@@ -278,8 +286,8 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 		}
 		doneCount := d.idx + 1
 		if r.Progress != nil && (doneCount%every == 0 || doneCount == len(jobs)) {
-			fmt.Fprintf(r.Progress, "[sweep %s] %d/%d jobs (%d hit, %d run, %d skipped)\n",
-				name, doneCount, len(jobs), out.Hits, out.Misses, out.Skipped)
+			fmt.Fprintf(r.Progress, "[sweep %s] %d/%d jobs (%d hit, %d run, %d skipped, %d failed)\n",
+				name, doneCount, len(jobs), out.Hits, out.Misses, out.Skipped, out.Failed)
 		}
 	}
 	for d := range done {

@@ -440,7 +440,9 @@ func resultOf(pt Point, r exp.IncastResult) Result {
 	return res
 }
 
-// run executes the job's simulation on rig, the calling worker's own. The
+// run executes the job's simulation on rig, the calling worker's own. A run
+// that MaxSimTime cut short of its measured rounds is an error, not a
+// result: its summaries cover fewer rounds than the point names. The
 // body is worker-executed: all its state — the rig's scheduler, topology and
 // connections — is private to the worker, and it touches nothing shared
 // (the sweepsafety lint check enforces this). The telemetry registry is the
@@ -453,5 +455,10 @@ func (j Job) run(rig *exp.Rig, reg *telemetry.Registry) (Result, error) {
 		return Result{}, err
 	}
 	o.Telemetry = reg
-	return resultOf(j.Point, rig.Run(o)), nil
+	res := resultOf(j.Point, rig.Run(o))
+	if pt := j.Point; res.MeasuredRounds < pt.Rounds-pt.WarmupRounds {
+		return Result{}, fmt.Errorf("sweep: job %d (%s, N=%d, RTOmin %v, seed %d): %d of %d measured rounds done by MaxSimTime %v",
+			j.Index, pt.Proto, pt.Flows, pt.RTOMin, pt.Seed, res.MeasuredRounds, pt.Rounds-pt.WarmupRounds, pt.MaxSimTime)
+	}
+	return res, nil
 }

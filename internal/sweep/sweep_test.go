@@ -505,6 +505,61 @@ func TestContextCancelSkipsAndReportsError(t *testing.T) {
 	}
 }
 
+// A job that MaxSimTime cuts short of its rounds is a failure, not a
+// result: Run names it in its error, and the cache, the manifest and the
+// groups never see it, so a rerun computes the point again instead of
+// replaying the truncated run as data.
+func TestTruncatedJobFailsUncached(t *testing.T) {
+	spec := Spec{
+		Name:         "truncated",
+		Protocols:    []string{"dctcp+"},
+		Flows:        []int{40},
+		Seeds:        []uint64{1},
+		Rounds:       20,
+		WarmupRounds: 2,
+		MaxSimTime:   5 * sim.Millisecond,
+	}
+	dir := t.TempDir()
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objects := func() int {
+		n := 0
+		filepath.WalkDir(filepath.Join(dir, "objects"), func(_ string, d os.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				n++
+			}
+			return nil
+		})
+		return n
+	}
+	for pass, resume := range []bool{false, true} {
+		r := Runner{Workers: 1, Cache: c, CodeVersion: "test-version", Resume: resume}
+		out, err := r.Run(context.Background(), spec)
+		if err == nil || !strings.Contains(err.Error(), "N=40") || !strings.Contains(err.Error(), "of 18 measured rounds") {
+			t.Fatalf("pass %d: err = %v, want the truncated point named with its rounds", pass, err)
+		}
+		if out.Failed != 1 || out.Hits != 0 || out.Misses != 0 || len(out.Groups) != 0 {
+			t.Fatalf("pass %d: failed/hits/misses/groups = %d/%d/%d/%d, want 1/0/0/0",
+				pass, out.Failed, out.Hits, out.Misses, len(out.Groups))
+		}
+		if n := objects(); n != 0 {
+			t.Fatalf("pass %d: %d cache objects written for a truncated job", pass, n)
+		}
+	}
+
+	spec.Name, spec.MaxSimTime = "sane", 0
+	out, _ := runOutcome(t, spec, 1, dir, false)
+	if out.Misses != 1 || out.Hits != 0 || out.Results[0].MeasuredRounds != 18 {
+		t.Fatalf("sane rerun: misses/hits = %d/%d with %d measured rounds, want 1/0 with 18",
+			out.Misses, out.Hits, out.Results[0].MeasuredRounds)
+	}
+	if n := objects(); n != 1 {
+		t.Fatalf("sane rerun left %d cache objects, want 1", n)
+	}
+}
+
 func TestManifestJournal(t *testing.T) {
 	spec := fastSpec("journal")
 	dir := t.TempDir()

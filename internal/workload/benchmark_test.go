@@ -282,7 +282,7 @@ func TestBenchmarkStartAllocBudget(t *testing.T) {
 		cfg := churnCfg()
 		cfg.Queries, cfg.BackgroundFlows, cfg.ShortFlows = queries, background, short
 		sched, b := newChurnBenchmark(cfg)
-		// Mint the scheduler's first event slab and grow both heaps to three
+		// Mint the scheduler's first event slab and grow both queues to three
 		// slots outside the measurement: a run's scheduler keeps them.
 		var warm []*sim.Event
 		for i := 0; i < 3; i++ {
