@@ -22,14 +22,18 @@
 // under the same name needs -resume, which continues an interrupted grid or
 // replays a finished one, and is refused if the grid changed. A changed
 // grid takes a new -name; every point it shares with earlier runs is still
-// a cache hit.
+// a cache hit. Ctrl-C interrupts a grid cleanly: running points finish, the
+// rest are skipped, the journal is written, and the command exits 1 naming
+// how many points completed and how many were skipped.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strings"
 	"time"
 
@@ -114,7 +118,14 @@ func main() {
 		runner.Cache, err = dcp.OpenSweepCache(*cacheDir)
 		cli.Fatal("incast", err)
 	}
-	out, err := runner.Run(context.Background(), spec)
+	// Ctrl-C cancels the run: in-flight points finish, the rest are
+	// skipped, and the journal records what completed.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	out, err := runner.Run(ctx, spec)
+	if errors.Is(err, context.Canceled) {
+		err = fmt.Errorf("interrupted: %d of %d jobs completed, %d skipped", out.Completed(), out.Jobs, out.Skipped)
+	}
 	cli.Fatal("incast", err)
 
 	cli.Fatal("incast", dcp.WriteSweepGroups(os.Stdout, out.Groups))

@@ -1,7 +1,13 @@
 package main
 
 import (
+	"bufio"
+	"fmt"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -186,5 +192,75 @@ func TestBuildSpec(t *testing.T) {
 			t.Errorf("buildSpec accepted name=%q protocols=%q flows=%q rtomin=%q seeds=%q topos=%q",
 				b.name, b.protocols, b.flows, b.rtomin, b.seeds, b.topos)
 		}
+	}
+}
+
+// TestInterruptLeavesResumableJournal sends the built command SIGINT after
+// its first progress line: the running point finishes, the rest are
+// skipped, the command exits 1 naming both counts, and the journal lists
+// what completed — exactly the points a -resume rerun then finds cached.
+func TestInterruptLeavesResumableJournal(t *testing.T) {
+	if runtime.GOOS == "windows" {
+		t.Skip("os.Interrupt cannot be sent to a process on windows")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "incast")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building incast: %v\n%s", err, out)
+	}
+	// 2 protocols × 2 flow counts × 50 seeds: 200 points of a few ms each,
+	// with a progress line every 10.
+	seedList := make([]string, 50)
+	for i := range seedList {
+		seedList[i] = strconv.Itoa(i + 1)
+	}
+	args := []string{"-name", "sigint", "-protocols", "dctcp+,dctcp", "-flows", "20,40",
+		"-seeds", strings.Join(seedList, ","), "-rounds", "6", "-warmup", "2", "-rtomin", "10ms",
+		"-jobs", "1", "-cache-dir", filepath.Join(dir, "cache")}
+
+	cmd := exec.Command(bin, args...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bufio.NewScanner(stderr)
+	if !lines.Scan() {
+		cmd.Process.Kill()
+		t.Fatalf("no progress line before exit: %v", cmd.Wait())
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	var last string
+	for lines.Scan() {
+		last = lines.Text()
+	}
+	if err := cmd.Wait(); cmd.ProcessState.ExitCode() != 1 {
+		t.Fatalf("interrupted run: %v, want exit 1; last stderr line %q", err, last)
+	}
+	var completed, jobs, skipped int
+	if _, err := fmt.Sscanf(last, "incast: interrupted: %d of %d jobs completed, %d skipped",
+		&completed, &jobs, &skipped); err != nil || jobs != 200 || completed+skipped != jobs || skipped == 0 {
+		t.Fatalf("interrupted run's last line %q does not name its completed and skipped points", last)
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, "cache", "sigint.manifest.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if !strings.Contains(journal[0], `"sweep":"sigint"`) || len(journal)-1 != completed || completed < 1 {
+		t.Fatalf("journal has %d lines starting %q, want the header and %d entries", len(journal), journal[0], completed)
+	}
+
+	out, err := exec.Command(bin, append(args, "-resume", "-q")...).Output()
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if want := fmt.Sprintf("%d jobs: %d run, %d cached", jobs, skipped, completed); !strings.Contains(string(out), want) {
+		t.Fatalf("resumed run does not report %q:\n%s", want, out)
 	}
 }

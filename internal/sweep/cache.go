@@ -88,19 +88,29 @@ func (c *Cache) Put(key string, r Result) error {
 	if err != nil {
 		return fmt.Errorf("sweep: cache put: %w", err)
 	}
+	if err := writeAtomic(path, append(data, '\n')); err != nil {
+		return fmt.Errorf("sweep: cache put %s: %w", key, err)
+	}
+	return nil
+}
+
+// writeAtomic replaces path with data through a temp file in the same
+// directory and a rename, so a reader, or a crash, sees the old file or the
+// new one, never a partial one.
+func writeAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("sweep: cache put: %w", err)
+		return err
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep: cache put %s: write %v, close %v", key, werr, cerr)
+		return fmt.Errorf("write %v, close %v", werr, cerr)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep: cache put: %w", err)
+		return err
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 package sweep
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,14 +11,17 @@ import (
 )
 
 // The manifest is the sweep's journal: one JSONL file per sweep name under
-// the cache root, opened fresh at the start of a run and appended in job
-// order as results land. Line 1 is a header binding the journal to a spec
-// hash and code version; each subsequent line records one job's outcome.
-// A later run resuming the same sweep reads the journal only to sanity
-// check identity (spec-hash mismatch under -resume is an error — the grid
-// changed, so "resume" would silently run a different experiment); the
-// actual resume mechanism is the content-addressed cache itself, which is
-// why resume survives even a kill -9 that truncates the journal mid-line.
+// the cache root. Line 1 is a header binding the journal to a spec hash
+// and code version; each later line records one completed job (hit or
+// miss), in job order. A run writes the file twice, each time whole and
+// atomically: the header alone before its first job, so a killed run
+// leaves a journal that a rerun must -resume; then the header and every
+// entry once the pool returns. A later run resuming the same sweep reads
+// the journal only to check identity (spec-hash mismatch under -resume is
+// an error: the grid changed, so "resume" would silently run a different
+// experiment); the actual resume mechanism is the content-addressed cache
+// itself, which is why resume survives a kill -9 that leaves only the
+// header.
 
 // manifestHeader is the first line of a sweep journal.
 type manifestHeader struct {
@@ -38,81 +41,46 @@ type manifestEntry struct {
 	WallNs int64 `json:"wall_ns"`
 }
 
-// manifest writes a sweep journal. Methods are not safe for concurrent
-// use; the runner's aggregator goroutine is the sole writer.
-type manifest struct {
-	f *os.File
-	w *bufio.Writer
-}
-
 // manifestPath returns the journal location for a sweep name inside a
 // cache root.
 func manifestPath(cacheDir, sweepName string) string {
 	return filepath.Join(cacheDir, sweepName+".manifest.jsonl")
 }
 
-// createManifest starts a fresh journal, truncating any previous run's.
-func createManifest(path string, h manifestHeader) (*manifest, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: manifest: %w", err)
+// writeManifest replaces the journal at path with the header followed by
+// one entry per completed (hit or miss) job of out, in job order.
+func writeManifest(path string, h manifestHeader, out *Outcome, keys []string) error {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	err := enc.Encode(h)
+	for i, status := range out.Status {
+		if err == nil && (status == StatusHit || status == StatusMiss) {
+			err = enc.Encode(manifestEntry{Index: i, Key: keys[i], Status: status, WallNs: out.JobWallNs[i]})
+		}
 	}
-	m := &manifest{f: f, w: bufio.NewWriter(f)}
-	if err := m.writeLine(h); err != nil {
-		f.Close()
-		return nil, err
+	if err == nil {
+		err = writeAtomic(path, buf.Bytes())
 	}
-	return m, nil
-}
-
-func (m *manifest) writeLine(v any) error {
-	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("sweep: manifest: %w", err)
-	}
-	if _, err := m.w.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("sweep: manifest: %w", err)
-	}
-	return nil
-}
-
-// record appends one job outcome.
-func (m *manifest) record(e manifestEntry) error { return m.writeLine(e) }
-
-// close flushes and closes the journal.
-func (m *manifest) close() error {
-	ferr := m.w.Flush()
-	cerr := m.f.Close()
-	if ferr != nil {
-		return fmt.Errorf("sweep: manifest: %w", ferr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("sweep: manifest: %w", cerr)
 	}
 	return nil
 }
 
 // readManifestHeader loads the header of a prior run's journal. Returns
-// ok=false when no journal exists; errors only on unreadable or malformed
-// journals.
+// ok=false when no journal exists or it is empty; errors only on
+// unreadable or malformed journals.
 func readManifestHeader(path string) (manifestHeader, bool, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) || err == nil && len(data) == 0 {
+		return manifestHeader{}, false, nil
+	}
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return manifestHeader{}, false, nil
-		}
 		return manifestHeader{}, false, fmt.Errorf("sweep: manifest: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return manifestHeader{}, false, fmt.Errorf("sweep: manifest: %w", err)
-		}
-		return manifestHeader{}, false, nil // empty journal: treat as absent
-	}
+	line, _, _ := bytes.Cut(data, []byte{'\n'})
 	var h manifestHeader
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
+	if err := json.Unmarshal(line, &h); err != nil {
 		return manifestHeader{}, false, fmt.Errorf("sweep: manifest header corrupt: %w", err)
 	}
 	return h, true, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"dctcpplus/internal/exp"
@@ -21,11 +22,12 @@ const (
 
 // Runner executes a sweep: jobs fan out over a bounded worker pool (each
 // worker running its jobs on its own exp.Rig for the duration of one Run),
-// each checked against the content-addressed cache first, and the completed
-// results stream — in job-index order, regardless of completion order —
-// through the manifest journal, the per-group aggregators, and the
-// OnResult hook. Index-order delivery is what makes every output of a
-// sweep byte-identical across worker counts.
+// each checked against the content-addressed cache first. A worker writes
+// only its own job's slots; once the pool returns, one pass in job-index
+// order folds the results into the per-group aggregators, the manifest
+// journal and the first error. Folding in index order, never in completion
+// order, is what makes every output of a sweep byte-identical across
+// worker counts.
 type Runner struct {
 	// Workers bounds concurrent jobs; <= 0 selects pool.DefaultWorkers().
 	Workers int
@@ -50,23 +52,14 @@ type Runner struct {
 	Telemetry *telemetry.Registry
 
 	// Progress, when non-nil, receives coarse progress lines (at most ~20
-	// per sweep). Not part of the deterministic output surface: lines
-	// include wall-clock timings.
+	// per sweep) as jobs finish. Not part of the deterministic output
+	// surface: lines include wall-clock timings, and with several workers
+	// their counts follow completion order.
 	Progress io.Writer
-
-	// OnResult, when non-nil, is invoked for each completed job in
-	// strict index order from the aggregation goroutine. Returning
-	// false cancels the remainder of the sweep (in-flight jobs finish;
-	// unstarted ones are skipped).
-	OnResult func(Job, Result, string) bool
 }
 
 // Outcome is the full accounting of one sweep run.
 type Outcome struct {
-	Name        string
-	SpecHash    string
-	CodeVersion string
-
 	// Jobs is the expanded grid size; Results and Status are indexed by
 	// job index. Skipped and failed jobs leave a zero Result.
 	Jobs    int
@@ -93,17 +86,6 @@ type Outcome struct {
 // Completed returns the number of jobs with a result (hit or miss).
 func (o *Outcome) Completed() int { return o.Hits + o.Misses }
 
-// jobDone crosses from the worker pool to the aggregator.
-type jobDone struct {
-	idx       int
-	res       Result
-	status    string
-	wallNs    int64
-	cacheErrs int    // read/write failures downgraded to recompute/no-memoize
-	key       string // the point's cache key, computed once by the worker
-	err       error  // why a failed job has no result
-}
-
 // Run expands the spec and executes it. The returned Outcome is valid
 // (partial) even when err is non-nil: cancellation reports ctx.Err() with
 // every completed job accounted and cached, which is what makes an
@@ -116,196 +98,100 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, specHash := spec.normalized().Name, spec.Hash()
-	codeVersion := r.CodeVersion
-	if codeVersion == "" {
-		codeVersion = CodeVersion()
+	name := spec.normalized().Name
+	header := manifestHeader{Sweep: name, SpecHash: spec.Hash(), CodeVersion: r.CodeVersion, Jobs: len(jobs)}
+	if header.CodeVersion == "" {
+		header.CodeVersion = CodeVersion()
 	}
+
 	out := &Outcome{
-		Name:        name,
-		SpecHash:    specHash,
-		CodeVersion: codeVersion,
-		Jobs:        len(jobs),
-		Results:     make([]Result, len(jobs)),
-		Status:      make([]string, len(jobs)),
-		JobWallNs:   make([]int64, len(jobs)),
+		Jobs:      len(jobs),
+		Results:   make([]Result, len(jobs)),
+		Status:    make([]string, len(jobs)),
+		JobWallNs: make([]int64, len(jobs)),
 	}
-
-	var man *manifest
+	keys := make([]string, len(jobs))
+	var journal string
 	if r.Cache != nil {
-		path := manifestPath(r.Cache.Dir(), name)
-		prev, found, err := readManifestHeader(path)
-		if err != nil {
+		journal = manifestPath(r.Cache.Dir(), name)
+		prev, found, err := readManifestHeader(journal)
+		switch {
+		case err != nil:
 			return nil, err
+		case found && !r.Resume:
+			return nil, fmt.Errorf("sweep: %q already has a manifest at %s; pass resume to continue it", name, journal)
+		case found && prev.SpecHash != header.SpecHash:
+			return nil, fmt.Errorf("sweep: cannot resume %q: spec hash %.12s does not match prior run %.12s (the grid changed)",
+				name, header.SpecHash, prev.SpecHash)
 		}
-		if found {
-			if !r.Resume {
-				return nil, fmt.Errorf("sweep: %q already has a manifest at %s; pass resume to continue it", name, path)
-			}
-			if prev.SpecHash != specHash {
-				return nil, fmt.Errorf("sweep: cannot resume %q: spec hash %.12s does not match prior run %.12s (the grid changed)",
-					name, specHash, prev.SpecHash)
-			}
-		}
-		man, err = createManifest(path, manifestHeader{
-			Sweep: name, SpecHash: specHash, CodeVersion: codeVersion, Jobs: len(jobs),
-		})
-		if err != nil {
+		// No job has a status yet: this writes the header alone.
+		if err := writeManifest(journal, header, out, keys); err != nil {
 			return nil, err
 		}
 	}
 
-	// Cancellation: ctx aborts from outside, OnResult from inside. Both
-	// flip stop; workers consult it before starting each job.
-	stop := make(chan struct{})
-	var stopped bool
-	stopOnce := func() {
-		if !stopped {
-			stopped = true
-			close(stop)
+	errs := make([]error, len(jobs))
+	rigs := make([]exp.Rig, pool.Width(r.Workers, len(jobs)))
+	var (
+		mu       sync.Mutex
+		finished int
+		every    = progressStride(len(jobs))
+	)
+	pool.ForEach(r.Workers, len(jobs), func(w, i int) {
+		var cacheErrs int
+		keys[i], cacheErrs, errs[i] = r.runJob(ctx, jobs[i], &rigs[w], header.CodeVersion, out)
+		// Progress is written under mu too, so its lines keep their order.
+		mu.Lock()
+		defer mu.Unlock()
+		out.CacheErrs += cacheErrs
+		switch out.Status[i] {
+		case StatusHit:
+			out.Hits++
+		case StatusMiss:
+			out.Misses++
+		case StatusSkipped:
+			out.Skipped++
+		case StatusFailed:
+			out.Failed++
 		}
-	}
-	canceled := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
+		finished++
+		if r.Progress != nil && (finished%every == 0 || finished == len(jobs)) {
+			fmt.Fprintf(r.Progress, "[sweep %s] %d/%d jobs (%d hit, %d run, %d skipped, %d failed)\n",
+				name, finished, len(jobs), out.Hits, out.Misses, out.Skipped, out.Failed)
 		}
-		select {
-		case <-ctx.Done():
-			return true
-		default:
-			return false
-		}
-	}
+	})
 
 	// Instruments are nil-safe: with no registry these are no-op handles.
 	label := telemetry.L("sweep", name)
-	hitCtr := r.Telemetry.Counter("sweep_jobs_total", label, telemetry.L("status", StatusHit))
-	missCtr := r.Telemetry.Counter("sweep_jobs_total", label, telemetry.L("status", StatusMiss))
-	skipCtr := r.Telemetry.Counter("sweep_jobs_total", label, telemetry.L("status", StatusSkipped))
-	cacheErrCtr := r.Telemetry.Counter("sweep_cache_errors_total", label)
+	jobsTotal := func(status string, n int) {
+		r.Telemetry.Counter("sweep_jobs_total", label, telemetry.L("status", status)).Add(int64(n))
+	}
+	jobsTotal(StatusHit, out.Hits)
+	jobsTotal(StatusMiss, out.Misses)
+	jobsTotal(StatusSkipped, out.Skipped)
+	jobsTotal(StatusFailed, out.Failed)
+	r.Telemetry.Counter("sweep_cache_errors_total", label).Add(int64(out.CacheErrs))
 	wallHist := r.Telemetry.Histogram("sweep_job_wall_ns", label)
 
-	// Workers run the grid and push outcomes; the reorder buffer below is
-	// the only consumer. The handoff is unbuffered on purpose: aggregation
-	// is cheap relative to a simulation, and keeping workers at most one
-	// handoff ahead is what lets an OnResult cancellation actually stop
-	// the pool instead of racing a drained queue.
-	done := make(chan jobDone)
-	rigs := make([]exp.Rig, pool.Width(r.Workers, len(jobs)))
-	go func() {
-		defer close(done)
-		pool.ForEach(r.Workers, len(jobs), func(w, i int) {
-			j := jobs[i]
-			if canceled() {
-				done <- jobDone{idx: i, status: StatusSkipped}
-				return
-			}
-			key := j.Point.Key(codeVersion)
-			cacheErrs := 0
-			if r.Cache != nil {
-				res, ok, err := r.Cache.lookup(key, j.Point)
-				if err != nil {
-					// Unreadable, corrupt or not this job's: count it and
-					// re-run.
-					cacheErrs++
-				} else if ok {
-					done <- jobDone{idx: i, res: res, status: StatusHit, key: key}
-					return
-				}
-			}
-			start := time.Now()
-			res, err := j.run(&rigs[w], r.Telemetry)
-			if err != nil {
-				done <- jobDone{idx: i, status: StatusFailed, cacheErrs: cacheErrs, err: err}
-				return
-			}
-			wall := time.Since(start).Nanoseconds()
-			if r.Cache != nil {
-				if err := r.Cache.Put(key, res); err != nil {
-					cacheErrs++
-				}
-			}
-			done <- jobDone{idx: i, res: res, status: StatusMiss, wallNs: wall, cacheErrs: cacheErrs, key: key}
-		})
-	}()
-
-	// Reorder buffer: consume completions in any order, release them in
-	// index order. Aggregation, the manifest, progress, and OnResult all
-	// sit downstream of this point, so none of them ever observe a
-	// scheduler-dependent ordering.
-	var (
-		agg      = newAggregator()
-		pending  = make(map[int]jobDone, 8)
-		next     = 0
-		every    = progressStride(len(jobs))
-		firstErr error
-	)
-	deliver := func(d jobDone) {
-		out.Status[d.idx] = d.status
-		out.CacheErrs += d.cacheErrs
-		cacheErrCtr.Add(int64(d.cacheErrs))
-		switch d.status {
-		case StatusHit:
-			out.Hits++
-			hitCtr.Inc()
+	agg := newAggregator()
+	var firstErr error
+	for i, status := range out.Status {
+		switch status {
 		case StatusMiss:
-			out.Misses++
-			missCtr.Inc()
-			wallHist.Observe(d.wallNs)
-		case StatusSkipped:
-			out.Skipped++
-			skipCtr.Inc()
+			wallHist.Observe(out.JobWallNs[i])
+			fallthrough
+		case StatusHit:
+			agg.add(out.Results[i], status)
 		case StatusFailed:
-			out.Failed++
 			if firstErr == nil {
-				firstErr = d.err
+				firstErr = errs[i]
 			}
-		}
-		if d.status == StatusHit || d.status == StatusMiss {
-			out.Results[d.idx] = d.res
-			out.JobWallNs[d.idx] = d.wallNs
-			agg.add(d.res, d.status)
-			if man != nil {
-				e := manifestEntry{
-					Index:  d.idx,
-					Key:    d.key,
-					Status: d.status,
-					WallNs: d.wallNs,
-				}
-				if err := man.record(e); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			if r.OnResult != nil && !stopped {
-				if !r.OnResult(jobs[d.idx], d.res, d.status) {
-					stopOnce()
-				}
-			}
-		}
-		doneCount := d.idx + 1
-		if r.Progress != nil && (doneCount%every == 0 || doneCount == len(jobs)) {
-			fmt.Fprintf(r.Progress, "[sweep %s] %d/%d jobs (%d hit, %d run, %d skipped, %d failed)\n",
-				name, doneCount, len(jobs), out.Hits, out.Misses, out.Skipped, out.Failed)
-		}
-	}
-	for d := range done {
-		pending[d.idx] = d
-		for {
-			nd, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			deliver(nd)
-			next++
 		}
 	}
 	out.Groups = agg.groups()
 
-	if man != nil {
-		if err := man.close(); err != nil && firstErr == nil {
+	if r.Cache != nil {
+		if err := writeManifest(journal, header, out, keys); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -316,6 +202,44 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 		return out, err
 	}
 	return out, nil
+}
+
+// runJob settles job j on rig, the calling worker's: skipped once ctx is
+// done, a hit when the cache holds it, otherwise run (a miss, stored in
+// the cache) or failed, with err saying why. It writes only j's slots of
+// out. cacheErrs counts cache failures downgraded to recomputation or
+// forgone memoization.
+func (r *Runner) runJob(ctx context.Context, j Job, rig *exp.Rig, codeVersion string, out *Outcome) (key string, cacheErrs int, err error) {
+	i := j.Index
+	if ctx.Err() != nil {
+		out.Status[i] = StatusSkipped
+		return "", 0, nil
+	}
+	key = j.Point.Key(codeVersion)
+	if r.Cache != nil {
+		res, ok, err := r.Cache.lookup(key, j.Point)
+		if err != nil {
+			// Unreadable, corrupt or not this job's: count it and re-run.
+			cacheErrs++
+		} else if ok {
+			out.Results[i], out.Status[i] = res, StatusHit
+			return key, 0, nil
+		}
+	}
+	start := time.Now()
+	res, err := j.run(rig, r.Telemetry)
+	if err != nil {
+		out.Status[i] = StatusFailed
+		return key, cacheErrs, err
+	}
+	out.JobWallNs[i] = time.Since(start).Nanoseconds()
+	if r.Cache != nil {
+		if err := r.Cache.Put(key, res); err != nil {
+			cacheErrs++
+		}
+	}
+	out.Results[i], out.Status[i] = res, StatusMiss
+	return key, cacheErrs, nil
 }
 
 // progressStride spaces progress lines so a sweep prints at most ~20.

@@ -2,23 +2,24 @@
 // declarative parameter grid (protocol × concurrent flows × RTOmin × seed ×
 // fault plan × topology) into deterministic, individually seeded jobs, runs
 // them on a bounded worker pool with per-worker isolated simulations, folds
-// the results into streaming aggregators (internal/stats), and memoizes
-// every completed job in a content-addressed on-disk cache so re-runs and
-// crash-resumes skip finished work.
+// the results into running cross-seed accumulators (internal/stats), and
+// memoizes every completed job in a content-addressed on-disk cache so
+// re-runs and crash-resumes skip finished work.
 //
 // The determinism contract mirrors the rest of the repository: a job is a
 // pure function of its Point, so the sweep's results — and the rendered
 // aggregate tables — are byte-identical across runs, across worker counts,
-// and across cache hits vs. fresh executions. Aggregation consumes results
-// in job-index order through a reorder buffer, never in completion order,
-// which is what keeps the IEEE-float accumulators stable under concurrency.
+// and across cache hits vs. fresh executions. Workers fill per-job slots;
+// aggregation folds them in job-index order after the pool returns, never
+// in completion order, which is what keeps the IEEE-float accumulators
+// stable under concurrency.
 //
 // Layout:
 //
 //	sweep.go     Spec (the grid), Point (one job's identity), expansion
 //	cache.go     content-addressed result store, hash(point ‖ code-version)
 //	manifest.go  per-sweep journal for audit and resume accounting
-//	runner.go    worker pool, streaming aggregation, telemetry
+//	runner.go    worker pool, then the in-order fold: groups, journal, telemetry
 //	aggregate.go cross-seed group aggregation and rendering
 package sweep
 

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"dctcpplus/internal/sim"
+	"dctcpplus/internal/telemetry"
 )
 
 // fastSpec is a small but multi-dimensional grid: 2 protocols × 2 flow
@@ -243,6 +246,27 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if o1.Misses != o1.Jobs || o4.Misses != o4.Jobs {
 		t.Fatal("cacheless run should report all jobs as misses")
 	}
+
+	// With a cache, the statuses, the hit/miss counts and the journal
+	// (its host wall times masked) are worker-count invariant too.
+	wallNs := regexp.MustCompile(`"wall_ns":\d+`)
+	var journals [2]string
+	for n, workers := range []int{1, 4} {
+		dir := t.TempDir()
+		o, table := runOutcome(t, spec, workers, dir, false)
+		if !reflect.DeepEqual(o.Status, o1.Status) || o.Hits != o1.Hits || o.Misses != o1.Misses || table != t1 {
+			t.Fatalf("%d workers with a cache: status %v, %d hits, %d misses; want %v, %d, %d and the cacheless table",
+				workers, o.Status, o.Hits, o.Misses, o1.Status, o1.Hits, o1.Misses)
+		}
+		data, err := os.ReadFile(manifestPath(dir, spec.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		journals[n] = wallNs.ReplaceAllString(string(data), `"wall_ns":0`)
+	}
+	if journals[0] != journals[1] {
+		t.Fatalf("journals differ between 1 and 4 workers:\n%s\n---\n%s", journals[0], journals[1])
+	}
 }
 
 func TestCacheHitSecondPassIdentical(t *testing.T) {
@@ -446,30 +470,31 @@ func TestResumeAfterInterrupt(t *testing.T) {
 	spec.Seeds = []uint64{1, 2, 3, 4} // widen to 16 jobs so the interrupt lands mid-grid
 	dir := t.TempDir()
 
-	// First pass: stop the sweep from inside after 3 results land. With a
-	// single worker and the unbuffered handoff, the pool can be at most
-	// ~2 jobs past the delivery that canceled, so most of the grid skips.
+	// First pass: cancel the sweep after 3 jobs finish. With a single
+	// worker the pool runs inline and checks ctx before each job, so the
+	// other 13 skip.
 	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delivered := 0
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	r := Runner{
 		Workers:     1,
 		Cache:       c,
 		CodeVersion: "test-version",
-		OnResult: func(Job, Result, string) bool {
-			delivered++
-			return delivered < 3
-		},
+		Progress:    &cancelAfter{lines: 3, cancel: cancel},
 	}
-	partial, err := r.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	partial, err := r.Run(ctx, spec)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
 	}
 	if partial.Skipped == 0 || partial.Completed() == partial.Jobs {
 		t.Fatalf("interrupt did not skip work: %d completed, %d skipped",
 			partial.Completed(), partial.Skipped)
+	}
+	if partial.Completed() != 3 {
+		t.Fatalf("interrupt after 3 jobs: %d completed, want 3", partial.Completed())
 	}
 
 	// Second pass resumes: exactly the uncompleted jobs re-run.
@@ -490,6 +515,20 @@ func TestResumeAfterInterrupt(t *testing.T) {
 	if table != cleanTable {
 		t.Fatalf("resumed aggregate differs from clean run:\n%s\n---\n%s", table, cleanTable)
 	}
+}
+
+// cancelAfter is a Progress writer that cancels its sweep once it has
+// received its lines-th progress line.
+type cancelAfter struct {
+	lines  int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Write(p []byte) (int, error) {
+	if c.lines--; c.lines == 0 {
+		c.cancel()
+	}
+	return len(p), nil
 }
 
 func TestContextCancelSkipsAndReportsError(t *testing.T) {
@@ -535,7 +574,8 @@ func TestTruncatedJobFailsUncached(t *testing.T) {
 		return n
 	}
 	for pass, resume := range []bool{false, true} {
-		r := Runner{Workers: 1, Cache: c, CodeVersion: "test-version", Resume: resume}
+		reg := telemetry.NewRegistry()
+		r := Runner{Workers: 1, Cache: c, CodeVersion: "test-version", Resume: resume, Telemetry: reg}
 		out, err := r.Run(context.Background(), spec)
 		if err == nil || !strings.Contains(err.Error(), "N=40") || !strings.Contains(err.Error(), "of 18 measured rounds") {
 			t.Fatalf("pass %d: err = %v, want the truncated point named with its rounds", pass, err)
@@ -546,6 +586,19 @@ func TestTruncatedJobFailsUncached(t *testing.T) {
 		}
 		if n := objects(); n != 0 {
 			t.Fatalf("pass %d: %d cache objects written for a truncated job", pass, n)
+		}
+		var sum int64
+		for status, want := range map[string]int{
+			StatusHit: out.Hits, StatusMiss: out.Misses, StatusSkipped: out.Skipped, StatusFailed: out.Failed,
+		} {
+			got := reg.Counter("sweep_jobs_total", telemetry.L("sweep", spec.Name), telemetry.L("status", status)).Value()
+			if got != int64(want) {
+				t.Errorf("pass %d: sweep_jobs_total{status=%q} = %d, want %d", pass, status, got, want)
+			}
+			sum += got
+		}
+		if sum != int64(out.Jobs) {
+			t.Errorf("pass %d: sweep_jobs_total sums to %d over %d jobs", pass, sum, out.Jobs)
 		}
 	}
 
@@ -592,6 +645,52 @@ func TestManifestJournal(t *testing.T) {
 			t.Fatalf("entry %d: %+v", i, e)
 		}
 	}
+}
+
+// FuzzReadManifestHeader: whatever bytes sit in a journal — a torn last
+// line, a torn header, nothing, JSON that is not a header — reading its
+// header never panics, a found header comes with no error, and a found
+// header written back reads back equal.
+func FuzzReadManifestHeader(f *testing.F) {
+	h := manifestHeader{Sweep: "fuzz", SpecHash: fastSpec("fuzz").Hash(), CodeVersion: "v1", Jobs: 2}
+	var journal bytes.Buffer
+	enc := json.NewEncoder(&journal)
+	for _, v := range []any{h,
+		manifestEntry{Index: 0, Key: "ab12", Status: StatusMiss, WallNs: 1234},
+		manifestEntry{Index: 1, Key: "cd34", Status: StatusHit}} {
+		if err := enc.Encode(v); err != nil {
+			f.Fatal(err)
+		}
+	}
+	whole := journal.Bytes()
+	f.Add(whole)
+	f.Add(whole[:len(whole)-10])                  // torn last line
+	f.Add(whole[:bytes.IndexByte(whole, '\n')-5]) // torn header
+	f.Add([]byte{})
+	f.Add(append([]byte("\n"), whole...)) // blank first line
+	f.Add([]byte("null\n"))
+	f.Add([]byte("{}\n"))
+	dir := f.TempDir()
+	path, back := filepath.Join(dir, "in.manifest.jsonl"), filepath.Join(dir, "back.manifest.jsonl")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, found, err := readManifestHeader(path)
+		if !found {
+			return
+		}
+		if err != nil {
+			t.Fatalf("header found with an error: %v", err)
+		}
+		if err := writeManifest(back, got, &Outcome{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		again, found, err := readManifestHeader(back)
+		if !found || err != nil || again != got {
+			t.Fatalf("written header %+v reads back as %+v (found %v, err %v)", got, again, found, err)
+		}
+	})
 }
 
 func TestGroupAggregation(t *testing.T) {
