@@ -116,10 +116,11 @@ func main() {
 	fmt.Println("DCTCP+ reproduction report")
 	fmt.Printf("rounds=%d warmup=%d seed=%d\n", *rounds, *warmup, *seed)
 
-	// The battery is the catalogue, in paper order. Oracle violations are
-	// reported as they are found and fail the report at the end, so the
-	// rest of its output is not lost.
+	// The battery is the catalogue, in paper order. Oracle violations and
+	// points MaxSimTime cut short are reported as they are found and fail
+	// the report at the end, so the rest of its output is not lost.
 	var violations int64
+	var truncated int
 	for _, s := range sections {
 		if _, ok := s.(*dcp.Resilience); ok && !*faults && *only == "" {
 			continue
@@ -132,21 +133,38 @@ func main() {
 		fmt.Printf("\n%s\n%s\npaper: %s\n\n", h.Title, strings.Repeat("-", utf8.RuneCountInString(h.Title)), h.Expectation)
 		s.Render(os.Stdout)
 		total, lines := dcp.OracleReport("report: "+h.Title, s.Incast())
-		for _, ln := range lines {
+		cut := truncations(h.Title, *seed, s.Incast())
+		for _, ln := range append(lines, cut...) {
 			fmt.Fprintln(os.Stderr, ln)
 		}
 		violations += total
+		truncated += len(cut)
 	}
 	cli.Fatal("report", stopProfiles())
 	cli.Fatal("report", writeTelemetry(scale, time.Since(start)))
 	fmt.Printf("\nreport completed in %v\n", time.Since(start).Round(time.Second))
 	if violations > 0 {
 		fmt.Fprintf(os.Stderr, "report: %d oracle violations\n", violations)
+	}
+	if violations > 0 || truncated > 0 {
 		os.Exit(1)
 	}
 	if *oracle {
 		fmt.Println("oracle: clean")
 	}
+}
+
+// truncations names every result of the entry title that stopped before its
+// last round: protocol, N, seed, measured and asked rounds, and sim time.
+func truncations(title string, seed uint64, results []dcp.IncastResult) []string {
+	var lines []string
+	for i, r := range results {
+		if r.Truncated != nil {
+			lines = append(lines, fmt.Sprintf("report: %s: point %d (%v N=%d seed %d): %v",
+				title, i, r.Protocol, r.Flows, seed, r.Truncated))
+		}
+	}
+	return lines
 }
 
 // writeTelemetry dumps the shared registry to the -telemetry and -baseline

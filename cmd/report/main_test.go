@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -150,6 +151,27 @@ func TestSelectSections(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotIdx, c.want) {
 			t.Errorf("-only %q selected entries %v, want %v", c.only, gotIdx, c.want)
+		}
+	}
+}
+
+// TestTruncationsNameThePoint: a point MaxSimTime stopped before its last
+// round is named with its entry, protocol, N, seed, measured/asked rounds
+// and sim time; a complete one is not named.
+func TestTruncationsNameThePoint(t *testing.T) {
+	o := dcp.DefaultIncastOptions(dcp.ProtoDCTCP, 8)
+	o.Rounds, o.WarmupRounds = 6, 2
+	done := dcp.RunIncast(o)
+	o.MaxSimTime = 5 * dcp.Millisecond
+	cut := dcp.RunIncast(o)
+	lines := truncations("Figure X: t", 7, []dcp.IncastResult{done, cut})
+	if len(lines) != 1 {
+		t.Fatalf("truncations = %q, want one line for point 1", lines)
+	}
+	for _, want := range []string{"report: Figure X: t: point 1", "dctcp N=8 seed 7",
+		fmt.Sprintf("%d of 4 measured rounds", cut.Rounds), "sim time", "MaxSimTime 5ms"} {
+		if !strings.Contains(lines[0], want) {
+			t.Errorf("line %q does not contain %q", lines[0], want)
 		}
 	}
 }

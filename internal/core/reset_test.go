@@ -75,7 +75,7 @@ func incastConns(k ccKind, n int) (*sim.Scheduler, *netsim.TwoTier, []*tcp.Conn)
 	var conns []*tcp.Conn
 	for i := 0; i < n; i++ {
 		cfg := k.cfg
-		cfg.RTOMin, cfg.RTOInit, cfg.Seed = 10*sim.Millisecond, 10*sim.Millisecond, uint64(i+1)
+		cfg.RTOMin, cfg.Seed = 10*sim.Millisecond, uint64(i+1)
 		conns = append(conns, tcp.NewConn(cfg, k.recycle(nil), tt.Workers[i%len(tt.Workers)], tt.Aggregator, packet.FlowID(i+1)))
 	}
 	return s, tt, conns

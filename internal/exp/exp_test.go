@@ -34,7 +34,7 @@ func TestProtocolFactoriesBuildDistinctSeeds(t *testing.T) {
 		if cc0 == nil || cc1 == nil {
 			t.Errorf("%v: nil congestion control", p)
 		}
-		if c0.RTOMin != 10*sim.Millisecond || c0.RTOInit != 10*sim.Millisecond {
+		if c0.RTOMin != 10*sim.Millisecond {
 			t.Errorf("%v: RTO not applied", p)
 		}
 	}
@@ -168,6 +168,63 @@ func TestRunIncastValidation(t *testing.T) {
 		}
 	}()
 	RunIncast(o)
+}
+
+// TestValidateNamesBadOptions: options that would crash mid-run (a negative
+// warm-up slices the round list at -1, an RTOmin above tcp's RTO ceiling
+// panics in tcp) or run without measuring anything (no byte budget,
+// negative service jitter) fail Validate naming the field, and RunIncast
+// panics with that exp: message before it builds.
+func TestValidateNamesBadOptions(t *testing.T) {
+	cases := []struct {
+		name, want string
+		spoil      func(o *IncastOptions)
+	}{
+		{"negative warmup", "WarmupRounds -1 cannot be negative", func(o *IncastOptions) { o.WarmupRounds = -1 }},
+		{"no byte budget", "need a positive byte budget", func(o *IncastOptions) { o.TotalBytes, o.BytesPerFlow = 0, 0 }},
+		{"negative per-flow bytes", "need a positive byte budget", func(o *IncastOptions) { o.BytesPerFlow = -1 }},
+		{"negative jitter", "ServiceJitter -1ns cannot be negative", func(o *IncastOptions) { o.Testbed.ServiceJitter = -1 }},
+		{"rtomin above the ceiling", "RTOMin 5s exceeds the RTO ceiling 4s", func(o *IncastOptions) { o.RTOMin = 5 * sim.Second }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := fastIncastOpts(ProtoDCTCP, 4)
+			if err := o.Validate(); err != nil {
+				t.Fatalf("unspoiled options rejected: %v", err)
+			}
+			c.spoil(&o)
+			if err := o.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, c.want)
+			}
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				RunIncast(o)
+				return "no panic"
+			}()
+			if !strings.HasPrefix(msg, "exp: ") || !strings.Contains(msg, c.want) {
+				t.Errorf("RunIncast panic = %q, want exp: ...%q", msg, c.want)
+			}
+		})
+	}
+}
+
+// TestTruncatedRunSaysSo: a run that MaxSimTime stops before its last round
+// carries Truncated, naming the measured and asked rounds; a complete run
+// carries nil.
+func TestTruncatedRunSaysSo(t *testing.T) {
+	o := fastIncastOpts(ProtoDCTCP, 8)
+	if r := RunIncast(o); r.Truncated != nil {
+		t.Fatalf("complete run marked truncated: %v", r.Truncated)
+	}
+	o.MaxSimTime = 5 * sim.Millisecond
+	r := RunIncast(o)
+	if r.Truncated == nil {
+		t.Fatalf("run stopped at %v with %d measured rounds is not marked truncated", r.SimTime, r.Rounds)
+	}
+	want := fmt.Sprintf("%d of 4 measured rounds", r.Rounds)
+	if msg := r.Truncated.Error(); !strings.Contains(msg, want) || !strings.Contains(msg, "MaxSimTime 5ms") {
+		t.Errorf("Truncated = %q, want it to contain %q and the MaxSimTime", msg, want)
+	}
 }
 
 func TestSweepIncast(t *testing.T) {

@@ -368,8 +368,12 @@ func printConvergence(w io.Writer, r IncastResult, bufBytes int) {
 		cur = max(cur, bytes)
 	}
 	printBin(w, binIdx, binMS, cur, bufBytes)
-	fmt.Fprintf(w, "converged at round %d; bottleneck drops %d\n",
-		r.ConvergedAtRound(), r.BottleneckDrops)
+	if c := r.ConvergedAtRound(); c >= 0 {
+		fmt.Fprintf(w, "converged at round %d", c)
+	} else {
+		fmt.Fprint(w, "never converged: flows timed out in the last round")
+	}
+	fmt.Fprintf(w, "; bottleneck drops %d\n", r.BottleneckDrops)
 }
 
 // printBin writes one bin's row, its bar scaled so a full buffer of

@@ -193,15 +193,21 @@ func DefaultIncastOptions(p Protocol, flows int) IncastOptions {
 	}
 }
 
-// validate rejects options no run can be assembled from. RunIncast panics
-// on its error, and RunMany checks a whole batch before fanning out, so a
-// bad point fails on the caller's goroutine whatever the pool width.
-func (o IncastOptions) validate() error {
+// Validate is the one rule for a runnable incast point. RunIncast panics on
+// its error; RunMany and sweep check every point before any runs, so a bad
+// point fails on the caller's goroutine whatever the pool width.
+func (o IncastOptions) Validate() error {
 	switch {
 	case o.Flows < 1:
-		return errors.New("Flows must be at least 1")
+		return fmt.Errorf("Flows %d must be at least 1", o.Flows)
+	case o.WarmupRounds < 0:
+		return fmt.Errorf("WarmupRounds %d cannot be negative", o.WarmupRounds)
 	case o.Rounds <= o.WarmupRounds:
-		return errors.New("Rounds must exceed WarmupRounds")
+		return fmt.Errorf("Rounds must exceed WarmupRounds (%d <= %d)", o.Rounds, o.WarmupRounds)
+	case o.BytesPerFlow < 0 || o.BytesPerFlow == 0 && o.TotalBytes <= 0:
+		return fmt.Errorf("need a positive byte budget: BytesPerFlow %d, TotalBytes %d", o.BytesPerFlow, o.TotalBytes)
+	case o.Testbed.ServiceJitter < 0:
+		return fmt.Errorf("Testbed.ServiceJitter %v cannot be negative", o.Testbed.ServiceJitter)
 	}
 	if err := validateRun(o.Testbed, o.Protocol, o.RTOMin); err != nil {
 		return err
@@ -217,11 +223,13 @@ func (o IncastOptions) validate() error {
 
 // validateRun rejects the options every experiment builds its run from, each
 // of which a layer below would otherwise panic on mid-build: tcp on the RTO
-// floor, the protocol table on an unknown protocol, netsim on an empty tree.
+// bounds, the protocol table on an unknown protocol, netsim on an empty tree.
 func validateRun(tb Testbed, p Protocol, rtoMin sim.Duration) error {
 	switch {
 	case rtoMin <= 0:
 		return errors.New("RTOMin must be positive")
+	case rtoMin > tcp.RTOMax:
+		return fmt.Errorf("RTOMin %v exceeds the RTO ceiling %v", rtoMin, tcp.RTOMax)
 	case !slices.Contains(Protocols, p):
 		return fmt.Errorf("unknown protocol %v", p)
 	case tb.Leaves < 1 || tb.HostsPerLeaf < 1:
@@ -246,6 +254,10 @@ type IncastResult struct {
 	Protocol Protocol
 	Flows    int
 	Rounds   int // measured rounds (after warmup)
+	// Truncated is non-nil when the run stopped (at MaxSimTime) before its
+	// last round, naming measured and asked rounds and the sim time; every
+	// summary below then covers only the rounds done.
+	Truncated error
 
 	// GoodputMbps and FCTms summarize the measured rounds — the y-axes of
 	// Figs. 1/6/7/8/11/12.
@@ -373,7 +385,7 @@ func (rig *Rig) prepare(tb Testbed) {
 
 // Run executes one incast experiment point on the rig.
 func (rig *Rig) Run(o IncastOptions) IncastResult {
-	if err := o.validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		panic("exp: " + err.Error())
 	}
 	if o.MaxSimTime <= 0 {
@@ -534,10 +546,12 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 		}
 	}
 	measured := in.Results()
-	if len(measured) > o.WarmupRounds {
-		measured = measured[o.WarmupRounds:]
-	}
+	measured = measured[min(o.WarmupRounds, len(measured)):]
 	res.Rounds = len(measured)
+	if !in.Finished() {
+		res.Truncated = fmt.Errorf("%d of %d measured rounds done when the run stopped at sim time %v (MaxSimTime %v)",
+			res.Rounds, o.Rounds-o.WarmupRounds, res.SimTime, o.MaxSimTime)
+	}
 
 	goodputs := make([]float64, 0, len(measured))
 	fcts := make([]float64, 0, len(measured))

@@ -24,7 +24,7 @@ var Parallelism = pool.DefaultWorkers()
 // not inside a pool worker, and not after its neighbours already ran.
 func RunMany(optList []IncastOptions) []IncastResult {
 	for i, o := range optList {
-		if err := o.validate(); err != nil {
+		if err := o.Validate(); err != nil {
 			panic(fmt.Sprintf("exp: RunMany point %d: %v", i, err))
 		}
 	}

@@ -97,7 +97,6 @@ func DCTCPPlusFactory(rtoMin sim.Duration, seedBase uint64, ecfg core.Config) wo
 	return func(i int, old tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		cfg := core.SenderConfig()
 		cfg.RTOMin = rtoMin
-		cfg.RTOInit = rtoMin
 		cfg.Seed = seedBase + uint64(i+1)*seedStride
 		return cfg, core.Recycle(old, dctcp.Recycle(core.Unwrap(old), dctcp.DefaultGain), ecfg)
 	}
@@ -151,7 +150,6 @@ func (p Protocol) Factory(rtoMin sim.Duration, seedBase uint64) workload.FlowFac
 			panic(fmt.Sprintf("exp: unknown protocol %d", int(p)))
 		}
 		cfg.RTOMin = rtoMin
-		cfg.RTOInit = rtoMin
 		cfg.Seed = seedBase + uint64(i+1)*seedStride
 		return cfg, cc
 	}

@@ -22,7 +22,7 @@ func TestConservationUnderFaults(t *testing.T) {
 	tt.EnablePacketPool()
 	factory := func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		cfg := dctcp.Config()
-		cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond
+		cfg.RTOMin = 10 * sim.Millisecond
 		cfg.Seed = 7 + uint64(i)
 		return cfg, dctcp.New(dctcp.DefaultGain)
 	}

@@ -71,6 +71,45 @@ func FuzzParseClasses(f *testing.F) {
 	})
 }
 
+// FuzzGenerate: over any seed, class list, episode count, window, episode
+// length and element counts, Generate never panics, every event targets an
+// element that exists in its op's family, and every event falls inside the
+// window the episodes are drawn from, stretched by the longest episode
+// (Dur/2 + Dur). Zero and negative knobs exercise the defaults.
+func FuzzGenerate(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 1, 2, 3, 4, 5}, int8(2), int64(200e6), int64(10e6), uint8(8), uint8(10), uint8(10))
+	f.Add(uint64(7), []byte{}, int8(0), int64(0), int64(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(0), []byte{5, 5}, int8(-3), int64(-1), int64(1), uint8(1), uint8(0), uint8(255))
+	f.Fuzz(func(t *testing.T, seed uint64, classBytes []byte, episodes int8, window, dur int64, links, ports, hosts uint8) {
+		cfg := DefaultGenConfig(seed)
+		for _, b := range classBytes {
+			cfg.Classes = append(cfg.Classes, Class(int(b)%int(numClasses)))
+		}
+		// Bounded so Start + Window + 1.5*Dur stays far from overflow.
+		cfg.Episodes = int(episodes)
+		cfg.Window = sim.Duration(window % (1 << 40))
+		cfg.Dur = sim.Duration(dur % (1 << 40))
+		plan := Generate(cfg, int(links), int(ports), int(hosts))
+		eff := cfg.withDefaults()
+		lo, hi := eff.Start, eff.Start.Add(eff.Window+eff.Dur/2+eff.Dur)
+		for _, ev := range plan.Events {
+			n := int(links)
+			switch ev.Op {
+			case OpPortBuffer, OpPortThreshold:
+				n = int(ports)
+			case OpHostStall, OpHostResume:
+				n = int(hosts)
+			}
+			if ev.Index < 0 || ev.Index >= n {
+				t.Fatalf("%v targets element %d of %d", ev.Op, ev.Index, n)
+			}
+			if ev.At < lo || ev.At >= hi {
+				t.Fatalf("%v at %v outside [%v, %v)", ev.Op, ev.At, lo, hi)
+			}
+		}
+	})
+}
+
 // TestPlanSortStable pins the application order: by time, ties in append
 // order.
 func TestPlanSortStable(t *testing.T) {

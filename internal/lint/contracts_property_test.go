@@ -68,11 +68,9 @@ var runtimeTwins = map[string]twin{
 	"oracle.Checker.ringLen":   {asserted: "oracle.ring fill"},
 	"packet.Packet.Payload":    {sampled: true},
 
-	"tcp.Config.MSS":         {rejects: tcpConfig(func(c *tcp.Config) { c.MSS = 0 }), rejectMsg: "MSS must be positive"},
 	"tcp.Config.InitialCwnd": {rejects: tcpConfig(func(c *tcp.Config) { c.InitialCwnd = 0.5 }), rejectMsg: "InitialCwnd must be >= 1"},
 	"tcp.Config.MinCwnd":     {rejects: tcpConfig(func(c *tcp.Config) { c.MinCwnd = 0.5 }), rejectMsg: "MinCwnd must be >= 1"},
 	"tcp.Config.MaxCwnd":     {rejects: tcpConfig(func(c *tcp.Config) { c.MaxCwnd = 0.5 }), rejectMsg: "MaxCwnd must be >= InitialCwnd"},
-	"tcp.Config.DupThresh":   {rejects: tcpConfig(func(c *tcp.Config) { c.DupThresh = 0 }), rejectMsg: "DupThresh must be >= 1"},
 	"tcp.Config.DelAckCount": {rejects: tcpConfig(func(c *tcp.Config) { c.DelAckCount = 0 }), rejectMsg: "DelAckCount must be >= 1"},
 
 	"dctcp.DCTCP.g": {rejects: func() { dctcp.New(0) }, rejectMsg: "gain must be in (0, 1]"},
@@ -281,12 +279,12 @@ func runSampledIncasts(t *testing.T, observe func(key string, v float64)) {
 		factory := func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 			if i%2 == 0 {
 				cfg := dctcp.Config()
-				cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond
+				cfg.RTOMin = 10 * sim.Millisecond
 				cfg.Seed = run.seed*1000 + uint64(i) + 1
 				return cfg, dctcp.New(dctcp.DefaultGain)
 			}
 			cfg := core.SenderConfig()
-			cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond
+			cfg.RTOMin = 10 * sim.Millisecond
 			cfg.Seed = run.seed*1000 + uint64(i) + 1
 			return cfg, core.New(dctcp.DefaultGain, core.DefaultConfig())
 		}

@@ -142,7 +142,7 @@ func TestRetransLegality(t *testing.T) {
 		fs2.onDataSent(dataPkt(int64(i)*packet.MSS, packet.MSS, false, false))
 	}
 	fs2.onAckDeliver(ackPkt(packet.MSS, false))
-	for i := 0; i < fs2.cfg.DupThresh; i++ {
+	for i := 0; i < tcp.DupThresh; i++ {
 		fs2.onAckDeliver(ackPkt(packet.MSS, false))
 	}
 	fs2.onDataSent(dataPkt(packet.MSS, packet.MSS, true, false))
@@ -194,7 +194,7 @@ func TestRetransLegalityDupackCoversQueuedFrontier(t *testing.T) {
 
 	conn.Sender.Send(64 * packet.MSS)
 	nxt := conn.Sender.SndNxt()
-	for i := 0; i < fs.cfg.DupThresh; i++ {
+	for i := 0; i < tcp.DupThresh; i++ {
 		fs.onAckDeliver(ackPkt(0, false))
 	}
 	fs.onDataSent(dataPkt(nxt-packet.MSS, packet.MSS, true, false))

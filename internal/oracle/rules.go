@@ -163,7 +163,7 @@ func (fs *flowState) onAckDeliver(pkt *packet.Packet) {
 		fs.dupacks = 0
 	case pkt.AckNo == fs.modelSndUna:
 		fs.dupacks++
-		if fs.dupacks >= int64(fs.cfg.DupThresh) {
+		if fs.dupacks >= tcp.DupThresh {
 			fs.grant(fs.snd.SndNxt())
 		}
 	}
@@ -447,18 +447,17 @@ func (fs *flowState) checkNewReno(prev, cur Event) {
 	const rec = int(tcp.StateRecovery)
 	const open = int(tcp.StateOpen)
 	acked := cur.SndUna - prev.SndUna
-	mss := float64(fs.cfg.MSS)
 	switch {
 	case prev.State != rec && cur.State == rec:
 		// Entry: cwnd = ssthresh + DupThresh (window inflation).
-		want := cur.Ssthresh + float64(fs.cfg.DupThresh)
+		want := cur.Ssthresh + tcp.DupThresh
 		if math.Abs(cur.Cwnd-want) > eps {
 			fs.report("newreno-arith", fmt.Sprintf(
-				"recovery entry cwnd %.4f != ssthresh %.4f + dupthresh %d", cur.Cwnd, cur.Ssthresh, fs.cfg.DupThresh))
+				"recovery entry cwnd %.4f != ssthresh %.4f + dupthresh %d", cur.Cwnd, cur.Ssthresh, tcp.DupThresh))
 		}
 	case prev.State == rec && cur.State == rec && acked > 0:
 		// Partial ACK: deflate by the acked amount, re-inflate by one.
-		want := prev.Cwnd - float64(acked)/mss + 1
+		want := prev.Cwnd - float64(acked)/packet.MSS + 1
 		if want < fs.cfg.MinCwnd {
 			want = fs.cfg.MinCwnd
 		}

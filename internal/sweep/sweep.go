@@ -69,9 +69,10 @@ type Spec struct {
 }
 
 // normalized returns the spec with every empty dimension and zero scalar
-// replaced by its default, so expansion and hashing always see the explicit
-// form.
+// replaced by its default — exp.DefaultIncastOptions' where the harness has
+// one — so expansion and hashing always see the explicit form.
 func (s Spec) normalized() Spec {
+	def := exp.DefaultIncastOptions(exp.ProtoDCTCPPlus, 40)
 	if s.Name == "" {
 		s.Name = "sweep"
 	}
@@ -79,39 +80,39 @@ func (s Spec) normalized() Spec {
 		s.Topos = []string{TopoDefault}
 	}
 	if len(s.Protocols) == 0 {
-		s.Protocols = []string{exp.ProtoDCTCPPlus.String()}
+		s.Protocols = []string{def.Protocol.String()}
 	}
 	if len(s.Flows) == 0 {
-		s.Flows = []int{40}
+		s.Flows = []int{def.Flows}
 	}
 	if len(s.RTOMins) == 0 {
-		s.RTOMins = []sim.Duration{200 * sim.Millisecond}
+		s.RTOMins = []sim.Duration{def.RTOMin}
 	}
 	if len(s.Faults) == 0 {
 		s.Faults = []string{""}
 	}
 	if len(s.Seeds) == 0 {
-		s.Seeds = []uint64{1}
+		s.Seeds = []uint64{def.Testbed.Seed}
 	}
 	// A warm-up of 0 is a real setting once Rounds is given: only a spec
 	// that leaves both unset gets the default warm-up.
 	if s.Rounds == 0 {
-		s.Rounds = 50
+		s.Rounds = def.Rounds
 		if s.WarmupRounds == 0 {
-			s.WarmupRounds = 10
+			s.WarmupRounds = def.WarmupRounds
 		}
 	}
 	if s.TotalBytes == 0 {
-		s.TotalBytes = 1 << 20
+		s.TotalBytes = def.TotalBytes
 	}
 	if s.Jitter == 0 {
-		s.Jitter = 4 * sim.Millisecond
+		s.Jitter = def.Testbed.ServiceJitter
 	}
 	if s.FaultSeed == 0 {
 		s.FaultSeed = 1
 	}
 	if s.MaxSimTime == 0 {
-		s.MaxSimTime = 30 * 60 * sim.Second
+		s.MaxSimTime = def.MaxSimTime
 	}
 	return s
 }
@@ -141,81 +142,44 @@ func LargeNSpec() Spec {
 }
 
 // Validate rejects specs that cannot expand into runnable jobs, naming the
-// first offending dimension.
+// first offending value: it is Expand without the job list.
 func (s Spec) Validate() error {
-	n := s.normalized()
-	// The name becomes a file name inside the cache directory
-	// (manifestPath), so a separator or ".." would put the journal outside.
-	if n.Name == "." || n.Name == ".." || strings.ContainsAny(n.Name, `/\`) {
-		return fmt.Errorf("sweep: name %q is not a single path element (it names the manifest file inside the cache directory)", n.Name)
-	}
-	if n.Rounds <= n.WarmupRounds {
-		return fmt.Errorf("sweep: rounds %d must exceed warmup %d", n.Rounds, n.WarmupRounds)
-	}
-	if n.WarmupRounds < 0 {
-		return fmt.Errorf("sweep: warmup %d cannot be negative", n.WarmupRounds)
-	}
-	if n.BytesPerFlow < 0 {
-		return fmt.Errorf("sweep: bytes per flow %d cannot be negative", n.BytesPerFlow)
-	}
-	if n.BytesPerFlow == 0 && n.TotalBytes <= 0 {
-		return fmt.Errorf("sweep: need a positive byte budget")
-	}
-	if n.Jitter < 0 {
-		return fmt.Errorf("sweep: jitter %v cannot be negative", n.Jitter)
-	}
-	for _, f := range n.Flows {
-		if f < 1 {
-			return fmt.Errorf("sweep: flow count %d must be at least 1", f)
-		}
-	}
-	for _, d := range n.RTOMins {
-		if d <= 0 {
-			return fmt.Errorf("sweep: RTOmin %v must be positive", d)
-		}
-	}
-	for _, topo := range n.Topos {
-		if topo != TopoDefault && topo != TopoHULL {
-			return fmt.Errorf("sweep: unknown topology %q (want %q or %q)", topo, TopoDefault, TopoHULL)
-		}
-	}
-	for _, p := range n.Protocols {
-		if _, err := exp.ParseProtocol(p); err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-	}
-	for _, fs := range n.Faults {
-		if fs == "" {
-			continue
-		}
-		if _, err := fault.ParseClasses(fs); err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-	}
-	return nil
+	_, err := s.Expand()
+	return err
 }
 
 // Expand validates the spec and returns its deterministic job list: the
 // full cross-product in the fixed dimension order, indices dense from 0.
+// The spec checks only its name and fault lists; every point must then pass
+// Point.Options, which holds it to the harness's own rule.
 func (s Spec) Expand() ([]Job, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	n := s.normalized()
+	// The name becomes a file name inside the cache directory
+	// (manifestPath), so a separator or ".." would put the journal outside.
+	if n.Name == "." || n.Name == ".." || strings.ContainsAny(n.Name, `/\`) {
+		return nil, fmt.Errorf("sweep: name %q is not a single path element (it names the manifest file inside the cache directory)", n.Name)
+	}
+	faults := make([]string, len(n.Faults))
+	for i, fs := range n.Faults {
+		var err error
+		if faults[i], err = canonicalFaults(fs); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
+	}
 	jobs := make([]Job, 0,
-		len(n.Topos)*len(n.Protocols)*len(n.Flows)*len(n.RTOMins)*len(n.Faults)*len(n.Seeds))
+		len(n.Topos)*len(n.Protocols)*len(n.Flows)*len(n.RTOMins)*len(faults)*len(n.Seeds))
 	for _, topo := range n.Topos {
 		for _, proto := range n.Protocols {
 			for _, flows := range n.Flows {
 				for _, rto := range n.RTOMins {
-					for _, faults := range n.Faults {
+					for _, plan := range faults {
 						for _, seed := range n.Seeds {
-							pt := Point{
+							j := Job{Index: len(jobs), Point: Point{
 								Topo:         topo,
 								Proto:        proto,
 								Flows:        flows,
 								RTOMin:       rto,
-								Faults:       canonicalFaults(faults),
+								Faults:       plan,
 								Seed:         seed,
 								FaultSeed:    n.FaultSeed,
 								Rounds:       n.Rounds,
@@ -225,8 +189,11 @@ func (s Spec) Expand() ([]Job, error) {
 								Jitter:       n.Jitter,
 								MaxSimTime:   n.MaxSimTime,
 								Oracle:       n.Oracle,
+							}}
+							if _, err := j.Point.Options(); err != nil {
+								return nil, fmt.Errorf("sweep: %s: %w", j.label(), err)
 							}
-							jobs = append(jobs, Job{Index: len(jobs), Point: pt})
+							jobs = append(jobs, j)
 						}
 					}
 				}
@@ -250,21 +217,20 @@ func (s Spec) Hash() string {
 
 // canonicalFaults normalizes a fault-class spec so equivalent spellings
 // ("all", "loss, delay", "delay,loss") key the same cached results.
-func canonicalFaults(spec string) string {
+func canonicalFaults(spec string) (string, error) {
 	if spec == "" {
-		return ""
+		return "", nil
 	}
 	classes, err := fault.ParseClasses(spec)
 	if err != nil {
-		// Validate has already vetted every spec string that reaches here.
-		panic(fmt.Sprintf("sweep: %v", err))
+		return "", err
 	}
 	names := make([]string, len(classes))
 	for i, c := range classes {
 		names[i] = c.String()
 	}
 	sort.Strings(names)
-	return strings.Join(names, ",")
+	return strings.Join(names, ","), nil
 }
 
 // Point is the complete, self-describing identity of one job: everything
@@ -304,6 +270,12 @@ type Job struct {
 	Point Point
 }
 
+// label names the job in errors by index and grid coordinates.
+func (j Job) label() string {
+	pt := j.Point
+	return fmt.Sprintf("job %d (%s, N=%d, RTOmin %v, seed %d)", j.Index, pt.Proto, pt.Flows, pt.RTOMin, pt.Seed)
+}
+
 // Key returns the job's content address: hash(point ‖ code-version). Two
 // jobs share a key exactly when they would produce identical results under
 // the same build.
@@ -332,9 +304,9 @@ func (pt Point) GroupKey() string {
 	return string(data)
 }
 
-// Options maps the point onto the experiment harness. The error cases are
-// exactly the ones Spec.Validate rejects, so points produced by Expand
-// always convert.
+// Options maps the point onto the experiment harness and checks the result
+// with exp.IncastOptions.Validate. Expand holds every point it produces to
+// it, so the points of an expanded spec always convert.
 func (pt Point) Options() (exp.IncastOptions, error) {
 	proto, err := exp.ParseProtocol(pt.Proto)
 	if err != nil {
@@ -347,7 +319,7 @@ func (pt Point) Options() (exp.IncastOptions, error) {
 	case TopoHULL:
 		tb = exp.HULLTestbed()
 	default:
-		return exp.IncastOptions{}, fmt.Errorf("sweep: unknown topology %q", pt.Topo)
+		return exp.IncastOptions{}, fmt.Errorf("unknown topology %q (want %q or %q)", pt.Topo, TopoDefault, TopoHULL)
 	}
 	tb.Seed = pt.Seed
 	tb.ServiceJitter = pt.Jitter
@@ -372,7 +344,7 @@ func (pt Point) Options() (exp.IncastOptions, error) {
 		o.Faults = &gen
 	}
 	o.Oracle = pt.Oracle
-	return o, nil
+	return o, o.Validate()
 }
 
 // Result is the cached, serializable outcome of one job: the point echoed
@@ -442,7 +414,7 @@ func resultOf(pt Point, r exp.IncastResult) Result {
 }
 
 // run executes the job's simulation on rig, the calling worker's own. A run
-// that MaxSimTime cut short of its measured rounds is an error, not a
+// that MaxSimTime cut short (exp.IncastResult.Truncated) is an error, not a
 // result: its summaries cover fewer rounds than the point names. The
 // body is worker-executed: all its state — the rig's scheduler, topology and
 // connections — is private to the worker, and it touches nothing shared
@@ -456,10 +428,9 @@ func (j Job) run(rig *exp.Rig, reg *telemetry.Registry) (Result, error) {
 		return Result{}, err
 	}
 	o.Telemetry = reg
-	res := resultOf(j.Point, rig.Run(o))
-	if pt := j.Point; res.MeasuredRounds < pt.Rounds-pt.WarmupRounds {
-		return Result{}, fmt.Errorf("sweep: job %d (%s, N=%d, RTOmin %v, seed %d): %d of %d measured rounds done by MaxSimTime %v",
-			j.Index, pt.Proto, pt.Flows, pt.RTOMin, pt.Seed, res.MeasuredRounds, pt.Rounds-pt.WarmupRounds, pt.MaxSimTime)
+	r := rig.Run(o)
+	if r.Truncated != nil {
+		return Result{}, fmt.Errorf("sweep: %s: %w", j.label(), r.Truncated)
 	}
-	return res, nil
+	return resultOf(j.Point, r), nil
 }

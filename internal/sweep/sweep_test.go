@@ -61,6 +61,9 @@ func TestSpecDefaultsAndValidate(t *testing.T) {
 		{Name: "x", Faults: []string{"quux"}},
 		{Name: "w", Rounds: 5, WarmupRounds: 5},
 		{Name: "b", TotalBytes: -1},
+		{Name: "bf", BytesPerFlow: -1},
+		{Name: "w-", Rounds: 5, WarmupRounds: -1},
+		{Name: "j", Jitter: -1},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -40,7 +40,6 @@ func BenchmarkManyFlows(b *testing.B) {
 		for f := 0; f < 64; f++ {
 			cfg := DefaultConfig()
 			cfg.RTOMin = 10 * sim.Millisecond
-			cfg.RTOInit = 10 * sim.Millisecond
 			cfg.Seed = uint64(f + 1)
 			c := NewConn(cfg, NewReno{}, tt.Workers[f%9], tt.Aggregator, packet.FlowID(f+1))
 			c.Sender.OnComplete = func(int64) { done++ }

@@ -14,10 +14,7 @@
 // trigger) — following Zhang et al. [12].
 package tcp
 
-import (
-	"dctcpplus/internal/packet"
-	"dctcpplus/internal/sim"
-)
+import "dctcpplus/internal/sim"
 
 // ECNMode selects how the connection uses ECN.
 type ECNMode int
@@ -47,13 +44,30 @@ func (m ECNMode) String() string {
 	return "?"
 }
 
-// Config carries per-connection transport parameters. The zero value is not
-// usable; start from DefaultConfig.
-type Config struct {
-	// MSS is the maximum payload bytes per segment.
-	//inv: MSS >= 1
-	MSS int
+// The paper's timeout analysis (§III, Table I) assumes one fixed Linux-era
+// transport; these are its settings that no experiment varies. Limited
+// transmit and the restart after idle are likewise always on (see Sender).
+const (
+	// DupThresh is the duplicate-ACK threshold for fast retransmit.
+	DupThresh = 3
+	// RTOMax clamps the exponential backoff from above.
+	RTOMax = 4 * sim.Second
+	// RTOSlack adds a uniform random delay in [0, RTOSlack) to every
+	// retransmission-timer arming, modeling OS timer-tick quantization and
+	// timer slack (jiffies on the paper's 2.6-era kernels). Without it, a
+	// deterministic simulation can phase-lock cohorts of timed-out flows:
+	// they all retransmit at exactly the same instant, collide at the
+	// bottleneck, and back off in lockstep forever — a livelock no real
+	// testbed exhibits because independent hosts' timer ticks are not
+	// aligned.
+	RTOSlack = 1 * sim.Millisecond
+	// DelAckTimeout flushes a pending delayed ACK.
+	DelAckTimeout = 40 * sim.Millisecond
+)
 
+// Config carries the per-connection transport parameters experiments vary.
+// The zero value is not usable; start from DefaultConfig.
+type Config struct {
 	// InitialCwnd is the initial congestion window in MSS units.
 	//inv: InitialCwnd >= 1
 	InitialCwnd float64
@@ -70,56 +84,18 @@ type Config struct {
 	//inv: MaxCwnd >= 1
 	MaxCwnd float64
 
-	// DupThresh is the duplicate-ACK threshold for fast retransmit.
-	//inv: DupThresh >= 1
-	DupThresh int
-
-	// RTOMin clamps the retransmission timeout from below. Default 200ms
-	// (the Linux default the paper highlights); the comparison experiments
-	// set 10ms.
+	// RTOMin clamps the retransmission timeout from below and is the
+	// timeout used before the first RTT sample. Default 200ms (the Linux
+	// default the paper highlights); the comparison experiments set 10ms.
 	RTOMin sim.Duration
-	// RTOMax clamps the exponential backoff from above.
-	RTOMax sim.Duration
-	// RTOInit is the timeout used before the first RTT sample.
-	RTOInit sim.Duration
-	// RTOSlack adds a uniform random delay in [0, RTOSlack) to every
-	// retransmission-timer arming, modeling OS timer-tick quantization and
-	// timer slack (jiffies on the paper's 2.6-era kernels). Without it, a
-	// deterministic simulation can phase-lock cohorts of timed-out flows:
-	// they all retransmit at exactly the same instant, collide at the
-	// bottleneck, and back off in lockstep forever — a livelock no real
-	// testbed exhibits because independent hosts' timer ticks are not
-	// aligned.
-	RTOSlack sim.Duration
 
 	// DelAckCount acknowledges every n-th in-order segment (Linux default
 	// behaviour is 2). 1 disables delayed ACKs.
 	//inv: DelAckCount >= 1
 	DelAckCount int
-	// DelAckTimeout flushes a pending delayed ACK.
-	DelAckTimeout sim.Duration
 
 	// ECN selects the ECN feedback mode (see ECNMode).
 	ECN ECNMode
-
-	// LimitedTransmit enables RFC 3042: on the first and second duplicate
-	// ACKs the sender may transmit one new segment each beyond the
-	// congestion window. For small windows this generates the extra
-	// duplicate ACKs fast retransmit needs — kernels of the paper's era
-	// had it on, and the paper's Table I shows it still cannot prevent
-	// LAck-TOs at 1-2 MSS windows (there is simply no new data left to
-	// probe with).
-	LimitedTransmit bool
-
-	// SlowStartAfterIdle mirrors Linux's tcp_slow_start_after_idle (on by
-	// default): when new data is submitted after the connection sat idle
-	// for longer than the RTO, the congestion window restarts from
-	// InitialCwnd — stale windows must not be burst into a network whose
-	// state they no longer reflect. In the incast workload this is what
-	// keeps flows that finished a round early (and grew their window in
-	// the uncongested tail) from opening the next round with a line-rate
-	// burst.
-	SlowStartAfterIdle bool
 
 	// Seed parameterizes the connection's private random stream (used by
 	// randomized congestion control such as DCTCP+'s slow_time backoff).
@@ -127,24 +103,15 @@ type Config struct {
 }
 
 // DefaultConfig returns parameters matching the paper's testbed senders:
-// standard Linux-era TCP with MSS 1460, IW=2, min cwnd 2 MSS, delayed ACKs
-// of 2, RTOmin 200ms.
+// standard Linux-era TCP with IW=2, min cwnd 2 MSS, delayed ACKs of 2,
+// RTOmin 200ms.
 func DefaultConfig() Config {
 	return Config{
-		MSS:                packet.MSS,
-		InitialCwnd:        2,
-		MinCwnd:            2,
-		MaxCwnd:            64,
-		DupThresh:          3,
-		RTOMin:             200 * sim.Millisecond,
-		RTOMax:             4 * sim.Second,
-		RTOInit:            200 * sim.Millisecond,
-		RTOSlack:           1 * sim.Millisecond,
-		DelAckCount:        2,
-		DelAckTimeout:      40 * sim.Millisecond,
-		ECN:                ECNOff,
-		LimitedTransmit:    true,
-		SlowStartAfterIdle: true,
+		InitialCwnd: 2,
+		MinCwnd:     2,
+		MaxCwnd:     64,
+		RTOMin:      200 * sim.Millisecond,
+		DelAckCount: 2,
 	}
 }
 
@@ -152,20 +119,14 @@ func DefaultConfig() Config {
 // programming errors in experiment setup.
 func (c Config) validate() {
 	switch {
-	case c.MSS <= 0:
-		panic("tcp: MSS must be positive")
 	case c.InitialCwnd < 1:
 		panic("tcp: InitialCwnd must be >= 1 MSS")
 	case c.MinCwnd < 1:
 		panic("tcp: MinCwnd must be >= 1 MSS")
 	case c.MaxCwnd < c.InitialCwnd:
 		panic("tcp: MaxCwnd must be >= InitialCwnd")
-	case c.DupThresh < 1:
-		panic("tcp: DupThresh must be >= 1")
-	case c.RTOMin <= 0 || c.RTOMax < c.RTOMin:
+	case c.RTOMin <= 0 || c.RTOMin > RTOMax:
 		panic("tcp: invalid RTO bounds")
-	case c.RTOSlack < 0:
-		panic("tcp: negative RTOSlack")
 	case c.DelAckCount < 1:
 		panic("tcp: DelAckCount must be >= 1")
 	}

@@ -152,27 +152,10 @@ func TestNoRestartWithoutIdle(t *testing.T) {
 	}
 }
 
-func TestSlowStartAfterIdleDisabled(t *testing.T) {
-	w := newWire(t)
-	cfg := DefaultConfig()
-	cfg.MaxCwnd = 40
-	cfg.SlowStartAfterIdle = false
-	c := w.conn(cfg, NewReno{})
-	c.Sender.Send(200 * packet.MSS)
-	w.sched.Run()
-	grown := c.Sender.CwndMSS()
-	w.sched.After(2*sim.Second, func() { c.Sender.Send(packet.MSS) })
-	w.sched.Run()
-	if got := c.Sender.CwndMSS(); got < grown {
-		t.Errorf("disabled restart still shrank window: %v -> %v", grown, got)
-	}
-}
-
 func TestGoBackNMarksRetransmissions(t *testing.T) {
 	w := newWire(t)
 	cfg := DefaultConfig()
 	cfg.RTOMin = 10 * sim.Millisecond
-	cfg.RTOInit = 10 * sim.Millisecond
 	cfg.InitialCwnd = 4
 	cfg.DelAckCount = 1
 	c := w.conn(cfg, NewReno{})
@@ -207,36 +190,23 @@ func TestGoBackNMarksRetransmissions(t *testing.T) {
 func TestLimitedTransmitEnablesFastRetransmit(t *testing.T) {
 	// cwnd=2, lose the 2nd segment: the ACK of the 1st grows the window to
 	// 3 and releases two new segments, whose dupacks stall at 2 — below
-	// DupThresh — so without limited transmit only the RTO recovers. With
-	// it, the two probe segments produce the 3rd and 4th dupacks and fast
-	// retransmit repairs the loss.
-	run := func(lt bool) SenderStats {
-		w := newWire(t)
-		cfg := DefaultConfig()
-		cfg.InitialCwnd = 2
-		cfg.DelAckCount = 1
-		cfg.LimitedTransmit = lt
-		cfg.RTOMin = 10 * sim.Millisecond
-		cfg.RTOInit = 10 * sim.Millisecond
-		c := w.conn(cfg, NewReno{})
-		w.filter.drop = dropSeqOnce(1 * packet.MSS)
-		c.Sender.Send(20 * packet.MSS)
-		w.sched.Run()
-		if !c.Sender.Done() {
-			t.Fatal("incomplete")
-		}
-		return c.Sender.Stats()
+	// DupThresh — so without limited transmit only the RTO would recover.
+	// With it, the two probe segments produce the 3rd and 4th dupacks and
+	// fast retransmit repairs the loss.
+	w := newWire(t)
+	cfg := DefaultConfig()
+	cfg.InitialCwnd = 2
+	cfg.DelAckCount = 1
+	cfg.RTOMin = 10 * sim.Millisecond
+	c := w.conn(cfg, NewReno{})
+	w.filter.drop = dropSeqOnce(1 * packet.MSS)
+	c.Sender.Send(20 * packet.MSS)
+	w.sched.Run()
+	if !c.Sender.Done() {
+		t.Fatal("incomplete")
 	}
-	with := run(true)
-	without := run(false)
-	if with.Timeouts != 0 || with.FastRecoveries != 1 {
-		t.Errorf("with LT: timeouts=%d recoveries=%d, want 0/1", with.Timeouts, with.FastRecoveries)
-	}
-	if without.Timeouts != 1 {
-		t.Errorf("without LT: timeouts=%d, want 1 (LAck-TO)", without.Timeouts)
-	}
-	if without.LAckTimeouts != 1 {
-		t.Errorf("without LT: LAck=%d", without.LAckTimeouts)
+	if st := c.Sender.Stats(); st.Timeouts != 0 || st.FastRecoveries != 1 {
+		t.Errorf("timeouts=%d recoveries=%d, want 0/1", st.Timeouts, st.FastRecoveries)
 	}
 }
 
@@ -248,9 +218,7 @@ func TestLimitedTransmitCannotSaveMinimumWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitialCwnd = 2
 	cfg.DelAckCount = 1
-	cfg.LimitedTransmit = true
 	cfg.RTOMin = 10 * sim.Millisecond
-	cfg.RTOInit = 10 * sim.Millisecond
 	c := w.conn(cfg, NewReno{})
 	w.filter.drop = dropSeqOnce(0)
 	c.Sender.Send(2 * packet.MSS)

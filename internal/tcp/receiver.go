@@ -240,7 +240,7 @@ func (r *Receiver) Deliver(pkt *packet.Packet) {
 			r.stats.DelayedAcks++
 			r.sendAck()
 		} else if !r.delackTimer.Armed() {
-			r.delackTimer.Reset(r.cfg.DelAckTimeout)
+			r.delackTimer.Reset(DelAckTimeout)
 		}
 	}
 }

@@ -41,8 +41,8 @@ func TestDelAckTimerFlushesOddSegment(t *testing.T) {
 	if !done {
 		t.Fatal("did not complete")
 	}
-	if when < sim.Time(cfg.DelAckTimeout) {
-		t.Errorf("completed at %v, expected to wait for delack timer (~%v)", when, cfg.DelAckTimeout)
+	if when < sim.Time(DelAckTimeout) {
+		t.Errorf("completed at %v, expected to wait for delack timer (~%v)", when, DelAckTimeout)
 	}
 	if c.Receiver.Stats().DelayedAcks == 0 {
 		t.Error("no delayed ACKs counted")

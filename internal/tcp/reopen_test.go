@@ -35,7 +35,7 @@ func TestReopenEqualsFresh(t *testing.T) {
 	const first = 16 * packet.MSS
 	w.filter.drop = dropSeqOnce(3*packet.MSS, first)
 	cfg := DefaultConfig()
-	cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond
+	cfg.RTOMin = 10 * sim.Millisecond
 	cfg.Seed = 11
 	c := w.conn(cfg, NewReno{})
 	c.Sender.AttachTelemetry(telemetry.NewRegistry())

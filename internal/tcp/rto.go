@@ -15,12 +15,7 @@ type rttEstimator struct {
 	srtt    sim.Duration
 	rttvar  sim.Duration
 	hasInit bool
-
-	rtoMin, rtoMax, rtoInit sim.Duration
-}
-
-func newRTTEstimator(cfg Config) rttEstimator {
-	return rttEstimator{rtoMin: cfg.RTOMin, rtoMax: cfg.RTOMax, rtoInit: cfg.RTOInit}
+	rtoMin  sim.Duration
 }
 
 // Sample folds a fresh RTT measurement into the estimator.
@@ -42,21 +37,18 @@ func (e *rttEstimator) Sample(rtt sim.Duration) {
 	e.srtt = (7*e.srtt + rtt) / 8
 }
 
-// RTO returns the current retransmission timeout (without backoff).
+// RTO returns the current retransmission timeout (without backoff); before
+// the first sample that is RTOMin.
 func (e *rttEstimator) RTO() sim.Duration {
 	if !e.hasInit {
-		rto := e.rtoInit
-		if rto < e.rtoMin {
-			rto = e.rtoMin
-		}
-		return rto
+		return e.rtoMin
 	}
 	rto := e.srtt + 4*e.rttvar
 	if rto < e.rtoMin {
 		rto = e.rtoMin
 	}
-	if rto > e.rtoMax {
-		rto = e.rtoMax
+	if rto > RTOMax {
+		rto = RTOMax
 	}
 	return rto
 }

@@ -7,19 +7,13 @@ import (
 	"dctcpplus/internal/sim"
 )
 
-func estCfg(min, max, init sim.Duration) Config {
-	cfg := DefaultConfig()
-	cfg.RTOMin, cfg.RTOMax, cfg.RTOInit = min, max, init
-	return cfg
-}
-
 func TestRTTEstimatorFirstSample(t *testing.T) {
-	e := newRTTEstimator(estCfg(1*sim.Millisecond, 10*sim.Second, 3*sim.Second))
+	e := rttEstimator{rtoMin: 1 * sim.Millisecond}
 	if e.HasSample() {
 		t.Error("fresh estimator claims a sample")
 	}
-	if e.RTO() != 3*sim.Second {
-		t.Errorf("initial RTO = %v, want RTOInit", e.RTO())
+	if e.RTO() != 1*sim.Millisecond {
+		t.Errorf("initial RTO = %v, want RTOMin", e.RTO())
 	}
 	e.Sample(100 * sim.Microsecond)
 	if !e.HasSample() {
@@ -36,7 +30,7 @@ func TestRTTEstimatorFirstSample(t *testing.T) {
 }
 
 func TestRTTEstimatorConvergesToSteadyRTT(t *testing.T) {
-	e := newRTTEstimator(estCfg(1, 10*sim.Second, sim.Second))
+	e := rttEstimator{rtoMin: 1}
 	for i := 0; i < 100; i++ {
 		e.Sample(200 * sim.Microsecond)
 	}
@@ -50,7 +44,7 @@ func TestRTTEstimatorConvergesToSteadyRTT(t *testing.T) {
 }
 
 func TestRTTEstimatorTracksIncrease(t *testing.T) {
-	e := newRTTEstimator(estCfg(1, 10*sim.Second, sim.Second))
+	e := rttEstimator{rtoMin: 1}
 	e.Sample(100 * sim.Microsecond)
 	for i := 0; i < 50; i++ {
 		e.Sample(1 * sim.Millisecond)
@@ -61,22 +55,15 @@ func TestRTTEstimatorTracksIncrease(t *testing.T) {
 }
 
 func TestRTOClampMax(t *testing.T) {
-	e := newRTTEstimator(estCfg(1*sim.Millisecond, 2*sim.Millisecond, sim.Second))
-	e.Sample(100 * sim.Millisecond)
-	if got := e.RTO(); got != 2*sim.Millisecond {
-		t.Errorf("RTO = %v, want clamped to max", got)
-	}
-}
-
-func TestRTOInitBelowMinClamped(t *testing.T) {
-	e := newRTTEstimator(estCfg(200*sim.Millisecond, sim.Second, 10*sim.Millisecond))
-	if got := e.RTO(); got != 200*sim.Millisecond {
-		t.Errorf("pre-sample RTO = %v, want RTOMin", got)
+	e := rttEstimator{rtoMin: 1 * sim.Millisecond}
+	e.Sample(2 * RTOMax)
+	if got := e.RTO(); got != RTOMax {
+		t.Errorf("RTO = %v, want clamped to RTOMax", got)
 	}
 }
 
 func TestSampleNonPositiveClamped(t *testing.T) {
-	e := newRTTEstimator(estCfg(1, sim.Second, sim.Second))
+	e := rttEstimator{rtoMin: 1}
 	e.Sample(0)
 	e.Sample(-5)
 	if e.SRTT() <= 0 {
@@ -87,12 +74,11 @@ func TestSampleNonPositiveClamped(t *testing.T) {
 // Property: RTO is always within [RTOMin, RTOMax] no matter the samples.
 func TestRTOBoundsProperty(t *testing.T) {
 	f := func(samples []uint32) bool {
-		min, max := 10*sim.Millisecond, 3*sim.Second
-		e := newRTTEstimator(estCfg(min, max, 200*sim.Millisecond))
+		e := rttEstimator{rtoMin: 10 * sim.Millisecond}
 		for _, s := range samples {
 			e.Sample(sim.Duration(s))
 			rto := e.RTO()
-			if rto < min || rto > max {
+			if rto < e.rtoMin || rto > RTOMax {
 				return false
 			}
 		}
@@ -109,7 +95,7 @@ func TestSRTTEnvelopeProperty(t *testing.T) {
 		if len(samples) == 0 {
 			return true
 		}
-		e := newRTTEstimator(estCfg(1, sim.Second, sim.Second))
+		e := rttEstimator{rtoMin: 1}
 		lo, hi := sim.Duration(1<<62), sim.Duration(0)
 		for _, s := range samples {
 			d := sim.Duration(s%1_000_000) + 1

@@ -198,7 +198,7 @@ func (s *Sender) open(cfg Config, cc CongestionControl, host *netsim.Host, peer 
 		live:           true,
 		cwnd:           cfg.InitialCwnd,
 		ssthresh:       cfg.MaxCwnd,
-		rtt:            newRTTEstimator(cfg),
+		rtt:            rttEstimator{rtoMin: cfg.RTOMin},
 		lastSendAt:     -1 << 62,
 		headWaitedFrom: -1,
 
@@ -271,8 +271,8 @@ func (s *Sender) SRTT() sim.Duration { return s.rtt.SRTT() }
 // RTO returns the current retransmission timeout including backoff.
 func (s *Sender) RTO() sim.Duration {
 	rto := s.rtt.RTO() << s.rtoBackoff
-	if rto > s.cfg.RTOMax {
-		rto = s.cfg.RTOMax
+	if rto > RTOMax {
+		rto = RTOMax
 	}
 	return rto
 }
@@ -310,10 +310,11 @@ func (s *Sender) Send(n int64) {
 	if !s.live {
 		check.Failf("tcp.sender Send: flow %d is closed", s.flow)
 	}
-	// Window restart after idle (tcp_slow_start_after_idle): a window
-	// grown before an idle period reflects stale network state and must
-	// not be burst out at once.
-	if s.cfg.SlowStartAfterIdle && s.InflightBytes() == 0 && s.lastSendAt >= 0 {
+	// Window restart after idle (Linux's tcp_slow_start_after_idle): a
+	// window grown before an idle period longer than the RTO reflects stale
+	// network state; in the incast it would open the next round with a
+	// line-rate burst.
+	if s.InflightBytes() == 0 && s.lastSendAt >= 0 {
 		if idle := s.sched.Now().Sub(s.lastSendAt); idle > s.RTO() && s.cwnd > s.cfg.InitialCwnd {
 			s.cwnd = s.cfg.InitialCwnd
 		}
@@ -324,7 +325,7 @@ func (s *Sender) Send(n int64) {
 
 // cwndBytes converts the fractional window to a byte budget.
 func (s *Sender) cwndBytes() int64 {
-	return int64(s.cwnd * float64(s.cfg.MSS))
+	return int64(s.cwnd * packet.MSS)
 }
 
 // pump transmits whatever is currently allowed: a pending retransmission
@@ -351,7 +352,7 @@ func (s *Sender) pump() {
 			payload = s.segSize(seq)
 			// Limited transmit extends the budget by one segment per early
 			// duplicate ACK (RFC 3042).
-			budget := s.cwndBytes() + int64(s.ltCredit)*int64(s.cfg.MSS)
+			budget := s.cwndBytes() + int64(s.ltCredit)*packet.MSS
 			if s.InflightBytes()+int64(payload) > budget {
 				return // window-limited
 			}
@@ -417,8 +418,8 @@ func (s *Sender) segSize(seq int64) int {
 	if rem <= 0 {
 		return 0
 	}
-	if rem > int64(s.cfg.MSS) {
-		return s.cfg.MSS
+	if rem > packet.MSS {
+		return packet.MSS
 	}
 	return int(rem)
 }
@@ -479,7 +480,7 @@ func (s *Sender) transmit(seq int64, payload int, rtx bool) {
 // armRTO (re)arms the retransmission timer and resets the feedback counter
 // used to classify an eventual expiry.
 func (s *Sender) armRTO() {
-	s.rtoTimer.Reset(s.RTO() + s.rng.Duration(s.cfg.RTOSlack))
+	s.rtoTimer.Reset(s.RTO() + s.rng.Duration(RTOSlack))
 	s.acksSinceArm = 0
 }
 
@@ -528,11 +529,11 @@ func (s *Sender) Deliver(pkt *packet.Packet) {
 	case ackNo == s.sndUna && s.InflightBytes() > 0 && pkt.IsAck():
 		s.dupacks++
 		s.stats.DupAcks++
-		// RFC 3042: the first two duplicate ACKs each release one new
-		// segment beyond cwnd, probing for the third that triggers fast
-		// retransmit.
-		if s.cfg.LimitedTransmit && s.state == StateOpen &&
-			s.dupacks <= 2 && s.ltCredit < 2 {
+		// Limited transmit (RFC 3042), on as in the paper's kernels: the
+		// first two duplicate ACKs each release one new segment beyond cwnd,
+		// probing for the third that triggers fast retransmit. At 1-2 MSS
+		// windows there is no new data to probe with (Table I's LAck-TOs).
+		if s.state == StateOpen && s.dupacks <= 2 && s.ltCredit < 2 {
 			s.ltCredit++
 		}
 	}
@@ -553,7 +554,7 @@ func (s *Sender) Deliver(pkt *packet.Packet) {
 				s.grow(acked)
 			}
 		}
-		if s.dupacks >= int64(s.cfg.DupThresh) {
+		if s.dupacks >= DupThresh {
 			s.enterRecovery()
 		}
 	case StateRecovery:
@@ -566,7 +567,7 @@ func (s *Sender) Deliver(pkt *packet.Packet) {
 		case acked > 0:
 			// Partial ACK: retransmit the next hole, deflate partially
 			// (RFC 6582).
-			s.cwnd -= float64(acked) / float64(s.cfg.MSS)
+			s.cwnd -= float64(acked) / packet.MSS
 			s.cwnd += 1
 			if s.cwnd < s.cfg.MinCwnd {
 				s.cwnd = s.cfg.MinCwnd
@@ -643,11 +644,10 @@ func (s *Sender) grow(acked int64) {
 			return
 		}
 	}
-	mss := float64(s.cfg.MSS)
 	if s.cwnd < s.ssthresh {
-		s.cwnd += float64(acked) / mss
+		s.cwnd += float64(acked) / packet.MSS
 	} else {
-		s.cwnd += float64(acked) / (mss * s.cwnd)
+		s.cwnd += float64(acked) / (packet.MSS * s.cwnd)
 	}
 	s.cwnd = s.clampCwnd(s.cwnd)
 }
@@ -688,7 +688,7 @@ func (s *Sender) enterRecovery() {
 	if s.ssthresh < s.cfg.MinCwnd {
 		s.ssthresh = s.cfg.MinCwnd
 	}
-	s.cwnd = s.ssthresh + float64(s.cfg.DupThresh) // window inflation
+	s.cwnd = s.ssthresh + DupThresh // window inflation
 	s.ltCredit = 0
 	s.rtxPending = true
 	s.armRTO()

@@ -113,13 +113,11 @@ func TestSendValidation(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.MSS = 0 },
 		func(c *Config) { c.InitialCwnd = 0.5 },
 		func(c *Config) { c.MinCwnd = 0 },
 		func(c *Config) { c.MaxCwnd = 1 },
-		func(c *Config) { c.DupThresh = 0 },
 		func(c *Config) { c.RTOMin = 0 },
-		func(c *Config) { c.RTOMax = c.RTOMin - 1 },
+		func(c *Config) { c.RTOMin = RTOMax + 1 },
 		func(c *Config) { c.DelAckCount = 0 },
 	}
 	for i, mut := range bad {
@@ -241,7 +239,6 @@ func TestFullWindowLossIsFLossTimeout(t *testing.T) {
 	w := newWire(t)
 	cfg := DefaultConfig()
 	cfg.RTOMin = 10 * sim.Millisecond
-	cfg.RTOInit = 10 * sim.Millisecond
 	c := w.conn(cfg, NewReno{})
 	// Drop every data packet for the first 5ms: the whole initial window
 	// vanishes, no feedback returns -> FLoss-TO.
@@ -276,7 +273,6 @@ func TestInsufficientDupAcksIsLAckTimeout(t *testing.T) {
 	cfg.InitialCwnd = 4
 	cfg.DelAckCount = 1
 	cfg.RTOMin = 10 * sim.Millisecond
-	cfg.RTOInit = 10 * sim.Millisecond
 	c := w.conn(cfg, NewReno{})
 	// Send exactly 4 segments; drop the 2nd. Segments 3 and 4 produce only
 	// two dupacks — below DupThresh — so only the RTO recovers: LAck-TO.
@@ -307,7 +303,6 @@ func TestTimeoutCollapsesCwndToOne(t *testing.T) {
 	w := newWire(t)
 	cfg := DefaultConfig()
 	cfg.RTOMin = 10 * sim.Millisecond
-	cfg.RTOInit = 10 * sim.Millisecond
 	c := w.conn(cfg, NewReno{})
 	w.filter.drop = func(p *packet.Packet) bool {
 		return p.IsData() && w.sched.Now() < sim.Time(5*sim.Millisecond)
@@ -337,8 +332,6 @@ func TestRTOExponentialBackoff(t *testing.T) {
 	w := newWire(t)
 	cfg := DefaultConfig()
 	cfg.RTOMin = 10 * sim.Millisecond
-	cfg.RTOInit = 10 * sim.Millisecond
-	cfg.RTOMax = 1 * sim.Second
 	c := w.conn(cfg, NewReno{})
 	// Black-hole everything for 100ms: repeated RTOs must back off.
 	w.filter.drop = func(p *packet.Packet) bool {
@@ -397,7 +390,6 @@ func TestRepairClippedAtMaxSent(t *testing.T) {
 	cfg.InitialCwnd = 10
 	cfg.DelAckCount = 1
 	cfg.RTOMin = 10 * sim.Millisecond
-	cfg.RTOInit = 10 * sim.Millisecond
 	c := w.conn(cfg, NewReno{})
 	const tail = 500
 	tailSeq := int64(2 * packet.MSS)
@@ -571,7 +563,6 @@ func TestLossyTransferAlwaysCompletes(t *testing.T) {
 		w := newWire(nil)
 		cfg := DefaultConfig()
 		cfg.RTOMin = 10 * sim.Millisecond
-		cfg.RTOInit = 10 * sim.Millisecond
 		cfg.DelAckCount = 1
 		c := w.conn(cfg, NewReno{})
 		rng := sim.NewRNG(seed)

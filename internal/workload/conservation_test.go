@@ -32,21 +32,21 @@ func TestIncastConservationProperty(t *testing.T) {
 		case 0:
 			factory = func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 				cfg := tcp.DefaultConfig()
-				cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond
+				cfg.RTOMin = 10 * sim.Millisecond
 				cfg.Seed = seed + uint64(i)
 				return cfg, tcp.NewReno{}
 			}
 		case 1:
 			factory = func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 				cfg := dctcp.Config()
-				cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond
+				cfg.RTOMin = 10 * sim.Millisecond
 				cfg.Seed = seed + uint64(i)
 				return cfg, dctcp.New(dctcp.DefaultGain)
 			}
 		default:
 			factory = func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 				cfg := core.SenderConfig()
-				cfg.RTOMin, cfg.RTOInit = 10*sim.Millisecond, 10*sim.Millisecond
+				cfg.RTOMin = 10 * sim.Millisecond
 				cfg.Seed = seed + uint64(i)
 				return cfg, core.New(dctcp.DefaultGain, core.DefaultConfig())
 			}

@@ -17,7 +17,7 @@ import (
 func renoFactory(rtoMin sim.Duration) FlowFactory {
 	return func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		cfg := tcp.DefaultConfig()
-		cfg.RTOMin, cfg.RTOInit = rtoMin, rtoMin
+		cfg.RTOMin = rtoMin
 		cfg.Seed = uint64(i) + 1
 		return cfg, tcp.NewReno{}
 	}
@@ -26,7 +26,7 @@ func renoFactory(rtoMin sim.Duration) FlowFactory {
 func dctcpFactory(rtoMin sim.Duration) FlowFactory {
 	return func(i int, old tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		cfg := dctcp.Config()
-		cfg.RTOMin, cfg.RTOInit = rtoMin, rtoMin
+		cfg.RTOMin = rtoMin
 		cfg.Seed = uint64(i) + 1
 		return cfg, dctcp.Recycle(old, dctcp.DefaultGain)
 	}
@@ -35,7 +35,7 @@ func dctcpFactory(rtoMin sim.Duration) FlowFactory {
 func plusFactory(rtoMin sim.Duration) FlowFactory {
 	return func(i int, old tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		cfg := core.SenderConfig()
-		cfg.RTOMin, cfg.RTOInit = rtoMin, rtoMin
+		cfg.RTOMin = rtoMin
 		cfg.Seed = uint64(i) + 1
 		return cfg, core.Recycle(old, dctcp.Recycle(core.Unwrap(old), dctcp.DefaultGain), core.DefaultConfig())
 	}
