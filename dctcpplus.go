@@ -235,17 +235,8 @@ func NewRegistry() *Registry { return telemetry.NewRegistry() }
 // toolchain version.
 func NewManifest(name string, seed uint64) *Manifest { return telemetry.NewManifest(name, seed) }
 
-// ReadManifestFile reads a manifest written by WriteManifestFile.
-func ReadManifestFile(path string) (*Manifest, error) { return telemetry.ReadManifestFile(path) }
-
 // WriteManifestFile atomically writes a manifest to path.
 func WriteManifestFile(path string, m *Manifest) error { return telemetry.WriteManifestFile(path, m) }
-
-// DiffManifests summarizes the per-instrument deltas between two run
-// manifests (counter values and histogram counts), one human-readable line
-// per changed instrument. Use it to compare two `cmd/report -baseline`
-// manifests, e.g. one written before a change and one after.
-func DiffManifests(base, cur *Manifest) []string { return telemetry.DiffSummaries(base, cur) }
 
 // Fault injection: deterministic, schedulable pathologies composed with
 // any incast run — link blackouts, seeded random loss, rate/delay

@@ -372,13 +372,11 @@ func (e *Enhancer) backoffStep(s *tcp.Sender) sim.Duration {
 }
 
 // divide applies the multiplicative decrease to slow_time, at most once
-// per DecayInterval. It reports whether a decrease was applied. The gate
-// measures from lastDecay unconditionally: lastDecay is anchored at Init
-// and re-anchored whenever the machine enters DCTCP_Time_Des, so the first
-// decrease obeys the cadence too. (An earlier version gated on
-// stats.DecSteps > 0, which let the first decrease bypass DecayInterval
-// entirely — a single clean ACK right after entering Time_Des could halve
-// a slow_time that took tens of marked ACKs to build.)
+// per DecayInterval. It reports whether a decrease was applied. The one
+// cadence rule covers every decrease, the one on entering DCTCP_Time_Des
+// included: the gate measures from lastDecay, the time of the last
+// decrease, which Init anchors at the flow's start so a decrease in the
+// first DecayInterval of a flow waits too.
 func (e *Enhancer) divide(s *tcp.Sender) bool {
 	now := s.Now()
 	if e.cfg.DecayInterval > 0 && now.Sub(e.lastDecay) < e.cfg.DecayInterval {
@@ -444,10 +442,10 @@ func (e *Enhancer) evolve(s *tcp.Sender, ece, retrans bool) {
 			e.increase(s)
 		} else {
 			e.setState(s, StateTimeDes)
-			// Restart the decay cadence: slow_time has just finished
-			// building, so the first multiplicative decrease waits a full
-			// DecayInterval rather than firing on the first clean ACK.
-			e.lastDecay = s.Now()
+			// Algorithm 1 decreases on the congestion-free ACK that ends
+			// the build-up, under the same cadence as every later
+			// decrease: it fires unless one already did within the last
+			// DecayInterval.
 			e.divide(s)
 		}
 	case StateTimeDes:

@@ -198,9 +198,10 @@ func TestStateMachineTransitions(t *testing.T) {
 }
 
 func TestDecayRateLimited(t *testing.T) {
-	// With a decay interval, a freshly built slow_time survives entry into
-	// TimeDes for a full interval, and a burst of clean evaluations divides
-	// it at most once per interval — clean ACKs cannot erase the regulation.
+	// With a decay interval, a slow_time built in a flow's first interval
+	// survives entry into TimeDes until that interval ends, and a burst of
+	// clean evaluations divides it at most once per interval — clean ACKs
+	// cannot erase the regulation.
 	cfg := DefaultConfig()
 	cfg.DecayInterval = 5 * sim.Millisecond
 	w := newPlusWire(cfg, func(c *tcp.Config) {
@@ -215,8 +216,8 @@ func TestDecayRateLimited(t *testing.T) {
 	if peak <= 0 {
 		t.Fatal("no slow_time accumulated")
 	}
-	// First clean ACK enters TimeDes but must not touch slow_time: the
-	// cadence clock restarts at entry.
+	// First clean ACK enters TimeDes but must not touch slow_time: Init
+	// anchored the cadence clock at the flow's start, 1ms earlier.
 	w.sched.At(sim.Time(1*sim.Millisecond), func() {
 		e.evolve(s, false, false)
 		if e.State() != StateTimeDes {
@@ -242,12 +243,13 @@ func TestDecayRateLimited(t *testing.T) {
 	w.sched.Run()
 }
 
-// TestDecayCadenceTable pins the decay gate end to end: entry into
-// Time_Des restarts the cadence clock (so the first decrease waits a full
-// DecayInterval — regression for the DecSteps>0 gate that let a single
-// clean ACK halve a freshly built slow_time), later decreases come at
-// least one interval apart, and a zero interval decays on every clean
-// evaluation.
+// TestDecayCadenceTable pins the decay gate end to end: one cadence rule
+// covers every decrease, the one on entering Time_Des included. A decrease
+// fires unless another did within the last DecayInterval, counted from
+// Init when none has (regression for the DecSteps>0 gate that let a single
+// clean ACK halve a freshly built slow_time). Entry into Time_Des does not
+// restart the clock, so an entry a full interval after the last decrease
+// decreases at once. A zero interval decays on every clean evaluation.
 func TestDecayCadenceTable(t *testing.T) {
 	type step struct {
 		at        sim.Duration
@@ -265,11 +267,14 @@ func TestDecayCadenceTable(t *testing.T) {
 			interval: 5 * ms,
 			steps: []step{
 				{at: 0, congested: true, wantDecs: 0},        // engage TimeInc
-				{at: 1 * ms, congested: false, wantDecs: 0},  // enter TimeDes: no decay
-				{at: 2 * ms, congested: false, wantDecs: 0},  // inside the interval
-				{at: 6 * ms, congested: false, wantDecs: 1},  // entry + 5ms: first decay
+				{at: 1 * ms, congested: false, wantDecs: 0},  // enter TimeDes inside Init's interval: gated
+				{at: 2 * ms, congested: true, wantDecs: 0},   // back to TimeInc
+				{at: 6 * ms, congested: false, wantDecs: 1},  // enter TimeDes 6ms after Init: decreases at once
 				{at: 7 * ms, congested: false, wantDecs: 1},  // gated
 				{at: 11 * ms, congested: false, wantDecs: 2}, // steady cadence
+				{at: 12 * ms, congested: true, wantDecs: 2},  // back to TimeInc
+				{at: 13 * ms, congested: false, wantDecs: 2}, // entry 2ms after the last decrease: gated
+				{at: 16 * ms, congested: false, wantDecs: 3}, // last decrease + 5ms
 			},
 		},
 		{
@@ -309,17 +314,23 @@ func TestDecayCadenceTable(t *testing.T) {
 	}
 }
 
+// hostPair wires two hosts back to back over 1 Gbps, 50µs links.
+func hostPair(s *sim.Scheduler) (a, b *netsim.Host) {
+	a = netsim.NewHost(s, 1, "a")
+	b = netsim.NewHost(s, 2, "b")
+	a.SetUplink(netsim.NewPort(s, netsim.NewLink(s, b, 1e9, 50*sim.Microsecond),
+		netsim.PortConfig{BufferBytes: 4 << 20}))
+	b.SetUplink(netsim.NewPort(s, netsim.NewLink(s, a, 1e9, 50*sim.Microsecond),
+		netsim.PortConfig{BufferBytes: 4 << 20}))
+	return a, b
+}
+
 // TestInitAnchorsStateClockAtNonzeroStart is the regression for senders
 // created mid-run (staggered incast arrivals, background flows): Init must
 // anchor the occupancy clock at the sender's start time, not the epoch.
 func TestInitAnchorsStateClockAtNonzeroStart(t *testing.T) {
 	s := sim.NewScheduler()
-	a := netsim.NewHost(s, 1, "a")
-	b := netsim.NewHost(s, 2, "b")
-	a.SetUplink(netsim.NewPort(s, netsim.NewLink(s, b, 1e9, 50*sim.Microsecond),
-		netsim.PortConfig{BufferBytes: 4 << 20}))
-	b.SetUplink(netsim.NewPort(s, netsim.NewLink(s, a, 1e9, 50*sim.Microsecond),
-		netsim.PortConfig{BufferBytes: 4 << 20}))
+	a, b := hostPair(s)
 
 	start := sim.Time(100 * sim.Millisecond)
 	var e *Enhancer
@@ -337,6 +348,36 @@ func TestInitAnchorsStateClockAtNonzeroStart(t *testing.T) {
 		}
 		if occ[StateTimeInc] != 0 || occ[StateTimeDes] != 0 {
 			t.Errorf("engaged-state occupancy nonzero before engagement: %v", occ)
+		}
+	})
+	s.Run()
+}
+
+// TestInitAnchorsDecayClockAtNonzeroStart: a sender created mid-run counts
+// its first DecayInterval from its own start, not from the epoch, so a
+// slow_time built in its first millisecond is not divided on the first
+// clean ACK.
+func TestInitAnchorsDecayClockAtNonzeroStart(t *testing.T) {
+	s := sim.NewScheduler()
+	a, b := hostPair(s)
+	cfg := DefaultConfig()
+	cfg.DecayInterval = 5 * sim.Millisecond
+	tcfg := SenderConfig()
+	tcfg.InitialCwnd = 1
+
+	start := sim.Time(100 * sim.Millisecond)
+	var e *Enhancer
+	var snd *tcp.Sender
+	s.At(start, func() {
+		e = New(dctcp.DefaultGain, cfg)
+		snd = tcp.NewConn(tcfg, e, a, b, 3).Sender
+		e.evolve(snd, true, false) // engage TimeInc at the floor
+	})
+	s.At(start.Add(sim.Millisecond), func() {
+		e.evolve(snd, false, false) // enter TimeDes 1ms after the start
+		if e.State() != StateTimeDes || e.Stats().DecSteps != 0 {
+			t.Errorf("state %v, DecSteps %d: want TimeDes with the decrease gated by the start anchor",
+				e.State(), e.Stats().DecSteps)
 		}
 	})
 	s.Run()

@@ -40,7 +40,6 @@ type DCTCP struct {
 	// Telemetry instruments; nil (no-op) unless AttachTelemetry was called.
 	mAlphaUpdates *telemetry.Counter
 	mWindowCuts   *telemetry.Counter
-	mAlpha        *telemetry.Gauge
 }
 
 // New returns a DCTCP module with gain g (use DefaultGain). Alpha starts at
@@ -80,12 +79,11 @@ func (d *DCTCP) Updates() int64 { return d.updates }
 
 // AttachTelemetry registers the estimator's instruments on reg under the
 // given labels: counters for per-window alpha updates and ECN-driven window
-// cuts, plus a gauge tracking the latest alpha. With a nil registry the
-// instruments stay nil and every update is a no-op.
+// cuts. With a nil registry the instruments stay nil and every update is a
+// no-op.
 func (d *DCTCP) AttachTelemetry(reg *telemetry.Registry, labels ...telemetry.Label) {
 	d.mAlphaUpdates = reg.Counter("dctcp_alpha_updates_total", labels...)
 	d.mWindowCuts = reg.Counter("dctcp_window_cuts_total", labels...)
-	d.mAlpha = reg.Gauge("dctcp_alpha", labels...)
 }
 
 // Init resets the estimator to its as-constructed state — alpha 1, no
@@ -109,7 +107,6 @@ func (d *DCTCP) OnAck(s *tcp.Sender, acked int64, ece bool) {
 		d.windowEnd = s.SndNxt()
 		d.updates++
 		d.mAlphaUpdates.Add(1)
-		d.mAlpha.Set(d.alpha)
 	}
 }
 

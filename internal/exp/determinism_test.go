@@ -28,7 +28,7 @@ func instrumentedIncast(t *testing.T, p Protocol, flows int) ([]byte, *telemetry
 
 // TestSeededRunsAreByteIdentical is the determinism regression harness: the
 // same seeded experiment run twice must produce byte-identical metric
-// snapshots — every counter, gauge and histogram across every hot layer —
+// snapshots — every counter and histogram across every hot layer —
 // for both the baseline and the enhanced protocol. Wall-clock manifest
 // fields (CreatedAt, WallNs) are excluded by construction; everything else
 // must match to the byte.
@@ -45,35 +45,43 @@ func TestSeededRunsAreByteIdentical(t *testing.T) {
 			// The manifest adds run metadata on top of the snapshot; after
 			// normalizing the wall-clock stamp the two must serialize
 			// identically as well.
-			manA.CreatedAt, manB.CreatedAt = "", ""
-			jsonA, err := json.Marshal(manA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jsonB, err := json.Marshal(manB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(jsonA, jsonB) {
-				t.Error("manifests differ between identically seeded runs")
-			}
-
-			if diffs := telemetry.DiffSummaries(manA, manB); len(diffs) != 0 {
-				t.Errorf("DiffSummaries reported %d drifting instruments:\n%s",
-					len(diffs), diffs)
-			}
+			sameManifests(t, manA, manB)
 		})
 	}
 }
 
-// TestDiffSummariesSeesProtocolChange guards the harness itself: the same
-// diff that must be empty across reruns must be non-empty across a real
-// behavioural change, or an always-empty diff would pass the test above
-// vacuously.
-func TestDiffSummariesSeesProtocolChange(t *testing.T) {
+// sameManifests fails the test unless the two manifests serialize
+// identically once their wall-clock creation stamps are cleared.
+func sameManifests(t *testing.T, a, b *telemetry.Manifest) {
+	t.Helper()
+	a.CreatedAt, b.CreatedAt = "", ""
+	jsonA, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonB, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(jsonA, jsonB) {
+		t.Errorf("manifests differ between identically seeded runs\nA: %s\nB: %s", jsonA, jsonB)
+	}
+}
+
+// TestSnapshotsSeeProtocolChange guards the harness itself: snapshots that
+// must be byte-equal across reruns must differ across a real behavioural
+// change, or a comparison that always matched would pass the tests above
+// vacuously. Every instrument is labeled with its protocol, so the check
+// compares totals by name, over the instruments both runs record.
+func TestSnapshotsSeeProtocolChange(t *testing.T) {
 	_, dctcp := instrumentedIncast(t, ProtoDCTCP, 24)
 	_, plus := instrumentedIncast(t, ProtoDCTCPPlus, 24)
-	if diffs := telemetry.DiffSummaries(dctcp, plus); len(diffs) == 0 {
-		t.Error("DiffSummaries found no difference between DCTCP and DCTCP+ runs")
+	a := telemetry.Snapshot{Instruments: dctcp.Metrics}
+	b := telemetry.Snapshot{Instruments: plus.Metrics}
+	for _, is := range a.Instruments {
+		if b.Total(is.Name) != 0 && a.Total(is.Name) != b.Total(is.Name) {
+			return
+		}
 	}
+	t.Error("the DCTCP and DCTCP+ runs' shared instruments have equal totals")
 }

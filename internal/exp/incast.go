@@ -249,27 +249,44 @@ func (o IncastOptions) perFlowBytes() int64 {
 	return per
 }
 
+// Summary is the run's reported numbers: the ones the figures, Table I and
+// the sweep cache read. Its JSON names and field order are the cache
+// object's (sweep.Result embeds it), so they are a wire format.
+type Summary struct {
+	// GoodputMbps and FCTms summarize the measured rounds — the y-axes of
+	// Figs. 1/6/7/8/11/12.
+	GoodputMbps stats.Summary `json:"goodput_mbps"`
+	FCTms       stats.Summary `json:"fct_ms"`
+
+	// Table I columns: RTO counts, then fractions over flowxround
+	// "transmissions".
+	Timeouts         int64   `json:"timeouts"` // total RTO count (measured rounds included only via flags; this is whole-run)
+	FLossTO          int64   `json:"floss_to"`
+	LAckTO           int64   `json:"lack_to"`
+	TimeoutRoundFrac float64 `json:"timeout_round_frac"` // P[flow hit >=1 RTO in a round]
+	MinCwndECEFrac   float64 `json:"min_cwnd_ece_frac"`  // P[flow sent with cwnd at floor while ECE set]
+
+	// BottleneckDrops counts tail drops at the root->aggregator port.
+	BottleneckDrops int64 `json:"bottleneck_drops"`
+
+	// Rounds is the measured rounds (after warmup).
+	Rounds int `json:"measured_rounds"`
+
+	// SimTime is the virtual time the whole run consumed (all rounds,
+	// warmup included) — the span fault plans must overlap to matter.
+	SimTime sim.Duration `json:"sim_time_ns"`
+}
+
 // IncastResult is one completed incast experiment point.
 type IncastResult struct {
 	Protocol Protocol
 	Flows    int
-	Rounds   int // measured rounds (after warmup)
 	// Truncated is non-nil when the run stopped (at MaxSimTime) before its
 	// last round, naming measured and asked rounds and the sim time; every
-	// summary below then covers only the rounds done.
+	// summary then covers only the rounds done.
 	Truncated error
 
-	// GoodputMbps and FCTms summarize the measured rounds — the y-axes of
-	// Figs. 1/6/7/8/11/12.
-	GoodputMbps stats.Summary
-	FCTms       stats.Summary
-
-	// Table I columns (fractions over flowxround "transmissions"):
-	MinCwndECEFrac   float64 // P[flow sent with cwnd at floor while ECE set]
-	TimeoutRoundFrac float64 // P[flow hit >=1 RTO in a round]
-	Timeouts         int64   // total RTO count (measured rounds included only via flags; this is whole-run)
-	FLossTO          int64
-	LAckTO           int64
+	Summary
 
 	// CwndHist is the merged per-ACK cwnd histogram in MSS (Fig. 2);
 	// nil unless CollectCwnd.
@@ -279,9 +296,6 @@ type IncastResult struct {
 	// QueueSampleEvery > 0.
 	Queue trace.QueueSeries
 
-	// BottleneckDrops counts tail drops at the root->aggregator port.
-	BottleneckDrops int64
-
 	// LongFlowMbps summarizes per-chunk throughput across the background
 	// long flows and PerFlowMeanMbps is each one's mean, in flow order
 	// (Figs. 11/12); zero and nil unless BackgroundFlows > 0.
@@ -290,10 +304,6 @@ type IncastResult struct {
 
 	// Series holds every round (warmup included) when KeepRounds was set.
 	Series []RoundPoint
-
-	// SimTime is the virtual time the whole run consumed (all rounds,
-	// warmup included) — the span fault plans must overlap to matter.
-	SimTime sim.Duration
 
 	// FaultStats totals the injected faults; nil unless Faults was set.
 	FaultStats *fault.Stats
@@ -471,7 +481,6 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 	if o.Faults != nil {
 		el := fault.TwoTierElements(tt)
 		inj = fault.NewInjector(sched, el)
-		inj.AttachTelemetry(o.Telemetry, withLabel(labels, "faults", fault.ClassesLabel(o.Faults.Classes))...)
 		inj.Install(fault.Generate(*o.Faults, len(el.Links), len(el.Ports), len(el.Hosts)))
 	}
 
@@ -517,14 +526,12 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 	}
 	finishRunTelemetry(o.Telemetry, sched.Now(), append(in.Conns(), longConns...))
 
-	res := IncastResult{
-		Protocol: o.Protocol,
-		Flows:    o.Flows,
-		SimTime:  sched.Now().Sub(sim.Time(0)),
-	}
+	res := IncastResult{Protocol: o.Protocol, Flows: o.Flows}
+	res.SimTime = sched.Now().Sub(sim.Time(0))
 	if inj != nil {
 		st := inj.Finish()
 		res.FaultStats = &st
+		countFaults(o.Telemetry, st, withLabel(labels, "faults", fault.ClassesLabel(o.Faults.Classes)))
 	}
 	if ck != nil {
 		res.OracleViolations = ck.Finish(drained)

@@ -45,11 +45,36 @@ func TestFaultedSeededRunsAreByteIdentical(t *testing.T) {
 			if !bytes.Equal(snapA, snapB) {
 				t.Errorf("faulted registry snapshots differ between identically seeded runs\nA: %s\nB: %s", snapA, snapB)
 			}
-			if diffs := telemetry.DiffSummaries(manA, manB); len(diffs) != 0 {
-				t.Errorf("DiffSummaries reported %d drifting instruments:\n%s",
-					len(diffs), diffs)
-			}
+			sameManifests(t, manA, manB)
 		})
+	}
+}
+
+// TestFaultCountersEqualStats: a faulted run's five fault counters hold
+// exactly the fault.Stats the run returns, under the point's labels plus
+// the fault-class label.
+func TestFaultCountersEqualStats(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	o := fastIncastOpts(ProtoDCTCP, 16)
+	o.Telemetry = reg
+	o.Faults = &fault.GenConfig{Seed: 11}
+	st := RunIncast(o).FaultStats
+	if st == nil || st.EventsFired == 0 || st.BlackoutTime == 0 || st.InducedDropPkts == 0 {
+		t.Fatalf("the faulted run left a stat at zero: %+v", st)
+	}
+	snap := reg.Snapshot()
+	labels := withLabel(pointLabels(o.Protocol, o.Flows), "faults", "all")
+	for name, want := range map[string]int64{
+		"fault_events_fired_total":       st.EventsFired,
+		"fault_blackout_ns_total":        int64(st.BlackoutTime),
+		"fault_stall_ns_total":           int64(st.StallTime),
+		"fault_induced_drop_pkts_total":  st.InducedDropPkts,
+		"fault_induced_drop_bytes_total": st.InducedDropBytes,
+	} {
+		is, ok := snap.Find(name, labels...)
+		if !ok || is.Value != want {
+			t.Errorf("%s%v = %d (found %v), want %d", name, labels, is.Value, ok, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package exp
 import (
 	"strconv"
 
+	"dctcpplus/internal/fault"
 	"dctcpplus/internal/netsim"
 	"dctcpplus/internal/sim"
 	"dctcpplus/internal/tcp"
@@ -85,4 +86,18 @@ func finishRunTelemetry(reg *telemetry.Registry, now sim.Time, conns []*tcp.Conn
 			f.FlushTelemetry(now)
 		}
 	}
+}
+
+// countFaults adds a run's fault totals (fault.Injector.Finish) to the
+// fault counters: events fired, blackout and stall nanoseconds, and
+// fault-induced drops.
+func countFaults(reg *telemetry.Registry, st fault.Stats, labels []telemetry.Label) {
+	if reg == nil {
+		return
+	}
+	reg.Counter("fault_events_fired_total", labels...).Add(st.EventsFired)
+	reg.Counter("fault_blackout_ns_total", labels...).Add(int64(st.BlackoutTime))
+	reg.Counter("fault_stall_ns_total", labels...).Add(int64(st.StallTime))
+	reg.Counter("fault_induced_drop_pkts_total", labels...).Add(st.InducedDropPkts)
+	reg.Counter("fault_induced_drop_bytes_total", labels...).Add(st.InducedDropBytes)
 }

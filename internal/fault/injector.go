@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dctcpplus/internal/sim"
-	"dctcpplus/internal/telemetry"
 )
 
 // Stats totals what a plan actually did to a run. Window totals are closed
@@ -49,13 +48,6 @@ type Injector struct {
 
 	stats    Stats
 	finished bool
-
-	// Telemetry instruments; nil (no-op) unless AttachTelemetry was called.
-	mFired        *telemetry.Counter
-	mBlackoutNs   *telemetry.Counter
-	mStallNs      *telemetry.Counter
-	mInducedPkts  *telemetry.Counter
-	mInducedBytes *telemetry.Counter
 }
 
 // NewInjector creates an injector over the given topology elements.
@@ -82,17 +74,6 @@ func NewInjector(sched *sim.Scheduler, el Elements) *Injector {
 		in.nomThresh[i] = cfg.MarkThresholdBytes
 	}
 	return in
-}
-
-// AttachTelemetry registers the fault counters on reg: events fired,
-// blackout and stall nanoseconds, and fault-induced drops. With a nil
-// registry the instruments stay nil and every update is a no-op.
-func (in *Injector) AttachTelemetry(reg *telemetry.Registry, labels ...telemetry.Label) {
-	in.mFired = reg.Counter("fault_events_fired_total", labels...)
-	in.mBlackoutNs = reg.Counter("fault_blackout_ns_total", labels...)
-	in.mStallNs = reg.Counter("fault_stall_ns_total", labels...)
-	in.mInducedPkts = reg.Counter("fault_induced_drop_pkts_total", labels...)
-	in.mInducedBytes = reg.Counter("fault_induced_drop_bytes_total", labels...)
 }
 
 // Install validates the plan against the bound elements and schedules one
@@ -197,13 +178,11 @@ func (in *Injector) apply(ev Event) {
 		panic(fmt.Sprintf("fault: unknown op %d", int(ev.Op)))
 	}
 	in.stats.EventsFired++
-	in.mFired.Add(1)
 }
 
 // Finish closes any still-open blackout/stall windows at the current
-// simulation time, totals the fault-induced drops from the links, and
-// publishes the telemetry counters. Call once after the run drains;
-// further calls return the same stats.
+// simulation time and totals the fault-induced drops from the links. Call
+// once after the run drains; further calls return the same stats.
 func (in *Injector) Finish() Stats {
 	if in.finished {
 		return in.stats
@@ -228,9 +207,5 @@ func (in *Injector) Finish() Stats {
 		in.stats.InducedDropPkts += l.Lost() + l.Blackholed()
 		in.stats.InducedDropBytes += l.LostBytes() + l.BlackholedBytes()
 	}
-	in.mBlackoutNs.Add(int64(in.stats.BlackoutTime))
-	in.mStallNs.Add(int64(in.stats.StallTime))
-	in.mInducedPkts.Add(in.stats.InducedDropPkts)
-	in.mInducedBytes.Add(in.stats.InducedDropBytes)
 	return in.stats
 }

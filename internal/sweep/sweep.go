@@ -34,7 +34,6 @@ import (
 	"dctcpplus/internal/exp"
 	"dctcpplus/internal/fault"
 	"dctcpplus/internal/sim"
-	"dctcpplus/internal/stats"
 	"dctcpplus/internal/telemetry"
 )
 
@@ -348,26 +347,15 @@ func (pt Point) Options() (exp.IncastOptions, error) {
 }
 
 // Result is the cached, serializable outcome of one job: the point echoed
-// back plus the summary metrics the aggregate layer consumes. The JSON
-// encoding is canonical (fixed field order, no maps), so identical runs
-// serialize byte-identically — the property the cache round-trip and the
-// jobs=1-vs-jobs=N equivalence tests pin.
+// back plus the run's exp.Summary, whose fields the JSON encoding promotes
+// into the object beside the point's. The encoding is canonical (fixed
+// field order, no maps), so identical runs serialize byte-identically — the
+// property the cache round-trip and the jobs=1-vs-jobs=N equivalence tests
+// pin.
 type Result struct {
 	Point Point `json:"point"`
 
-	GoodputMbps stats.Summary `json:"goodput_mbps"`
-	FCTms       stats.Summary `json:"fct_ms"`
-
-	Timeouts         int64   `json:"timeouts"`
-	FLossTO          int64   `json:"floss_to"`
-	LAckTO           int64   `json:"lack_to"`
-	TimeoutRoundFrac float64 `json:"timeout_round_frac"`
-	MinCwndECEFrac   float64 `json:"min_cwnd_ece_frac"`
-	BottleneckDrops  int64   `json:"bottleneck_drops"`
-	MeasuredRounds   int     `json:"measured_rounds"`
-
-	// SimTime is the virtual time the run consumed.
-	SimTime sim.Duration `json:"sim_time_ns"`
+	exp.Summary
 
 	// FaultsInjected counts fault events that fired (0 for clean points).
 	FaultsInjected int64 `json:"faults_injected,omitempty"`
@@ -381,19 +369,7 @@ type Result struct {
 
 // resultOf projects an experiment result onto the cacheable subset.
 func resultOf(pt Point, r exp.IncastResult) Result {
-	res := Result{
-		Point:            pt,
-		GoodputMbps:      r.GoodputMbps,
-		FCTms:            r.FCTms,
-		Timeouts:         r.Timeouts,
-		FLossTO:          r.FLossTO,
-		LAckTO:           r.LAckTO,
-		TimeoutRoundFrac: r.TimeoutRoundFrac,
-		MinCwndECEFrac:   r.MinCwndECEFrac,
-		BottleneckDrops:  r.BottleneckDrops,
-		MeasuredRounds:   r.Rounds,
-		SimTime:          r.SimTime,
-	}
+	res := Result{Point: pt, Summary: r.Summary}
 	if r.FaultStats != nil {
 		res.FaultsInjected = r.FaultStats.EventsFired
 	}

@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"dctcpplus/internal/exp"
 	"dctcpplus/internal/sim"
+	"dctcpplus/internal/stats"
 	"dctcpplus/internal/telemetry"
 )
 
@@ -177,14 +179,58 @@ func TestPointKeyCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestResultEncodingGolden pins the cache object format: one fixed Result,
+// every field set, marshals to the bytes in testdata/result.golden.json.
+// Cached entries written by an earlier build are read back through this
+// encoding, so a change to a JSON name, to the field order or to how a
+// field is promoted moves the bytes and fails here.
+func TestResultEncodingGolden(t *testing.T) {
+	r := Result{
+		Point: Point{Topo: TopoHULL, Proto: "dctcp+", Flows: 200, RTOMin: 200 * sim.Millisecond,
+			Faults: "blackout,loss", FaultSeed: 7, Seed: 3, Rounds: 50, WarmupRounds: 10,
+			TotalBytes: 1 << 20, BytesPerFlow: 4096, Jitter: 4 * sim.Millisecond,
+			MaxSimTime: 30 * 60 * sim.Second, Oracle: true},
+		Summary: exp.Summary{
+			GoodputMbps:      stats.Summary{Count: 40, Mean: 688.5, Std: 12.25, Min: 601.125, Max: 741, P50: 690.0625, P95: 730.5, P99: 739.75},
+			FCTms:            stats.Summary{Count: 40, Mean: 12.1875, Std: 0.5, Min: 11.3125, Max: 13.96, P50: 12.125, P95: 13.5, P99: 13.875},
+			Timeouts:         17,
+			FLossTO:          11,
+			LAckTO:           6,
+			TimeoutRoundFrac: 0.002125,
+			MinCwndECEFrac:   0.4375,
+			BottleneckDrops:  93,
+			Rounds:           40,
+			SimTime:          812345678 * sim.Nanosecond,
+		},
+		FaultsInjected:   24,
+		OracleViolations: 5,
+		OracleSample:     []string{"rto: flow 3 <late> & \"early\"\n\tat 1ms", "... (1 more violations)"},
+	}
+	got, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "result.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
+		t.Errorf("cache object encoding moved:\n got: %s\nwant: %s", got, want)
+	}
+	var back Result
+	if err := json.Unmarshal(want, &back); err != nil || !reflect.DeepEqual(back, r) {
+		t.Errorf("golden object decodes to %+v (err %v), want %+v", back, err, r)
+	}
+}
+
 func TestCacheRoundTrip(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Result{
-		Point:    Point{Proto: "dctcp+", Flows: 8, Seed: 3, Rounds: 5, WarmupRounds: 1},
-		Timeouts: 7, BottleneckDrops: 11, SimTime: 42 * sim.Millisecond,
+		Point:   Point{Proto: "dctcp+", Flows: 8, Seed: 3, Rounds: 5, WarmupRounds: 1},
+		Summary: exp.Summary{Timeouts: 7, BottleneckDrops: 11, SimTime: 42 * sim.Millisecond},
 	}
 	want.GoodputMbps.Mean = 123.456
 	want.FCTms.P99 = 9.5
@@ -311,8 +357,8 @@ func FuzzCacheGet(f *testing.F) {
 	}
 	f.Add([]byte("{}"))
 	f.Add(marshal(map[string]any{"point": map[string]any{"topo": pt.Topo, "proto": pt.Proto}}))
-	f.Add(marshal(Result{Point: other, Timeouts: 3}))
-	f.Add(marshal(Result{Point: pt, Timeouts: 3}))
+	f.Add(marshal(Result{Point: other, Summary: exp.Summary{Timeouts: 3}}))
+	f.Add(marshal(Result{Point: pt, Summary: exp.Summary{Timeouts: 3}}))
 	c, err := OpenCache(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -607,9 +653,9 @@ func TestTruncatedJobFailsUncached(t *testing.T) {
 
 	spec.Name, spec.MaxSimTime = "sane", 0
 	out, _ := runOutcome(t, spec, 1, dir, false)
-	if out.Misses != 1 || out.Hits != 0 || out.Results[0].MeasuredRounds != 18 {
+	if out.Misses != 1 || out.Hits != 0 || out.Results[0].Rounds != 18 {
 		t.Fatalf("sane rerun: misses/hits = %d/%d with %d measured rounds, want 1/0 with 18",
-			out.Misses, out.Hits, out.Results[0].MeasuredRounds)
+			out.Misses, out.Hits, out.Results[0].Rounds)
 	}
 	if n := objects(); n != 1 {
 		t.Fatalf("sane rerun left %d cache objects, want 1", n)
@@ -720,12 +766,14 @@ func TestGroupAggregation(t *testing.T) {
 
 // groupsGolden is WriteGroups' table for the spec below, pinned before
 // sweep.Group's metrics became plain stats.Welford accumulators: the
-// aggregate layer must keep printing these bytes.
+// aggregate layer must keep printing these bytes. The two dctcp+ rows were
+// re-recorded when DCTCP+'s decrease on entering DCTCP_Time_Des began to
+// fire (865.07 -> 909.77 and 659.98 -> 709.99 Mbps).
 const groupsGolden = `point                                         runs      goodput     fct_ms    fct_p95    fct_p99  to_frac  timeouts
 dctcp N=8 rtomin=10ms                            3       925.49      9.069      9.291      9.324   0.0000         0
 dctcp N=120 rtomin=10ms                          3       380.95     22.707     24.704     24.754   0.2972       534
-dctcp+ N=8 rtomin=10ms                           3       865.07     10.025     12.395     12.846   0.0000         0
-dctcp+ N=120 rtomin=10ms                         3       659.98     12.799     14.093     14.206   0.0000         8
+dctcp+ N=8 rtomin=10ms                           3       909.77      9.250      9.770      9.851   0.0000         0
+dctcp+ N=120 rtomin=10ms                         3       709.99     11.904     13.155     13.294   0.0000         7
 `
 
 // TestWriteGroupsGolden runs 2 protocols × 2 flow counts × 3 seeds (N=120

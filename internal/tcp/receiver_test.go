@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -374,4 +375,82 @@ func newLoopHost(s *sim.Scheduler, id packet.NodeID, to *captureHost) *loopHost 
 	h.SetUplink(netsim.NewPort(s, netsim.NewLink(s, to, 1_000_000_000, 0),
 		netsim.PortConfig{BufferBytes: 1 << 20}))
 	return &loopHost{Host: h}
+}
+
+// FuzzReceiverReassembly feeds a Receiver arbitrary data segments through
+// Deliver: any sequence number and length, CE on or off, duplicates,
+// overlaps and holes in any order, under each ECN mode. After every
+// segment it checks the receiver against a byte-level reference: rcvNxt is
+// the reference's contiguous prefix, OnData has reported exactly those
+// bytes, and the out-of-order set is the reference's received bytes above
+// rcvNxt as maximal CE-uniform intervals, each byte keeping the CE state of
+// its first arrival. Every three input bytes are one segment: a
+// little-endian sequence number (mod 512), then the length (1-64) in the
+// low six bits of the third byte and CE in its top bit.
+func FuzzReceiverReassembly(f *testing.F) {
+	f.Add(byte(2), []byte{0, 0, 9})                            // one in-order segment
+	f.Add(byte(2), []byte{20, 0, 0x89, 0, 0, 19, 10, 0, 0x84}) // hole, fill, overlap
+	f.Add(byte(1), []byte{40, 0, 9, 40, 0, 9, 0, 0, 63, 0, 0, 63})
+	f.Add(byte(0), []byte{0xff, 0x01, 0xbf, 0, 0, 0x3f, 100, 0, 0x3f})
+	f.Fuzz(func(t *testing.T, mode byte, data []byte) {
+		const span, maxLen = 512, 64
+		s := sim.NewScheduler()
+		cfg := DefaultConfig()
+		cfg.ECN = []ECNMode{ECNOff, ECNClassic, ECNPrecise}[mode%3]
+		cfg.DelAckCount = 1 + int(mode/3%2)
+		r := NewReceiver(cfg, newLoopHost(s, 2, newCaptureHost(s, 1, func(*packet.Packet) {})).Host, 1, 5)
+		var reported int64
+		r.OnData = func(n int64) {
+			if n <= 0 {
+				t.Fatalf("OnData(%d): a delivery must carry bytes", n)
+			}
+			reported += n
+		}
+
+		// The reference: which bytes have arrived, and the CE state each
+		// first arrived with.
+		var have, ceOf [span + maxLen]bool
+		var nxt int64
+		for i := 0; i+2 < len(data); i += 3 {
+			seq := (int64(data[i]) | int64(data[i+1])<<8) % span
+			n := int64(data[i+2]&0x3f) + 1
+			ce := data[i+2]&0x80 != 0
+			ecn := packet.ECT
+			if ce {
+				ecn = packet.CE
+			}
+			r.Deliver(&packet.Packet{Dst: 2, Flow: 5, Seq: seq, Payload: int(n), ECN: ecn})
+
+			for b := seq; b < seq+n; b++ {
+				if !have[b] {
+					have[b], ceOf[b] = true, ce
+				}
+			}
+			for nxt < int64(len(have)) && have[nxt] {
+				nxt++
+			}
+			var want []interval
+			for b := nxt; b < int64(len(have)); b++ {
+				switch {
+				case !have[b]:
+				case len(want) > 0 && want[len(want)-1].hi == b && want[len(want)-1].ce == ceOf[b]:
+					want[len(want)-1].hi++
+				default:
+					want = append(want, interval{b, b + 1, ceOf[b]})
+				}
+			}
+
+			seg := i / 3
+			if r.RcvNxt() != nxt {
+				t.Fatalf("segment %d [%d,%d): rcvNxt = %d, want %d", seg, seq, seq+n, r.RcvNxt(), nxt)
+			}
+			if reported != nxt {
+				t.Fatalf("segment %d [%d,%d): OnData reported %d bytes, want %d", seg, seq, seq+n, reported, nxt)
+			}
+			if len(r.ooo) != len(want) || (len(want) > 0 && !reflect.DeepEqual(r.ooo, want)) {
+				t.Fatalf("segment %d [%d,%d): out-of-order set = %+v, want %+v", seg, seq, seq+n, r.ooo, want)
+			}
+		}
+		s.Run()
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 )
@@ -16,8 +15,7 @@ import (
 // run (name, configuration, seed, code version), what it cost (wall time,
 // simulated virtual time), and what it measured (the full instrument
 // dump). Manifests are written next to experiment output so any result is
-// reproducible from its own metadata and diffable against another run's
-// manifest (DiffSummaries).
+// reproducible from its own metadata.
 type Manifest struct {
 	// Name identifies the run (e.g. "report", "incast").
 	Name string `json:"name"`
@@ -76,28 +74,12 @@ func (m *Manifest) Finish(reg *Registry, wall time.Duration) {
 	m.Metrics = snap.Instruments
 }
 
-// Metric returns the recorded instrument with the given name and labels,
-// or false if the manifest does not contain it.
-func (m *Manifest) Metric(name string, labels ...Label) (InstrumentSnapshot, bool) {
-	return Snapshot{Instruments: m.Metrics}.Find(name, labels...)
-}
-
 // EncodeJSON writes the manifest as indented JSON. Map keys are emitted in
 // sorted order by encoding/json, so equivalent manifests are byte-stable.
 func (m *Manifest) EncodeJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// DecodeManifest reads a manifest previously written by EncodeJSON.
-func DecodeManifest(r io.Reader) (*Manifest, error) {
-	var m Manifest
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("telemetry: decoding manifest: %w", err)
-	}
-	return &m, nil
 }
 
 // WriteManifestFile writes the manifest to path (atomically via a sibling
@@ -120,16 +102,6 @@ func WriteManifestFile(path string, m *Manifest) error {
 	return os.Rename(tmp, path)
 }
 
-// ReadManifestFile reads a manifest from path.
-func ReadManifestFile(path string) (*Manifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeManifest(f)
-}
-
 // GitDescribe returns `git describe --always --dirty` for the current
 // working tree, or "unknown" when git or the repository is unavailable.
 func GitDescribe() string {
@@ -138,39 +110,4 @@ func GitDescribe() string {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
-}
-
-// DiffSummaries compares two manifests' metrics by instrument identity and
-// returns one line per changed instrument. Only counters and histogram
-// counts are compared (gauges are last-write noise).
-func DiffSummaries(base, cur *Manifest) []string {
-	type point struct{ base, cur int64 }
-	acc := make(map[string]*point)
-	keys := make([]string, 0)
-	note := func(list []InstrumentSnapshot, set func(*point, int64)) {
-		for _, is := range list {
-			if is.Kind == KindGauge.String() {
-				continue
-			}
-			k := is.key()
-			p, ok := acc[k]
-			if !ok {
-				p = &point{}
-				acc[k] = p
-				keys = append(keys, k)
-			}
-			set(p, is.Value+is.Count)
-		}
-	}
-	note(base.Metrics, func(p *point, v int64) { p.base = v })
-	note(cur.Metrics, func(p *point, v int64) { p.cur = v })
-	sort.Strings(keys)
-	var out []string
-	for _, k := range keys {
-		p := acc[k]
-		if p.base != p.cur {
-			out = append(out, fmt.Sprintf("%s: %d -> %d", k, p.base, p.cur))
-		}
-	}
-	return out
 }

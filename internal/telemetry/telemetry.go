@@ -1,5 +1,5 @@
 // Package telemetry is the simulation-wide metrics substrate: a Registry
-// of named, label-keyed instruments (Counter, Gauge, Histogram) that every
+// of named, label-keyed instruments (Counter, Histogram) that every
 // hot layer of the stack — switch ports, the TCP engine, the DCTCP alpha
 // estimator, the DCTCP+ state machine, and the workload drivers — reports
 // into, plus a JSON-lines sink and a per-run Manifest for reproducible,
@@ -8,13 +8,13 @@
 // Design constraints, in order:
 //
 //  1. Zero cost when off. Every instrument method is nil-safe: a nil
-//     *Counter / *Gauge / *Histogram is a no-op, and a nil *Registry hands
+//     *Counter / *Histogram is a no-op, and a nil *Registry hands
 //     out nil instruments. Layers therefore attach instruments
 //     unconditionally and call them unconditionally; with telemetry
 //     disabled the hot path pays one predictable nil check per event.
 //
-//  2. Allocation-free on the hot path. Counter.Add, Gauge.Set and
-//     Histogram.Observe never allocate: histograms use fixed log2 buckets
+//  2. Allocation-free on the hot path. Counter.Add and Histogram.Observe
+//     never allocate: histograms use fixed log2 buckets
 //     (an array indexed by bit length), and all state is updated with
 //     atomics — which also makes one Registry safely shareable across the
 //     parallel experiment sweeps.
@@ -56,8 +56,6 @@ type Kind int
 const (
 	// KindCounter is a monotonically increasing int64 count.
 	KindCounter Kind = iota
-	// KindGauge is a last-write-wins float64 level.
-	KindGauge
 	// KindHistogram is a fixed log2-bucket distribution of int64 samples.
 	KindHistogram
 )
@@ -66,8 +64,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindCounter:
 		return "counter"
-	case KindGauge:
-		return "gauge"
 	case KindHistogram:
 		return "histogram"
 	}
@@ -98,28 +94,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is a level that can move both ways (e.g. DCTCP's alpha estimate).
-// The zero value is ready to use; a nil Gauge is a no-op.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores the gauge value. Nil-safe.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the current level (0 for a nil Gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // histBuckets is the number of log2 buckets: bucket i holds samples whose
@@ -243,7 +217,6 @@ type entry struct {
 	kind   Kind
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 }
 
@@ -316,8 +289,6 @@ func (r *Registry) lookup(name string, kind Kind, labels []Label) *entry {
 	switch kind {
 	case KindCounter:
 		e.counter = &Counter{}
-	case KindGauge:
-		e.gauge = &Gauge{}
 	case KindHistogram:
 		e.hist = newHistogram()
 	}
@@ -332,15 +303,6 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 		return nil
 	}
 	return r.lookup(name, KindCounter, labels).counter
-}
-
-// Gauge returns the gauge registered under (name, labels). A nil Registry
-// returns a nil (no-op) Gauge.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, KindGauge, labels).gauge
 }
 
 // Histogram returns the histogram registered under (name, labels). A nil
@@ -386,14 +348,13 @@ func (r *Registry) Len() int {
 }
 
 // InstrumentSnapshot is the frozen state of one instrument. Counters use
-// Value; gauges use GaugeValue; histograms use Count/Sum/Min/Max/Buckets.
+// Value; histograms use Count/Sum/Min/Max/Buckets.
 type InstrumentSnapshot struct {
 	Name   string  `json:"name"`
 	Labels []Label `json:"labels,omitempty"`
 	Kind   string  `json:"kind"`
 
-	Value      int64   `json:"value,omitempty"`
-	GaugeValue float64 `json:"gauge_value,omitempty"`
+	Value int64 `json:"value,omitempty"`
 
 	Count   int64         `json:"count,omitempty"`
 	Sum     int64         `json:"sum,omitempty"`
@@ -442,8 +403,6 @@ func (r *Registry) Snapshot() Snapshot {
 		switch e.kind {
 		case KindCounter:
 			is.Value = e.counter.Value()
-		case KindGauge:
-			is.GaugeValue = e.gauge.Value()
 		case KindHistogram:
 			h := e.hist
 			is.Count = h.Count()
