@@ -50,7 +50,6 @@ import (
 	"dctcpplus/internal/sweep"
 	"dctcpplus/internal/sweep/pool"
 	"dctcpplus/internal/telemetry"
-	"dctcpplus/internal/workload"
 )
 
 // Protocol selects a transport variant under evaluation.
@@ -192,21 +191,12 @@ func SetParallelism(n int) { exp.Parallelism = n }
 func RunBenchmark(o BenchmarkOptions) BenchmarkResult { return exp.RunBenchmark(o) }
 
 // EnhancementConfig parameterizes the DCTCP+ mechanism itself (backoff
-// unit, divisor, threshold, desynchronization) for ablation studies.
+// unit, divisor, threshold, desynchronization) for ablation studies: point
+// IncastOptions.Enhancement at one to run ProtoDCTCPPlus with it.
 type EnhancementConfig = core.Config
 
 // DefaultEnhancementConfig returns the calibrated DCTCP+ parameters.
 func DefaultEnhancementConfig() EnhancementConfig { return core.DefaultConfig() }
-
-// FlowFactory builds per-flow transports; plug one into
-// IncastOptions.Factory to run custom variants.
-type FlowFactory = workload.FlowFactory
-
-// DCTCPPlusFactory builds DCTCP+ endpoints with a custom enhancement
-// configuration, for parameter sweeps.
-func DCTCPPlusFactory(rtoMin Duration, seedBase uint64, cfg EnhancementConfig) FlowFactory {
-	return exp.DCTCPPlusFactory(rtoMin, seedBase, cfg)
-}
 
 // Observability: set IncastOptions.Telemetry (or Scale.Telemetry for the
 // figure specs) to a Registry and every hot layer of the run — switch

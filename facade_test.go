@@ -53,7 +53,7 @@ func TestFacadeEnhancementFactory(t *testing.T) {
 	o := dcp.DefaultIncastOptions(dcp.ProtoDCTCPPlus, 4)
 	o.Rounds = 4
 	o.WarmupRounds = 1
-	o.Factory = dcp.DCTCPPlusFactory(o.RTOMin, 9, cfg)
+	o.Enhancement = &cfg
 	r := dcp.RunIncast(o)
 	if r.Rounds != 3 {
 		t.Fatalf("rounds = %d", r.Rounds)

@@ -38,6 +38,8 @@
 package core
 
 import (
+	"errors"
+
 	"dctcpplus/internal/check"
 	"dctcpplus/internal/dctcp"
 	"dctcpplus/internal/sim"
@@ -125,17 +127,21 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate() {
+// Validate reports the first field outside its contract: the rule Recycle
+// (and so every constructor) panics on, for callers that check a config
+// before any run builds from it.
+func (c Config) Validate() error {
 	switch {
 	case c.BackoffUnit <= 0:
-		panic("core: BackoffUnit must be positive")
+		return errors.New("BackoffUnit must be positive")
 	case c.DivisorFactor <= 1:
-		panic("core: DivisorFactor must exceed 1")
+		return errors.New("DivisorFactor must exceed 1")
 	case c.ThresholdT < 0:
-		panic("core: negative ThresholdT")
+		return errors.New("negative ThresholdT")
 	case c.DecayInterval < 0:
-		panic("core: negative DecayInterval")
+		return errors.New("negative DecayInterval")
 	}
+	return nil
 }
 
 // Stats counts state-machine activity on one sender.
@@ -187,7 +193,9 @@ func Enhance(inner tcp.CongestionControl, cfg Config) *Enhancer { return Recycle
 // module first, from Unwrap(old) — and returned, the reset left to Init;
 // anything else is left alone for a new Enhancer.
 func Recycle(old, inner tcp.CongestionControl, cfg Config) *Enhancer {
-	cfg.validate()
+	if err := cfg.Validate(); err != nil {
+		panic("core: " + err.Error())
+	}
 	if inner == nil {
 		panic("core: nil inner congestion control")
 	}

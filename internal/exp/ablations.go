@@ -33,7 +33,7 @@ func newParamAblation[T any](sc Scale, prefix string, vals []T, set func(*core.C
 		cfg := core.DefaultConfig()
 		set(&cfg, v)
 		pt := sc.point(ProtoDCTCPPlus, ablationFlows)
-		pt.Factory = DCTCPPlusFactory(pt.RTOMin, pt.Testbed.Seed, cfg)
+		pt.Enhancement = &cfg
 		f.Points = append(f.Points, pt)
 	}
 	f.render = func(w io.Writer, results []IncastResult) {

@@ -52,11 +52,8 @@ type BenchmarkResult struct {
 // RunBenchmark executes the benchmark-traffic experiment. Options no run
 // can be built from panic with an "exp:" message before anything is built.
 func RunBenchmark(o BenchmarkOptions) BenchmarkResult {
-	if err := validateRun(o.Testbed, o.Protocol, o.RTOMin); err != nil {
+	if err := validateRun(o.Testbed, o.Protocol, o.RTOMin, o.MaxSimTime); err != nil {
 		panic("exp: " + err.Error())
-	}
-	if o.MaxSimTime <= 0 {
-		o.MaxSimTime = 60 * 60 * sim.Second
 	}
 	sched, tt := o.Testbed.build()
 	cfg := o.Traffic

@@ -310,6 +310,7 @@ func TestRunBenchmarkValidatesBeforeBuild(t *testing.T) {
 		{"unknown protocol", "exp: unknown protocol Protocol(8)", func(o *BenchmarkOptions) { o.Protocol = Protocol(len(Protocols)) }},
 		{"no leaves", "exp: Testbed needs at least one leaf and one host per leaf", func(o *BenchmarkOptions) { o.Testbed.Leaves = 0 }},
 		{"no hosts per leaf", "exp: Testbed needs at least one leaf and one host per leaf", func(o *BenchmarkOptions) { o.Testbed.HostsPerLeaf = 0 }},
+		{"zero max sim time", "exp: MaxSimTime 0s must be positive", func(o *BenchmarkOptions) { o.MaxSimTime = 0 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

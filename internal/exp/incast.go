@@ -6,6 +6,7 @@ import (
 	"io"
 	"slices"
 
+	"dctcpplus/internal/core"
 	"dctcpplus/internal/fault"
 	"dctcpplus/internal/netsim"
 	"dctcpplus/internal/oracle"
@@ -118,13 +119,15 @@ type IncastOptions struct {
 	// (100us in the paper); zero disables sampling.
 	QueueSampleEvery sim.Duration
 
-	// MaxSimTime bounds the run (safety against pathological stalls).
+	// MaxSimTime bounds the run (safety against pathological stalls); it
+	// must be positive.
 	MaxSimTime sim.Duration
 
-	// Factory, when non-nil, overrides Protocol's default endpoint
-	// construction (used by the §V-D ablation entries to inject custom
-	// DCTCP+ parameters; see DCTCPPlusFactory).
-	Factory workload.FlowFactory
+	// Enhancement, when non-nil, replaces core.DefaultConfig() as DCTCP+'s
+	// enhancement parameters (the §V-D ablations' backoff_time_unit and
+	// divisor_factor). Only ProtoDCTCPPlus takes it; background long flows
+	// get it too, on their own seed stream.
+	Enhancement *core.Config
 
 	// KeepRounds retains the per-round series (including warmup) in the
 	// result, for convergence analysis (§VII / Fig. 14).
@@ -209,7 +212,7 @@ func (o IncastOptions) Validate() error {
 	case o.Testbed.ServiceJitter < 0:
 		return fmt.Errorf("Testbed.ServiceJitter %v cannot be negative", o.Testbed.ServiceJitter)
 	}
-	if err := validateRun(o.Testbed, o.Protocol, o.RTOMin); err != nil {
+	if err := validateRun(o.Testbed, o.Protocol, o.RTOMin, o.MaxSimTime); err != nil {
 		return err
 	}
 	switch {
@@ -217,15 +220,54 @@ func (o IncastOptions) Validate() error {
 		return errors.New("BackgroundFlows must be fewer than the workers")
 	case o.BackgroundFlows > 0 && o.ChunkBytes <= 0:
 		return errors.New("ChunkBytes must be positive with BackgroundFlows")
+	case o.Enhancement != nil && o.Protocol != ProtoDCTCPPlus:
+		return fmt.Errorf("Enhancement applies to %v only, not %v", ProtoDCTCPPlus, o.Protocol)
+	}
+	if o.Enhancement != nil {
+		if err := o.Enhancement.Validate(); err != nil {
+			return fmt.Errorf("Enhancement: %w", err)
+		}
+	}
+	return o.validateFlowIDs()
+}
+
+// validateFlowIDs enforces workload.IncastConfig.FlowIDs' rule — one
+// nonzero, unique id per flow — and keeps the ids clear of the long flows'
+// range when there are any.
+func (o IncastOptions) validateFlowIDs() error {
+	if len(o.FlowIDs) == 0 {
+		return nil
+	}
+	if len(o.FlowIDs) != o.Flows {
+		return fmt.Errorf("FlowIDs has %d ids for %d flows", len(o.FlowIDs), o.Flows)
+	}
+	seen := make(map[packet.FlowID]bool, len(o.FlowIDs))
+	for _, id := range o.FlowIDs {
+		switch {
+		case id == 0:
+			return errors.New("FlowIDs holds flow id 0")
+		case seen[id]:
+			return fmt.Errorf("FlowIDs repeats flow id %d", id)
+		case o.BackgroundFlows > 0 && id >= longFlowBase:
+			return fmt.Errorf("flow id %d is in the long flows' range (from %d)", id, longFlowBase)
+		}
+		seen[id] = true
 	}
 	return nil
 }
 
+// longFlowBase is the first background long flow's id; the incast's ids
+// stay below it.
+const longFlowBase packet.FlowID = 900_000
+
 // validateRun rejects the options every experiment builds its run from, each
 // of which a layer below would otherwise panic on mid-build: tcp on the RTO
-// bounds, the protocol table on an unknown protocol, netsim on an empty tree.
-func validateRun(tb Testbed, p Protocol, rtoMin sim.Duration) error {
+// bounds, the protocol table on an unknown protocol, netsim on an empty tree;
+// and a run bound that would stop the run before it starts.
+func validateRun(tb Testbed, p Protocol, rtoMin, maxSimTime sim.Duration) error {
 	switch {
+	case maxSimTime <= 0:
+		return fmt.Errorf("MaxSimTime %v must be positive", maxSimTime)
 	case rtoMin <= 0:
 		return errors.New("RTOMin must be positive")
 	case rtoMin > tcp.RTOMax:
@@ -398,19 +440,12 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 	if err := o.Validate(); err != nil {
 		panic("exp: " + err.Error())
 	}
-	if o.MaxSimTime <= 0 {
-		o.MaxSimTime = 30 * 60 * sim.Second
-	}
 	rig.prepare(o.Testbed)
 	sched, tt := rig.sched, rig.tt
 	if o.MirrorWorkers {
 		for i, j := 0, len(tt.Workers)-1; i < j; i, j = i+1, j-1 {
 			tt.Workers[i], tt.Workers[j] = tt.Workers[j], tt.Workers[i]
 		}
-	}
-	factory := o.Factory
-	if factory == nil {
-		factory = o.Protocol.Factory(o.RTOMin, o.Testbed.Seed)
 	}
 	// Under fault injection a round's request packet can be destroyed
 	// outright (blackout, injected loss); the workload's request retry is
@@ -425,7 +460,7 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 		Flows:         o.Flows,
 		BytesPerFlow:  o.perFlowBytes(),
 		Rounds:        o.Rounds,
-		Factory:       factory,
+		Factory:       o.Protocol.factory(o.RTOMin, o.Testbed.Seed, o.Enhancement),
 		ServiceJitter: o.Testbed.ServiceJitter,
 		Seed:          o.Testbed.Seed,
 		RequestRetry:  reqRetry,
@@ -442,14 +477,11 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 	var longs []*workload.LongFlow
 	var longConns []*tcp.Conn
 	if o.BackgroundFlows > 0 {
-		longFactory := o.Factory
-		if longFactory == nil {
-			longFactory = o.Protocol.Factory(o.RTOMin, o.Testbed.Seed^0xbac)
-		}
+		longFactory := o.Protocol.factory(o.RTOMin, o.Testbed.Seed^0xbac, o.Enhancement)
 		for i := 0; i < o.BackgroundFlows; i++ {
 			cfg, cc := longFactory(1_000_000+i, nil)
 			lf := workload.NewLongFlow(sched, tt.Workers[i], tt.Aggregator,
-				packet.FlowID(900_000+i), cfg, cc, o.ChunkBytes)
+				longFlowBase+packet.FlowID(i), cfg, cc, o.ChunkBytes)
 			longs = append(longs, lf)
 			longConns = append(longConns, lf.Conn())
 		}
@@ -524,7 +556,7 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 			drained = drained && c.Sender.Done()
 		}
 	}
-	finishRunTelemetry(o.Telemetry, sched.Now(), append(in.Conns(), longConns...))
+	finishRunTelemetry(o.Telemetry, sched.Now(), tt, labels, in.Conns(), longConns)
 
 	res := IncastResult{Protocol: o.Protocol, Flows: o.Flows}
 	res.SimTime = sched.Now().Sub(sim.Time(0))

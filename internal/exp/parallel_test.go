@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"dctcpplus/internal/core"
+	"dctcpplus/internal/packet"
 	"dctcpplus/internal/telemetry"
 )
 
@@ -86,9 +88,21 @@ func TestParallelBackgroundSweep(t *testing.T) {
 // up front — on the calling goroutine (a panic inside a pool worker would
 // kill the test binary, not reach this recover), naming its index, before
 // any point has run — and the same way at every pool width. Each row is an
-// input some layer below would otherwise panic on mid-run.
+// input some layer below would otherwise panic on mid-run: the workload on
+// a flow id it cannot register, core on enhancement parameters outside
+// their contract.
 func TestRunManyValidatesBeforeFanOut(t *testing.T) {
 	defer func(old int) { Parallelism = old }(Parallelism)
+	ids := func(vs ...packet.FlowID) func(o *IncastOptions) {
+		return func(o *IncastOptions) { o.FlowIDs = vs }
+	}
+	enh := func(p Protocol, divisor float64) func(o *IncastOptions) {
+		return func(o *IncastOptions) {
+			cfg := core.DefaultConfig()
+			cfg.DivisorFactor = divisor
+			o.Protocol, o.Enhancement = p, &cfg
+		}
+	}
 	cases := []struct {
 		name, want string
 		spoil      func(o *IncastOptions)
@@ -99,9 +113,19 @@ func TestRunManyValidatesBeforeFanOut(t *testing.T) {
 		{"no leaves", "at least one leaf", func(o *IncastOptions) { o.Testbed.Leaves = 0 }},
 		{"no hosts per leaf", "at least one leaf", func(o *IncastOptions) { o.Testbed.HostsPerLeaf = 0 }},
 		{"background without chunks", "ChunkBytes must be positive", func(o *IncastOptions) { o.BackgroundFlows = 2 }},
+		{"zero max sim time", "MaxSimTime 0s must be positive", func(o *IncastOptions) { o.MaxSimTime = 0 }},
+		{"flow ids too few", "FlowIDs has 3 ids for 4 flows", ids(7, 8, 9)},
+		{"flow id repeated", "FlowIDs repeats flow id 7", ids(7, 7, 8, 9)},
+		{"flow id zero", "FlowIDs holds flow id 0", ids(7, 0, 8, 9)},
+		{"flow id in the long flows' range", "flow id 900000 is in the long flows' range", func(o *IncastOptions) {
+			o.BackgroundFlows, o.ChunkBytes = 1, 1<<20
+			o.FlowIDs = []packet.FlowID{7, 8, 900_000, 9}
+		}},
+		{"enhancement on dctcp", "Enhancement applies to dctcp+ only, not dctcp", enh(ProtoDCTCP, 2)},
+		{"enhancement divisor 1", "Enhancement: DivisorFactor must exceed 1", enh(ProtoDCTCPPlus, 1)},
 	}
 	for _, c := range cases {
-		for _, width := range []int{1, 4} {
+		for _, width := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s at width %d", c.name, width), func(t *testing.T) {
 				Parallelism = width
 				reg := telemetry.NewRegistry()

@@ -89,19 +89,6 @@ const seedStride = 0x9e3779b97f4a7c15
 // modeling a mix of near-, on-, and far-deadline responders.
 var deadlineCycle = []float64{0.5, 1, 2}
 
-// DCTCPPlusFactory builds DCTCP+ endpoints with a custom enhancement
-// configuration — the hook the ablation benches use to sweep
-// backoff_time_unit, divisor_factor and the desynchronization switch
-// (§V-D parameter guidance). A retiring DCTCP+ module is recycled.
-func DCTCPPlusFactory(rtoMin sim.Duration, seedBase uint64, ecfg core.Config) workload.FlowFactory {
-	return func(i int, old tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
-		cfg := core.SenderConfig()
-		cfg.RTOMin = rtoMin
-		cfg.Seed = seedBase + uint64(i+1)*seedStride
-		return cfg, core.Recycle(old, dctcp.Recycle(core.Unwrap(old), dctcp.DefaultGain), ecfg)
-	}
-}
-
 // Factory returns a workload.FlowFactory building this protocol's
 // endpoints. rtoMin sets both the minimum and initial RTO (the connections
 // are persistent, so the estimator takes over after the first sample).
@@ -109,6 +96,14 @@ func DCTCPPlusFactory(rtoMin sim.Duration, seedBase uint64, ecfg core.Config) wo
 // the kind the protocol builds is recycled (re-parameterised in place), so
 // a reopened workload allocates no congestion control.
 func (p Protocol) Factory(rtoMin sim.Duration, seedBase uint64) workload.FlowFactory {
+	return p.factory(rtoMin, seedBase, nil)
+}
+
+// factory is Factory with DCTCP+'s enhancement parameters (the §V-D
+// ablations' knobs): nil builds with core.DefaultConfig(). Only
+// ProtoDCTCPPlus reads them; IncastOptions.Validate rejects them on any
+// other protocol and checks them, so no run reaches core's panic.
+func (p Protocol) factory(rtoMin sim.Duration, seedBase uint64, enh *core.Config) workload.FlowFactory {
 	return func(i int, old tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		var cfg tcp.Config
 		var cc tcp.CongestionControl
@@ -126,7 +121,11 @@ func (p Protocol) Factory(rtoMin sim.Duration, seedBase uint64) workload.FlowFac
 			cc = dctcp.Recycle(old, dctcp.DefaultGain)
 		case ProtoDCTCPPlus:
 			cfg = core.SenderConfig()
-			cc = core.Recycle(old, dctcp.Recycle(inner, dctcp.DefaultGain), core.DefaultConfig())
+			ecfg := core.DefaultConfig()
+			if enh != nil {
+				ecfg = *enh
+			}
+			cc = core.Recycle(old, dctcp.Recycle(inner, dctcp.DefaultGain), ecfg)
 		case ProtoDCTCPPlusPartial:
 			cfg = core.SenderConfig()
 			ecfg := core.DefaultConfig()

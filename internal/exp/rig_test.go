@@ -18,7 +18,7 @@ import (
 // from 1 to 200, each fault class, the oracle, telemetry, cwnd probes and
 // queue sampling, background long flows, kept rounds, mirrored workers, a
 // flow-id permutation, the HULL testbed (a different topology: the rig
-// rebuilds, and rebuilds again after it) and a non-default DCTCP+ factory.
+// rebuilds, and rebuilds again after it) and non-default DCTCP+ enhancement parameters.
 // Consecutive points differ in seed, so no two runs share a workload stream.
 func rigSequence() []IncastOptions {
 	base := DefaultIncastOptions(ProtoDCTCPPlus, 40)
@@ -72,7 +72,7 @@ func rigSequence() []IncastOptions {
 	o = base
 	ecfg := core.DefaultConfig()
 	ecfg.BackoffUnit, ecfg.DivisorFactor = 400*sim.Microsecond, 4
-	o.Factory = DCTCPPlusFactory(o.RTOMin, 99, ecfg)
+	o.Enhancement = &ecfg
 	o.Flows = 160
 	add(o)
 	return seq

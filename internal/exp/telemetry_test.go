@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dctcpplus/internal/sim"
@@ -194,5 +197,33 @@ func TestScaleAppliesTelemetry(t *testing.T) {
 		if len(reg.Snapshot().Instruments) == 0 {
 			t.Errorf("figure %d: Run dropped the registry", i)
 		}
+	}
+}
+
+// TestTelemetryDumpGolden pins the JSON-lines dump of two small points, each
+// on a fresh registry: DCTCP+ with one background long flow (port roles and
+// the role=background labels) and DCTCP (no enhancement instruments). Every
+// instrument's name, labels and value is part of the dump, so a counter that
+// moves to another owner must land on the same name and labels with the
+// same total.
+func TestTelemetryDumpGolden(t *testing.T) {
+	plus := DefaultIncastOptions(ProtoDCTCPPlus, 8)
+	plus.BackgroundFlows = 1
+	plus.ChunkBytes = 1 << 20
+	var buf bytes.Buffer
+	for _, o := range []IncastOptions{plus, DefaultIncastOptions(ProtoDCTCP, 8)} {
+		o.Rounds, o.WarmupRounds = 4, 1
+		o.Telemetry = telemetry.NewRegistry()
+		RunIncast(o)
+		if err := o.Telemetry.Snapshot().WriteJSONLines(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "telemetry.golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("telemetry dump moved:\n got:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 }

@@ -119,10 +119,8 @@ type Port struct {
 
 	stats PortStats
 
-	// Telemetry instruments; nil (no-op) unless AttachTelemetry was called.
-	mEnqueued   *telemetry.Counter
-	mDropped    *telemetry.Counter
-	mMarked     *telemetry.Counter
+	// The queue-depth histogram; nil (no-op) unless AttachTelemetry was
+	// called. The enqueue, drop and mark counts are stats' alone.
 	mQueueDepth *telemetry.Histogram
 
 	// Sink receives an obs.Transmit record, with the packet, as each packet
@@ -258,14 +256,11 @@ func (p *Port) shouldMark(qBytes int) bool {
 	}
 }
 
-// AttachTelemetry registers the port's instruments on reg under the given
-// labels: enqueue/drop/CE-mark counters and a queue-depth histogram
-// observed at every enqueue. With a nil registry the instruments stay nil
-// and every update is a no-op.
+// AttachTelemetry registers the port's queue-depth histogram on reg under
+// the given labels, observed at every enqueue. With a nil registry it stays
+// nil and every update is a no-op. The enqueue, drop and CE-mark counters
+// are added from Stats at the end of a run by whoever registered them.
 func (p *Port) AttachTelemetry(reg *telemetry.Registry, labels ...telemetry.Label) {
-	p.mEnqueued = reg.Counter("netsim_port_enqueued_pkts_total", labels...)
-	p.mDropped = reg.Counter("netsim_port_dropped_pkts_total", labels...)
-	p.mMarked = reg.Counter("netsim_port_ce_marked_pkts_total", labels...)
 	p.mQueueDepth = reg.Histogram("netsim_port_queue_depth_bytes", labels...)
 }
 
@@ -332,7 +327,6 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 	if p.qBytes+size > p.cfg.BufferBytes {
 		p.stats.DroppedPkts++
 		p.stats.DroppedBytes += int64(size)
-		p.mDropped.Add(1)
 		p.pool.Put(pkt)
 		return
 	}
@@ -348,14 +342,12 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 	if pkt.ECN == packet.ECT && p.shouldMark(p.qBytes) {
 		pkt.ECN = packet.CE
 		p.stats.MarkedPkts++
-		p.mMarked.Add(1)
 	}
 	p.push(pkt)
 	p.qBytes += size
 	check.AtMost("netsim.port queue bytes", int64(p.qBytes), int64(p.cfg.BufferBytes))
 	p.stats.EnqueuedPkts++
 	p.stats.EnqueuedBytes += int64(size)
-	p.mEnqueued.Add(1)
 	p.mQueueDepth.Observe(int64(p.qBytes))
 	if p.qBytes > p.stats.MaxQueueBytes {
 		p.stats.MaxQueueBytes = p.qBytes

@@ -141,14 +141,11 @@ type Sender struct {
 
 	stats SenderStats
 
-	// Telemetry instruments; nil (no-op) unless AttachTelemetry was called.
-	// Concurrent flows of one experiment point typically share these (same
-	// registry identity), aggregating transport events across the workload.
-	mRetrans  *telemetry.Counter
-	mTimeouts *telemetry.Counter
-	mFLossTO  *telemetry.Counter
-	mLAckTO   *telemetry.Counter
-	mCwnd     *telemetry.Histogram
+	// The cwnd histogram; nil (no-op) unless AttachTelemetry was called.
+	// Concurrent flows of one experiment point typically share it (same
+	// registry identity), aggregating across the workload. The
+	// retransmission and RTO counts are stats' alone.
+	mCwnd *telemetry.Histogram
 
 	// OnComplete fires when all bytes handed to Send so far are
 	// acknowledged; total is the acknowledged byte count.
@@ -253,15 +250,12 @@ func (s *Sender) Config() Config { return s.cfg }
 // Stats returns a snapshot of the sender counters.
 func (s *Sender) Stats() SenderStats { return s.stats }
 
-// AttachTelemetry registers the sender's instruments on reg under the given
-// labels: retransmission and RTO-taxonomy counters (total, FLoss-TO,
-// LAck-TO) and a per-ACK congestion-window histogram in MSS units. With a
-// nil registry the instruments stay nil and every update is a no-op.
+// AttachTelemetry registers the sender's per-ACK congestion-window
+// histogram (MSS units) on reg under the given labels. With a nil registry
+// it stays nil and every update is a no-op. The retransmission and
+// RTO-taxonomy counters are added from Stats at the end of a run by whoever
+// registered them.
 func (s *Sender) AttachTelemetry(reg *telemetry.Registry, labels ...telemetry.Label) {
-	s.mRetrans = reg.Counter("tcp_retransmit_pkts_total", labels...)
-	s.mTimeouts = reg.Counter("tcp_rto_total", labels...)
-	s.mFLossTO = reg.Counter("tcp_rto_floss_total", labels...)
-	s.mLAckTO = reg.Counter("tcp_rto_lack_total", labels...)
 	s.mCwnd = reg.Histogram("tcp_cwnd_mss", labels...)
 }
 
@@ -461,7 +455,6 @@ func (s *Sender) transmit(seq int64, payload int, rtx bool) {
 	if rtx {
 		s.stats.RetransPkts++
 		s.stats.RetransBytes += int64(payload)
-		s.mRetrans.Add(1)
 	}
 	// Table I instrumentation: a transmission attempted while the window
 	// is pinned at its floor and congestion feedback is still arriving.
@@ -711,13 +704,10 @@ func (s *Sender) onRTO() {
 		kind = FLossTO
 	}
 	s.stats.Timeouts++
-	s.mTimeouts.Add(1)
 	if kind == FLossTO {
 		s.stats.FLossTimeouts++
-		s.mFLossTO.Add(1)
 	} else {
 		s.stats.LAckTimeouts++
-		s.mLAckTO.Add(1)
 	}
 	if s.Sink.Active() {
 		s.Sink.Emit(obs.Record{At: s.sched.Now(), Flow: s.flow, Kind: obs.Timeout, Timeout: uint8(kind)}, nil)

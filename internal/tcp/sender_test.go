@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -614,4 +615,101 @@ func TestSenderAccessors(t *testing.T) {
 	if s.SsthreshMSS() != cfg.MaxCwnd {
 		t.Error("initial ssthresh should be MaxCwnd")
 	}
+}
+
+// FuzzSenderRecovery gives one NewReno sender a fixed transfer and feeds it
+// an arbitrary ACK stream, interleaved with scheduler advances, some long
+// enough to fire the RTO. Its data segments reach a capture node, which
+// keeps the scoreboard: the highest byte sent, a prefix since the sender
+// never skips ahead. A receiver can acknowledge only bytes that reached it,
+// so every cumulative ACK lies in [0, that prefix]. Checked throughout:
+//   - the sender never panics (its own invariant checks included);
+//   - snd_una never decreases and never passes the highest byte sent;
+//   - every data segment lies in [0, transfer) and is nonempty;
+//   - a retransmission covers only bytes sent earlier, and fresh data starts
+//     where the last fresh byte ended;
+//   - OnComplete fires at most once, only when every byte is acknowledged.
+//
+// Then every byte sent is acknowledged, RTO by RTO, until the transfer
+// completes, which it must within a bounded number of rounds. Every two
+// input bytes are one step: the low two bits of the first pick a cumulative
+// ACK (at second/255 of the delivered prefix, stale ones included), a
+// duplicate ACK at snd_una, an advance of second×5µs, or an advance past
+// the RTO; its third bit sets ECE on an ACK.
+func FuzzSenderRecovery(f *testing.F) {
+	f.Add(byte(1), []byte{2, 255, 0, 255, 2, 255, 0, 255})         // clean, ack what arrived
+	f.Add(byte(1), []byte{2, 255, 0, 80, 1, 0, 1, 0, 1, 0, 2, 50}) // partial ack, three dupacks
+	f.Add(byte(2), []byte{2, 255, 4, 128, 3, 0, 2, 255, 0, 255})   // ECE cut, then RTO
+	f.Add(byte(4), []byte{2, 255, 3, 0, 0, 255, 0, 10, 3, 0, 0, 255})
+	f.Fuzz(func(t *testing.T, mode byte, data []byte) {
+		const transfer = 16*packet.MSS + 100
+		s := sim.NewScheduler()
+		cfg := DefaultConfig()
+		cfg.RTOMin = 10 * sim.Millisecond
+		cfg.ECN = []ECNMode{ECNOff, ECNClassic, ECNPrecise}[mode%3]
+		cfg.MinCwnd = float64(1 + mode/3%2)
+
+		var hi int64 // the scoreboard: bytes [0, hi) have been sent
+		capture := newCaptureHost(s, 2, func(p *packet.Packet) {
+			end := p.Seq + int64(p.Payload)
+			switch {
+			case p.Payload <= 0 || p.Seq < 0 || end > transfer:
+				t.Fatalf("segment [%d,%d) outside the transfer [0,%d)", p.Seq, end, int64(transfer))
+			case p.Retransmit && end > hi:
+				t.Fatalf("retransmission [%d,%d) covers bytes never sent (sent [0,%d))", p.Seq, end, hi)
+			case !p.Retransmit && p.Seq != hi:
+				t.Fatalf("fresh segment [%d,%d) does not continue the sent prefix [0,%d)", p.Seq, end, hi)
+			}
+			hi = max(hi, end)
+		})
+		snd := NewSender(cfg, NewReno{}, newLoopHost(s, 1, capture).Host, 2, 5)
+		completions := 0
+		snd.OnComplete = func(total int64) {
+			completions++
+			if completions > 1 || total != transfer || snd.SndUna() != transfer {
+				t.Fatalf("OnComplete #%d(%d) at snd_una %d, want once at %d", completions, total, snd.SndUna(), int64(transfer))
+			}
+		}
+		una := snd.SndUna()
+		ack := func(no int64, ece bool) {
+			pkt := &packet.Packet{Dst: 1, Flow: 5, Flags: packet.FlagACK, AckNo: no}
+			if ece {
+				pkt.Flags |= packet.FlagECE
+			}
+			snd.Deliver(pkt)
+		}
+		step := func(format string, args ...any) {
+			if got := snd.SndUna(); got < una || got > hi {
+				t.Fatalf("after %s: snd_una = %d, was %d, sent [0,%d)", fmt.Sprintf(format, args...), got, una, hi)
+			}
+			una = snd.SndUna()
+		}
+		snd.Send(transfer)
+		for i := 0; i+1 < len(data); i += 2 {
+			op, v := data[i], data[i+1]
+			switch op & 3 {
+			case 0:
+				ack(hi*int64(v)/255, op&4 != 0)
+			case 1:
+				ack(snd.SndUna(), op&4 != 0)
+			case 2:
+				s.RunFor(sim.Duration(v) * 5 * sim.Microsecond)
+			case 3:
+				s.RunFor(snd.RTO() + RTOSlack)
+			}
+			step("step %d (op %d, value %d)", i/2, op&3, v)
+		}
+		for round := 0; !snd.Done(); round++ {
+			if round == 2*transfer/packet.MSS+2 {
+				t.Fatalf("transfer stuck at snd_una %d of %d with every sent byte acknowledged each RTO", snd.SndUna(), int64(transfer))
+			}
+			s.RunFor(snd.RTO() + RTOSlack)
+			ack(hi, false)
+			step("closing round %d", round)
+		}
+		if completions != 1 {
+			t.Fatalf("OnComplete fired %d times for a completed transfer", completions)
+		}
+		snd.Close()
+	})
 }
