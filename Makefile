@@ -30,22 +30,22 @@ fmt-check:
 # enforces determinism (no wall clock, no math/rand, no order-sensitive map
 # iteration, no goroutines in sim-scheduled code — with no file or package
 # allowance under a //hot:path root), sim-time and unit discipline
-# (name-based), sweep worker-race freedom, narrow-counter overflow
-# (discharged only by an //inv: range contract, whose runtime twin
-# internal/check enforces), and the //state: typestate contracts
-# (pooled-packet exactly-once free, scheduler handle lifecycles, ownership
+# (name-based), sweep worker-race freedom (sharedstate), narrow-counter
+# overflow (discharged only by an //inv: range contract, whose runtime twin
+# internal/check enforces), and the //state: contracts (typestate:
+# pooled-packet exactly-once free, scheduler handle lifecycles, ownership
 # transfer). A whole-module run also fails the build on //lint:allow
 # directives that no longer suppress anything. Stdlib-only.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
 # Typestate smoke: the engine's join/widening unit tests, the shared
-# control-flow walker's (flow.go) semantics table, and the three
-# lifecycle-analyzer fixtures (poollife, handlestate, ownxfer, plus the
-# clean Port->Link->Host hand-off), then the packet pool's checkdebug
-# poison tests — the runtime tripwire behind the static exactly-once-free
-# proof — in both build-tag modes, and the pooled workload runs (request,
-# data and ACK paths) under that tripwire.
+# control-flow walker's (flow.go) semantics table, and the typestate
+# analyzer's fixtures (poollife, handlestate and ownxfer, one per rule
+# family, plus the clean Port->Link->Host hand-off), then the packet
+# pool's checkdebug poison tests — the runtime tripwire behind the static
+# exactly-once-free proof — in both build-tag modes, and the pooled
+# workload runs (request, data and ACK paths) under that tripwire.
 typestate-smoke:
 	$(GO) test -run 'JoinEnv|MergeAtJoin|LoopWidening|FlowWalker|Fixtures/(poollife|handlestate|ownxfer|ownclean)' ./internal/lint
 	$(GO) test -tags checkdebug ./internal/packet ./internal/workload

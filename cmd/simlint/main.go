@@ -1,19 +1,14 @@
 // Command simlint runs the repository's domain-specific static analysis
 // over the module: determinism guards (stricter under //hot:path roots),
 // sim-time discipline, name-based unit safety, float-equality, sweep
-// worker-race checks, narrow-counter overflow, and the call-graph passes —
-// hot-path allocation budgets and enum-switch exhaustiveness (see
-// internal/lint).
+// worker-race checks, narrow-counter overflow, the call-graph passes —
+// hot-path allocation budgets and enum-switch exhaustiveness — and the
+// //state: typestate proofs (see internal/lint).
 //
 //	simlint ./...            # lint the whole module (the make check gate)
 //	simlint ./internal/tcp   # lint one package
 //	simlint -json ./...      # machine-readable diagnostics, one JSON array
 //	simlint -list            # print the analyzer suite and exit
-//	simlint -version         # print the sweep-cache code-version string
-//
-// -version prints the same string internal/sweep folds into its cache keys
-// (git describe of the working tree), so "which build wrote this cache
-// entry" is answerable with the lint binary already on the PATH.
 //
 // A whole-module run (the "./..." pattern, which is also the default) adds
 // the allowlist audit: every well-formed //lint:allow directive that
@@ -45,7 +40,6 @@ import (
 	"path/filepath"
 
 	"dctcpplus/internal/lint"
-	"dctcpplus/internal/sweep"
 )
 
 func main() {
@@ -60,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		jsonOut = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 		list    = fs.Bool("list", false, "list the analyzer suite and exit")
-		version = fs.Bool("version", false, "print the sweep-cache code-version string and exit")
 		dir     = fs.String("C", "", "change to this directory before resolving patterns")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -72,10 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, a := range analyzers {
 			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
-		return 0
-	}
-	if *version {
-		fmt.Fprintln(stdout, sweep.CodeVersion())
 		return 0
 	}
 

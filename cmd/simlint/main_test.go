@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dctcpplus/internal/lint"
-	"dctcpplus/internal/sweep"
 )
 
 // moduleRoot walks up from the test's working directory (cmd/simlint) to
@@ -172,31 +171,5 @@ func TestRunJSONMode(t *testing.T) {
 		if d.Line == 0 || d.Col == 0 || d.Message == "" {
 			t.Errorf("incomplete diagnostic: %+v", d)
 		}
-	}
-}
-
-// TestRunVersion pins the -version contract as a table: the flag prints
-// exactly the string internal/sweep folds into cache keys and exits 0,
-// with or without trailing patterns, and composes with nothing else.
-func TestRunVersion(t *testing.T) {
-	want := sweep.CodeVersion() + "\n"
-	cases := []struct {
-		name string
-		args []string
-	}{
-		{"bare", []string{"-version"}},
-		{"with patterns", []string{"-version", "./..."}},
-		{"with -C", []string{"-C", moduleRoot(t), "-version"}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			var out, errb strings.Builder
-			if status := run(c.args, &out, &errb); status != 0 {
-				t.Fatalf("run(%v) = %d, want 0; stderr: %s", c.args, status, errb.String())
-			}
-			if out.String() != want {
-				t.Errorf("run(%v) printed %q, want %q", c.args, out.String(), want)
-			}
-		})
 	}
 }

@@ -44,7 +44,6 @@ import (
 type Program struct {
 	modPath string
 	pkgs    []*Package
-	dirty   bool
 	// wholeModule records that a Loader.Load("./...") succeeded, so pkgs
 	// holds every package of the module.
 	wholeModule bool
@@ -61,11 +60,8 @@ type Program struct {
 	contractTable *contractTable
 
 	// stateTable caches the parsed //state: protocols and function
-	// contracts (typestate.go); typestateResults caches the per-package
-	// typestate interpreter run shared by the poollife, handlestate and
-	// ownxfer analyzers. Same lifecycle as contractTable.
-	stateTable       *stateTable
-	typestateResults map[*Package]*typestateAnalysis
+	// contracts (typestate.go). Same lifecycle as contractTable.
+	stateTable *stateTable
 }
 
 // funcNode is one declared function in the call graph.
@@ -90,11 +86,10 @@ func newProgram(modPath string) *Program {
 	return &Program{modPath: modPath}
 }
 
-// add registers a loaded module package. The graph is rebuilt lazily on the
-// next query, so load order does not matter.
+// add registers a loaded module package. Loader.Load rebuilds the graph
+// once all of its packages are in, so load order does not matter.
 func (prog *Program) add(p *Package) {
 	prog.pkgs = append(prog.pkgs, p)
-	prog.dirty = true
 }
 
 // docAnnotated reports whether the declaration's doc comment carries a
@@ -141,13 +136,9 @@ func unparen(e ast.Expr) ast.Expr {
 }
 
 // build (re)constructs nodes, edges and the hot-reachability closure. It is
-// cheap relative to type-checking, so a full rebuild on any package-set
-// change keeps the logic simple.
+// cheap relative to type-checking, so a full rebuild after every Load keeps
+// the logic simple.
 func (prog *Program) build() {
-	if !prog.dirty {
-		return
-	}
-	prog.dirty = false
 	prog.nodes = make(map[*types.Func]*funcNode)
 	prog.order = prog.order[:0]
 	prog.byName = make(map[string][]*funcNode)
@@ -156,7 +147,6 @@ func (prog *Program) build() {
 	prog.terminals = make(map[*types.Func]bool)
 	prog.contractTable = nil
 	prog.stateTable = nil
-	prog.typestateResults = nil
 
 	// Pass 1: one node per declared function with a body.
 	for _, p := range prog.pkgs {
@@ -312,28 +302,15 @@ func (prog *Program) implementations(m *types.Func) []*funcNode {
 	return out
 }
 
-// hotReachable reports whether fn is statically reachable from a //hot:path
-// root, and if so returns the first such root as the provenance witness.
-func (prog *Program) hotReachable(fn *types.Func) (*types.Func, bool) {
-	prog.build()
-	roots := prog.hotFrom[fn]
-	if len(roots) == 0 {
-		return nil, false
-	}
-	return roots[0], true
-}
-
 // hotRootsOf returns every //hot:path root reaching fn, in root declaration
 // order (empty when fn is not hot-reachable).
 func (prog *Program) hotRootsOf(fn *types.Func) []*types.Func {
-	prog.build()
 	return prog.hotFrom[fn]
 }
 
 // sweepRootsOf returns every //sweep:job root reaching fn, in root
 // declaration order.
 func (prog *Program) sweepRootsOf(fn *types.Func) []*types.Func {
-	prog.build()
 	return prog.sweepFrom[fn]
 }
 
@@ -342,7 +319,6 @@ func (prog *Program) sweepRootsOf(fn *types.Func) []*types.Func {
 // exempt from hot-path allocation rules: the program is already dying, and
 // a rich diagnostic there is worth any allocation.
 func (prog *Program) isTerminal(fn *types.Func) bool {
-	prog.build()
 	return prog.terminals[fn]
 }
 
@@ -361,14 +337,12 @@ func (p *Package) isTerminalCall(call *ast.CallExpr) bool {
 // hotNodesIn returns the current package's hot-reachable function nodes in
 // source order, paired with their witness roots.
 func (prog *Program) hotNodesIn(p *Package) []*funcNode {
-	prog.build()
 	return prog.nodesIn(p, prog.hotFrom)
 }
 
 // sweepNodesIn returns the current package's sweep-reachable function
 // nodes in source order.
 func (prog *Program) sweepNodesIn(p *Package) []*funcNode {
-	prog.build()
 	return prog.nodesIn(p, prog.sweepFrom)
 }
 

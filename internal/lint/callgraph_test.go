@@ -77,13 +77,13 @@ func TestHotReachability(t *testing.T) {
 		{"Use", false},           // calls Indirect, but is itself not a root
 	}
 	for _, c := range cases {
-		root, hot := p.Prog.hotReachable(lookupFunc(t, p, c.fn))
-		if hot != c.hot {
-			t.Errorf("hotReachable(%s) = %v, want %v", c.fn, hot, c.hot)
+		roots := p.Prog.hotRootsOf(lookupFunc(t, p, c.fn))
+		if hot := len(roots) > 0; hot != c.hot {
+			t.Errorf("hotRootsOf(%s) = %v, want hot %v", c.fn, roots, c.hot)
 			continue
 		}
-		if hot && root.Name() != "Encode" {
-			t.Errorf("witness root of %s = %s, want Encode", c.fn, root.FullName())
+		if c.hot && roots[0].Name() != "Encode" {
+			t.Errorf("witness root of %s = %s, want Encode", c.fn, roots[0].FullName())
 		}
 	}
 }

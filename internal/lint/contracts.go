@@ -1,10 +1,16 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/constant"
+	"go/parser"
+	"go/scanner"
 	"go/token"
 	"go/types"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -26,15 +32,17 @@ import (
 // and trusted by overflow, which exempts an accumulation whose growing side
 // the contract bounds.
 //
-// Grammar (decimal literals only; one //inv: line may carry several
-// clauses, and a field may carry several //inv: lines):
+// A contract is a Go expression: go/parser reads it, and the tree must
+// then have this shape (one //inv: line may carry several clauses, and a
+// field may carry several //inv: lines):
 //
 //	contract := clause { "&&" clause }
 //	clause   := operand cmp operand { cmp operand }   // chains: 0 <= x <= 1
 //	cmp      := "<" | "<=" | ">" | ">="
-//	operand  := number | path
+//	operand  := [ "-" | "+" ] number | path
 //	path     := ident { "." ident }
 //
+// where number is a Go integer or floating-point literal in float64 range.
 // Exactly one side of every comparison must be the field's own name. The
 // other side is the bound — a numeric literal, or a symbolic path resolving
 // through sibling fields ("cfg.BufferBytes" names the sibling field cfg,
@@ -70,217 +78,119 @@ type invError struct {
 
 func (e *invError) Error() string { return fmt.Sprintf("offset %d: %s", e.off, e.msg) }
 
-// invLexer tokenizes a contract payload.
-type invLexer struct {
-	s   string
-	pos int
-}
-
-type invTokKind int
-
-const (
-	invEOF invTokKind = iota
-	invIdent
-	invNumber
-	invDot
-	invAndAnd
-	invCmp // text holds the operator
-)
-
-type invTok struct {
-	kind invTokKind
-	text string
-	off  int
-}
-
-func (l *invLexer) next() (invTok, error) {
-	for l.pos < len(l.s) && (l.s[l.pos] == ' ' || l.s[l.pos] == '\t') {
-		l.pos++
-	}
-	if l.pos >= len(l.s) {
-		return invTok{kind: invEOF, off: l.pos}, nil
-	}
-	start := l.pos
-	c := l.s[l.pos]
-	switch {
-	case c == '.':
-		l.pos++
-		return invTok{kind: invDot, text: ".", off: start}, nil
-	case c == '&':
-		if l.pos+1 < len(l.s) && l.s[l.pos+1] == '&' {
-			l.pos += 2
-			return invTok{kind: invAndAnd, text: "&&", off: start}, nil
-		}
-		return invTok{}, &invError{start, "single '&' (want \"&&\")"}
-	case c == '<' || c == '>':
-		op := string(c)
-		l.pos++
-		if l.pos < len(l.s) && l.s[l.pos] == '=' {
-			op += "="
-			l.pos++
-		}
-		return invTok{kind: invCmp, text: op, off: start}, nil
-	case c == '=':
-		return invTok{}, &invError{start, "'==' and '=' are not contract operators (declare a range with <= and >=)"}
-	case c >= '0' && c <= '9' || c == '-' || c == '+':
-		l.pos++
-		for l.pos < len(l.s) {
-			d := l.s[l.pos]
-			if d >= '0' && d <= '9' || d == '.' || d == 'e' || d == 'E' {
-				l.pos++
-				continue
-			}
-			if (d == '+' || d == '-') && (l.s[l.pos-1] == 'e' || l.s[l.pos-1] == 'E') {
-				l.pos++
-				continue
-			}
-			break
-		}
-		return invTok{kind: invNumber, text: l.s[start:l.pos], off: start}, nil
-	case c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z':
-		l.pos++
-		for l.pos < len(l.s) {
-			d := l.s[l.pos]
-			if d == '_' || d >= 'a' && d <= 'z' || d >= 'A' && d <= 'Z' || d >= '0' && d <= '9' {
-				l.pos++
-				continue
-			}
-			break
-		}
-		return invTok{kind: invIdent, text: l.s[start:l.pos], off: start}, nil
-	default:
-		return invTok{}, &invError{start, fmt.Sprintf("unexpected character %q", c)}
-	}
-}
-
-// invParser is a one-token-lookahead recursive-descent parser.
-type invParser struct {
-	lex invLexer
-	tok invTok
-}
-
-func (p *invParser) advance() error {
-	t, err := p.lex.next()
-	if err != nil {
-		return err
-	}
-	p.tok = t
-	return nil
-}
-
-// parseInv parses one //inv: payload into its comparison clauses.
+// parseInv parses one //inv: payload into its comparison clauses. The
+// payload is a Go expression, so go/parser reads it; the tree is then held
+// to the contract grammar. Go parses 0 <= x <= 1 as (0 <= x) <= 1, so both
+// a conjunction and a chain are the left spine of their operators.
 func parseInv(s string) ([]invClause, error) {
-	p := &invParser{lex: invLexer{s: s}}
-	if err := p.advance(); err != nil {
-		return nil, err
+	if strings.TrimSpace(s) == "" {
+		return nil, &invError{len(s), "empty contract"}
 	}
-	if p.tok.kind == invEOF {
-		return nil, &invError{p.tok.off, "empty contract"}
-	}
-	var out []invClause
-	for {
-		clauses, err := p.parseChain()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, clauses...)
-		if p.tok.kind == invEOF {
-			return out, nil
-		}
-		if p.tok.kind != invAndAnd {
-			return nil, &invError{p.tok.off, fmt.Sprintf("unexpected %q (want \"&&\" or end of contract)", p.tok.text)}
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// parseChain parses operand cmp operand { cmp operand } into one clause
-// per adjacent pair. Chains must keep one direction (0 <= x <= 1 is fine,
-// 0 <= x >= 1 is an error).
-func (p *invParser) parseChain() ([]invClause, error) {
-	ops := []invOperand{}
-	first, err := p.parseOperand()
+	fset := token.NewFileSet()
+	e, err := parser.ParseExprFrom(fset, "", s, 0)
 	if err != nil {
-		return nil, err
-	}
-	ops = append(ops, first)
-	var cmps []invTok
-	for p.tok.kind == invCmp {
-		cmps = append(cmps, p.tok)
-		if err := p.advance(); err != nil {
-			return nil, err
+		var list scanner.ErrorList
+		if errors.As(err, &list) && len(list) > 0 {
+			return nil, &invError{list[0].Pos.Offset, list[0].Msg}
 		}
-		o, err := p.parseOperand()
+		return nil, &invError{0, err.Error()}
+	}
+	errAt := func(pos token.Pos, format string, args ...any) error {
+		return &invError{fset.Position(pos).Offset, fmt.Sprintf(format, args...)}
+	}
+	operand := func(e ast.Expr) (invOperand, error) {
+		o := invOperand{off: fset.Position(e.Pos()).Offset}
+		if path, ok := dottedPath(e); ok {
+			o.path = path
+			return o, nil
+		}
+		lit, neg := e, false
+		if u, ok := e.(*ast.UnaryExpr); ok && (u.Op == token.SUB || u.Op == token.ADD) {
+			lit, neg = u.X, u.Op == token.SUB
+		}
+		bl, ok := lit.(*ast.BasicLit)
+		if !ok || bl.Kind != token.INT && bl.Kind != token.FLOAT {
+			if b, ok := e.(*ast.BinaryExpr); ok {
+				return o, errAt(b.OpPos, "%q is not a contract operator (want &&, <, <=, > or >=)", b.Op)
+			}
+			return o, errAt(e.Pos(), "expected a number or a dotted path")
+		}
+		v, _ := constant.Float64Val(constant.MakeFromLiteral(bl.Value, bl.Kind, 0))
+		if math.IsInf(v, 0) {
+			return o, errAt(bl.Pos(), "bad numeric literal %q (out of float64 range)", bl.Value)
+		}
+		if neg {
+			v = -v
+		}
+		o.isNum, o.num = true, v
+		return o, nil
+	}
+	first, ands := leftSpine(e, func(op token.Token) bool { return op == token.LAND })
+	conjuncts := []ast.Expr{first}
+	for _, b := range ands {
+		conjuncts = append(conjuncts, b.Y)
+	}
+	var out []invClause
+	for _, cj := range conjuncts {
+		base, cmps := leftSpine(cj, func(op token.Token) bool {
+			return op == token.LSS || op == token.LEQ || op == token.GTR || op == token.GEQ
+		})
+		lhs, err := operand(base)
 		if err != nil {
 			return nil, err
 		}
-		ops = append(ops, o)
-	}
-	if len(cmps) == 0 {
-		return nil, &invError{p.tok.off, "operand without a comparison"}
-	}
-	dir := cmps[0].text[0]
-	var out []invClause
-	for i, c := range cmps {
-		if c.text[0] != dir {
-			return nil, &invError{c.off, "mixed comparison directions in one chain"}
+		if len(cmps) == 0 {
+			return nil, errAt(cj.End(), "operand without a comparison")
 		}
-		out = append(out, invClause{
-			lhs: ops[i],
-			rhs: ops[i+1],
-			op:  cmpToken(c.text),
-			src: renderOperand(ops[i]) + " " + c.text + " " + renderOperand(ops[i+1]),
-		})
+		// A chain keeps one direction: 0 <= x <= 1 is fine, 0 <= x >= 1 is
+		// an error.
+		upper := cmps[0].Op == token.LSS || cmps[0].Op == token.LEQ
+		for _, b := range cmps {
+			if (b.Op == token.LSS || b.Op == token.LEQ) != upper {
+				return nil, errAt(b.OpPos, "mixed comparison directions in one chain")
+			}
+			rhs, err := operand(b.Y)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, invClause{
+				lhs: lhs,
+				rhs: rhs,
+				op:  b.Op,
+				src: renderOperand(lhs) + " " + b.Op.String() + " " + renderOperand(rhs),
+			})
+			lhs = rhs
+		}
 	}
 	return out, nil
 }
 
-func cmpToken(s string) token.Token {
-	switch s {
-	case "<":
-		return token.LSS
-	case "<=":
-		return token.LEQ
-	case ">":
-		return token.GTR
-	default:
-		return token.GEQ
+// leftSpine unwinds e = ((base op y1) op y2)... over the operators op
+// accepts, returning base and the operator nodes in source order.
+func leftSpine(e ast.Expr, op func(token.Token) bool) (ast.Expr, []*ast.BinaryExpr) {
+	var spine []*ast.BinaryExpr
+	for {
+		b, ok := e.(*ast.BinaryExpr)
+		if !ok || !op(b.Op) {
+			slices.Reverse(spine)
+			return e, spine
+		}
+		spine = append(spine, b)
+		e = b.X
 	}
 }
 
-func (p *invParser) parseOperand() (invOperand, error) {
-	//lint:allow exhaustive any other token here is a parse error in user input, reported to the annotation author instead of panicking
-	switch p.tok.kind {
-	case invNumber:
-		v, err := strconv.ParseFloat(p.tok.text, 64)
-		if err != nil {
-			return invOperand{}, &invError{p.tok.off, fmt.Sprintf("bad numeric literal %q (decimal literals only)", p.tok.text)}
+// dottedPath returns the names of ident { "." ident }.
+func dottedPath(e ast.Expr) ([]string, bool) {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return []string{x.Name}, true
+	case *ast.SelectorExpr:
+		if head, ok := dottedPath(x.X); ok {
+			return append(head, x.Sel.Name), true
 		}
-		o := invOperand{isNum: true, num: v, off: p.tok.off}
-		return o, p.advance()
-	case invIdent:
-		o := invOperand{path: []string{p.tok.text}, off: p.tok.off}
-		if err := p.advance(); err != nil {
-			return invOperand{}, err
-		}
-		for p.tok.kind == invDot {
-			if err := p.advance(); err != nil {
-				return invOperand{}, err
-			}
-			if p.tok.kind != invIdent {
-				return invOperand{}, &invError{p.tok.off, "expected identifier after '.'"}
-			}
-			o.path = append(o.path, p.tok.text)
-			if err := p.advance(); err != nil {
-				return invOperand{}, err
-			}
-		}
-		return o, nil
-	default:
-		return invOperand{}, &invError{p.tok.off, fmt.Sprintf("expected a number or identifier, got %q", p.tok.text)}
 	}
+	return nil, false
 }
 
 func renderOperand(o invOperand) string {
@@ -332,7 +242,6 @@ type contractTable struct {
 // contracts returns the program's contract table, building it on first
 // use.
 func (prog *Program) contracts() *contractTable {
-	prog.build()
 	if prog.contractTable != nil {
 		return prog.contractTable
 	}

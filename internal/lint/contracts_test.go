@@ -59,16 +59,16 @@ func TestParseInvErrors(t *testing.T) {
 		{"", "empty contract"},
 		{"   ", "empty contract"},
 		{"x", "operand without a comparison"},
-		{"x <", "expected a number or identifier"},
-		{"<= 1", "expected a number or identifier"},
-		{"x == 1", "'==' and '=' are not contract operators"},
-		{"x = 1", "'==' and '=' are not contract operators"},
-		{"x >= 1 & y >= 2", "single '&'"},
+		{"x <", "expected operand, found 'EOF'"},
+		{"<= 1", "expected operand, found '<='"},
+		{"x == 1", `"==" is not a contract operator`},
+		{"x = 1", "expected '==', found '='"},
+		{"x >= 1 & y >= 2", `"&" is not a contract operator`},
 		{"0 <= x >= 1", "mixed comparison directions"},
-		{"x >= 1 y >= 2", `want "&&" or end of contract`},
-		{"x ? 1", "unexpected character"},
-		{"x. <= 1", "expected identifier after '.'"},
-		{"x >= 1e999e", "bad numeric literal"},
+		{"x >= 1 y >= 2", "expected 'EOF', found y"},
+		{"x ? 1", "illegal character U+003F '?'"},
+		{"x. <= 1", "expected selector or type assertion"},
+		{"x >= 1e999", "bad numeric literal"},
 	}
 	for _, c := range cases {
 		_, err := parseInv(c.src)

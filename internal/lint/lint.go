@@ -5,7 +5,7 @@
 // using nothing but the standard library (go/parser, go/ast, go/token,
 // go/types — the module is dependency-free and must stay that way).
 //
-// Twelve analyzers ship with the pass:
+// Nine analyzers ship with the pass, one per guarantee:
 //
 //   - nondeterminism: wall-clock reads, math/rand, order-sensitive map
 //     iteration, and goroutine spawns inside simulation-scheduled code;
@@ -21,28 +21,24 @@
 //     with interface calls over-approximated by method signature).
 //   - exhaustive: switches over module enum types must cover every declared
 //     constant or carry a panicking default.
-//   - sweepsafety: writes to package-level state anywhere reachable from
-//     //sweep:job worker bodies.
-//   - sharedstate: unsynchronized writes to captured variables inside
-//     concurrently executed closures (pool.ForEach literals, goroutines in
-//     sweep-reachable code).
+//   - sharedstate: concurrently executed code writes no shared state —
+//     package-level state anywhere reachable from //sweep:job worker
+//     bodies, and captured variables inside pool.ForEach literals and
+//     goroutines launched in sweep-reachable code, unless a mutex is held.
 //   - overflow: unbounded narrow-integer accumulation in //hot:path- or
 //     //sweep:job-reachable code, discharged only by an //inv: range
 //     contract on the field (see contracts.go), which is declared here and
 //     enforced at run time by its internal/check twin.
-//   - poollife: path-sensitive typestate proof of the //state: pooled
-//     protocols (see typestate.go; control flow is flow.go's walker) —
-//     use-after-free, double-free and leak-on-path for pooled packets,
-//     with escape into long-lived structs sanctioned only inside //state:
-//     sink functions.
-//   - handlestate: the //state: handle protocols — Cancel on a
-//     possibly-dead scheduler handle, transition misuse (Timer
-//     Reset/Stop), and the clear-field-first rule for re-arming
-//     callbacks.
-//   - ownxfer: ownership-transfer signature hygiene — consuming a
-//     borrowed parameter, returning a pooled object without a //state:
-//     mint contract, malformed //state: directives, and
-//     interface/implementation contract agreement.
+//   - typestate: path-sensitive proof of the //state: protocols (see
+//     typestate.go; control flow is flow.go's walker) — use-after-free,
+//     double-free and leak-on-path for pooled packets, with escape into
+//     long-lived structs sanctioned only inside //state: sink functions;
+//     Cancel on a possibly-dead scheduler handle, transition misuse (Timer
+//     Reset/Stop) and the clear-field-first rule for re-arming callbacks;
+//     and ownership-transfer hygiene — consuming a borrowed parameter,
+//     returning a pooled object without a //state: mint contract,
+//     malformed //state: directives, and interface/implementation contract
+//     agreement.
 //
 // Intentional exceptions are declared inline with a directive comment on
 // the offending line (or the line above):
@@ -101,12 +97,9 @@ func All() []*Analyzer {
 		FloatEq(),
 		Hotalloc(),
 		Exhaustive(),
-		SweepSafety(),
 		SharedState(),
 		Overflow(),
-		Poollife(),
-		HandleState(),
-		OwnXfer(),
+		Typestate(),
 	}
 }
 

@@ -77,7 +77,7 @@ func TestRunAuditsOnlyWholeModuleLoads(t *testing.T) {
 	for _, c := range []struct {
 		pattern string
 		want    int
-	}{{"./a", 0}, {"./...", 1}} {
+	}{{"./a", 0}, {"./a/...", 0}, {"./...", 1}, {"...", 1}} {
 		loader, err := NewLoader(filepath.Join("testdata", "stalemod"))
 		if err != nil {
 			t.Fatal(err)

@@ -102,8 +102,10 @@ func (l *Loader) ModuleRoot() string { return l.modRoot }
 // directory) relative to the module root and returns the matched packages,
 // type-checked and sorted by import path. Directories named testdata are
 // never matched by "./..." — they hold lint fixtures with intentional
-// violations. Loading "./..." also marks the shared Program as holding the
-// whole module, which is what lets Run audit stale allow directives.
+// violations. Loading "./..." (or "...") also marks the shared Program as
+// holding the whole module, which is what lets Run audit stale allow
+// directives. Load ends by rebuilding the Program's call graph over every
+// package loaded so far, so the analyzers can query it.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	dirs, wholeModule, err := l.expand(patterns)
 	if err != nil {
@@ -122,6 +124,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
 	l.prog.wholeModule = l.prog.wholeModule || wholeModule
+	l.prog.build()
 	return out, nil
 }
 
@@ -142,27 +145,9 @@ func (l *Loader) expand(patterns []string) (dirs []string, wholeModule bool, err
 	}
 	for _, pat := range patterns {
 		switch {
-		case pat == "./..." || pat == "...":
-			wholeModule = true
-			err := filepath.WalkDir(l.modRoot, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != l.modRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-					return filepath.SkipDir
-				}
-				add(path)
-				return nil
-			})
-			if err != nil {
-				return nil, false, err
-			}
-		case strings.HasSuffix(pat, "/..."):
-			base := filepath.Join(l.modRoot, strings.TrimSuffix(pat, "/..."))
+		case pat == "..." || strings.HasSuffix(pat, "/..."):
+			base := filepath.Join(l.modRoot, strings.TrimSuffix(pat, "..."))
+			wholeModule = wholeModule || base == l.modRoot
 			err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
 				if err != nil {
 					return err

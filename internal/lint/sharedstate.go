@@ -10,43 +10,43 @@ import (
 // entry point; function literals passed to it run concurrently.
 const poolForEachPath = "dctcpplus/internal/sweep/pool.ForEach"
 
-// SharedState returns the analyzer that extends sweepsafety from
-// package-level globals to *captured locals*. sweepsafety proves a sweep
-// job never writes a global; the remaining race class — the one
-// internal/sweep/pool actively invites — is a local captured by reference
-// in a concurrently executed closure:
+// SharedState returns the analyzer for one rule: concurrently executed code
+// writes no shared state. The sweep's determinism argument ("a job is a
+// pure function of its Point") holds only if nothing a job runs writes
+// state a sibling can see. The rule applies in three contexts:
+//
+//   - functions statically reachable from a //sweep:job root (the
+//     whole-module closure hotalloc uses for //hot:path) write no
+//     package-level variable;
+//   - function literals passed to pool.ForEach, anywhere in the module,
+//     write no variable captured by reference;
+//   - nor do literals launched with `go` in //sweep:job-reachable code.
+//
+// The second is the race class internal/sweep/pool actively invites:
 //
 //	sum := 0
 //	pool.ForEach(workers, n, func(w, i int) {
 //		sum += weigh(i)     // flagged: workers race on sum
 //	})
 //
-// Two closure contexts are checked:
-//
-//   - function literals passed to pool.ForEach, anywhere in the module
-//     (the pool contract says the body runs on several goroutines);
-//   - function literals launched with `go` inside //sweep:job-reachable
-//     code (the goroutine outlives the expression and races with its
-//     siblings and its spawner).
-//
-// Inside such a literal, a write (assignment, ++/--, delete/clear/copy)
-// whose destination resolves to a variable declared *outside* the literal
-// is flagged. The sanctioned idioms stay silent: writing through a slice
-// index that mentions one of the literal's own parameters — out[i] = ...
-// with i the job index, rigs[w] with w the calling worker's — touches a
-// slot no other call writes concurrently. Map
-// writes are flagged regardless of index — concurrent map writes fault at
-// run time no matter how the keys partition. A write lexically preceded by
-// a sync.Locker Lock() call in the same literal is exempt.
-//
-// Package-level destinations inside go-statement literals are left to
-// sweepsafety, which already reports them; literals passed to pool.ForEach
-// are checked for globals here too, because outside sweep-reachable code
-// sweepsafety never looks at them.
+// A write is an assignment (+=, ++ and friends included) or delete, clear
+// or copy; its destination is unwrapped through fields, indexes, slices
+// and dereferences, so writing Global.Field, Global[i] or *GlobalPtr
+// writes Global. Reads stay legal: configuration tables like exp.Protocols
+// are written only during init. Inside a literal a slice index mentioning
+// one of its own parameters — out[i] with i the job, rigs[w] with w the
+// worker — is a slot no other call writes and passes; a map write never
+// does, whatever its key. A write is exempt while a sync.Locker is held:
+// the last Lock or Unlock call before it in the literal is a Lock (a
+// deferred Unlock releases at exit, so it does not count). A package-level
+// write in a go-statement literal is reported once, as a sweep-code write.
+// A write that is genuinely safe belongs behind a method of a passed-in
+// object — the telemetry registry is the model — or, as a last resort,
+// under a //lint:allow sharedstate directive with a reason.
 func SharedState() *Analyzer {
 	return &Analyzer{
 		Name: "sharedstate",
-		Doc:  "flag unsynchronized writes to captured variables inside concurrently executed closures",
+		Doc:  "forbid writes to shared state in concurrently executed code: package-level state under //sweep:job, captured variables in worker closures",
 		Run:  runSharedState,
 	}
 }
@@ -57,7 +57,7 @@ func runSharedState(p *Package) []Diagnostic {
 	}
 	var out []Diagnostic
 
-	// Context A: literals handed to pool.ForEach, in any function.
+	// Literals handed to pool.ForEach, in any function.
 	for _, f := range p.Files {
 		ast.Inspect(f, func(node ast.Node) bool {
 			call, ok := node.(*ast.CallExpr)
@@ -78,9 +78,24 @@ func runSharedState(p *Package) []Diagnostic {
 		})
 	}
 
-	// Context B: goroutines launched inside sweep-reachable functions.
+	// Sweep-reachable functions: package-level writes anywhere in them,
+	// nested literals included, and captured writes in the goroutines they
+	// launch.
 	for _, n := range p.Prog.sweepNodesIn(p) {
 		where := sweepRootLabel(n.fn, p.Prog.sweepRootsOf(n.fn))
+		p.eachWrite(n.decl.Body, true, func(target ast.Expr, builtin string) {
+			v := p.writeTarget(nil, nil, target)
+			if v == nil {
+				return
+			}
+			what := "write to"
+			if builtin != "" {
+				what = builtin + " mutates"
+			}
+			out = append(out, p.diag("sharedstate", target.Pos(),
+				"%s package-level %s in worker-executed sweep code %s: jobs run concurrently and must mutate only job-local state",
+				what, v.Name(), where))
+		})
 		ast.Inspect(n.decl.Body, func(node ast.Node) bool {
 			gs, ok := node.(*ast.GoStmt)
 			if !ok {
@@ -96,48 +111,54 @@ func runSharedState(p *Package) []Diagnostic {
 	return out
 }
 
-// closureWrites flags the unsynchronized captured-variable writes in one
-// concurrently executed function literal. skipPkgLevel hands package-level
-// destinations to sweepsafety instead of reporting them twice.
-func (p *Package) closureWrites(lit *ast.FuncLit, skipPkgLevel bool, context string) []Diagnostic {
-	params := p.litParams(lit)
-	locks := p.lockPositions(lit)
-	var out []Diagnostic
-
-	flag := func(pos token.Pos, v *types.Var, how string) {
-		if precededByLock(locks, pos) {
-			return
-		}
-		if skipPkgLevel && isPkgLevel(v) {
-			return
-		}
-		out = append(out, p.diag("sharedstate", pos,
-			"%s %s captured %s by reference: concurrent workers race on it; write to a worker-indexed slot or hold a mutex",
-			context, how, v.Name()))
-	}
-
-	ast.Inspect(lit.Body, func(node ast.Node) bool {
+// eachWrite calls fn for every write in body: each assignment and ++/--
+// target, and the first argument of the builtins delete, clear and copy
+// (builtin names the builtin, and is empty for the other writes). Nested
+// function literals are visited only when nested is set.
+func (p *Package) eachWrite(body *ast.BlockStmt, nested bool, fn func(target ast.Expr, builtin string)) {
+	ast.Inspect(body, func(node ast.Node) bool {
 		switch node := node.(type) {
 		case *ast.FuncLit:
-			return node == lit // nested literals are their own capture scope
+			return nested
 		case *ast.AssignStmt:
 			for _, lhs := range node.Lhs {
-				if v := p.capturedTarget(lit, params, lhs); v != nil {
-					flag(lhs.Pos(), v, "writes")
-				}
+				fn(lhs, "")
 			}
 		case *ast.IncDecStmt:
-			if v := p.capturedTarget(lit, params, node.X); v != nil {
-				flag(node.X.Pos(), v, "writes")
-			}
+			fn(node.X, "")
 		case *ast.CallExpr:
-			if name, arg := mutatingBuiltin(p, node); arg != nil {
-				if v := p.capturedTarget(lit, params, arg); v != nil {
-					flag(arg.Pos(), v, name+"-mutates")
-				}
+			id, ok := unparen(node.Fun).(*ast.Ident)
+			if !ok || len(node.Args) == 0 {
+				return true
+			}
+			if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin &&
+				(id.Name == "delete" || id.Name == "clear" || id.Name == "copy") {
+				fn(node.Args[0], id.Name)
 			}
 		}
 		return true
+	})
+}
+
+// closureWrites flags the unguarded captured-variable writes in one
+// concurrently executed function literal. skipPkgLevel leaves
+// package-level destinations to the sweep-code report, which already
+// covers them.
+func (p *Package) closureWrites(lit *ast.FuncLit, skipPkgLevel bool, context string) []Diagnostic {
+	params := p.litParams(lit)
+	var out []Diagnostic
+	p.eachWrite(lit.Body, false, func(target ast.Expr, builtin string) {
+		v := p.writeTarget(lit, params, target)
+		if v == nil || skipPkgLevel && isPkgLevel(v) || p.lockHeld(lit, target.Pos()) {
+			return
+		}
+		how := "writes"
+		if builtin != "" {
+			how = builtin + "-mutates"
+		}
+		out = append(out, p.diag("sharedstate", target.Pos(),
+			"%s %s captured %s by reference: concurrent workers race on it; write to a worker-indexed slot or hold a mutex",
+			context, how, v.Name()))
 	})
 	return out
 }
@@ -159,34 +180,24 @@ func (p *Package) litParams(lit *ast.FuncLit) map[types.Object]bool {
 	return out
 }
 
-// lockPositions records the positions of sync.Locker Lock() calls in the
-// literal body; a write after a Lock is treated as guarded.
-func (p *Package) lockPositions(lit *ast.FuncLit) []token.Pos {
-	var out []token.Pos
+// lockHeld reports whether the last sync.Locker Lock or Unlock call before
+// pos in the literal is a Lock. Deferred calls are skipped: a deferred
+// Unlock releases at exit, not where it is written.
+func (p *Package) lockHeld(lit *ast.FuncLit, pos token.Pos) bool {
+	held := false
 	ast.Inspect(lit.Body, func(node ast.Node) bool {
-		call, ok := node.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Lock" {
-			return true
-		}
-		if isSyncType(p.Info.TypeOf(sel.X)) {
-			out = append(out, call.Pos())
+		switch node := node.(type) {
+		case *ast.DeferStmt:
+			return false
+		case *ast.CallExpr:
+			sel, ok := unparen(node.Fun).(*ast.SelectorExpr)
+			if ok && node.Pos() < pos && (sel.Sel.Name == "Lock" || sel.Sel.Name == "Unlock") && isSyncType(p.Info.TypeOf(sel.X)) {
+				held = sel.Sel.Name == "Lock"
+			}
 		}
 		return true
 	})
-	return out
-}
-
-func precededByLock(locks []token.Pos, pos token.Pos) bool {
-	for _, l := range locks {
-		if l < pos {
-			return true
-		}
-	}
-	return false
+	return held
 }
 
 // isSyncType reports whether t (possibly behind a pointer) is a named type
@@ -206,13 +217,16 @@ func isSyncType(t types.Type) bool {
 	return pkg != nil && pkg.Path() == "sync"
 }
 
-// capturedTarget resolves a write destination to the captured variable it
-// mutates, or nil when the write is literal-local or lands in a
-// worker-private slot. The access path is unwrapped like sweepsafety's
-// pkgLevelTarget, with two concurrency-specific twists: a map index is a
-// race no matter the key, and a slice index that mentions one of the
-// literal's parameters addresses a disjoint element and passes.
-func (p *Package) capturedTarget(lit *ast.FuncLit, params map[types.Object]bool, expr ast.Expr) *types.Var {
+// writeTarget resolves a write destination to the shared variable it
+// mutates, or nil. It unwraps the lvalue's access path (fields, indexes,
+// slices, dereferences): writing Global.Field, Global[i] or *GlobalPtr
+// mutates what writing Global would. With lit nil it answers "is this
+// package-level?". Inside lit it answers "is this captured?": the variable
+// is declared outside the literal and is not one of its params — except
+// that a slice or array index mentioning a param addresses a
+// worker-private slot and passes, while a map index races whatever its
+// key.
+func (p *Package) writeTarget(lit *ast.FuncLit, params map[types.Object]bool, expr ast.Expr) *types.Var {
 	for {
 		switch e := expr.(type) {
 		case *ast.ParenExpr:
@@ -222,21 +236,16 @@ func (p *Package) capturedTarget(lit *ast.FuncLit, params map[types.Object]bool,
 		case *ast.SliceExpr:
 			expr = e.X
 		case *ast.IndexExpr:
-			t := p.Info.TypeOf(e.X)
-			if t != nil {
-				if _, isMap := t.Underlying().(*types.Map); !isMap {
-					// Slice/array element: the worker-indexed idiom
-					// out[i] = ... writes a private slot.
-					if p.refsParam(e.Index, params) {
-						return nil
-					}
+			if t := p.Info.TypeOf(e.X); lit != nil && t != nil {
+				if _, isMap := t.Underlying().(*types.Map); !isMap && p.refsParam(e.Index, params) {
+					return nil
 				}
 			}
 			expr = e.X
 		case *ast.SelectorExpr:
 			if id, ok := e.X.(*ast.Ident); ok {
 				if _, isPkg := p.Info.Uses[id].(*types.PkgName); isPkg {
-					expr = e.Sel
+					expr = e.Sel // qualified reference: pkg.Var
 					continue
 				}
 			}
@@ -246,10 +255,15 @@ func (p *Package) capturedTarget(lit *ast.FuncLit, params map[types.Object]bool,
 			if !ok {
 				v, ok = p.Info.Defs[e].(*types.Var)
 			}
-			if !ok {
+			switch {
+			case !ok:
 				return nil
-			}
-			if declaredInside(lit, v) || params[v] {
+			case lit == nil:
+				if isPkgLevel(v) {
+					return v
+				}
+				return nil
+			case declaredInside(lit, v) || params[v]:
 				return nil
 			}
 			return v

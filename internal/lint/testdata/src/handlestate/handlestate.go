@@ -1,4 +1,4 @@
-// Package handlestate exercises the handlestate analyzer: Cancel on a
+// Package handlestate exercises typestate's handle rules: Cancel on a
 // possibly-dead handle, reads of dead handles, //state: move transition
 // misuse, overwriting an armed handle, and the clear-field-first rule for
 // re-arming callbacks.

@@ -1,7 +1,7 @@
 // Package ownclean exercises the legal ownership hand-off chain through
 // the real annotated types: packets minted from the pool and released on
 // every path via Port/Link/Host transfers, and the scheduler handle and
-// timer transitions used as documented. The typestate analyzers must stay
+// timer transitions used as documented. The typestate analyzer must stay
 // silent here.
 package ownclean
 

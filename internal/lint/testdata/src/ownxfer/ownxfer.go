@@ -1,4 +1,4 @@
-// Package ownxfer exercises the ownxfer analyzer: consuming a borrowed
+// Package ownxfer exercises typestate's ownership rules: consuming a borrowed
 // parameter, returning a pooled object without a //state: mint contract,
 // malformed //state: directives, and interface-contract disagreement.
 package ownxfer

@@ -1,4 +1,4 @@
-// Package poollife exercises the poollife analyzer: use-after-free,
+// Package poollife exercises typestate's pooled rules: use-after-free,
 // double-free, leak-on-path, discarded and overwritten mint results,
 // unsanctioned escapes, and the clean shapes (release on every path,
 // sanctioned sink escape, ownership transfer).

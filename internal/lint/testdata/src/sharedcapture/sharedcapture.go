@@ -43,18 +43,32 @@ func Guarded(xs []float64) float64 {
 	return sum
 }
 
-// counters is package-level state; its write below belongs to sweepsafety.
+// counters is package-level state; its write below is a sweep-code write.
 var counters = map[string]int{}
 
-// Job spawns a goroutine from a sweep job body: the captured-local write is
-// sharedstate's, the package-level write sweepsafety's.
+// Job spawns a goroutine from a sweep job body: both the captured-local
+// write and the package-level one are reported.
 //
 //sweep:job
 func Job(n int) int {
 	local := 0
 	go func() {
 		local += n           // flagged by sharedstate: captured local
-		counters["done"] = 1 // flagged by sweepsafety: package-level
+		counters["done"] = 1 // flagged by sharedstate: package-level
 	}()
 	return local
+}
+
+// AfterUnlock writes once under the mutex and once after releasing it:
+// only the second write races.
+func AfterUnlock(xs []float64) float64 {
+	var mu sync.Mutex
+	sum, late := 0.0, 0.0
+	pool.ForEach(2, len(xs), func(_, i int) {
+		mu.Lock()
+		sum += xs[i]
+		mu.Unlock()
+		late += xs[i] // flagged: the lock was released
+	})
+	return sum + late
 }

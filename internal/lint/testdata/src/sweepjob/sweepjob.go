@@ -1,4 +1,4 @@
-// Package sweepjob exercises the sweepsafety analyzer: a //sweep:job root
+// Package sweepjob exercises sharedstate's sweep-code rule: a //sweep:job root
 // whose call chain writes package-level state (flagged at each write), next
 // to a clean job that keeps every mutation job-local.
 package sweepjob

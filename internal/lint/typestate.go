@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -9,12 +8,11 @@ import (
 	"strings"
 )
 
-// This file implements the typestate engine behind the poollife,
-// handlestate and ownxfer analyzers: a //state: annotation grammar that
-// declares object protocols (named states plus function/method
-// transitions), and the per-variable state-set lattice and straight-line
-// transfer functions (assignments, calls, returns) that flow.go's walker
-// carries through branches, loops and labels.
+// This file implements the typestate analyzer and its engine: a //state:
+// annotation grammar that declares object protocols (named states plus
+// function/method transitions), and the per-variable state-set lattice and
+// straight-line transfer functions (assignments, calls, returns) that
+// flow.go's walker carries through branches, loops and labels.
 //
 // Grammar. A type's doc comment declares a protocol:
 //
@@ -38,7 +36,7 @@ import (
 //
 // kill and xfer may target any-typed parameters (the scheduler's arg
 // carriers); move needs a protocol-typed parameter so its state names can
-// resolve. Malformed directives are reported by ownxfer.
+// resolve. Malformed directives are reported as typestate findings.
 //
 // Abstraction and soundness caveats (see DESIGN.md):
 //
@@ -56,6 +54,88 @@ import (
 //   - A variable captured by a function literal is forgotten; literal
 //     bodies are analyzed separately with borrowed parameters.
 //   - Defers apply their effects at the defer statement, not at exit.
+
+// Typestate proves the //state: object protocols, over one run of the
+// engine in this file per package (control flow is flow.go's walker).
+//
+// Pooled protocols: every path from an alloc site (a //state: mint
+// function such as packet.Pool.Get or netsim.Host.AllocPacket) must reach
+// exactly one release — a //state: kill call (Pool.Put), an ownership
+// transfer into a //state: xfer parameter (Host.Send, Port.Enqueue,
+// Link.transmit), or a sanctioned escape inside a //state: sink function
+// (the Port ring slots). It reports:
+//
+//   - use-after-free: reading a pooled variable on a path where it was
+//     already killed or handed off,
+//   - double-free: a kill/xfer of a value that is possibly already gone,
+//   - leak-on-path: a function exit reachable while an owned pooled value
+//     is still live, a mint result discarded or overwritten, or an owned
+//     temporary passed to a parameter that only borrows it,
+//   - unsanctioned escape: storing an owned pooled value into a field or
+//     container outside a //state: sink function.
+//
+// Handle protocols (sim.Event: armed -> dead; sim.Timer: disarmed <->
+// armed): a recycled handle must never be touched after it may have fired
+// — the freelist reuses the struct, so a stale Cancel would cancel
+// somebody else's event. It reports:
+//
+//   - Cancel (or any //state: kill) on a possibly-dead handle,
+//   - reads of a handle variable on a path where it already fired or was
+//     cancelled,
+//   - //state: move misuse: calling a transition such as Timer.Reset or
+//     Timer.Stop when the receiver may be outside the transition's
+//     declared source states,
+//   - overwriting a handle variable while it may still be armed (the old
+//     handle becomes uncancellable),
+//   - the clear-field-first rule from internal/sim/scheduler.go: when a
+//     struct field of handle type is armed with a callback, the resolved
+//     callback body must set that field to nil as its very first
+//     statement, before any re-arm or cancel.
+//
+// Ownership-transfer hygiene — the //state: signatures themselves rather
+// than any single flow. It reports:
+//
+//   - a function that consumes (kills or transfers) a parameter it only
+//     borrows: the parameter must carry an explicit //state: kill or
+//     //state: xfer so every caller knows ownership moves,
+//   - a function that returns a caller-owned pooled object without a
+//     //state: mint contract on its declaration,
+//   - malformed //state: directives (unknown verbs, unknown states,
+//     names that match no parameter, protocols over the state-count cap),
+//   - interface-contract consistency: an implementation of an annotated
+//     interface method must declare the same parameter dispositions as
+//     the interface, so callers through the interface and callers of the
+//     concrete type see one contract.
+func Typestate() *Analyzer {
+	return &Analyzer{
+		Name: "typestate",
+		Doc:  "//state: protocols: pooled-object use-after-free, double-free and leaks; handle misuse; ownership-transfer contracts",
+		Run:  runTypestate,
+	}
+}
+
+// runTypestate runs the engine over every function of p — the per-function
+// abstract interpretation, then the callback clear-first rule and the
+// interface-contract consistency check — and adds the //state: table's
+// directive errors for p.
+func runTypestate(p *Package) []Diagnostic {
+	prog := p.Prog
+	if prog == nil {
+		return nil
+	}
+	tab := prog.typestates()
+	out := append([]Diagnostic(nil), tab.errs[p]...)
+	for _, n := range prog.order {
+		if n.pkg != p {
+			continue
+		}
+		f := &tsFlow{pkg: p, tab: tab, seen: make(map[Diagnostic]bool)}
+		f.analyzeDecl(n.decl, tab.funcs[n.fn])
+		out = append(out, f.out...)
+	}
+	out = append(out, clearFirstPass(p, prog, tab)...)
+	return append(out, ifaceContracts(p, prog, tab)...)
+}
 
 // protocol is one //state:-declared object protocol on a named type.
 type protocol struct {
@@ -151,7 +231,7 @@ type funcStateAnn struct {
 
 // stateTable holds every parsed protocol and function contract in the
 // module, plus the malformed-directive findings (attributed to the
-// declaring package and reported by ownxfer).
+// declaring package).
 type stateTable struct {
 	protos map[*types.Named]*protocol
 	funcs  map[*types.Func]*funcStateAnn
@@ -161,7 +241,6 @@ type stateTable struct {
 // typestates returns the module's //state: table, building it on first
 // use (cached on the Program, invalidated with the call graph).
 func (prog *Program) typestates() *stateTable {
-	prog.build()
 	if prog.stateTable != nil {
 		return prog.stateTable
 	}
@@ -183,7 +262,7 @@ func (prog *Program) typestates() *stateTable {
 }
 
 func (t *stateTable) errf(p *Package, pos token.Pos, format string, args ...any) {
-	t.errs[p] = append(t.errs[p], p.diag("ownxfer", pos, format, args...))
+	t.errs[p] = append(t.errs[p], p.diag("typestate", pos, format, args...))
 }
 
 // collectProtocols parses type-level //state: declarations in p.
@@ -567,69 +646,26 @@ func equalEnv(a, b tsEnv) bool {
 	return true
 }
 
-// tsFinding is one engine finding, tagged with the analyzer that owns it.
-type tsFinding struct {
-	analyzer string
-	d        Diagnostic
-}
-
-// typestateAnalysis is the cached per-package engine result shared by
-// poollife, handlestate and ownxfer.
-type typestateAnalysis struct {
-	findings []tsFinding
-}
-
-// typestateOf runs the typestate engine once over every function of p
-// (cached per package): the per-function abstract interpretation, the
-// module-wide callback clear-first rule, and the interface-contract
-// consistency check.
-func (prog *Program) typestateOf(p *Package) *typestateAnalysis {
-	prog.build()
-	if a, ok := prog.typestateResults[p]; ok {
-		return a
-	}
-	tab := prog.typestates()
-	a := &typestateAnalysis{}
-	for _, d := range tab.errs[p] {
-		a.findings = append(a.findings, tsFinding{analyzer: "ownxfer", d: d})
-	}
-	for _, n := range prog.order {
-		if n.pkg != p {
-			continue
-		}
-		f := &tsFlow{pkg: p, tab: tab, out: a, seen: make(map[string]bool)}
-		f.analyzeDecl(n.decl, tab.funcs[n.fn])
-	}
-	clearFirstPass(p, prog, tab, a)
-	ifaceContracts(p, prog, tab, a)
-	if prog.typestateResults == nil {
-		prog.typestateResults = make(map[*Package]*typestateAnalysis)
-	}
-	prog.typestateResults[p] = a
-	return a
-}
-
 // tsFlow interprets one declared function (and, recursively, the function
 // literals it contains, each with a fresh environment).
 type tsFlow struct {
 	pkg  *Package
 	tab  *stateTable
-	out  *typestateAnalysis
-	seen map[string]bool
+	out  []Diagnostic
+	seen map[Diagnostic]bool
 
 	ann      *funcStateAnn // contract of the function under analysis
 	declName string        // for messages: "Enqueue" or "function literal"
 	lits     []*ast.FuncLit
 }
 
-func (f *tsFlow) report(analyzer string, pos token.Pos, format string, args ...any) {
-	d := f.pkg.diag(analyzer, pos, format, args...)
-	key := fmt.Sprintf("%s|%s|%d|%d|%s", analyzer, d.File, d.Line, d.Col, d.Message)
-	if f.seen[key] {
+func (f *tsFlow) report(pos token.Pos, format string, args ...any) {
+	d := f.pkg.diag("typestate", pos, format, args...)
+	if f.seen[d] {
 		return
 	}
-	f.seen[key] = true
-	f.out.findings = append(f.out.findings, tsFinding{analyzer: analyzer, d: d})
+	f.seen[d] = true
+	f.out = append(f.out, d)
 }
 
 // analyzeDecl interprets one function declaration, then every function
@@ -732,7 +768,7 @@ func (f *tsFlow) checkExit(env tsEnv) {
 			continue
 		}
 		if val.states&val.proto.liveMask() != 0 {
-			f.report("poollife", val.mintPos,
+			f.report(val.mintPos,
 				"pooled %s '%s' is not released on every path: a function exit is reachable while it is still owned (want exactly one free or ownership transfer per path)",
 				val.proto.name, v.Name())
 		}
@@ -764,7 +800,7 @@ func (f *tsFlow) transfer(n ast.Node, env tsEnv) tsEnv {
 		if call, ok := unparen(st.X).(*ast.CallExpr); ok {
 			val, _ := f.valueOf(env, call, false)
 			if val != nil && val.owned && val.proto.kind == "pooled" {
-				f.report("poollife", call.Pos(),
+				f.report(call.Pos(),
 					"result of this call is a caller-owned pooled %s: discarding it leaks (bind it and release exactly once)",
 					val.proto.name)
 			}
@@ -793,7 +829,7 @@ func (f *tsFlow) transfer(n ast.Node, env tsEnv) tsEnv {
 			val, handled := f.valueOf(env, res, true)
 			if val != nil && val.owned && val.proto.kind == "pooled" {
 				if f.ann == nil || !f.ann.mint {
-					f.report("ownxfer", st.Pos(),
+					f.report(st.Pos(),
 						"%s returns a caller-owned pooled %s without a '//state: mint' contract on its declaration",
 						f.declName, val.proto.name)
 				}
@@ -876,7 +912,7 @@ func (f *tsFlow) assignOne(env tsEnv, lhs, rhs ast.Expr) {
 	case *ast.Ident:
 		if l.Name == "_" {
 			if val != nil && val.owned && val.proto.kind == "pooled" {
-				f.report("poollife", rhs.Pos(),
+				f.report(rhs.Pos(),
 					"caller-owned pooled %s assigned to the blank identifier: nothing can ever free it", val.proto.name)
 			}
 			return
@@ -919,7 +955,7 @@ func (f *tsFlow) storeEscape(val *tsVal, pos token.Pos, where string) {
 	if f.ann != nil && f.ann.sink {
 		return
 	}
-	f.report("poollife", pos,
+	f.report(pos,
 		"pooled %s stored into %s outside a //state: sink function: ownership hand-off into long-lived structure must happen at an annotated sink",
 		val.proto.name, where)
 }
@@ -934,7 +970,7 @@ func (f *tsFlow) checkOverwrite(env tsEnv, v *types.Var, pos token.Pos) {
 	}
 	if val.proto.kind == "pooled" {
 		if val.owned && val.states&val.proto.liveMask() != 0 {
-			f.report("poollife", pos,
+			f.report(pos,
 				"assignment overwrites '%s' while it still owns a pooled %s (minted at line %d): the previous object leaks",
 				v.Name(), val.proto.name, f.pkg.Fset.Position(val.mintPos).Line)
 		}
@@ -942,7 +978,7 @@ func (f *tsFlow) checkOverwrite(env tsEnv, v *types.Var, pos token.Pos) {
 	}
 	quiescent := val.proto.bit(0) | val.proto.deadMask() | xferBit
 	if val.states&^quiescent != 0 {
-		f.report("handlestate", pos,
+		f.report(pos,
 			"assignment overwrites handle '%s' while it may still be %s: the in-flight handle is orphaned mid-protocol",
 			v.Name(), val.proto.setString(val.states&^quiescent))
 	}
@@ -1027,7 +1063,7 @@ func (f *tsFlow) expr(env tsEnv, e ast.Expr) {
 		if ann != nil && ann.mint && ann.mintProto.kind == "pooled" {
 			// A mint result consumed in a larger expression (not bound,
 			// not returned, not an argument) cannot be released.
-			f.report("poollife", ex.Pos(),
+			f.report(ex.Pos(),
 				"result of this call is a caller-owned pooled %s: discarding it leaks (bind it and release exactly once)",
 				ann.mintProto.name)
 		}
@@ -1081,11 +1117,11 @@ func (f *tsFlow) useIdent(env tsEnv, id *ast.Ident) {
 		return
 	}
 	if val.proto.kind == "pooled" {
-		f.report("poollife", id.Pos(),
+		f.report(id.Pos(),
 			"use of '%s' after it was %s: pooled %s reaches this point %s on some path",
 			id.Name, goneVerb(gone, val.proto), val.proto.name, val.proto.setString(gone))
 	} else {
-		f.report("handlestate", id.Pos(),
+		f.report(id.Pos(),
 			"use of possibly-dead handle '%s': %s reaches this point %s on some path (a recycled handle must not be touched)",
 			id.Name, val.proto.name, val.proto.setString(gone))
 	}
@@ -1155,7 +1191,7 @@ func (f *tsFlow) call(env tsEnv, call *ast.CallExpr, callee *types.Func, ann *fu
 			recvDisp = ann.recv
 		}
 		if id, ok := unparen(sel.X).(*ast.Ident); ok {
-			f.applyDisp(env, id, recvDisp, calleeName, callee)
+			f.applyDisp(env, id, recvDisp, calleeName)
 		} else {
 			f.expr(env, sel.X)
 		}
@@ -1169,7 +1205,7 @@ func (f *tsFlow) call(env tsEnv, call *ast.CallExpr, callee *types.Func, ann *fu
 		}
 		if id, ok := unparen(arg).(*ast.Ident); ok {
 			if _, tracked := f.trackedVar(env, id); tracked {
-				f.applyDisp(env, id, disp, calleeName, callee)
+				f.applyDisp(env, id, disp, calleeName)
 				continue
 			}
 		}
@@ -1179,7 +1215,7 @@ func (f *tsFlow) call(env tsEnv, call *ast.CallExpr, callee *types.Func, ann *fu
 		val, handled := f.valueOf(env, arg, true)
 		if val != nil {
 			if val.owned && val.proto.kind == "pooled" && disp.kind != dispKill && disp.kind != dispXfer {
-				f.report("poollife", arg.Pos(),
+				f.report(arg.Pos(),
 					"caller-owned pooled %s passed to %s, which does not take ownership (no //state: kill or xfer on that parameter): nothing will ever free it",
 					val.proto.name, calleeName)
 			}
@@ -1201,32 +1237,28 @@ func (f *tsFlow) trackedVar(env tsEnv, id *ast.Ident) (*types.Var, bool) {
 }
 
 // applyDisp applies one parameter disposition to a tracked argument.
-func (f *tsFlow) applyDisp(env tsEnv, id *ast.Ident, disp paramDisp, calleeName string, callee *types.Func) {
+func (f *tsFlow) applyDisp(env tsEnv, id *ast.Ident, disp paramDisp, calleeName string) {
 	v, tracked := f.trackedVar(env, id)
 	if !tracked {
 		f.useIdent(env, id)
 		return
 	}
 	val := env[v]
-	label := "poollife"
-	if val.proto.kind != "pooled" {
-		label = "handlestate"
-	}
 	switch disp.kind {
 	case dispKill, dispXfer:
 		if gone := val.states & val.proto.goneMask(); gone != 0 {
 			if val.proto.kind == "pooled" {
-				f.report("poollife", id.Pos(),
+				f.report(id.Pos(),
 					"double free of '%s': pooled %s is already %s when passed to %s",
 					id.Name, val.proto.name, val.proto.setString(gone), calleeName)
 			} else {
-				f.report("handlestate", id.Pos(),
+				f.report(id.Pos(),
 					"'%s' passed to %s while possibly dead: handle %s already reached %s on a path to here (a fired or cancelled handle must not be released again)",
 					id.Name, calleeName, val.proto.name, val.proto.setString(gone))
 			}
 		}
 		if !val.owned {
-			f.report("ownxfer", id.Pos(),
+			f.report(id.Pos(),
 				"parameter '%s' is borrowed, but %s consumes it: declare '//state: xfer %s' (or kill) on %s's signature",
 				id.Name, calleeName, id.Name, f.declName)
 		}
@@ -1242,12 +1274,12 @@ func (f *tsFlow) applyDisp(env tsEnv, id *ast.Ident, disp paramDisp, calleeName 
 		env[v] = val
 	case dispMove:
 		if bad := val.states &^ (disp.from | val.proto.goneMask()); bad != 0 {
-			f.report(label, id.Pos(),
+			f.report(id.Pos(),
 				"%s requires %s '%s' in state %s, but it may be %s here",
 				calleeName, val.proto.name, id.Name, val.proto.setString(disp.from), val.proto.setString(bad))
 		}
 		if gone := val.states & val.proto.goneMask(); gone != 0 {
-			f.report(label, id.Pos(),
+			f.report(id.Pos(),
 				"%s called on '%s' after it was already %s", calleeName, id.Name, val.proto.setString(gone))
 		}
 		val.states = disp.to
@@ -1255,7 +1287,6 @@ func (f *tsFlow) applyDisp(env tsEnv, id *ast.Ident, disp paramDisp, calleeName 
 	case dispNone:
 		f.useIdent(env, id)
 	}
-	_ = callee
 }
 
 // ---------------------------------------------------------------------------
@@ -1268,13 +1299,13 @@ func (f *tsFlow) applyDisp(env tsEnv, id *ast.Ident, disp paramDisp, calleeName 
 // Event handle-lifetime contract is built on. Unresolvable callbacks
 // (plain function values assigned elsewhere than this package) are
 // skipped.
-func clearFirstPass(p *Package, prog *Program, tab *stateTable, out *typestateAnalysis) {
+func clearFirstPass(p *Package, prog *Program, tab *stateTable) []Diagnostic {
 	lits := litFieldMap(p)
+	var out []Diagnostic
 	report := func(pos token.Pos, fieldName string) {
-		d := p.diag("handlestate", pos,
+		out = append(out, p.diag("typestate", pos,
 			"callback arming field '%s' does not clear it first: the handle is dead once the callback runs, so the callback's first statement must set '%s = nil' before any re-arm or cancel",
-			fieldName, fieldName)
-		out.findings = append(out.findings, tsFinding{analyzer: "handlestate", d: d})
+			fieldName, fieldName))
 	}
 	inspect := func(body *ast.BlockStmt) {
 		ast.Inspect(body, func(n ast.Node) bool {
@@ -1327,6 +1358,7 @@ func clearFirstPass(p *Package, prog *Program, tab *stateTable, out *typestateAn
 			inspect(n.decl.Body)
 		}
 	}
+	return out
 }
 
 // litFieldMap collects 'x.field = func(){...}' assignments in the
@@ -1426,7 +1458,8 @@ func clearsFieldFirst(p *Package, body *ast.BlockStmt, field *types.Var) bool {
 // interface method declare the same parameter dispositions: a Node
 // implementation that silently borrows what the interface transfers
 // would break every caller's ownership accounting.
-func ifaceContracts(p *Package, prog *Program, tab *stateTable, out *typestateAnalysis) {
+func ifaceContracts(p *Package, prog *Program, tab *stateTable) []Diagnostic {
+	var out []Diagnostic
 	fns := make([]*types.Func, 0, len(tab.funcs))
 	for fn := range tab.funcs {
 		fns = append(fns, fn)
@@ -1458,14 +1491,14 @@ func ifaceContracts(p *Package, prog *Program, tab *stateTable, out *typestateAn
 					got = implAnn.params[i]
 				}
 				if got.kind != want.kind {
-					d := p.diag("ownxfer", impl.decl.Pos(),
+					out = append(out, p.diag("typestate", impl.decl.Pos(),
 						"%s implements %s, whose //state: contract declares %s for parameter %d; the implementation must declare the same disposition",
-						impl.fn.Name(), fn.FullName(), dispName(want.kind), i+1)
-					out.findings = append(out.findings, tsFinding{analyzer: "ownxfer", d: d})
+						impl.fn.Name(), fn.FullName(), dispName(want.kind), i+1))
 				}
 			}
 		}
 	}
+	return out
 }
 
 func dispName(k dispKind) string {
@@ -1480,20 +1513,4 @@ func dispName(k dispKind) string {
 		return "none"
 	}
 	return "none"
-}
-
-// typestateFindings filters the cached engine result for one analyzer.
-func typestateFindings(p *Package, analyzer string) []Diagnostic {
-	prog := p.Prog
-	if prog == nil {
-		return nil
-	}
-	res := prog.typestateOf(p)
-	var out []Diagnostic
-	for _, f := range res.findings {
-		if f.analyzer == analyzer {
-			out = append(out, f.d)
-		}
-	}
-	return out
 }

@@ -105,7 +105,7 @@ func loadFixturePkg(t *testing.T, name string) *Package {
 // BothFree (release on every path) must stay silent.
 func TestMergeAtJoinFlagsFreedUse(t *testing.T) {
 	p := loadFixturePkg(t, "poollife")
-	diags := typestateFindings(p, "poollife")
+	diags := runTypestate(p)
 	wantLine := fixtureFindingLine(t, "poollife", "poollife.go", "n := b.n")
 	found := false
 	for _, d := range diags {
@@ -127,7 +127,7 @@ func TestMergeAtJoinFlagsFreedUse(t *testing.T) {
 // back into the loop head.
 func TestLoopWideningFindsSecondPassOverwrite(t *testing.T) {
 	p := loadFixturePkg(t, "poollife")
-	diags := typestateFindings(p, "poollife")
+	diags := runTypestate(p)
 	wantLine := fixtureFindingLine(t, "poollife", "poollife.go", "b = p.Get()")
 	for _, d := range diags {
 		if d.Line == wantLine && strings.Contains(d.Message, "assignment overwrites 'b'") {

@@ -96,7 +96,7 @@ const (
 // by exactly one network element at a time; they are never shared, so no
 // locking is required in the single-threaded event loop.
 //
-// The ownership contract is machine-checked: simlint's poollife analyzer
+// The ownership contract is machine-checked: simlint's typestate analyzer
 // tracks every pooled packet from its mint (Pool.Get, Host.AllocPacket)
 // to exactly one release (Pool.Put, or a //state: xfer hand-off into the
 // network) per path. Those two are the only mints: no non-test code

@@ -4,7 +4,7 @@ package packet
 
 import "dctcpplus/internal/check"
 
-// Debug-build poison for the pool freelist, mirroring the static poollife
+// Debug-build poison for the pool freelist, mirroring the static typestate
 // rules at runtime (see internal/check.Debug): Put scrambles the recycled
 // packet's sequence number to a sentinel and preserves its flow ID, so a
 // use-after-free read is unmistakable in traces and a double free panics

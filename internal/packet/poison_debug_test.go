@@ -37,7 +37,7 @@ func TestPoisonArmAndClear(t *testing.T) {
 }
 
 // TestPoisonDoubleFreePanics pins the runtime backstop that mirrors the
-// static poollife double-free rule: a second Put of the same packet must
+// static typestate double-free rule: a second Put of the same packet must
 // panic naming the offending flow.
 func TestPoisonDoubleFreePanics(t *testing.T) {
 	p := &Pool{}

@@ -14,7 +14,7 @@ import "fmt"
 // action of the callback, which is the idiom this contract is built for.
 // Cancelling a dead handle before any reuse remains a harmless no-op.
 //
-// The contract is machine-checked: simlint's handlestate analyzer tracks
+// The contract is machine-checked: simlint's typestate analyzer tracks
 // every handle from mint (At/After and the Arg variants) to dead
 // (fire/Cancel), and enforces the clear-field-first idiom on re-arming
 // callbacks.

@@ -394,7 +394,7 @@ func resultOf(pt Point, r exp.IncastResult) Result {
 // result: its summaries cover fewer rounds than the point names. The
 // body is worker-executed: all its state — the rig's scheduler, topology and
 // connections — is private to the worker, and it touches nothing shared
-// (the sweepsafety lint check enforces this). The telemetry registry is the
+// (the sharedstate lint check enforces this). The telemetry registry is the
 // one sanctioned shared sink; its instruments are atomic.
 //
 //sweep:job
