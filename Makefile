@@ -99,10 +99,12 @@ oracle-smoke:
 		-rounds 4 -warmup 1 -faults all -oracle -oracle-trace $(ORACLE_TRACE) >/dev/null
 	@echo "oracle-smoke: protocol x fault matrix oracle-clean"
 
-# Benchmarks with the alloc column: the sim, netsim and tcp hot paths must
-# report 0 allocs/op (the AllocsPerRun tests in those packages pin it).
+# Benchmarks with the alloc column: the sim, netsim and tcp hot paths and
+# the oracle's per-event cost (BenchmarkCheckerPacket/Probe, ns per
+# observed event) must report 0 allocs/op (the AllocsPerRun tests in those
+# packages pin it).
 bench:
-	$(GO) test -bench=. -benchmem ./internal/sim ./internal/netsim ./internal/tcp
+	$(GO) test -bench=. -benchmem ./internal/sim ./internal/netsim ./internal/tcp ./internal/oracle
 
 # Just the allocation-budget regression tests, without the benchmarks
 # (internal/netsim and internal/tcp: a port hop and a steady-state transfer
@@ -115,9 +117,11 @@ bench:
 # pinned budget, and an observed run's allocations and bytes grow with its
 # rounds only by its queue samples, 4 bytes each; internal/trace: the queue
 # sampler allocates per sample block, not per tick, and 4 bytes per sample;
-# internal/telemetry: an instrument lookup that hits allocates nothing).
+# internal/telemetry: an instrument lookup that hits allocates nothing;
+# internal/oracle: TestCheckerAllocFree — observing a packet event or a
+# processed-ACK probe allocates nothing once a flow's models are warm).
 alloc-check:
-	$(GO) test -run 'AllocBudget|AllocFree' ./internal/sim ./internal/netsim ./internal/tcp ./internal/workload ./internal/exp ./internal/trace ./internal/telemetry
+	$(GO) test -run 'AllocBudget|AllocFree' ./internal/sim ./internal/netsim ./internal/tcp ./internal/workload ./internal/exp ./internal/trace ./internal/telemetry ./internal/oracle
 
 # The benchmark's own smoke (cmd/perf at 1/50 scale: all five workloads,
 # their output checks, every twin run's digest against its facade's). `race`

@@ -204,9 +204,11 @@ func DefaultEnhancementConfig() EnhancementConfig { return core.DefaultConfig() 
 // Snapshot the registry after the run and export it as JSON lines; see
 // README's "Observability" section.
 type (
-	// Registry collects named, label-keyed instruments. Instruments are
-	// atomic, so one registry serves parallel sweeps; a nil *Registry is a
-	// valid no-op sink.
+	// Registry collects named, label-keyed instruments. A registry's
+	// instruments belong to one goroutine; each run of a parallel sweep
+	// fills its own and merges it into the shared one (Registry.Merge), so
+	// one registry serves parallel sweeps. A nil *Registry is a valid
+	// no-op sink.
 	Registry = telemetry.Registry
 	// MetricLabel is one key=value pair of an instrument's identity.
 	MetricLabel = telemetry.Label

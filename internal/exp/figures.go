@@ -26,7 +26,8 @@ type Scale struct {
 	Seed   uint64
 
 	// Telemetry, when non-nil, is threaded into every run of the figure;
-	// atomic instruments make one registry safe across RunMany's workers.
+	// each run merges a registry of its own into it, so one registry is
+	// safe across RunMany's workers.
 	Telemetry *telemetry.Registry
 }
 
@@ -73,10 +74,11 @@ type Section interface {
 	// Check turns the conformance oracle on for the entry's points where
 	// the entry is one cmd/report -oracle covers: the ablations and the
 	// resilience table. The paper's figures never ran under it and still do
-	// not: a checked point drains 100ms for the conservation ledger before
-	// its result is read, which moves SimTime, sender stats, queue samples
-	// and cwnd probes (ROADMAP 1), so checking would change the figures'
-	// numbers. On them Check is a no-op.
+	// not: a checked point drains 100ms for the conservation ledger, and
+	// although the observers' results are read before the drain, SimTime,
+	// the timeout totals and the bottleneck drops are still read after it
+	// (ROADMAP 1), so checking could change the figures' numbers. On them
+	// Check is a no-op.
 	Check()
 	Run()
 	Render(w io.Writer)

@@ -136,8 +136,9 @@ type IncastOptions struct {
 	// Telemetry, when non-nil, receives instrument updates from every hot
 	// layer of the run (ports, senders, congestion control, workload) under
 	// the {proto, flows} label set; background long flows add role=background.
-	// The registry is safe to share across RunMany because instruments are
-	// atomic.
+	// The run updates a registry of its own and merges it into this one at
+	// the halt (Registry.Merge, under this registry's lock), so one registry
+	// is safe to share across RunMany.
 	Telemetry *telemetry.Registry
 
 	// Faults, when non-nil, generates a deterministic fault plan from this
@@ -154,7 +155,9 @@ type IncastOptions struct {
 	// result's OracleViolations. The checker is a pure observer subscribed
 	// to the endpoints' and uplinks' sinks; a run's traffic is
 	// byte-identical with it on or off, but the run drains an extra 100ms
-	// of virtual time before the conservation audit.
+	// of virtual time before the conservation audit. The observers' results
+	// are read before the drain; SimTime, the timeout totals and the
+	// bottleneck drops after it (see Run).
 	Oracle bool
 
 	// FlowIDs relabels the workload's flow ids (see
@@ -501,12 +504,18 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 		ck.AttachTwoTier(tt)
 	}
 
-	labels := attachRunTelemetry(o.Telemetry, tt, in.Conns(), o.Protocol, o.Flows)
-	in.AttachTelemetry(o.Telemetry, labels...)
+	// The run's layers update a registry the run owns; o.Telemetry gets
+	// it in one Merge at the halt, so runs in parallel share no instrument.
+	var reg *telemetry.Registry
+	if o.Telemetry != nil {
+		reg = telemetry.NewRegistry()
+	}
+	labels := attachRunTelemetry(reg, tt, in.Conns(), o.Protocol, o.Flows)
+	in.AttachTelemetry(reg, labels...)
 	// Long flows report under their own role label so their transport events
 	// do not blend into the incast flows' counters.
 	if len(longConns) > 0 {
-		attachConnTelemetry(o.Telemetry, longConns, withLabel(labels, "role", "background"))
+		attachConnTelemetry(reg, longConns, withLabel(labels, "role", "background"))
 	}
 
 	var inj *fault.Injector
@@ -542,6 +551,32 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 	for _, lf := range longs {
 		lf.Stop()
 	}
+	// The observers' results are read at the halt: the oracle's drain below
+	// serves only its conservation ledger, and what the sampler, the probes,
+	// telemetry and the fault injector report must not depend on it.
+	res := IncastResult{Protocol: o.Protocol, Flows: o.Flows}
+	if sampler != nil {
+		res.Queue = sampler.Series() // a copy: blind to samples taken later
+	}
+	if o.CollectCwnd {
+		res.CwndHist = mergeCwndProbes(probes)
+	}
+	finishRunTelemetry(reg, sched.Now(), tt, labels, in.Conns(), longConns)
+	if inj != nil {
+		st := inj.Finish()
+		res.FaultStats = &st
+		countFaults(reg, st, withLabel(labels, "faults", fault.ClassesLabel(o.Faults.Classes)))
+	}
+	o.Telemetry.Merge(reg)
+	if len(longs) > 0 {
+		var chunks []float64
+		for _, lf := range longs {
+			chunks = append(chunks, lf.ChunkThroughputMbps()...)
+			res.PerFlowMeanMbps = append(res.PerFlowMeanMbps, lf.MeanThroughputMbps())
+		}
+		res.LongFlowMbps = stats.Summarize(chunks)
+	}
+
 	drained := false
 	if o.Oracle && in.Finished() {
 		// Completion halts on the final ACK; duplicate retransmissions
@@ -556,19 +591,19 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 			drained = drained && c.Sender.Done()
 		}
 	}
-	finishRunTelemetry(o.Telemetry, sched.Now(), tt, labels, in.Conns(), longConns)
-
-	res := IncastResult{Protocol: o.Protocol, Flows: o.Flows}
-	res.SimTime = sched.Now().Sub(sim.Time(0))
-	if inj != nil {
-		st := inj.Finish()
-		res.FaultStats = &st
-		countFaults(o.Telemetry, st, withLabel(labels, "faults", fault.ClassesLabel(o.Faults.Classes)))
-	}
 	if ck != nil {
 		res.OracleViolations = ck.Finish(drained)
 		res.OracleTotal = ck.Total()
 	}
+
+	// SimTime, the timeout totals and the bottleneck drops are still read
+	// after the drain, with the sampler ticking through it (the drain ends
+	// at its last event): cmd/perf's traced twin reads them after a drain
+	// of its own and fails a run whose facade result differs (ROADMAP 1).
+	if sampler != nil {
+		sampler.Stop()
+	}
+	res.SimTime = sched.Now().Sub(sim.Time(0))
 	if o.KeepRounds {
 		for _, r := range in.Results() {
 			pt := RoundPoint{
@@ -621,22 +656,7 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 		res.FLossTO += st.FLossTimeouts
 		res.LAckTO += st.LAckTimeouts
 	}
-	if o.CollectCwnd {
-		res.CwndHist = mergeCwndProbes(probes)
-	}
-	if sampler != nil {
-		sampler.Stop()
-		res.Queue = sampler.Series()
-	}
 	res.BottleneckDrops = tt.BottleneckPort.Stats().DroppedPkts
-	if len(longs) > 0 {
-		var chunks []float64
-		for _, lf := range longs {
-			chunks = append(chunks, lf.ChunkThroughputMbps()...)
-			res.PerFlowMeanMbps = append(res.PerFlowMeanMbps, lf.MeanThroughputMbps())
-		}
-		res.LongFlowMbps = stats.Summarize(chunks)
-	}
 	// Retire: every connection closes while the scheduler still holds its
 	// timers' events, leaving the rig ready for the next prepare.
 	in.Close()

@@ -216,19 +216,43 @@ func TestOracleMetamorphicTimeScaling(t *testing.T) {
 
 // TestOracleOffLeavesResultUnchanged: the checker is a pure observer — a
 // run with it attached must report the same experiment numbers as one
-// without (modulo the oracle fields themselves and the post-run drain).
+// without, the oracle fields aside, with every other observer attached
+// (cwnd probes, the queue sampler) and background long flows beside the
+// incast. The result is read at the halt, before the oracle's drain, so
+// the drain moves nothing but SimTime, which stays post-drain for
+// cmd/perf's twin (see Rig.Run).
 func TestOracleOffLeavesResultUnchanged(t *testing.T) {
 	mk := func(on bool) IncastResult {
 		o := DefaultIncastOptions(ProtoDCTCPPlus, 8)
 		o.Rounds = 3
 		o.WarmupRounds = 1
 		o.KeepRounds = true
+		o.CollectCwnd = true
+		o.QueueSampleEvery = 100 * sim.Microsecond
+		o.BackgroundFlows, o.ChunkBytes = 2, 64<<10
 		o.Oracle = on
 		return RunIncast(o)
 	}
 	off := mk(false)
 	on := mk(true)
 	failViolations(t, "on", on)
+	if off.Queue.Len() == 0 || off.CwndHist.Total() == 0 || len(off.PerFlowMeanMbps) != 2 {
+		t.Fatalf("observers saw nothing: %d queue samples, %d cwnd probes, %d long flows",
+			off.Queue.Len(), off.CwndHist.Total(), len(off.PerFlowMeanMbps))
+	}
+	// The series is compared sample by sample: the result's copy shares
+	// the sampler's last block, which the drain goes on filling past the
+	// copy's end.
+	if off.Queue.Len() != on.Queue.Len() {
+		t.Fatalf("queue samples: %d without the oracle, %d with it", off.Queue.Len(), on.Queue.Len())
+	}
+	for i := 0; i < off.Queue.Len(); i++ {
+		at, b := off.Queue.Sample(i)
+		if at2, b2 := on.Queue.Sample(i); at != at2 || b != b2 {
+			t.Fatalf("queue sample %d moved with the oracle attached: (%v, %d) -> (%v, %d)", i, at, b, at2, b2)
+		}
+	}
+	on.Queue = off.Queue
 	on.OracleViolations = nil
 	on.OracleTotal = 0
 	on.SimTime = off.SimTime // the oracle run drains 100ms extra

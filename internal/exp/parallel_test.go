@@ -1,12 +1,16 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"dctcpplus/internal/core"
+	"dctcpplus/internal/fault"
 	"dctcpplus/internal/packet"
+	"dctcpplus/internal/sim"
 	"dctcpplus/internal/telemetry"
 )
 
@@ -147,5 +151,57 @@ func TestRunManyValidatesBeforeFanOut(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSharedRegistryAcrossWorkers: every observer — telemetry, the oracle,
+// cwnd probes, the queue sampler, background flows and a fault plan —
+// attached to points RunMany runs on two workers, all reporting into one
+// registry under overlapping label sets, so runs merge into the same
+// instruments concurrently. Each run owns its instruments and merges them
+// once, so the shared snapshot must equal the one a single worker leaves.
+// `go test -race` is the other half of the check.
+func TestSharedRegistryAcrossWorkers(t *testing.T) {
+	var points []IncastOptions
+	for _, p := range []Protocol{ProtoDCTCPPlus, ProtoDCTCP} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			o := fastBackgroundOpts(p, 8)
+			o.Rounds, o.WarmupRounds = 4, 1
+			o.Testbed.Seed = seed
+			o.Oracle = true
+			o.CollectCwnd = true
+			o.QueueSampleEvery = 100 * sim.Microsecond
+			points = append(points, o)
+		}
+	}
+	faulted := points[0]
+	faulted.Faults = &fault.GenConfig{Seed: 7, Classes: []fault.Class{fault.ClassLoss}}
+	points = append(points, faulted)
+
+	snapshot := func(workers int) telemetry.Snapshot {
+		old := Parallelism
+		Parallelism = workers
+		defer func() { Parallelism = old }()
+		reg := telemetry.NewRegistry()
+		optList := append([]IncastOptions(nil), points...)
+		for i := range optList {
+			optList[i].Telemetry = reg
+		}
+		for i, r := range RunMany(optList) {
+			if r.OracleTotal != 0 {
+				t.Fatalf("workers=%d point %d: %d oracle violations", workers, i, r.OracleTotal)
+			}
+		}
+		return reg.Snapshot()
+	}
+	one, two := snapshot(1), snapshot(2)
+	if len(one.Instruments) == 0 || one.Total("tcp_cwnd_mss") == 0 {
+		t.Fatalf("the runs reported nothing: %d instruments", len(one.Instruments))
+	}
+	if !reflect.DeepEqual(one, two) {
+		var a, b bytes.Buffer
+		one.WriteJSONLines(&a)
+		two.WriteJSONLines(&b)
+		t.Errorf("two workers left a different registry than one:\none worker:\n%s\ntwo workers:\n%s", a.Bytes(), b.Bytes())
 	}
 }

@@ -21,6 +21,11 @@ const (
 	// maxViolations bounds the retained violation list; further failures
 	// only increment the total counter.
 	maxViolations = 64
+	// denseFlowIDs bounds the flow ids looked up by index: the incast
+	// numbers its flows from 1, so every packet of an incast flow finds its
+	// state without hashing. Ids at or above it (background long flows
+	// start at 900 000) and negative ones live in a map.
+	denseFlowIDs = 1 << 12
 )
 
 // Checker replays simulator events through the conformance oracles. Create
@@ -31,8 +36,9 @@ const (
 type Checker struct {
 	sched *sim.Scheduler
 
-	flows map[packet.FlowID]*flowState
-	order []packet.FlowID // attach order, for deterministic reporting
+	dense []*flowState                 // by flow id, ids below denseFlowIDs
+	flows map[packet.FlowID]*flowState // every other attached flow
+	order []packet.FlowID              // attach order, for deterministic reporting
 
 	hosts map[packet.NodeID]bool // hosts whose taps are installed
 	tt    *netsim.TwoTier        // for the conservation ledger (optional)
@@ -69,11 +75,18 @@ func (c *Checker) AttachConn(conn *tcp.Conn) {
 	}
 	snd := conn.Sender
 	flow := snd.Flow()
-	if _, dup := c.flows[flow]; dup {
+	if c.flow(flow) != nil {
 		panic(fmt.Sprintf("oracle: flow %d attached twice", flow))
 	}
 	fs := newFlowState(c, flow, snd)
-	c.flows[flow] = fs
+	if flow >= 0 && flow < denseFlowIDs {
+		for len(c.dense) <= int(flow) {
+			c.dense = append(c.dense, nil)
+		}
+		c.dense[flow] = fs
+	} else {
+		c.flows[flow] = fs
+	}
 	c.order = append(c.order, flow)
 
 	observe := fs.observe
@@ -116,6 +129,14 @@ func (c *Checker) AttachTwoTier(tt *netsim.TwoTier) {
 	}
 }
 
+// flow returns the state of an attached flow, nil for any other id.
+func (c *Checker) flow(id packet.FlowID) *flowState {
+	if uint32(id) < uint32(len(c.dense)) {
+		return c.dense[id]
+	}
+	return c.flows[id]
+}
+
 // onTransmit observes a packet starting serialization at a host uplink.
 // Only data segments of attached flows feed the oracles; the receiver-side
 // ACK stream is observed at emission (obs.AckSent) instead.
@@ -123,11 +144,9 @@ func (c *Checker) onTransmit(_ obs.Record, pkt *packet.Packet) {
 	if !pkt.IsData() || pkt.Flags.Has(packet.FlagREQ) {
 		return
 	}
-	fs, ok := c.flows[pkt.Flow]
-	if !ok {
-		return
+	if fs := c.flow(pkt.Flow); fs != nil {
+		fs.onDataSent(pkt)
 	}
-	fs.onDataSent(pkt)
 }
 
 // onDeliver observes a packet arriving at a host: data segments at the
@@ -136,8 +155,8 @@ func (c *Checker) onDeliver(pkt *packet.Packet) {
 	if pkt.Flags.Has(packet.FlagREQ) {
 		return
 	}
-	fs, ok := c.flows[pkt.Flow]
-	if !ok {
+	fs := c.flow(pkt.Flow)
+	if fs == nil {
 		return
 	}
 	if pkt.IsData() {
@@ -147,14 +166,20 @@ func (c *Checker) onDeliver(pkt *packet.Packet) {
 	}
 }
 
-// record appends an event to the minimization ring.
-func (c *Checker) record(ev Event) {
-	c.ring[c.ringPos] = ev
+// record claims the minimization ring's next slot for a new event of kind
+// on flow, stamped with the current instant and otherwise zero, and
+// returns it for the caller to fill in place: an event is written once,
+// where it is kept, never built elsewhere and copied in.
+func (c *Checker) record(kind Kind, flow packet.FlowID) *Event {
+	ev := &c.ring[c.ringPos]
 	c.ringPos = (c.ringPos + 1) % ringEvents
 	if c.ringLen < ringEvents {
 		c.ringLen++
 	}
 	check.AtMost("oracle.ring fill", int64(c.ringLen), ringEvents)
+	*ev = Event{}
+	ev.At, ev.Kind, ev.Flow = c.sched.Now(), kind, flow
+	return ev
 }
 
 // window extracts the minimized trace for a violation: the most recent
@@ -165,7 +190,7 @@ func (c *Checker) window(flow packet.FlowID) []string {
 	// Walk the ring newest-first, collect matches, then reverse.
 	for i := 0; i < c.ringLen && len(out) < windowEvents; i++ {
 		idx := (c.ringPos - 1 - i + ringEvents*2) % ringEvents
-		ev := c.ring[idx]
+		ev := &c.ring[idx]
 		if flow == 0 || ev.Flow == flow {
 			out = append(out, ev.format())
 		}

@@ -27,7 +27,7 @@ import (
 )
 
 // Kind classifies one observed event.
-type Kind int
+type Kind uint8
 
 const (
 	// EvDataSent: a data segment begins serialization at the sending
@@ -67,38 +67,47 @@ func (k Kind) String() string {
 
 // Event is one replayed observation. Only the fields relevant to its Kind
 // are populated; the struct is kept flat so the checker's ring buffer holds
-// plain values.
+// plain values, and its small fields are narrow and packed together so a
+// ring slot is 96 bytes. The checker fills each event in place, in its ring
+// slot.
 type Event struct {
 	At   sim.Time
-	Kind Kind
 	Flow packet.FlowID
+	Kind Kind
 
 	// Packet-carried fields (sent/deliver/ack events).
-	Seq        int64
-	End        int64
-	AckNo      int64
-	Payload    int
 	CE         bool // data: final ECN == CE
 	Ece        bool // ACKs: ECN-Echo flag; probes: the processed ACK's ECE
 	Cwr        bool // data: FlagCWR
 	Retransmit bool
+
+	// Sender state (probe/RTO events): the RTO backoff exponent (the engine
+	// caps it at 16) and the tcp.SenderState.
+	Backoff uint8
+	State   uint8
+
+	// PlusState is the core.State (probe events); -1 when the flow has no
+	// enhancer.
+	PlusState int8
+
+	Payload int32 // packet-carried
+	Seq     int64
+	End     int64
+	AckNo   int64
 
 	// Sender snapshot (probe/RTO events).
 	Cwnd     float64
 	Ssthresh float64
 	SndUna   int64
 	SndNxt   int64
-	Backoff  int
-	State    int // tcp.SenderState
 
 	// Congestion-module observables (probe events; negative = absent).
 	AlphaUpdates int64
-	PlusState    int // core.State; -1 when the flow has no enhancer
 	SlowTime     sim.Duration
 }
 
 // format renders one event for violation windows.
-func (e Event) format() string {
+func (e *Event) format() string {
 	switch e.Kind {
 	case EvDataSent:
 		rtx := ""

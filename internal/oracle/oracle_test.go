@@ -105,7 +105,7 @@ func idleFlow(t *testing.T, cfg tcp.Config, cc tcp.CongestionControl) (*Checker,
 	ck := NewChecker(sched)
 	conn := tcp.NewConn(cfg, cc, star.Hosts[0], star.Hosts[1], 7)
 	ck.AttachConn(conn)
-	return ck, ck.flows[7]
+	return ck, ck.flow(7)
 }
 
 func dataPkt(seq int64, payload int, retransmit, ce bool) *packet.Packet {
@@ -161,7 +161,7 @@ func TestRetransLegalityRTOCoversQueuedFrontier(t *testing.T) {
 	ck := NewChecker(sched)
 	conn := tcp.NewConn(tcp.DefaultConfig(), tcp.NewReno{}, star.Hosts[0], star.Hosts[1], 7)
 	ck.AttachConn(conn)
-	fs := ck.flows[7]
+	fs := ck.flow(7)
 
 	// The engine pushes its initial window; with no host taps attached the
 	// checker observes none of it (maxSentEnd stays 0), standing in for
@@ -190,7 +190,7 @@ func TestRetransLegalityDupackCoversQueuedFrontier(t *testing.T) {
 	ck := NewChecker(sched)
 	conn := tcp.NewConn(tcp.DefaultConfig(), tcp.NewReno{}, star.Hosts[0], star.Hosts[1], 7)
 	ck.AttachConn(conn)
-	fs := ck.flows[7]
+	fs := ck.flow(7)
 
 	conn.Sender.Send(64 * packet.MSS)
 	nxt := conn.Sender.SndNxt()
@@ -293,52 +293,52 @@ func TestEceWithECNOff(t *testing.T) {
 func TestBackoffDiscipline(t *testing.T) {
 	ck, fs := idleFlow(t, tcp.DefaultConfig(), tcp.NewReno{})
 	// Reset without fresh-send evidence: the Karn violation.
-	fs.checkBackoff(Event{Backoff: 2}, Event{Backoff: 0, SndUna: 10 * packet.MSS}, 0)
+	fs.checkBackoff(&Event{Backoff: 2}, &Event{Backoff: 0, SndUna: 10 * packet.MSS}, 0)
 	requireViolation(t, ck, "rto-backoff", "without an acknowledged fresh segment")
 
 	// Reset with an acked fresh segment is legal.
 	ck2, fs2 := idleFlow(t, tcp.DefaultConfig(), tcp.NewReno{})
 	fs2.freshEnd = packet.MSS
-	fs2.checkBackoff(Event{Backoff: 2}, Event{Backoff: 0, SndUna: packet.MSS}, 0)
+	fs2.checkBackoff(&Event{Backoff: 2}, &Event{Backoff: 0, SndUna: packet.MSS}, 0)
 	requireClean(t, ck2)
 
 	// Growth must track the RTO count.
 	ck3, fs3 := idleFlow(t, tcp.DefaultConfig(), tcp.NewReno{})
-	fs3.checkBackoff(Event{Backoff: 1}, Event{Backoff: 3}, 1)
+	fs3.checkBackoff(&Event{Backoff: 1}, &Event{Backoff: 3}, 1)
 	requireViolation(t, ck3, "rto-backoff", "1 RTOs in between")
 }
 
 func TestNewRenoArithmetic(t *testing.T) {
-	const open, rec = int(tcp.StateOpen), int(tcp.StateRecovery)
+	const open, rec = uint8(tcp.StateOpen), uint8(tcp.StateRecovery)
 	ck, fs := idleFlow(t, tcp.DefaultConfig(), tcp.NewReno{})
 	// Entry must inflate to ssthresh + DupThresh.
 	fs.checkNewReno(
-		Event{State: open, Cwnd: 10, Ssthresh: 10},
-		Event{State: rec, Cwnd: 5, Ssthresh: 5})
+		&Event{State: open, Cwnd: 10, Ssthresh: 10},
+		&Event{State: rec, Cwnd: 5, Ssthresh: 5})
 	requireViolation(t, ck, "newreno-arith", "recovery entry")
 
 	// Partial ACK must deflate by acked and re-inflate by one.
 	ck2, fs2 := idleFlow(t, tcp.DefaultConfig(), tcp.NewReno{})
 	fs2.checkNewReno(
-		Event{State: rec, Cwnd: 8, SndUna: 0},
-		Event{State: rec, Cwnd: 8, SndUna: 2 * packet.MSS})
+		&Event{State: rec, Cwnd: 8, SndUna: 0},
+		&Event{State: rec, Cwnd: 8, SndUna: 2 * packet.MSS})
 	requireViolation(t, ck2, "newreno-arith", "partial-ACK")
 
 	// Legal sequence: entry, dup inflation, partial, full-ACK exit.
 	ck3, fs3 := idleFlow(t, tcp.DefaultConfig(), tcp.NewReno{})
-	fs3.checkNewReno(Event{State: open, Cwnd: 10, Ssthresh: 10, SndUna: 0},
-		Event{State: rec, Cwnd: 8, Ssthresh: 5, SndUna: 0})
-	fs3.checkNewReno(Event{State: rec, Cwnd: 8, SndUna: 0},
-		Event{State: rec, Cwnd: 9, SndUna: 0})
-	fs3.checkNewReno(Event{State: rec, Cwnd: 9, SndUna: 0},
-		Event{State: rec, Cwnd: 8, SndUna: 2 * packet.MSS})
-	fs3.checkNewReno(Event{State: rec, Cwnd: 8, Ssthresh: 5, SndUna: 2 * packet.MSS},
-		Event{State: open, Cwnd: 5, Ssthresh: 5, SndUna: 10 * packet.MSS})
+	fs3.checkNewReno(&Event{State: open, Cwnd: 10, Ssthresh: 10, SndUna: 0},
+		&Event{State: rec, Cwnd: 8, Ssthresh: 5, SndUna: 0})
+	fs3.checkNewReno(&Event{State: rec, Cwnd: 8, SndUna: 0},
+		&Event{State: rec, Cwnd: 9, SndUna: 0})
+	fs3.checkNewReno(&Event{State: rec, Cwnd: 9, SndUna: 0},
+		&Event{State: rec, Cwnd: 8, SndUna: 2 * packet.MSS})
+	fs3.checkNewReno(&Event{State: rec, Cwnd: 8, Ssthresh: 5, SndUna: 2 * packet.MSS},
+		&Event{State: open, Cwnd: 5, Ssthresh: 5, SndUna: 10 * packet.MSS})
 	requireClean(t, ck3)
 
 	// Loss state without an RTO is illegal.
 	ck4, fs4 := idleFlow(t, tcp.DefaultConfig(), tcp.NewReno{})
-	fs4.checkNewReno(Event{State: open, Cwnd: 10}, Event{State: int(tcp.StateLoss), Cwnd: 1})
+	fs4.checkNewReno(&Event{State: open, Cwnd: 10}, &Event{State: uint8(tcp.StateLoss), Cwnd: 1})
 	requireViolation(t, ck4, "newreno-arith", "loss state without an RTO")
 }
 
@@ -347,53 +347,53 @@ func TestAlphaCadence(t *testing.T) {
 	// A full window acknowledged with no fold: the swallowed-OnTimeout bug.
 	fs.aLoEnd, fs.aHiEnd = 0, 4*packet.MSS
 	fs.checkAlphaCadence(
-		Event{AlphaUpdates: 3, SndUna: 0},
-		Event{AlphaUpdates: 3, SndUna: 5 * packet.MSS, SndNxt: 8 * packet.MSS})
+		&Event{AlphaUpdates: 3, SndUna: 0},
+		&Event{AlphaUpdates: 3, SndUna: 5 * packet.MSS, SndNxt: 8 * packet.MSS})
 	requireViolation(t, ck, "alpha-cadence", "overdue")
 
 	// Two folds in one ACK is impossible.
 	ck2, fs2 := idleFlow(t, dctcp.Config(), dctcp.New(dctcp.DefaultGain))
-	fs2.checkAlphaCadence(Event{AlphaUpdates: 3}, Event{AlphaUpdates: 5})
+	fs2.checkAlphaCadence(&Event{AlphaUpdates: 3}, &Event{AlphaUpdates: 5})
 	requireViolation(t, ck2, "alpha-cadence", "jumped")
 
 	// A fold before the window anchor is early.
 	ck3, fs3 := idleFlow(t, dctcp.Config(), dctcp.New(dctcp.DefaultGain))
 	fs3.aLoEnd, fs3.aHiEnd = 4*packet.MSS, 8*packet.MSS
 	fs3.checkAlphaCadence(
-		Event{AlphaUpdates: 3, SndUna: 2 * packet.MSS},
-		Event{AlphaUpdates: 4, SndUna: 3 * packet.MSS, SndNxt: 8 * packet.MSS})
+		&Event{AlphaUpdates: 3, SndUna: 2 * packet.MSS},
+		&Event{AlphaUpdates: 4, SndUna: 3 * packet.MSS, SndNxt: 8 * packet.MSS})
 	requireViolation(t, ck3, "alpha-cadence", "early")
 }
 
 func TestPlusMachineTransitions(t *testing.T) {
 	cc := func() *core.Enhancer { return core.New(dctcp.DefaultGain, core.DefaultConfig()) }
-	normal, ti, td := int(core.StateNormal), int(core.StateTimeInc), int(core.StateTimeDes)
+	normal, ti, td := int8(core.StateNormal), int8(core.StateTimeInc), int8(core.StateTimeDes)
 	unit := core.DefaultConfig().BackoffUnit
 
 	ck, fs := idleFlow(t, dctcp.Config(), cc())
-	fs.checkPlus(Event{PlusState: normal}, Event{PlusState: td, SlowTime: unit})
+	fs.checkPlus(&Event{PlusState: normal}, &Event{PlusState: td, SlowTime: unit})
 	requireViolation(t, ck, "plus-machine", "NORMAL -> Time_Des")
 
 	ck2, fs2 := idleFlow(t, dctcp.Config(), cc())
-	fs2.checkPlus(Event{PlusState: ti, SlowTime: unit}, Event{PlusState: normal})
+	fs2.checkPlus(&Event{PlusState: ti, SlowTime: unit}, &Event{PlusState: normal})
 	requireViolation(t, ck2, "plus-machine", "Time_Inc -> NORMAL")
 
 	ck3, fs3 := idleFlow(t, dctcp.Config(), cc())
-	fs3.checkPlus(Event{PlusState: normal}, Event{PlusState: normal, SlowTime: unit})
+	fs3.checkPlus(&Event{PlusState: normal}, &Event{PlusState: normal, SlowTime: unit})
 	requireViolation(t, ck3, "plus-machine", "slow_time")
 
 	// Entering Time_Inc with the window above the floor violates Figure 4.
 	ck4, fs4 := idleFlow(t, dctcp.Config(), cc())
 	fs4.checkPlus(
-		Event{PlusState: normal, Cwnd: 10, State: int(tcp.StateOpen)},
-		Event{PlusState: ti, SlowTime: unit / 2, Ece: true})
+		&Event{PlusState: normal, Cwnd: 10, State: uint8(tcp.StateOpen)},
+		&Event{PlusState: ti, SlowTime: unit / 2, Ece: true})
 	requireViolation(t, ck4, "plus-machine", "above the floor")
 
 	// An additive step beyond one backoff unit violates Algorithm 1.
 	ck5, fs5 := idleFlow(t, dctcp.Config(), cc())
 	fs5.checkPlus(
-		Event{PlusState: ti, SlowTime: unit},
-		Event{PlusState: ti, SlowTime: 3 * unit})
+		&Event{PlusState: ti, SlowTime: unit},
+		&Event{PlusState: ti, SlowTime: 3 * unit})
 	requireViolation(t, ck5, "plus-machine", "additive step")
 
 	// Legal walk: Normal -> TimeInc (at floor, with ECE) -> TimeInc
@@ -402,20 +402,20 @@ func TestPlusMachineTransitions(t *testing.T) {
 	minCwnd := fs6.cfg.MinCwnd
 	slow := unit / 2
 	fs6.checkPlus(
-		Event{PlusState: normal, Cwnd: minCwnd, State: int(tcp.StateOpen)},
-		Event{PlusState: ti, SlowTime: slow, Ece: true, Cwnd: minCwnd})
+		&Event{PlusState: normal, Cwnd: minCwnd, State: uint8(tcp.StateOpen)},
+		&Event{PlusState: ti, SlowTime: slow, Ece: true, Cwnd: minCwnd})
 	fs6.checkPlus(
-		Event{PlusState: ti, SlowTime: slow, Cwnd: minCwnd},
-		Event{PlusState: ti, SlowTime: slow + unit, Cwnd: minCwnd})
+		&Event{PlusState: ti, SlowTime: slow, Cwnd: minCwnd},
+		&Event{PlusState: ti, SlowTime: slow + unit, Cwnd: minCwnd})
 	fs6.checkPlus(
-		Event{PlusState: ti, SlowTime: slow + unit, Cwnd: minCwnd},
-		Event{PlusState: td, SlowTime: slow + unit, Cwnd: minCwnd})
+		&Event{PlusState: ti, SlowTime: slow + unit, Cwnd: minCwnd},
+		&Event{PlusState: td, SlowTime: slow + unit, Cwnd: minCwnd})
 	fs6.checkPlus(
-		Event{PlusState: td, SlowTime: slow + unit, Cwnd: minCwnd},
-		Event{PlusState: td, SlowTime: (slow + unit) / 2, Cwnd: minCwnd})
+		&Event{PlusState: td, SlowTime: slow + unit, Cwnd: minCwnd},
+		&Event{PlusState: td, SlowTime: (slow + unit) / 2, Cwnd: minCwnd})
 	fs6.checkPlus(
-		Event{PlusState: td, SlowTime: core.DefaultConfig().ThresholdT, Cwnd: minCwnd},
-		Event{PlusState: normal, SlowTime: 0, Cwnd: minCwnd})
+		&Event{PlusState: td, SlowTime: core.DefaultConfig().ThresholdT, Cwnd: minCwnd},
+		&Event{PlusState: normal, SlowTime: 0, Cwnd: minCwnd})
 	requireClean(t, ck6)
 }
 
@@ -463,7 +463,7 @@ func TestDuplicateAttachPanics(t *testing.T) {
 func TestRuntimeTwinsFire(t *testing.T) {
 	c := NewChecker(sim.NewScheduler())
 	for i := 0; i < ringEvents+10; i++ {
-		c.record(Event{}) // control: wrapping a sane ring records quietly
+		c.record(EvDataSent, 0) // control: wrapping a sane ring records quietly
 	}
 	c.ringLen = ringEvents + 1
 	defer func() {
@@ -472,5 +472,5 @@ func TestRuntimeTwinsFire(t *testing.T) {
 			t.Fatalf("corrupted ringLen: got panic %q, want the oracle.ring fill invariant violation", msg)
 		}
 	}()
-	c.record(Event{})
+	c.record(EvDataSent, 0)
 }

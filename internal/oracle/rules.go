@@ -122,11 +122,10 @@ func (fs *flowState) report(rule, msg string) {
 // RTO (go-back-N repair). Never-granted retransmissions — the engine
 // inventing repair traffic without a loss signal — are the violation.
 func (fs *flowState) onDataSent(pkt *packet.Packet) {
-	now := fs.c.sched.Now()
 	end := pkt.End()
-	fs.c.record(Event{At: now, Kind: EvDataSent, Flow: fs.flow,
-		Seq: pkt.Seq, End: end, Payload: pkt.Payload,
-		Cwr: pkt.Flags.Has(packet.FlagCWR), Retransmit: pkt.Retransmit})
+	ev := fs.c.record(EvDataSent, fs.flow)
+	ev.Seq, ev.End, ev.Payload = pkt.Seq, end, int32(pkt.Payload)
+	ev.Cwr, ev.Retransmit = pkt.Flags.Has(packet.FlagCWR), pkt.Retransmit
 
 	if pkt.Retransmit {
 		if end > fs.permittedEnd {
@@ -154,9 +153,8 @@ func (fs *flowState) onDataSent(pkt *packet.Packet) {
 // engine's snd_nxt here is the NewReno recovery point (RFC 6582) the
 // crossing sets: every partial-ACK repair of the episode lies below it.
 func (fs *flowState) onAckDeliver(pkt *packet.Packet) {
-	now := fs.c.sched.Now()
-	fs.c.record(Event{At: now, Kind: EvAckDeliver, Flow: fs.flow,
-		AckNo: pkt.AckNo, Ece: pkt.Flags.Has(packet.FlagECE)})
+	ev := fs.c.record(EvAckDeliver, fs.flow)
+	ev.AckNo, ev.Ece = pkt.AckNo, pkt.Flags.Has(packet.FlagECE)
 	switch {
 	case pkt.AckNo > fs.modelSndUna:
 		fs.modelSndUna = pkt.AckNo
@@ -185,11 +183,10 @@ func (fs *flowState) grant(nxt int64) {
 // CE, as the receiver does), and the DCTCP flip machine's last-segment
 // state.
 func (fs *flowState) onDataDeliver(pkt *packet.Packet) {
-	now := fs.c.sched.Now()
 	ce := pkt.ECN == packet.CE
-	fs.c.record(Event{At: now, Kind: EvDataDeliver, Flow: fs.flow,
-		Seq: pkt.Seq, End: pkt.End(), Payload: pkt.Payload,
-		CE: ce, Cwr: pkt.Flags.Has(packet.FlagCWR)})
+	ev := fs.c.record(EvDataDeliver, fs.flow)
+	ev.Seq, ev.End, ev.Payload = pkt.Seq, pkt.End(), int32(pkt.Payload)
+	ev.CE, ev.Cwr = ce, pkt.Flags.Has(packet.FlagCWR)
 
 	if pkt.Flags.Has(packet.FlagCWR) {
 		fs.eceLatch = false
@@ -239,9 +236,9 @@ func (fs *flowState) insertRange(lo, hi int64, ce bool) {
 // the most recently delivered segment's state (precise) or the RFC 3168
 // latch (classic, CWR terminates the echo epoch).
 func (fs *flowState) onAckSent(pkt *packet.Packet) {
-	now := fs.c.sched.Now()
 	ece := pkt.Flags.Has(packet.FlagECE)
-	fs.c.record(Event{At: now, Kind: EvAckSent, Flow: fs.flow, AckNo: pkt.AckNo, Ece: ece})
+	ev := fs.c.record(EvAckSent, fs.flow)
+	ev.AckNo, ev.Ece = pkt.AckNo, ece
 
 	ackNo := pkt.AckNo
 	if fs.ackSeen && ackNo < fs.lastAckNo {
@@ -359,10 +356,9 @@ func (fs *flowState) dropBelow(ackNo int64) {
 // still reports the pre-rewind frontier here.
 func (fs *flowState) onRTO() {
 	snd := fs.snd
-	now := fs.c.sched.Now()
 	una := snd.SndUna() // unchanged by the rewind (only snd_nxt rewinds)
-	fs.c.record(Event{At: now, Kind: EvRTO, Flow: fs.flow,
-		SndUna: una, Backoff: int(snd.RTOBackoff())})
+	ev := fs.c.record(EvRTO, fs.flow)
+	ev.SndUna, ev.Backoff = una, uint8(snd.RTOBackoff())
 	fs.rtoCount++
 	fs.freshEnd = 0
 	// Go-back-N legally retransmits everything below the pre-rewind
@@ -378,41 +374,37 @@ func (fs *flowState) onRTO() {
 
 // onProbe is the per-ACK sender oracle: NewReno recovery arithmetic
 // (RFC 6582), RTO backoff discipline (RFC 6298 §5.5-5.7 with Karn's
-// reset rule), DCTCP alpha cadence, and the DCTCP+ Figure 4 machine.
+// reset rule), DCTCP alpha cadence, and the DCTCP+ Figure 4 machine. The
+// probe is written once, into its ring slot, and checked there against
+// prevProbe, the flow's one copy of its previous probe.
 func (fs *flowState) onProbe(ece bool) {
 	snd := fs.snd
-	now := fs.c.sched.Now()
-	ev := Event{At: now, Kind: EvAckProbe, Flow: fs.flow, Ece: ece,
-		Cwnd: snd.CwndMSS(), Ssthresh: snd.SsthreshMSS(),
-		SndUna: snd.SndUna(), SndNxt: snd.SndNxt(),
-		Backoff: int(snd.RTOBackoff()), State: int(snd.State()),
-		AlphaUpdates: -1, PlusState: -1}
+	ev := fs.c.record(EvAckProbe, fs.flow)
+	ev.Ece = ece
+	ev.Cwnd, ev.Ssthresh = snd.CwndMSS(), snd.SsthreshMSS()
+	ev.SndUna, ev.SndNxt = snd.SndUna(), snd.SndNxt()
+	ev.Backoff, ev.State = uint8(snd.RTOBackoff()), uint8(snd.State())
+	ev.AlphaUpdates, ev.PlusState = -1, -1
 	if fs.updater != nil {
 		ev.AlphaUpdates = fs.updater.Updates()
 	}
 	if fs.plus != nil {
-		ev.PlusState = int(fs.plus.State())
+		ev.PlusState = int8(fs.plus.State())
 		ev.SlowTime = fs.plus.SlowTime()
 	}
-	fs.c.record(ev)
 
-	if !fs.haveProbe {
-		fs.haveProbe = true
-		fs.prevProbe = ev
-		fs.prevRTOCount = fs.rtoCount
-		return
+	if fs.haveProbe {
+		prev := &fs.prevProbe
+		rtosBetween := fs.rtoCount - fs.prevRTOCount
+		fs.checkBackoff(prev, ev, rtosBetween)
+		if rtosBetween == 0 {
+			fs.checkNewReno(prev, ev)
+			fs.checkPlus(prev, ev)
+		}
+		fs.checkAlphaCadence(prev, ev)
 	}
-	prev := fs.prevProbe
-	rtosBetween := fs.rtoCount - fs.prevRTOCount
-
-	fs.checkBackoff(prev, ev, rtosBetween)
-	if rtosBetween == 0 {
-		fs.checkNewReno(prev, ev)
-		fs.checkPlus(prev, ev)
-	}
-	fs.checkAlphaCadence(prev, ev)
-
-	fs.prevProbe = ev
+	fs.haveProbe = true
+	fs.prevProbe = *ev
 	fs.prevRTOCount = fs.rtoCount
 }
 
@@ -421,7 +413,7 @@ func (fs *flowState) onProbe(ece bool) {
 // resets to zero only on an RTT sample from a segment transmitted exactly
 // once after the last timeout — Karn's rule. A reset without fresh-send
 // evidence is the bug this PR fixes in the engine.
-func (fs *flowState) checkBackoff(prev, cur Event, rtos int64) {
+func (fs *flowState) checkBackoff(prev, cur *Event, rtos int64) {
 	expected := int64(prev.Backoff) + rtos
 	if expected > 16 {
 		expected = 16
@@ -443,9 +435,9 @@ func (fs *flowState) checkBackoff(prev, cur Event, rtos int64) {
 
 // checkNewReno verifies the RFC 6582 recovery arithmetic between two
 // adjacent probes with no intervening RTO.
-func (fs *flowState) checkNewReno(prev, cur Event) {
-	const rec = int(tcp.StateRecovery)
-	const open = int(tcp.StateOpen)
+func (fs *flowState) checkNewReno(prev, cur *Event) {
+	const rec = uint8(tcp.StateRecovery)
+	const open = uint8(tcp.StateOpen)
 	acked := cur.SndUna - prev.SndUna
 	switch {
 	case prev.State != rec && cur.State == rec:
@@ -479,7 +471,7 @@ func (fs *flowState) checkNewReno(prev, cur Event) {
 			fs.report("newreno-arith", fmt.Sprintf(
 				"recovery exit cwnd %.4f != clamped ssthresh %.4f", cur.Cwnd, want))
 		}
-	case cur.State == int(tcp.StateLoss) && prev.State != int(tcp.StateLoss):
+	case cur.State == uint8(tcp.StateLoss) && prev.State != uint8(tcp.StateLoss):
 		// StateLoss is only entered by the RTO handler.
 		fs.report("newreno-arith", "entered loss state without an RTO")
 	}
@@ -490,7 +482,7 @@ func (fs *flowState) checkNewReno(prev, cur Event) {
 // window anchor, and never stalled once a full window of data has been
 // acknowledged — the overdue direction is how the D2TCP swallowed-
 // OnTimeout bug surfaces.
-func (fs *flowState) checkAlphaCadence(prev, cur Event) {
+func (fs *flowState) checkAlphaCadence(prev, cur *Event) {
 	if fs.updater == nil || prev.AlphaUpdates < 0 {
 		return
 	}
@@ -528,7 +520,7 @@ func (fs *flowState) checkAlphaCadence(prev, cur Event) {
 // Algorithm 1's slow_time bounds between adjacent probes with no
 // intervening RTO (an RTO drives an extra evolve step, making the pair
 // non-adjacent in machine steps).
-func (fs *flowState) checkPlus(prev, cur Event) {
+func (fs *flowState) checkPlus(prev, cur *Event) {
 	if fs.plus == nil || prev.PlusState < 0 {
 		return
 	}
@@ -536,7 +528,7 @@ func (fs *flowState) checkPlus(prev, cur Event) {
 	if cur.SlowTime < 0 {
 		fs.report("plus-machine", fmt.Sprintf("slow_time %v < 0", cur.SlowTime))
 	}
-	normal, ti, td := int(core.StateNormal), int(core.StateTimeInc), int(core.StateTimeDes)
+	normal, ti, td := int8(core.StateNormal), int8(core.StateTimeInc), int8(core.StateTimeDes)
 	step := cur.SlowTime - prev.SlowTime
 	divided := sim.Duration(float64(prev.SlowTime) / cfg.DivisorFactor)
 	switch {
@@ -553,7 +545,7 @@ func (fs *flowState) checkPlus(prev, cur Event) {
 		}
 	case cur.PlusState == ti && prev.PlusState == normal:
 		// Entry requires congestion feedback with the window at its floor.
-		if !cur.Ece && prev.State == int(tcp.StateOpen) {
+		if !cur.Ece && prev.State == uint8(tcp.StateOpen) {
 			fs.report("plus-machine", "entered Time_Inc without congestion feedback (no ECE, sender Open)")
 		}
 		if prev.Cwnd > fs.cfg.MinCwnd+eps {

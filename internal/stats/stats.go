@@ -124,18 +124,33 @@ func (c *CDF) Len() int { return len(c.sorted) }
 func (c *CDF) Quantile(q float64) float64 { return quantileSorted(c.sorted, q) }
 
 // Hist is an integer-bin frequency histogram — used for the paper's cwnd
-// size distributions (Fig. 2), where bins are whole MSS counts.
+// size distributions (Fig. 2), where bins are whole MSS counts. Bins in
+// [0, denseBins) are counted in an array inside the histogram, so a cwnd
+// probe's per-ACK Add is an index and an increment and a histogram
+// allocates once; any other bin goes to a map made on first use.
 type Hist struct {
-	counts map[int]int64
+	dense  [denseBins]int64
+	sparse map[int]int64 // bins outside [0, denseBins)
 	total  int64
 }
 
+// denseBins bounds the array-counted bins: cwnds of the paper's incasts sit
+// within a few tens of MSS.
+const denseBins = 64
+
 // NewHist returns an empty histogram.
-func NewHist() *Hist { return &Hist{counts: make(map[int]int64)} }
+func NewHist() *Hist { return &Hist{} }
 
 // Add records one observation of bin v.
 func (h *Hist) Add(v int) {
-	h.counts[v]++
+	if uint(v) < denseBins {
+		h.dense[v]++
+	} else {
+		if h.sparse == nil {
+			h.sparse = make(map[int]int64)
+		}
+		h.sparse[v]++
+	}
 	h.total++
 }
 
@@ -143,20 +158,30 @@ func (h *Hist) Add(v int) {
 func (h *Hist) Total() int64 { return h.total }
 
 // Count returns the observations in bin v.
-func (h *Hist) Count(v int) int64 { return h.counts[v] }
+func (h *Hist) Count(v int) int64 {
+	if uint(v) < denseBins {
+		return h.dense[v]
+	}
+	return h.sparse[v]
+}
 
 // Frac returns the fraction of observations in bin v.
 func (h *Hist) Frac(v int) float64 {
 	if h.total == 0 {
 		return 0
 	}
-	return float64(h.counts[v]) / float64(h.total)
+	return float64(h.Count(v)) / float64(h.total)
 }
 
 // Bins returns the occupied bins in ascending order.
 func (h *Hist) Bins() []int {
-	bins := make([]int, 0, len(h.counts))
-	for v := range h.counts {
+	bins := make([]int, 0, len(h.sparse))
+	for v, c := range h.dense {
+		if c > 0 {
+			bins = append(bins, v)
+		}
+	}
+	for v := range h.sparse {
 		bins = append(bins, v)
 	}
 	sort.Ints(bins)
@@ -165,8 +190,14 @@ func (h *Hist) Bins() []int {
 
 // Merge folds other into h.
 func (h *Hist) Merge(other *Hist) {
-	for v, c := range other.counts {
-		h.counts[v] += c
+	for v, c := range other.dense {
+		h.dense[v] += c
+	}
+	if h.sparse == nil && len(other.sparse) > 0 {
+		h.sparse = make(map[int]int64, len(other.sparse))
+	}
+	for v, c := range other.sparse {
+		h.sparse[v] += c
 	}
 	h.total += other.total
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -188,4 +190,80 @@ func TestSummaryString(t *testing.T) {
 	if s.String() == "" {
 		t.Error("empty string rendering")
 	}
+}
+
+// FuzzHist checks Hist against a map-backed reference: a byte string is
+// an op stream over two histograms — Add of a bin decoded as int8 (the
+// array-counted range and just outside it), int16 or full int64 (far
+// bins, negatives included), or Merge of the second into the first — and
+// after every op Total, Bins, Count and Frac of both must match the
+// reference, bin for bin.
+func FuzzHist(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 1, 3, 0x0c})
+	f.Add([]byte{0, 0xff, 1, 63, 0, 64, 4, 0x00, 0x80, 8, 0, 0, 0, 0, 0, 0, 0, 0x80, 3})
+	f.Add([]byte{9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 3, 1, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		hists := [2]*Hist{NewHist(), NewHist()}
+		refs := [2]map[int]int64{{}, {}}
+		var totals [2]int64
+		for len(ops) > 0 {
+			op := ops[0]
+			ops = ops[1:]
+			if op&3 == 3 {
+				hists[0].Merge(hists[1])
+				for v, c := range refs[1] {
+					refs[0][v] += c
+				}
+				totals[0] += totals[1]
+			} else {
+				var v int
+				switch op >> 2 & 3 {
+				case 0:
+					if len(ops) < 1 {
+						return
+					}
+					v, ops = int(int8(ops[0])), ops[1:]
+				case 1:
+					if len(ops) < 2 {
+						return
+					}
+					v, ops = int(int16(binary.LittleEndian.Uint16(ops))), ops[2:]
+				default:
+					if len(ops) < 8 {
+						return
+					}
+					v, ops = int(int64(binary.LittleEndian.Uint64(ops))), ops[8:]
+				}
+				i := int(op & 1)
+				hists[i].Add(v)
+				refs[i][v]++
+				totals[i]++
+			}
+			for i, h := range hists {
+				if h.Total() != totals[i] {
+					t.Fatalf("hist %d: Total %d, want %d", i, h.Total(), totals[i])
+				}
+				want := make([]int, 0, len(refs[i]))
+				for v := range refs[i] {
+					want = append(want, v)
+				}
+				sort.Ints(want)
+				if got := h.Bins(); !slices.Equal(got, want) {
+					t.Fatalf("hist %d: Bins %v, want %v", i, got, want)
+				}
+				for _, v := range append(want, -1, 0, 1, denseBins-1, denseBins, math.MaxInt, math.MinInt) {
+					if got := h.Count(v); got != refs[i][v] {
+						t.Fatalf("hist %d: Count(%d) %d, want %d", i, v, got, refs[i][v])
+					}
+					wantFrac := 0.0
+					if totals[i] > 0 {
+						wantFrac = float64(refs[i][v]) / float64(totals[i])
+					}
+					if got := h.Frac(v); got != wantFrac {
+						t.Fatalf("hist %d: Frac(%d) %v, want %v", i, v, got, wantFrac)
+					}
+				}
+			}
+		}
+	})
 }

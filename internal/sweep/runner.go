@@ -161,17 +161,23 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 		}
 	})
 
-	// Instruments are nil-safe: with no registry these are no-op handles.
+	// The sweep's own instruments fill a registry of this call's and reach
+	// r.Telemetry in one Merge, the way each job's run does. Instruments
+	// are nil-safe: with no registry these are no-op handles.
+	var reg *telemetry.Registry
+	if r.Telemetry != nil {
+		reg = telemetry.NewRegistry()
+	}
 	label := telemetry.L("sweep", name)
 	jobsTotal := func(status string, n int) {
-		r.Telemetry.Counter("sweep_jobs_total", label, telemetry.L("status", status)).Add(int64(n))
+		reg.Counter("sweep_jobs_total", label, telemetry.L("status", status)).Add(int64(n))
 	}
 	jobsTotal(StatusHit, out.Hits)
 	jobsTotal(StatusMiss, out.Misses)
 	jobsTotal(StatusSkipped, out.Skipped)
 	jobsTotal(StatusFailed, out.Failed)
-	r.Telemetry.Counter("sweep_cache_errors_total", label).Add(int64(out.CacheErrs))
-	wallHist := r.Telemetry.Histogram("sweep_job_wall_ns", label)
+	reg.Counter("sweep_cache_errors_total", label).Add(int64(out.CacheErrs))
+	wallHist := reg.Histogram("sweep_job_wall_ns", label)
 
 	agg := newAggregator()
 	var firstErr error
@@ -189,6 +195,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 		}
 	}
 	out.Groups = agg.groups()
+	r.Telemetry.Merge(reg)
 
 	if r.Cache != nil {
 		if err := writeManifest(journal, header, out, keys); err != nil && firstErr == nil {

@@ -395,7 +395,8 @@ func resultOf(pt Point, r exp.IncastResult) Result {
 // body is worker-executed: all its state — the rig's scheduler, topology and
 // connections — is private to the worker, and it touches nothing shared
 // (the sharedstate lint check enforces this). The telemetry registry is the
-// one sanctioned shared sink; its instruments are atomic.
+// one sanctioned shared sink: the run fills a registry of its own and
+// merges it into reg once, under reg's lock.
 //
 //sweep:job
 func (j Job) run(rig *exp.Rig, reg *telemetry.Registry) (Result, error) {

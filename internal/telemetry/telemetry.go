@@ -13,11 +13,14 @@
 //     unconditionally and call them unconditionally; with telemetry
 //     disabled the hot path pays one predictable nil check per event.
 //
-//  2. Allocation-free on the hot path. Counter.Add and Histogram.Observe
-//     never allocate: histograms use fixed log2 buckets
-//     (an array indexed by bit length), and all state is updated with
-//     atomics — which also makes one Registry safely shareable across the
-//     parallel experiment sweeps.
+//  2. Plain arithmetic on the hot path. Counter.Add and Histogram.Observe
+//     never allocate and never synchronize: histograms use fixed log2
+//     buckets (an array indexed by bit length), and every instrument is
+//     plain fields. A registry's instruments therefore belong to one
+//     goroutine — one run. Parallel runs (RunMany, sweep workers) each
+//     fill a registry of their own and fold it into the shared one with
+//     Registry.Merge, which holds the destination's lock; counts, sums,
+//     buckets and min/max all merge, so the merged registry is exact.
 //
 //  3. Stamped with simulation time. Runs record their virtual end time via
 //     Registry.AdvanceSimTime; snapshots carry the high-water mark so a
@@ -36,7 +39,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"dctcpplus/internal/sim"
 )
@@ -71,9 +73,10 @@ func (k Kind) String() string {
 }
 
 // Counter is a monotonically increasing event count. The zero value is
-// ready to use; a nil Counter is a no-op.
+// ready to use; a nil Counter is a no-op. It belongs to its registry's
+// goroutine (see Registry).
 type Counter struct {
-	v atomic.Int64
+	v int64
 }
 
 // Add increments the counter by n. Nil-safe; negative deltas are ignored
@@ -82,7 +85,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil || n <= 0 {
 		return
 	}
-	c.v.Add(n)
+	c.v += n
 }
 
 // Inc increments the counter by one. Nil-safe.
@@ -93,7 +96,7 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // histBuckets is the number of log2 buckets: bucket i holds samples whose
@@ -105,19 +108,18 @@ const histBuckets = 65
 // Histogram is a fixed log2-bucket distribution: allocation-free Observe,
 // power-of-two resolution (sufficient for queue depths, cwnd sizes,
 // slow_time magnitudes and FCTs, which all range over decades). The zero
-// value is ready to use; a nil Histogram is a no-op.
+// value is ready to use; a nil Histogram is a no-op. It belongs to its
+// registry's goroutine (see Registry).
 type Histogram struct {
-	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-	min     atomic.Int64 // valid only while count > 0
-	max     atomic.Int64
+	buckets [histBuckets]int64
+	count   int64
+	sum     int64
+	min     int64 // valid only while count > 0
+	max     int64
 }
 
 func newHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
-	return h
+	return &Histogram{min: math.MaxInt64}
 }
 
 // Observe records one sample. Negative samples clamp to zero. Nil-safe and
@@ -129,21 +131,22 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bits.Len64(uint64(v))].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
+	h.buckets[bits.Len64(uint64(v))]++
+	h.count++
+	h.sum += v
+	h.min = min(h.min, v)
+	h.max = max(h.max, v)
+}
+
+// merge folds src's samples into h.
+func (h *Histogram) merge(src *Histogram) {
+	for i, c := range src.buckets {
+		h.buckets[i] += c
 	}
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
+	h.count += src.count
+	h.sum += src.sum
+	h.min = min(h.min, src.min)
+	h.max = max(h.max, src.max)
 }
 
 // Count returns the number of observations (0 for a nil Histogram).
@@ -151,7 +154,7 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	return h.count
 }
 
 // Sum returns the sum of all observations.
@@ -159,15 +162,15 @@ func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum.Load()
+	return h.sum
 }
 
 // Min returns the smallest observation (0 with no observations).
 func (h *Histogram) Min() int64 {
-	if h == nil || h.count.Load() == 0 {
+	if h == nil || h.count == 0 {
 		return 0
 	}
-	return h.min.Load()
+	return h.min
 }
 
 // Max returns the largest observation (0 with no observations).
@@ -175,7 +178,7 @@ func (h *Histogram) Max() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.max.Load()
+	return h.max
 }
 
 // bucketBounds returns the [lo, hi] sample range of bucket i.
@@ -200,15 +203,17 @@ type BucketCount struct {
 
 // Registry is the instrument directory for one or more runs. A nil
 // Registry is valid and hands out nil (no-op) instruments, so callers
-// attach telemetry unconditionally. All methods are safe for concurrent
-// use; instrument updates are atomic, so one Registry may be shared across
-// parallel experiment sweeps.
+// attach telemetry unconditionally. Its methods are safe for concurrent
+// use, but the instruments it hands out are plain fields: they belong to
+// the one goroutine that updates them, a run. Runs that execute in
+// parallel each fill a registry of their own and fold it into a shared one
+// with Merge.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 	keyBuf  []byte // lookup's key scratch, guarded by mu
 
-	simTimeNs atomic.Int64 // high-water mark of observed virtual time
+	simTimeNs int64 // high-water mark of observed virtual time, guarded by mu
 }
 
 type entry struct {
@@ -278,6 +283,11 @@ func (r *Registry) lookup(name string, kind Kind, labels []Label) *entry {
 	sorted := sortLabels(stack[:0], labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.lookupLocked(name, kind, sorted)
+}
+
+// lookupLocked is lookup with the labels already sorted and r.mu held.
+func (r *Registry) lookupLocked(name string, kind Kind, sorted []Label) *entry {
 	r.keyBuf = appendKey(r.keyBuf[:0], name, sorted)
 	if e, ok := r.entries[string(r.keyBuf)]; ok {
 		if e.kind != kind {
@@ -321,12 +331,9 @@ func (r *Registry) AdvanceSimTime(t sim.Time) {
 	if r == nil {
 		return
 	}
-	for {
-		cur := r.simTimeNs.Load()
-		if int64(t) <= cur || r.simTimeNs.CompareAndSwap(cur, int64(t)) {
-			return
-		}
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.simTimeNs = max(r.simTimeNs, int64(t))
 }
 
 // SimTime returns the recorded virtual-time high-water mark.
@@ -334,7 +341,42 @@ func (r *Registry) SimTime() sim.Time {
 	if r == nil {
 		return 0
 	}
-	return sim.Time(r.simTimeNs.Load())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return sim.Time(r.simTimeNs)
+}
+
+// Merge folds src — a registry no other goroutine is updating, typically
+// one run's own — into r: every instrument of src is added to r's
+// instrument of the same identity, created (even at zero) if r lacks it,
+// and r's virtual-time stamp rises to src's. Counters, sums, buckets and
+// min/max all merge, so merging per-run registries gives exactly the
+// registry one shared set of instruments would have. Merge holds r's lock,
+// so parallel runs may merge into one registry; src is left as it was.
+// Nil-safe in either argument.
+func (r *Registry) Merge(src *Registry) {
+	if r == nil || src == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.simTimeNs = max(r.simTimeNs, src.simTimeNs)
+	// Key order, so a kind clash panics on the same instrument every time.
+	keys := make([]string, 0, len(src.entries))
+	for k := range src.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		se := src.entries[k]
+		e := r.lookupLocked(se.name, se.kind, se.labels)
+		switch se.kind {
+		case KindCounter:
+			e.counter.v += se.counter.v
+		case KindHistogram:
+			e.hist.merge(se.hist)
+		}
+	}
 }
 
 // Len returns the number of registered instruments.
@@ -378,22 +420,24 @@ type Snapshot struct {
 
 // Snapshot freezes the registry. Instruments appear in deterministic
 // (sorted-key) order so two snapshots of equivalent runs diff cleanly.
-// A nil Registry yields an empty snapshot.
+// It holds the registry's lock, so it may run beside Merge, but not
+// beside updates to the registry's own instruments. A nil Registry
+// yields an empty snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	entries := make([]*entry, 0, len(r.entries))
 	keys := make([]string, 0, len(r.entries))
 	for k, e := range r.entries {
 		keys = append(keys, k)
 		entries = append(entries, e)
 	}
-	r.mu.Unlock()
 	sort.Sort(&byKey{keys: keys, entries: entries})
 
-	snap := Snapshot{SimTimeNs: r.simTimeNs.Load()}
+	snap := Snapshot{SimTimeNs: r.simTimeNs}
 	for _, e := range entries {
 		is := InstrumentSnapshot{
 			Name:   e.name,
@@ -410,7 +454,7 @@ func (r *Registry) Snapshot() Snapshot {
 			is.Min = h.Min()
 			is.Max = h.Max()
 			for i := 0; i < histBuckets; i++ {
-				if c := h.buckets[i].Load(); c > 0 {
+				if c := h.buckets[i]; c > 0 {
 					_, hi := bucketBounds(i)
 					is.Buckets = append(is.Buckets, BucketCount{UpperBound: hi, Count: c})
 				}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -136,7 +137,8 @@ func TestNilRegistry(t *testing.T) {
 // three instrument types returns its zero result on a typed nil receiver
 // instead of dereferencing it. Reflection enumerates the methods, so one
 // added later is covered without being listed here. Arguments are non-zero:
-// a guard like Counter.Add's `c == nil || n <= 0` must not pass on n alone.
+// a guard like Counter.Add's `c == nil || n <= 0` must not pass on n alone,
+// and Registry.Merge gets a registry holding an instrument.
 func TestNilReceiversAreNoOps(t *testing.T) {
 	for _, nilPtr := range []any{(*Counter)(nil), (*Histogram)(nil), (*Registry)(nil)} {
 		recv := reflect.ValueOf(nilPtr)
@@ -154,6 +156,13 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 					arg.SetInt(1)
 				case reflect.String:
 					arg.SetString("x")
+				case reflect.Pointer:
+					if arg.Type() != reflect.TypeOf((*Registry)(nil)) {
+						t.Fatalf("%s: teach this test to build a %s argument", name, arg.Type())
+					}
+					src := NewRegistry() // Merge's source: non-empty, so only the nil guard can skip it
+					src.Counter("c").Inc()
+					arg.Set(reflect.ValueOf(src))
 				default:
 					t.Fatalf("%s: teach this test to build a %s argument", name, arg.Kind())
 				}
@@ -418,4 +427,59 @@ func TestRegistryLookupAllocFree(t *testing.T) {
 		}
 	}()
 	r.Histogram("x_total", permuted...)
+}
+
+// TestMergeIsExact: runs that each fill a registry of their own and merge
+// it into a shared one leave the shared registry equal to one that every
+// run updated directly — counts, sums, buckets, min/max, instruments
+// registered at zero, empty histograms and the sim-time stamp — and the
+// sources unchanged.
+func TestMergeIsExact(t *testing.T) {
+	type run struct {
+		counts  []int64
+		samples []int64
+		at      sim.Time
+	}
+	runs := []run{
+		{counts: []int64{3, 0}, samples: []int64{5, 0, 1 << 40}, at: 700},
+		{counts: []int64{0, 9}, samples: []int64{-3, 17}, at: 300},
+		{counts: []int64{1, 1}, at: 900},
+	}
+	fill := func(r *Registry, rn run, i int) {
+		label := L("run", strconv.Itoa(i%2))
+		r.Counter("a_total", label).Add(rn.counts[0])
+		r.Counter("b_total").Add(rn.counts[1])
+		h := r.Histogram("h_ns", label)
+		for _, v := range rn.samples {
+			h.Observe(v)
+		}
+		r.Histogram("empty_ns")
+		r.AdvanceSimTime(rn.at)
+	}
+	direct, merged := NewRegistry(), NewRegistry()
+	for i, rn := range runs {
+		fill(direct, rn, i)
+		own := NewRegistry()
+		fill(own, rn, i)
+		before := own.Snapshot()
+		merged.Merge(own)
+		if !reflect.DeepEqual(own.Snapshot(), before) {
+			t.Fatalf("run %d: Merge changed its source", i)
+		}
+	}
+	if got, want := merged.Snapshot(), direct.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged snapshot differs from the directly updated one:\n got %+v\nwant %+v", got, want)
+	}
+	if is, ok := merged.Snapshot().Find("h_ns", L("run", "0")); !ok || is.Min != 0 || is.Max != 1<<40 || is.Count != 3 {
+		t.Fatalf("h_ns{run=0} = %+v, %v; want count 3, min 0, max 2^40", is, ok)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("merging a histogram into a counter of the same identity must panic")
+		}
+	}()
+	clash := NewRegistry()
+	clash.Histogram("a_total", L("run", "0"))
+	merged.Merge(clash)
 }
