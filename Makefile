@@ -119,9 +119,11 @@ bench:
 # sampler allocates per sample block, not per tick, and 4 bytes per sample;
 # internal/telemetry: an instrument lookup that hits allocates nothing;
 # internal/oracle: TestCheckerAllocFree — observing a packet event or a
-# processed-ACK probe allocates nothing once a flow's models are warm).
+# processed-ACK probe allocates nothing once a flow's models are warm;
+# internal/packet: TestFlowTableGetAllocFree — a flow-table lookup, hit or
+# miss, allocates nothing).
 alloc-check:
-	$(GO) test -run 'AllocBudget|AllocFree' ./internal/sim ./internal/netsim ./internal/tcp ./internal/workload ./internal/exp ./internal/trace ./internal/telemetry ./internal/oracle
+	$(GO) test -run 'AllocBudget|AllocFree' ./internal/sim ./internal/netsim ./internal/tcp ./internal/workload ./internal/exp ./internal/trace ./internal/telemetry ./internal/oracle ./internal/packet
 
 # The benchmark's own smoke (cmd/perf at 1/50 scale: all five workloads,
 # their output checks, every twin run's digest against its facade's). `race`

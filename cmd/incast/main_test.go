@@ -136,6 +136,7 @@ func TestValidateOutputFlags(t *testing.T) {
 		{"-telemetry", telOut},
 		{"-cpuprofile", &prof.CPU},
 		{"-memprofile", &prof.Mem},
+		{"-trace", &prof.Trace},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

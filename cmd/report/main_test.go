@@ -74,6 +74,7 @@ func TestValidateOutputFlags(t *testing.T) {
 		{"-baseline", baseline},
 		{"-cpuprofile", &prof.CPU},
 		{"-memprofile", &prof.Mem},
+		{"-trace", &prof.Trace},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -9,10 +9,12 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"runtime/trace"
 	"strconv"
 	"strings"
 	"time"
@@ -202,43 +204,56 @@ func ParseDurations(csv string) ([]sim.Duration, error) {
 	})
 }
 
-// Profiles is the -cpuprofile/-memprofile pair the experiment commands
-// take: raw runtime/pprof output for `go tool pprof`.
+// Profiles is the -cpuprofile/-memprofile/-trace set the experiment
+// commands take: raw runtime/pprof output for `go tool pprof`, and a
+// runtime/trace execution trace for `go tool trace`, which shows what each
+// goroutine did when.
 type Profiles struct {
-	CPU, Mem string
+	CPU, Mem, Trace string
 }
 
-// ProfileFlags registers -cpuprofile and -memprofile on the command line.
+// ProfileFlags registers -cpuprofile, -memprofile and -trace on the command
+// line.
 func ProfileFlags() *Profiles {
 	p := &Profiles{}
 	flag.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.StringVar(&p.Mem, "memprofile", "", "write a heap profile, taken after the run, to this file")
+	flag.StringVar(&p.Trace, "trace", "", "write a runtime execution trace of the run to this file")
 	return p
 }
 
 // Validate is the profiles' usage gate: each path needs a parent directory.
 func (p *Profiles) Validate() error {
-	return First(ValidateOutput("-cpuprofile", p.CPU), ValidateOutput("-memprofile", p.Mem))
+	return First(ValidateOutput("-cpuprofile", p.CPU), ValidateOutput("-memprofile", p.Mem),
+		ValidateOutput("-trace", p.Trace))
 }
 
-// Start starts the CPU profile, when one is asked for. The returned stop
-// ends it and writes the heap profile, when one is asked for; a command
-// calls it once its run is done.
+// Start starts the CPU profile and the execution trace, when asked for.
+// The returned stop ends them and writes the heap profile, when one is
+// asked for; a command calls it once its run is done.
 func (p *Profiles) Start() (stop func() error, err error) {
-	var cpu *os.File
-	if p.CPU != "" {
-		if cpu, err = os.Create(p.CPU); err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
+	cpu, err := startOutput(p.CPU, pprof.StartCPUProfile)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := startOutput(p.Trace, trace.Start)
+	if err != nil {
+		if cpu != nil {
+			pprof.StopCPUProfile()
 			cpu.Close()
-			return nil, err
 		}
+		return nil, err
 	}
 	return func() error {
 		if cpu != nil {
 			pprof.StopCPUProfile()
 			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if tr != nil {
+			trace.Stop()
+			if err := tr.Close(); err != nil {
 				return err
 			}
 		}
@@ -256,6 +271,23 @@ func (p *Profiles) Start() (stop func() error, err error) {
 		}
 		return f.Close()
 	}, nil
+}
+
+// startOutput creates path and starts a recorder writing to it; with no
+// path it does nothing and returns a nil file.
+func startOutput(path string, start func(io.Writer) error) (*os.File, error) {
+	if path == "" {
+		return nil, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := start(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // WriteTelemetry dumps the registry's instruments to path as JSON lines

@@ -363,12 +363,12 @@ func TestWriteTelemetry(t *testing.T) {
 	}
 }
 
-// TestProfiles: Start and its stop write both profiles, each non-empty; a
-// pair with neither path set writes nothing, and Validate names the flag of
-// a path without a parent directory.
+// TestProfiles: Start and its stop write both profiles and the execution
+// trace, each non-empty; a set with no path writes nothing, and Validate
+// names the flag of a path without a parent directory.
 func TestProfiles(t *testing.T) {
 	dir := t.TempDir()
-	p := &Profiles{CPU: filepath.Join(dir, "cpu.pprof"), Mem: filepath.Join(dir, "mem.pprof")}
+	p := &Profiles{CPU: filepath.Join(dir, "cpu.pprof"), Mem: filepath.Join(dir, "mem.pprof"), Trace: filepath.Join(dir, "run.trace")}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestProfiles(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{p.CPU, p.Mem} {
+	for _, path := range []string{p.CPU, p.Mem, p.Trace} {
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 			t.Errorf("%s: %v, want a non-empty profile", path, err)
 		}
@@ -397,7 +397,7 @@ func TestProfiles(t *testing.T) {
 	for _, c := range []struct {
 		flag string
 		p    Profiles
-	}{{"-cpuprofile", Profiles{CPU: missing}}, {"-memprofile", Profiles{Mem: missing}}} {
+	}{{"-cpuprofile", Profiles{CPU: missing}}, {"-memprofile", Profiles{Mem: missing}}, {"-trace", Profiles{Trace: missing}}} {
 		if err := c.p.Validate(); err == nil || !strings.Contains(err.Error(), c.flag+" "+missing) {
 			t.Errorf("Validate(%+v) = %v, want an error naming %s", c.p, err, c.flag)
 		}

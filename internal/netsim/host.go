@@ -29,7 +29,7 @@ type Host struct {
 	sched *sim.Scheduler
 
 	uplink *Port
-	flows  map[packet.FlowID]FlowHandler
+	flows  packet.FlowTable[FlowHandler]
 	pool   *packet.Pool // optional packet freelist; nil = pooling off
 
 	delivered      int64 // packets handed to Deliver (any disposition)
@@ -53,26 +53,25 @@ func NewHost(sched *sim.Scheduler, id packet.NodeID, name string) *Host {
 		id:    id,
 		name:  name,
 		sched: sched,
-		flows: make(map[packet.FlowID]FlowHandler),
 	}
 }
 
 // Reset returns the host to its as-built state for the next run on a reset
-// scheduler: no flow registered (the demux map keeps its buckets), delivery
+// scheduler: no flow registered (the demux table keeps its array), delivery
 // counters zero, the OnControl/OnDeliver hooks cleared.
-// Identity, scheduler, uplink wiring and pool are kept; the uplink port has
-// its own Reset.
+// Identity, scheduler, uplink wiring, pool and the demux array are kept;
+// the uplink port has its own Reset.
 func (h *Host) Reset() {
-	clear(h.flows)
+	h.flows.Clear()
 	*h = Host{
-		id:    h.id,
-		name:  h.name,
-		flows: h.flows,
+		id:   h.id,
+		name: h.name,
 
 		// The keep-list.
 		sched:  h.sched,
 		uplink: h.uplink,
 		pool:   h.pool,
+		flows:  h.flows,
 	}
 }
 
@@ -109,15 +108,14 @@ func (h *Host) DeliveredBytes() int64 { return h.deliveredBytes }
 // Register binds a flow id to a transport endpoint. Registering the same
 // flow twice panics: flow ids are globally unique in this simulator.
 func (h *Host) Register(flow packet.FlowID, fh FlowHandler) {
-	if _, dup := h.flows[flow]; dup {
+	if !h.flows.Insert(flow, fh) {
 		panic(fmt.Sprintf("netsim: flow %d already registered on %s", flow, h.name))
 	}
-	h.flows[flow] = fh
 }
 
 // Unregister removes a flow binding (e.g. when a connection closes).
 func (h *Host) Unregister(flow packet.FlowID) {
-	delete(h.flows, flow)
+	h.flows.Delete(flow)
 }
 
 // Send stamps the packet's source and injects it into the host's uplink.
@@ -149,7 +147,7 @@ func (h *Host) Deliver(pkt *packet.Packet) {
 		if h.OnControl != nil {
 			h.OnControl(pkt)
 		}
-	} else if fh, ok := h.flows[pkt.Flow]; ok {
+	} else if fh, ok := h.flows.Get(pkt.Flow); ok {
 		fh.Deliver(pkt)
 	}
 	h.pool.Put(pkt)

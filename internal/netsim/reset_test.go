@@ -11,12 +11,13 @@ import (
 )
 
 // The keep-lists: the fields each element's Reset carries into the next
-// run — wiring, the packet pool, once-bound callbacks, ring capacity.
+// run — wiring, the packet pool, once-bound callbacks, ring and demux
+// array capacity.
 // Everything else must come out of Reset exactly as a fresh build has it.
 var (
 	portKeeps = []string{"sched", "link", "q", "pool", "wakeFn"}
 	linkKeeps = []string{"sched", "dst", "pool", "deliverFn"}
-	hostKeeps = []string{"sched", "uplink", "pool"}
+	hostKeeps = []string{"sched", "uplink", "pool", "flows"}
 )
 
 // dirtyTwoTier runs traffic across tt until every port has moved packets
@@ -128,6 +129,9 @@ func TestTwoTierResetEqualsFresh(t *testing.T) {
 			gotH, wantH := append([]*Host{tt.Aggregator}, tt.Workers...), append([]*Host{fresh.Aggregator}, fresh.Workers...)
 			for i, h := range gotH {
 				resetcheck.Diff(t, h, wantH[i], hostKeeps...)
+				if _, ok := h.flows.Get(packet.FlowID(i + 1)); ok {
+					t.Errorf("host %d still demuxes flow %d after Reset", i, i+1)
+				}
 			}
 			// The queued packets went back to the pool: the second life's
 			// first sends are served from it.

@@ -221,6 +221,39 @@ func TestHostUnregister(t *testing.T) {
 	}
 }
 
+// TestHostUnregisterKeepsCollidingFlows: flows 1, 9 and 17 share a home
+// slot in the host's eight-slot demux array, and flow 2, whose home slot
+// flow 9 holds, sits behind them. After flow 1 closes, a late packet for it
+// is discarded, and every packet of the three live flows still reaches its
+// own handler; a delete that left a hole instead of shifting the probe run
+// back would strand 9 and 17 behind it.
+func TestHostUnregisterKeepsCollidingFlows(t *testing.T) {
+	h := NewHost(sim.NewScheduler(), 1, "h")
+	flows := []packet.FlowID{1, 9, 17, 2}
+	got := map[packet.FlowID]int{}
+	for _, f := range flows {
+		h.Register(f, FlowHandlerFunc(func(p *packet.Packet) {
+			if p.Flow != f {
+				t.Errorf("flow %d's handler received a packet of flow %d", f, p.Flow)
+			}
+			got[f]++
+		}))
+	}
+	h.Unregister(1)
+	for _, f := range flows {
+		h.Deliver(&packet.Packet{Dst: h.ID(), Flow: f, Payload: 1})
+	}
+	for _, f := range flows[1:] {
+		if got[f] != 1 {
+			t.Errorf("live flow %d received %d packets, want 1", f, got[f])
+		}
+	}
+	if got[1] != 0 || h.DeliveredPkts() != int64(len(flows)) {
+		t.Errorf("closed flow 1 received %d packets (want 0); host delivered %d (want %d)",
+			got[1], h.DeliveredPkts(), len(flows))
+	}
+}
+
 func TestSwitchNoRoutePanics(t *testing.T) {
 	s := sim.NewScheduler()
 	sw := NewSwitch(s, 1, "sw")

@@ -21,11 +21,6 @@ const (
 	// maxViolations bounds the retained violation list; further failures
 	// only increment the total counter.
 	maxViolations = 64
-	// denseFlowIDs bounds the flow ids looked up by index: the incast
-	// numbers its flows from 1, so every packet of an incast flow finds its
-	// state without hashing. Ids at or above it (background long flows
-	// start at 900 000) and negative ones live in a map.
-	denseFlowIDs = 1 << 12
 )
 
 // Checker replays simulator events through the conformance oracles. Create
@@ -36,8 +31,7 @@ const (
 type Checker struct {
 	sched *sim.Scheduler
 
-	dense []*flowState                 // by flow id, ids below denseFlowIDs
-	flows map[packet.FlowID]*flowState // every other attached flow
+	flows packet.FlowTable[*flowState] // every attached flow
 	order []packet.FlowID              // attach order, for deterministic reporting
 
 	hosts map[packet.NodeID]bool // hosts whose taps are installed
@@ -58,7 +52,6 @@ type Checker struct {
 func NewChecker(sched *sim.Scheduler) *Checker {
 	return &Checker{
 		sched: sched,
-		flows: make(map[packet.FlowID]*flowState),
 		hosts: make(map[packet.NodeID]bool),
 	}
 }
@@ -75,17 +68,9 @@ func (c *Checker) AttachConn(conn *tcp.Conn) {
 	}
 	snd := conn.Sender
 	flow := snd.Flow()
-	if c.flow(flow) != nil {
-		panic(fmt.Sprintf("oracle: flow %d attached twice", flow))
-	}
 	fs := newFlowState(c, flow, snd)
-	if flow >= 0 && flow < denseFlowIDs {
-		for len(c.dense) <= int(flow) {
-			c.dense = append(c.dense, nil)
-		}
-		c.dense[flow] = fs
-	} else {
-		c.flows[flow] = fs
+	if !c.flows.Insert(flow, fs) {
+		panic(fmt.Sprintf("oracle: flow %d attached twice", flow))
 	}
 	c.order = append(c.order, flow)
 
@@ -131,10 +116,8 @@ func (c *Checker) AttachTwoTier(tt *netsim.TwoTier) {
 
 // flow returns the state of an attached flow, nil for any other id.
 func (c *Checker) flow(id packet.FlowID) *flowState {
-	if uint32(id) < uint32(len(c.dense)) {
-		return c.dense[id]
-	}
-	return c.flows[id]
+	fs, _ := c.flows.Get(id)
+	return fs
 }
 
 // onTransmit observes a packet starting serialization at a host uplink.

@@ -78,17 +78,25 @@ func (c *Cache) lookup(key string, pt Point) (Result, bool, error) {
 	return r, ok, err
 }
 
-// Put stores a result under key atomically.
+// Put stores a result under key atomically. A shard directory is created
+// when a write into it finds it missing, so only a shard's first object
+// pays for the directory.
 func (c *Cache) Put(key string, r Result) error {
-	path := c.Path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("sweep: cache put: %w", err)
-	}
 	data, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("sweep: cache put: %w", err)
 	}
-	if err := writeAtomic(path, append(data, '\n')); err != nil {
+	data = append(data, '\n')
+	path := c.Path(key)
+	err = writeAtomic(path, data)
+	if errors.Is(err, fs.ErrNotExist) {
+		// OpenCache made objects/, and a concurrent Put may have made the
+		// shard since the first write failed.
+		if err = os.Mkdir(filepath.Dir(path), 0o755); err == nil || errors.Is(err, fs.ErrExist) {
+			err = writeAtomic(path, data)
+		}
+	}
+	if err != nil {
 		return fmt.Errorf("sweep: cache put %s: %w", key, err)
 	}
 	return nil

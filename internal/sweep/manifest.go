@@ -16,12 +16,14 @@ import (
 // miss), in job order. A run writes the file twice, each time whole and
 // atomically: the header alone before its first job, so a killed run
 // leaves a journal that a rerun must -resume; then the header and every
-// entry once the pool returns. A later run resuming the same sweep reads
-// the journal only to check identity (spec-hash mismatch under -resume is
-// an error: the grid changed, so "resume" would silently run a different
-// experiment); the actual resume mechanism is the content-addressed cache
-// itself, which is why resume survives a kill -9 that leaves only the
-// header.
+// entry once the pool returns and the store stages have drained. A later
+// run resuming the same sweep reads the journal only to check identity
+// (spec-hash mismatch under -resume is an error: the grid changed, so
+// "resume" would silently run a different experiment); the actual resume
+// mechanism is the content-addressed cache itself, which is why resume
+// survives a kill -9 that leaves only the header. Such a kill loses at most the objects still in a worker's store
+// stage (the runner writes cache objects off the worker, see Runner), and
+// their jobs re-run on resume like jobs that never started.
 
 // manifestHeader is the first line of a sweep journal.
 type manifestHeader struct {

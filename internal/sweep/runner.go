@@ -22,12 +22,14 @@ const (
 
 // Runner executes a sweep: jobs fan out over a bounded worker pool (each
 // worker running its jobs on its own exp.Rig for the duration of one Run),
-// each checked against the content-addressed cache first. A worker writes
-// only its own job's slots; once the pool returns, one pass in job-index
-// order folds the results into the per-group aggregators, the manifest
-// journal and the first error. Folding in index order, never in completion
-// order, is what makes every output of a sweep byte-identical across
-// worker counts.
+// each checked against the content-addressed cache first. A worker hands
+// each result it computes to its own store goroutine, which writes it to
+// the cache while the worker runs its next job. A worker writes only its
+// own job's slots; once the pool returns and every store has drained, one
+// pass in job-index order folds the results into the per-group
+// aggregators, the manifest journal and the first error. Folding in index
+// order, never in completion order, is what makes every output of a sweep
+// byte-identical across worker counts.
 type Runner struct {
 	// Workers bounds concurrent jobs; <= 0 selects pool.DefaultWorkers().
 	Workers int
@@ -131,7 +133,14 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	}
 
 	errs := make([]error, len(jobs))
-	rigs := make([]exp.Rig, pool.Width(r.Workers, len(jobs)))
+	width := pool.Width(r.Workers, len(jobs))
+	rigs := make([]exp.Rig, width)
+	stores := make([]*store, width) // nil without a cache
+	if r.Cache != nil {
+		for w := range stores {
+			stores[w] = startStore(r.Cache)
+		}
+	}
 	var (
 		mu       sync.Mutex
 		finished int
@@ -139,7 +148,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	)
 	pool.ForEach(r.Workers, len(jobs), func(w, i int) {
 		var cacheErrs int
-		keys[i], cacheErrs, errs[i] = r.runJob(ctx, jobs[i], &rigs[w], header.CodeVersion, out)
+		keys[i], cacheErrs, errs[i] = r.runJob(ctx, jobs[i], &rigs[w], header.CodeVersion, out, stores[w])
 		// Progress is written under mu too, so its lines keep their order.
 		mu.Lock()
 		defer mu.Unlock()
@@ -160,6 +169,13 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 				name, finished, len(jobs), out.Hits, out.Misses, out.Skipped, out.Failed)
 		}
 	})
+	// Every completed job is stored before anything reads the cache's
+	// state: the groups, the counters and the journal below all count it.
+	for _, st := range stores {
+		if st != nil {
+			out.CacheErrs += st.close()
+		}
+	}
 
 	// The sweep's own instruments fill a registry of this call's and reach
 	// r.Telemetry in one Merge, the way each job's run does. Instruments
@@ -212,11 +228,11 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 }
 
 // runJob settles job j on rig, the calling worker's: skipped once ctx is
-// done, a hit when the cache holds it, otherwise run (a miss, stored in
-// the cache) or failed, with err saying why. It writes only j's slots of
-// out. cacheErrs counts cache failures downgraded to recomputation or
-// forgone memoization.
-func (r *Runner) runJob(ctx context.Context, j Job, rig *exp.Rig, codeVersion string, out *Outcome) (key string, cacheErrs int, err error) {
+// done, a hit when the cache holds it, otherwise run (a miss, handed to st,
+// the worker's store, for the cache) or failed, with err saying why. It
+// writes only j's slots of out. cacheErrs counts cache read failures
+// downgraded to recomputation; st counts its failed writes.
+func (r *Runner) runJob(ctx context.Context, j Job, rig *exp.Rig, codeVersion string, out *Outcome, st *store) (key string, cacheErrs int, err error) {
 	i := j.Index
 	if ctx.Err() != nil {
 		out.Status[i] = StatusSkipped
@@ -240,13 +256,53 @@ func (r *Runner) runJob(ctx context.Context, j Job, rig *exp.Rig, codeVersion st
 		return key, cacheErrs, err
 	}
 	out.JobWallNs[i] = time.Since(start).Nanoseconds()
-	if r.Cache != nil {
-		if err := r.Cache.Put(key, res); err != nil {
-			cacheErrs++
-		}
+	if st != nil {
+		st.put(key, res)
 	}
 	out.Results[i], out.Status[i] = res, StatusMiss
 	return key, cacheErrs, nil
+}
+
+// store is one pool worker's companion goroutine: it writes the worker's
+// computed results into the cache (marshal, temp file, rename) while the
+// worker runs its next job. Its queue holds at most one result, so a worker
+// that outpaces the disk waits for it instead of buffering the sweep in
+// memory, and a killed run loses at most the results still in a store,
+// whose jobs re-run on resume.
+type store struct {
+	queue chan stored
+	done  chan struct{} // closed once the goroutine has exited
+	errs  int           // failed Puts; read only after done is closed
+}
+
+// stored is one computed result on its way to the cache.
+type stored struct {
+	key string
+	res Result
+}
+
+func startStore(c *Cache) *store {
+	st := &store{queue: make(chan stored, 1), done: make(chan struct{})}
+	go func() {
+		defer close(st.done)
+		for s := range st.queue {
+			if err := c.Put(s.key, s.res); err != nil {
+				st.errs++
+			}
+		}
+	}()
+	return st
+}
+
+// put queues a result for the cache, waiting while the queue is full.
+func (st *store) put(key string, res Result) { st.queue <- stored{key, res} }
+
+// close writes the queued results, waits for the goroutine to exit and
+// returns the number of Puts that failed.
+func (st *store) close() int {
+	close(st.queue)
+	<-st.done
+	return st.errs
 }
 
 // progressStride spaces progress lines so a sweep prints at most ~20.
