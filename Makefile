@@ -32,24 +32,23 @@ fmt-check:
 # allowance under a //hot:path root), sim-time and unit discipline
 # (name-based), sweep worker-race freedom (sharedstate), narrow-counter
 # overflow (discharged only by an //inv: range contract, whose runtime twin
-# internal/check enforces), and the //state: contracts (typestate:
-# pooled-packet exactly-once free, scheduler handle lifecycles, ownership
-# transfer). A whole-module run also fails the build on //lint:allow
+# internal/check enforces), and the //state: contracts (typestate: the
+# scheduler's Event/Timer handle lifecycles; packet ownership is checked
+# at run time by the pool's double-free poison and the oracle's pool
+# ledger). A whole-module run also fails the build on //lint:allow
 # directives that no longer suppress anything. Stdlib-only.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
 # Typestate smoke: the engine's join/widening unit tests, the shared
 # control-flow walker's (flow.go) semantics table, and the typestate
-# analyzer's fixtures (poollife, handlestate and ownxfer, one per rule
-# family, plus the clean Port->Link->Host hand-off), then the packet
-# pool's checkdebug poison tests — the runtime tripwire behind the static
-# exactly-once-free proof — in both build-tag modes, and the pooled
-# workload runs (request, data and ACK paths) under that tripwire.
+# analyzer's one fixture, handlestate: the Event/Timer handle rules, the
+# walker's hard shapes (break in a switch in a loop, fallthrough, break
+# outer), malformed //state: directives and the real scheduler handles'
+# clean uses. The pool's double-free poison tests run untagged in every
+# `go test ./...` and under `make race`.
 typestate-smoke:
-	$(GO) test -run 'JoinEnv|MergeAtJoin|LoopWidening|FlowWalker|Fixtures/(poollife|handlestate|ownxfer|ownclean)' ./internal/lint
-	$(GO) test -tags checkdebug ./internal/packet ./internal/workload
-	$(GO) test ./internal/packet
+	$(GO) test -run 'JoinEnv|MergeAtJoin|LoopWidening|FlowWalker|Fixtures/handlestate' ./internal/lint
 
 check: build vet fmt-check lint typestate-smoke race fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke
 

@@ -3,7 +3,7 @@
 // sim-time discipline, name-based unit safety, float-equality, sweep
 // worker-race checks, narrow-counter overflow, the call-graph passes —
 // hot-path allocation budgets and enum-switch exhaustiveness — and the
-// //state: typestate proofs (see internal/lint).
+// //state: typestate proofs for scheduler handles (see internal/lint).
 //
 //	simlint ./...            # lint the whole module (the make check gate)
 //	simlint ./internal/tcp   # lint one package

@@ -15,11 +15,14 @@ import (
 // network: everything the hosts inject is eventually delivered to a host,
 // tail-dropped at a switch port, or destroyed by the fault layer (seeded
 // loss + blackholes). Nothing leaks, nothing is double-counted — even with
-// links flapping, buffers shrinking and hosts stalling mid-run.
+// links flapping, buffers shrinking and hosts stalling mid-run. 48 flows
+// overflow the switch buffers, so the tail-drop leg carries traffic too.
+// On this fresh tree every packet the pool ever minted is back on its
+// freelist once the network drains.
 func TestConservationUnderFaults(t *testing.T) {
 	sched := sim.NewScheduler()
 	tt := netsim.NewTwoTier(sched, 3, 3, netsim.DefaultTopologyConfig())
-	tt.EnablePacketPool()
+	pool := tt.EnablePacketPool()
 	factory := func(i int, _ tcp.CongestionControl) (tcp.Config, tcp.CongestionControl) {
 		cfg := dctcp.Config()
 		cfg.RTOMin = 10 * sim.Millisecond
@@ -27,7 +30,7 @@ func TestConservationUnderFaults(t *testing.T) {
 		return cfg, dctcp.New(dctcp.DefaultGain)
 	}
 	in := workload.NewIncast(sched, tt, workload.IncastConfig{
-		Flows:        12,
+		Flows:        48,
 		BytesPerFlow: 64 << 10,
 		Rounds:       3,
 		Factory:      factory,
@@ -99,6 +102,12 @@ func TestConservationUnderFaults(t *testing.T) {
 	if injectedBytes != deliveredBytes+droppedBytes+lostBytes {
 		t.Errorf("byte ledger unbalanced: injected %d != delivered %d + dropped %d + destroyed %d",
 			injectedBytes, deliveredBytes, droppedBytes, lostBytes)
+	}
+	if droppedPkts == 0 {
+		t.Error("no switch port tail-dropped; the dropped leg of the ledger is untested")
+	}
+	if minted, free := pool.Minted(), pool.FreeLen(); minted != free {
+		t.Errorf("pool minted %d packets but holds %d on its freelist after the drain", minted, free)
 	}
 	if lostPkts != st.InducedDropPkts || lostBytes != st.InducedDropBytes {
 		t.Errorf("injector stats disagree with link counters: %d/%d pkts, %d/%d bytes",

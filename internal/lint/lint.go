@@ -29,16 +29,14 @@
 //     //sweep:job-reachable code, discharged only by an //inv: range
 //     contract on the field (see contracts.go), which is declared here and
 //     enforced at run time by its internal/check twin.
-//   - typestate: path-sensitive proof of the //state: protocols (see
-//     typestate.go; control flow is flow.go's walker) — use-after-free,
-//     double-free and leak-on-path for pooled packets, with escape into
-//     long-lived structs sanctioned only inside //state: sink functions;
-//     Cancel on a possibly-dead scheduler handle, transition misuse (Timer
-//     Reset/Stop) and the clear-field-first rule for re-arming callbacks;
-//     and ownership-transfer hygiene — consuming a borrowed parameter,
-//     returning a pooled object without a //state: mint contract,
-//     malformed //state: directives, and interface/implementation contract
-//     agreement.
+//   - typestate: path-sensitive proof of the //state: handle protocols on
+//     the scheduler's Event and Timer (see typestate.go; control flow is
+//     flow.go's walker) — Cancel on a possibly-dead handle, reads of a dead
+//     one, transition misuse (Timer Reset/Stop), overwriting an armed
+//     handle, the clear-field-first rule for re-arming callbacks, and
+//     malformed //state: directives. Packet ownership is checked at run
+//     time instead (packet.Pool's double-free poison, the oracle's pool
+//     ledger).
 //
 // Intentional exceptions are declared inline with a directive comment on
 // the offending line (or the line above):

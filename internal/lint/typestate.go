@@ -9,77 +9,52 @@ import (
 )
 
 // This file implements the typestate analyzer and its engine: a //state:
-// annotation grammar that declares object protocols (named states plus
+// annotation grammar that declares handle protocols (named states plus
 // function/method transitions), and the per-variable state-set lattice and
 // straight-line transfer functions (assignments, calls, returns) that
 // flow.go's walker carries through branches, loops and labels.
 //
 // Grammar. A type's doc comment declares a protocol:
 //
-//	//state: pooled <state> [-> <state>]...
 //	//state: handle <state> [-> <state>]...
 //
 // The first state is the one mint functions produce by default; a state
-// literally named "freed" or "dead" is terminal. "pooled" protocols carry
-// an exactly-once release obligation (every path from a mint must free or
-// transfer exactly once); "handle" protocols only constrain transitions
-// and dead-handle use — a discarded handle is not a leak.
+// literally named "dead" is terminal. A handle protocol constrains
+// transitions and dead-handle use; a discarded handle is not a leak.
 //
-// A function or interface-method doc comment declares transitions:
+// A function's doc comment declares transitions:
 //
-//	//state: mint [<state>]     result is a caller-owned protocol value
-//	//state: kill <param>       the call consumes (frees) the argument
-//	//state: xfer <param>       ownership transfers to the callee
+//	//state: mint [<state>]     result is a fresh protocol value
+//	//state: kill <param>       the call ends the argument's life
 //	//state: move <param> <from>[,<from>]... -> <to>
-//	//state: sink               field stores in this function release
-//	                            ownership (the Port ring slots)
 //
-// kill and xfer may target any-typed parameters (the scheduler's arg
-// carriers); move needs a protocol-typed parameter so its state names can
-// resolve. Malformed directives are reported as typestate findings.
+// Malformed directives are reported as typestate findings.
 //
 // Abstraction and soundness caveats (see DESIGN.md):
 //
-//   - Tracking is per local variable, seeded by mint-call results, &T{}
-//     composites of pooled protocol types, and protocol-typed parameters
-//     (xfer parameters are owned, unannotated ones borrowed). Struct
-//     fields are not tracked: a field store forgets a handle and is an
-//     ownership transfer for pooled values only inside //state: sink
-//     functions — anywhere else it is reported as an unsanctioned escape.
+//   - Tracking is per local variable, seeded by mint-call results and
+//     protocol-typed parameters (borrowed unless the function is the kill
+//     or move primitive itself). Struct fields are not tracked: a field
+//     store forgets a handle.
 //   - Aliasing uses strong updates only: 'y := x' moves the tracking to y
 //     and forgets x.
-//   - Joins are state-set unions, so "freed on some path" findings are
+//   - Joins are state-set unions, so "dead on some path" findings are
 //     path-sensitive may-analysis; the lattice is finite, so loop heads
 //     need no widening beyond the union.
 //   - A variable captured by a function literal is forgotten; literal
 //     bodies are analyzed separately with borrowed parameters.
 //   - Defers apply their effects at the defer statement, not at exit.
 
-// Typestate proves the //state: object protocols, over one run of the
-// engine in this file per package (control flow is flow.go's walker).
+// Typestate proves the //state: handle protocols (sim.Event: armed ->
+// dead; sim.Timer: disarmed <-> armed), over one run of the engine in this
+// file per package (control flow is flow.go's walker). A recycled handle
+// must never be touched after it may have fired — the freelist reuses the
+// struct, so a stale Cancel would cancel somebody else's event. It
+// reports:
 //
-// Pooled protocols: every path from an alloc site (a //state: mint
-// function such as packet.Pool.Get or netsim.Host.AllocPacket) must reach
-// exactly one release — a //state: kill call (Pool.Put), an ownership
-// transfer into a //state: xfer parameter (Host.Send, Port.Enqueue,
-// Link.transmit), or a sanctioned escape inside a //state: sink function
-// (the Port ring slots). It reports:
-//
-//   - use-after-free: reading a pooled variable on a path where it was
-//     already killed or handed off,
-//   - double-free: a kill/xfer of a value that is possibly already gone,
-//   - leak-on-path: a function exit reachable while an owned pooled value
-//     is still live, a mint result discarded or overwritten, or an owned
-//     temporary passed to a parameter that only borrows it,
-//   - unsanctioned escape: storing an owned pooled value into a field or
-//     container outside a //state: sink function.
-//
-// Handle protocols (sim.Event: armed -> dead; sim.Timer: disarmed <->
-// armed): a recycled handle must never be touched after it may have fired
-// — the freelist reuses the struct, so a stale Cancel would cancel
-// somebody else's event. It reports:
-//
-//   - Cancel (or any //state: kill) on a possibly-dead handle,
+//   - Cancel (or any //state: kill) on a possibly-dead handle, and a kill
+//     of a parameter the function only borrows (the parameter must carry
+//     an explicit //state: kill so every caller knows the handle dies),
 //   - reads of a handle variable on a path where it already fired or was
 //     cancelled,
 //   - //state: move misuse: calling a transition such as Timer.Reset or
@@ -90,34 +65,23 @@ import (
 //   - the clear-field-first rule from internal/sim/scheduler.go: when a
 //     struct field of handle type is armed with a callback, the resolved
 //     callback body must set that field to nil as its very first
-//     statement, before any re-arm or cancel.
+//     statement, before any re-arm or cancel,
+//   - malformed //state: directives (unknown verbs, unknown states, names
+//     that match no parameter, protocols over the state-count cap).
 //
-// Ownership-transfer hygiene — the //state: signatures themselves rather
-// than any single flow. It reports:
-//
-//   - a function that consumes (kills or transfers) a parameter it only
-//     borrows: the parameter must carry an explicit //state: kill or
-//     //state: xfer so every caller knows ownership moves,
-//   - a function that returns a caller-owned pooled object without a
-//     //state: mint contract on its declaration,
-//   - malformed //state: directives (unknown verbs, unknown states,
-//     names that match no parameter, protocols over the state-count cap),
-//   - interface-contract consistency: an implementation of an annotated
-//     interface method must declare the same parameter dispositions as
-//     the interface, so callers through the interface and callers of the
-//     concrete type see one contract.
+// Packets are not its business: their exactly-once release is checked at
+// run time, by the pool's double-free poison and the oracle's pool ledger.
 func Typestate() *Analyzer {
 	return &Analyzer{
 		Name: "typestate",
-		Doc:  "//state: protocols: pooled-object use-after-free, double-free and leaks; handle misuse; ownership-transfer contracts",
+		Doc:  "//state: handle protocols: dead-handle use, transition misuse, armed-handle overwrite, callback clear-first",
 		Run:  runTypestate,
 	}
 }
 
 // runTypestate runs the engine over every function of p — the per-function
-// abstract interpretation, then the callback clear-first rule and the
-// interface-contract consistency check — and adds the //state: table's
-// directive errors for p.
+// abstract interpretation, then the callback clear-first rule — and adds
+// the //state: table's directive errors for p.
 func runTypestate(p *Package) []Diagnostic {
 	prog := p.Prog
 	if prog == nil {
@@ -133,36 +97,30 @@ func runTypestate(p *Package) []Diagnostic {
 		f.analyzeDecl(n.decl, tab.funcs[n.fn])
 		out = append(out, f.out...)
 	}
-	out = append(out, clearFirstPass(p, prog, tab)...)
-	return append(out, ifaceContracts(p, prog, tab)...)
+	return append(out, clearFirstPass(p, prog, tab)...)
 }
 
-// protocol is one //state:-declared object protocol on a named type.
+// protocol is one //state:-declared handle protocol on a named type.
 type protocol struct {
-	name   string // the type name, e.g. "Packet"
-	kind   string // "pooled" or "handle"
+	name   string // the type name, e.g. "Event"
 	named  *types.Named
 	states []string
 	pos    token.Pos
 }
 
-// xferBit marks a value whose ownership left through a //state: xfer call;
-// protocols are capped well below it.
-const xferBit uint32 = 1 << 30
-
-// maxProtoStates caps declared states so bit arithmetic stays clear of
-// xferBit.
+// maxProtoStates caps declared states so a state set fits its bit mask
+// with room to spare.
 const maxProtoStates = 16
 
 func (pr *protocol) bit(i int) uint32 { return 1 << uint(i) }
 
 func (pr *protocol) allMask() uint32 { return 1<<uint(len(pr.states)) - 1 }
 
-// deadMask returns the bits of terminal states (named "freed" or "dead").
+// deadMask returns the bits of terminal states (named "dead").
 func (pr *protocol) deadMask() uint32 {
 	var m uint32
 	for i, s := range pr.states {
-		if s == "freed" || s == "dead" {
+		if s == "dead" {
 			m |= pr.bit(i)
 		}
 	}
@@ -170,10 +128,6 @@ func (pr *protocol) deadMask() uint32 {
 }
 
 func (pr *protocol) liveMask() uint32 { return pr.allMask() &^ pr.deadMask() }
-
-// goneMask is the set of bits after which a value must not be used: the
-// terminal states plus transferred-away.
-func (pr *protocol) goneMask() uint32 { return pr.deadMask() | xferBit }
 
 func (pr *protocol) stateIndex(name string) int {
 	for i, s := range pr.states {
@@ -184,16 +138,13 @@ func (pr *protocol) stateIndex(name string) int {
 	return -1
 }
 
-// setString renders a state mask for diagnostics ("freed", "armed|dead").
+// setString renders a state mask for diagnostics ("dead", "armed|dead").
 func (pr *protocol) setString(mask uint32) string {
 	var parts []string
 	for i, s := range pr.states {
 		if mask&pr.bit(i) != 0 {
 			parts = append(parts, s)
 		}
-	}
-	if mask&xferBit != 0 {
-		parts = append(parts, "transferred")
 	}
 	if len(parts) == 0 {
 		return "(none)"
@@ -207,7 +158,6 @@ type dispKind int
 const (
 	dispNone dispKind = iota
 	dispKill
-	dispXfer
 	dispMove
 )
 
@@ -218,15 +168,13 @@ type paramDisp struct {
 	to   uint32 // move: resulting state
 }
 
-// funcStateAnn is the parsed //state: contract of one function or
-// interface method.
+// funcStateAnn is the parsed //state: contract of one function.
 type funcStateAnn struct {
 	mint      bool
 	mintState uint32
 	mintProto *protocol
 	recv      paramDisp
 	params    map[int]paramDisp
-	sink      bool
 }
 
 // stateTable holds every parsed protocol and function contract in the
@@ -253,7 +201,7 @@ func (prog *Program) typestates() *stateTable {
 	for _, p := range prog.pkgs {
 		t.collectProtocols(p)
 	}
-	// Pass 2: function and interface-method contracts.
+	// Pass 2: function contracts.
 	for _, p := range prog.pkgs {
 		t.collectFuncs(p)
 	}
@@ -296,14 +244,13 @@ func (t *stateTable) addProtocol(p *Package, ts *ast.TypeSpec, c directiveLine) 
 		t.errf(p, c.pos, "malformed //state: directive: empty")
 		return
 	}
-	kind := fields[0]
-	if kind != "pooled" && kind != "handle" {
-		t.errf(p, c.pos, "malformed //state: directive on type %s: want 'pooled' or 'handle', got %q", ts.Name.Name, kind)
+	if fields[0] != "handle" {
+		t.errf(p, c.pos, "malformed //state: directive on type %s: want 'handle', got %q", ts.Name.Name, fields[0])
 		return
 	}
 	states, ok := parseStateChain(strings.Join(fields[1:], " "))
 	if !ok || len(states) == 0 {
-		t.errf(p, c.pos, "malformed //state: directive on type %s: want '//state: %s <state> [-> <state>]...'", ts.Name.Name, kind)
+		t.errf(p, c.pos, "malformed //state: directive on type %s: want '//state: handle <state> [-> <state>]...'", ts.Name.Name)
 		return
 	}
 	if len(states) > maxProtoStates {
@@ -321,7 +268,6 @@ func (t *stateTable) addProtocol(p *Package, ts *ast.TypeSpec, c directiveLine) 
 	}
 	t.protos[named] = &protocol{
 		name:   ts.Name.Name,
-		kind:   kind,
 		named:  named,
 		states: states,
 		pos:    c.pos,
@@ -355,9 +301,7 @@ func (t *stateTable) protoOf(typ types.Type) *protocol {
 	return t.protos[named]
 }
 
-// collectFuncs parses function-level //state: contracts in p: declared
-// functions and methods, plus interface methods (so a contract like
-// Node.Deliver's ownership transfer binds every dynamic dispatch site).
+// collectFuncs parses function-level //state: contracts in p.
 func (t *stateTable) collectFuncs(p *Package) {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -375,30 +319,6 @@ func (t *stateTable) collectFuncs(p *Package) {
 			}
 			t.addFuncAnn(p, fn, fd.Recv, fd.Type, lines)
 		}
-		// Interface methods: the contract lives on the method's doc inside
-		// the interface declaration.
-		ast.Inspect(f, func(n ast.Node) bool {
-			it, ok := n.(*ast.InterfaceType)
-			if !ok {
-				return true
-			}
-			for _, m := range it.Methods.List {
-				lines := directiveLines("state:", m.Doc)
-				if len(lines) == 0 || len(m.Names) == 0 {
-					continue
-				}
-				fn, ok := p.Info.Defs[m.Names[0]].(*types.Func)
-				if !ok {
-					continue
-				}
-				ft, ok := m.Type.(*ast.FuncType)
-				if !ok {
-					continue
-				}
-				t.addFuncAnn(p, fn, nil, ft, lines)
-			}
-			return true
-		})
 	}
 }
 
@@ -450,10 +370,10 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 	}
 	// setDisp installs a disposition for the named parameter or receiver,
 	// reporting the error cases inline.
-	setDisp := func(c directiveLine, name string, d paramDisp, needProto bool) (proto *protocol) {
+	setDisp := func(c directiveLine, name string, d paramDisp) (proto *protocol) {
 		if name == recvName && recvName != "" {
 			proto = t.protoOf(recvType)
-			if needProto && proto == nil {
+			if proto == nil {
 				t.errf(p, c.pos, "//state: directive on %s: receiver %q has no protocol type", fn.Name(), name)
 				return nil
 			}
@@ -465,12 +385,8 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 				continue
 			}
 			proto = t.protoOf(prm.typ)
-			if proto == nil && needProto {
+			if proto == nil {
 				t.errf(p, c.pos, "//state: directive on %s: parameter %q has no protocol type", fn.Name(), name)
-				return nil
-			}
-			if proto == nil && !isAnyType(prm.typ) {
-				t.errf(p, c.pos, "//state: directive on %s: parameter %q is neither protocol-typed nor any", fn.Name(), name)
 				return nil
 			}
 			ann.params[i] = d
@@ -508,16 +424,12 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 			ann.mint = true
 			ann.mintProto = proto
 			ann.mintState = proto.bit(state)
-		case "kill", "xfer":
+		case "kill":
 			if len(fields) != 2 {
-				t.errf(p, c.pos, "malformed //state: %s on %s: want '//state: %s <param>'", fields[0], fn.Name(), fields[0])
+				t.errf(p, c.pos, "malformed //state: kill on %s: want '//state: kill <param>'", fn.Name())
 				continue
 			}
-			d := paramDisp{kind: dispKill}
-			if fields[0] == "xfer" {
-				d.kind = dispXfer
-			}
-			setDisp(c, fields[1], d, false)
+			setDisp(c, fields[1], paramDisp{kind: dispKill})
 		case "move":
 			rest := strings.Join(fields[2:], " ")
 			halves := strings.Split(rest, "->")
@@ -525,7 +437,7 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 				t.errf(p, c.pos, "malformed //state: move on %s: want '//state: move <param> <from>[,<from>] -> <to>'", fn.Name())
 				continue
 			}
-			proto := setDisp(c, fields[1], paramDisp{kind: dispMove}, true)
+			proto := setDisp(c, fields[1], paramDisp{kind: dispMove})
 			if proto == nil {
 				continue
 			}
@@ -548,21 +460,11 @@ func (t *stateTable) addFuncAnn(p *Package, fn *types.Func, recv *ast.FieldList,
 			if bad {
 				continue
 			}
-			setDisp(c, fields[1], paramDisp{kind: dispMove, from: from, to: proto.bit(toIdx)}, true)
-		case "sink":
-			ann.sink = true
+			setDisp(c, fields[1], paramDisp{kind: dispMove, from: from, to: proto.bit(toIdx)})
 		default:
-			t.errf(p, c.pos, "malformed //state: directive on %s: unknown verb %q (want mint, kill, xfer, move or sink)", fn.Name(), fields[0])
+			t.errf(p, c.pos, "malformed //state: directive on %s: unknown verb %q (want mint, kill or move)", fn.Name(), fields[0])
 		}
 	}
-}
-
-func isAnyType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	iface, ok := t.Underlying().(*types.Interface)
-	return ok && iface.Empty()
 }
 
 // ---------------------------------------------------------------------------
@@ -570,13 +472,11 @@ func isAnyType(t types.Type) bool {
 
 // tsVal is the abstract state of one tracked variable: the protocol it
 // obeys, the set of states it may occupy, and whether this function owns
-// its release obligation.
+// it (a mint result) or only borrows it (a parameter).
 type tsVal struct {
-	proto   *protocol
-	states  uint32
-	owned   bool
-	tainted bool      // a use-after-gone was already reported; damp cascades
-	mintPos token.Pos // where the obligation originated
+	proto  *protocol
+	states uint32
+	owned  bool
 }
 
 // tsEnv maps tracked variables to their abstract state. Values are stored
@@ -592,8 +492,8 @@ func (e tsEnv) clone() tsEnv {
 }
 
 // join unions two branch environments: a variable present in both unions
-// its state sets; a variable present on one path keeps its obligation (a
-// leak on that path is still a leak).
+// its state sets; a variable present on one path keeps its states (a dead
+// handle on that path is still dead after the join).
 func joinEnv(a, b tsEnv) tsEnv {
 	if a == nil {
 		return b
@@ -607,7 +507,6 @@ func joinEnv(a, b tsEnv) tsEnv {
 		if av, ok := out[v]; ok {
 			av.states |= bv.states
 			av.owned = av.owned || bv.owned
-			av.tainted = av.tainted || bv.tainted
 			out[v] = av
 		} else {
 			out[v] = bv
@@ -617,7 +516,7 @@ func joinEnv(a, b tsEnv) tsEnv {
 }
 
 // sortedEnvVars returns env's keys in deterministic (position, name)
-// order, so joins, exit checks and diagnostics never depend on map order.
+// order, so joins and diagnostics never depend on map order.
 func sortedEnvVars(env tsEnv) []*types.Var {
 	vars := make([]*types.Var, 0, len(env))
 	for v := range env {
@@ -639,7 +538,7 @@ func equalEnv(a, b tsEnv) bool {
 	for _, v := range sortedEnvVars(a) {
 		av := a[v]
 		bv, ok := b[v]
-		if !ok || av.states != bv.states || av.owned != bv.owned || av.tainted != bv.tainted {
+		if !ok || av.states != bv.states || av.owned != bv.owned {
 			return false
 		}
 	}
@@ -654,8 +553,7 @@ type tsFlow struct {
 	out  []Diagnostic
 	seen map[Diagnostic]bool
 
-	ann      *funcStateAnn // contract of the function under analysis
-	declName string        // for messages: "Enqueue" or "function literal"
+	declName string // for messages: "Stop" or "function literal"
 	lits     []*ast.FuncLit
 }
 
@@ -671,7 +569,6 @@ func (f *tsFlow) report(pos token.Pos, format string, args ...any) {
 // analyzeDecl interprets one function declaration, then every function
 // literal discovered inside it.
 func (f *tsFlow) analyzeDecl(decl *ast.FuncDecl, ann *funcStateAnn) {
-	f.ann = ann
 	f.declName = decl.Name.Name
 	env := make(tsEnv)
 	if decl.Recv != nil && len(decl.Recv.List) == 1 && len(decl.Recv.List[0].Names) == 1 {
@@ -692,7 +589,6 @@ func (f *tsFlow) drainLits() {
 	for len(f.lits) > 0 {
 		lit := f.lits[0]
 		f.lits = f.lits[1:]
-		f.ann = nil
 		f.declName = "function literal"
 		env := make(tsEnv)
 		f.seedParams(env, lit.Type.Params, nil)
@@ -700,10 +596,9 @@ func (f *tsFlow) drainLits() {
 	}
 }
 
-// seedParams seeds the environment from a parameter list: xfer parameters
-// arrive owned, kill/move parameters are the primitive's own subject (not
-// tracked in its body), and unannotated protocol-typed parameters are
-// borrowed.
+// seedParams seeds the environment from a parameter list: kill/move
+// parameters are the primitive's own subject (not tracked in its body),
+// and unannotated protocol-typed parameters are borrowed.
 func (f *tsFlow) seedParams(env tsEnv, params *ast.FieldList, ann *funcStateAnn) {
 	if params == nil {
 		return
@@ -732,46 +627,19 @@ func (f *tsFlow) seedParam(env tsEnv, name *ast.Ident, disp paramDisp) {
 		return
 	}
 	proto := f.tab.protoOf(v.Type())
-	if proto == nil {
+	if proto == nil || disp.kind != dispNone {
+		// A kill or move function is the transition primitive; its body
+		// implements the protocol rather than obeying it.
 		return
 	}
-	switch disp.kind {
-	case dispKill, dispMove:
-		// This function is the transition primitive; its body implements
-		// the protocol rather than obeying it.
-		return
-	case dispXfer:
-		env[v] = tsVal{proto: proto, states: proto.liveMask(), owned: true, mintPos: name.Pos()}
-	case dispNone:
-		env[v] = tsVal{proto: proto, states: proto.liveMask(), owned: false, mintPos: name.Pos()}
-	}
+	env[v] = tsVal{proto: proto, states: proto.liveMask()}
 }
 
-// runBody interprets a body and applies the exit obligations when the
-// body can fall off its end. A goto abandons the walk (flow.go), so nothing
-// past it is reported.
+// runBody interprets a body. A goto abandons the walk (flow.go), so
+// nothing past it is reported.
 func (f *tsFlow) runBody(env tsEnv, body *ast.BlockStmt) {
-	if body == nil {
-		return
-	}
-	if out, live, _ := walkFlow[tsEnv](f, body, env); live {
-		f.checkExit(out)
-	}
-}
-
-// checkExit reports the pooled leak obligation at a function exit: every
-// owned pooled value must have been released or transferred on this path.
-func (f *tsFlow) checkExit(env tsEnv) {
-	for _, v := range sortedEnvVars(env) {
-		val := env[v]
-		if !val.owned || val.tainted || val.proto.kind != "pooled" {
-			continue
-		}
-		if val.states&val.proto.liveMask() != 0 {
-			f.report(val.mintPos,
-				"pooled %s '%s' is not released on every path: a function exit is reachable while it is still owned (want exactly one free or ownership transfer per path)",
-				val.proto.name, v.Name())
-		}
+	if body != nil {
+		walkFlow[tsEnv](f, body, env)
 	}
 }
 
@@ -795,17 +663,6 @@ func (f *tsFlow) transfer(n ast.Node, env tsEnv) tsEnv {
 	case ast.Expr:
 		f.expr(env, st)
 	case *ast.ExprStmt:
-		// A discarded mint result is a leak for pooled protocols: the
-		// caller owns it and nothing can ever free it.
-		if call, ok := unparen(st.X).(*ast.CallExpr); ok {
-			val, _ := f.valueOf(env, call, false)
-			if val != nil && val.owned && val.proto.kind == "pooled" {
-				f.report(call.Pos(),
-					"result of this call is a caller-owned pooled %s: discarding it leaks (bind it and release exactly once)",
-					val.proto.name)
-			}
-			return env
-		}
 		f.expr(env, st.X)
 	case *ast.AssignStmt:
 		return f.assign(env, st)
@@ -826,20 +683,10 @@ func (f *tsFlow) transfer(n ast.Node, env tsEnv) tsEnv {
 		}
 	case *ast.ReturnStmt:
 		for _, res := range st.Results {
-			val, handled := f.valueOf(env, res, true)
-			if val != nil && val.owned && val.proto.kind == "pooled" {
-				if f.ann == nil || !f.ann.mint {
-					f.report(st.Pos(),
-						"%s returns a caller-owned pooled %s without a '//state: mint' contract on its declaration",
-						f.declName, val.proto.name)
-				}
-			} else if !handled {
-				f.expr(env, res)
-			}
+			f.expr(env, res)
 		}
-		f.checkExit(env)
 	case *ast.DeferStmt:
-		// Approximation: a deferred release applies at the defer site.
+		// Approximation: a deferred kill applies at the defer site.
 		f.expr(env, st.Call)
 	case *ast.GoStmt:
 		f.expr(env, st.Call)
@@ -902,19 +749,16 @@ func (f *tsFlow) assign(env tsEnv, st *ast.AssignStmt) tsEnv {
 	return env
 }
 
-// assignOne interprets 'lhs = rhs' for one pair.
+// assignOne interprets 'lhs = rhs' for one pair. A store into a field,
+// slot or pointed-to location forgets the handle: fields are not tracked.
 func (f *tsFlow) assignOne(env tsEnv, lhs, rhs ast.Expr) {
-	val, handled := f.valueOf(env, rhs, true)
+	val, handled := f.valueOf(env, rhs)
 	if !handled {
 		f.expr(env, rhs)
 	}
 	switch l := unparen(lhs).(type) {
 	case *ast.Ident:
 		if l.Name == "_" {
-			if val != nil && val.owned && val.proto.kind == "pooled" {
-				f.report(rhs.Pos(),
-					"caller-owned pooled %s assigned to the blank identifier: nothing can ever free it", val.proto.name)
-			}
 			return
 		}
 		v, _ := f.pkg.Info.Defs[l].(*types.Var)
@@ -932,51 +776,24 @@ func (f *tsFlow) assignOne(env tsEnv, lhs, rhs ast.Expr) {
 		}
 	case *ast.SelectorExpr:
 		f.expr(env, l.X)
-		f.storeEscape(val, rhs.Pos(), "a struct field")
 	case *ast.IndexExpr:
 		f.expr(env, l.X)
 		f.expr(env, l.Index)
-		f.storeEscape(val, rhs.Pos(), "a container slot")
 	case *ast.StarExpr:
 		f.expr(env, l.X)
-		f.storeEscape(val, rhs.Pos(), "a pointed-to location")
 	default:
 		f.expr(env, lhs)
 	}
 }
 
-// storeEscape applies the field/slot-store rule: a handle is simply
-// forgotten, while a pooled value may only escape into long-lived storage
-// inside a //state: sink function.
-func (f *tsFlow) storeEscape(val *tsVal, pos token.Pos, where string) {
-	if val == nil || !val.owned || val.proto.kind != "pooled" {
-		return
-	}
-	if f.ann != nil && f.ann.sink {
-		return
-	}
-	f.report(pos,
-		"pooled %s stored into %s outside a //state: sink function: ownership hand-off into long-lived structure must happen at an annotated sink",
-		val.proto.name, where)
-}
-
-// checkOverwrite reports an assignment clobbering a variable that still
-// carries an obligation: a still-owned pooled value leaks, and a handle
-// off its quiescent first state is orphaned mid-protocol.
+// checkOverwrite reports an assignment clobbering a handle that is off its
+// quiescent first state: the in-flight handle is orphaned mid-protocol.
 func (f *tsFlow) checkOverwrite(env tsEnv, v *types.Var, pos token.Pos) {
 	val, ok := env[v]
 	if !ok {
 		return
 	}
-	if val.proto.kind == "pooled" {
-		if val.owned && val.states&val.proto.liveMask() != 0 {
-			f.report(pos,
-				"assignment overwrites '%s' while it still owns a pooled %s (minted at line %d): the previous object leaks",
-				v.Name(), val.proto.name, f.pkg.Fset.Position(val.mintPos).Line)
-		}
-		return
-	}
-	quiescent := val.proto.bit(0) | val.proto.deadMask() | xferBit
+	quiescent := val.proto.bit(0) | val.proto.deadMask()
 	if val.states&^quiescent != 0 {
 		f.report(pos,
 			"assignment overwrites handle '%s' while it may still be %s: the in-flight handle is orphaned mid-protocol",
@@ -986,7 +803,7 @@ func (f *tsFlow) checkOverwrite(env tsEnv, v *types.Var, pos token.Pos) {
 
 // bind handles 'var x = rhs' declarations.
 func (f *tsFlow) bind(env tsEnv, name *ast.Ident, rhs ast.Expr) {
-	val, handled := f.valueOf(env, rhs, true)
+	val, handled := f.valueOf(env, rhs)
 	if !handled {
 		f.expr(env, rhs)
 	}
@@ -999,52 +816,32 @@ func (f *tsFlow) bind(env tsEnv, name *ast.Ident, rhs ast.Expr) {
 	}
 }
 
-// valueOf classifies rhs as a protocol-tracked value. consume controls
-// whether a tracked source variable is moved out of the environment
-// (assignment/return contexts) or merely classified (discard checks).
-// The second result reports whether rhs was fully processed here
-// (side effects applied); when false the caller must scan rhs itself.
-func (f *tsFlow) valueOf(env tsEnv, rhs ast.Expr, consume bool) (*tsVal, bool) {
+// valueOf classifies rhs as a protocol-tracked value: a mint call's
+// result, or a tracked variable, whose tracking moves to the assignee
+// (strong update: 'y := x' forgets x). The second result reports whether
+// rhs was fully processed here (side effects applied); when false the
+// caller must scan rhs itself.
+func (f *tsFlow) valueOf(env tsEnv, rhs ast.Expr) (*tsVal, bool) {
 	switch e := unparen(rhs).(type) {
 	case *ast.CallExpr:
 		callee, _ := f.pkg.calleeOf(e)
 		ann := f.tab.funcs[callee]
 		f.call(env, e, callee, ann)
 		if ann != nil && ann.mint {
-			return &tsVal{proto: ann.mintProto, states: ann.mintState, owned: true, mintPos: e.Pos()}, true
+			return &tsVal{proto: ann.mintProto, states: ann.mintState, owned: true}, true
 		}
 		return nil, true
-	case *ast.UnaryExpr:
-		if e.Op != token.AND {
-			return nil, false
-		}
-		cl, ok := e.X.(*ast.CompositeLit)
-		if !ok {
-			return nil, false
-		}
-		proto := f.tab.protoOf(f.pkg.Info.TypeOf(rhs))
-		if proto == nil || proto.kind != "pooled" {
-			return nil, false
-		}
-		for _, el := range cl.Elts {
-			f.expr(env, el)
-		}
-		return &tsVal{proto: proto, states: proto.bit(0), owned: true, mintPos: rhs.Pos()}, true
 	case *ast.Ident:
 		v, _ := f.pkg.Info.Uses[e].(*types.Var)
 		if v == nil {
 			return nil, false
 		}
-		val, ok := env[v]
-		if !ok {
+		if _, ok := env[v]; !ok {
 			return nil, false
 		}
 		f.useIdent(env, e)
-		val = env[v] // useIdent may have healed the state set
-		if consume {
-			// Strong update: 'y := x' moves the tracking to y.
-			delete(env, v)
-		}
+		val := env[v] // useIdent may have healed the state set
+		delete(env, v)
 		return &val, true
 	}
 	return nil, false
@@ -1058,15 +855,7 @@ func (f *tsFlow) expr(env tsEnv, e ast.Expr) {
 	switch ex := unparen(e).(type) {
 	case *ast.CallExpr:
 		callee, _ := f.pkg.calleeOf(ex)
-		ann := f.tab.funcs[callee]
-		f.call(env, ex, callee, ann)
-		if ann != nil && ann.mint && ann.mintProto.kind == "pooled" {
-			// A mint result consumed in a larger expression (not bound,
-			// not returned, not an argument) cannot be released.
-			f.report(ex.Pos(),
-				"result of this call is a caller-owned pooled %s: discarding it leaks (bind it and release exactly once)",
-				ann.mintProto.name)
-		}
+		f.call(env, ex, callee, f.tab.funcs[callee])
 	case *ast.Ident:
 		f.useIdent(env, ex)
 	case *ast.FuncLit:
@@ -1100,9 +889,8 @@ func (f *tsFlow) expr(env tsEnv, e ast.Expr) {
 }
 
 // useIdent checks one variable read against its abstract state: touching
-// a possibly-freed pooled value or a possibly-dead handle is the core
-// use-after-free rule. After reporting, the gone bits are healed so one
-// mistake does not cascade down the function.
+// a possibly-dead handle is the core rule. After reporting, the dead bits
+// are healed so one mistake does not cascade down the function.
 func (f *tsFlow) useIdent(env tsEnv, id *ast.Ident) {
 	v, _ := f.pkg.Info.Uses[id].(*types.Var)
 	if v == nil {
@@ -1112,36 +900,18 @@ func (f *tsFlow) useIdent(env tsEnv, id *ast.Ident) {
 	if !ok {
 		return
 	}
-	gone := val.states & val.proto.goneMask()
+	gone := val.states & val.proto.deadMask()
 	if gone == 0 {
 		return
 	}
-	if val.proto.kind == "pooled" {
-		f.report(id.Pos(),
-			"use of '%s' after it was %s: pooled %s reaches this point %s on some path",
-			id.Name, goneVerb(gone, val.proto), val.proto.name, val.proto.setString(gone))
-	} else {
-		f.report(id.Pos(),
-			"use of possibly-dead handle '%s': %s reaches this point %s on some path (a recycled handle must not be touched)",
-			id.Name, val.proto.name, val.proto.setString(gone))
-	}
-	val.states = (val.states &^ val.proto.goneMask()) | (val.proto.liveMask() & val.proto.allMask())
+	f.report(id.Pos(),
+		"use of possibly-dead handle '%s': %s reaches this point %s on some path (a recycled handle must not be touched)",
+		id.Name, val.proto.name, val.proto.setString(gone))
+	val.states = val.states&^gone | val.proto.liveMask()
 	if val.states == 0 {
 		val.states = val.proto.bit(0)
 	}
-	val.tainted = true
 	env[v] = val
-}
-
-func goneVerb(gone uint32, pr *protocol) string {
-	switch {
-	case gone&xferBit != 0 && gone&pr.deadMask() != 0:
-		return "freed or handed off"
-	case gone&xferBit != 0:
-		return "handed off"
-	default:
-		return "freed"
-	}
 }
 
 // captureLit forgets variables captured by a function literal (they
@@ -1204,89 +974,48 @@ func (f *tsFlow) call(env tsEnv, call *ast.CallExpr, callee *types.Func, ann *fu
 			disp = ann.params[i]
 		}
 		if id, ok := unparen(arg).(*ast.Ident); ok {
-			if _, tracked := f.trackedVar(env, id); tracked {
-				f.applyDisp(env, id, disp, calleeName)
-				continue
-			}
-		}
-		// Owned temporaries (mint calls, &T{} composites) passed inline:
-		// legal when the parameter consumes them, a guaranteed leak when
-		// it only borrows.
-		val, handled := f.valueOf(env, arg, true)
-		if val != nil {
-			if val.owned && val.proto.kind == "pooled" && disp.kind != dispKill && disp.kind != dispXfer {
-				f.report(arg.Pos(),
-					"caller-owned pooled %s passed to %s, which does not take ownership (no //state: kill or xfer on that parameter): nothing will ever free it",
-					val.proto.name, calleeName)
-			}
+			f.applyDisp(env, id, disp, calleeName)
 			continue
 		}
-		if !handled {
-			f.expr(env, arg)
-		}
+		f.expr(env, arg)
 	}
 }
 
-func (f *tsFlow) trackedVar(env tsEnv, id *ast.Ident) (*types.Var, bool) {
-	v, _ := f.pkg.Info.Uses[id].(*types.Var)
-	if v == nil {
-		return nil, false
-	}
-	_, ok := env[v]
-	return v, ok
-}
-
-// applyDisp applies one parameter disposition to a tracked argument.
+// applyDisp applies one parameter disposition to an identifier argument;
+// an untracked one is only a use.
 func (f *tsFlow) applyDisp(env tsEnv, id *ast.Ident, disp paramDisp, calleeName string) {
-	v, tracked := f.trackedVar(env, id)
-	if !tracked {
+	v, _ := f.pkg.Info.Uses[id].(*types.Var)
+	val, tracked := env[v]
+	if v == nil || !tracked || disp.kind == dispNone {
 		f.useIdent(env, id)
 		return
 	}
-	val := env[v]
-	switch disp.kind {
-	case dispKill, dispXfer:
-		if gone := val.states & val.proto.goneMask(); gone != 0 {
-			if val.proto.kind == "pooled" {
-				f.report(id.Pos(),
-					"double free of '%s': pooled %s is already %s when passed to %s",
-					id.Name, val.proto.name, val.proto.setString(gone), calleeName)
-			} else {
-				f.report(id.Pos(),
-					"'%s' passed to %s while possibly dead: handle %s already reached %s on a path to here (a fired or cancelled handle must not be released again)",
-					id.Name, calleeName, val.proto.name, val.proto.setString(gone))
-			}
+	gone := val.states & val.proto.deadMask()
+	if disp.kind == dispKill {
+		if gone != 0 {
+			f.report(id.Pos(),
+				"'%s' passed to %s while possibly dead: handle %s already reached %s on a path to here (a fired or cancelled handle must not be released again)",
+				id.Name, calleeName, val.proto.name, val.proto.setString(gone))
 		}
 		if !val.owned {
 			f.report(id.Pos(),
-				"parameter '%s' is borrowed, but %s consumes it: declare '//state: xfer %s' (or kill) on %s's signature",
+				"parameter '%s' is borrowed, but %s kills it: declare '//state: kill %s' on %s's signature",
 				id.Name, calleeName, id.Name, f.declName)
 		}
-		if disp.kind == dispKill {
-			dead := val.proto.deadMask()
-			if dead == 0 {
-				dead = xferBit
-			}
-			val.states = dead
-		} else {
-			val.states = xferBit
-		}
-		env[v] = val
-	case dispMove:
-		if bad := val.states &^ (disp.from | val.proto.goneMask()); bad != 0 {
+		val.states = val.proto.deadMask()
+	} else {
+		if bad := val.states &^ (disp.from | gone); bad != 0 {
 			f.report(id.Pos(),
 				"%s requires %s '%s' in state %s, but it may be %s here",
 				calleeName, val.proto.name, id.Name, val.proto.setString(disp.from), val.proto.setString(bad))
 		}
-		if gone := val.states & val.proto.goneMask(); gone != 0 {
+		if gone != 0 {
 			f.report(id.Pos(),
 				"%s called on '%s' after it was already %s", calleeName, id.Name, val.proto.setString(gone))
 		}
 		val.states = disp.to
-		env[v] = val
-	case dispNone:
-		f.useIdent(env, id)
 	}
+	env[v] = val
 }
 
 // ---------------------------------------------------------------------------
@@ -1322,7 +1051,7 @@ func clearFirstPass(p *Package, prog *Program, tab *stateTable) []Diagnostic {
 				return true
 			}
 			proto := tab.protoOf(field.Type())
-			if proto == nil || proto.kind != "handle" || proto.deadMask() == 0 {
+			if proto == nil || proto.deadMask() == 0 {
 				return true
 			}
 			call, ok := unparen(st.Rhs[0]).(*ast.CallExpr)
@@ -1449,68 +1178,4 @@ func clearsFieldFirst(p *Package, body *ast.BlockStmt, field *types.Var) bool {
 	}
 	id, ok := unparen(st.Rhs[0]).(*ast.Ident)
 	return ok && id.Name == "nil"
-}
-
-// ---------------------------------------------------------------------------
-// Interface-contract consistency
-
-// ifaceContracts checks that methods implementing a //state:-annotated
-// interface method declare the same parameter dispositions: a Node
-// implementation that silently borrows what the interface transfers
-// would break every caller's ownership accounting.
-func ifaceContracts(p *Package, prog *Program, tab *stateTable) []Diagnostic {
-	var out []Diagnostic
-	fns := make([]*types.Func, 0, len(tab.funcs))
-	for fn := range tab.funcs {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i].FullName() < fns[j].FullName() })
-	for _, fn := range fns {
-		ann := tab.funcs[fn]
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			continue
-		}
-		if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); !isIface {
-			continue
-		}
-		idxs := make([]int, 0, len(ann.params))
-		for i := range ann.params {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		for _, impl := range prog.implementations(fn) {
-			if impl.pkg != p {
-				continue
-			}
-			implAnn := tab.funcs[impl.fn]
-			for _, i := range idxs {
-				want := ann.params[i]
-				got := paramDisp{}
-				if implAnn != nil {
-					got = implAnn.params[i]
-				}
-				if got.kind != want.kind {
-					out = append(out, p.diag("typestate", impl.decl.Pos(),
-						"%s implements %s, whose //state: contract declares %s for parameter %d; the implementation must declare the same disposition",
-						impl.fn.Name(), fn.FullName(), dispName(want.kind), i+1))
-				}
-			}
-		}
-	}
-	return out
-}
-
-func dispName(k dispKind) string {
-	switch k {
-	case dispKill:
-		return "kill"
-	case dispXfer:
-		return "xfer"
-	case dispMove:
-		return "move"
-	case dispNone:
-		return "none"
-	}
-	return "none"
 }

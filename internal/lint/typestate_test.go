@@ -9,23 +9,24 @@ import (
 	"testing"
 )
 
-// newTestProto builds a two-state pooled protocol for pure-lattice tests.
+// newTestProto builds a two-state Event-shaped handle protocol for
+// pure-lattice tests.
 func newTestProto() *protocol {
-	return &protocol{name: "Buf", kind: "pooled", states: []string{"owned", "freed"}}
+	return &protocol{name: "H", states: []string{"armed", "dead"}}
 }
 
 // TestJoinEnvMergeAtJoin pins the merge semantics at a control-flow join:
 // state sets union, ownership is sticky, and a variable tracked on only
-// one incoming path keeps its obligation (a leak on that path is still a
-// leak).
+// one incoming path keeps its states (a handle dead on that path is still
+// possibly dead after the join).
 func TestJoinEnvMergeAtJoin(t *testing.T) {
 	pr := newTestProto()
 	x := types.NewVar(token.NoPos, nil, "x", types.Typ[types.Int])
 	y := types.NewVar(token.NoPos, nil, "y", types.Typ[types.Int])
 	a := tsEnv{x: tsVal{proto: pr, states: pr.bit(0), owned: true}}
 	b := tsEnv{
-		x: tsVal{proto: pr, states: pr.bit(1), owned: false, tainted: true},
-		y: tsVal{proto: pr, states: pr.bit(0), owned: true},
+		x: tsVal{proto: pr, states: pr.bit(1), owned: false},
+		y: tsVal{proto: pr, states: pr.bit(1), owned: true},
 	}
 
 	j := joinEnv(a, b)
@@ -35,14 +36,11 @@ func TestJoinEnvMergeAtJoin(t *testing.T) {
 	if !j[x].owned {
 		t.Error("ownership must be sticky under join: owned on one path means owned after the join")
 	}
-	if !j[x].tainted {
-		t.Error("taint must be sticky under join, or one use-after-free would cascade into exit-leak noise")
-	}
 	yv, ok := j[y]
 	if !ok {
-		t.Fatal("variable tracked on only one path was dropped at the join; its leak obligation must survive")
+		t.Fatal("variable tracked on only one path was dropped at the join; its dead state must survive")
 	}
-	if !yv.owned || yv.states != pr.bit(0) {
+	if !yv.owned || yv.states != pr.bit(1) {
 		t.Errorf("one-sided variable changed at join: %+v", yv)
 	}
 
@@ -100,39 +98,40 @@ func loadFixturePkg(t *testing.T, name string) *Package {
 }
 
 // TestMergeAtJoinFlagsFreedUse drives the interpreter end to end through
-// MergeFreedUse in the poollife fixture: the read after the conditional
-// free is only reachable as a may-finding through the branch join, while
-// BothFree (release on every path) must stay silent.
+// MergeDeadUse in the handlestate fixture: the read after the conditional
+// Cancel is only reachable as a may-finding through the branch join, while
+// CancelEachPath (one Cancel on every path) must stay silent.
 func TestMergeAtJoinFlagsFreedUse(t *testing.T) {
-	p := loadFixturePkg(t, "poollife")
+	p := loadFixturePkg(t, "handlestate")
 	diags := runTypestate(p)
-	wantLine := fixtureFindingLine(t, "poollife", "poollife.go", "n := b.n")
+	wantLine := fixtureFindingLine(t, "handlestate", "handlestate.go", "// use after join")
+	cleanLine := fixtureFindingLine(t, "handlestate", "handlestate.go", "// clean cancel")
 	found := false
 	for _, d := range diags {
-		if d.Line == wantLine && strings.Contains(d.Message, "use of 'b' after it was freed") {
+		if d.Line == wantLine && strings.Contains(d.Message, "use of possibly-dead handle 'h'") {
 			found = true
 		}
-		if strings.Contains(d.Message, "BothFree") {
-			t.Errorf("release-on-every-path function flagged: %s", d.Message)
+		if d.Line == cleanLine {
+			t.Errorf("cancel-once-per-path function flagged: %s", d.Message)
 		}
 	}
 	if !found {
-		t.Errorf("no use-after-free reported at the post-join read (line %d); findings: %v", wantLine, diags)
+		t.Errorf("no dead-handle use reported at the post-join read (line %d); findings: %v", wantLine, diags)
 	}
 }
 
 // TestLoopWideningFindsSecondPassOverwrite pins the loop fixpoint: the
-// re-mint inside LoopOverwrite only overwrites a still-owned value on the
+// re-mint inside LoopRestart only overwrites a possibly-armed timer on the
 // second pass, once the back edge has joined the first iteration's state
 // back into the loop head.
 func TestLoopWideningFindsSecondPassOverwrite(t *testing.T) {
-	p := loadFixturePkg(t, "poollife")
+	p := loadFixturePkg(t, "handlestate")
 	diags := runTypestate(p)
-	wantLine := fixtureFindingLine(t, "poollife", "poollife.go", "b = p.Get()")
+	wantLine := fixtureFindingLine(t, "handlestate", "handlestate.go", "// second-pass overwrite")
 	for _, d := range diags {
-		if d.Line == wantLine && strings.Contains(d.Message, "assignment overwrites 'b'") {
+		if d.Line == wantLine && strings.Contains(d.Message, "assignment overwrites handle 't'") {
 			return
 		}
 	}
-	t.Errorf("loop fixpoint missed the second-pass overwrite leak at line %d; findings: %v", wantLine, diags)
+	t.Errorf("loop fixpoint missed the second-pass overwrite at line %d; findings: %v", wantLine, diags)
 }

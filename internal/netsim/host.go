@@ -90,8 +90,6 @@ func (h *Host) SetPool(pool *packet.Pool) { h.pool = pool }
 
 // AllocPacket returns a zeroed packet for the transport to fill and Send.
 // With no pool attached it simply allocates.
-//
-// state: mint
 func (h *Host) AllocPacket() *packet.Packet { return h.pool.Get() }
 
 // Uplink returns the host's output port (nil before wiring).
@@ -121,8 +119,6 @@ func (h *Host) Unregister(flow packet.FlowID) {
 // Send stamps the packet's source and injects it into the host's uplink.
 // Ownership moves with the packet: from here it is the network's to drop,
 // lose or deliver, and the sender must not touch it again.
-//
-// state: xfer pkt
 func (h *Host) Send(pkt *packet.Packet) {
 	if h.uplink == nil {
 		panic(fmt.Sprintf("netsim: host %s has no uplink", h.name))
@@ -135,8 +131,6 @@ func (h *Host) Send(pkt *packet.Packet) {
 // discarded, like an RST-less drop). The host is the packet's final
 // owner: once the handler returns, the packet is recycled (when a pool is
 // attached), so handlers must copy out any fields they keep.
-//
-// state: xfer pkt
 func (h *Host) Deliver(pkt *packet.Packet) {
 	h.delivered++
 	h.deliveredBytes += int64(pkt.Size())

@@ -26,8 +26,6 @@ type Node interface {
 	ID() packet.NodeID
 	// Deliver hands an arriving packet to the node. The node takes
 	// ownership of the packet.
-	//
-	//state: xfer pkt
 	Deliver(pkt *packet.Packet)
 }
 
@@ -175,8 +173,6 @@ func (l *Link) SetDelay(d sim.Duration) {
 // rest ride the one delivery event, at the destination after ser plus the
 // current propagation delay. The link consumes the packet on every path:
 // blackholed and lost packets go back to the pool.
-//
-// state: xfer pkt
 func (l *Link) transmit(pkt *packet.Packet, ser sim.Duration) {
 	if pkt.Hop() > maxHops {
 		panic(fmt.Sprintf("netsim: packet exceeded %d hops (routing loop?): %v", maxHops, pkt))

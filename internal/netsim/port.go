@@ -180,11 +180,8 @@ func (p *Port) Reset(cfg PortConfig) {
 func (p *Port) SetPool(pool *packet.Pool) { p.pool = pool }
 
 // push appends a packet at the tail of the ring, growing it when full.
-// The ring slot is the sanctioned long-lived store for an in-queue packet:
-// ownership parks here until pop hands it to the serializer.
-//
-// state: xfer pkt
-// state: sink
+// An in-queue packet's ownership parks in its ring slot until pop hands it
+// to the serializer.
 func (p *Port) push(pkt *packet.Packet) {
 	if p.qLen == len(p.q) {
 		p.grow()
@@ -196,8 +193,6 @@ func (p *Port) push(pkt *packet.Packet) {
 
 // pop removes and returns the head-of-line packet. Caller checks qLen > 0.
 // Ownership leaves the ring with the packet.
-//
-// state: mint
 func (p *Port) pop() *packet.Packet {
 	pkt := p.q[p.qHead]
 	p.q[p.qHead] = nil
@@ -318,8 +313,6 @@ func (p *Port) Resume() {
 // its codepoint is set to CE. Either way the packet is consumed: dropped
 // ones return to the pool, accepted ones park in the ring until
 // transmission.
-//
-// state: xfer pkt
 //
 //hot:path
 func (p *Port) Enqueue(pkt *packet.Packet) {

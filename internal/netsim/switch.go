@@ -90,8 +90,6 @@ func (s *Switch) AggregateStats() SwitchStats {
 // Deliver forwards an arriving packet toward its destination. An unknown
 // destination panics: the topologies in this repository are fully
 // statically routed, so a miss is always a wiring bug.
-//
-// state: xfer pkt
 func (s *Switch) Deliver(pkt *packet.Packet) {
 	out := s.RouteTo(pkt.Dst)
 	if out == nil {

@@ -142,6 +142,7 @@ type TwoTier struct {
 	// and Workers in construction order — which Reset restores.
 	cfg   TopologyConfig
 	built []*Host
+	pool  *packet.Pool // set by EnablePacketPool
 }
 
 // NewTwoTier builds the 2-tier tree with the given fan-out: leaves leaf
@@ -238,10 +239,14 @@ func (tt *TwoTier) EnablePacketPool() *packet.Pool {
 	switches := make([]*Switch, 0, len(tt.Leaves)+1)
 	switches = append(switches, tt.Root)
 	switches = append(switches, tt.Leaves...)
-	pool := &packet.Pool{}
-	enablePool(pool, hosts, switches)
-	return pool
+	tt.pool = &packet.Pool{}
+	enablePool(tt.pool, hosts, switches)
+	return tt.pool
 }
+
+// Pool returns the packet freelist EnablePacketPool attached, or nil when
+// pooling is off.
+func (tt *TwoTier) Pool() *packet.Pool { return tt.pool }
 
 // PipelineCapacityBytes computes the paper's Pipeline Capacity C x D + B
 // (§II-C) for the bottleneck path: the bandwidth-delay product across the

@@ -36,6 +36,9 @@ type Checker struct {
 
 	hosts map[packet.NodeID]bool // hosts whose taps are installed
 	tt    *netsim.TwoTier        // for the conservation ledger (optional)
+	// minted0 and free0 are the tree's pool counts at AttachTwoTier: the
+	// pool ledger balances this run's packets, not the pool's lifetime.
+	minted0, free0 int64
 
 	ring [ringEvents]Event
 	// ringLen is the ring's fill level, capped by the guard on its only
@@ -102,12 +105,14 @@ func (c *Checker) AttachHost(h *netsim.Host) {
 
 // AttachTwoTier wires the whole two-tier testbed: packet taps on the
 // aggregator and every worker, and the topology handle the conservation
-// ledger audits at Finish.
+// ledger audits at Finish, with the pool counts its pool ledger starts
+// from.
 func (c *Checker) AttachTwoTier(tt *netsim.TwoTier) {
 	if c == nil || tt == nil {
 		return
 	}
 	c.tt = tt
+	c.minted0, c.free0 = tt.Pool().Minted(), tt.Pool().FreeLen()
 	c.AttachHost(tt.Aggregator)
 	for _, w := range tt.Workers {
 		c.AttachHost(w)

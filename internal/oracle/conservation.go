@@ -15,6 +15,14 @@ import (
 // the caller's drained flag. A residual packet sitting in some queue is
 // itself reported: conservation on a drained network also means empty
 // queues everywhere.
+//
+// The pool ledger closes the books on the packets themselves: a drained
+// run has released every packet it minted, so the freelist must have grown
+// by exactly the number of packets the pool minted since AttachTwoTier. A
+// packet dropped without Put (a leak) leaves it short. The ledger is per
+// run because a reused tree's pool already lost the packets in flight at
+// the previous run's halt (Scheduler.Reset discards their delivery
+// events), so minted == free holds only on a fresh tree.
 func (c *Checker) auditConservation(tt *netsim.TwoTier) {
 	now := c.sched.Now()
 	hosts := append([]*netsim.Host{tt.Aggregator}, tt.Workers...)
@@ -57,5 +65,10 @@ func (c *Checker) auditConservation(tt *netsim.TwoTier) {
 		c.report("conservation", 0, now, fmt.Sprintf(
 			"byte ledger unbalanced: enqueued %d != delivered %d + dropped %d + destroyed %d",
 			injectedBytes, deliveredBytes, droppedBytes, lostBytes))
+	}
+	pool := tt.Pool()
+	if minted, freed := pool.Minted()-c.minted0, pool.FreeLen()-c.free0; minted != freed {
+		c.report("conservation", 0, now, fmt.Sprintf(
+			"pool ledger unbalanced: minted %d packets but the freelist grew by %d", minted, freed))
 	}
 }

@@ -419,6 +419,35 @@ func TestPlusMachineTransitions(t *testing.T) {
 	requireClean(t, ck6)
 }
 
+// TestPoolLedgerCatchesLeak pins the pool ledger's sensitivity on a
+// drained tree: a run that returns every packet it minted balances, even
+// when packets parked before AttachTwoTier are reused, and a run that
+// keeps one packet unreleased does not.
+func TestPoolLedgerCatchesLeak(t *testing.T) {
+	sched := sim.NewScheduler()
+	tt := netsim.NewTwoTier(sched, 1, 1, netsim.DefaultTopologyConfig())
+	pool := tt.EnablePacketPool()
+	h := tt.Aggregator
+
+	pool.Put(h.AllocPacket()) // parked by an earlier run
+
+	clean := NewChecker(sched)
+	clean.AttachTwoTier(tt)
+	reused, minted := h.AllocPacket(), h.AllocPacket()
+	pool.Put(reused)
+	pool.Put(minted)
+	clean.Finish(true)
+	requireClean(t, clean)
+
+	leaky := NewChecker(sched)
+	leaky.AttachTwoTier(tt)
+	kept := h.AllocPacket() // never released
+	pool.Put(h.AllocPacket())
+	leaky.Finish(true)
+	requireViolation(t, leaky, "conservation", "pool ledger unbalanced: minted 0 packets but the freelist grew by -1")
+	_ = kept
+}
+
 func TestNilCheckerIsNoOp(t *testing.T) {
 	var ck *Checker
 	ck.AttachConn(nil)

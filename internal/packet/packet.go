@@ -96,13 +96,12 @@ const (
 // by exactly one network element at a time; they are never shared, so no
 // locking is required in the single-threaded event loop.
 //
-// The ownership contract is machine-checked: simlint's typestate analyzer
-// tracks every pooled packet from its mint (Pool.Get, Host.AllocPacket)
-// to exactly one release (Pool.Put, or a //state: xfer hand-off into the
-// network) per path. Those two are the only mints: no non-test code
-// outside this package builds a Packet literal (see Pool).
-//
-// state: pooled owned -> freed
+// Every packet is minted by Pool.Get (Host.AllocPacket) — no non-test code
+// outside this package builds a Packet literal — and released exactly
+// once: freed by Pool.Put, or handed off into the network, whose element
+// that drops, destroys or delivers it frees it. Every build checks this at
+// run time (see Pool): a double free panics, and the oracle's pool ledger
+// fails a drained run that leaked a packet.
 type Packet struct {
 	Src, Dst NodeID
 	Flow     FlowID

@@ -188,11 +188,10 @@ func (s *Scheduler) After(d Duration, fn func()) *Event {
 // a callback constructed once at wiring time: passing a pointer through
 // arg does not allocate, while capturing it in a fresh closure would.
 //
-// arg is an ownership sink: a pooled packet scheduled for delivery is the
-// callee's to free once the event is queued.
+// arg passes to fn with its ownership: a pooled packet scheduled for
+// delivery is fn's to free once the event is queued.
 //
 // state: mint
-// state: xfer arg
 func (s *Scheduler) AtArg(t Time, fn func(any), arg any) *Event {
 	e := s.alloc()
 	e.afn = fn
@@ -203,7 +202,6 @@ func (s *Scheduler) AtArg(t Time, fn func(any), arg any) *Event {
 // AfterArg schedules fn(arg) to run d after the current time.
 //
 // state: mint
-// state: xfer arg
 func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) *Event {
 	if d < 0 {
 		d = 0

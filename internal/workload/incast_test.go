@@ -49,7 +49,7 @@ func runIncast(t *testing.T, cfg IncastConfig) *Incast {
 
 // runPooledIncast runs the incast the way internal/exp does, with the
 // packet pool on, so every harness-driven test also exercises the
-// mint/recycle path (and, under -tags checkdebug, its poison tripwire).
+// mint/recycle path and its double-free poison.
 func runPooledIncast(t *testing.T, cfg IncastConfig) (*Incast, *packet.Pool) {
 	t.Helper()
 	sched := sim.NewScheduler()
