@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fmt-check lint typestate-smoke check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke clean
+.PHONY: all build vet test race fmt-check lint check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke clean
 
 all: check
 
@@ -32,25 +32,15 @@ fmt-check:
 # allowance under a //hot:path root), sim-time and unit discipline
 # (name-based), sweep worker-race freedom (sharedstate), narrow-counter
 # overflow (discharged only by an //inv: range contract, whose runtime twin
-# internal/check enforces), and the //state: contracts (typestate: the
-# scheduler's Event/Timer handle lifecycles; packet ownership is checked
-# at run time by the pool's double-free poison and the oracle's pool
-# ledger). A whole-module run also fails the build on //lint:allow
-# directives that no longer suppress anything. Stdlib-only.
+# internal/check enforces). Ownership is checked at run time instead: a
+# sim.Timer panics on an event it no longer owns, and packets have the
+# pool's double-free poison and the oracle's pool ledger. A whole-module
+# run also fails the build on //lint:allow directives that no longer
+# suppress anything. Stdlib-only.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
-# Typestate smoke: the engine's join/widening unit tests, the shared
-# control-flow walker's (flow.go) semantics table, and the typestate
-# analyzer's one fixture, handlestate: the Event/Timer handle rules, the
-# walker's hard shapes (break in a switch in a loop, fallthrough, break
-# outer), malformed //state: directives and the real scheduler handles'
-# clean uses. The pool's double-free poison tests run untagged in every
-# `go test ./...` and under `make race`.
-typestate-smoke:
-	$(GO) test -run 'JoinEnv|MergeAtJoin|LoopWidening|FlowWalker|Fixtures/handlestate' ./internal/lint
-
-check: build vet fmt-check lint typestate-smoke race fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke
+check: build vet fmt-check lint race fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke
 
 # Fault-injection smoke: a full-mix faulted sweep must complete, stay
 # deterministic, conserve every packet/byte, and keep DCTCP+ no worse than

@@ -1,9 +1,9 @@
 // Command simlint runs the repository's domain-specific static analysis
 // over the module: determinism guards (stricter under //hot:path roots),
 // sim-time discipline, name-based unit safety, float-equality, sweep
-// worker-race checks, narrow-counter overflow, the call-graph passes —
-// hot-path allocation budgets and enum-switch exhaustiveness — and the
-// //state: typestate proofs for scheduler handles (see internal/lint).
+// worker-race checks, narrow-counter overflow, and the call-graph passes —
+// hot-path allocation budgets and enum-switch exhaustiveness (see
+// internal/lint).
 //
 //	simlint ./...            # lint the whole module (the make check gate)
 //	simlint ./internal/tcp   # lint one package

@@ -122,7 +122,7 @@ func TestCCRecycleEqualsFresh(t *testing.T) {
 			for _, c := range conns {
 				c.Close()
 			}
-			s.Reset()
+			s.Reset(tt.Reclaim)
 			tt.Reset()
 			_, _, fresh := incastConns(k, n)
 			for i, c := range conns {

@@ -429,7 +429,7 @@ type Rig struct {
 func (rig *Rig) prepare(tb Testbed) {
 	if rig.sched != nil && rig.topo == tb.topology() {
 		rig.tt.Reset()
-		rig.sched.Reset()
+		rig.sched.Reset(rig.tt.Reclaim)
 		return
 	}
 	rig.topo = tb.topology()

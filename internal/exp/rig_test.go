@@ -126,6 +126,24 @@ func TestRigReuseEqualsFresh(t *testing.T) {
 	}
 }
 
+// TestRigResetReturnsEveryPacket: a rig's reset hands every packet of the
+// halted run back to the pool — the ones queued at ports, and the ones
+// riding a link, whose delivery event the scheduler reset discards — so a
+// reused rig mints none to replace them. After each run of the
+// heterogeneous sequence, the reset leaves the freelist holding every
+// packet the pool has minted.
+func TestRigResetReturnsEveryPacket(t *testing.T) {
+	var rig Rig
+	for i, o := range rigSequence() {
+		rig.Run(o)
+		rig.prepare(o.Testbed)
+		if pool := rig.tt.Pool(); pool.Minted() != pool.FreeLen() {
+			t.Errorf("point %d (%v N=%d): after the reset the freelist holds %d of the %d packets minted",
+				i, o.Protocol, o.Flows, pool.FreeLen(), pool.Minted())
+		}
+	}
+}
+
 // rigJobAllocBudget is what a sweep-shaped job costs the allocator on a
 // warm rig, measured at 7 (the factory closure, the two summaries' sample
 // slices and their NaN-filtered copies, and the odd packet or scratch

@@ -58,10 +58,6 @@ type Program struct {
 	// contractTable caches the parsed //inv: contracts (contracts.go). Nil
 	// until the first query; invalidated whenever the graph rebuilds.
 	contractTable *contractTable
-
-	// stateTable caches the parsed //state: protocols and function
-	// contracts (typestate.go). Same lifecycle as contractTable.
-	stateTable *stateTable
 }
 
 // funcNode is one declared function in the call graph.
@@ -146,7 +142,6 @@ func (prog *Program) build() {
 	prog.sweepFrom = make(map[*types.Func][]*types.Func)
 	prog.terminals = make(map[*types.Func]bool)
 	prog.contractTable = nil
-	prog.stateTable = nil
 
 	// Pass 1: one node per declared function with a body.
 	for _, p := range prog.pkgs {
@@ -320,18 +315,6 @@ func (prog *Program) sweepRootsOf(fn *types.Func) []*types.Func {
 // a rich diagnostic there is worth any allocation.
 func (prog *Program) isTerminal(fn *types.Func) bool {
 	return prog.terminals[fn]
-}
-
-// isTerminalCall reports whether call never returns: the panic builtin, or
-// a terminal helper (check.Failf). Both flow engines end the path there.
-func (p *Package) isTerminalCall(call *ast.CallExpr) bool {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-		if _, isBuiltin := p.Info.Uses[id].(*types.Builtin); isBuiltin {
-			return true
-		}
-	}
-	callee, _ := p.calleeOf(call)
-	return callee != nil && p.Prog.isTerminal(callee)
 }
 
 // hotNodesIn returns the current package's hot-reachable function nodes in

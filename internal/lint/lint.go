@@ -5,7 +5,7 @@
 // using nothing but the standard library (go/parser, go/ast, go/token,
 // go/types — the module is dependency-free and must stay that way).
 //
-// Nine analyzers ship with the pass, one per guarantee:
+// Eight analyzers ship with the pass, one per guarantee:
 //
 //   - nondeterminism: wall-clock reads, math/rand, order-sensitive map
 //     iteration, and goroutine spawns inside simulation-scheduled code;
@@ -29,14 +29,11 @@
 //     //sweep:job-reachable code, discharged only by an //inv: range
 //     contract on the field (see contracts.go), which is declared here and
 //     enforced at run time by its internal/check twin.
-//   - typestate: path-sensitive proof of the //state: handle protocols on
-//     the scheduler's Event and Timer (see typestate.go; control flow is
-//     flow.go's walker) — Cancel on a possibly-dead handle, reads of a dead
-//     one, transition misuse (Timer Reset/Stop), overwriting an armed
-//     handle, the clear-field-first rule for re-arming callbacks, and
-//     malformed //state: directives. Packet ownership is checked at run
-//     time instead (packet.Pool's double-free poison, the oracle's pool
-//     ledger).
+//
+// Ownership of simulation objects is checked at run time instead, in every
+// build: sim.Timer panics if it holds an event it no longer owns (the
+// scheduler hands out no other cancellable handle), packet.Pool's
+// double-free poison and the oracle's pool ledger guard packets.
 //
 // Intentional exceptions are declared inline with a directive comment on
 // the offending line (or the line above):
@@ -97,7 +94,6 @@ func All() []*Analyzer {
 		Exhaustive(),
 		SharedState(),
 		Overflow(),
-		Typestate(),
 	}
 }
 
@@ -121,7 +117,7 @@ type directiveLine struct {
 }
 
 // directiveLines is the one reader of the package's comment directives
-// (//lint:allow, //hot:path, //sweep:job, //inv:, //state:).
+// (//lint:allow, //hot:path, //sweep:job, //inv:).
 // It returns, in order, every line comment of groups that starts with
 // marker — in its raw spelling or behind the single space gofmt's
 // doc-comment printer inserts when the line does not parse as a compiler

@@ -92,3 +92,20 @@ func TestRunAuditsOnlyWholeModuleLoads(t *testing.T) {
 		}
 	}
 }
+
+// loadFixturePkg loads the one fixture package under testdata/src/name.
+func loadFixturePkg(t *testing.T, name string) *Package {
+	t.Helper()
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("internal/lint/testdata/src/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
+	}
+	return pkgs[0]
+}

@@ -103,8 +103,11 @@ func TestTwoTierResetEqualsFresh(t *testing.T) {
 				ringCaps[p] = cap(p.q)
 			}
 			minted, seenBefore := pool.Minted(), seen
-			s.Reset()
+			s.Reset(tt.Reclaim)
 			tt.Reset()
+			if free := pool.FreeLen(); free != minted {
+				t.Errorf("after Reset the freelist holds %d of the %d packets minted: the ones in flight at the halt were lost", free, minted)
+			}
 
 			fresh := NewTwoTier(sim.NewScheduler(), 3, 3, cfg)
 			fresh.EnablePacketPool()

@@ -248,6 +248,16 @@ func (tt *TwoTier) EnablePacketPool() *packet.Pool {
 // pooling is off.
 func (tt *TwoTier) Pool() *packet.Pool { return tt.pool }
 
+// Reclaim is the discard function of the tree's scheduler reset
+// (sim.Scheduler.Reset): a packet riding a link at the halt is held only by
+// its delivery event, so it goes back to the pool here rather than to the
+// garbage collector. Any other argument is not the tree's and is left alone.
+func (tt *TwoTier) Reclaim(arg any) {
+	if pkt, ok := arg.(*packet.Packet); ok {
+		tt.pool.Put(pkt)
+	}
+}
+
 // PipelineCapacityBytes computes the paper's Pipeline Capacity C x D + B
 // (§II-C) for the bottleneck path: the bandwidth-delay product across the
 // given number of one-way hops plus the bottleneck port buffer.

@@ -102,16 +102,17 @@ func BenchmarkSchedulerFarChurn(b *testing.B) {
 
 func BenchmarkSchedulerCancel(b *testing.B) {
 	s := NewScheduler()
-	evs := make([]*Event, 0, 1024)
+	evs := make([]*event, 0, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if len(evs) == cap(evs) {
 			for _, e := range evs {
-				s.Cancel(e)
+				s.cancel(e)
 			}
 			evs = evs[:0]
 		}
-		evs = append(evs, s.At(s.Now()+Time(i%1000)+1, func() {}))
+		evs = append(evs, nextEvent(s))
+		s.At(s.Now()+Time(i%1000)+1, func() {})
 	}
 }
 
@@ -154,7 +155,7 @@ func BenchmarkRNGExp(b *testing.B) {
 // TestSchedulerAllocBudget pins the engine's steady-state budget at zero:
 // once the event freelist is primed, churn (fire + reschedule) on either
 // side of the queue or between them, timer rearming — across the horizon
-// too — and cancellation all recycle Event objects instead of minting new
+// too — and cancellation all recycle event objects instead of minting new
 // ones, and the near run's out-of-order pushes, middle cancels and slides
 // reuse its backing array.
 func TestSchedulerAllocBudget(t *testing.T) {
@@ -197,8 +198,9 @@ func TestSchedulerAllocBudget(t *testing.T) {
 	}
 
 	noop := func() {}
-	s.Cancel(s.After(Second, noop)) // prime the one extra freelist slot
-	if got := testing.AllocsPerRun(500, func() { s.Cancel(s.After(Second, noop)) }); got != 0 {
+	cycle := func(d Duration) func() { return func() { e := nextEvent(s); s.After(d, noop); s.cancel(e) } }
+	cycle(Second)() // prime the one extra freelist slot
+	if got := testing.AllocsPerRun(500, cycle(Second)); got != 0 {
 		t.Fatalf("schedule+cancel allocates %.1f times per cycle, want 0", got)
 	}
 
@@ -221,8 +223,8 @@ func TestSchedulerAllocBudget(t *testing.T) {
 	s = NewScheduler()
 	s.After(10, noop)
 	s.After(30, noop)
-	s.Cancel(s.After(20, noop))
-	if got := testing.AllocsPerRun(500, func() { s.Cancel(s.After(20, noop)) }); got != 0 {
+	cycle(20)()
+	if got := testing.AllocsPerRun(500, cycle(20)); got != 0 {
 		t.Fatalf("near insert+cancel in the middle allocates %.1f times per cycle, want 0", got)
 	}
 

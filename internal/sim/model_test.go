@@ -6,7 +6,7 @@ import "testing"
 // Scheduler and a reference queue — a slice kept sorted by when, FIFO among
 // equals (i.e. by (when, seq)), with linear insert and remove — and every
 // observable (fire sequence, Now, Pending, Fired, Timer.Armed/Deadline, live
-// handles' When/Cancelled) is compared after every op. An AtSorted stream is
+// events' due time and queued flag) is compared after every op. An AtSorted stream is
 // that many successive entries in the reference, and one pending event in
 // the scheduler while any of them is left. The op stream is a byte string,
 // so the seeded test and FuzzSchedulerModel share one body.
@@ -24,8 +24,8 @@ var modelDelays = [...]Duration{
 // constant, everything in the far heap, everything in the near run.
 var modelHorizons = [...]Duration{nearHorizon, 0, Duration(Infinity)}
 
-// modelMaxLive caps the plain-event handles outstanding, which bounds the
-// per-op cost of check(); at the cap a schedule op turns into a Cancel.
+// modelMaxLive caps the plain events outstanding, which bounds the per-op
+// cost of check(); at the cap a schedule op turns into a cancel.
 const modelMaxLive = 192
 
 const modelTimers = 6
@@ -36,10 +36,13 @@ type refEvent struct {
 	id   int
 }
 
-// modelEvent pairs a live scheduler handle with its reference entry.
+// modelEvent pairs a live scheduler event with its reference entry. The
+// scheduler hands out no handle: the model takes the event from the
+// freelist's head (nextEvent) and cancels it through the unexported cancel.
 type modelEvent struct {
-	ev  *Event
+	ev  *event
 	ref *refEvent
+	arg bool // scheduled through AtArg/AfterArg, with the modelEvent as arg
 }
 
 // modelTimer pairs a Timer with its reference entry (nil while disarmed).
@@ -184,9 +187,9 @@ func (m *schedModel) check() {
 		}
 	}
 	for _, le := range m.live {
-		if le.ev.Cancelled() || le.ev.When() != le.ref.when {
-			m.fatalf("live event %d cancelled=%v when=%v, reference due %v",
-				le.ref.id, le.ev.Cancelled(), le.ev.When(), le.ref.when)
+		if le.ev.idx < 0 || le.ev.when != le.ref.when {
+			m.fatalf("live event %d idx=%d when=%v, reference due %v",
+				le.ref.id, le.ev.idx, le.ev.when, le.ref.when)
 		}
 	}
 }
@@ -220,18 +223,18 @@ func (m *schedModel) schedule(kind byte) {
 		m.cancel(false)
 		return
 	}
-	le := &modelEvent{}
+	le := &modelEvent{ev: nextEvent(m.s), arg: kind%5 == 2 || kind%5 == 3}
 	fn := func() { m.onFire(le) }
 	d := m.delay()
 	switch kind % 5 {
 	case 0:
-		le.ev = m.s.At(m.now.Add(d), fn)
+		m.s.At(m.now.Add(d), fn)
 	case 1:
-		le.ev = m.s.After(d, fn)
+		m.s.After(d, fn)
 	case 2:
-		le.ev = m.s.AtArg(m.now.Add(d), m.argFn, le)
+		m.s.AtArg(m.now.Add(d), m.argFn, le)
 	case 3:
-		le.ev = m.s.AfterArg(d, m.argFn, le)
+		m.s.AfterArg(d, m.argFn, le)
 	case 4:
 		// The exact instant of an event already queued (scheduled earlier,
 		// possibly much earlier): a same-instant tie by construction.
@@ -239,7 +242,7 @@ func (m *schedModel) schedule(kind byte) {
 		if peer := m.pickLive(); peer != nil {
 			d = peer.ref.when.Sub(m.now)
 		}
-		le.ev = m.s.At(m.now.Add(d), fn)
+		m.s.At(m.now.Add(d), fn)
 	}
 	le.ref = m.refInsert(m.now.Add(d))
 	m.live = append(m.live, le)
@@ -269,21 +272,21 @@ func (m *schedModel) stream(kind byte) {
 	m.streamRefs += n
 }
 
-// cancel cancels a live handle; with twice, a second time straight away
-// (dead handle, nothing scheduled since: a no-op by contract) and nil too.
+// cancel cancels a live event; with twice, a second time straight away
+// (released, nothing scheduled since: a no-op) and nil too.
 func (m *schedModel) cancel(twice bool) {
 	le := m.pickLive()
 	if le == nil {
-		m.s.Cancel(nil)
+		m.s.cancel(nil)
 		return
 	}
-	m.s.Cancel(le.ev)
-	if !le.ev.Cancelled() {
-		m.fatalf("event %d not Cancelled() after Cancel", le.ref.id)
+	m.s.cancel(le.ev)
+	if le.ev.idx >= 0 {
+		m.fatalf("event %d still queued after cancel", le.ref.id)
 	}
 	if twice {
-		m.s.Cancel(le.ev)
-		m.s.Cancel(nil)
+		m.s.cancel(le.ev)
+		m.s.cancel(nil)
 	}
 	m.refRemove(le.ref)
 	m.dropLive(le)
@@ -315,8 +318,8 @@ func (m *schedModel) onFire(le *modelEvent) {
 	m.dropLive(le)
 	b := m.next()
 	if b&1 != 0 {
-		// Cancel of a fired handle before anything could reuse it.
-		m.s.Cancel(le.ev)
+		// Cancel of a fired event before anything could reuse it.
+		m.s.cancel(le.ev)
 	}
 	m.check()
 	m.inCallback(b >> 1)
@@ -414,25 +417,41 @@ func (m *schedModel) step() {
 }
 
 // reset replays a rig's close-before-reset order: every timer is disarmed,
-// then Scheduler.Reset releases what is still pending, streams included. The
-// reference restarts as an empty sorted slice at clock 0 (and seq 0: the
-// next event is ordered as if it were the first ever scheduled). Each handle
-// that was pending is now dead, and cancelling it before anything is
-// scheduled again is the harmless no-op the Event contract promises; fired
-// and cancelled events already on the freelist are reused by what follows.
-// A stream's unfired instants are gone: the drain would catch any that
-// fired.
+// then Scheduler.Reset releases what is still pending, streams included,
+// handing discard the argument of each arg-carrying one — exactly the live
+// AtArg/AfterArg events' modelEvents, beside the streams'. The reference
+// restarts as an empty sorted slice at clock 0 (and seq 0: the next event
+// is ordered as if it were the first ever scheduled). Each event that was
+// pending is now released, and cancelling it before anything is scheduled
+// again is a no-op; fired and cancelled events already on the freelist are
+// reused by what follows. A stream's unfired instants are gone: the drain
+// would catch any that fired.
 func (m *schedModel) reset() {
 	for _, mt := range m.timers {
 		mt.tm.Stop()
 		mt.ref = nil
 	}
-	m.s.Reset()
-	for _, le := range m.live {
-		if !le.ev.Cancelled() {
-			m.fatalf("event %d still live after Reset", le.ref.id)
+	discarded := map[*modelEvent]bool{}
+	m.s.Reset(func(arg any) {
+		if le, ok := arg.(*modelEvent); ok {
+			discarded[le] = true
 		}
-		m.s.Cancel(le.ev)
+	})
+	want := 0
+	for _, le := range m.live {
+		if le.ev.idx >= 0 {
+			m.fatalf("event %d still queued after Reset", le.ref.id)
+		}
+		if le.arg {
+			want++
+		}
+		if le.arg != discarded[le] {
+			m.fatalf("event %d (arg-carrying %v) discarded %v at Reset", le.ref.id, le.arg, discarded[le])
+		}
+		m.s.cancel(le.ev)
+	}
+	if len(discarded) != want {
+		m.fatalf("Reset discarded %d modelEvents, want the %d live arg-carrying ones", len(discarded), want)
 	}
 	m.live = m.live[:0]
 	m.queue = m.queue[:0]

@@ -10,7 +10,7 @@ import (
 type nearRunHarness struct {
 	t    *testing.T
 	s    *Scheduler
-	want []*Event // reference: pending events in (when, seq) order
+	want []*event // reference: pending events in (when, seq) order
 }
 
 func newNearRunHarness(t *testing.T) *nearRunHarness {
@@ -45,9 +45,10 @@ func (h *nearRunHarness) check(op string) {
 
 // at schedules a no-op at t and files it in the reference after every
 // event due at or before t.
-func (h *nearRunHarness) at(t Time, op string) *Event {
+func (h *nearRunHarness) at(t Time, op string) *event {
 	h.t.Helper()
-	e := h.s.At(t, func() {})
+	e := nextEvent(h.s)
+	h.s.At(t, func() {})
 	i := len(h.want)
 	for i > 0 && h.want[i-1].when > t {
 		i--
@@ -57,10 +58,10 @@ func (h *nearRunHarness) at(t Time, op string) *Event {
 	return e
 }
 
-func (h *nearRunHarness) cancel(e *Event, op string) {
+func (h *nearRunHarness) cancel(e *event, op string) {
 	h.t.Helper()
-	h.s.Cancel(e)
-	h.want = slices.DeleteFunc(h.want, func(w *Event) bool { return w == e })
+	h.s.cancel(e)
+	h.want = slices.DeleteFunc(h.want, func(w *event) bool { return w == e })
 	h.check(op)
 }
 
@@ -126,7 +127,7 @@ func TestNearRunInvariants(t *testing.T) {
 	}
 	h.cancel(h.want[1], "cancel in the middle after growth")
 
-	h.s.Reset()
+	h.s.Reset(nil)
 	h.want = nil
 	h.check("Reset")
 	if h.s.near.head != 0 || len(h.s.near.q) != 0 {

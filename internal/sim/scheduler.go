@@ -2,28 +2,15 @@ package sim
 
 import "fmt"
 
-// Event is a scheduled callback. Events are created through
-// Scheduler.At/After (or their arg-carrying variants) and may be cancelled
-// before they fire.
+// event is one scheduled callback. The scheduler hands out no handle to it:
+// At/After and the Arg variants schedule a callback that cannot be
+// cancelled, and the one cancellable event is a Timer's, which the Timer
+// owns and checks (see Timer). Once an event fires or is cancelled the
+// scheduler recycles the object for a future one.
 //
-// Handle lifetime: a *Event returned by the scheduler is live until it
-// fires or is cancelled, after which the scheduler recycles the object for
-// a future event. A dead handle must therefore not be passed to Cancel
-// once any later event may have been scheduled — owners that re-arm (the
-// Timer, the sender's pacing gate) clear their handle field as the first
-// action of the callback, which is the idiom this contract is built for.
-// Cancelling a dead handle before any reuse remains a harmless no-op.
-//
-// The contract is machine-checked: simlint's typestate analyzer tracks
-// every handle from mint (At/After and the Arg variants) to dead
-// (fire/Cancel), and enforces the clear-field-first idiom on re-arming
-// callbacks.
-//
-// An Event is one 64-byte object — idx and far share a word — so the
+// An event is one 64-byte object — idx and far share a word — so the
 // freelist recycles a single allocator size class (TestEventSize).
-//
-// state: handle armed -> dead
-type Event struct {
+type event struct {
 	when Time
 	seq  uint64 // tie-breaker: FIFO among events at the same instant
 	fn   func()
@@ -31,18 +18,11 @@ type Event struct {
 	arg  any
 	idx  int32  // -1 once removed; a far event's slot in its heap, 0 for a queued near one
 	far  bool   // which queue: the far heap, else the near run
-	next *Event // freelist link while recycled
+	next *event // freelist link while recycled
 }
 
-// When returns the virtual time at which the event is (or was) due.
-func (e *Event) When() Time { return e.when }
-
-// Cancelled reports whether the event has been removed from the queue,
-// either by firing or by an explicit Cancel.
-func (e *Event) Cancelled() bool { return e.idx < 0 }
-
 // before reports whether e fires before o: the scheduler's total order.
-func (e *Event) before(o *Event) bool {
+func (e *event) before(o *event) bool {
 	if e.when != o.when {
 		return e.when < o.when
 	}
@@ -86,7 +66,7 @@ type Scheduler struct {
 	nextSeq uint64
 	fired   uint64
 	halted  bool
-	free    *Event // recycled events
+	free    *event // recycled events
 }
 
 // nearHorizon is the scheduling delay below which an event is queued in the
@@ -119,10 +99,10 @@ const eventSlab = 64
 // and every schedule reuses a fired event.
 //
 //hot:path
-func (s *Scheduler) alloc() *Event {
+func (s *Scheduler) alloc() *event {
 	if s.free == nil {
 		//lint:allow hotalloc one slab of 64 events per dry freelist: a run's thousands of parked timers and pacing gates cost an allocation per 64 instead of one each, and the freelist then recycles them forever
-		slab := make([]Event, eventSlab)
+		slab := make([]event, eventSlab)
 		for i := range slab {
 			slab[i].next = s.free
 			s.free = &slab[i]
@@ -136,7 +116,7 @@ func (s *Scheduler) alloc() *Event {
 
 // release recycles a fired or cancelled event. Callback and argument are
 // cleared so the freelist does not pin dead objects.
-func (s *Scheduler) release(e *Event) {
+func (s *Scheduler) release(e *event) {
 	e.fn = nil
 	e.afn = nil
 	e.arg = nil
@@ -146,7 +126,7 @@ func (s *Scheduler) release(e *Event) {
 }
 
 // schedule inserts a prepared event into the queue its delay selects.
-func (s *Scheduler) schedule(e *Event, t Time) *Event {
+func (s *Scheduler) schedule(e *event, t Time) *event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
@@ -162,24 +142,21 @@ func (s *Scheduler) schedule(e *Event, t Time) *Event {
 	return e
 }
 
-// At schedules fn to run at time t and returns a cancellable handle.
-// Scheduling in the past panics: it always indicates a model bug.
-//
-// state: mint
-func (s *Scheduler) At(t Time, fn func()) *Event {
+// At schedules fn to run at time t. Scheduling in the past panics: it
+// always indicates a model bug. The event cannot be cancelled; a callback
+// that may need to be is a Timer.
+func (s *Scheduler) At(t Time, fn func()) {
 	e := s.alloc()
 	e.fn = fn
-	return s.schedule(e, t)
+	s.schedule(e, t)
 }
 
 // After schedules fn to run d after the current time.
-//
-// state: mint
-func (s *Scheduler) After(d Duration, fn func()) *Event {
+func (s *Scheduler) After(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now.Add(d), fn)
+	s.At(s.now.Add(d), fn)
 }
 
 // AtArg schedules fn(arg) to run at time t. Binding the argument in the
@@ -189,24 +166,24 @@ func (s *Scheduler) After(d Duration, fn func()) *Event {
 // arg does not allocate, while capturing it in a fresh closure would.
 //
 // arg passes to fn with its ownership: a pooled packet scheduled for
-// delivery is fn's to free once the event is queued.
-//
-// state: mint
-func (s *Scheduler) AtArg(t Time, fn func(any), arg any) *Event {
+// delivery is fn's to free once the event is queued, and Reset's discard
+// function's if the event is still pending at a reset.
+func (s *Scheduler) AtArg(t Time, fn func(any), arg any) { s.atArg(t, fn, arg) }
+
+// AfterArg schedules fn(arg) to run d after the current time.
+func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) {
+	if d < 0 {
+		d = 0
+	}
+	s.atArg(s.now.Add(d), fn, arg)
+}
+
+// atArg is AtArg returning the queued event, for the Timer that owns it.
+func (s *Scheduler) atArg(t Time, fn func(any), arg any) *event {
 	e := s.alloc()
 	e.afn = fn
 	e.arg = arg
 	return s.schedule(e, t)
-}
-
-// AfterArg schedules fn(arg) to run d after the current time.
-//
-// state: mint
-func (s *Scheduler) AfterArg(d Duration, fn func(any), arg any) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtArg(s.now.Add(d), fn, arg)
 }
 
 // AtSorted schedules fn to run at each instant of times, which must be
@@ -271,13 +248,11 @@ func fireStream(arg any) {
 	st.fn()
 }
 
-// Cancel removes a pending event so it never fires. Cancelling nil or an
-// event that has already fired or been cancelled is a harmless no-op (as
-// long as the handle has not been recycled — see the Event contract),
-// which lets timer owners cancel unconditionally.
-//
-// state: kill e
-func (s *Scheduler) Cancel(e *Event) {
+// cancel removes a pending event so it never fires. Cancelling nil or an
+// event that has already fired or been cancelled, before anything reuses
+// it, is a no-op; Timer, the one caller, checks that its event is still
+// its own first.
+func (s *Scheduler) cancel(e *event) {
 	if e == nil || e.idx < 0 {
 		return
 	}
@@ -290,7 +265,7 @@ func (s *Scheduler) Cancel(e *Event) {
 }
 
 // earliest returns the next event to fire, nil when nothing is pending.
-func (s *Scheduler) earliest() *Event {
+func (s *Scheduler) earliest() *event {
 	n := s.near.min()
 	if len(s.far) == 0 {
 		return n
@@ -315,7 +290,7 @@ func (s *Scheduler) Step() bool {
 }
 
 // fire dequeues e, which earliest chose, and runs it.
-func (s *Scheduler) fire(e *Event) {
+func (s *Scheduler) fire(e *event) {
 	if e.far {
 		s.far.remove(0)
 	} else {
@@ -372,21 +347,34 @@ func (s *Scheduler) Halt() { s.halted = true }
 // fired counter at zero, nothing pending, not halted — so the next run on it
 // is indistinguishable from one on a NewScheduler. Pending events are
 // released to the freelist, whose events and the queues' backing arrays are
-// kept. Every handle and AtSorted stream of the old run dies with it: owners
-// disarm their timers and drop their event handles before the reset (a rig
-// closes every connection first), since a stale Cancel after it could hit a
-// recycled event. Reset is called between runs, never from inside a callback.
-func (s *Scheduler) Reset() {
+// kept. A pending event may be the only reference to what its argument
+// owns (a packet riding a link at the halt), so discard, unless nil,
+// receives the argument of every released event that carries one, after
+// the event is released; it must not schedule. Every Timer and AtSorted
+// stream of the old run dies with it: owners stop their timers before the
+// reset (a rig closes every connection first), and a timer left armed
+// across it panics at its next Reset or Stop. Reset is called between runs,
+// never from inside a callback.
+func (s *Scheduler) Reset(discard func(arg any)) {
 	for _, e := range s.near.q[s.near.head:] {
-		s.release(e)
+		s.drop(e, discard)
 	}
 	s.near.q, s.near.head = s.near.q[:0], 0
 	for i, e := range s.far {
 		s.far[i] = nil
-		s.release(e)
+		s.drop(e, discard)
 	}
 	s.far = s.far[:0]
 	s.now, s.nextSeq, s.fired, s.halted = 0, 0, 0, false
+}
+
+// drop releases a pending event at Reset and hands its argument to discard.
+func (s *Scheduler) drop(e *event, discard func(any)) {
+	arg := e.arg
+	s.release(e)
+	if discard != nil && arg != nil {
+		discard(arg)
+	}
 }
 
 // nearRun is the near side of the queue: the pending events in q[head:],
@@ -404,7 +392,7 @@ func (s *Scheduler) Reset() {
 // cancel copies the slots after the event down one; packet traffic
 // cancels almost nothing near.
 type nearRun struct {
-	q    []*Event
+	q    []*event
 	head int
 }
 
@@ -412,7 +400,7 @@ type nearRun struct {
 func (r *nearRun) len() int { return len(r.q) - r.head }
 
 // min returns the earliest queued event, nil when the run is empty.
-func (r *nearRun) min() *Event {
+func (r *nearRun) min() *event {
 	if r.head == len(r.q) {
 		return nil
 	}
@@ -423,7 +411,7 @@ func (r *nearRun) min() *Event {
 // at least half its length slides the run to the front instead of growing,
 // so the backing array stays at about twice the high-water depth and each
 // slide is paid for by as many pops as it moves.
-func (r *nearRun) push(e *Event) {
+func (r *nearRun) push(e *event) {
 	e.idx = 0
 	n := len(r.q)
 	if n == cap(r.q) && r.head > 0 && 2*r.head >= n {
@@ -442,7 +430,7 @@ func (r *nearRun) push(e *Event) {
 // search returns the first slot in q[head:] whose event does not fire
 // before e: e's own slot if e is queued, else where it belongs. e itself
 // may sit at the tail, as push leaves it.
-func (r *nearRun) search(e *Event) int {
+func (r *nearRun) search(e *event) int {
 	lo, hi := r.head, len(r.q)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -466,7 +454,7 @@ func (r *nearRun) pop() {
 }
 
 // remove takes queued event e out of the run.
-func (r *nearRun) remove(e *Event) {
+func (r *nearRun) remove(e *event) {
 	i := r.search(e)
 	if i == r.head {
 		r.pop()
@@ -478,10 +466,10 @@ func (r *nearRun) remove(e *Event) {
 
 // eventHeap is a binary min-heap of events ordered by (when, seq); each
 // event records its slot in idx.
-type eventHeap []*Event
+type eventHeap []*event
 
 // push adds e.
-func (h *eventHeap) push(e *Event) {
+func (h *eventHeap) push(e *event) {
 	i := len(*h)
 	e.idx = int32(i)
 	//lint:allow hotalloc heap growth is amortized: the backing array reaches the event backlog's high-water mark and is then reused
@@ -554,21 +542,29 @@ func (h eventHeap) down(i int) {
 
 // Timer is a restartable one-shot timer bound to a scheduler, in the style
 // of kernel timers: Reset re-arms it (replacing any pending expiry), Stop
-// disarms it. The callback is fixed at construction; expiry goes through
-// the one static expire callback with the Timer itself as the event's
-// argument, so neither binding nor re-arming (the per-ACK RTO reset)
-// allocates.
+// disarms it. It is the only way to cancel a scheduled callback. The
+// callback is fixed at construction; expiry goes through the one static
+// expire callback with the Timer itself as the event's argument, so neither
+// binding nor re-arming (the per-ACK RTO reset) allocates.
 //
-// state: handle disarmed -> armed
+// A Timer owns its event, and checks that it still does, in every build:
+// every method but Init panics with staleTimer if the event the timer holds
+// is no longer queued or no longer carries this timer. Holding one is
+// always a bug — expire failing to clear the field before a callback
+// re-arms, or a timer left armed across Scheduler.Reset, which released
+// its event to be re-issued to any later schedule — and acting on it would
+// silently cancel someone else's event, or read a timer as armed that
+// never fires.
 type Timer struct {
 	s  *Scheduler
 	fn func()
-	ev *Event
+	ev *event
 }
 
+// staleTimer is the panic of a Timer that holds an event it does not own.
+const staleTimer = "sim: stale timer: it holds an event it no longer owns (left armed across Scheduler.Reset, or re-armed from its expiry before the event was cleared)"
+
 // NewTimer creates a disarmed timer that will invoke fn on expiry.
-//
-// state: mint
 func NewTimer(s *Scheduler, fn func()) *Timer {
 	t := &Timer{}
 	t.Init(s, fn)
@@ -586,46 +582,52 @@ func (t *Timer) Init(s *Scheduler, fn func()) {
 	t.s, t.fn = s, fn
 }
 
-// expire is every timer's event callback; arg is the *Timer. The handle is
-// dead once the event fires, so it is cleared before fn can re-arm.
+// expire is every timer's event callback; arg is the *Timer. The event is
+// released once it fires, so it is cleared before fn can re-arm.
 func expire(arg any) {
 	arg.(*Timer).ev = nil
 	arg.(*Timer).fn()
 }
 
+// pending returns the timer's queued event, nil when it is disarmed, and
+// panics if the event it holds is not its own (see Timer).
+func (t *Timer) pending() *event {
+	e := t.ev
+	if e != nil && (e.idx < 0 || e.arg != any(t)) {
+		panic(staleTimer)
+	}
+	return e
+}
+
 // Reset (re-)arms the timer to fire d from now.
-//
-// state: move t disarmed,armed -> armed
 //
 //hot:path
 func (t *Timer) Reset(d Duration) {
-	t.s.Cancel(t.ev)
-	t.ev = t.s.AfterArg(d, expire, t)
+	if d < 0 {
+		d = 0
+	}
+	t.ResetAt(t.s.now.Add(d))
 }
 
 // ResetAt (re-)arms the timer to fire at absolute time at.
-//
-// state: move t disarmed,armed -> armed
 func (t *Timer) ResetAt(at Time) {
-	t.s.Cancel(t.ev)
-	t.ev = t.s.AtArg(at, expire, t)
+	t.s.cancel(t.pending())
+	t.ev = t.s.atArg(at, expire, t)
 }
 
 // Stop disarms the timer if it is pending.
-//
-// state: move t disarmed,armed -> disarmed
 func (t *Timer) Stop() {
-	t.s.Cancel(t.ev)
+	t.s.cancel(t.pending())
 	t.ev = nil
 }
 
 // Armed reports whether the timer currently has a pending expiry.
-func (t *Timer) Armed() bool { return t.ev != nil && !t.ev.Cancelled() }
+func (t *Timer) Armed() bool { return t.pending() != nil }
 
 // Deadline returns the pending expiry time, or Infinity if disarmed.
 func (t *Timer) Deadline() Time {
-	if !t.Armed() {
-		return Infinity
+	if e := t.pending(); e != nil {
+		return e.when
 	}
-	return t.ev.When()
+	return Infinity
 }

@@ -57,34 +57,46 @@ func TestSchedulerAfterAndClockAdvance(t *testing.T) {
 	}
 }
 
+// nextEvent returns the event the next At/After/AtArg/AfterArg call will
+// queue — the freelist's head, after minting a slab if it is dry — for
+// tests that cancel it: the scheduler hands out no handle, and they cancel
+// through the unexported cancel that Timer uses.
+func nextEvent(s *Scheduler) *event {
+	e := s.alloc()
+	s.release(e)
+	return e
+}
+
 func TestSchedulerCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	e := s.At(10, func() { fired = true })
-	s.Cancel(e)
+	e := nextEvent(s)
+	s.At(10, func() { fired = true })
+	s.cancel(e)
 	s.Run()
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !e.Cancelled() {
+	if e.idx >= 0 {
 		t.Error("event not marked cancelled")
 	}
 	// Double cancel and cancel-nil must be harmless.
-	s.Cancel(e)
-	s.Cancel(nil)
+	s.cancel(e)
+	s.cancel(nil)
 }
 
 func TestSchedulerCancelMiddleOfHeap(t *testing.T) {
 	s := NewScheduler()
 	var got []int
-	var evs []*Event
+	var evs []*event
 	for i := 0; i < 20; i++ {
 		i := i
-		evs = append(evs, s.At(Time(i), func() { got = append(got, i) }))
+		evs = append(evs, nextEvent(s))
+		s.At(Time(i), func() { got = append(got, i) })
 	}
 	// Cancel all odd events.
 	for i := 1; i < 20; i += 2 {
-		s.Cancel(evs[i])
+		s.cancel(evs[i])
 	}
 	s.Run()
 	if len(got) != 10 {
@@ -235,6 +247,61 @@ func TestTimerRearmFromCallback(t *testing.T) {
 	}
 }
 
+// TestTimerStaleEventPanics: Timer's run-time ownership check. A timer
+// holding an event that is no longer its own — released by a
+// Scheduler.Reset the timer was left armed across, or since re-issued to
+// another timer — panics with staleTimer at its next Stop, Reset, ResetAt,
+// Armed or Deadline instead of cancelling an event it does not own or
+// reading as armed; the other timer's expiry still fires.
+func TestTimerStaleEventPanics(t *testing.T) {
+	cases := []struct {
+		name  string
+		stale func(s *Scheduler, tm *Timer) (others int)
+	}{
+		{"left armed across Scheduler.Reset", func(s *Scheduler, tm *Timer) int {
+			tm.Reset(Second)
+			s.Reset(nil)
+			return 0
+		}},
+		{"event re-issued to another timer", func(s *Scheduler, tm *Timer) int {
+			tm.Reset(Second)
+			s.Reset(nil)
+			NewTimer(s, func() {}).Reset(Millisecond) // takes tm's released event
+			return 1
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewScheduler()
+			tm := NewTimer(s, func() { t.Error("the stale timer fired") })
+			others := c.stale(s, tm)
+			for name, op := range map[string]func(){
+				"Stop":     tm.Stop,
+				"Reset":    func() { tm.Reset(Millisecond) },
+				"ResetAt":  func() { tm.ResetAt(Time(Millisecond)) },
+				"Armed":    func() { tm.Armed() },
+				"Deadline": func() { tm.Deadline() },
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r != staleTimer {
+							t.Errorf("%s on a stale timer: recovered %v, want the staleTimer panic", name, r)
+						}
+					}()
+					op()
+				}()
+			}
+			if s.Pending() != others {
+				t.Errorf("%d events pending after the panics, want the %d other timers' untouched", s.Pending(), others)
+			}
+			s.Run()
+			if s.Fired() != uint64(others) {
+				t.Errorf("%d events fired, want %d", s.Fired(), others)
+			}
+		})
+	}
+}
+
 // Property: for any batch of event delays, the scheduler fires them in
 // non-decreasing time order and ends with the clock at the max.
 func TestSchedulerOrderProperty(t *testing.T) {
@@ -286,7 +353,9 @@ func TestSchedulerResetEqualsFresh(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.After(Duration(i)*Microsecond, func() {})
 	}
-	s.Cancel(s.After(Second, func() {}))
+	e := nextEvent(s)
+	s.After(Second, func() {})
+	s.cancel(e)
 	tm.Reset(200 * Millisecond)
 	s.At(Time(30*Microsecond), s.Halt)
 	s.Run()
@@ -295,7 +364,7 @@ func TestSchedulerResetEqualsFresh(t *testing.T) {
 	}
 	tm.Stop()
 	nearCap, farCap := cap(s.near.q), cap(s.far)
-	s.Reset()
+	s.Reset(nil)
 	resetcheck.Diff(t, s, NewScheduler(), "near", "far", "free")
 	if len(s.near.q) != 0 || s.near.head != 0 || len(s.far) != 0 || cap(s.near.q) != nearCap || cap(s.far) != farCap {
 		t.Errorf("queues after Reset: near %d/%d from %d, far %d/%d (len/cap), want empty with capacity %d/%d kept",
@@ -308,7 +377,7 @@ func TestSchedulerResetEqualsFresh(t *testing.T) {
 		i := i
 		s.After(Duration(i), func() { got = append(got, i) })
 	}
-	if allocs := testing.AllocsPerRun(1, func() { s.Cancel(s.After(1, func() {})) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1, func() { e := nextEvent(s); s.After(1, func() {}); s.cancel(e) }); allocs != 0 {
 		t.Errorf("schedule after Reset allocated %.0f times, want 0 (the freelist is kept)", allocs)
 	}
 	s.Run()
@@ -379,10 +448,10 @@ func TestAtSortedFiresLikeSuccessiveAt(t *testing.T) {
 	}
 }
 
-// The freelist's size class: an Event must stay one 64-byte object.
+// The freelist's size class: an event must stay one 64-byte object.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got != 64 {
-		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 64", got)
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(event{}) = %d, want 64", got)
 	}
 }
 
@@ -408,21 +477,23 @@ func TestSchedulerSameInstantFIFOAcrossHeaps(t *testing.T) {
 	}
 }
 
-// Cancel takes an event out of the queue it is in and leaves the other queue
+// cancel takes an event out of the queue it is in and leaves the other queue
 // alone; Pending counts both.
 func TestSchedulerCancelAcrossHeaps(t *testing.T) {
 	s := NewScheduler()
 	var fired []int
-	add := func(id int, d Duration) *Event {
-		return s.After(d, func() { fired = append(fired, id) })
+	add := func(id int, d Duration) *event {
+		e := nextEvent(s)
+		s.After(d, func() { fired = append(fired, id) })
+		return e
 	}
-	near := []*Event{add(0, 3), add(1, 1), add(2, 2)}
-	far := []*Event{add(3, 3*Millisecond), add(4, Millisecond), add(5, 2*Millisecond)}
+	near := []*event{add(0, 3), add(1, 1), add(2, 2)}
+	far := []*event{add(3, 3*Millisecond), add(4, Millisecond), add(5, 2*Millisecond)}
 	if s.near.len() != 3 || len(s.far) != 3 || s.Pending() != 6 {
 		t.Fatalf("near/far/Pending = %d/%d/%d, want 3/3/6", s.near.len(), len(s.far), s.Pending())
 	}
-	farBefore := append([]*Event(nil), s.far...)
-	s.Cancel(near[1])
+	farBefore := append([]*event(nil), s.far...)
+	s.cancel(near[1])
 	if s.near.len() != 2 || s.Pending() != 5 {
 		t.Errorf("after near cancel: near/Pending = %d/%d, want 2/5", s.near.len(), s.Pending())
 	}
@@ -431,8 +502,8 @@ func TestSchedulerCancelAcrossHeaps(t *testing.T) {
 			t.Errorf("near cancel moved far[%d]", i)
 		}
 	}
-	nearBefore := append([]*Event(nil), s.near.q[s.near.head:]...)
-	s.Cancel(far[1])
+	nearBefore := append([]*event(nil), s.near.q[s.near.head:]...)
+	s.cancel(far[1])
 	if len(s.far) != 2 || s.Pending() != 4 {
 		t.Errorf("after far cancel: far/Pending = %d/%d, want 2/4", len(s.far), s.Pending())
 	}

@@ -16,7 +16,7 @@ import (
 // resetting. Everything else must come out of Reopen exactly as it comes
 // out of NewConn.
 var (
-	senderKeeps   = []string{"rtoTimer", "pumpFn"}
+	senderKeeps   = []string{"rtoTimer", "paceTimer"}
 	receiverKeeps = []string{"delackTimer", "ooo", "ackRuns"}
 )
 

@@ -135,8 +135,7 @@ type Sender struct {
 	lastSendAt     sim.Time
 	headWaitedFrom sim.Time     // when the head packet became eligible; -1 when none
 	headGap        sim.Duration // pacing draw cached for the waiting head packet
-	sendEv         *sim.Event
-	pumpFn         func() // pacing-gate callback, bound once at the first open
+	paceTimer      sim.Timer    // the pacing gate: fires pump when the head packet may go
 	rtxPending     bool
 
 	stats SenderStats
@@ -176,10 +175,7 @@ func (s *Sender) open(cfg Config, cc CongestionControl, host *netsim.Host, peer 
 	case s.sched == nil:
 		// First open: bind the callbacks every later open keeps.
 		s.rtoTimer.Init(sched, s.onRTO)
-		s.pumpFn = func() {
-			s.sendEv = nil
-			s.pump()
-		}
+		s.paceTimer.Init(sched, s.pump)
 	case s.live:
 		check.Failf("tcp.sender open: flow %d is still open", s.flow)
 	case s.sched != sched:
@@ -199,10 +195,10 @@ func (s *Sender) open(cfg Config, cc CongestionControl, host *netsim.Host, peer 
 		lastSendAt:     -1 << 62,
 		headWaitedFrom: -1,
 
-		// The keep-list: the RTO timer (disarmed by Close) and the pacing
-		// callback stay bound to this sender.
-		rtoTimer: s.rtoTimer,
-		pumpFn:   s.pumpFn,
+		// The keep-list: the RTO and pacing timers (disarmed by Close)
+		// stay bound to this sender.
+		rtoTimer:  s.rtoTimer,
+		paceTimer: s.paceTimer,
 	}
 	s.rng.Reseed(cfg.Seed)
 	host.Register(flow, s)
@@ -288,8 +284,7 @@ func (s *Sender) Done() bool { return s.totalBytes > 0 && s.sndUna >= s.totalByt
 // Close disarms the sender's timers and unregisters it from its host.
 func (s *Sender) Close() {
 	s.rtoTimer.Stop()
-	s.sched.Cancel(s.sendEv)
-	s.sendEv = nil
+	s.paceTimer.Stop()
 	s.host.Unregister(s.flow)
 	s.live = false
 }
@@ -376,10 +371,8 @@ func (s *Sender) pump() {
 				allowed = a2
 			}
 			if allowed.After(now) {
-				if s.sendEv == nil {
-					// Once-bound pumpFn: arming the pacing gate on the
-					// per-packet path costs no closure.
-					s.sendEv = s.sched.At(allowed, s.pumpFn)
+				if !s.paceTimer.Armed() {
+					s.paceTimer.ResetAt(allowed)
 				}
 				return
 			}

@@ -284,12 +284,13 @@ func TestBenchmarkStartAllocBudget(t *testing.T) {
 		sched, b := newChurnBenchmark(cfg)
 		// Mint the scheduler's first event slab and grow both queues to three
 		// slots outside the measurement: a run's scheduler keeps them.
-		var warm []*sim.Event
-		for i := 0; i < 3; i++ {
-			warm = append(warm, sched.At(0, func() {}), sched.At(sim.Time(sim.Second), func() {}))
+		var warm [6]sim.Timer
+		for i := range warm {
+			warm[i].Init(sched, func() {})
+			warm[i].ResetAt(sim.Time(i%2) * sim.Time(sim.Second))
 		}
-		for _, e := range warm {
-			sched.Cancel(e)
+		for i := range warm {
+			warm[i].Stop()
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

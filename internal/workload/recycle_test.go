@@ -230,7 +230,7 @@ func TestIncastReopenEqualsFresh(t *testing.T) {
 	}
 	built := in.built
 	in.Close()
-	sched.Reset()
+	sched.Reset(tt.Reclaim)
 	tt.Reset()
 	in.Reopen(second)
 
@@ -269,7 +269,7 @@ func TestIncastReopenEqualsFresh(t *testing.T) {
 	// Growing past every connection built: the first 24 are reopened, the
 	// rest built.
 	in.Close()
-	sched.Reset()
+	sched.Reset(tt.Reclaim)
 	tt.Reset()
 	third := first
 	third.Flows = 70
