@@ -31,10 +31,11 @@ fmt-check:
 # iteration, no goroutines in sim-scheduled code — with no file or package
 # allowance under a //hot:path root), sim-time and unit discipline
 # (name-based), sweep worker-race freedom (sharedstate), narrow-counter
-# overflow (discharged only by an //inv: range contract, whose runtime twin
-# internal/check enforces). Ownership is checked at run time instead: a
-# sim.Timer panics on an event it no longer owns, and packets have the
-# pool's double-free poison and the oracle's pool ledger. A whole-module
+# overflow (a bounded accumulation carries a //lint:allow naming the
+# always-on internal/check assertion or guard that enforces the bound).
+# Ownership is checked at run time instead: a sim.Timer panics on an event
+# it no longer owns, and packets have the pool's double-free poison and the
+# oracle's pool ledger. A whole-module
 # run also fails the build on //lint:allow directives that no longer
 # suppress anything. Stdlib-only.
 lint:

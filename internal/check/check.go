@@ -8,13 +8,11 @@
 // The static side lives in internal/lint (and runs as cmd/simlint): the
 // analyzers keep wall-clock time, raw durations and mixed units out of the
 // code, while this package checks the quantities the type system cannot
-// see — value ranges and monotonicity. The two meet at the //inv: range
-// contracts on struct fields: a contract only declares the range (simlint's
-// overflow trusts it), and an assertion here, labelled in
-// internal/lint's runtimeTwins table, is what enforces it —
-// TestContractsHoldAtRuntime fails for a contract without such a twin, and
-// each owning package's TestRuntimeTwinsFire corrupts the field to show
-// the assertion is live.
+// see — value ranges. The two meet at simlint's overflow findings: a narrow
+// field whose accumulation is bounded carries a //lint:allow overflow whose
+// reason names the assertion here that enforces the bound, and each owning
+// package's TestRuntimeTwinsFire corrupts the field to show the assertion
+// is live.
 //
 // All assertions funnel through Failf so every violation message carries
 // the same greppable "invariant violated" prefix.
@@ -77,12 +75,5 @@ func NonNegativeDur(what string, d sim.Duration) {
 func ZeroDur(what string, d sim.Duration) {
 	if d != 0 {
 		Failf("%s = %v, want 0", what, d)
-	}
-}
-
-// Monotone asserts virtual time never moves backwards.
-func Monotone(what string, prev, next sim.Time) {
-	if next < prev {
-		Failf("%s went backwards: %v -> %v", what, prev, next)
 	}
 }

@@ -36,8 +36,6 @@ func TestPassingAssertions(t *testing.T) {
 	NonNegativeDur("d", 0)
 	NonNegativeDur("d", sim.Millisecond)
 	ZeroDur("d", 0)
-	Monotone("t", sim.Time(5), sim.Time(5))
-	Monotone("t", sim.Time(5), sim.Time(6))
 }
 
 func TestFailingAssertions(t *testing.T) {
@@ -50,5 +48,4 @@ func TestFailingAssertions(t *testing.T) {
 	mustPanic(t, "AtLeast/nan", func() { AtLeast("w", math.NaN(), 1) })
 	mustPanic(t, "NonNegativeDur", func() { NonNegativeDur("d", -1) })
 	mustPanic(t, "ZeroDur", func() { ZeroDur("d", sim.Microsecond) })
-	mustPanic(t, "Monotone", func() { Monotone("t", sim.Time(6), sim.Time(5)) })
 }

@@ -79,15 +79,15 @@ func (s State) String() string {
 // divisor should be 2: bigger recovers prematurely, smaller retards the
 // regulation.
 type Config struct {
-	// BackoffUnit is backoff_time_unit, the additive step of slow_time.
-	//inv: BackoffUnit >= 1
+	// BackoffUnit is backoff_time_unit, the additive step of slow_time;
+	// it must be positive.
 	BackoffUnit sim.Duration
-	// DivisorFactor divides slow_time on each decrease step.
-	//inv: DivisorFactor > 1
+	// DivisorFactor divides slow_time on each decrease step; it must
+	// exceed 1.
 	DivisorFactor float64
 	// ThresholdT: once slow_time decays to or below this value in
-	// DCTCP_Time_Des, the machine returns to DCTCP_NORMAL.
-	//inv: ThresholdT >= 0
+	// DCTCP_Time_Des, the machine returns to DCTCP_NORMAL. It must be
+	// non-negative.
 	ThresholdT sim.Duration
 	// DecayInterval rate-limits multiplicative decreases of slow_time to
 	// at most one per interval, mirroring DCTCP's once-per-window cut
@@ -97,8 +97,7 @@ type Config struct {
 	// thousands of microseconds" operating point the paper describes
 	// (§V-A). This is the paper's "Threshold ... to guarantee the
 	// relatively smooth regulation of the sending rate" knob, realized as
-	// a cadence. Zero decays on every evaluation.
-	//inv: DecayInterval >= 0
+	// a cadence. Zero decays on every evaluation; negative is rejected.
 	DecayInterval sim.Duration
 	// Randomize draws each slow_time increment uniformly from
 	// [0, BackoffUnit) to desynchronize concurrent flows. Disabling it
@@ -167,7 +166,6 @@ type Enhancer struct {
 	state State
 	// slowTime is the paper's slow_time pacing term: additive increases
 	// and multiplicative decays keep it a non-negative delay.
-	//inv: slowTime >= 0
 	slowTime  sim.Duration
 	lastDecay sim.Time
 	stateFrom sim.Time // when the current state was entered

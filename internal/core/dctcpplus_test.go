@@ -63,20 +63,28 @@ func TestStateStrings(t *testing.T) {
 	}
 }
 
+// TestConfigValidation gives New configs that each break one field's
+// documented range and requires a panic naming that rule.
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{BackoffUnit: 0, DivisorFactor: 2},
-		{BackoffUnit: 1, DivisorFactor: 1},
-		{BackoffUnit: 1, DivisorFactor: 2, ThresholdT: -1},
+	bad := []struct {
+		edit func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.BackoffUnit = 0 }, "BackoffUnit must be positive"},
+		{func(c *Config) { c.DivisorFactor = 1 }, "DivisorFactor must exceed 1"},
+		{func(c *Config) { c.ThresholdT = -1 }, "negative ThresholdT"},
+		{func(c *Config) { c.DecayInterval = -1 }, "negative DecayInterval"},
 	}
-	for i, cfg := range bad {
+	for i, tc := range bad {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("bad config %d did not panic", i)
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Errorf("bad config %d panicked with %q, want %q", i, msg, tc.want)
 				}
 			}()
-			Enhance(tcp.NewReno{}, cfg)
+			New(dctcp.DefaultGain, cfg)
 		}()
 	}
 	func() {
@@ -636,10 +644,9 @@ func TestEnhancedRenoWorks(t *testing.T) {
 	}
 }
 
-// TestRuntimeTwinsFire is the sensitivity half of slowTime's //inv:
-// contract (internal/lint's TestContractsHoldAtRuntime names
-// check.NonNegativeDur "core.slow_time" as its always-on twin): a
-// slow_time corrupted negative must panic at the next Algorithm 1 step.
+// TestRuntimeTwinsFire shows slowTime's always-on check.NonNegativeDur
+// "core.slow_time" is live: a slow_time corrupted negative must panic at
+// the next Algorithm 1 step.
 func TestRuntimeTwinsFire(t *testing.T) {
 	w := newPlusWire(DefaultConfig(), nil)
 	w.enh.evolve(w.conn.Sender, false, false) // control: a sane slow_time steps quietly

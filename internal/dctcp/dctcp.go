@@ -24,12 +24,10 @@ const DefaultGain = 1.0 / 16
 // DCTCP is the congestion-control module. One instance serves exactly one
 // sender.
 type DCTCP struct {
-	// g is the EWMA gain; the constructor rejects anything else.
-	//inv: g > 0 && g <= 1
+	// g is the EWMA gain in (0, 1]; the constructor rejects anything else.
 	g float64
 	// alpha is the congestion-extent estimate, a convex combination of its
-	// previous value and a fraction — Equation 1 keeps it a probability.
-	//inv: 0 <= alpha && alpha <= 1
+	// previous value and a fraction — Equation 1 keeps it in [0, 1].
 	alpha float64
 
 	ackedBytes  int64

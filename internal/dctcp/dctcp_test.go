@@ -17,8 +17,8 @@ func TestNewValidation(t *testing.T) {
 	for _, g := range []float64{0, -1, 1.5} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("gain %v did not panic", g)
+				if msg, _ := recover().(string); !strings.Contains(msg, "gain must be in (0, 1]") {
+					t.Errorf("gain %v panicked with %q, want the (0, 1] rule", g, msg)
 				}
 			}()
 			New(g)
@@ -298,10 +298,9 @@ func TestWindowReanchorsAfterRTO(t *testing.T) {
 	}
 }
 
-// TestRuntimeTwinsFire is the sensitivity half of alpha's //inv: contract
-// (internal/lint's TestContractsHoldAtRuntime names check.Unit
-// "dctcp.alpha" as its always-on twin): an estimate corrupted out of
-// [0, 1] must panic at the next per-window update.
+// TestRuntimeTwinsFire shows alpha's always-on check.Unit "dctcp.alpha"
+// is live: an estimate corrupted out of [0, 1] must panic at the next
+// per-window update.
 func TestRuntimeTwinsFire(t *testing.T) {
 	w, d := newMarkWire(nil)
 	d.OnAck(w.conn.Sender, 1000, false) // control: a sane alpha updates quietly

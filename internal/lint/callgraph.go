@@ -54,10 +54,6 @@ type Program struct {
 	hotFrom   map[*types.Func][]*types.Func
 	sweepFrom map[*types.Func][]*types.Func
 	terminals map[*types.Func]bool
-
-	// contractTable caches the parsed //inv: contracts (contracts.go). Nil
-	// until the first query; invalidated whenever the graph rebuilds.
-	contractTable *contractTable
 }
 
 // funcNode is one declared function in the call graph.
@@ -141,7 +137,6 @@ func (prog *Program) build() {
 	prog.hotFrom = make(map[*types.Func][]*types.Func)
 	prog.sweepFrom = make(map[*types.Func][]*types.Func)
 	prog.terminals = make(map[*types.Func]bool)
-	prog.contractTable = nil
 
 	// Pass 1: one node per declared function with a body.
 	for _, p := range prog.pkgs {

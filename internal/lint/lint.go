@@ -26,9 +26,9 @@
 //     bodies, and captured variables inside pool.ForEach literals and
 //     goroutines launched in sweep-reachable code, unless a mutex is held.
 //   - overflow: unbounded narrow-integer accumulation in //hot:path- or
-//     //sweep:job-reachable code, discharged only by an //inv: range
-//     contract on the field (see contracts.go), which is declared here and
-//     enforced at run time by its internal/check twin.
+//     //sweep:job-reachable code; a bounded one carries a //lint:allow
+//     whose reason names the internal/check assertion or guard that
+//     enforces the bound at run time.
 //
 // Ownership of simulation objects is checked at run time instead, in every
 // build: sim.Timer panics if it holds an event it no longer owns (the
@@ -117,12 +117,10 @@ type directiveLine struct {
 }
 
 // directiveLines is the one reader of the package's comment directives
-// (//lint:allow, //hot:path, //sweep:job, //inv:).
+// (//lint:allow, //hot:path, //sweep:job).
 // It returns, in order, every line comment of groups that starts with
-// marker — in its raw spelling or behind the single space gofmt's
-// doc-comment printer inserts when the line does not parse as a compiler
-// directive ("//inv: x" is rewritten to "// inv: x"): an annotation must
-// not stop binding because the file was formatted.
+// marker — in its raw spelling or behind a single space ("// hot:path"),
+// so an annotation binds however the space after "//" is written.
 func directiveLines(marker string, groups ...*ast.CommentGroup) []directiveLine {
 	var out []directiveLine
 	for _, g := range groups {

@@ -11,14 +11,11 @@ import (
 // or //sweep:job roots — the code that runs once per packet or once per
 // sweep job, where "only overflows at N=2000×seed scale" is exactly the
 // class no test tier catches. Nothing per-function can bound cross-call
-// growth, so the only discharge is an //inv: contract bounding the growing
-// side (its runtime twin enforces the bound; see contracts.go); everything
-// else must widen to int64. Plain int/uint count as narrow: a tally that is
-// only safe on 64-bit hosts is a latent port bug. Locals are exempt (loop
-// counters don't accumulate across calls).
-//
-// As the one consumer of //inv: contracts it also reports the malformed
-// ones, in the package that declares them.
+// growth, so a finding is either widened to int64 or excused with a
+// //lint:allow overflow directive whose reason names the bound and the
+// always-on check or guard that enforces it. Plain int/uint count as
+// narrow: a tally that is only safe on 64-bit hosts is a latent port bug.
+// Locals are exempt (loop counters don't accumulate across calls).
 func Overflow() *Analyzer {
 	return &Analyzer{
 		Name: "overflow",
@@ -32,8 +29,7 @@ func runOverflow(p *Package) []Diagnostic {
 	if prog == nil {
 		return nil
 	}
-	ct := prog.contracts()
-	out := append([]Diagnostic(nil), ct.errs[p]...)
+	var out []Diagnostic
 	for _, n := range prog.order {
 		if n.pkg != p {
 			continue
@@ -42,16 +38,15 @@ func runOverflow(p *Package) []Diagnostic {
 		if !reachable {
 			continue
 		}
-		out = append(out, accumulations(p, n, ct, label)...)
+		out = append(out, accumulations(p, n, label)...)
 	}
 	return out
 }
 
 // accumulations flags every ++/--/+=/-= in one reachable function (inline
 // function literals included) whose target is a narrow-integer struct
-// field, or an element of a field-held slice or array, unless the field's
-// //inv: contract bounds the growing side.
-func accumulations(p *Package, n *funcNode, ct *contractTable, label string) []Diagnostic {
+// field, or an element of a field-held slice or array.
+func accumulations(p *Package, n *funcNode, label string) []Diagnostic {
 	var out []Diagnostic
 	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
 		var lhs ast.Expr
@@ -84,15 +79,12 @@ func accumulations(p *Package, n *funcNode, ct *contractTable, label string) []D
 		if !ok || !fv.IsField() {
 			return true
 		}
-		if fc, ok := ct.fields[fv]; ok && fc.bounds(up) {
-			return true
-		}
 		dir := "grows without an upper bound"
 		if !up {
 			dir = "shrinks without a lower bound"
 		}
 		out = append(out, p.diag("overflow", pos,
-			"%s-typed accumulation %s %s and can wrap %s; widen to int64 or bound it with an //inv: contract",
+			"%s-typed accumulation %s %s and can wrap %s; widen to int64",
 			b.Name(), types.ExprString(lhs), dir, label))
 		return true
 	})

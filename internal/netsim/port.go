@@ -42,8 +42,7 @@ const (
 type PortConfig struct {
 	// BufferBytes is the static buffer associated with the port. Packets
 	// arriving when the queue cannot hold them are tail-dropped. The
-	// paper's switches use 128KB per port.
-	//inv: BufferBytes >= 1
+	// paper's switches use 128KB per port. It must be positive.
 	BufferBytes int
 
 	// MarkThresholdBytes is the DCTCP ECN threshold K: "the switch sets the
@@ -101,8 +100,8 @@ type Port struct {
 	qHead int
 	qLen  int
 	// qBytes is the queue occupancy: tail drop in Enqueue rejects any
-	// arrival that would push it past the static buffer.
-	//inv: 0 <= qBytes && qBytes <= cfg.BufferBytes
+	// arrival that would push it past the static buffer, so it stays in
+	// [0, cfg.BufferBytes].
 	qBytes int
 	// busyUntil is when the packet last started finishes serializing; the
 	// next one may start no earlier. waking is set while the wake-up for
@@ -337,6 +336,7 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 		p.stats.MarkedPkts++
 	}
 	p.push(pkt)
+	//lint:allow overflow qBytes <= BufferBytes: tail drop above rejects any arrival past the buffer, and the check.AtMost below asserts it
 	p.qBytes += size
 	check.AtMost("netsim.port queue bytes", int64(p.qBytes), int64(p.cfg.BufferBytes))
 	p.stats.EnqueuedPkts++
@@ -388,6 +388,7 @@ func (p *Port) wake(any) {
 func (p *Port) transmitNext() {
 	pkt := p.pop()
 	size := pkt.Size()
+	//lint:allow overflow qBytes >= 0: only a queued packet's size leaves, and the check.NonNegative below asserts it
 	p.qBytes -= size
 	check.NonNegative("netsim.port queue bytes", int64(p.qBytes))
 	p.stats.DequeuedPkts++

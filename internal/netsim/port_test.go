@@ -255,16 +255,34 @@ func TestPortConservationProperty(t *testing.T) {
 	}
 }
 
+// TestPortRejectsNonPositiveBuffer builds a switch port and a topology
+// whose host queues each have a zero buffer; both must panic naming the
+// rule.
 func TestPortRejectsNonPositiveBuffer(t *testing.T) {
-	s := sim.NewScheduler()
-	sink := &sinkNode{id: 1, s: s}
-	link := NewLink(s, sink, 1e9, 0)
-	defer func() {
-		if recover() == nil {
-			t.Error("zero buffer did not panic")
-		}
-	}()
-	NewPort(s, link, PortConfig{})
+	for _, tc := range []struct {
+		name  string
+		build func()
+	}{
+		{"port", func() {
+			cfg := DefaultPortConfig()
+			cfg.BufferBytes = 0
+			NewPort(sim.NewScheduler(), nil, cfg)
+		}},
+		{"topology host queue", func() {
+			cfg := DefaultTopologyConfig()
+			cfg.HostQueueBytes = 0
+			NewTwoTier(sim.NewScheduler(), 1, 1, cfg)
+		}},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "port buffer must be positive") {
+					t.Errorf("%s: zero buffer panicked with %q, want the positive-buffer rule", tc.name, msg)
+				}
+			}()
+			tc.build()
+		}()
+	}
 }
 
 func TestDefaultPortConfigMatchesPaper(t *testing.T) {
@@ -277,11 +295,10 @@ func TestDefaultPortConfigMatchesPaper(t *testing.T) {
 	}
 }
 
-// TestRuntimeTwinsFire is the sensitivity half of qBytes' //inv: contract
-// (internal/lint's TestContractsHoldAtRuntime names the check.* calls
-// labelled "netsim.port queue bytes" as its always-on twin): an occupancy
-// corrupted below what the queue really holds must panic at the next
-// dequeue.
+// TestRuntimeTwinsFire shows qBytes' always-on check.* calls labelled
+// "netsim.port queue bytes", the ones its //lint:allow overflow reasons
+// name, are live: an occupancy corrupted below what the queue really
+// holds must panic at the next dequeue.
 func TestRuntimeTwinsFire(t *testing.T) {
 	s, _, p := newSinkAndPort(t, PortConfig{BufferBytes: 1 << 20}, 1_000_000_000, 0)
 	p.Pause()

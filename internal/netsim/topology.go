@@ -20,8 +20,7 @@ type TopologyConfig struct {
 	SwitchPort PortConfig
 	// HostQueueBytes sizes the host NIC output queue. Host queues do not
 	// mark ECN; they are deep enough that a window-limited sender never
-	// drops locally.
-	//inv: HostQueueBytes >= 1
+	// drops locally. It must be positive.
 	HostQueueBytes int
 }
 

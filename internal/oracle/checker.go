@@ -36,14 +36,10 @@ type Checker struct {
 
 	hosts map[packet.NodeID]bool // hosts whose taps are installed
 	tt    *netsim.TwoTier        // for the conservation ledger (optional)
-	// minted0 and free0 are the tree's pool counts at AttachTwoTier: the
-	// pool ledger balances this run's packets, not the pool's lifetime.
-	minted0, free0 int64
 
 	ring [ringEvents]Event
 	// ringLen is the ring's fill level, capped by the guard on its only
-	// increment once the ring has wrapped.
-	//inv: 0 <= ringLen && ringLen <= 256
+	// increment at ringEvents (256) once the ring has wrapped.
 	ringLen int
 	ringPos int
 
@@ -112,7 +108,6 @@ func (c *Checker) AttachTwoTier(tt *netsim.TwoTier) {
 		return
 	}
 	c.tt = tt
-	c.minted0, c.free0 = tt.Pool().Minted(), tt.Pool().FreeLen()
 	c.AttachHost(tt.Aggregator)
 	for _, w := range tt.Workers {
 		c.AttachHost(w)
@@ -162,6 +157,7 @@ func (c *Checker) record(kind Kind, flow packet.FlowID) *Event {
 	ev := &c.ring[c.ringPos]
 	c.ringPos = (c.ringPos + 1) % ringEvents
 	if c.ringLen < ringEvents {
+		//lint:allow overflow ringLen <= ringEvents: the guard caps it, and the check.AtMost below asserts it
 		c.ringLen++
 	}
 	check.AtMost("oracle.ring fill", int64(c.ringLen), ringEvents)

@@ -16,13 +16,11 @@ import (
 // itself reported: conservation on a drained network also means empty
 // queues everywhere.
 //
-// The pool ledger closes the books on the packets themselves: a drained
-// run has released every packet it minted, so the freelist must have grown
-// by exactly the number of packets the pool minted since AttachTwoTier. A
-// packet dropped without Put (a leak) leaves it short. The ledger is per
-// run because a reused tree's pool already lost the packets in flight at
-// the previous run's halt (Scheduler.Reset discards their delivery
-// events), so minted == free holds only on a fresh tree.
+// The pool ledger closes the books on the packets themselves: on a drained
+// network every packet the pool ever minted is back on its freelist, so
+// the two counts must be equal. A packet dropped without Put (a leak)
+// leaves the freelist short, whichever run leaked it: a reused tree's
+// reset returns the packets still in flight at the previous halt.
 func (c *Checker) auditConservation(tt *netsim.TwoTier) {
 	now := c.sched.Now()
 	hosts := append([]*netsim.Host{tt.Aggregator}, tt.Workers...)
@@ -67,8 +65,8 @@ func (c *Checker) auditConservation(tt *netsim.TwoTier) {
 			injectedBytes, deliveredBytes, droppedBytes, lostBytes))
 	}
 	pool := tt.Pool()
-	if minted, freed := pool.Minted()-c.minted0, pool.FreeLen()-c.free0; minted != freed {
+	if minted, free := pool.Minted(), pool.FreeLen(); minted != free {
 		c.report("conservation", 0, now, fmt.Sprintf(
-			"pool ledger unbalanced: minted %d packets but the freelist grew by %d", minted, freed))
+			"pool ledger unbalanced: minted %d packets but holds %d on its freelist", minted, free))
 	}
 }

@@ -421,8 +421,9 @@ func TestPlusMachineTransitions(t *testing.T) {
 
 // TestPoolLedgerCatchesLeak pins the pool ledger's sensitivity on a
 // drained tree: a run that returns every packet it minted balances, even
-// when packets parked before AttachTwoTier are reused, and a run that
-// keeps one packet unreleased does not.
+// when packets parked before AttachTwoTier are reused; a run that keeps
+// one packet unreleased does not, and neither does the next run on the
+// same tree, whose checker attached after the leak.
 func TestPoolLedgerCatchesLeak(t *testing.T) {
 	sched := sim.NewScheduler()
 	tt := netsim.NewTwoTier(sched, 1, 1, netsim.DefaultTopologyConfig())
@@ -444,7 +445,13 @@ func TestPoolLedgerCatchesLeak(t *testing.T) {
 	kept := h.AllocPacket() // never released
 	pool.Put(h.AllocPacket())
 	leaky.Finish(true)
-	requireViolation(t, leaky, "conservation", "pool ledger unbalanced: minted 0 packets but the freelist grew by -1")
+	requireViolation(t, leaky, "conservation", "pool ledger unbalanced: minted 2 packets but holds 1 on its freelist")
+
+	next := NewChecker(sched)
+	next.AttachTwoTier(tt)
+	pool.Put(h.AllocPacket())
+	next.Finish(true)
+	requireViolation(t, next, "conservation", "pool ledger unbalanced: minted 2 packets but holds 1 on its freelist")
 	_ = kept
 }
 
@@ -485,10 +492,10 @@ func TestDuplicateAttachPanics(t *testing.T) {
 	ck.AttachConn(conn)
 }
 
-// TestRuntimeTwinsFire is the sensitivity half of ringLen's //inv: contract
-// (internal/lint's TestContractsHoldAtRuntime names check.AtMost
-// "oracle.ring fill" as its always-on twin): a fill level corrupted past
-// the ring's capacity must panic at the next recorded event.
+// TestRuntimeTwinsFire shows ringLen's always-on check.AtMost
+// "oracle.ring fill", the one its //lint:allow overflow reason names, is
+// live: a fill level corrupted past the ring's capacity must panic at the
+// next recorded event.
 func TestRuntimeTwinsFire(t *testing.T) {
 	c := NewChecker(sim.NewScheduler())
 	for i := 0; i < ringEvents+10; i++ {

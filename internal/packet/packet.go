@@ -108,8 +108,8 @@ type Packet struct {
 
 	Seq   int64 // first payload byte carried (senders), or 0
 	AckNo int64 // cumulative ACK (when FlagACK set)
-	// Payload is the payload bytes carried (0 for pure ACKs/requests).
-	//inv: Payload >= 0
+	// Payload is the payload bytes carried (0 for pure ACKs/requests),
+	// never negative.
 	Payload int
 	Flags   Flags
 	ECN     ECN

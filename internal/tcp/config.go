@@ -68,20 +68,18 @@ const (
 // Config carries the per-connection transport parameters experiments vary.
 // The zero value is not usable; start from DefaultConfig.
 type Config struct {
-	// InitialCwnd is the initial congestion window in MSS units.
-	//inv: InitialCwnd >= 1
+	// InitialCwnd is the initial congestion window in MSS units, >= 1.
 	InitialCwnd float64
 
 	// MinCwnd is the congestion window floor in MSS units for ECN/loss
 	// reductions (Eq. 2's W >= 2MSS). Retransmission timeouts still
 	// collapse cwnd to 1 MSS, as in Linux; the paper uses cwnd=1 samples
 	// as its timeout indicator. DCTCP+ lowers this floor to 1 MSS
-	// (footnote 3) for smoother rate changes.
-	//inv: MinCwnd >= 1
+	// (footnote 3) for smoother rate changes. It must be >= 1.
 	MinCwnd float64
 
-	// MaxCwnd caps the window in MSS units (the receiver window stand-in).
-	//inv: MaxCwnd >= 1
+	// MaxCwnd caps the window in MSS units (the receiver window stand-in);
+	// it must be >= InitialCwnd.
 	MaxCwnd float64
 
 	// RTOMin clamps the retransmission timeout from below and is the
@@ -89,9 +87,8 @@ type Config struct {
 	// default the paper highlights); the comparison experiments set 10ms.
 	RTOMin sim.Duration
 
-	// DelAckCount acknowledges every n-th in-order segment (Linux default
-	// behaviour is 2). 1 disables delayed ACKs.
-	//inv: DelAckCount >= 1
+	// DelAckCount (>= 1) acknowledges every n-th in-order segment (Linux
+	// default behaviour is 2). 1 disables delayed ACKs.
 	DelAckCount int
 
 	// ECN selects the ECN feedback mode (see ECNMode).

@@ -8,11 +8,11 @@ import (
 	"dctcpplus/internal/packet"
 )
 
-// TestRuntimeTwinsFire is the sensitivity half of the //inv: rule (see
-// internal/lint's TestContractsHoldAtRuntime, which names each field's
-// always-on check.* twin): corrupt each asserted field past its declared
-// range and the next pass through its assertion must panic with the
-// invariant prefix and the twin's label. The uncorrupted connection is the
+// TestRuntimeTwinsFire shows each field's always-on check.* assertion is
+// live — the assertions the //lint:allow overflow reasons on ltCredit,
+// rtoBackoff and pendingSegs name: corrupt each asserted field past its
+// documented range and the next pass through its assertion must panic
+// with the invariant prefix and the assertion's label. The uncorrupted connection is the
 // control — the same drives must not panic.
 func TestRuntimeTwinsFire(t *testing.T) {
 	ackPath := func(c *Conn) { c.Sender.assertInvariants() }

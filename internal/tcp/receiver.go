@@ -62,8 +62,8 @@ type Receiver struct {
 	ackRuns []ackRun
 
 	// pendingSegs counts in-order segments not yet acknowledged; reaching
-	// DelAckCount triggers an ACK that resets it.
-	//inv: 0 <= pendingSegs && pendingSegs <= cfg.DelAckCount
+	// DelAckCount triggers an ACK that resets it, so it stays in
+	// [0, cfg.DelAckCount].
 	pendingSegs int
 	delackTimer sim.Timer
 
@@ -232,6 +232,7 @@ func (r *Receiver) Deliver(pkt *packet.Packet) {
 			r.sendAck()
 			return
 		}
+		//lint:allow overflow pendingSegs <= DelAckCount: the check.AtMost below asserts it, and reaching it flushes the count to 0
 		r.pendingSegs++
 		// Asserted before the flush below zeroes the count, so a corrupted
 		// count is seen instead of being reset.

@@ -92,11 +92,9 @@ type Sender struct {
 	// cwnd is the congestion window in MSS units. Every reduction clamps
 	// to at least the 1-MSS loss-window floor; recovery inflation only
 	// grows it.
-	//inv: cwnd >= 1
 	cwnd float64
 	// ssthresh is the slow-start threshold in MSS units, clamped to the
-	// configured window floor after every reduction.
-	//inv: ssthresh >= 1
+	// configured window floor after every reduction, so it stays >= 1.
 	ssthresh float64
 	state    SenderState
 	// dupacks counts consecutive duplicate ACKs; int64 because nothing
@@ -104,9 +102,8 @@ type Sender struct {
 	dupacks int64
 	recover int64 // recovery point: snd_nxt when loss was detected
 	// ltCredit is the limited-transmit segments usable beyond cwnd
-	// (RFC 3042): at most two per disorder episode, by the guard on the
-	// only increment.
-	//inv: 0 <= ltCredit && ltCredit <= 2
+	// (RFC 3042), in [0, 2]: at most two per disorder episode, by the
+	// guard on the only increment.
 	ltCredit int
 
 	// ECN reaction bookkeeping (at most one reduction per window of data).
@@ -120,8 +117,7 @@ type Sender struct {
 	timedValid bool
 	rtt        rttEstimator
 	// rtoBackoff is the RTO exponent (rto << rtoBackoff), capped by the
-	// guard on its only increment so the shift stays well-defined.
-	//inv: rtoBackoff <= 16
+	// guard on its only increment at 16 so the shift stays well-defined.
 	rtoBackoff uint
 
 	rtoTimer     sim.Timer
@@ -520,6 +516,7 @@ func (s *Sender) Deliver(pkt *packet.Packet) {
 		// probing for the third that triggers fast retransmit. At 1-2 MSS
 		// windows there is no new data to probe with (Table I's LAck-TOs).
 		if s.state == StateOpen && s.dupacks <= 2 && s.ltCredit < 2 {
+			//lint:allow overflow ltCredit <= 2: the < 2 guard caps it, and assertInvariants checks it on every ACK
 			s.ltCredit++
 		}
 	}
@@ -609,8 +606,8 @@ func (s *Sender) Deliver(pkt *packet.Packet) {
 // assertInvariants checks the sender's window and sequence invariants on
 // the ACK path, the only place this state changes. The window may inflate
 // past MaxCwnd during recovery (one MSS per duplicate ACK), so only the
-// 1-MSS loss-window floor bounds it from below. These are the runtime
-// twins of the //inv: contracts on the fields they name.
+// 1-MSS loss-window floor bounds it from below. They enforce the ranges
+// the fields' doc comments state.
 func (s *Sender) assertInvariants() {
 	check.AtLeast("tcp.cwnd (MSS)", s.cwnd, 1)
 	check.AtLeast("tcp.ssthresh (MSS)", s.ssthresh, 1)
@@ -728,6 +725,7 @@ func (s *Sender) onRTO() {
 	s.cc.OnTimeout(s)
 
 	if s.rtoBackoff < 16 {
+		//lint:allow overflow rtoBackoff <= 16: the < 16 guard caps it, and assertInvariants checks it on every ACK
 		s.rtoBackoff++
 	}
 	s.armRTO()

@@ -3,6 +3,7 @@ package tcp
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -112,25 +113,30 @@ func TestSendValidation(t *testing.T) {
 	c.Sender.Send(0)
 }
 
+// TestConfigValidation gives NewSender configs that each break one field's
+// documented range and requires a panic naming that rule.
 func TestConfigValidation(t *testing.T) {
-	bad := []func(*Config){
-		func(c *Config) { c.InitialCwnd = 0.5 },
-		func(c *Config) { c.MinCwnd = 0 },
-		func(c *Config) { c.MaxCwnd = 1 },
-		func(c *Config) { c.RTOMin = 0 },
-		func(c *Config) { c.RTOMin = RTOMax + 1 },
-		func(c *Config) { c.DelAckCount = 0 },
+	bad := []struct {
+		edit func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.InitialCwnd = 0.5 }, "InitialCwnd must be >= 1"},
+		{func(c *Config) { c.MinCwnd = 0.5 }, "MinCwnd must be >= 1"},
+		{func(c *Config) { c.MaxCwnd = 1 }, "MaxCwnd must be >= InitialCwnd"},
+		{func(c *Config) { c.RTOMin = 0 }, "invalid RTO bounds"},
+		{func(c *Config) { c.RTOMin = RTOMax + 1 }, "invalid RTO bounds"},
+		{func(c *Config) { c.DelAckCount = 0 }, "DelAckCount must be >= 1"},
 	}
-	for i, mut := range bad {
+	for i, tc := range bad {
 		cfg := DefaultConfig()
-		mut(&cfg)
+		tc.edit(&cfg)
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("bad config %d did not panic", i)
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("bad config %d panicked with %q, want %q", i, msg, tc.want)
 				}
 			}()
-			cfg.validate()
+			NewSender(cfg, NewReno{}, nil, 0, 0)
 		}()
 	}
 }
@@ -617,8 +623,8 @@ func TestSenderAccessors(t *testing.T) {
 	}
 }
 
-// FuzzSenderRecovery gives one NewReno sender a fixed transfer and feeds it
-// an arbitrary ACK stream, interleaved with scheduler advances, some long
+// FuzzSenderRecovery gives one NewReno-based sender a fixed transfer and
+// feeds it an arbitrary ACK stream, interleaved with scheduler advances, some long
 // enough to fire the RTO. Its data segments reach a capture node, which
 // keeps the scoreboard: the highest byte sent, a prefix since the sender
 // never skips ahead. A receiver can acknowledge only bytes that reached it,
@@ -635,12 +641,17 @@ func TestSenderAccessors(t *testing.T) {
 // input bytes are one step: the low two bits of the first pick a cumulative
 // ACK (at second/255 of the delivered prefix, stale ones included), a
 // duplicate ACK at snd_una, an advance of second×5µs, or an advance past
-// the RTO; its third bit sets ECE on an ACK.
+// the RTO; its third bit sets ECE on an ACK. mode picks the ECN mode, a 1-
+// or 2-MSS window floor, a pacing gap of 0, 50 µs or 500 µs through
+// pacedCC, and whether growth is capped at the floor, as DCTCP+ does while
+// engaged.
 func FuzzSenderRecovery(f *testing.F) {
 	f.Add(byte(1), []byte{2, 255, 0, 255, 2, 255, 0, 255})         // clean, ack what arrived
 	f.Add(byte(1), []byte{2, 255, 0, 80, 1, 0, 1, 0, 1, 0, 2, 50}) // partial ack, three dupacks
 	f.Add(byte(2), []byte{2, 255, 4, 128, 3, 0, 2, 255, 0, 255})   // ECE cut, then RTO
 	f.Add(byte(4), []byte{2, 255, 3, 0, 0, 255, 0, 10, 3, 0, 0, 255})
+	f.Add(byte(7), []byte{2, 20, 0, 80, 1, 0, 1, 0, 1, 0, 2, 50}) // 50 µs pacing, three dupacks
+	f.Add(byte(35), []byte{2, 255, 4, 128, 3, 0, 2, 255, 0, 255}) // 500 µs pacing capped at the floor: ECE cut, then RTO
 	f.Fuzz(func(t *testing.T, mode byte, data []byte) {
 		const transfer = 16*packet.MSS + 100
 		s := sim.NewScheduler()
@@ -648,6 +659,10 @@ func FuzzSenderRecovery(f *testing.F) {
 		cfg.RTOMin = 10 * sim.Millisecond
 		cfg.ECN = []ECNMode{ECNOff, ECNClassic, ECNPrecise}[mode%3]
 		cfg.MinCwnd = float64(1 + mode/3%2)
+		cc := &pacedCC{gap: []sim.Duration{0, 50 * sim.Microsecond, 500 * sim.Microsecond}[mode/6%3]}
+		if mode/18%2 == 1 {
+			cc.cap = cfg.MinCwnd
+		}
 
 		var hi int64 // the scoreboard: bytes [0, hi) have been sent
 		capture := newCaptureHost(s, 2, func(p *packet.Packet) {
@@ -662,7 +677,7 @@ func FuzzSenderRecovery(f *testing.F) {
 			}
 			hi = max(hi, end)
 		})
-		snd := NewSender(cfg, NewReno{}, newLoopHost(s, 1, capture).Host, 2, 5)
+		snd := NewSender(cfg, cc, newLoopHost(s, 1, capture).Host, 2, 5)
 		completions := 0
 		snd.OnComplete = func(total int64) {
 			completions++
