@@ -1,9 +1,10 @@
 # Developer entry points. `make check` is the gate every change must pass:
-# build + vet + gofmt drift + simlint + race-enabled tests + the smokes.
+# build + vet + gofmt drift + simlint + the arm64 fused-multiply-add scan +
+# race-enabled tests + the smokes.
 
 GO ?= go
 
-.PHONY: all build vet test race fmt-check lint check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke clean
+.PHONY: all build vet test race fmt-check lint portable-check check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke clean
 
 all: check
 
@@ -26,22 +27,38 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# simlint is the repository's own static analysis (internal/lint): it
-# enforces determinism (no wall clock, no math/rand, no order-sensitive map
-# iteration, no goroutines in sim-scheduled code — with no file or package
-# allowance under a //hot:path root), sim-time and unit discipline
-# (name-based), sweep worker-race freedom (sharedstate), narrow-counter
-# overflow (a bounded accumulation carries a //lint:allow naming the
-# always-on internal/check assertion or guard that enforces the bound).
-# Ownership is checked at run time instead: a sim.Timer panics on an event
-# it no longer owns, and packets have the pool's double-free poison and the
-# oracle's pool ledger. A whole-module
-# run also fails the build on //lint:allow directives that no longer
-# suppress anything. Stdlib-only.
+# simlint is the repository's own static analysis (internal/lint). It keeps
+# only the checks no test catches: exact float comparison (floateq),
+# allocation on //hot:path code (hotalloc), enum switches that miss a case
+# (exhaustive) and unbounded narrow-counter accumulation (overflow; a
+# bounded one carries a //lint:allow naming the always-on internal/check
+# assertion or guard that enforces the bound). Determinism and sweep-worker
+# races are pinned by the byte-identity tests, the goldens,
+# TestWorkerCountInvariance and `race` below. A whole-module run also fails
+# the build on //lint:allow directives that no longer suppress anything.
+# Stdlib-only.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
-check: build vet fmt-check lint race fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke
+# The pinned bits on every GOARCH: the Go spec lets a compiler fuse x*y + z
+# into one rounding, and arm64 does (so do ppc64le, s390x, riscv64 and
+# loong64); amd64 never does. A fused product changes the last bits of a
+# simulated value, and with them the digests and goldens. So each product
+# that meets an add is written float64(x*y) + z: the spec says an explicit
+# conversion rounds, which rules the fusion out. This cross-compiles the
+# module for arm64 and fails on any fused instruction in its packages'
+# code. cmd/perf is left out: it is frozen, and its fused lines summarize
+# measured wall times, which no digest or golden pins.
+portable-check:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	pkgs=$$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | grep -v '/cmd/perf$$'); \
+	GOARCH=arm64 $(GO) build $$pkgs; \
+	GOARCH=arm64 $(GO) build -gcflags=-S $$pkgs >"$$dir/asm.txt" 2>&1; \
+	if grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' "$$dir/asm.txt"; then \
+		echo "portable-check: fused multiply-add on arm64 (write the product as float64(x*y))"; exit 1; fi; \
+	echo "portable-check: no fused multiply-add in the module's arm64 code"
+
+check: build vet fmt-check lint portable-check race fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke
 
 # Fault-injection smoke: a full-mix faulted sweep must complete, stay
 # deterministic, conserve every packet/byte, and keep DCTCP+ no worse than

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -263,5 +264,74 @@ func TestInterruptLeavesResumableJournal(t *testing.T) {
 	}
 	if want := fmt.Sprintf("%d jobs: %d run, %d cached", jobs, skipped, completed); !strings.Contains(string(out), want) {
 		t.Fatalf("resumed run does not report %q:\n%s", want, out)
+	}
+}
+
+// TestCacheScopedToBuild runs one grid on one cache directory with two
+// builds of the command that differ only in DCTCP's window cut — (1 − α)
+// instead of (1 − α/2), swapped in with go build -overlay. The second
+// build must compute every point itself: a cached result belongs to the
+// executable that produced it, not to the commit its tree started from.
+func TestCacheScopedToBuild(t *testing.T) {
+	dir := t.TempDir()
+	build := func(name string, extra ...string) string {
+		bin := filepath.Join(dir, name)
+		args := append(append([]string{"build"}, extra...), "-o", bin, ".")
+		if out, err := exec.Command("go", args...).CombinedOutput(); err != nil {
+			t.Fatalf("building %s: %v\n%s", name, err, out)
+		}
+		return bin
+	}
+	orig := build("incast")
+
+	src, err := filepath.Abs(filepath.Join("..", "..", "internal", "dctcp", "dctcp.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(code), "d.alpha/2"); n != 1 {
+		t.Fatalf("dctcp.go has %d copies of the cut's d.alpha/2, want 1", n)
+	}
+	mutated := filepath.Join(dir, "dctcp.go")
+	if err := os.WriteFile(mutated, []byte(strings.Replace(string(code), "d.alpha/2", "d.alpha", 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replace, err := json.Marshal(map[string]map[string]string{"Replace": {src: mutated}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlay := filepath.Join(dir, "overlay.json")
+	if err := os.WriteFile(overlay, replace, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cut := build("incast-cut", "-overlay", overlay)
+
+	args := []string{"-q", "-name", "twobuild", "-protocols", "dctcp", "-flows", "40,80",
+		"-rounds", "6", "-warmup", "2", "-cache-dir", filepath.Join(dir, "cache")}
+	run := func(bin string, extra ...string) string {
+		out, err := exec.Command(bin, append(args, extra...)...).Output()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", filepath.Base(bin), err, out)
+		}
+		return string(out)
+	}
+	first := run(orig)
+	again := run(orig, "-resume")
+	other := run(cut, "-resume")
+	for _, c := range []struct{ what, out, want string }{
+		{"the first run", first, "2 jobs: 2 run, 0 cached"},
+		{"the same build, resumed", again, "2 jobs: 0 run, 2 cached"},
+		{"the (1 − α) build, resumed", other, "2 jobs: 2 run, 0 cached"},
+	} {
+		if !strings.Contains(c.out, c.want) {
+			t.Fatalf("%s does not report %q:\n%s", c.what, c.want, c.out)
+		}
+	}
+	table := func(out string) string { tbl, _, _ := strings.Cut(out, "\n\n"); return tbl }
+	if table(first) == table(other) {
+		t.Fatal("the two builds print the same table: the overlay did not change the cut")
 	}
 }

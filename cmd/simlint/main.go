@@ -1,9 +1,7 @@
 // Command simlint runs the repository's domain-specific static analysis
-// over the module: determinism guards (stricter under //hot:path roots),
-// sim-time discipline, name-based unit safety, float-equality, sweep
-// worker-race checks, narrow-counter overflow, and the call-graph passes —
-// hot-path allocation budgets and enum-switch exhaustiveness (see
-// internal/lint).
+// over the module: exact float comparison, hot-path allocation budgets over
+// the whole-module call graph, enum-switch exhaustiveness and unbounded
+// narrow-counter accumulation (see internal/lint).
 //
 //	simlint ./...            # lint the whole module (the make check gate)
 //	simlint ./internal/tcp   # lint one package

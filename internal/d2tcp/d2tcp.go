@@ -86,7 +86,7 @@ func (t *D2TCP) OnAck(s *tcp.Sender, acked int64, ece bool) {
 
 // SsthreshAfterECN applies the gamma-corrected cut W*(1 - p/2).
 func (t *D2TCP) SsthreshAfterECN(s *tcp.Sender) float64 {
-	return s.CwndMSS() * (1 - t.Penalty()/2)
+	return s.CwndMSS() * (1 - float64(t.Penalty()/2))
 }
 
 // SsthreshAfterLoss halves, as DCTCP does for real loss.

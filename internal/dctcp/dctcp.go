@@ -99,7 +99,7 @@ func (d *DCTCP) OnAck(s *tcp.Sender, acked int64, ece bool) {
 	}
 	if s.SndUna() >= d.windowEnd && d.ackedBytes > 0 {
 		f := float64(d.markedBytes) / float64(d.ackedBytes)
-		d.alpha = (1-d.g)*d.alpha + d.g*f
+		d.alpha = float64((1-d.g)*d.alpha) + float64(d.g*f)
 		check.Unit("dctcp.alpha", d.alpha)
 		d.ackedBytes, d.markedBytes = 0, 0
 		d.windowEnd = s.SndNxt()
@@ -112,7 +112,7 @@ func (d *DCTCP) OnAck(s *tcp.Sender, acked int64, ece bool) {
 // mild congestion — trims gently; alpha near 1 behaves like Reno.
 func (d *DCTCP) SsthreshAfterECN(s *tcp.Sender) float64 {
 	d.mWindowCuts.Add(1)
-	return s.CwndMSS() * (1 - d.alpha/2)
+	return s.CwndMSS() * (1 - float64(d.alpha/2))
 }
 
 // SsthreshAfterLoss halves the window, as the Linux DCTCP module does for

@@ -178,7 +178,6 @@ type RoundPoint struct {
 	Start sim.Time
 	// FCTms is a reporting-boundary value: milliseconds as float64, the
 	// same unit-less shape internal/stats summarizes and figures plot.
-	//lint:allow simtime plot-axis milliseconds; the unit is spelled in the name
 	FCTms        float64
 	GoodputMbps  float64
 	FlowTimeouts int64 // flows that hit at least one RTO this round

@@ -8,8 +8,8 @@ import (
 )
 
 // Program is the whole-module call graph shared by every package a Loader
-// produces. It exists for the reachability-based analyzers (hotalloc,
-// nondeterminism's hot mode): a per-packet budget is a property of
+// produces. It exists for the reachability-based analyzers (hotalloc and
+// overflow): a per-packet budget is a property of
 // everything a hot function can reach, not of one function body, so the
 // analysis unit has to be the module, even though diagnostics are still
 // reported per package.
@@ -313,24 +313,11 @@ func (prog *Program) isTerminal(fn *types.Func) bool {
 }
 
 // hotNodesIn returns the current package's hot-reachable function nodes in
-// source order, paired with their witness roots.
+// source order.
 func (prog *Program) hotNodesIn(p *Package) []*funcNode {
-	return prog.nodesIn(p, prog.hotFrom)
-}
-
-// sweepNodesIn returns the current package's sweep-reachable function
-// nodes in source order.
-func (prog *Program) sweepNodesIn(p *Package) []*funcNode {
-	return prog.nodesIn(p, prog.sweepFrom)
-}
-
-func (prog *Program) nodesIn(p *Package, from map[*types.Func][]*types.Func) []*funcNode {
 	var out []*funcNode
 	for _, n := range prog.order {
-		if n.pkg != p {
-			continue
-		}
-		if len(from[n.fn]) > 0 {
+		if n.pkg == p && len(prog.hotFrom[n.fn]) > 0 {
 			out = append(out, n)
 		}
 	}

@@ -1,36 +1,26 @@
 // Package lint implements simlint, the repository's domain-specific static
-// analysis pass. The paper's results are reproducible only if the simulator
-// is bit-for-bit deterministic under a fixed seed and keeps its units
-// straight; simlint turns those conventions into machine-checked rules
-// using nothing but the standard library (go/parser, go/ast, go/token,
-// go/types — the module is dependency-free and must stay that way).
+// analysis pass, using nothing but the standard library (go/parser, go/ast,
+// go/token, go/types — the module is dependency-free and must stay that
+// way). An analyzer ships only for a bug class that no test catches;
+// DESIGN.md's evidence ledger records the findings and mutants behind each
+// verdict. Four analyzers make up the pass:
 //
-// Eight analyzers ship with the pass, one per guarantee:
-//
-//   - nondeterminism: wall-clock reads, math/rand, order-sensitive map
-//     iteration, and goroutine spawns inside simulation-scheduled code;
-//     under a //hot:path root the wall-clock and goroutine allowances are
-//     void.
-//   - simtime: raw int64/float64 durations crossing exported boundaries of
-//     packages where the sim.Time/sim.Duration types are available.
-//   - unitsafety: arithmetic mixing byte-, packet- and segment-valued
-//     identifiers.
 //   - floateq: ==/!= on floating-point operands outside tests.
 //   - hotalloc: heap-allocating constructs in //hot:path functions and
 //     everything statically reachable from them (whole-module call graph
 //     with interface calls over-approximated by method signature).
 //   - exhaustive: switches over module enum types must cover every declared
 //     constant or carry a panicking default.
-//   - sharedstate: concurrently executed code writes no shared state —
-//     package-level state anywhere reachable from //sweep:job worker
-//     bodies, and captured variables inside pool.ForEach literals and
-//     goroutines launched in sweep-reachable code, unless a mutex is held.
 //   - overflow: unbounded narrow-integer accumulation in //hot:path- or
 //     //sweep:job-reachable code; a bounded one carries a //lint:allow
 //     whose reason names the internal/check assertion or guard that
 //     enforces the bound at run time.
 //
-// Ownership of simulation objects is checked at run time instead, in every
+// Determinism, worker-race freedom and unit consistency are checked by the
+// test suite instead: byte-identity tests and goldens pin every seeded run,
+// TestWorkerCountInvariance and -race pin the sweep workers, and the
+// oracle's conservation ledger and the marking tests pin bytes against
+// packets. Ownership of simulation objects is checked at run time, in every
 // build: sim.Timer panics if it holds an event it no longer owns (the
 // scheduler hands out no other cancellable handle), packet.Pool's
 // double-free poison and the oracle's pool ledger guard packets.
@@ -43,9 +33,7 @@
 // The reason is mandatory: an allowlist entry is documentation, and a bare
 // directive — or one naming an analyzer outside the suite — is itself
 // reported as a diagnostic, and on a whole-module run so is a directive
-// that no longer suppresses anything (see Run). A small number of built-in
-// path allowlists (wall-clock metadata in cmd/ and the telemetry manifest)
-// are documented on the analyzers that apply them.
+// that no longer suppresses anything (see Run).
 package lint
 
 import (
@@ -86,13 +74,9 @@ type Analyzer struct {
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Nondeterminism(),
-		SimTime(),
-		UnitSafety(),
 		FloatEq(),
 		Hotalloc(),
 		Exhaustive(),
-		SharedState(),
 		Overflow(),
 	}
 }
@@ -117,10 +101,9 @@ type directiveLine struct {
 }
 
 // directiveLines is the one reader of the package's comment directives
-// (//lint:allow, //hot:path, //sweep:job).
-// It returns, in order, every line comment of groups that starts with
-// marker — in its raw spelling or behind a single space ("// hot:path"),
-// so an annotation binds however the space after "//" is written.
+// (//lint:allow, //hot:path, //sweep:job). It returns, in order, every line
+// comment of groups that starts with "//" and marker, with no space between:
+// "// hot:path" is prose, not a directive.
 func directiveLines(marker string, groups ...*ast.CommentGroup) []directiveLine {
 	var out []directiveLine
 	for _, g := range groups {
@@ -128,11 +111,7 @@ func directiveLines(marker string, groups ...*ast.CommentGroup) []directiveLine 
 			continue
 		}
 		for _, c := range g.List {
-			text, ok := strings.CutPrefix(c.Text, "//")
-			if !ok {
-				continue
-			}
-			if rest, ok := strings.CutPrefix(strings.TrimPrefix(text, " "), marker); ok {
+			if rest, ok := strings.CutPrefix(c.Text, "//"+marker); ok {
 				out = append(out, directiveLine{strings.TrimSpace(rest), c.Pos()})
 			}
 		}
@@ -313,26 +292,8 @@ func runSuite(pkgs []*Package, analyzers []*Analyzer, reportStale bool) []Diagno
 	return deduped
 }
 
-// importsSim reports whether the package imports the simulation engine (or
-// is the engine itself) — the scope condition for the analyzers that only
-// make sense where sim.Time/sim.Duration are available.
-func (p *Package) importsSim() bool {
-	if p.ImportPath == simPkgPath {
-		return true
-	}
-	for _, imp := range p.Types.Imports() {
-		if imp.Path() == simPkgPath {
-			return true
-		}
-	}
-	return false
-}
-
-// simPkgPath is the import path of the discrete-event engine.
-const simPkgPath = "dctcpplus/internal/sim"
-
 // isPkgIdent reports whether expr is an identifier resolving to the named
-// imported package (e.g. the "time" in time.Now).
+// imported package (e.g. the "fmt" in fmt.Sprintf).
 func (p *Package) isPkgIdent(expr ast.Expr, path string) bool {
 	id, ok := expr.(*ast.Ident)
 	if !ok {
@@ -342,23 +303,12 @@ func (p *Package) isPkgIdent(expr ast.Expr, path string) bool {
 	return ok && pn.Imported().Path() == path
 }
 
-// basicKind returns the basic kind of e's type, or types.Invalid when the
-// type is unknown or not basic.
-func (p *Package) basicKind(e ast.Expr) types.BasicKind {
-	t := p.Info.TypeOf(e)
-	if t == nil {
-		return types.Invalid
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return types.Invalid
-	}
-	return b.Kind()
-}
-
 // isFloat reports whether e has floating-point type.
 func (p *Package) isFloat(e ast.Expr) bool {
-	k := p.basicKind(e)
-	return k == types.Float32 || k == types.Float64 ||
-		k == types.UntypedFloat
+	t := p.Info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }

@@ -6,54 +6,6 @@ import (
 	"testing"
 )
 
-func TestTimeNamed(t *testing.T) {
-	cases := []struct {
-		name string
-		want bool
-	}{
-		{"WallNs", true},
-		{"slow_time", true},
-		{"FCTms", true}, // acronym run followed by a lowercase unit
-		{"SimTimeNs", true},
-		{"timeout", true},
-		{"Deadline", true},
-		{"rtt", true},
-		{"Elapsed", true},
-		{"Bins", false},     // 'ns' without a word boundary
-		{"Timeouts", false}, // plural counter, not a duration
-		{"GoodputMbps", false},
-		{"Rooms", false}, // 'ms' preceded by lowercase
-		{"Flows", false},
-		{"Atoms", false},
-	}
-	for _, c := range cases {
-		if got := timeNamed(c.name); got != c.want {
-			t.Errorf("timeNamed(%q) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestUnitOfNames(t *testing.T) {
-	cases := []struct {
-		name string
-		want unitClass
-	}{
-		{"qBytes", unitBytes},
-		{"ReqBytes", unitBytes},
-		{"droppedPkts", unitPackets},
-		{"MarkedPackets", unitPackets},
-		{"minCwndSegs", unitSegments},
-		{"mss", unitSegments},
-		{"total", unitUnknown},
-		{"kilobytesque", unitUnknown}, // suffix mid-word, no boundary
-	}
-	for _, c := range cases {
-		if got := unitOfName(c.name); got != c.want {
-			t.Errorf("unitOfName(%q) = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 // TestStaleAllowAudit pins the allowlist audit on its fixture: the audit
 // reports the rotted directive, and a partial load — which is what loading
 // one fixture directory is — does not run it.

@@ -1,44 +1,6 @@
-// Package clean exercises the deterministic idioms and documented
-// exceptions simlint accepts without a diagnostic.
+// Package clean exercises the idioms and documented exceptions simlint
+// accepts without a diagnostic.
 package clean
-
-import (
-	"sort"
-
-	"dctcpplus/internal/sim"
-)
-
-// Total sums a map's integer values; integer addition commutes exactly.
-func Total(m map[string]int) int {
-	n := 0
-	for _, v := range m {
-		n += v
-	}
-	return n
-}
-
-// SortedKeys collects then sorts — the canonical deterministic order.
-func SortedKeys(m map[string]int) []string {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Double writes each entry under its own range key: every target entry is
-// written exactly once, so iteration order cannot matter.
-func Double(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v * 2
-	}
-	return out
-}
-
-// Wait keeps durations behind the sim types on the exported boundary.
-func Wait(at sim.Time, d sim.Duration) sim.Time { return at.Add(d) }
 
 // Fresh reports whether the accumulator was ever touched; comparison
 // against exact zero is exempt.

@@ -222,7 +222,7 @@ func (p *Port) phantomUpdate(size int) float64 {
 	now := p.sched.Now()
 	elapsed := now.Sub(p.vqLastAt).Seconds()
 	p.vqLastAt = now
-	drain := p.cfg.PhantomDrainFactor * float64(p.link.RateBps) / 8 * elapsed
+	drain := float64(p.cfg.PhantomDrainFactor * float64(p.link.RateBps) / 8 * elapsed)
 	p.vqBytes -= drain
 	if p.vqBytes < 0 {
 		p.vqBytes = 0

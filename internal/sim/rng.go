@@ -90,5 +90,5 @@ func (r *RNG) Pareto(lo, hi float64, alpha float64) float64 {
 	u := r.Float64()
 	la := math.Pow(lo, alpha)
 	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	return math.Pow(-(float64(u*ha)-float64(u*la)-ha)/(ha*la), -1/alpha)
 }

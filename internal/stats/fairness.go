@@ -16,7 +16,7 @@ func JainIndex(x []float64) float64 {
 			v = 0
 		}
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v)
 	}
 	if sumSq == 0 {
 		return 1 // all-zero allocations are (vacuously) equal

@@ -86,14 +86,14 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	if q >= 1 {
 		return sorted[n-1]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Quantile returns the q-quantile of unsorted samples. NaN samples are
@@ -218,7 +218,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // N returns the sample count.

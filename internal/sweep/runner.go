@@ -39,8 +39,10 @@ type Runner struct {
 	Cache *Cache
 
 	// CodeVersion scopes cache keys to the build that produced them;
-	// empty selects the package-level CodeVersion(). Cached results are
-	// reused only under an identical version string.
+	// empty selects the package-level CodeVersion(), the running
+	// executable's hash, and Run fails if a Cache is set and that cannot be
+	// read. Cached results are reused only under an identical version
+	// string.
 	CodeVersion string
 
 	// Resume permits continuing a sweep whose manifest already exists in
@@ -102,8 +104,12 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 	}
 	name := spec.normalized().Name
 	header := manifestHeader{Sweep: name, SpecHash: spec.Hash(), CodeVersion: r.CodeVersion, Jobs: len(jobs)}
-	if header.CodeVersion == "" {
-		header.CodeVersion = CodeVersion()
+	if header.CodeVersion == "" && r.Cache != nil {
+		// A cache needs a scope: without one, another build's results
+		// would be served as this build's.
+		if header.CodeVersion, err = CodeVersion(); err != nil {
+			return nil, err
+		}
 	}
 
 	out := &Outcome{

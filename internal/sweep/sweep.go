@@ -394,9 +394,9 @@ func resultOf(pt Point, r exp.IncastResult) Result {
 // result: its summaries cover fewer rounds than the point names. The
 // body is worker-executed: all its state — the rig's scheduler, topology and
 // connections — is private to the worker, and it touches nothing shared
-// (the sharedstate lint check enforces this). The telemetry registry is the
-// one sanctioned shared sink: the run fills a registry of its own and
-// merges it into reg once, under reg's lock.
+// (-race and TestWorkerCountInvariance enforce this). The telemetry
+// registry is the one sanctioned shared sink: the run fills a registry of
+// its own and merges it into reg once, under reg's lock.
 //
 //sweep:job
 func (j Job) run(rig *exp.Rig, reg *telemetry.Registry) (Result, error) {

@@ -1,12 +1,37 @@
 package sweep
 
-import "dctcpplus/internal/telemetry"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"os"
+	"sync"
+)
 
-// CodeVersion returns the code-version string cache keys are scoped to when
-// Runner.CodeVersion is left empty: the repository's git describe output
-// ("unknown" outside a git checkout). It is exported so tooling can name
-// exactly the string the sweep cache folds into Point.Key; every sweep
-// journal header records it as code_version.
-func CodeVersion() string {
-	return telemetry.GitDescribe()
-}
+// CodeVersion returns the scope cache keys are folded into when
+// Runner.CodeVersion is left empty: "sha256:" and the hex SHA-256 of the
+// running executable, read once per process. The executable is the code
+// that ran — its source, Go version and GOARCH at once — so two builds that
+// differ in anything share no cached result, however their trees stand in
+// git. Every sweep journal header records it as code_version. When the
+// executable cannot be read there is no scope to give, and the error says
+// why.
+func CodeVersion() (string, error) { return executableHash() }
+
+var executableHash = sync.OnceValues(func() (string, error) {
+	path, err := os.Executable()
+	if err != nil {
+		return "", fmt.Errorf("sweep: code version: %w", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "", fmt.Errorf("sweep: code version: %w", err)
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", fmt.Errorf("sweep: code version: hashing %s: %w", path, err)
+	}
+	return "sha256:" + hex.EncodeToString(h.Sum(nil)), nil
+})

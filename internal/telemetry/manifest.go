@@ -33,10 +33,8 @@ type Manifest struct {
 	Config map[string]string `json:"config,omitempty"`
 
 	// WallNs is the real time the run took, in nanoseconds.
-	//lint:allow simtime wall-clock cost of the run, not a sim quantity
 	WallNs int64 `json:"wall_ns"`
 	// SimTimeNs is the virtual time covered, from the registry stamp.
-	//lint:allow simtime JSON schema field; the unit is pinned by the wire format
 	SimTimeNs int64 `json:"sim_time_ns"`
 
 	// Metrics is the full instrument dump.

@@ -413,7 +413,7 @@ func (s InstrumentSnapshot) key() string {
 // Snapshot is the frozen state of a whole registry, stamped with the
 // virtual-time high-water mark.
 type Snapshot struct {
-	//lint:allow simtime JSON schema field; the unit is pinned by the wire format
+	// SimTimeNs is the virtual-time stamp in nanoseconds, the wire format's unit.
 	SimTimeNs   int64                `json:"sim_time_ns"`
 	Instruments []InstrumentSnapshot `json:"instruments"`
 }
