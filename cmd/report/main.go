@@ -176,7 +176,10 @@ func writeTelemetry(scale dcp.Scale, wall time.Duration) error {
 		}
 	}
 	if *baseline != "" {
-		m := dcp.NewManifest("report", *seed)
+		m, err := dcp.NewManifest("report", *seed)
+		if err != nil {
+			return err
+		}
 		m.SetConfig("rounds", *rounds)
 		m.SetConfig("warmup", *warmup)
 		m.Finish(scale.Telemetry, wall)

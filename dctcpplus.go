@@ -223,9 +223,12 @@ type (
 // NewRegistry returns an empty telemetry registry.
 func NewRegistry() *Registry { return telemetry.NewRegistry() }
 
-// NewManifest starts a run manifest, capturing wall clock, git state and
-// toolchain version.
-func NewManifest(name string, seed uint64) *Manifest { return telemetry.NewManifest(name, seed) }
+// NewManifest starts a run manifest, capturing wall clock, code version
+// (the running executable's SHA-256) and toolchain version; it fails when
+// the executable cannot be read.
+func NewManifest(name string, seed uint64) (*Manifest, error) {
+	return telemetry.NewManifest(name, seed)
+}
 
 // WriteManifestFile atomically writes a manifest to path.
 func WriteManifestFile(path string, m *Manifest) error { return telemetry.WriteManifestFile(path, m) }

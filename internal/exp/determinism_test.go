@@ -21,7 +21,10 @@ func instrumentedIncast(t *testing.T, p Protocol, flows int) ([]byte, *telemetry
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := telemetry.NewManifest("determinism-regression", o.Testbed.Seed)
+	m, err := telemetry.NewManifest("determinism-regression", o.Testbed.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Finish(reg, 0)
 	return data, m
 }

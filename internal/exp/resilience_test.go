@@ -27,7 +27,10 @@ func instrumentedFaultedIncast(t *testing.T, p Protocol, flows int) ([]byte, *te
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := telemetry.NewManifest("fault-determinism-regression", o.Testbed.Seed)
+	m, err := telemetry.NewManifest("fault-determinism-regression", o.Testbed.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Finish(reg, 0)
 	return data, m
 }

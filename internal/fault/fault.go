@@ -1,5 +1,5 @@
 // Package fault is the deterministic fault-injection layer of the testbed:
-// a schedulable Plan of timed events that perturb the netsim substrate
+// a schedulable plan of fault episodes that perturb the netsim substrate
 // mid-run — link blackouts and flaps, rate and propagation-delay changes,
 // switch buffer and ECN-threshold resizing, seeded random loss, and host
 // stall windows (GC-pause-style sender freezes).
@@ -13,12 +13,11 @@
 // simulation core: every fault is applied from a sim.Scheduler callback on
 // the single simulation thread, and every random choice (in Generate and
 // in the injected loss streams) is drawn from seeded sim.RNG streams — so
-// a run remains a pure function of its configuration, seed and Plan.
+// a run remains a pure function of its configuration, seed and plan.
 package fault
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dctcpplus/internal/netsim"
@@ -130,132 +129,37 @@ func classNames() string {
 	return strings.Join(names, "/")
 }
 
-// Op is a primitive mutation of one topology element.
-type Op int
+// Episode is one fault window: Class applied to element Target of the
+// class's family (Elements.Links for blackout, loss, rate and delay,
+// Elements.Ports for buffer, Elements.Hosts for stall) from From until
+// From+Dur, then undone.
+type Episode struct {
+	Class  Class
+	Target int
+	From   sim.Time
+	Dur    sim.Duration
 
-const (
-	// OpLinkDown blackholes Links[Index] until OpLinkUp.
-	OpLinkDown Op = iota
-	// OpLinkUp restores Links[Index].
-	OpLinkUp
-	// OpLinkRate sets Links[Index] to Scale x its nominal rate.
-	OpLinkRate
-	// OpLinkDelay sets Links[Index] to Scale x its nominal delay.
-	OpLinkDelay
-	// OpLinkLoss enables seeded random loss on Links[Index] at rate Loss.
-	OpLinkLoss
-	// OpPortBuffer sets Ports[Index] to Scale x its nominal buffer.
-	OpPortBuffer
-	// OpPortThreshold sets Ports[Index] to Scale x its nominal ECN mark
-	// threshold K.
-	OpPortThreshold
-	// OpHostStall freezes the uplink of Hosts[Index] until OpHostResume.
-	OpHostStall
-	// OpHostResume unfreezes the uplink of Hosts[Index].
-	OpHostResume
-)
+	// Scale is the multiplier of the element's nominal value recorded by
+	// the Injector (rate, delay, buffer) or the drop probability in [0,1]
+	// (loss); blackout and stall ignore it. Scaling against the nominal
+	// keeps plans topology-agnostic.
+	Scale float64
+	Seed  uint64 // loss: seed of the link's loss stream
+}
 
-// String names the op for plan dumps and error messages.
-func (o Op) String() string {
-	switch o {
-	case OpLinkDown:
-		return "link-down"
-	case OpLinkUp:
-		return "link-up"
-	case OpLinkRate:
-		return "link-rate"
-	case OpLinkDelay:
-		return "link-delay"
-	case OpLinkLoss:
-		return "link-loss"
-	case OpPortBuffer:
-		return "port-buffer"
-	case OpPortThreshold:
-		return "port-threshold"
-	case OpHostStall:
-		return "host-stall"
-	case OpHostResume:
-		return "host-resume"
+// family returns how many elements of c's target family a topology with
+// the given element counts has.
+func (c Class) family(nLinks, nPorts, nHosts int) int {
+	switch c {
+	case ClassBlackout, ClassLoss, ClassRate, ClassDelay:
+		return nLinks
+	case ClassBuffer:
+		return nPorts
+	case ClassStall:
+		return nHosts
 	default:
-		panic(fmt.Sprintf("fault: unknown op %d", int(o)))
+		panic(fmt.Sprintf("fault: unknown class %d", int(c)))
 	}
-}
-
-// Event is one timed mutation. Scales are relative to the element's
-// nominal value recorded by the Injector at Install time, which keeps
-// plans topology-agnostic: Scale 1 always means "restore to nominal".
-type Event struct {
-	At    sim.Time
-	Op    Op
-	Index int // element index in the Injector's Elements, per op family
-
-	Scale float64 // OpLinkRate/OpLinkDelay/OpPortBuffer/OpPortThreshold
-	Loss  float64 // OpLinkLoss: drop probability in [0,1]
-	Seed  uint64  // OpLinkLoss: seed of the per-link loss stream
-}
-
-// Plan is a list of timed fault events. Events may be appended in any
-// order; the Injector applies them in time order (ties in append order).
-type Plan struct {
-	Events []Event
-}
-
-// Empty reports whether the plan has no events.
-func (p *Plan) Empty() bool { return p == nil || len(p.Events) == 0 }
-
-// sorted returns the events in application order: by At, ties broken by
-// append order (stable), so plans are deterministic regardless of how
-// their constructors interleaved.
-func (p *Plan) sorted() []Event {
-	evs := append([]Event(nil), p.Events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	return evs
-}
-
-// AddBlackout takes link down at from and back up after dur.
-func (p *Plan) AddBlackout(link int, from sim.Time, dur sim.Duration) {
-	p.Events = append(p.Events,
-		Event{At: from, Op: OpLinkDown, Index: link},
-		Event{At: from.Add(dur), Op: OpLinkUp, Index: link})
-}
-
-// AddLoss enables random loss on link at the given time; rate 0 disables.
-func (p *Plan) AddLoss(link int, at sim.Time, rate float64, seed uint64) {
-	p.Events = append(p.Events, Event{At: at, Op: OpLinkLoss, Index: link, Loss: rate, Seed: seed})
-}
-
-// AddRateWindow degrades link to scale x nominal at from, restoring the
-// nominal rate after dur.
-func (p *Plan) AddRateWindow(link int, from sim.Time, dur sim.Duration, scale float64) {
-	p.Events = append(p.Events,
-		Event{At: from, Op: OpLinkRate, Index: link, Scale: scale},
-		Event{At: from.Add(dur), Op: OpLinkRate, Index: link, Scale: 1})
-}
-
-// AddDelayWindow inflates link's propagation delay to scale x nominal at
-// from, restoring the nominal delay after dur.
-func (p *Plan) AddDelayWindow(link int, from sim.Time, dur sim.Duration, scale float64) {
-	p.Events = append(p.Events,
-		Event{At: from, Op: OpLinkDelay, Index: link, Scale: scale},
-		Event{At: from.Add(dur), Op: OpLinkDelay, Index: link, Scale: 1})
-}
-
-// AddBufferWindow resizes port's buffer to scale x nominal at from,
-// restoring it after dur. The ECN threshold K is scaled alongside, as a
-// shared-buffer carve-out moves both.
-func (p *Plan) AddBufferWindow(port int, from sim.Time, dur sim.Duration, scale float64) {
-	p.Events = append(p.Events,
-		Event{At: from, Op: OpPortBuffer, Index: port, Scale: scale},
-		Event{At: from, Op: OpPortThreshold, Index: port, Scale: scale},
-		Event{At: from.Add(dur), Op: OpPortBuffer, Index: port, Scale: 1},
-		Event{At: from.Add(dur), Op: OpPortThreshold, Index: port, Scale: 1})
-}
-
-// AddStall freezes host's uplink at from, resuming after dur.
-func (p *Plan) AddStall(host int, from sim.Time, dur sim.Duration) {
-	p.Events = append(p.Events,
-		Event{At: from, Op: OpHostStall, Index: host},
-		Event{At: from.Add(dur), Op: OpHostResume, Index: host})
 }
 
 // Elements enumerates the mutable topology elements a plan's indices refer

@@ -71,10 +71,11 @@ func FuzzParseClasses(f *testing.F) {
 }
 
 // FuzzGenerate: over any seed, class list, episode count, window, episode
-// length and element counts, Generate never panics, every event targets an
-// element that exists in its op's family, and every event falls inside the
-// window the episodes are drawn from, stretched by the longest episode
-// (Dur/2 + Dur). Zero and negative knobs exercise the defaults.
+// length and element counts, Generate never panics, every episode targets
+// an element that exists in its class's family, lasts Dur/2 + uniform[0,
+// Dur) — a length in nanoseconds, like Dur — and falls inside the window
+// the episodes are drawn from, stretched by the longest episode (Dur/2 +
+// Dur). Zero and negative knobs exercise the defaults.
 func FuzzGenerate(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 1, 2, 3, 4, 5}, int8(2), int64(200e6), int64(10e6), uint8(8), uint8(10), uint8(10))
 	f.Add(uint64(7), []byte{}, int8(0), int64(0), int64(0), uint8(0), uint8(0), uint8(0))
@@ -89,41 +90,25 @@ func FuzzGenerate(f *testing.F) {
 		cfg.Window = sim.Duration(window % (1 << 40))
 		cfg.Dur = sim.Duration(dur % (1 << 40))
 		plan := Generate(cfg, int(links), int(ports), int(hosts))
-		eff := cfg.withDefaults()
-		lo, hi := eff.Start, eff.Start.Add(eff.Window+eff.Dur/2+eff.Dur)
-		for _, ev := range plan.Events {
-			n := int(links)
-			switch ev.Op {
-			case OpPortBuffer, OpPortThreshold:
-				n = int(ports)
-			case OpHostStall, OpHostResume:
-				n = int(hosts)
-			}
-			if ev.Index < 0 || ev.Index >= n {
-				t.Fatalf("%v targets element %d of %d", ev.Op, ev.Index, n)
-			}
-			if ev.At < lo || ev.At >= hi {
-				t.Fatalf("%v at %v outside [%v, %v)", ev.Op, ev.At, lo, hi)
-			}
-		}
+		checkEpisodes(t, plan, cfg.withDefaults(), int(links), int(ports), int(hosts))
 	})
 }
 
-// TestPlanSortStable pins the application order: by time, ties in append
-// order.
-func TestPlanSortStable(t *testing.T) {
-	var p Plan
-	p.Events = append(p.Events,
-		Event{At: 30, Op: OpLinkUp},
-		Event{At: 10, Op: OpLinkDown},
-		Event{At: 30, Op: OpHostStall},
-		Event{At: 20, Op: OpLinkRate, Scale: 1},
-	)
-	got := p.sorted()
-	wantOps := []Op{OpLinkDown, OpLinkRate, OpLinkUp, OpHostStall}
-	for i, ev := range got {
-		if ev.Op != wantOps[i] {
-			t.Fatalf("sorted()[%d].Op = %v, want %v", i, ev.Op, wantOps[i])
+// checkEpisodes fails t unless every episode of plan targets an element of
+// its class's family, lasts Dur/2 + uniform[0, Dur) of cfg and starts and
+// ends inside [Start, Start+Window+Dur/2+Dur).
+func checkEpisodes(t *testing.T, plan []Episode, cfg GenConfig, links, ports, hosts int) {
+	t.Helper()
+	lo, hi := cfg.Start, cfg.Start.Add(cfg.Window+cfg.Dur/2+cfg.Dur)
+	for _, ep := range plan {
+		if n := ep.Class.family(links, ports, hosts); ep.Target < 0 || ep.Target >= n {
+			t.Fatalf("%v targets element %d of %d", ep.Class, ep.Target, n)
+		}
+		if ep.Dur < cfg.Dur/2 || ep.Dur >= cfg.Dur/2+cfg.Dur {
+			t.Fatalf("%v lasts %v, outside [%v, %v)", ep.Class, ep.Dur, cfg.Dur/2, cfg.Dur/2+cfg.Dur)
+		}
+		if end := ep.From.Add(ep.Dur); ep.From < lo || end >= hi {
+			t.Fatalf("%v window [%v, %v) outside [%v, %v)", ep.Class, ep.From, end, lo, hi)
 		}
 	}
 }
@@ -145,45 +130,27 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerateRespectsWindowAndTargets: all events land inside
-// [Start, Start+Window+1.5*Dur] and reference valid element indices.
+// TestGenerateRespectsWindowAndTargets: every class gets its episodes, each
+// lasting Dur/2 + uniform[0, Dur), inside [Start, Start+Window+1.5*Dur)
+// and on a valid element index.
 func TestGenerateRespectsWindowAndTargets(t *testing.T) {
 	cfg := DefaultGenConfig(3)
 	cfg.Episodes = 5
 	const nLinks, nPorts, nHosts = 4, 3, 2
 	plan := Generate(cfg, nLinks, nPorts, nHosts)
-	if plan.Empty() {
-		t.Fatal("generated empty plan")
+	if got, want := len(plan), cfg.Episodes*int(numClasses); got != want {
+		t.Fatalf("generated %d episodes, want %d", got, want)
 	}
-	latest := cfg.Start.Add(cfg.Window).Add(cfg.Dur / 2).Add(cfg.Dur)
-	for _, ev := range plan.Events {
-		if ev.At < cfg.Start || ev.At > latest {
-			t.Errorf("event %v at %v outside [%v, %v]", ev.Op, ev.At, cfg.Start, latest)
-		}
-		var n int
-		switch ev.Op {
-		case OpLinkDown, OpLinkUp, OpLinkRate, OpLinkDelay, OpLinkLoss:
-			n = nLinks
-		case OpPortBuffer, OpPortThreshold:
-			n = nPorts
-		case OpHostStall, OpHostResume:
-			n = nHosts
-		default:
-			t.Fatalf("unknown op %v", ev.Op)
-		}
-		if ev.Index < 0 || ev.Index >= n {
-			t.Errorf("event %v index %d out of range %d", ev.Op, ev.Index, n)
-		}
-	}
+	checkEpisodes(t, plan, cfg, nLinks, nPorts, nHosts)
 }
 
-// TestGenerateSkipsEmptyFamilies: no hosts => no stall events, rather than
-// a panic or an out-of-range index.
+// TestGenerateSkipsEmptyFamilies: no hosts => no stall episodes, rather
+// than a panic or an out-of-range index.
 func TestGenerateSkipsEmptyFamilies(t *testing.T) {
 	cfg := DefaultGenConfig(1)
 	cfg.Classes = []Class{ClassStall}
-	if plan := Generate(cfg, 4, 4, 0); !plan.Empty() {
-		t.Fatalf("generated %d stall events with no hosts", len(plan.Events))
+	if plan := Generate(cfg, 4, 4, 0); len(plan) != 0 {
+		t.Fatalf("generated %d stall episodes with no hosts", len(plan))
 	}
 }
 
@@ -226,9 +193,7 @@ func TestInjectorBlackoutWindow(t *testing.T) {
 	sched, st, el := buildStar(t)
 	inj := NewInjector(sched, el)
 
-	var plan Plan
-	plan.AddBlackout(0, sim.Time(1*sim.Millisecond), 2*sim.Millisecond)
-	inj.Install(plan)
+	inj.Install([]Episode{{Class: ClassBlackout, From: sim.Time(1 * sim.Millisecond), Dur: 2 * sim.Millisecond}})
 
 	// Traffic before, during and after the window.
 	sched.After(0, func() { sendBurst(st, 0, 1, 3, 1) })
@@ -262,9 +227,7 @@ func TestInjectorStallWindow(t *testing.T) {
 	sched, st, el := buildStar(t)
 	inj := NewInjector(sched, el)
 
-	var plan Plan
-	plan.AddStall(0, sim.Time(100*sim.Microsecond), 3*sim.Millisecond)
-	inj.Install(plan)
+	inj.Install([]Episode{{Class: ClassStall, From: sim.Time(100 * sim.Microsecond), Dur: 3 * sim.Millisecond}})
 
 	sched.After(200*sim.Microsecond, func() { sendBurst(st, 0, 1, 2, 1) })
 	sched.After(1*sim.Millisecond, func() {
@@ -283,8 +246,8 @@ func TestInjectorStallWindow(t *testing.T) {
 	}
 }
 
-// TestInjectorScaleRestore checks Scale-1 events restore the exact nominal
-// rate/delay/buffer recorded at Install time.
+// TestInjectorScaleRestore checks the end of a window restores the exact
+// nominal rate/delay/buffer recorded by NewInjector.
 func TestInjectorScaleRestore(t *testing.T) {
 	sched, _, el := buildStar(t)
 	inj := NewInjector(sched, el)
@@ -294,11 +257,12 @@ func TestInjectorScaleRestore(t *testing.T) {
 	nomRate, nomDelay := link.RateBps, link.Delay
 	nomBuf, nomK := port.Config().BufferBytes, port.Config().MarkThresholdBytes
 
-	var plan Plan
-	plan.AddRateWindow(0, sim.Time(1*sim.Millisecond), sim.Millisecond, 0.1)
-	plan.AddDelayWindow(0, sim.Time(1*sim.Millisecond), sim.Millisecond, 8)
-	plan.AddBufferWindow(0, sim.Time(1*sim.Millisecond), sim.Millisecond, 0.25)
-	inj.Install(plan)
+	from := sim.Time(1 * sim.Millisecond)
+	inj.Install([]Episode{
+		{Class: ClassRate, From: from, Dur: sim.Millisecond, Scale: rateScale},
+		{Class: ClassDelay, From: from, Dur: sim.Millisecond, Scale: delayScale},
+		{Class: ClassBuffer, From: from, Dur: sim.Millisecond, Scale: bufferScale},
+	})
 
 	sched.After(1500*sim.Microsecond, func() {
 		if link.RateBps != nomRate/10 {
@@ -325,14 +289,81 @@ func TestInjectorScaleRestore(t *testing.T) {
 	}
 }
 
-// TestInjectorFinishClosesOpenWindows: a blackout with no matching up
-// event is closed out at Finish time.
+// TestGeneratedStallFreezesForItsDur: a generated stall episode freezes
+// its host's uplink from From for exactly its Dur — nothing leaves before
+// the window closes, the burst sent inside it delivers after — and
+// Stats.StallTime reads that Dur.
+func TestGeneratedStallFreezesForItsDur(t *testing.T) {
+	sched, st, el := buildStar(t)
+	inj := NewInjector(sched, el)
+	cfg := DefaultGenConfig(5)
+	cfg.Classes, cfg.Episodes = []Class{ClassStall}, 1
+	plan := Generate(cfg, len(el.Links), len(el.Ports), len(el.Hosts))
+	if len(plan) != 1 {
+		t.Fatalf("generated %d stall episodes, want 1", len(plan))
+	}
+	ep := plan[0]
+	checkEpisodes(t, plan, cfg, len(el.Links), len(el.Ports), len(el.Hosts))
+	inj.Install(plan)
+
+	src, dst := ep.Target, 1-ep.Target
+	sched.At(ep.From.Add(sim.Microsecond), func() { sendBurst(st, src, dst, 2, 1) })
+	sched.At(ep.From.Add(ep.Dur-1), func() {
+		if got := st.Hosts[dst].DeliveredPkts(); got != 0 {
+			t.Errorf("delivered %d packets before the stall ended", got)
+		}
+	})
+	sched.Run()
+
+	stats := inj.Finish()
+	if stats.Stalls != 1 || stats.StallTime != ep.Dur {
+		t.Fatalf("stall window = %d x %v, want 1 x %v", stats.Stalls, stats.StallTime, ep.Dur)
+	}
+	if got := st.Hosts[dst].DeliveredPkts(); got != 2 {
+		t.Fatalf("delivered = %d after resume, want 2", got)
+	}
+}
+
+// TestInjectorCoincidentEdgesApplyInPlanOrder: one rate episode ends at the
+// instant the next on the same link starts, and the two edges apply in plan
+// order — listed first to last, the link sits at the second episode's
+// scale; listed the other way round, the first episode's end restores the
+// nominal rate after the second's start.
+func TestInjectorCoincidentEdgesApplyInPlanOrder(t *testing.T) {
+	ms := sim.Time(sim.Millisecond)
+	first := Episode{Class: ClassRate, From: ms, Dur: sim.Millisecond, Scale: 0.5}
+	second := Episode{Class: ClassRate, From: 2 * ms, Dur: sim.Millisecond, Scale: 0.1}
+	for _, tc := range []struct {
+		plan []Episode
+		div  int64 // mid-second-window rate = nominal / div
+	}{
+		{[]Episode{first, second}, 10},
+		{[]Episode{second, first}, 1},
+	} {
+		sched, _, el := buildStar(t)
+		inj := NewInjector(sched, el)
+		nom := el.Links[0].RateBps
+		inj.Install(tc.plan)
+		var mid int64
+		sched.At(2*ms+ms/2, func() { mid = el.Links[0].RateBps })
+		sched.Run()
+		if mid != nom/tc.div {
+			t.Errorf("plan %v..%v: rate mid-window = %d, want %d", tc.plan[0].Scale, tc.plan[1].Scale, mid, nom/tc.div)
+		}
+		if got := inj.Finish().EventsFired; got != 4 {
+			t.Errorf("EventsFired = %d, want 4", got)
+		}
+	}
+}
+
+// TestInjectorFinishClosesOpenWindows: a blackout still open when the run
+// stops is closed out at Finish time.
 func TestInjectorFinishClosesOpenWindows(t *testing.T) {
 	sched, _, el := buildStar(t)
 	inj := NewInjector(sched, el)
-	inj.Install(Plan{Events: []Event{{At: sim.Time(sim.Millisecond), Op: OpLinkDown, Index: 0}}})
+	inj.Install([]Episode{{Class: ClassBlackout, From: sim.Time(sim.Millisecond), Dur: 10 * sim.Millisecond}})
 	sched.At(sim.Time(5*sim.Millisecond), func() {}) // pin the end-of-run clock
-	sched.Run()
+	sched.RunUntil(sim.Time(5 * sim.Millisecond))
 
 	stats := inj.Finish()
 	if stats.Blackouts != 1 || stats.BlackoutTime != 4*sim.Millisecond {
@@ -343,13 +374,14 @@ func TestInjectorFinishClosesOpenWindows(t *testing.T) {
 func TestInjectorValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		ev   Event
+		ep   Episode
 	}{
-		{"link index", Event{Op: OpLinkDown, Index: 99}},
-		{"negative index", Event{Op: OpHostStall, Index: -1}},
-		{"zero scale", Event{Op: OpLinkRate, Index: 0}},
-		{"loss range", Event{Op: OpLinkLoss, Index: 0, Loss: 1.5}},
-		{"port index", Event{Op: OpPortBuffer, Index: 99, Scale: 1}},
+		{"link index", Episode{Class: ClassBlackout, Target: 99}},
+		{"negative index", Episode{Class: ClassStall, Target: -1}},
+		{"zero scale", Episode{Class: ClassRate}},
+		{"loss range", Episode{Class: ClassLoss, Scale: 1.5}},
+		{"port index", Episode{Class: ClassBuffer, Target: 99, Scale: 1}},
+		{"negative duration", Episode{Class: ClassBlackout, Dur: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -357,10 +389,10 @@ func TestInjectorValidation(t *testing.T) {
 			inj := NewInjector(sched, el)
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Install accepted invalid event %+v", tc.ev)
+					t.Errorf("Install accepted invalid episode %+v", tc.ep)
 				}
 			}()
-			inj.Install(Plan{Events: []Event{tc.ev}})
+			inj.Install([]Episode{tc.ep})
 		})
 	}
 }

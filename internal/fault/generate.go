@@ -7,7 +7,7 @@ import (
 // GenConfig parameterizes Generate: a seeded distribution over fault
 // episodes. Every random choice — target element, start time, duration,
 // loss-stream seed — is drawn from one splitmix64 stream seeded with Seed,
-// in a fixed order, so the resulting Plan is a pure function of the config
+// in a fixed order, so the resulting plan is a pure function of the config
 // and the element counts.
 type GenConfig struct {
 	// Seed drives all generation randomness (and the per-link loss
@@ -33,16 +33,15 @@ type GenConfig struct {
 
 	// LossRate is the drop probability during ClassLoss episodes.
 	LossRate float64
-	// RateScale is the degraded rate multiplier during ClassRate episodes
-	// (e.g. 0.1 = link falls to 10% of nominal).
-	RateScale float64
-	// DelayScale is the propagation-delay multiplier during ClassDelay
-	// episodes (e.g. 8 = 8x nominal).
-	DelayScale float64
-	// BufferScale is the buffer/threshold multiplier during ClassBuffer
-	// episodes (e.g. 0.25 = buffer and K fall to a quarter).
-	BufferScale float64
 }
+
+// The severities of the scaled classes, as multipliers of the element's
+// nominal value.
+const (
+	rateScale   = 0.1  // ClassRate: the link falls to 10% of its rate
+	delayScale  = 8    // ClassDelay: propagation delay grows 8x
+	bufferScale = 0.25 // ClassBuffer: buffer and ECN threshold K fall to a quarter
+)
 
 // DefaultGenConfig returns a moderate fault mix: two 10ms-scale episodes
 // per class spread over [20ms, 220ms) — deep enough into a standard run to
@@ -50,15 +49,12 @@ type GenConfig struct {
 // quarter buffers) that an unprotected transport visibly degrades.
 func DefaultGenConfig(seed uint64) GenConfig {
 	return GenConfig{
-		Seed:        seed,
-		Episodes:    2,
-		Start:       sim.Time(20 * sim.Millisecond),
-		Window:      200 * sim.Millisecond,
-		Dur:         10 * sim.Millisecond,
-		LossRate:    0.05,
-		RateScale:   0.1,
-		DelayScale:  8,
-		BufferScale: 0.25,
+		Seed:     seed,
+		Episodes: 2,
+		Start:    sim.Time(20 * sim.Millisecond),
+		Window:   200 * sim.Millisecond,
+		Dur:      10 * sim.Millisecond,
+		LossRate: 0.05,
 	}
 }
 
@@ -78,65 +74,47 @@ func (c GenConfig) withDefaults() GenConfig {
 	if c.LossRate <= 0 {
 		c.LossRate = d.LossRate
 	}
-	if c.RateScale <= 0 {
-		c.RateScale = d.RateScale
-	}
-	if c.DelayScale <= 0 {
-		c.DelayScale = d.DelayScale
-	}
-	if c.BufferScale <= 0 {
-		c.BufferScale = d.BufferScale
-	}
 	return c
 }
 
-// Generate builds a Plan from the seeded distribution for a topology with
-// the given element counts (see Elements). Classes whose target family is
-// empty (e.g. ClassStall with no hosts) generate nothing. The plan is
-// deterministic: same config + same counts => identical events.
-func Generate(cfg GenConfig, nLinks, nPorts, nHosts int) Plan {
+// Generate draws a plan — one episode per window, class by class in
+// cfg.Classes order — for a topology with the given element counts (see
+// Elements). Each window draws its start, its length, then its target and,
+// for loss, the loss-stream seed; a class whose target family is empty
+// (e.g. ClassStall with no hosts) draws the window but generates nothing.
+// The plan is deterministic: same config + same counts => identical
+// episodes.
+func Generate(cfg GenConfig, nLinks, nPorts, nHosts int) []Episode {
 	cfg = cfg.withDefaults()
 	classes := cfg.Classes
 	if len(classes) == 0 {
 		classes = AllClasses()
 	}
 	rng := sim.NewRNG(cfg.Seed ^ 0xfa17)
-	var plan Plan
+	var plan []Episode
 	for _, class := range classes {
-		for ep := 0; ep < cfg.Episodes; ep++ {
+		n := class.family(nLinks, nPorts, nHosts)
+		for i := 0; i < cfg.Episodes; i++ {
 			from := cfg.Start.Add(rng.Duration(cfg.Window))
 			dur := cfg.Dur/2 + rng.Duration(cfg.Dur)
+			if n == 0 {
+				continue
+			}
+			ep := Episode{Class: class, Target: rng.Intn(n), From: from, Dur: dur}
 			switch class {
-			case ClassBlackout:
-				if nLinks > 0 {
-					plan.AddBlackout(rng.Intn(nLinks), from, dur)
-				}
 			case ClassLoss:
-				if nLinks > 0 {
-					link := rng.Intn(nLinks)
-					seed := rng.Uint64()
-					plan.AddLoss(link, from, cfg.LossRate, seed)
-					plan.AddLoss(link, from.Add(dur), 0, seed)
-				}
+				ep.Scale, ep.Seed = cfg.LossRate, rng.Uint64()
 			case ClassRate:
-				if nLinks > 0 {
-					plan.AddRateWindow(rng.Intn(nLinks), from, dur, cfg.RateScale)
-				}
+				ep.Scale = rateScale
 			case ClassDelay:
-				if nLinks > 0 {
-					plan.AddDelayWindow(rng.Intn(nLinks), from, dur, cfg.DelayScale)
-				}
+				ep.Scale = delayScale
 			case ClassBuffer:
-				if nPorts > 0 {
-					plan.AddBufferWindow(rng.Intn(nPorts), from, dur, cfg.BufferScale)
-				}
-			case ClassStall:
-				if nHosts > 0 {
-					plan.AddStall(rng.Intn(nHosts), from, dur)
-				}
+				ep.Scale = bufferScale
+			case ClassBlackout, ClassStall:
 			default:
 				panic("fault: unknown class")
 			}
+			plan = append(plan, ep)
 		}
 	}
 	return plan

@@ -9,7 +9,9 @@ import (
 // Stats totals what a plan actually did to a run. Window totals are closed
 // out by Finish; until then, open blackout/stall windows are not counted.
 type Stats struct {
-	EventsFired int64 // events applied (each Op counts once)
+	// EventsFired counts element changes applied: one per window edge,
+	// two for a buffer edge (the buffer, then the ECN threshold).
+	EventsFired int64
 
 	Blackouts    int64        // down/up windows completed
 	BlackoutTime sim.Duration // summed per-link down time
@@ -25,16 +27,16 @@ type Stats struct {
 	InducedDropBytes int64
 }
 
-// Injector binds a Plan to the elements of a built topology and applies
-// each event from a scheduler callback at its time. All application
-// happens on the simulation thread; the injector holds no locks and spawns
-// no goroutines, preserving the byte-identical determinism contract.
+// Injector binds a plan to the elements of a built topology and applies
+// each episode's edges from scheduler callbacks. All application happens
+// on the simulation thread; the injector holds no locks and spawns no
+// goroutines, preserving the byte-identical determinism contract.
 type Injector struct {
 	sched *sim.Scheduler
 	el    Elements
 
-	// Nominal values recorded at Install time; Scale in events is relative
-	// to these, so Scale 1 restores exactly.
+	// Nominal values recorded by NewInjector; an episode's Scale is
+	// relative to these, and its end restores them exactly.
 	nomRate   []int64
 	nomDelay  []sim.Duration
 	nomBuf    []int
@@ -76,108 +78,91 @@ func NewInjector(sched *sim.Scheduler, el Elements) *Injector {
 	return in
 }
 
-// Install validates the plan against the bound elements and schedules one
-// callback per event. Events at or before the current simulation time are
-// rejected — a plan must be installed before it starts. Install allocates
-// (one closure per event); it runs once at setup, never on the per-packet
-// hot path.
-func (in *Injector) Install(plan Plan) {
-	for _, ev := range plan.sorted() {
-		in.validate(ev)
-		if ev.At < in.sched.Now() {
-			panic(fmt.Sprintf("fault: event %s at %v is in the past (now %v)", ev.Op, ev.At, in.sched.Now()))
+// Install validates the plan against the bound elements and schedules, in
+// plan order, one callback at each episode's start and one at its end; the
+// scheduler fires callbacks due at the same instant in the order they were
+// queued, so edges that coincide apply in plan order. An episode that
+// names a missing element, carries an out-of-range Scale or a negative Dur,
+// or starts before the current simulation time panics — a configuration
+// error, caught before the plan runs. Install allocates (two closures per
+// episode); it runs once at setup, never on the per-packet hot path.
+func (in *Injector) Install(plan []Episode) {
+	for _, ep := range plan {
+		if n := ep.Class.family(len(in.el.Links), len(in.el.Ports), len(in.el.Hosts)); ep.Target < 0 || ep.Target >= n {
+			panic(fmt.Sprintf("fault: %s target %d out of range (have %d)", ep.Class, ep.Target, n))
 		}
-		ev := ev
-		in.sched.At(ev.At, func() { in.apply(ev) })
+		scaled := ep.Class == ClassRate || ep.Class == ClassDelay || ep.Class == ClassBuffer
+		if scaled && !(ep.Scale > 0) || ep.Class == ClassLoss && !(ep.Scale >= 0 && ep.Scale <= 1) {
+			panic(fmt.Sprintf("fault: %s scale %v out of range", ep.Class, ep.Scale))
+		}
+		if ep.From < in.sched.Now() || ep.Dur < 0 {
+			panic(fmt.Sprintf("fault: %s window at %v for %v starts in the past or ends before it starts (now %v)",
+				ep.Class, ep.From, ep.Dur, in.sched.Now()))
+		}
+		in.sched.At(ep.From, func() { in.apply(ep, true) })
+		in.sched.At(ep.From.Add(ep.Dur), func() { in.apply(ep, false) })
 	}
 }
 
-// validate panics on events that reference missing elements or carry
-// out-of-range parameters — configuration errors, caught at install time.
-func (in *Injector) validate(ev Event) {
-	switch ev.Op {
-	case OpLinkDown, OpLinkUp:
-		in.checkIndex(ev, len(in.el.Links), "link")
-	case OpLinkRate, OpLinkDelay:
-		in.checkIndex(ev, len(in.el.Links), "link")
-		if ev.Scale <= 0 {
-			panic(fmt.Sprintf("fault: %s scale must be positive, got %v", ev.Op, ev.Scale))
-		}
-	case OpLinkLoss:
-		in.checkIndex(ev, len(in.el.Links), "link")
-		if ev.Loss < 0 || ev.Loss > 1 {
-			panic(fmt.Sprintf("fault: loss rate %v out of [0,1]", ev.Loss))
-		}
-	case OpPortBuffer, OpPortThreshold:
-		in.checkIndex(ev, len(in.el.Ports), "port")
-		if ev.Scale <= 0 {
-			panic(fmt.Sprintf("fault: %s scale must be positive, got %v", ev.Op, ev.Scale))
-		}
-	case OpHostStall, OpHostResume:
-		in.checkIndex(ev, len(in.el.Hosts), "host")
-	default:
-		panic(fmt.Sprintf("fault: unknown op %d", int(ev.Op)))
-	}
-}
-
-func (in *Injector) checkIndex(ev Event, n int, kind string) {
-	if ev.Index < 0 || ev.Index >= n {
-		panic(fmt.Sprintf("fault: %s index %d out of range (have %d %ss)", ev.Op, ev.Index, n, kind))
-	}
-}
-
-// apply executes one event at its scheduled time.
-func (in *Injector) apply(ev Event) {
+// apply opens (start) or closes ep's window at the current time.
+func (in *Injector) apply(ep Episode, start bool) {
 	now := in.sched.Now()
-	switch ev.Op {
-	case OpLinkDown:
-		if !in.downOpen[ev.Index] {
-			in.downOpen[ev.Index] = true
-			in.downSince[ev.Index] = now
+	i := ep.Target
+	scale := 1.0 // the end of a window restores the nominal value
+	if start {
+		scale = ep.Scale
+	}
+	switch ep.Class {
+	case ClassBlackout:
+		window(start, now, &in.downSince[i], &in.downOpen[i], &in.stats.Blackouts, &in.stats.BlackoutTime)
+		in.el.Links[i].SetDown(start)
+	case ClassLoss:
+		rate := 0.0
+		if start {
+			rate = ep.Scale
 		}
-		in.el.Links[ev.Index].SetDown(true)
-	case OpLinkUp:
-		if in.downOpen[ev.Index] {
-			in.downOpen[ev.Index] = false
-			in.stats.Blackouts++
-			in.stats.BlackoutTime += now.Sub(in.downSince[ev.Index])
-		}
-		in.el.Links[ev.Index].SetDown(false)
-	case OpLinkRate:
-		rate := int64(float64(in.nomRate[ev.Index]) * ev.Scale)
+		in.el.Links[i].SetLoss(rate, ep.Seed)
+	case ClassRate:
+		rate := int64(float64(in.nomRate[i]) * scale)
 		if rate < 1 {
 			rate = 1
 		}
-		in.el.Links[ev.Index].SetRate(rate)
-	case OpLinkDelay:
-		in.el.Links[ev.Index].SetDelay(in.nomDelay[ev.Index].Scale(ev.Scale))
-	case OpLinkLoss:
-		in.el.Links[ev.Index].SetLoss(ev.Loss, ev.Seed)
-	case OpPortBuffer:
-		buf := int(float64(in.nomBuf[ev.Index]) * ev.Scale)
+		in.el.Links[i].SetRate(rate)
+	case ClassDelay:
+		in.el.Links[i].SetDelay(in.nomDelay[i].Scale(scale))
+	case ClassBuffer:
+		buf := int(float64(in.nomBuf[i]) * scale)
 		if buf < 1 {
 			buf = 1
 		}
-		in.el.Ports[ev.Index].SetBufferBytes(buf)
-	case OpPortThreshold:
-		in.el.Ports[ev.Index].SetMarkThreshold(int(float64(in.nomThresh[ev.Index]) * ev.Scale))
-	case OpHostStall:
-		if !in.stallOpen[ev.Index] {
-			in.stallOpen[ev.Index] = true
-			in.stallSince[ev.Index] = now
+		in.el.Ports[i].SetBufferBytes(buf)
+		in.el.Ports[i].SetMarkThreshold(int(float64(in.nomThresh[i]) * scale))
+		in.stats.EventsFired++ // the buffer and the threshold are two changes
+	case ClassStall:
+		window(start, now, &in.stallSince[i], &in.stallOpen[i], &in.stats.Stalls, &in.stats.StallTime)
+		if start {
+			in.el.Hosts[i].Uplink().Pause()
+		} else {
+			in.el.Hosts[i].Uplink().Resume()
 		}
-		in.el.Hosts[ev.Index].Uplink().Pause()
-	case OpHostResume:
-		if in.stallOpen[ev.Index] {
-			in.stallOpen[ev.Index] = false
-			in.stats.Stalls++
-			in.stats.StallTime += now.Sub(in.stallSince[ev.Index])
-		}
-		in.el.Hosts[ev.Index].Uplink().Resume()
 	default:
-		panic(fmt.Sprintf("fault: unknown op %d", int(ev.Op)))
+		panic(fmt.Sprintf("fault: unknown class %d", int(ep.Class)))
 	}
 	in.stats.EventsFired++
+}
+
+// window opens (start) or closes one element's blackout or stall window at
+// now; closing an open window adds it to count and total. Opening an open
+// window or closing a closed one changes nothing.
+func window(start bool, now sim.Time, since *sim.Time, open *bool, count *int64, total *sim.Duration) {
+	switch {
+	case start && !*open:
+		*open, *since = true, now
+	case !start && *open:
+		*open = false
+		*count++
+		*total += now.Sub(*since)
+	}
 }
 
 // Finish closes any still-open blackout/stall windows at the current
@@ -190,18 +175,10 @@ func (in *Injector) Finish() Stats {
 	in.finished = true
 	now := in.sched.Now()
 	for i := range in.downOpen {
-		if in.downOpen[i] {
-			in.downOpen[i] = false
-			in.stats.Blackouts++
-			in.stats.BlackoutTime += now.Sub(in.downSince[i])
-		}
+		window(false, now, &in.downSince[i], &in.downOpen[i], &in.stats.Blackouts, &in.stats.BlackoutTime)
 	}
 	for i := range in.stallOpen {
-		if in.stallOpen[i] {
-			in.stallOpen[i] = false
-			in.stats.Stalls++
-			in.stats.StallTime += now.Sub(in.stallSince[i])
-		}
+		window(false, now, &in.stallSince[i], &in.stallOpen[i], &in.stats.Stalls, &in.stats.StallTime)
 	}
 	for _, l := range in.el.Links {
 		in.stats.InducedDropPkts += l.Lost() + l.Blackholed()

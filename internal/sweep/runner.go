@@ -12,6 +12,12 @@ import (
 	"dctcpplus/internal/telemetry"
 )
 
+// CodeVersion returns the scope cache keys are folded into when
+// Runner.CodeVersion is left empty: telemetry.CodeVersion, the SHA-256 of
+// the running executable, which every sweep journal header records as
+// code_version.
+func CodeVersion() (string, error) { return telemetry.CodeVersion() }
+
 // Job statuses as recorded in the manifest and Outcome.Status.
 const (
 	StatusHit     = "hit"     // result served from the cache
@@ -108,7 +114,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 		// A cache needs a scope: without one, another build's results
 		// would be served as this build's.
 		if header.CodeVersion, err = CodeVersion(); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("sweep: %w", err)
 		}
 	}
 

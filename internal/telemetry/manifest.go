@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"runtime"
-	"strings"
 	"time"
 )
 
@@ -21,9 +19,8 @@ type Manifest struct {
 	Name string `json:"name"`
 	// CreatedAt is the wall-clock creation time, RFC 3339.
 	CreatedAt string `json:"created_at"`
-	// GitDescribe is `git describe --always --dirty` of the working tree,
-	// or "unknown" outside a git checkout.
-	GitDescribe string `json:"git_describe"`
+	// CodeVersion is the identity of the code that ran (see CodeVersion).
+	CodeVersion string `json:"code_version"`
 	// GoVersion is the toolchain that built the binary.
 	GoVersion string `json:"go_version"`
 	// Seed is the experiment seed.
@@ -42,16 +39,22 @@ type Manifest struct {
 }
 
 // NewManifest starts a manifest for a named run, capturing the wall clock,
-// git state and toolchain version.
-func NewManifest(name string, seed uint64) *Manifest {
+// the code version and the toolchain version. It fails when the code
+// version cannot be read: a manifest that cannot name the code it
+// describes reproduces nothing.
+func NewManifest(name string, seed uint64) (*Manifest, error) {
+	version, err := CodeVersion()
+	if err != nil {
+		return nil, err
+	}
 	return &Manifest{
 		Name:        name,
 		CreatedAt:   time.Now().UTC().Format(time.RFC3339),
-		GitDescribe: GitDescribe(),
+		CodeVersion: version,
 		GoVersion:   runtime.Version(),
 		Seed:        seed,
 		Config:      make(map[string]string),
-	}
+	}, nil
 }
 
 // SetConfig records one configuration pair.
@@ -98,14 +101,4 @@ func WriteManifestFile(path string, m *Manifest) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// GitDescribe returns `git describe --always --dirty` for the current
-// working tree, or "unknown" when git or the repository is unavailable.
-func GitDescribe() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }

@@ -273,7 +273,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	r.Histogram("workload_round_fct_ns").Observe(123456)
 	r.AdvanceSimTime(999)
 
-	m := NewManifest("report", 42)
+	m, err := NewManifest("report", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.SetConfig("rounds", 50)
 	m.SetConfig("warmup", 10)
 	m.Finish(r, 3*time.Second)
@@ -298,8 +301,32 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestNamesTheExecutable: a manifest's code_version is the SHA-256
+// of the running executable — the same identity that scopes sweep caches
+// — and it is what the JSON carries.
+func TestManifestNamesTheExecutable(t *testing.T) {
+	m, err := NewManifest("report", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := CodeVersion()
+	if err != nil || m.CodeVersion != v || !strings.HasPrefix(v, "sha256:") || len(v) != len("sha256:")+64 {
+		t.Fatalf("manifest code_version %q, CodeVersion() = %q, %v; want sha256: and 64 hex digits", m.CodeVersion, v, err)
+	}
+	var buf bytes.Buffer
+	if err := m.EncodeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `"code_version": "` + v + `"`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("manifest JSON lacks %s:\n%s", want, buf.String())
+	}
+}
+
 func TestManifestFile(t *testing.T) {
-	m := NewManifest("incast", 1)
+	m, err := NewManifest("incast", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.SetConfig("flows", "200")
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	if err := WriteManifestFile(path, m); err != nil {

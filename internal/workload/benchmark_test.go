@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -275,7 +276,8 @@ func TestMixStreamsEqualPerArrivalEvents(t *testing.T) {
 // arrival count — per class one instant slice, one stream record and the
 // method value of its issue callback, nine in all — and it leaves at most
 // one queued event per class. (Per-arrival At calls cost one 64-event slab
-// per 64 arrivals and a far heap that many slots deep.)
+// per 64 arrivals and a far heap that many slots deep.) Each count is the
+// least of five Starts on fresh benchmarks.
 func TestBenchmarkStartAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	start := func(queries, background, short int) (mallocs uint64, pending int) {
@@ -298,8 +300,20 @@ func TestBenchmarkStartAllocBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs, sched.Pending()
 	}
-	small, _ := start(10, 10, 3)
-	large, pending := start(10000, 10000, 2500)
+	// The whole-process MemStats can count a stray allocation of the runtime
+	// or of another goroutine. That only adds to a count, while one
+	// allocation per arrival would show in every repetition, so the budget
+	// reads the least of five measurements.
+	least := func(queries, background, short int) (mallocs uint64, pending int) {
+		mallocs = math.MaxUint64
+		for i := 0; i < 5; i++ {
+			m, p := start(queries, background, short)
+			mallocs, pending = min(mallocs, m), max(pending, p)
+		}
+		return mallocs, pending
+	}
+	small, _ := least(10, 10, 3)
+	large, pending := least(10000, 10000, 2500)
 	t.Logf("Start: %d allocations, %d events queued", large, pending)
 	if large != small || large > 9 {
 		t.Errorf("Start allocates %d times for 22,500 arrivals and %d for 23, want the same count, at most 9", large, small)
