@@ -29,11 +29,11 @@ fmt-check:
 
 # simlint is the repository's own static analysis (internal/lint). It keeps
 # only the checks no test catches: exact float comparison (floateq),
-# allocation on //hot:path code (hotalloc), enum switches that miss a case
-# (exhaustive) and unbounded narrow-counter accumulation (overflow; a
-# bounded one carries a //lint:allow naming the always-on internal/check
-# assertion or guard that enforces the bound). Determinism and sweep-worker
-# races are pinned by the byte-identity tests, the goldens,
+# allocation on //hot:path code (hotalloc) and unbounded narrow-counter
+# accumulation there (overflow; a bounded one carries a //lint:allow naming
+# the always-on internal/check assertion or guard that enforces the bound).
+# Determinism, sweep-worker races and enum-switch coverage are pinned by
+# the byte-identity tests, the goldens, the String and transition tests,
 # TestWorkerCountInvariance and `race` below. A whole-module run also fails
 # the build on //lint:allow directives that no longer suppress anything.
 # Stdlib-only.

@@ -1,7 +1,7 @@
 // Command simlint runs the repository's domain-specific static analysis
-// over the module: exact float comparison, hot-path allocation budgets over
-// the whole-module call graph, enum-switch exhaustiveness and unbounded
-// narrow-counter accumulation (see internal/lint).
+// over the module: exact float comparison, and hot-path allocation budgets
+// and unbounded narrow-counter accumulation over the whole-module call
+// graph (see internal/lint).
 //
 //	simlint ./...            # lint the whole module (the make check gate)
 //	simlint ./internal/tcp   # lint one package

@@ -1,6 +1,7 @@
 package dctcpplus_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,6 +42,31 @@ func TestFacadeSweepAndDurations(t *testing.T) {
 	rs := dcp.RunMany([]dcp.IncastOptions{o, o3})
 	if len(rs) != 2 || rs[0].Flows != 2 || rs[1].Flows != 3 {
 		t.Fatal("sweep shape wrong")
+	}
+}
+
+func TestFacadeFaultSurface(t *testing.T) {
+	all, err := dcp.ParseFaultClasses("all")
+	if err != nil || !reflect.DeepEqual(all, dcp.AllFaultClasses()) {
+		t.Errorf("ParseFaultClasses(\"all\") = %v, %v; want %v", all, err, dcp.AllFaultClasses())
+	}
+	if got, err := dcp.ParseFaultClasses("blackout,nosuchclass"); err == nil {
+		t.Errorf("ParseFaultClasses with an unknown class = %v, want an error", got)
+	}
+
+	gen := dcp.DefaultFaultGenConfig(1)
+	o := dcp.DefaultIncastOptions(dcp.ProtoDCTCPPlus, 8)
+	o.Rounds = 40
+	o.WarmupRounds = 2
+	o.Faults = &gen
+	a, b := dcp.RunIncast(o), dcp.RunIncast(o)
+	for _, r := range []dcp.IncastResult{a, b} {
+		if r.FaultStats == nil || r.FaultStats.EventsFired <= 0 {
+			t.Fatalf("faulted run over %v fired no fault events: %+v", r.SimTime, r.FaultStats)
+		}
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("two runs of one faulted incast differ:\n%+v\n%+v", a, b)
 	}
 }
 

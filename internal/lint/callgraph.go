@@ -52,17 +52,15 @@ type Program struct {
 	order     []*funcNode            // nodes in deterministic declaration order
 	byName    map[string][]*funcNode // methods indexed by name, for interface expansion
 	hotFrom   map[*types.Func][]*types.Func
-	sweepFrom map[*types.Func][]*types.Func
 	terminals map[*types.Func]bool
 }
 
 // funcNode is one declared function in the call graph.
 type funcNode struct {
-	fn    *types.Func
-	decl  *ast.FuncDecl
-	pkg   *Package
-	hot   bool // carries the //hot:path annotation
-	sweep bool // carries the //sweep:job annotation
+	fn   *types.Func
+	decl *ast.FuncDecl
+	pkg  *Package
+	hot  bool // carries the //hot:path annotation
 
 	edges []callEdge
 }
@@ -84,11 +82,10 @@ func (prog *Program) add(p *Package) {
 	prog.pkgs = append(prog.pkgs, p)
 }
 
-// docAnnotated reports whether the declaration's doc comment carries a
-// bare marker line: "hot:path" roots the per-packet rules, "sweep:job"
-// marks a worker-executed sweep job body.
-func docAnnotated(decl *ast.FuncDecl, marker string) bool {
-	for _, l := range directiveLines(marker, decl.Doc) {
+// hotAnnotated reports whether the declaration's doc comment carries a
+// bare "//hot:path" line, the marker that roots the per-packet rules.
+func hotAnnotated(decl *ast.FuncDecl) bool {
+	for _, l := range directiveLines("hot:path", decl.Doc) {
 		if l.payload == "" {
 			return true
 		}
@@ -135,7 +132,6 @@ func (prog *Program) build() {
 	prog.order = prog.order[:0]
 	prog.byName = make(map[string][]*funcNode)
 	prog.hotFrom = make(map[*types.Func][]*types.Func)
-	prog.sweepFrom = make(map[*types.Func][]*types.Func)
 	prog.terminals = make(map[*types.Func]bool)
 
 	// Pass 1: one node per declared function with a body.
@@ -150,7 +146,7 @@ func (prog *Program) build() {
 				if !ok {
 					continue
 				}
-				n := &funcNode{fn: fn, decl: decl, pkg: p, hot: docAnnotated(decl, "hot:path"), sweep: docAnnotated(decl, "sweep:job")}
+				n := &funcNode{fn: fn, decl: decl, pkg: p, hot: hotAnnotated(decl)}
 				prog.nodes[fn] = n
 				prog.order = append(prog.order, n)
 				if decl.Recv != nil {
@@ -172,20 +168,18 @@ func (prog *Program) build() {
 		n.edges = prog.collectEdges(n)
 	}
 
-	// Pass 3: breadth-first closures from the annotation roots, remembering
-	// every witness root per reached function — one closure per annotation
-	// (//hot:path and //sweep:job taints are independent rule sets).
-	prog.closure(prog.hotFrom, func(n *funcNode) bool { return n.hot })
-	prog.closure(prog.sweepFrom, func(n *funcNode) bool { return n.sweep })
+	// Pass 3: breadth-first closure from the //hot:path roots, remembering
+	// every witness root per reached function.
+	prog.closure()
 }
 
-// closure runs one breadth-first reachability pass per root (in root
+// closure runs one breadth-first reachability pass per hot root (in root
 // declaration order), appending that root to the witness list of every
 // function it reaches. The per-root pass — rather than a single multi-source
 // BFS — is what lets a function shared by two roots list both of them.
-func (prog *Program) closure(from map[*types.Func][]*types.Func, isRoot func(*funcNode) bool) {
+func (prog *Program) closure() {
 	for _, r := range prog.order {
-		if !isRoot(r) {
+		if !r.hot {
 			continue
 		}
 		seen := map[*types.Func]bool{r.fn: true}
@@ -193,7 +187,7 @@ func (prog *Program) closure(from map[*types.Func][]*types.Func, isRoot func(*fu
 		for len(queue) > 0 {
 			fn := queue[0]
 			queue = queue[1:]
-			from[fn] = append(from[fn], r.fn)
+			prog.hotFrom[fn] = append(prog.hotFrom[fn], r.fn)
 			n := prog.nodes[fn]
 			if n == nil {
 				continue
@@ -298,12 +292,6 @@ func (prog *Program) hotRootsOf(fn *types.Func) []*types.Func {
 	return prog.hotFrom[fn]
 }
 
-// sweepRootsOf returns every //sweep:job root reaching fn, in root
-// declaration order.
-func (prog *Program) sweepRootsOf(fn *types.Func) []*types.Func {
-	return prog.sweepFrom[fn]
-}
-
 // isTerminal reports whether fn is a never-returning panic helper. Call
 // sites of terminal functions (and the arguments of panic itself) are
 // exempt from hot-path allocation rules: the program is already dying, and
@@ -324,36 +312,25 @@ func (prog *Program) hotNodesIn(p *Package) []*funcNode {
 	return out
 }
 
-// rootLabel renders the provenance suffix for hot-path diagnostics, listing
-// every root that reaches fn.
+// rootLabel renders the provenance suffix for hot-path diagnostics: a root
+// names itself, a function reached by one root names it, and a function
+// shared by several roots lists all of them so the single deduplicated
+// diagnostic still carries the full provenance.
 func rootLabel(fn *types.Func, roots []*types.Func) string {
-	return provenanceLabel("//hot:path", fn, roots)
-}
-
-// sweepRootLabel renders the provenance suffix for sweep-taint diagnostics.
-func sweepRootLabel(fn *types.Func, roots []*types.Func) string {
-	return provenanceLabel("//sweep:job", fn, roots)
-}
-
-// provenanceLabel renders a witness suffix: a root names itself, a function
-// reached by one root names it, and a function shared by several roots
-// lists all of them so the single deduplicated diagnostic still carries the
-// full provenance.
-func provenanceLabel(marker string, fn *types.Func, roots []*types.Func) string {
 	for _, r := range roots {
 		if r == fn {
-			return "(a " + marker + " root)"
+			return "(a //hot:path root)"
 		}
 	}
 	switch len(roots) {
 	case 0:
-		return "(a " + marker + " root)"
+		return "(a //hot:path root)"
 	case 1:
-		return "(reachable from " + marker + " root " + roots[0].FullName() + ")"
+		return "(reachable from //hot:path root " + roots[0].FullName() + ")"
 	}
 	names := make([]string, len(roots))
 	for i, r := range roots {
 		names[i] = r.FullName()
 	}
-	return "(reachable from " + marker + " roots " + strings.Join(names, ", ") + ")"
+	return "(reachable from //hot:path roots " + strings.Join(names, ", ") + ")"
 }

@@ -3,27 +3,26 @@
 // go/token, go/types — the module is dependency-free and must stay that
 // way). An analyzer ships only for a bug class that no test catches;
 // DESIGN.md's evidence ledger records the findings and mutants behind each
-// verdict. Four analyzers make up the pass:
+// verdict. Three analyzers make up the pass:
 //
 //   - floateq: ==/!= on floating-point operands outside tests.
 //   - hotalloc: heap-allocating constructs in //hot:path functions and
 //     everything statically reachable from them (whole-module call graph
 //     with interface calls over-approximated by method signature).
-//   - exhaustive: switches over module enum types must cover every declared
-//     constant or carry a panicking default.
-//   - overflow: unbounded narrow-integer accumulation in //hot:path- or
-//     //sweep:job-reachable code; a bounded one carries a //lint:allow
-//     whose reason names the internal/check assertion or guard that
-//     enforces the bound at run time.
+//   - overflow: unbounded narrow-integer accumulation in //hot:path-reachable
+//     code; a bounded one carries a //lint:allow whose reason names the
+//     internal/check assertion or guard that enforces the bound at run time.
 //
-// Determinism, worker-race freedom and unit consistency are checked by the
-// test suite instead: byte-identity tests and goldens pin every seeded run,
-// TestWorkerCountInvariance and -race pin the sweep workers, and the
-// oracle's conservation ledger and the marking tests pin bytes against
-// packets. Ownership of simulation objects is checked at run time, in every
-// build: sim.Timer panics if it holds an event it no longer owns (the
-// scheduler hands out no other cancellable handle), packet.Pool's
-// double-free poison and the oracle's pool ledger guard packets.
+// Determinism, worker-race freedom, unit consistency and state-machine
+// coverage are checked by the test suite instead: byte-identity tests and
+// goldens pin every seeded run, TestWorkerCountInvariance and -race pin the
+// sweep workers, the oracle's conservation ledger and the marking tests pin
+// bytes against packets, and the transition and String tests pin every arm
+// of the DCTCP+, sender and ECN state switches. Ownership of simulation
+// objects is checked at run time, in every build: sim.Timer panics if it
+// holds an event it no longer owns (the scheduler hands out no other
+// cancellable handle), packet.Pool's double-free poison and the oracle's
+// pool ledger guard packets.
 //
 // Intentional exceptions are declared inline with a directive comment on
 // the offending line (or the line above):
@@ -76,7 +75,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		FloatEq(),
 		Hotalloc(),
-		Exhaustive(),
 		Overflow(),
 	}
 }
@@ -101,7 +99,7 @@ type directiveLine struct {
 }
 
 // directiveLines is the one reader of the package's comment directives
-// (//lint:allow, //hot:path, //sweep:job). It returns, in order, every line
+// (//lint:allow, //hot:path). It returns, in order, every line
 // comment of groups that starts with "//" and marker, with no space between:
 // "// hot:path" is prose, not a directive.
 func directiveLines(marker string, groups ...*ast.CommentGroup) []directiveLine {
@@ -241,8 +239,8 @@ func sortedNames(set map[string]bool) []string {
 // ("./..."), Run also audits the allowlist: every well-formed //lint:allow
 // that suppresses no diagnostic is itself reported (analyzer "staleallow"),
 // so exemptions cannot rot in place. The audit is only sound with every
-// package loaded — a directive can excuse a finding whose //hot:path or
-// //sweep:job root lives in another package — so partial loads skip it.
+// package loaded — a directive can excuse a finding whose //hot:path root
+// lives in another package — so partial loads skip it.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return runSuite(pkgs, analyzers, len(pkgs) > 0 && pkgs[0].Prog.wholeModule)
 }

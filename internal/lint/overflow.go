@@ -8,9 +8,8 @@ import (
 
 // Overflow reports unbounded accumulation (x++, x += e, and their downward
 // twins) on narrow integer struct fields in code reachable from //hot:path
-// or //sweep:job roots — the code that runs once per packet or once per
-// sweep job, where "only overflows at N=2000×seed scale" is exactly the
-// class no test tier catches. Nothing per-function can bound cross-call
+// roots — the code that runs once per packet, where "only overflows at
+// N=2000×seed scale" is exactly the class no test tier catches. Nothing per-function can bound cross-call
 // growth, so a finding is either widened to int64 or excused with a
 // //lint:allow overflow directive whose reason names the bound and the
 // always-on check or guard that enforces it. Plain int/uint count as
@@ -19,26 +18,18 @@ import (
 func Overflow() *Analyzer {
 	return &Analyzer{
 		Name: "overflow",
-		Doc:  "flag unbounded narrow-integer accumulation in hot/sweep-reachable code",
+		Doc:  "flag unbounded narrow-integer accumulation in hot-path-reachable code",
 		Run:  runOverflow,
 	}
 }
 
 func runOverflow(p *Package) []Diagnostic {
-	prog := p.Prog
-	if prog == nil {
+	if p.Prog == nil {
 		return nil
 	}
 	var out []Diagnostic
-	for _, n := range prog.order {
-		if n.pkg != p {
-			continue
-		}
-		label, reachable := reachLabel(prog, n.fn)
-		if !reachable {
-			continue
-		}
-		out = append(out, accumulations(p, n, label)...)
+	for _, n := range p.Prog.hotNodesIn(p) {
+		out = append(out, accumulations(p, n, rootLabel(n.fn, p.Prog.hotRootsOf(n.fn)))...)
 	}
 	return out
 }
@@ -102,16 +93,4 @@ func narrowIntKind(k types.BasicKind) bool {
 		return true
 	}
 	return false
-}
-
-// reachLabel reports hot/sweep reachability with the witness provenance
-// suffix used by the other call-graph analyzers.
-func reachLabel(prog *Program, fn *types.Func) (string, bool) {
-	if roots := prog.hotRootsOf(fn); len(roots) > 0 {
-		return rootLabel(fn, roots), true
-	}
-	if roots := prog.sweepRootsOf(fn); len(roots) > 0 {
-		return sweepRootLabel(fn, roots), true
-	}
-	return "", false
 }

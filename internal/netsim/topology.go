@@ -48,7 +48,6 @@ type idAllocator struct{ next packet.NodeID }
 
 func (a *idAllocator) alloc() packet.NodeID {
 	id := a.next
-	//lint:allow overflow ids are handed out once per node at topology construction; node counts are thousands, nowhere near 2^31
 	a.next++
 	return id
 }

@@ -157,7 +157,6 @@ func (c *Checker) record(kind Kind, flow packet.FlowID) *Event {
 	ev := &c.ring[c.ringPos]
 	c.ringPos = (c.ringPos + 1) % ringEvents
 	if c.ringLen < ringEvents {
-		//lint:allow overflow ringLen <= ringEvents: the guard caps it, and the check.AtMost below asserts it
 		c.ringLen++
 	}
 	check.AtMost("oracle.ring fill", int64(c.ringLen), ringEvents)

@@ -47,24 +47,6 @@ const (
 	EvRTO
 )
 
-func (k Kind) String() string {
-	switch k {
-	case EvDataSent:
-		return "data-sent"
-	case EvAckSent:
-		return "ack-sent"
-	case EvDataDeliver:
-		return "data-deliver"
-	case EvAckDeliver:
-		return "ack-deliver"
-	case EvAckProbe:
-		return "ack-probe"
-	case EvRTO:
-		return "rto"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
 // Event is one replayed observation. Only the fields relevant to its Kind
 // are populated; the struct is kept flat so the checker's ring buffer holds
 // plain values, and its small fields are narrow and packed together so a
@@ -127,7 +109,7 @@ func (e *Event) format() string {
 	case EvRTO:
 		return fmt.Sprintf("%v flow=%d rto una=%d backoff=%d", e.At, e.Flow, e.SndUna, e.Backoff)
 	}
-	return fmt.Sprintf("%v flow=%d %v", e.At, e.Flow, e.Kind)
+	return fmt.Sprintf("%v flow=%d kind=%d", e.At, e.Flow, e.Kind)
 }
 
 // Violation is one oracle failure: which rule, where, and a minimized

@@ -493,7 +493,7 @@ func TestDuplicateAttachPanics(t *testing.T) {
 }
 
 // TestRuntimeTwinsFire shows ringLen's always-on check.AtMost
-// "oracle.ring fill", the one its //lint:allow overflow reason names, is
+// "oracle.ring fill", which backs the guard on its only increment, is
 // live: a fill level corrupted past the ring's capacity must panic at the
 // next recorded event.
 func TestRuntimeTwinsFire(t *testing.T) {

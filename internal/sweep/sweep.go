@@ -397,8 +397,6 @@ func resultOf(pt Point, r exp.IncastResult) Result {
 // (-race and TestWorkerCountInvariance enforce this). The telemetry
 // registry is the one sanctioned shared sink: the run fills a registry of
 // its own and merges it into reg once, under reg's lock.
-//
-//sweep:job
 func (j Job) run(rig *exp.Rig, reg *telemetry.Registry) (Result, error) {
 	o, err := j.Point.Options()
 	if err != nil {
