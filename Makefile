@@ -28,15 +28,14 @@ fmt-check:
 	fi
 
 # simlint is the repository's own static analysis (internal/lint). It keeps
-# only the checks no test catches: exact float comparison (floateq),
-# allocation on //hot:path code (hotalloc) and unbounded narrow-counter
-# accumulation there (overflow; a bounded one carries a //lint:allow naming
-# the always-on internal/check assertion or guard that enforces the bound).
+# only the check no test catches: exact float comparison (floateq).
 # Determinism, sweep-worker races and enum-switch coverage are pinned by
 # the byte-identity tests, the goldens, the String and transition tests,
-# TestWorkerCountInvariance and `race` below. A whole-module run also fails
-# the build on //lint:allow directives that no longer suppress anything.
-# Stdlib-only.
+# TestWorkerCountInvariance and `race` below; allocation on the per-packet
+# path and wrapping byte counters by internal/exp's TestRigJobAllocBudget
+# (alloc-check) and TestOracleByteLedgerPastInt32 (oracle-smoke). Every run
+# also fails the build on //lint:allow directives that no longer suppress
+# anything. Stdlib-only.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
@@ -90,8 +89,10 @@ sweep-smoke:
 	echo "sweep-smoke: 8/8 cache hits, aggregates byte-identical"
 
 # Trace-oracle conformance smoke: the rule-level oracle tests, the full
-# protocol × fault-class matrix (TestOracleMatrix), the metamorphic harness
-# and the ten-point reproduction grid of the repacketized-repair finding
+# protocol × fault-class matrix (TestOracleMatrix), the metamorphic harness,
+# the byte ledger past the int32 range (TestOracleByteLedgerPastInt32: one
+# 2.25 GiB DCTCP flow, drained and violation-free) and the ten-point
+# reproduction grid of the repacketized-repair finding
 # (TestOracleRepairClippedAtMaxSent: TCP at N=8/20, seeds 1-5, RTOmin 10ms,
 # 30 rounds; a sender that re-cuts a repair past the highest byte it sent
 # fails it) must run violation-free, then the incast command's -oracle gate
@@ -119,9 +120,11 @@ bench:
 # TestObserved*AllocBudget cases; internal/workload: an incast round must
 # not allocate per flow, a §VI-D query not at all, and the mix's Start
 # (TestBenchmarkStartAllocBudget) a fixed count whatever its arrival count,
-# leaving one queued event per traffic class; internal/exp: a
-# sweep-shaped job on a warm rig stays within TestRigJobAllocBudget's
-# pinned budget, and an observed run's allocations and bytes grow with its
+# leaving one queued event per traffic class; internal/exp: every protocol,
+# the HULL testbed, each fault class, background flows and the observed
+# shape, repeated on a warm rig, stay within TestRigJobAllocBudget's pinned
+# mallocs and allocate the same bytes each repeat, and an observed run's
+# allocations and bytes grow with its
 # rounds only by its queue samples, 4 bytes each; internal/trace: the queue
 # sampler allocates per sample block, not per tick, and 4 bytes per sample;
 # internal/telemetry: an instrument lookup that hits allocates nothing;

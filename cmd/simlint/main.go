@@ -1,20 +1,15 @@
 // Command simlint runs the repository's domain-specific static analysis
-// over the module: exact float comparison, and hot-path allocation budgets
-// and unbounded narrow-counter accumulation over the whole-module call
-// graph (see internal/lint).
+// over the module: exact float comparison (see internal/lint).
 //
 //	simlint ./...            # lint the whole module (the make check gate)
 //	simlint ./internal/tcp   # lint one package
 //	simlint -json ./...      # machine-readable diagnostics, one JSON array
 //	simlint -list            # print the analyzer suite and exit
 //
-// A whole-module run (the "./..." pattern, which is also the default) adds
-// the allowlist audit: every well-formed //lint:allow directive that
-// suppressed no diagnostic is reported as a "staleallow" finding and counts
-// toward the exit status, so justified exemptions are deleted when the code
-// they excused goes away. Linting a single package skips the audit — the
-// finding a directive excuses can be rooted in a package that was not
-// loaded.
+// Every run adds the allowlist audit: every well-formed //lint:allow
+// directive that suppressed no diagnostic is reported as a "staleallow"
+// finding and counts toward the exit status, so justified exemptions are
+// deleted when the code they excused goes away.
 //
 // Exit status is a contract, relied on by make check and CI:
 //

@@ -65,15 +65,17 @@ func TestRunExitContract(t *testing.T) {
 			wantErr:    "simlint:",
 		},
 		{
-			name:       "list exits 0 and names the call-graph analyzers",
+			name:       "list exits 0 and names the suite",
 			args:       []string{"-list"},
 			wantStatus: 0,
-			wantOut:    []string{"floateq", "hotalloc", "overflow"},
+			wantOut:    []string{"floateq"},
 		},
 		{
-			name:       "stale directive is ignored when only its package is linted",
+			name:       "stale directive is reported when only its package is linted",
 			args:       []string{"-C", stale, "./a"},
-			wantStatus: 0,
+			wantStatus: 1,
+			wantOut:    []string{"staleallow: stale //lint:allow floateq directive"},
+			wantErr:    "diagnostic(s)",
 		},
 		{
 			name:       "whole-module run reports the rotted directive and exits 1",

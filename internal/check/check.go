@@ -5,12 +5,9 @@
 // slow_time would otherwise surface as a subtly wrong figure instead of a
 // crash with a culprit.
 //
-// The static side lives in internal/lint (and runs as cmd/simlint): the
-// analyzers keep wall-clock time, raw durations and mixed units out of the
-// code, while this package checks the quantities the type system cannot
-// see — value ranges. The two meet at simlint's overflow findings: a narrow
-// field whose accumulation is bounded carries a //lint:allow overflow whose
-// reason names the assertion here that enforces the bound, and each owning
+// This package checks the quantities the type system cannot see — value
+// ranges. A bounded field's range is stated in its doc comment and enforced
+// by an assertion here or by a guard on its only increment, and each owning
 // package's TestRuntimeTwinsFire corrupts the field to show the assertion
 // is live.
 //

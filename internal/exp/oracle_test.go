@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,6 +106,34 @@ func TestOracleRepairClippedAtMaxSent(t *testing.T) {
 				t.Errorf("%s: no RTO fired; the point no longer exercises repair", label)
 			}
 		}
+	}
+}
+
+// TestOracleByteLedgerPastInt32 drives the byte counters the oracle's
+// conservation ledger reads past the range of an int32: one DCTCP flow of
+// 9 x 256 MiB crosses the two-tier testbed (about 20 s of simulated time),
+// and the run must end drained and violation-free. A counter narrowed to
+// 32 bits wraps on the way and unbalances the ledger. The last checks show
+// the run reached that range: the aggregator's delivered bytes and the
+// sending worker's uplink enqueued bytes both exceed math.MaxInt32.
+func TestOracleByteLedgerPastInt32(t *testing.T) {
+	o := DefaultIncastOptions(ProtoDCTCP, 1)
+	o.BytesPerFlow = 9 * 256 << 20
+	o.Rounds, o.WarmupRounds = 1, 0
+	o.Oracle = true
+	var rig Rig
+	res := rig.Run(o)
+	if res.Truncated != nil {
+		// The oracle drains, and audits the ledger, only a finished run.
+		t.Fatalf("run not drained: %v", res.Truncated)
+	}
+	failViolations(t, "dctcp N=1, 2.25 GiB", res)
+	// The workload places flow 0 on the first worker.
+	if got := rig.tt.Aggregator.DeliveredBytes(); got <= math.MaxInt32 {
+		t.Errorf("aggregator delivered %d bytes, want more than %d", got, math.MaxInt32)
+	}
+	if got := rig.tt.Workers[0].Uplink().Stats().EnqueuedBytes; got <= math.MaxInt32 {
+		t.Errorf("worker uplink enqueued %d bytes, want more than %d", got, math.MaxInt32)
 	}
 }
 

@@ -143,27 +143,3 @@ func TestRigResetReturnsEveryPacket(t *testing.T) {
 		}
 	}
 }
-
-// rigJobAllocBudget is what a sweep-shaped job costs the allocator on a
-// warm rig, measured at 7 (the factory closure, the two summaries' sample
-// slices and their NaN-filtered copies, and the odd packet or scratch
-// growth): every layer's state is reset and reused, not rebuilt — a fresh
-// RunIncast of the same job allocates about 730 times.
-const rigJobAllocBudget = 12
-
-// TestRigJobAllocBudget pins the rig's point: after one warm job, the next
-// sweep-shaped job (dctcp+, N=40, 10 rounds, a new seed) allocates no more
-// than rigJobAllocBudget times.
-func TestRigJobAllocBudget(t *testing.T) {
-	o := DefaultIncastOptions(ProtoDCTCPPlus, 40)
-	o.Rounds, o.WarmupRounds = 10, 2
-	var rig Rig
-	job := func() {
-		o.Testbed.Seed++
-		rig.Run(o)
-	}
-	job()
-	if got := testing.AllocsPerRun(10, job); got > rigJobAllocBudget {
-		t.Fatalf("a warm rig's job allocates %.0f times, want at most %d", got, rigJobAllocBudget)
-	}
-}

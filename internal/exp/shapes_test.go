@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"testing"
 
 	"dctcpplus/internal/sim"
@@ -10,10 +11,21 @@ import (
 // as regressions: who wins, roughly by how much, and where the crossovers
 // fall. Absolute numbers are simulator-specific; these bounds are the
 // "shape" contract EXPERIMENTS.md documents. Skipped under -short.
+//
+// The battery runs on one P. Its parallel subtests still interleave as
+// goroutines, so -race still sees their runs side by side, but they take
+// one CPU, not every one: on a two-vCPU machine, a parallel `go test ./...`
+// runs another package beside this one, and cmd/perf's TestCalibrate, which
+// times fixed work, misreads the machine's speed when both CPUs are taken
+// from it.
 func TestPaperShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment battery")
 	}
+	// Parallel subtests run after this function returns, so the restore
+	// waits in a cleanup for them to finish.
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	o := func(p Protocol, n int) IncastOptions {
 		op := DefaultIncastOptions(p, n)
 		op.Rounds = 30

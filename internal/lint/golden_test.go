@@ -20,20 +20,16 @@ func TestFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
 		name := e.Name()
 		t.Run(name, func(t *testing.T) {
-			// A fresh loader per fixture keeps each fixture's call graph
-			// isolated: a //hot:path root in one fixture must not mark
-			// functions of another fixture hot-reachable through the shared
-			// Program.
-			loader, err := NewLoader(".")
-			if err != nil {
-				t.Fatal(err)
-			}
 			pkgs, err := loader.Load("internal/lint/testdata/src/" + name)
 			if err != nil {
 				t.Fatal(err)

@@ -3,22 +3,20 @@
 // go/token, go/types — the module is dependency-free and must stay that
 // way). An analyzer ships only for a bug class that no test catches;
 // DESIGN.md's evidence ledger records the findings and mutants behind each
-// verdict. Three analyzers make up the pass:
+// verdict. One analyzer makes up the pass:
 //
 //   - floateq: ==/!= on floating-point operands outside tests.
-//   - hotalloc: heap-allocating constructs in //hot:path functions and
-//     everything statically reachable from them (whole-module call graph
-//     with interface calls over-approximated by method signature).
-//   - overflow: unbounded narrow-integer accumulation in //hot:path-reachable
-//     code; a bounded one carries a //lint:allow whose reason names the
-//     internal/check assertion or guard that enforces the bound at run time.
 //
 // Determinism, worker-race freedom, unit consistency and state-machine
 // coverage are checked by the test suite instead: byte-identity tests and
 // goldens pin every seeded run, TestWorkerCountInvariance and -race pin the
 // sweep workers, the oracle's conservation ledger and the marking tests pin
 // bytes against packets, and the transition and String tests pin every arm
-// of the DCTCP+, sender and ECN state switches. Ownership of simulation
+// of the DCTCP+, sender and ECN state switches. The per-packet path is
+// checked at run time too: internal/exp's TestRigJobAllocBudget fails on an
+// allocation per packet or on slice growth between repeated warm-rig runs,
+// and TestOracleByteLedgerPastInt32 carries the byte counters past the int32
+// range under the oracle's conservation ledger. Ownership of simulation
 // objects is checked at run time, in every build: sim.Timer panics if it
 // holds an event it no longer owns (the scheduler hands out no other
 // cancellable handle), packet.Pool's double-free poison and the oracle's
@@ -31,8 +29,8 @@
 //
 // The reason is mandatory: an allowlist entry is documentation, and a bare
 // directive — or one naming an analyzer outside the suite — is itself
-// reported as a diagnostic, and on a whole-module run so is a directive
-// that no longer suppresses anything (see Run).
+// reported as a diagnostic, and so is a directive that no longer suppresses
+// anything (see Run).
 package lint
 
 import (
@@ -74,8 +72,6 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		FloatEq(),
-		Hotalloc(),
-		Overflow(),
 	}
 }
 
@@ -91,32 +87,6 @@ func (p *Package) diag(name string, pos token.Pos, format string, args ...any) D
 	}
 }
 
-// directiveLine is one comment directive: the space-trimmed text after
-// its marker, and where the comment starts.
-type directiveLine struct {
-	payload string
-	pos     token.Pos
-}
-
-// directiveLines is the one reader of the package's comment directives
-// (//lint:allow, //hot:path). It returns, in order, every line
-// comment of groups that starts with "//" and marker, with no space between:
-// "// hot:path" is prose, not a directive.
-func directiveLines(marker string, groups ...*ast.CommentGroup) []directiveLine {
-	var out []directiveLine
-	for _, g := range groups {
-		if g == nil {
-			continue
-		}
-		for _, c := range g.List {
-			if rest, ok := strings.CutPrefix(c.Text, "//"+marker); ok {
-				out = append(out, directiveLine{strings.TrimSpace(rest), c.Pos()})
-			}
-		}
-	}
-	return out
-}
-
 // directive is one parsed //lint:allow comment.
 type directive struct {
 	analyzers map[string]bool
@@ -124,21 +94,30 @@ type directive struct {
 	line      int // the source line the directive appears on
 }
 
-// parseDirectives extracts //lint:allow comments from a file. A directive
-// suppresses matching diagnostics on its own line and, when it stands alone
-// on a line, on the line directly below — the same placement rules as
-// //nolint in common linters.
+// parseDirectives extracts //lint:allow comments from a file: line
+// comments that start with "//lint:allow", with no space after the slashes
+// ("// lint:allow" is prose, not a directive). A directive suppresses
+// matching diagnostics on its own line and, when it stands alone on a line,
+// on the line directly below — the same placement rules as //nolint in
+// common linters.
 func parseDirectives(fset *token.FileSet, f *ast.File) []directive {
 	var out []directive
-	for _, l := range directiveLines("lint:allow", f.Comments...) {
-		d := directive{analyzers: make(map[string]bool), line: fset.Position(l.pos).Line}
-		if fields := strings.Fields(l.payload); len(fields) > 0 {
-			for _, name := range strings.Split(fields[0], ",") {
-				d.analyzers[name] = true
+	for _, g := range f.Comments {
+		for _, c := range g.List {
+			payload, ok := strings.CutPrefix(c.Text, "//lint:allow")
+			if !ok {
+				continue
 			}
-			d.reason = strings.TrimSpace(strings.TrimPrefix(l.payload, fields[0]))
+			payload = strings.TrimSpace(payload)
+			d := directive{analyzers: make(map[string]bool), line: fset.Position(c.Pos()).Line}
+			if fields := strings.Fields(payload); len(fields) > 0 {
+				for _, name := range strings.Split(fields[0], ",") {
+					d.analyzers[name] = true
+				}
+				d.reason = strings.TrimSpace(strings.TrimPrefix(payload, fields[0]))
+			}
+			out = append(out, d)
 		}
-		out = append(out, d)
 	}
 	return out
 }
@@ -147,11 +126,10 @@ func parseDirectives(fset *token.FileSet, f *ast.File) []directive {
 // appends a diagnostic for every malformed (reason-less) directive — the
 // allowlist policy requires each exception to say why it exists — and for
 // every name outside known, the suite's analyzer names, which could never
-// suppress anything. With reportStale set it additionally reports every
-// well-formed directive that suppressed nothing as a "staleallow" finding —
-// a justified exemption that has outlived the diagnostic it justified is
-// rot, not documentation.
-func applyDirectives(p *Package, diags []Diagnostic, known map[string]bool, reportStale bool) []Diagnostic {
+// suppress anything. It also reports every well-formed directive that
+// suppressed nothing as a "staleallow" finding — a justified exemption that
+// has outlived the diagnostic it justified is rot, not documentation.
+func applyDirectives(p *Package, diags []Diagnostic, known map[string]bool) []Diagnostic {
 	type key struct {
 		file string
 		line int
@@ -205,20 +183,18 @@ func applyDirectives(p *Package, diags []Diagnostic, known map[string]bool, repo
 			out = append(out, dg)
 		}
 	}
-	if reportStale {
-		for _, e := range entries {
-			if e.used {
-				continue
-			}
-			out = append(out, Diagnostic{
-				File:     e.file,
-				Line:     e.d.line,
-				Col:      1,
-				Analyzer: "staleallow",
-				Message: fmt.Sprintf("stale //lint:allow %s directive: it suppresses no diagnostic on this or the next line; delete it (or move it back beside the finding it justifies)",
-					strings.Join(sortedNames(e.d.analyzers), ",")),
-			})
+	for _, e := range entries {
+		if e.used {
+			continue
 		}
+		out = append(out, Diagnostic{
+			File:     e.file,
+			Line:     e.d.line,
+			Col:      1,
+			Analyzer: "staleallow",
+			Message: fmt.Sprintf("stale //lint:allow %s directive: it suppresses no diagnostic on this or the next line; delete it (or move it back beside the finding it justifies)",
+				strings.Join(sortedNames(e.d.analyzers), ",")),
+		})
 	}
 	return out
 }
@@ -235,17 +211,12 @@ func sortedNames(set map[string]bool) []string {
 // Run executes the analyzers over the packages and returns the surviving
 // diagnostics sorted by file, line, column and analyzer.
 //
-// When the packages come from a loader that was asked for the whole module
-// ("./..."), Run also audits the allowlist: every well-formed //lint:allow
-// that suppresses no diagnostic is itself reported (analyzer "staleallow"),
-// so exemptions cannot rot in place. The audit is only sound with every
-// package loaded — a directive can excuse a finding whose //hot:path root
-// lives in another package — so partial loads skip it.
+// Run also audits the allowlist: every well-formed //lint:allow that
+// suppresses no diagnostic is itself reported (analyzer "staleallow"), so
+// exemptions cannot rot in place. Every analyzer reads one package at a
+// time, so a finding and the directive that excuses it live in the same
+// package, and the audit is sound on any load.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return runSuite(pkgs, analyzers, len(pkgs) > 0 && pkgs[0].Prog.wholeModule)
-}
-
-func runSuite(pkgs []*Package, analyzers []*Analyzer, reportStale bool) []Diagnostic {
 	// A directive may name any analyzer of the suite, not just the ones
 	// this run was handed.
 	known := make(map[string]bool)
@@ -258,7 +229,7 @@ func runSuite(pkgs []*Package, analyzers []*Analyzer, reportStale bool) []Diagno
 		for _, a := range analyzers {
 			raw = append(raw, a.Run(p)...)
 		}
-		out = append(out, applyDirectives(p, raw, known, reportStale)...)
+		out = append(out, applyDirectives(p, raw, known)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -276,29 +247,7 @@ func runSuite(pkgs []*Package, analyzers []*Analyzer, reportStale bool) []Diagno
 		}
 		return a.Message < b.Message
 	})
-	// Deduplicate: a function reachable from several annotation roots is
-	// visited once per root witness list, and a single root's label already
-	// names every root — identical (position, analyzer, message) findings
-	// collapse to one.
-	deduped := out[:0]
-	for i, d := range out {
-		if i > 0 && d == out[i-1] {
-			continue
-		}
-		deduped = append(deduped, d)
-	}
-	return deduped
-}
-
-// isPkgIdent reports whether expr is an identifier resolving to the named
-// imported package (e.g. the "fmt" in fmt.Sprintf).
-func (p *Package) isPkgIdent(expr ast.Expr, path string) bool {
-	id, ok := expr.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := p.Info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == path
+	return out
 }
 
 // isFloat reports whether e has floating-point type.

@@ -21,16 +21,10 @@ import (
 // FileSet, and full go/types information.
 type Package struct {
 	ImportPath string
-	ModPath    string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-
-	// Prog is the whole-module call graph shared by every package loaded by
-	// the same Loader; the reachability-based analyzers query it.
-	Prog *Program
 }
 
 // Loader resolves and type-checks packages using only the standard
@@ -43,7 +37,6 @@ type Loader struct {
 	ctx     build.Context
 	modPath string
 	modRoot string
-	prog    *Program
 
 	pkgs     map[string]*Package       // fully analyzed module packages
 	imported map[string]*types.Package // every type-checked package, by path
@@ -88,7 +81,6 @@ func NewLoader(dir string) (*Loader, error) {
 		ctx:      ctx,
 		modPath:  string(m[1]),
 		modRoot:  root,
-		prog:     newProgram(string(m[1])),
 		pkgs:     make(map[string]*Package),
 		imported: make(map[string]*types.Package),
 		loading:  make(map[string]bool),
@@ -102,12 +94,9 @@ func (l *Loader) ModuleRoot() string { return l.modRoot }
 // directory) relative to the module root and returns the matched packages,
 // type-checked and sorted by import path. Directories named testdata are
 // never matched by "./..." — they hold lint fixtures with intentional
-// violations. Loading "./..." (or "...") also marks the shared Program as
-// holding the whole module, which is what lets Run audit stale allow
-// directives. Load ends by rebuilding the Program's call graph over every
-// package loaded so far, so the analyzers can query it.
+// violations.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	dirs, wholeModule, err := l.expand(patterns)
+	dirs, err := l.expand(patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -123,8 +112,6 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
-	l.prog.wholeModule = l.prog.wholeModule || wholeModule
-	l.prog.build()
 	return out, nil
 }
 
@@ -133,9 +120,8 @@ func isNoGo(err error) bool {
 	return errors.As(err, &noGo)
 }
 
-// expand turns patterns into a sorted list of candidate directories, and
-// reports whether one of them asked for the whole module.
-func (l *Loader) expand(patterns []string) (dirs []string, wholeModule bool, err error) {
+// expand turns patterns into a sorted list of candidate directories.
+func (l *Loader) expand(patterns []string) (dirs []string, err error) {
 	seen := make(map[string]bool)
 	add := func(d string) {
 		if !seen[d] {
@@ -147,7 +133,6 @@ func (l *Loader) expand(patterns []string) (dirs []string, wholeModule bool, err
 		switch {
 		case pat == "..." || strings.HasSuffix(pat, "/..."):
 			base := filepath.Join(l.modRoot, strings.TrimSuffix(pat, "..."))
-			wholeModule = wholeModule || base == l.modRoot
 			err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
 				if err != nil {
 					return err
@@ -163,7 +148,7 @@ func (l *Loader) expand(patterns []string) (dirs []string, wholeModule bool, err
 				return nil
 			})
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		default:
 			if filepath.IsAbs(pat) {
@@ -174,7 +159,7 @@ func (l *Loader) expand(patterns []string) (dirs []string, wholeModule bool, err
 		}
 	}
 	sort.Strings(dirs)
-	return dirs, wholeModule, nil
+	return dirs, nil
 }
 
 // importPathFor maps a directory under the module root to its import path.
@@ -221,10 +206,9 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: importerFunc(l.importPkg)}
 	tpkg, err := conf.Check(path, l.fset, files, info)
@@ -233,17 +217,13 @@ func (l *Loader) loadDir(dir string) (*Package, error) {
 	}
 	p := &Package{
 		ImportPath: path,
-		ModPath:    l.modPath,
-		Dir:        dir,
 		Fset:       l.fset,
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
-		Prog:       l.prog,
 	}
 	l.pkgs[path] = p
 	l.imported[path] = tpkg
-	l.prog.add(p)
 	return p, nil
 }
 

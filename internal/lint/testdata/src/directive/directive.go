@@ -10,9 +10,9 @@ func helper() int { return 0 }
 //lint:allow nosuchanalyzer the suite has no analyzer of this name, so this could never suppress anything
 func other() int { return 1 }
 
-// Spaced carries "// hot:path" with a space after the slashes. That is
-// prose, not a directive: it declares no root, so the make below is not
+// Spaced carries "// lint:allow" with a space after the slashes. That is
+// prose, not a directive: it excuses nothing, so the comparison below is
 // reported.
 //
-// hot:path
-func Spaced(n int) []int { return make([]int, n) }
+// lint:allow floateq a spaced marker binds nothing
+func Spaced(a, b float64) bool { return a == b }

@@ -1,7 +1,6 @@
 // Package staleallow carries a well-formed, justified //lint:allow that
-// no longer suppresses anything — the shape the whole-module allowlist
-// audit exists to catch. A partial load like this fixture's skips the audit
-// (empty golden); TestStaleAllowAudit runs it over the fixture directly.
+// no longer suppresses anything — the shape the allowlist audit exists to
+// catch.
 package staleallow
 
 // Answer is benign; the directive beside it has outlived whatever finding

@@ -1,6 +1,6 @@
 // Package a is the one package of a throwaway module whose only finding
-// is a rotted allow directive: linting the module ("./...") must report
-// it, linting just this package must not (see lint.Run).
+// is a rotted allow directive: linting the module ("./...") or just this
+// package must report it (see lint.Run).
 package a
 
 // Answer is benign; the directive beside it has outlived whatever finding

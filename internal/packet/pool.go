@@ -46,14 +46,13 @@ const poisonSeq int64 = -0x6B6B6B6B6B6B
 // Get returns a zeroed packet, reusing a freed one when available. The
 // caller owns the result and must release it exactly once (Put, or an
 // ownership-transferring hand-off such as Host.Send).
-//
-//hot:path
 func (p *Pool) Get() *Packet {
 	if p == nil || p.free == nil {
 		if p != nil {
 			p.minted++
 		}
-		//lint:allow hotalloc pool miss mints a fresh packet; steady state reuses the freed working set (and a nil pool means pooling is off by choice)
+		// A miss mints a fresh packet; steady state reuses the freed
+		// working set (and a nil pool means pooling is off by choice).
 		return &Packet{}
 	}
 	pkt := p.free

@@ -97,11 +97,10 @@ const eventSlab = 64
 // alloc takes an event from the freelist, minting a slab of them only when
 // the pool is dry — after warm-up the live set reaches its high-water mark
 // and every schedule reuses a fired event.
-//
-//hot:path
 func (s *Scheduler) alloc() *event {
 	if s.free == nil {
-		//lint:allow hotalloc one slab of 64 events per dry freelist: a run's thousands of parked timers and pacing gates cost an allocation per 64 instead of one each, and the freelist then recycles them forever
+		// One slab per dry freelist: a run's thousands of parked timers and
+		// pacing gates cost an allocation per 64 events instead of one each.
 		slab := make([]event, eventSlab)
 		for i := range slab {
 			slab[i].next = s.free
@@ -278,8 +277,6 @@ func (s *Scheduler) earliest() *event {
 
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports whether an event was executed.
-//
-//hot:path
 func (s *Scheduler) Step() bool {
 	e := s.earliest()
 	if e == nil {
@@ -418,7 +415,6 @@ func (r *nearRun) push(e *event) {
 		n = copy(r.q, r.q[r.head:])
 		r.q, r.head = r.q[:n], 0
 	}
-	//lint:allow hotalloc run growth is amortized: the backing array reaches about twice the near backlog's high-water mark and is then reused
 	r.q = append(r.q, e)
 	if n > r.head && !r.q[n-1].before(e) {
 		i := r.search(e)
@@ -446,7 +442,9 @@ func (r *nearRun) search(e *event) int {
 // pop removes the earliest event. It leaves the event's idx alone: release
 // marks it removed. An emptied run restarts at the front of its slice.
 func (r *nearRun) pop() {
-	//lint:allow overflow head <= len(q): pop runs only on a non-empty run (Step and Cancel reach it through a queued event), and the drain and the slide return head to 0
+	// head <= len(q): pop runs only on a non-empty run (Step and Cancel
+	// reach it through a queued event), and the drain and the slide return
+	// head to 0.
 	r.head++
 	if r.head == len(r.q) {
 		r.q, r.head = r.q[:0], 0
@@ -472,7 +470,8 @@ type eventHeap []*event
 func (h *eventHeap) push(e *event) {
 	i := len(*h)
 	e.idx = int32(i)
-	//lint:allow hotalloc heap growth is amortized: the backing array reaches the event backlog's high-water mark and is then reused
+	// Amortized: the backing array reaches the event backlog's high-water
+	// mark and is then reused.
 	*h = append(*h, e)
 	h.up(i)
 }
@@ -600,8 +599,6 @@ func (t *Timer) pending() *event {
 }
 
 // Reset (re-)arms the timer to fire d from now.
-//
-//hot:path
 func (t *Timer) Reset(d Duration) {
 	if d < 0 {
 		d = 0

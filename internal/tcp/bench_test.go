@@ -141,7 +141,7 @@ func TestAckPathAllocBudget(t *testing.T) {
 	ack.Flow = 1
 	ack.Flags = packet.FlagACK
 	deliver := func() {
-		ack.AckNo = c.Sender.stats.SentBytes // == sndUna: a pure duplicate
+		ack.AckNo = c.Sender.SndUna() // a pure duplicate
 		c.Sender.Deliver(&ack)
 	}
 	deliver()

@@ -9,9 +9,8 @@ import (
 )
 
 // TestRuntimeTwinsFire shows each field's always-on check.* assertion is
-// live — the assertions the //lint:allow overflow reasons on ltCredit,
-// rtoBackoff and pendingSegs name: corrupt each asserted field past its
-// documented range and the next pass through its assertion must panic
+// live — among them the ones that bound ltCredit, rtoBackoff and
+// pendingSegs: corrupt each asserted field past its documented range and the next pass through its assertion must panic
 // with the invariant prefix and the assertion's label. The uncorrupted connection is the
 // control — the same drives must not panic.
 func TestRuntimeTwinsFire(t *testing.T) {

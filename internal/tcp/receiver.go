@@ -232,7 +232,6 @@ func (r *Receiver) Deliver(pkt *packet.Packet) {
 			r.sendAck()
 			return
 		}
-		//lint:allow overflow pendingSegs <= DelAckCount: the check.AtMost below asserts it, and reaching it flushes the count to 0
 		r.pendingSegs++
 		// Asserted before the flush below zeroes the count, so a corrupted
 		// count is seen instead of being reset.
@@ -300,7 +299,7 @@ func (r *Receiver) pushRun(upTo int64, ce bool) {
 		r.ackRuns[n-1].upTo = upTo
 		return
 	}
-	//lint:allow hotalloc run-scratch growth is amortized: capacity tracks the high-water run count and is then reused
+	// Amortized: capacity tracks the high-water run count.
 	r.ackRuns = append(r.ackRuns, ackRun{upTo, ce})
 }
 
@@ -327,8 +326,8 @@ func (r *Receiver) insertOOO(lo, hi int64, ce bool) {
 		if i < len(r.ooo) && r.ooo[i].lo < gapHi {
 			gapHi = r.ooo[i].lo
 		}
-		// Open a slot at i for the uncovered sub-range.
-		//lint:allow hotalloc reassembly-buffer growth is amortized: capacity tracks the high-water hole count and is then reused
+		// Open a slot at i for the uncovered sub-range. The growth is
+		// amortized: capacity tracks the high-water hole count.
 		r.ooo = append(r.ooo, interval{})
 		copy(r.ooo[i+1:], r.ooo[i:])
 		r.ooo[i] = interval{pos, gapHi, ce}

@@ -39,10 +39,8 @@ func (s SenderState) String() string {
 
 // SenderStats counts transport events on one connection.
 type SenderStats struct {
-	SentPkts     int64
-	SentBytes    int64
-	RetransPkts  int64
-	RetransBytes int64
+	SentPkts    int64
+	RetransPkts int64
 
 	AcksIn  int64
 	DupAcks int64
@@ -440,10 +438,8 @@ func (s *Sender) transmit(seq int64, payload int, rtx bool) {
 	}
 
 	s.stats.SentPkts++
-	s.stats.SentBytes += int64(payload)
 	if rtx {
 		s.stats.RetransPkts++
-		s.stats.RetransBytes += int64(payload)
 	}
 	// Table I instrumentation: a transmission attempted while the window
 	// is pinned at its floor and congestion feedback is still arriving.
@@ -516,7 +512,6 @@ func (s *Sender) Deliver(pkt *packet.Packet) {
 		// probing for the third that triggers fast retransmit. At 1-2 MSS
 		// windows there is no new data to probe with (Table I's LAck-TOs).
 		if s.state == StateOpen && s.dupacks <= 2 && s.ltCredit < 2 {
-			//lint:allow overflow ltCredit <= 2: the < 2 guard caps it, and assertInvariants checks it on every ACK
 			s.ltCredit++
 		}
 	}
@@ -679,12 +674,9 @@ func (s *Sender) enterRecovery() {
 
 // onRTO handles a retransmission timeout: classify it (FLoss vs LAck),
 // collapse the window to 1 MSS, and go-back-N from sndUna in slow start.
-// Timer callbacks are dynamic calls the call graph cannot follow, so the
-// handler is annotated as a hot root directly: with tens of thousands of
-// concurrent flows, RTO processing is itself a mass event (the paper's
-// LAck-timeout storms), and may not allocate per firing.
-//
-//hot:path
+// With tens of thousands of concurrent flows, RTO processing is itself a
+// mass event (the paper's LAck-timeout storms), and may not allocate per
+// firing.
 func (s *Sender) onRTO() {
 	if s.InflightBytes() <= 0 {
 		return // spurious: everything acknowledged while timer fired
@@ -725,7 +717,6 @@ func (s *Sender) onRTO() {
 	s.cc.OnTimeout(s)
 
 	if s.rtoBackoff < 16 {
-		//lint:allow overflow rtoBackoff <= 16: the < 16 guard caps it, and assertInvariants checks it on every ACK
 		s.rtoBackoff++
 	}
 	s.armRTO()
