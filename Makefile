@@ -1,10 +1,11 @@
 # Developer entry points. `make check` is the gate every change must pass:
-# build + vet + gofmt drift + simlint + the arm64 fused-multiply-add scan +
-# race-enabled tests + the smokes.
+# build + vet + gofmt drift + the arm64 fused-multiply-add scan +
+# race-enabled tests (internal/lint's TestModuleIsClean among them: the
+# floateq pass over ./...) + the smokes.
 
 GO ?= go
 
-.PHONY: all build vet test race fmt-check lint portable-check check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke clean
+.PHONY: all build vet test race fmt-check portable-check check bench alloc-check fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke clean
 
 all: check
 
@@ -27,18 +28,6 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# simlint is the repository's own static analysis (internal/lint). It keeps
-# only the check no test catches: exact float comparison (floateq).
-# Determinism, sweep-worker races and enum-switch coverage are pinned by
-# the byte-identity tests, the goldens, the String and transition tests,
-# TestWorkerCountInvariance and `race` below; allocation on the per-packet
-# path and wrapping byte counters by internal/exp's TestRigJobAllocBudget
-# (alloc-check) and TestOracleByteLedgerPastInt32 (oracle-smoke). Every run
-# also fails the build on //lint:allow directives that no longer suppress
-# anything. Stdlib-only.
-lint:
-	$(GO) run ./cmd/simlint ./...
-
 # The pinned bits on every GOARCH: the Go spec lets a compiler fuse x*y + z
 # into one rounding, and arm64 does (so do ppc64le, s390x, riscv64 and
 # loong64); amd64 never does. A fused product changes the last bits of a
@@ -57,7 +46,7 @@ portable-check:
 		echo "portable-check: fused multiply-add on arm64 (write the product as float64(x*y))"; exit 1; fi; \
 	echo "portable-check: no fused multiply-add in the module's arm64 code"
 
-check: build vet fmt-check lint portable-check race fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke
+check: build vet fmt-check portable-check race fault-smoke sweep-smoke oracle-smoke perf-smoke report-smoke
 
 # Fault-injection smoke: a full-mix faulted sweep must complete, stay
 # deterministic, conserve every packet/byte, and keep DCTCP+ no worse than

@@ -146,7 +146,6 @@ func (c Config) Validate() error {
 // Stats counts state-machine activity on one sender.
 type Stats struct {
 	EnterTimeInc  int64 // Normal/TimeDes -> TimeInc transitions
-	IncSteps      int64 // additive slow_time increases (incl. entries)
 	DecSteps      int64 // multiplicative slow_time decreases
 	ReturnsNormal int64 // TimeDes -> Normal transitions
 	MaxSlowTime   sim.Duration
@@ -401,7 +400,6 @@ func (e *Enhancer) divide(s *tcp.Sender) bool {
 func (e *Enhancer) increase(s *tcp.Sender) {
 	e.slowTime += e.backoffStep(s)
 	check.NonNegativeDur("core.slow_time after increase", e.slowTime)
-	e.stats.IncSteps++
 	e.mIncSteps.Add(1)
 	e.mSlowTime.Observe(int64(e.slowTime))
 	if e.slowTime > e.stats.MaxSlowTime {

@@ -173,8 +173,10 @@ func TestRunIncastValidation(t *testing.T) {
 // TestValidateNamesBadOptions: options that would crash mid-run (a negative
 // warm-up slices the round list at -1, an RTOmin above tcp's RTO ceiling
 // panics in tcp) or run without measuring anything (no byte budget,
-// negative service jitter) fail Validate naming the field, and RunIncast
-// panics with that exp: message before it builds.
+// negative service jitter, a buffer that cannot hold one full-size packet,
+// where a 1,000-B switch buffer spent 1,320 RTOs reaching MaxSimTime with
+// no round measured) fail Validate naming the field, and RunIncast panics
+// with that exp: message before it builds.
 func TestValidateNamesBadOptions(t *testing.T) {
 	cases := []struct {
 		name, want string
@@ -185,6 +187,8 @@ func TestValidateNamesBadOptions(t *testing.T) {
 		{"negative per-flow bytes", "need a positive byte budget", func(o *IncastOptions) { o.BytesPerFlow = -1 }},
 		{"negative jitter", "ServiceJitter -1ns cannot be negative", func(o *IncastOptions) { o.Testbed.ServiceJitter = -1 }},
 		{"rtomin above the ceiling", "RTOMin 5s exceeds the RTO ceiling 4s", func(o *IncastOptions) { o.RTOMin = 5 * sim.Second }},
+		{"switch buffer below one packet", "switch port buffer 1000 B cannot hold one 1500-B packet", func(o *IncastOptions) { o.Testbed.Topo.SwitchPort.BufferBytes = 1000 }},
+		{"host queue below one packet", "host queue 1499 B cannot hold one 1500-B packet", func(o *IncastOptions) { o.Testbed.Topo.HostQueueBytes = 1499 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

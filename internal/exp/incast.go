@@ -278,6 +278,12 @@ func validateRun(tb Testbed, p Protocol, rtoMin, maxSimTime sim.Duration) error 
 		return fmt.Errorf("unknown protocol %v", p)
 	case tb.Leaves < 1 || tb.HostsPerLeaf < 1:
 		return errors.New("Testbed needs at least one leaf and one host per leaf")
+	case tb.Topo.SwitchPort.BufferBytes < packet.MTU:
+		// A full-size segment never fits: every one tail-drops, and the run
+		// spends its rounds in RTOs until MaxSimTime.
+		return fmt.Errorf("switch port buffer %d B cannot hold one %d-B packet", tb.Topo.SwitchPort.BufferBytes, packet.MTU)
+	case tb.Topo.HostQueueBytes < packet.MTU:
+		return fmt.Errorf("host queue %d B cannot hold one %d-B packet", tb.Topo.HostQueueBytes, packet.MTU)
 	}
 	return nil
 }

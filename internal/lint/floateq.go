@@ -9,21 +9,15 @@ import (
 // FloatEq returns the analyzer that flags == and != between floating-point
 // operands. After any arithmetic, exact float equality is a rounding
 // accident — and a nondeterminism hazard the moment evaluation order or
-// compiler fusion changes. Two forms stay legal:
+// compiler fusion changes. Comparison against an exact zero literal stays
+// legal: 0 is precisely representable, and "has this accumulator ever been
+// touched" is a legitimate discrete question.
 //
-//   - comparison against an exact zero literal (0 is precisely
-//     representable, and "has this accumulator ever been touched" is a
-//     legitimate discrete question);
-//   - intentional exact comparisons annotated with an inline
-//     //lint:allow floateq directive explaining why exactness is sound
-//     (e.g. both operands are copies of the same stored value).
-//
-// Test files are not analyzed by simlint at all, so table-driven test
-// expectations remain unaffected.
+// Test files are not analyzed at all, so table-driven test expectations
+// remain unaffected.
 func FloatEq() *Analyzer {
 	return &Analyzer{
 		Name: "floateq",
-		Doc:  "flag ==/!= on floating-point operands (exact-zero compares exempt)",
 		Run:  runFloatEq,
 	}
 }
@@ -43,7 +37,7 @@ func runFloatEq(p *Package) []Diagnostic {
 				return true
 			}
 			out = append(out, p.diag("floateq", be.OpPos,
-				"floating-point %s comparison: compare with a tolerance, or annotate why exact equality is sound", be.Op))
+				"floating-point %s comparison: compare with a tolerance", be.Op))
 			return true
 		})
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // Package is one type-checked package under analysis: its parsed files
-// (non-test sources only — simlint analyzes shipping code), the shared
+// (non-test sources only — the pass analyzes shipping code), the shared
 // FileSet, and full go/types information.
 type Package struct {
 	ImportPath string
@@ -86,9 +86,6 @@ func NewLoader(dir string) (*Loader, error) {
 		loading:  make(map[string]bool),
 	}, nil
 }
-
-// ModuleRoot returns the directory containing the module's go.mod.
-func (l *Loader) ModuleRoot() string { return l.modRoot }
 
 // Load resolves the given patterns ("./...", "./internal/tcp", a plain
 // directory) relative to the module root and returns the matched packages,

@@ -342,6 +342,52 @@ func TestNewRenoArithmetic(t *testing.T) {
 	requireViolation(t, ck4, "newreno-arith", "loss state without an RTO")
 }
 
+// TestNewRenoArithmeticTolerance pins the eps band of the four NewReno
+// window rules on a legal recovery sequence: entry, dup ACK, partial ACK,
+// full ACK. Each window sits 1e-9 off its rule's want, computed from the
+// window before it: rounding, which the sequence must pass clean. That
+// half fails each rule's compare made exact. The same sequence with one
+// window 2·eps off must report that rule alone.
+func TestNewRenoArithmeticTolerance(t *testing.T) {
+	const open, rec = uint8(tcp.StateOpen), uint8(tcp.StateRecovery)
+	const ssthresh = 5.0
+	steps := []struct {
+		msg    string // the start of the rule's report
+		state  uint8
+		sndUna int64
+		want   func(prev float64) float64
+	}{
+		{"recovery entry", rec, 0, func(float64) float64 { return ssthresh + tcp.DupThresh }},
+		{"in-recovery dup ACK", rec, 0, func(prev float64) float64 { return prev + 1 }},
+		{"partial-ACK deflation", rec, 2 * packet.MSS, func(prev float64) float64 { return prev - 2 + 1 }},
+		{"recovery exit", open, 10 * packet.MSS, func(float64) float64 { return ssthresh }},
+	}
+	// run feeds the sequence to a fresh checker, with step bad's window
+	// 2·eps off its want (none when bad is -1).
+	run := func(bad int) *Checker {
+		ck, fs := idleFlow(t, tcp.DefaultConfig(), tcp.NewReno{})
+		prev := &Event{State: open, Cwnd: 10, Ssthresh: 10}
+		for i, s := range steps {
+			off := 1e-9
+			if i == bad {
+				off = 2 * eps
+			}
+			cur := &Event{State: s.state, Cwnd: s.want(prev.Cwnd) + off, Ssthresh: ssthresh, SndUna: s.sndUna}
+			fs.checkNewReno(prev, cur)
+			prev = cur
+		}
+		return ck
+	}
+	requireClean(t, run(-1))
+	for i, s := range steps {
+		ck := run(i)
+		requireViolation(t, ck, "newreno-arith", s.msg)
+		if n := len(ck.Violations()); n != 1 {
+			t.Errorf("%s 2·eps off: %d violations, want that rule's alone: %v", s.msg, n, ck.Violations())
+		}
+	}
+}
+
 func TestAlphaCadence(t *testing.T) {
 	ck, fs := idleFlow(t, dctcp.Config(), dctcp.New(dctcp.DefaultGain))
 	// A full window acknowledged with no fold: the swallowed-OnTimeout bug.

@@ -14,15 +14,12 @@ import (
 // delivery order — so group means are byte-stable across worker counts and
 // cache states.
 type Group struct {
-	// Key is the seed-normalized point identity (Point.GroupKey).
-	Key string
 	// Point is the first member's point, seeds zeroed — the group's
 	// human-facing coordinates.
 	Point Point
 
-	// Jobs counts members folded in; Hits counts those served from cache.
+	// Jobs counts members folded in.
 	Jobs int
-	Hits int
 
 	// Goodput accumulates the per-replicate mean goodput (Mbps); FCT the
 	// per-replicate mean flow-completion time, FCTp95 and FCTp99 the
@@ -32,11 +29,8 @@ type Group struct {
 	FCTp95  stats.Welford
 	FCTp99  stats.Welford
 
-	// Timeouts totals RTO events across replicates; Drops totals
-	// bottleneck tail drops; FaultsInjected totals fired fault events.
-	Timeouts       int64
-	Drops          int64
-	FaultsInjected int64
+	// Timeouts totals RTO events across replicates.
+	Timeouts int64
 
 	// TimeoutRoundFrac accumulates the per-replicate timeout-round fraction
 	// (Table I's headline column).
@@ -55,29 +49,24 @@ func newAggregator() *aggregator {
 	return &aggregator{byKey: make(map[string]*Group)}
 }
 
-func (a *aggregator) add(r Result, status string) {
+func (a *aggregator) add(r Result) {
 	key := r.Point.GroupKey()
 	g, ok := a.byKey[key]
 	if !ok {
 		pt := r.Point
 		pt.Seed = 0
 		pt.FaultSeed = 0
-		g = &Group{Key: key, Point: pt}
+		g = &Group{Point: pt}
 		a.byKey[key] = g
 		a.order = append(a.order, g)
 	}
 	g.Jobs++
-	if status == StatusHit {
-		g.Hits++
-	}
 	g.Goodput.Add(r.GoodputMbps.Mean)
 	g.FCT.Add(r.FCTms.Mean)
 	g.FCTp95.Add(r.FCTms.P95)
 	g.FCTp99.Add(r.FCTms.P99)
 	g.TimeoutRoundFrac.Add(r.TimeoutRoundFrac)
 	g.Timeouts += r.Timeouts
-	g.Drops += r.BottleneckDrops
-	g.FaultsInjected += r.FaultsInjected
 }
 
 func (a *aggregator) groups() []*Group { return a.order }

@@ -215,7 +215,7 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Outcome, error) {
 			wallHist.Observe(out.JobWallNs[i])
 			fallthrough
 		case StatusHit:
-			agg.add(out.Results[i], status)
+			agg.add(out.Results[i])
 		case StatusFailed:
 			if firstErr == nil {
 				firstErr = errs[i]

@@ -357,9 +357,6 @@ type Result struct {
 
 	exp.Summary
 
-	// FaultsInjected counts fault events that fired (0 for clean points).
-	FaultsInjected int64 `json:"faults_injected,omitempty"`
-
 	// OracleViolations is the run's total conformance-violation count (0
 	// for clean runs and for points run without the oracle); OracleSample
 	// holds the first few rendered violations for diagnosis.
@@ -370,9 +367,6 @@ type Result struct {
 // resultOf projects an experiment result onto the cacheable subset.
 func resultOf(pt Point, r exp.IncastResult) Result {
 	res := Result{Point: pt, Summary: r.Summary}
-	if r.FaultStats != nil {
-		res.FaultsInjected = r.FaultStats.EventsFired
-	}
 	res.OracleViolations = r.OracleTotal
 	for i, v := range r.OracleViolations {
 		if i >= 4 {

@@ -202,7 +202,6 @@ func TestResultEncodingGolden(t *testing.T) {
 			Rounds:           40,
 			SimTime:          812345678 * sim.Nanosecond,
 		},
-		FaultsInjected:   24,
 		OracleViolations: 5,
 		OracleSample:     []string{"rto: flow 3 <late> & \"early\"\n\tat 1ms", "... (1 more violations)"},
 	}

@@ -11,9 +11,7 @@ import (
 // ReceiverStats counts events at the receiving endpoint.
 type ReceiverStats struct {
 	SegsIn        int64
-	BytesIn       int64 // payload bytes arriving (including duplicates)
 	DeliveredByte int64 // in-order bytes handed to the application
-	DupSegs       int64 // fully duplicate segments
 	OutOfOrder    int64 // segments buffered ahead of a hole
 	AcksOut       int64
 	DelayedAcks   int64 // ACKs sent by the delayed-ACK counter/timer path
@@ -150,7 +148,6 @@ func (r *Receiver) Deliver(pkt *packet.Packet) {
 		return
 	}
 	r.stats.SegsIn++
-	r.stats.BytesIn += int64(pkt.Payload)
 
 	ce := pkt.ECN == packet.CE
 	if ce {
@@ -189,7 +186,6 @@ func (r *Receiver) Deliver(pkt *packet.Packet) {
 	case end <= r.rcvNxt:
 		// Entirely duplicate data: re-ACK immediately so the sender sees
 		// the duplicate and can exit its hole-filling path.
-		r.stats.DupSegs++
 		r.stats.ImmediateAcks++
 		r.sendAck()
 	case seq > r.rcvNxt:

@@ -272,8 +272,12 @@ const sliceHeader = 24
 
 // TestQueueSamplerAllocBudget pins the sampler's cost at one allocation per
 // storage block and 4 bytes per sample: its timer re-arms without a closure,
-// a filled block is never regrown, and no timestamp is stored.
+// a filled block is never regrown, and no timestamp is stored. Like
+// internal/exp's TestRigJobAllocBudget it measures on one P after a
+// collection: otherwise the runtime now and then adds a few mallocs and
+// kilobytes of its own to the run being measured.
 func TestQueueSamplerAllocBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := sim.NewScheduler()
 	star := netsim.NewStar(s, 2, netsim.DefaultTopologyConfig())
 	port := star.Switch.RouteTo(star.Hosts[1].ID())
@@ -281,22 +285,28 @@ func TestQueueSamplerAllocBudget(t *testing.T) {
 	q.Start()
 	const blocks = 3
 	run := func() { s.RunFor(blocks * sampleBlock * sim.Microsecond) }
+	measure := func() (mallocs, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
 
 	// Bytes: 4 per sample, plus the slice of block headers. It doubles as it
 	// grows, so its allocations sum to at most twice a capacity of at most
 	// twice the blocks+1 it ends up holding.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
 	const byteBudget = 4*blocks*sampleBlock + 2*2*(blocks+1)*sliceHeader
-	if got := after.TotalAlloc - before.TotalAlloc; got > byteBudget {
+	if _, got := measure(); got > byteBudget {
 		t.Fatalf("%d ticks allocate %d bytes, want at most %d", blocks*sampleBlock, got, byteBudget)
 	}
 
 	// The slice holding the blocks regrows now and then: a small constant.
+	// One unmeasured run first, as testing.AllocsPerRun warms up.
+	run()
 	const budget = blocks + 2
-	if got := testing.AllocsPerRun(1, run); got > budget {
-		t.Fatalf("%d ticks allocate %.0f times, want at most %d", blocks*sampleBlock, got, budget)
+	if got, _ := measure(); got > budget {
+		t.Fatalf("%d ticks allocate %d times, want at most %d", blocks*sampleBlock, got, budget)
 	}
 }
