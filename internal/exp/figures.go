@@ -361,14 +361,13 @@ func printConvergence(w io.Writer, r IncastResult, bufBytes int) {
 	binMS := int(convergenceBin / sim.Millisecond)
 	fmt.Fprintf(w, "(max occupancy per %dms bin; buffer limit %d bytes)\n", binMS, bufBytes)
 	cur, binIdx := 0, 0
-	for i := 0; i < r.Queue.Len(); i++ {
-		at, bytes := r.Queue.Sample(i)
+	r.Queue.Each(func(at sim.Time, bytes int) {
 		for idx := int(sim.Duration(at) / convergenceBin); binIdx < idx; binIdx++ {
 			printBin(w, binIdx, binMS, cur, bufBytes)
 			cur = 0
 		}
 		cur = max(cur, bytes)
-	}
+	})
 	printBin(w, binIdx, binMS, cur, bufBytes)
 	if c := r.ConvergedAtRound(); c >= 0 {
 		fmt.Fprintf(w, "converged at round %d", c)

@@ -390,11 +390,8 @@ func (r IncastResult) ConvergedAtRound() int {
 
 // QueueCDF builds the queue-length CDF (Fig. 9) from the samples.
 func (r IncastResult) QueueCDF() *stats.CDF {
-	vals := make([]float64, r.Queue.Len())
-	for i := range vals {
-		_, bytes := r.Queue.Sample(i)
-		vals[i] = float64(bytes)
-	}
+	vals := make([]float64, 0, r.Queue.Len())
+	r.Queue.Each(func(_ sim.Time, bytes int) { vals = append(vals, float64(bytes)) })
 	return stats.NewCDF(vals)
 }
 
@@ -611,17 +608,12 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 	res.SimTime = sched.Now().Sub(sim.Time(0))
 	if o.KeepRounds {
 		for _, r := range in.Results() {
-			pt := RoundPoint{
-				Start:       r.Start,
-				FCTms:       r.FCT.Millis(),
-				GoodputMbps: r.GoodputMbps(),
-			}
-			for _, f := range r.Flows {
-				if f.Timeout {
-					pt.FlowTimeouts++
-				}
-			}
-			res.Series = append(res.Series, pt)
+			res.Series = append(res.Series, RoundPoint{
+				Start:        r.Start,
+				FCTms:        r.FCT.Millis(),
+				GoodputMbps:  r.GoodputMbps(),
+				FlowTimeouts: int64(r.TimeoutFlows),
+			})
 		}
 	}
 	measured := in.Results()
@@ -634,25 +626,19 @@ func (rig *Rig) Run(o IncastOptions) IncastResult {
 
 	goodputs := make([]float64, 0, len(measured))
 	fcts := make([]float64, 0, len(measured))
-	var timeoutFlags, eceFlags, totalFlags int64
+	var timeoutFlows, eceFlows, totalFlows int64
 	for _, r := range measured {
 		goodputs = append(goodputs, r.GoodputMbps())
 		fcts = append(fcts, r.FCT.Millis())
-		for _, f := range r.Flows {
-			totalFlags++
-			if f.Timeout {
-				timeoutFlags++
-			}
-			if f.MinCwndECE {
-				eceFlags++
-			}
-		}
+		totalFlows += int64(r.Flows)
+		timeoutFlows += int64(r.TimeoutFlows)
+		eceFlows += int64(r.MinCwndECEFlows)
 	}
 	res.GoodputMbps = stats.Summarize(goodputs)
 	res.FCTms = stats.Summarize(fcts)
-	if totalFlags > 0 {
-		res.TimeoutRoundFrac = float64(timeoutFlags) / float64(totalFlags)
-		res.MinCwndECEFrac = float64(eceFlags) / float64(totalFlags)
+	if totalFlows > 0 {
+		res.TimeoutRoundFrac = float64(timeoutFlows) / float64(totalFlows)
+		res.MinCwndECEFrac = float64(eceFlows) / float64(totalFlows)
 	}
 
 	for _, c := range in.Conns() {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dctcpplus/internal/netsim"
 	"dctcpplus/internal/obs"
@@ -195,10 +196,11 @@ func TestQueueSamplerStopBeforeStart(t *testing.T) {
 	}
 }
 
-// TestQueueSamplerBlocks drives the sampler across several storage blocks:
+// TestQueueSamplerBlocks drives the sampler on an idle port past several
+// blocks' worth of samples, all of them one zero run extended in place:
 // Sample(k) is tick k's instant, a series taken mid-run stays as it was
-// while sampling goes on, and a Stop→Start resumes at the new phase,
-// appending.
+// while the run goes on growing, and a Stop→Start resumes at the new phase,
+// appending. FuzzQueueSeries crosses the edges of filled blocks.
 func TestQueueSamplerBlocks(t *testing.T) {
 	s := sim.NewScheduler()
 	star := netsim.NewStar(s, 2, netsim.DefaultTopologyConfig())
@@ -267,46 +269,202 @@ func TestQueueSamplerBlocks(t *testing.T) {
 	}
 }
 
-// sliceHeader is the size of one []int32 header on a 64-bit host.
-const sliceHeader = 24
-
 // TestQueueSamplerAllocBudget pins the sampler's cost at one allocation per
-// storage block and 4 bytes per sample: its timer re-arms without a closure,
-// a filled block is never regrown, and no timestamp is stored. Like
-// internal/exp's TestRigJobAllocBudget it measures on one P after a
-// collection: otherwise the runtime now and then adds a few mallocs and
-// kilobytes of its own to the run being measured.
+// storage block: its timer re-arms without a closure, a filled block is
+// never regrown, and no timestamp is stored. A busy port costs 4 bytes per
+// sample; on an idle one every tick extends one zero run in place, so three
+// blocks' worth of ticks allocate at most one block. Like internal/exp's
+// TestRigJobAllocBudget it measures on one P after a collection: otherwise
+// the runtime now and then adds a few mallocs and kilobytes of its own to
+// the run being measured.
 func TestQueueSamplerAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	s := sim.NewScheduler()
-	star := netsim.NewStar(s, 2, netsim.DefaultTopologyConfig())
-	port := star.Switch.RouteTo(star.Hosts[1].ID())
-	q := NewQueueSampler(s, port, sim.Microsecond)
-	q.Start()
 	const blocks = 3
-	run := func() { s.RunFor(blocks * sampleBlock * sim.Microsecond) }
-	measure := func() (mallocs, bytes uint64) {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	const blockDesc = int(unsafe.Sizeof(seriesBlock{}))
+	for _, tc := range []struct {
+		name               string
+		busy               bool
+		budget, byteBudget int
+	}{
+		// Nothing is stored but the run, which began at Start.
+		{"idle", false, 1, 4 * sampleBlock},
+		// Bytes: 4 per sample, plus the slice of block descriptors. It
+		// doubles as it grows, so its allocations sum to at most twice a
+		// capacity of at most twice the blocks+1 it ends up holding. The
+		// slice regrows now and then: a small constant beyond the blocks.
+		{"busy", true, blocks + 2, 4*blocks*sampleBlock + 2*2*(blocks+1)*blockDesc},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.NewScheduler()
+			star := netsim.NewStar(s, 2, netsim.DefaultTopologyConfig())
+			port := star.Switch.RouteTo(star.Hosts[1].ID())
+			if tc.busy {
+				port.Pause() // the queue holds its one packet at every tick
+				port.Enqueue(&packet.Packet{Payload: packet.MSS})
+			}
+			q := NewQueueSampler(s, port, sim.Microsecond)
+			q.Start()
+			run := func() { s.RunFor(blocks * sampleBlock * sim.Microsecond) }
+			measure := func() (mallocs, bytes uint64) {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				run()
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+			}
+			if _, got := measure(); got > uint64(tc.byteBudget) {
+				t.Fatalf("%d ticks allocate %d bytes, want at most %d", blocks*sampleBlock, got, tc.byteBudget)
+			}
+			// One unmeasured run first, as testing.AllocsPerRun warms up.
+			run()
+			if got, _ := measure(); got > uint64(tc.budget) {
+				t.Fatalf("%d ticks allocate %d times, want at most %d", blocks*sampleBlock, got, tc.budget)
+			}
+			if _, bytes := q.Series().Sample(q.Series().Len() - 1); (bytes > 0) != tc.busy {
+				t.Fatalf("the last sample read %d bytes", bytes)
+			}
+		})
 	}
+}
 
-	// Bytes: 4 per sample, plus the slice of block headers. It doubles as it
-	// grows, so its allocations sum to at most twice a capacity of at most
-	// twice the blocks+1 it ends up holding.
-	const byteBudget = 4*blocks*sampleBlock + 2*2*(blocks+1)*sliceHeader
-	if _, got := measure(); got > byteBudget {
-		t.Fatalf("%d ticks allocate %d bytes, want at most %d", blocks*sampleBlock, got, byteBudget)
+// TestQueueSeriesLongZeroRun: a zero run stops growing at math.MinInt32,
+// 2^31 empty samples, and the next empty sample opens a new run.
+func TestQueueSeriesLongZeroRun(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an int cannot index past 2^31 samples")
 	}
+	s := QueueSeries{Every: sim.Microsecond}
+	s.begin(0)
+	s.push(7)
+	s.push(0)
+	// As if 2^31 − 1 empty samples had followed the first.
+	s.blocks[0].entries[1] = math.MinInt32 + 1
+	s.n = 1 + math.MaxInt32
+	s.push(0) // the run reaches 2^31 samples
+	s.push(0) // and a new one opens
+	s.push(5)
+	if got, want := s.blocks[0].entries[:s.used], []int32{7, math.MinInt32, -1, 5}; !slices.Equal(got, want) {
+		t.Fatalf("entries %v, want %v", got, want)
+	}
+	n := s.Len()
+	if n != 1<<31+3 {
+		t.Fatalf("%d samples, want %d", n, 1<<31+3)
+	}
+	for _, c := range []struct{ i, bytes int }{{0, 7}, {1, 0}, {1 << 31, 0}, {n - 2, 0}, {n - 1, 5}} {
+		at, bytes := s.Sample(c.i)
+		if want := sim.Time(c.i) * sim.Time(sim.Microsecond); at != want || bytes != c.bytes {
+			t.Errorf("sample %d = (%v, %d), want (%v, %d)", c.i, at, bytes, want, c.bytes)
+		}
+	}
+}
 
-	// The slice holding the blocks regrows now and then: a small constant.
-	// One unmeasured run first, as testing.AllocsPerRun warms up.
-	run()
-	const budget = blocks + 2
-	if got, _ := measure(); got > budget {
-		t.Fatalf("%d ticks allocate %d times, want at most %d", blocks*sampleBlock, got, budget)
+// seriesSample is one sample of FuzzQueueSeries' dense model.
+type seriesSample struct {
+	at    sim.Time
+	bytes int
+}
+
+// fuzzSeriesCap bounds the samples one FuzzQueueSeries input takes: enough
+// for three blocks of non-zero samples, crossing two block edges, while
+// checking Sample at every index, each a scan of its block, stays cheap.
+const fuzzSeriesCap = 3*sampleBlock + 64
+
+// FuzzQueueSeries drives a series with the fuzzer's bytes against a dense
+// []seriesSample model. The series starts at instant 0 with a first sample
+// of first bytes; then each 3-byte operation is an opcode and a
+// little-endian uint16 argument a:
+//
+//	0: a%(2·sampleBlock)+1 ticks on an empty queue;
+//	1: as many ticks on a busy queue, occupancies drawn from a;
+//	2: Stop, then Start a%256 µs after the last tick, sampling a/256 bytes;
+//	3: take a copy, as QueueSampler.Series does.
+//
+// Ticks stop at fuzzSeriesCap samples. The series must match the model in
+// Len, every Sample(i) and Each's order and values, and every copy must
+// still read as the model did when it was taken.
+func FuzzQueueSeries(f *testing.F) {
+	op := func(code byte, a int) []byte { return []byte{code, byte(a), byte(a >> 8)} }
+	ops := func(o ...[]byte) []byte { return slices.Concat(o...) }
+	// A zero run spanning three blocks' worth of samples, then busy ticks.
+	f.Add(uint16(0), ops(op(0, 2*sampleBlock-1), op(0, sampleBlock), op(3, 0), op(1, 10)))
+	// A block filled with busy samples but for its last entry, a zero run
+	// there that grows after a copy, and busy samples in the next block.
+	f.Add(uint16(9), ops(op(1, sampleBlock-3), op(0, 4), op(3, 0), op(0, 5), op(3, 0), op(1, 2), op(0, 0)))
+	// A zero run that goes on across a Stop/Start, copied on either side.
+	f.Add(uint16(0), ops(op(0, 100), op(3, 0), op(2, 17), op(0, 50), op(3, 0), op(2, 3<<8|255), op(1, 1)))
+	f.Fuzz(func(t *testing.T, first uint16, data []byte) {
+		const every = 10 * sim.Microsecond
+		s := QueueSeries{Every: every}
+		var model []seriesSample
+		next := sim.Time(0) // the instant of the next tick
+		tick := func(b int) {
+			s.push(int32(b))
+			model = append(model, seriesSample{next, b})
+			next = next.Add(every)
+		}
+		type copied struct {
+			s QueueSeries
+			n int
+		}
+		var copies []copied
+		s.begin(0)
+		tick(int(first))
+		for ; len(data) >= 3 && len(model) < fuzzSeriesCap; data = data[3:] {
+			a := int(data[1]) | int(data[2])<<8
+			ticks := min(a%(2*sampleBlock)+1, fuzzSeriesCap-len(model))
+			switch data[0] % 4 {
+			case 0:
+				for range ticks {
+					tick(0)
+				}
+			case 1:
+				for j := range ticks {
+					tick(1 + (a*(j+1))%math.MaxInt32)
+				}
+			case 2:
+				next = model[len(model)-1].at.Add(sim.Duration(a%256) * sim.Microsecond)
+				s.begin(next)
+				tick(a / 256)
+			case 3:
+				copies = append(copies, copied{s, len(model)})
+			}
+		}
+		readsAs(t, "series", s, model, true)
+		for k, c := range copies {
+			readsAs(t, "copy "+strconv.Itoa(k), c.s, model[:c.n], false)
+		}
+	})
+}
+
+// readsAs fails t unless s holds exactly want: its Len, Each's walk and
+// Sample at every index (at the first and last one only unless every).
+func readsAs(t *testing.T, name string, s QueueSeries, want []seriesSample, every bool) {
+	t.Helper()
+	if s.Len() != len(want) {
+		t.Fatalf("%s: Len %d, want %d", name, s.Len(), len(want))
 	}
+	var got []seriesSample
+	s.Each(func(at sim.Time, bytes int) { got = append(got, seriesSample{at, bytes}) })
+	if len(got) != len(want) {
+		t.Fatalf("%s: Each walked %d samples, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: Each's sample %d = %v, want %v", name, i, got[i], want[i])
+		}
+	}
+	check := func(i int) {
+		if at, bytes := s.Sample(i); (seriesSample{at, bytes}) != want[i] {
+			t.Fatalf("%s: Sample(%d) = (%v, %d), want %v", name, i, at, bytes, want[i])
+		}
+	}
+	if every {
+		for i := range want {
+			check(i)
+		}
+		return
+	}
+	check(0)
+	check(len(want) - 1)
 }

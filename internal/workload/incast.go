@@ -87,20 +87,17 @@ func (c IncastConfig) flowID(i int) packet.FlowID {
 	return packet.FlowID(i + 1)
 }
 
-// FlowRound captures one flow's per-round event flags, the unit of the
-// paper's Table I percentages ("among all transmissions" = among all
-// request rounds).
-type FlowRound struct {
-	Timeout    bool // the flow hit at least one RTO this round
-	MinCwndECE bool // the flow sent with cwnd at the floor while ECE was set
-}
-
-// RoundResult records one completed incast round.
+// RoundResult records one completed incast round. Its flow counts are the
+// unit of the paper's Table I percentages ("among all transmissions" =
+// among all request rounds).
 type RoundResult struct {
 	Start sim.Time
 	FCT   sim.Duration // request issue to last response byte
 	Bytes int64        // total payload delivered this round
-	Flows []FlowRound
+
+	Flows           int // flows that served the round
+	TimeoutFlows    int // flows that hit at least one RTO this round
+	MinCwndECEFlows int // flows that sent with cwnd at the floor while ECE was set
 }
 
 // GoodputMbps returns the round's application goodput in Mbps.
@@ -109,6 +106,13 @@ func (r RoundResult) GoodputMbps() float64 {
 		return 0
 	}
 	return float64(r.Bytes) * 8 / 1e6 / r.FCT.Seconds()
+}
+
+// roundMark is the part of one sender's statistics a round's flow counts
+// compare against: its totals when the round started.
+type roundMark struct {
+	timeouts        int64
+	minCwndECESends int64
 }
 
 // Incast drives the barrier-synchronized incast workload over a two-tier
@@ -147,7 +151,7 @@ type Incast struct {
 	roundStart sim.Time
 	recvd      []int64
 	doneFlows  int64
-	statsMark  []tcp.SenderStats // per-flow snapshot at round start
+	statsMark  []roundMark // per-flow snapshot at round start
 	// servedRound[i] is the last round whose request flow i's worker has
 	// served (-1 initially): the dedup that makes request retries
 	// idempotent.
@@ -303,7 +307,8 @@ func (in *Incast) startRound() {
 	in.doneFlows = 0
 	for i := range in.recvd {
 		in.recvd[i] = 0
-		in.statsMark[i] = in.conns[i].Sender.Stats()
+		st := in.conns[i].Sender.Stats()
+		in.statsMark[i] = roundMark{st.Timeouts, st.MinCwndECESends}
 	}
 	// The aggregator's requests are real 40-byte packets sharing the
 	// reverse path with ACKs; every worker receives its request at nearly
@@ -389,24 +394,20 @@ func (in *Incast) deliver(i int, n int64) {
 
 func (in *Incast) endRound() {
 	now := in.sched.Now()
-	// A reopened workload rewrites the previous run's rounds in place: the
-	// slot past the end may still hold a per-flow table to reuse.
-	var flows []FlowRound
-	if k := len(in.results); k < cap(in.results) {
-		flows = in.results[:k+1][k].Flows
-	}
 	res := RoundResult{
 		Start: in.roundStart,
 		FCT:   now.Sub(in.roundStart),
 		Bytes: in.cfg.BytesPerFlow * int64(in.cfg.Flows),
-		Flows: zeroed(flows, in.cfg.Flows),
+		Flows: in.cfg.Flows,
 	}
 	for i, c := range in.conns {
 		st := c.Sender.Stats()
 		mark := in.statsMark[i]
-		res.Flows[i] = FlowRound{
-			Timeout:    st.Timeouts > mark.Timeouts,
-			MinCwndECE: st.MinCwndECESends > mark.MinCwndECESends,
+		if st.Timeouts > mark.timeouts {
+			res.TimeoutFlows++
+		}
+		if st.MinCwndECESends > mark.minCwndECESends {
+			res.MinCwndECEFlows++
 		}
 	}
 	in.results = append(in.results, res)
